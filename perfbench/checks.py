@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 TIE = 1e-9  # scores or distances this close count as a tie
+BEATS_GLOBAL = 0.8  # largest segmented-to-global error ratio allowed
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +194,9 @@ def ties(values: np.ndarray, largest: bool) -> np.ndarray:
 
 
 def route_candidates(model: dict, scorer: NccScorer, founder_images: dict[int, np.ndarray],
-                     cluster_feats: np.ndarray, feats: np.ndarray) -> list[set[int]]:
-    """The regions each terminal may be routed to, ties included.
+                     cluster_feats: np.ndarray, feats: np.ndarray) -> tuple[list[set[int]], list[set[tuple[int, int]]]]:
+    """The regions each terminal may be routed to, ties included, and the
+    trained (CFR, cluster) pairs that lead there.
 
     ``model`` is the parsed model.json; ``founder_images`` maps each
     founder sample id to its magnitude image. The CFR label is the
@@ -223,19 +225,21 @@ def route_candidates(model: dict, scorer: NccScorer, founder_images: dict[int, n
     regions = sorted(int(r) for r in model["region_feature_centroids"])
     rcent = np.array([model["region_feature_centroids"][str(r)] for r in regions])
 
-    out = []
+    out, via = [], []
     for i in range(len(cfr_scores)):
-        found = set()
+        found, pairs = set(), set()
         for ci in ties(cfr_scores[i], largest=True):
             for a in ties(dist[i], largest=False):
                 f = pair_to_fused.get((cats[ci], int(a)))
                 if f is not None and f in trained:
                     found.add(f)
+                    pairs.add((cats[ci], int(a)))
                 else:
                     d2 = ((rcent - feats[i]) ** 2).sum(axis=1)
                     found.update(regions[j] for j in ties(d2, largest=False))
         out.append(found)
-    return out
+        via.append(pairs)
+    return out, via
 
 
 def check_routing(routed, candidates) -> list[str]:
@@ -284,9 +288,10 @@ def check_ridge(x_raw, y, lam: float, model: dict, region: str = "0") -> list[st
     return problems
 
 
-def check_beats_global(segmented: float, global_: float, factor: float = 0.8) -> list[str]:
-    if not segmented <= factor * global_:
-        return [f"segmented error {segmented:.3f} m is not at most {factor} x global {global_:.3f} m"]
+def check_beats_global(segmented: float, global_: float) -> list[str]:
+    """The segmented error is at most ``BEATS_GLOBAL`` times the global model's."""
+    if not segmented <= BEATS_GLOBAL * global_:
+        return [f"segmented error {segmented:.3f} m is not at most {BEATS_GLOBAL} x global {global_:.3f} m"]
     return []
 
 

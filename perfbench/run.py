@@ -16,6 +16,7 @@ prints one JSON object as its last line.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import resource
@@ -28,6 +29,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "perfbench-out"
+SETUP_PROBES = 5  # set-up samples per plain run; their median is reported
 
 
 def _parse(argv):
@@ -43,21 +45,22 @@ def _parse(argv):
     return args
 
 
-def _setup_time(workload: str, probe) -> float:
+def _setup_time(workload: str) -> float:
     """Process start to a built config, in a fresh interpreter, in
     reference seconds.
 
     The child runs this script up to the point where the main process
     makes its first ``run_pipeline`` call, and prints the monotonic
-    clock (system-wide on Linux) there.
+    clock (system-wide on Linux) there, then the machine's slowdown
+    measured in the child right after (``speed.py``).
     """
     t0 = time.monotonic()
-    p0 = time.perf_counter()
     done = subprocess.run(
         [sys.executable, __file__, "--workload", workload, "--setup-probe"],
         capture_output=True, text=True, timeout=120, check=True,
     )
-    return (float(done.stdout.split()[-1]) - t0) / probe.slowdown(p0, time.perf_counter())
+    reached, slowdown = map(float, done.stdout.split()[-2:])
+    return (reached - t0) / slowdown
 
 
 def main(argv=None) -> int:
@@ -90,7 +93,8 @@ def main(argv=None) -> int:
     spec = workloads.WORKLOADS[args.workload]
     config = workloads.build_config(args.workload)
     if args.setup_probe:
-        print(time.monotonic())
+        reached = time.monotonic()
+        print(reached, speed.SpeedProbe().slowdown_now())
         return 0
 
     out_dir = OUT / f"{args.workload}-{os.getpid()}"
@@ -99,6 +103,7 @@ def main(argv=None) -> int:
     pipeline_spans: list[tuple[float, float]] = []
     reports: list[dict] = []
     probe = speed.SpeedProbe()
+    calls = {"ok": 0, "failed": 0}
 
     def timed_pipeline():
         t0 = time.perf_counter()
@@ -108,8 +113,10 @@ def main(argv=None) -> int:
     try:
         if not args.trace:
             probe.start()
-            setup.append(_setup_time(args.workload, probe))
         timed_pipeline()
+        # The program's own peak: imports and one pipeline call, before the
+        # benchmark holds its copies of the samples and the model.
+        peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         # The samples run_pipeline used: the dataset files hold them only
         # to float32, and that rounding changes routing (see README).
         built = scenegen.build_dataset(scenegen.scene_from_json(config["scene"]))
@@ -161,16 +168,24 @@ def main(argv=None) -> int:
         def global_check():
             glob = evaluate.run_pipeline({**config, "single_region": True})
             derived["global"] = glob
-            problems.extend(checks.check_beats_global(report["mean_error_m"], glob["mean_error_m"], spec["beats_global"]))
+            problems.extend(checks.check_beats_global(report["mean_error_m"], glob["mean_error_m"]))
 
         # Work done between localize calls, spread evenly over the first
         # passes, so that every timing is taken over moments spread
-        # across the whole run: the remaining pipeline repeats, two more
-        # set-up probes and the checks that need no predictions.
+        # across the whole run: the remaining pipeline repeats, the set-up
+        # probes and the checks that need no predictions.
         repeats = [] if args.trace else [timed_pipeline] * (spec["pipeline_repeats"] - 1)
-        probes = [] if args.trace else [lambda: setup.append(_setup_time(args.workload, probe))] * 2
-        spacers = [file_checks, *repeats[:1], *probes[:1], model_checks, *repeats[1:], *probes[1:]]
-        if "beats_global" in spec:
+
+        def setup_probe():
+            # Kernel samples taken while the child starts up read up to six
+            # times slower than those around them, so sampling pauses.
+            probe.stop()
+            setup.append(_setup_time(args.workload))
+            probe.start()
+
+        probes = [] if args.trace else [setup_probe] * SETUP_PROBES
+        spacers = [file_checks, *probes[:2], *repeats[:1], model_checks, *probes[2:4], *repeats[1:], *probes[4:]]
+        if spec.get("beats_global"):
             spacers.append(global_check)
         min_passes = 1 if args.trace else spec["min_passes"]
         slots = [round((j + 1) * min_passes * len(test) / (len(spacers) + 1)) for j in range(len(spacers))]
@@ -181,7 +196,6 @@ def main(argv=None) -> int:
         order = np.random.default_rng(args.seed)
         preds: dict[int, np.ndarray] = {}
         call_spans: list[tuple[float, float]] = []
-        calls = {"ok": 0, "failed": 0}
         passes = 0
         while True:
             for k in order.permutation(len(test)):
@@ -213,12 +227,23 @@ def main(argv=None) -> int:
             routed = [checks.routed_region(p, f, model.weights) for p, f in zip(pred_arr, derived["feats"])]
             problems += checks.check_routed_trained(routed, model.weights)
             if "candidates" in derived:
-                candidates = derived["candidates"]
+                candidates, via = derived["candidates"]
                 problems += checks.check_routing(routed, candidates)
-                planted = list(routed)
-                planted[0] = next((r for r in model.weights if r not in candidates[0]), -1)
-                if not checks.check_routing(planted, candidates):
-                    problems.append("a planted wrong routing label was not caught")
+                trained = set(model.weights)
+                if all(c >= trained for c in candidates):
+                    problems.append("the independent routing allows every trained region for every terminal")
+                # Plant a fault in the model: send the one trained (CFR,
+                # cluster) pair a terminal is routed through to another
+                # region, route it again, and require the check to flag it.
+                i = next((i for i, (c, v) in enumerate(zip(candidates, via)) if len(c) == len(v) == 1 and trained - c), None)
+                if i is None:
+                    problems.append("no held-out terminal is routed through one trained pair; no fault can be planted")
+                else:
+                    wrong = min(trained - candidates[i])
+                    planted = dataclasses.replace(model, pair_to_fused={**model.pair_to_fused, next(iter(via[i])): wrong})
+                    got = checks.routed_region(localizer.predict(planted, test[i]), derived["feats"][i], model.weights)
+                    if got != wrong or not checks.check_routing([got], [candidates[i]]):
+                        problems.append(f"a wrong pair_to_fused entry planted for terminal {test[i].id} was not caught")
 
         if args.trace:
             metrics = tracer.layer_metrics()
@@ -239,7 +264,7 @@ def main(argv=None) -> int:
                 "localize_ms_p50": (float(np.percentile(latency_ms, 50)), "ms"),
                 "localize_ms_p95": (float(np.percentile(latency_ms, 95)), "ms"),
                 "mean_error_m": (report["mean_error_m"], "m"),
-                "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "MB"),
+                "peak_rss_mb": (peak_rss_mb, "MB"),
             }
             metrics = {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()}
             wall = [b - a for a, b in call_spans]
