@@ -20,10 +20,10 @@ from .fusion import RegionLabels, cleanse, fuse_labels
 from .localizer import (
     FeatureConfig,
     LocalizationModel,
-    assign_region,
     extract_features_adcam,
     extract_features_cfr,
     fuse_features,
+    locate,
     predict,
     train,
 )

@@ -19,16 +19,14 @@ from . import io as dio
 from .evaluate import (
     PipelineError,
     cdf_curve,
+    default_config,
     export_region_map,
     mean_error,
     run_pipeline,
+    segment,
 )
-from .fusion import cleanse, fuse_labels
-from .localizer import predict, train
+from .localizer import locate, train
 from .scenegen import build_dataset, scene_from_json
-from .segmentation_adcam import build_features, kmeans, select_k
-from .segmentation_cfr import extract_templates, segment_cfr
-from .channel import render_image
 
 
 def _seed_override(seed: int) -> int:
@@ -53,25 +51,17 @@ def _parse_template(text: str) -> tuple[int, int]:
 def _cmd_segment(args) -> int:
     samples = dio.read_dataset(args.data)
     size = _parse_template(args.template)
-    images = [render_image(s.cfr, "cfr_magnitude") for s in samples]
-    labeling = segment_cfr(images, args.tau_in, args.tau_out, size)
-    feats, std = build_features(samples, args.path_select)
-    k_max = min(args.k_max, np.unique(feats, axis=0).shape[0], len(samples) - 1)
-    if k_max >= 2:
-        _, cmodel = select_k(feats, range(2, k_max + 1), seed=_seed_override(args.seed))
-    else:
-        cmodel = kmeans(feats, 1, seed=_seed_override(args.seed))
-    regions = cleanse(fuse_labels(labeling.labels, cmodel.assignment), args.min_count)
+    # the option names are the config keys: tau_in, tau_out, min_count, k_max, path_select
+    cfg = {**default_config(), **vars(args), "template_size": size, "seed": _seed_override(args.seed)}
+    regions, founders, centroids, std = segment(samples, cfg)
     data = Path(args.data)
     export_region_map(samples, regions, data / "region_map.csv", data / "region_map.ppm")
     seg = {
         "template_size": list(size),
         "path_select": args.path_select,
-        "founders": {
-            str(c): samples[p.founder_id].id for c, p in labeling.founders.items()
-        },
-        "adcam_centroids": cmodel.centroids.tolist(),
-        "adcam_standardizer": {"mean": std.mean.tolist(), "scale": std.scale.tolist()},
+        "founders": {str(c): p.founder_id for c, p in founders.items()},
+        "adcam_centroids": centroids.tolist(),
+        "adcam_standardizer": dio._std_to_json(std),
     }
     (data / "segmentation.json").write_text(json.dumps(seg, sort_keys=True, indent=1))
     print(
@@ -85,26 +75,16 @@ def _cmd_train(args) -> int:
     samples = dio.read_dataset(args.data)
     by_id = {s.id: s for s in samples}
     ids, regions = dio.read_region_map(args.regions)
-    data = Path(args.data)
-    seg = json.loads((data / "segmentation.json").read_text())
-    size = tuple(seg["template_size"])
-    founders = {}
-    for c, sid in seg["founders"].items():
-        img = render_image(by_id[sid].cfr, "cfr_magnitude")
-        founders[int(c)] = extract_templates(img, size, founder_id=sid)
-    from .segmentation_adcam import Standardizer
-
-    std = Standardizer(
-        mean=np.array(seg["adcam_standardizer"]["mean"]),
-        scale=np.array(seg["adcam_standardizer"]["scale"]),
+    seg = json.loads((Path(args.data) / "segmentation.json").read_text())
+    founders = dio.recut_founders(
+        samples, [(c, sid, seg["template_size"]) for c, sid in seg["founders"].items()]
     )
-    ordered = [by_id[i] for i in ids]
     model = train(
-        ordered,
+        [by_id[i] for i in ids],
         regions,
         founders,
         np.array(seg["adcam_centroids"]),
-        std,
+        dio._std_from_json(seg["adcam_standardizer"]),
         path_select=seg["path_select"],
         method=args.method,
         seed=_seed_override(args.seed),
@@ -117,7 +97,7 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     samples = dio.read_dataset(args.data)
     model = dio.read_model(args.model, samples)
-    preds = np.array([predict(model, s) for s in samples])
+    preds, _ = locate(model, samples)
     truths = np.array([s.pos for s in samples])
     me, rmse = mean_error(preds, truths)
     errors = np.linalg.norm(preds - truths, axis=1)

@@ -10,7 +10,7 @@ import numpy as np
 from . import io as dio
 from .channel import render_image
 from .fusion import RegionLabels, cleanse, fuse_labels
-from .localizer import LocalizationModel, assign_region, predict, train
+from .localizer import locate, train
 from .scenegen import SceneConfig, build_dataset, nlos_filter, scene_from_json, scene_to_json
 from .segmentation_adcam import Standardizer, build_features, kmeans, select_k
 from .segmentation_cfr import TemplatePair, extract_templates, segment_cfr
@@ -20,6 +20,7 @@ __all__ = [
     "cdf_curve",
     "export_region_map",
     "PipelineError",
+    "segment",
     "run_pipeline",
     "default_config",
 ]
@@ -108,8 +109,8 @@ def _split(n: int, train_fraction: float, seed: int) -> tuple[np.ndarray, np.nda
     return np.sort(order[:n_train]), np.sort(order[n_train:])
 
 
-def _segment_train_set(train_samples, cfg) -> tuple[RegionLabels, dict[int, TemplatePair], np.ndarray, Standardizer]:
-    """Run both segmentations on the training set and fuse them."""
+def segment(train_samples, cfg) -> tuple[RegionLabels, dict[int, TemplatePair], np.ndarray, Standardizer]:
+    """Run both segmentations on the training set and fuse them; founder ids are sample ids."""
     images = [render_image(s.cfr, "cfr_magnitude") for s in train_samples]
     size = tuple(cfg["template_size"])
     if cfg.get("single_region"):
@@ -121,9 +122,8 @@ def _segment_train_set(train_samples, cfg) -> tuple[RegionLabels, dict[int, Temp
     else:
         labeling = segment_cfr(images, cfg["tau_in"], cfg["tau_out"], size)
         cfr_lab = labeling.labels
-        # re-cut templates so founder ids refer to dataset sample ids
         founders = {
-            c: extract_templates(images[p.founder_id], size, founder_id=train_samples[p.founder_id].id)
+            c: dataclasses.replace(p, founder_id=train_samples[p.founder_id].id)
             for c, p in labeling.founders.items()
         }
         feats, std = build_features(train_samples, cfg["path_select"])
@@ -143,9 +143,10 @@ def run_pipeline(config: dict, out_dir: str | Path | None = None) -> dict:
 
     The train/test split happens before segmentation; segmentation is
     fit on training samples only and test samples are routed through
-    the trained matchers. Returns the report dict; when ``out_dir`` is
-    given all artifacts (dataset, region map, model, report) are written
-    there.
+    the trained matchers. The config ``seed`` seeds everything, the
+    scene included: it always replaces the scene's own ``seed``.
+    Returns the report dict; when ``out_dir`` is given all artifacts
+    (dataset, region map, model, report) are written there.
     """
     cfg = {**default_config(), **config}
     if isinstance(cfg["scene"], dict):
@@ -154,8 +155,7 @@ def run_pipeline(config: dict, out_dir: str | Path | None = None) -> dict:
         scene_dict = cfg["scene"]
     try:
         scene = scene_from_json(scene_dict)
-        if "seed" in cfg:
-            scene.seed = int(cfg["seed"])
+        scene.seed = int(cfg["seed"])
         samples = build_dataset(scene)
         samples = nlos_filter(samples, cfg["nlos_mode"])
     except (ValueError, TypeError) as e:
@@ -166,7 +166,7 @@ def run_pipeline(config: dict, out_dir: str | Path | None = None) -> dict:
     test_samples = [samples[i] for i in test_idx]
 
     try:
-        regions, founders, centroids, adcam_std = _segment_train_set(train_samples, cfg)
+        regions, founders, centroids, adcam_std = segment(train_samples, cfg)
     except ValueError as e:
         raise PipelineError("segment", str(e)) from e
 
@@ -187,15 +187,11 @@ def run_pipeline(config: dict, out_dir: str | Path | None = None) -> dict:
 
     try:
         eval_samples = test_samples if test_samples else train_samples
-        preds = np.array([predict(model, s) for s in eval_samples])
+        preds, assigned = locate(model, eval_samples)
         truths = np.array([s.pos for s in eval_samples])
         errors = np.linalg.norm(preds - truths, axis=1)
         me, rmse = mean_error(preds, truths)
-        assigned = [assign_region(model, s) for s in eval_samples]
-        per_region: dict[str, float] = {}
-        for r in sorted(set(assigned)):
-            mask = np.array([a == r for a in assigned])
-            per_region[str(r)] = float(errors[mask].mean())
+        per_region = {str(r): float(errors[np.equal(assigned, r)].mean()) for r in sorted(set(assigned))}
     except ValueError as e:
         raise PipelineError("eval", str(e)) from e
 

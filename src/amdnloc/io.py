@@ -19,7 +19,7 @@ from .fusion import RegionLabels
 from .localizer import FeatureConfig, LocalizationModel
 from .scenegen import Sample
 from .segmentation_adcam import Standardizer
-from .segmentation_cfr import extract_templates
+from .segmentation_cfr import TemplatePair, extract_templates
 
 __all__ = [
     "MAGIC",
@@ -29,6 +29,7 @@ __all__ = [
     "write_region_map",
     "read_region_map",
     "write_model",
+    "recut_founders",
     "read_model",
 ]
 
@@ -204,19 +205,28 @@ def write_model(path: str | Path, model: LocalizationModel):
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1))
 
 
+def recut_founders(samples: list[Sample], specs) -> dict[int, TemplatePair]:
+    """Founder templates re-cut from (category, sample id, size) triples,
+    in ascending category order: the trained model's order, by which
+    routing breaks ties."""
+    by_id = {s.id: s for s in samples}
+    founders = {}
+    for c, sid, size in sorted(specs, key=lambda spec: int(spec[0])):
+        if sid not in by_id:
+            raise ValueError(f"founder sample {sid} of category {c} is not in the dataset")
+        img = render_image(by_id[sid].cfr, "cfr_magnitude")
+        founders[int(c)] = extract_templates(img, tuple(size), founder_id=sid)
+    return founders
+
+
 def read_model(path: str | Path, samples: list[Sample]) -> LocalizationModel:
     """Load a model; founder templates are re-cut from the given dataset."""
     obj = json.loads(Path(path).read_text())
     if obj.get("format") != "amdnloc-model":
         raise ValueError(f"{path}: not a model file")
-    by_id = {s.id: s for s in samples}
-    founders = {}
-    for c, info in obj["founders"].items():
-        sid = info["founder_sample_id"]
-        if sid not in by_id:
-            raise ValueError(f"model references missing founder sample {sid}")
-        img = render_image(by_id[sid].cfr, "cfr_magnitude")
-        founders[int(c)] = extract_templates(img, tuple(info["size"]), founder_id=sid)
+    founders = recut_founders(
+        samples, [(c, f["founder_sample_id"], f["size"]) for c, f in obj["founders"].items()]
+    )
     return LocalizationModel(
         config=FeatureConfig(nt=obj["nt"], nc=obj["nc"]),
         weights={int(r): np.array(w) for r, w in obj["weights"].items()},

@@ -16,8 +16,8 @@ from scipy.spatial.distance import cdist
 
 from .channel import render_image
 from .fusion import RegionLabels
-from .segmentation_adcam import Standardizer
-from .segmentation_cfr import TemplatePair, _pair_score
+from .segmentation_adcam import Standardizer, path_descriptor
+from .segmentation_cfr import TemplatePair, _ImageStacks
 
 __all__ = [
     "FeatureConfig",
@@ -28,7 +28,7 @@ __all__ = [
     "fit_region_weights",
     "apply_weights",
     "train",
-    "assign_region",
+    "locate",
     "predict",
 ]
 
@@ -99,12 +99,9 @@ def extract_features_adcam(img: np.ndarray, config: FeatureConfig) -> np.ndarray
     )
 
 
-def fuse_features(f_cfr: np.ndarray, f_adcam: np.ndarray, standardizer: Standardizer | None = None) -> np.ndarray:
-    """Concatenate the two feature vectors; optionally z-score them."""
-    fused = np.concatenate([f_cfr, f_adcam])
-    if standardizer is not None:
-        fused = standardizer.apply(fused)
-    return fused
+def fuse_features(f_cfr: np.ndarray, f_adcam: np.ndarray) -> np.ndarray:
+    """Concatenate the two feature vectors."""
+    return np.concatenate([f_cfr, f_adcam])
 
 
 def sample_features(sample, config: FeatureConfig) -> np.ndarray:
@@ -184,7 +181,7 @@ def train(
 
     Feature normalization constants come from the retained training
     samples; the founders/centroids of the segmentation stages are
-    stored so prediction can re-run region assignment.
+    stored so ``locate`` can route new samples.
     """
     if method not in ("ridge_closed_form", "sgd"):
         raise ValueError(f"unknown method {method!r}")
@@ -222,36 +219,31 @@ def train(
     )
 
 
-def _cluster_feature(sample, path_select: str) -> np.ndarray:
-    if path_select == "strongest":
-        p = min(sample.paths, key=lambda p: p.pathloss_db)
-    else:
-        p = min(sample.paths, key=lambda p: p.delay_samples)
-    return np.array([p.aod, p.aoa, abs(p.gain), p.pathloss_db])
+def locate(model: LocalizationModel, samples) -> tuple[np.ndarray, list[int]]:
+    """Estimated (x, y) in meters, shape (n, 2), and the region of each sample.
 
-
-def assign_region(model: LocalizationModel, sample) -> int:
-    """Route a sample to a trained fused region.
-
-    CFR label: best-matching founder templates. Power/angle/delay label:
-    nearest clustering centroid. If the resulting pair was never seen
-    (or was cleansed away), fall back to the region whose training
-    feature centroid is nearest.
+    Routing pairs the CFR label, the first best-matching founder in
+    ``model.founders`` order, with the nearest clustering centroid. A
+    pair never seen (or cleansed away) falls back to the region whose
+    training feature centroid is nearest.
     """
-    mag = render_image(sample.cfr, "cfr_magnitude")
-    cfr_label = max(
-        model.founders, key=lambda c: _pair_score(model.founders[c], mag)
-    )
-    kf = model.adcam_standardizer.apply(_cluster_feature(sample, model.path_select))
-    adcam_label = int(cdist([kf], model.adcam_centroids)[0].argmin())
-    fused = model.pair_to_fused.get((int(cfr_label), adcam_label))
-    if fused is not None and fused in model.weights:
-        return fused
-    feat = model.feature_standardizer.apply(sample_features(sample, model.config))
-    return min(
-        model.region_feature_centroids,
-        key=lambda r: float(np.sum((model.region_feature_centroids[r] - feat) ** 2)),
-    )
+    kf = model.adcam_standardizer.apply([path_descriptor(s, model.path_select) for s in samples])
+    adcam_labels = cdist(kf, model.adcam_centroids).argmin(axis=1)
+    stacks = _ImageStacks([render_image(s.cfr, "cfr_magnitude") for s in samples])
+    everyone = np.arange(len(samples))
+    scores = [stacks.pair_scores(p, everyone) for p in model.founders.values()]
+    cfr_labels = np.array(list(model.founders))[np.argmax(scores, axis=0)]
+    xy = np.empty((len(samples), 2))
+    regions = []
+    for i, s in enumerate(samples):
+        feat = model.feature_standardizer.apply(sample_features(s, model.config))
+        region = model.pair_to_fused.get((int(cfr_labels[i]), int(adcam_labels[i])))
+        if region not in model.weights:
+            centroids = model.region_feature_centroids
+            region = min(centroids, key=lambda r: float(np.sum((centroids[r] - feat) ** 2)))
+        xy[i] = apply_weights(model.weights[region], feat)
+        regions.append(region)
+    return xy, regions
 
 
 def apply_weights(weights: np.ndarray, features: np.ndarray) -> np.ndarray:
@@ -261,6 +253,4 @@ def apply_weights(weights: np.ndarray, features: np.ndarray) -> np.ndarray:
 
 def predict(model: LocalizationModel, sample) -> np.ndarray:
     """Estimated (x, y) in meters."""
-    region = assign_region(model, sample)
-    feat = model.feature_standardizer.apply(sample_features(sample, model.config))
-    return apply_weights(model.weights[region], feat)
+    return locate(model, [sample])[0][0]

@@ -15,6 +15,7 @@ from scipy.spatial.distance import cdist
 __all__ = [
     "ClusterModel",
     "Standardizer",
+    "path_descriptor",
     "build_features",
     "kmeans",
     "silhouette",
@@ -52,24 +53,26 @@ class ClusterModel:
     wcss: float
 
 
-def build_features(samples, path_select: str = "strongest") -> tuple[np.ndarray, Standardizer]:
-    """One standardized [aod, aoa, |gain|, pathloss_db] row per sample.
+def path_descriptor(sample, path_select: str) -> list[float]:
+    """[aod, aoa, |gain|, pathloss_db] of the path that represents a sample.
 
-    ``path_select`` picks which path represents the sample: "strongest"
-    (lowest pathloss) or "first_arrival" (smallest delay).
+    ``path_select`` picks that path: "strongest" (lowest pathloss) or
+    "first_arrival" (smallest delay).
     """
-    rows = []
-    for s in samples:
-        if not s.paths:
-            raise ValueError(f"sample {s.id} has no paths")
-        if path_select == "strongest":
-            p = min(s.paths, key=lambda p: p.pathloss_db)
-        elif path_select == "first_arrival":
-            p = min(s.paths, key=lambda p: p.delay_samples)
-        else:
-            raise ValueError(f"unknown path_select {path_select!r}")
-        rows.append([p.aod, p.aoa, abs(p.gain), p.pathloss_db])
-    raw = np.asarray(rows, dtype=float)
+    if not sample.paths:
+        raise ValueError(f"sample {sample.id} has no paths")
+    if path_select == "strongest":
+        p = min(sample.paths, key=lambda p: p.pathloss_db)
+    elif path_select == "first_arrival":
+        p = min(sample.paths, key=lambda p: p.delay_samples)
+    else:
+        raise ValueError(f"unknown path_select {path_select!r}")
+    return [p.aod, p.aoa, abs(p.gain), p.pathloss_db]
+
+
+def build_features(samples, path_select: str = "strongest") -> tuple[np.ndarray, Standardizer]:
+    """One standardized ``path_descriptor`` row per sample."""
+    raw = np.asarray([path_descriptor(s, path_select) for s in samples], dtype=float)
     std = Standardizer.fit(raw)
     return std.apply(raw), std
 

@@ -177,6 +177,17 @@ class _ImageStacks:
             hits[here] = True
         return hits
 
+    def pair_scores(self, pair: TemplatePair, indices: np.ndarray) -> np.ndarray:
+        """``_pair_score(pair, image)`` for each listed image."""
+        scores = np.empty(len(indices))
+        for g, stack in enumerate(self._stacks):
+            here = np.flatnonzero(self._stack_of[indices] == g)
+            rows = self._row_of[indices[here]]
+            if rows.size:
+                t1, t2 = (_ncc_batch(t, stack[rows], self._win(g, t.shape)[rows]) for t in (pair.t1, pair.t2))
+                scores[here] = np.minimum(t1, t2)
+        return scores
+
 
 def match_within(
     images: list[np.ndarray], tau_in: float, size: tuple[int, int]

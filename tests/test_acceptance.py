@@ -21,11 +21,9 @@ from amdnloc.channel import (
     render_image,
 )
 from amdnloc.cli import main as cli_main
-from amdnloc.evaluate import _segment_train_set, _split, default_config, run_pipeline
+from amdnloc.evaluate import _split, default_config, run_pipeline
 from amdnloc.fusion import cleanse, fuse_labels
 from amdnloc.localizer import (
-    _cluster_feature,
-    _pair_score,
     apply_weights,
     fit_region_weights,
     sample_features,
@@ -36,10 +34,12 @@ from amdnloc.segmentation_adcam import (
     build_features,
     calinski_harabasz,
     kmeans,
+    path_descriptor,
     select_k,
     silhouette,
 )
 from amdnloc.segmentation_cfr import (
+    _pair_score,
     extract_templates,
     match_between,
     match_within,
@@ -323,7 +323,7 @@ def _retained_error(train_s, test_s, lab, founders, cmodel, std, min_count):
     for s in test_s:
         mag = render_image(s.cfr, "cfr_magnitude")
         c = max(model.founders, key=lambda k: _pair_score(model.founders[k], mag))
-        kf = model.adcam_standardizer.apply(_cluster_feature(s, "strongest"))
+        kf = model.adcam_standardizer.apply(path_descriptor(s, "strongest"))
         a = int(np.argmin(np.sum((model.adcam_centroids - kf) ** 2, axis=1)))
         fused = model.pair_to_fused.get((int(c), a))
         if fused is None or fused not in model.weights:

@@ -11,7 +11,7 @@ from amdnloc.evaluate import (
     run_pipeline,
 )
 from amdnloc.fusion import fuse_labels
-from amdnloc.scenegen import Sample
+from amdnloc.scenegen import Sample, build_dataset, scene_from_json
 
 
 class TestMeanError:
@@ -146,6 +146,16 @@ class TestRunPipeline:
         with pytest.raises(PipelineError) as exc:
             run_pipeline(bad)
         assert exc.value.stage == "generate"
+
+    def test_config_seed_replaces_scene_seed(self):
+        scenes = [{**SMALL_CONFIG["scene"], "grid_jitter": 0.5, "seed": seed} for seed in (5, 6)]
+        # the scene seed alone would move the terminals
+        a, b = (build_dataset(scene_from_json(s)) for s in scenes)
+        assert [s.pos for s in a] != [s.pos for s in b]
+        reports = [run_pipeline({**SMALL_CONFIG, "scene": s}) for s in scenes]
+        for r in reports:
+            del r["config"]  # echoes each scene as given
+        assert reports[0] == reports[1]
 
     def test_cdf_terminal_value(self):
         report = run_pipeline(SMALL_CONFIG)

@@ -1,4 +1,5 @@
 import json
+import shutil
 import struct
 
 import numpy as np
@@ -140,11 +141,47 @@ class TestCliWorkflow:
         assert rc != 0
 
 
+@pytest.fixture(scope="module")
+def trained_chain(dataset, tmp_path_factory):
+    """A dataset directory after generate and segment, plus a trained model."""
+    scene, _ = dataset
+    root = tmp_path_factory.mktemp("chain")
+    (root / "scene.json").write_text(json.dumps(scene_to_json(scene)))
+    data, model = root / "data", root / "model.json"
+    assert main(["generate", "--scene", str(root / "scene.json"), "--out", str(data)]) == 0
+    assert main(["segment", "--data", str(data), "--template", "8x8", "--tau-in", "0.95", "--tau-out", "0.95", "--min-count", "0"]) == 0
+    assert main(["train", "--data", str(data), "--regions", str(data / "region_map.csv"), "--out", str(model)]) == 0
+    return data, model
+
+
+class TestBoundaryErrors:
+    def test_train_names_a_founder_missing_from_the_dataset(self, trained_chain, tmp_path, capsys):
+        data = shutil.copytree(trained_chain[0], tmp_path / "data")
+        seg = json.loads((data / "segmentation.json").read_text())
+        seg["founders"]["1"] = 9999
+        (data / "segmentation.json").write_text(json.dumps(seg))
+        rc = main(["train", "--data", str(data), "--regions", str(data / "region_map.csv"), "--out", str(tmp_path / "m.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "[train]" in err and "9999" in err
+
+    def test_eval_rejects_unknown_path_select(self, trained_chain, tmp_path, capsys):
+        data, model_path = trained_chain
+        obj = json.loads(model_path.read_text())
+        obj["path_select"] = "loudest"
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(obj))
+        rc = main(["eval", "--data", str(data), "--model", str(bad), "--out", str(tmp_path / "r.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "[eval]" in err and "loudest" in err
+
+
 class TestModelRoundtrip:
     def test_model_json_roundtrip(self, dataset, tmp_path):
         from amdnloc.channel import render_image
         from amdnloc.fusion import cleanse, fuse_labels
-        from amdnloc.localizer import predict, train
+        from amdnloc.localizer import locate, predict, train
         from amdnloc.segmentation_adcam import build_features, kmeans
         from amdnloc.segmentation_cfr import extract_templates, segment_cfr
 
@@ -165,3 +202,8 @@ class TestModelRoundtrip:
         again = dio.read_model(path, samples)
         for s in samples[:5]:
             np.testing.assert_allclose(predict(model, s), predict(again, s), atol=1e-12)
+        # routing breaks ties by founder order, so the read-back model keeps
+        # the trained order (0, 1, 2, ..., not the file's "0", "1", "10", ...)
+        assert len(model.founders) >= 11
+        assert list(again.founders) == list(model.founders)
+        assert locate(again, samples)[1] == locate(model, samples)[1]

@@ -1,24 +1,26 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from amdnloc.channel import PathRecord, render_image
+from amdnloc.evaluate import _split, default_config, segment
 from amdnloc.fusion import cleanse, fuse_labels
 from amdnloc.localizer import (
     FeatureConfig,
     _sgd_fit,
     apply_weights,
-    assign_region,
     extract_features_adcam,
     extract_features_cfr,
     fit_region_weights,
     fuse_features,
+    locate,
     predict,
     sample_features,
     train,
 )
 from amdnloc.scenegen import Rect, Sample, SceneConfig, build_dataset
-from amdnloc.segmentation_adcam import Standardizer, build_features, kmeans
-from amdnloc.segmentation_cfr import extract_templates, segment_cfr
+from amdnloc.segmentation_adcam import Standardizer, build_features, kmeans, path_descriptor
+from amdnloc.segmentation_cfr import extract_templates, ncc, segment_cfr
 
 CONFIG = FeatureConfig(nt=16, nc=16)
 
@@ -151,16 +153,18 @@ class TestRidge:
         np.testing.assert_array_equal(a, b)
 
 
+SMALL_SCENE = SceneConfig(
+    area_m=(120.0, 120.0),
+    bs_pos=(10.0, 60.0),
+    buildings=[Rect(50, 40, 10, 40), Rect(20, 100, 80, 6)],
+    grid_spacing_m=12.0,
+    nt=16,
+    nc=16,
+)
+
+
 def small_dataset():
-    scene = SceneConfig(
-        area_m=(120.0, 120.0),
-        bs_pos=(10.0, 60.0),
-        buildings=[Rect(50, 40, 10, 40), Rect(20, 100, 80, 6)],
-        grid_spacing_m=12.0,
-        nt=16,
-        nc=16,
-    )
-    return build_dataset(scene)
+    return build_dataset(SMALL_SCENE)
 
 
 def segment_and_train(samples, method="ridge_closed_form", seed=0, min_count=0):
@@ -181,9 +185,10 @@ class TestTrainPredict:
     def test_training_samples_route_to_their_region(self):
         samples = small_dataset()
         model, regions = segment_and_train(samples)
+        routed = locate(model, samples)[1]
         agree = sum(
-            assign_region(model, s) == regions.fused_labels[i]
-            for i, s in enumerate(samples)
+            routed[i] == regions.fused_labels[i]
+            for i in range(len(samples))
             if regions.retained[i]
         )
         total = int(regions.retained.sum())
@@ -198,7 +203,7 @@ class TestTrainPredict:
             s = by_id[pair.founder_id]
             i = next(i for i, t in enumerate(samples) if t.id == s.id)
             if regions.retained[i]:
-                assert assign_region(model, s) == regions.fused_labels[i]
+                assert locate(model, [s])[1] == [regions.fused_labels[i]]
 
     def test_sgd_deterministic_weights(self):
         samples = small_dataset()
@@ -225,6 +230,69 @@ class TestTrainPredict:
         model, _ = segment_and_train(samples)
         s = samples[3]
         np.testing.assert_array_equal(predict(model, s), predict(model, s))
+
+
+def route_oracle(model, sample) -> tuple[int, bool]:
+    """Routing one sample at a time with the scalar ``ncc``: the region,
+    and whether the sample's (CFR, cluster) pair routed it directly."""
+    mag = render_image(sample.cfr, "cfr_magnitude")
+    cfr_label = max(
+        model.founders,
+        key=lambda c: min(ncc(model.founders[c].t1, mag), ncc(model.founders[c].t2, mag)),
+    )
+    kf = model.adcam_standardizer.apply(path_descriptor(sample, model.path_select))
+    adcam_label = int(cdist([kf], model.adcam_centroids)[0].argmin())
+    fused = model.pair_to_fused.get((int(cfr_label), adcam_label))
+    if fused is not None and fused in model.weights:
+        return fused, True
+    feat = model.feature_standardizer.apply(sample_features(sample, model.config))
+    nearest = min(
+        model.region_feature_centroids,
+        key=lambda r: float(np.sum((model.region_feature_centroids[r] - feat) ** 2)),
+    )
+    return nearest, False
+
+
+def predict_oracle(model, sample) -> np.ndarray:
+    feat = model.feature_standardizer.apply(sample_features(sample, model.config))
+    return apply_weights(model.weights[route_oracle(model, sample)[0]], feat)
+
+
+@pytest.fixture(scope="module", params=[False, True], ids=["segmented", "single_region"])
+def held_out_model(request):
+    """A model trained on a split of the small scene, and its held-out samples."""
+    samples = small_dataset()
+    tr, te = _split(len(samples), 0.8, 0)
+    train_s = [samples[i] for i in tr]
+    cfg = {
+        **default_config(),
+        "tau_in": 0.9,
+        "tau_out": 0.9,
+        "template_size": [8, 8],
+        "k_max": 4,
+        "single_region": request.param,
+    }
+    regions, founders, centroids, std = segment(train_s, cfg)
+    return train(train_s, regions, founders, centroids, std), [samples[i] for i in te]
+
+
+class TestLocate:
+    def test_matches_scalar_oracle(self, held_out_model):
+        model, test = held_out_model
+        xy, regions = locate(model, test)
+        oracle = [route_oracle(model, s) for s in test]
+        assert regions == [r for r, _ in oracle]
+        assert np.array_equal(xy, np.array([predict_oracle(model, s) for s in test]))
+        direct = [d for _, d in oracle]
+        if len(model.weights) > 1:
+            # both the direct route and the nearest-centroid fallback ran
+            assert any(direct) and not all(direct)
+
+    def test_predict_is_locate_of_one(self, held_out_model):
+        model, test = held_out_model
+        for s in test[:5]:
+            assert np.array_equal(predict(model, s), locate(model, [s])[0][0])
+            assert predict(model, s).shape == (2,)
 
 
 class TestPiecewiseLinearRecovery:

@@ -8,6 +8,8 @@ from amdnloc.scenegen import Rect, SceneConfig, build_dataset
 from amdnloc.segmentation_cfr import (
     UNLABELED,
     CfrLabeling,
+    TemplatePair,
+    _ImageStacks,
     _ncc_batch,
     _pair_score,
     _reindex,
@@ -312,6 +314,12 @@ def test_ncc_batch_matches_ncc(case):
     assert got.shape == (len(stack),)
     for score, img in zip(got, stack):
         assert score == pytest.approx(ncc(template, img), abs=1e-9)
+    # the routing scorer equals the scalar pair score exactly, in the
+    # order of the listed indices
+    pair = TemplatePair(t1=template, t2=template[::-1, ::-1].copy(), size=template.shape, founder_id=0)
+    indices = np.arange(len(stack))[::-1]
+    scores = _ImageStacks(list(stack)).pair_scores(pair, indices)
+    assert scores.tolist() == [_pair_score(pair, stack[i]) for i in indices]
 
 
 def test_ncc_batch_oversize_template_rejected():
