@@ -87,6 +87,7 @@ def _cmd_train(args) -> int:
         dio._std_from_json(seg["adcam_standardizer"]),
         path_select=seg["path_select"],
         method=args.method,
+        ridge_lambda=args.ridge_lambda,
         seed=_seed_override(args.seed),
     )
     dio.write_model(args.out, model)
@@ -166,6 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--data", required=True)
     t.add_argument("--regions", required=True)
     t.add_argument("--method", choices=["ridge", "sgd"], default="ridge")
+    t.add_argument("--ridge-lambda", type=float, default=default_config()["ridge_lambda"], dest="ridge_lambda")
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--out", default="model.json")
     t.set_defaults(func=_cmd_train)

@@ -54,17 +54,31 @@ class FeatureConfig:
         return self.cfr_len + self.adcam_len
 
 
+def _split_runs(n: int, parts: int) -> list[tuple[int, int, int, int]]:
+    """The sections of ``np.array_split`` of ``n`` items into ``parts``, as
+    runs of equal size: (first section, sections, size, first item)."""
+    size, extra = divmod(n, parts)
+    runs = [(0, extra, size + 1, 0), (extra, parts - extra, size, extra * (size + 1))]
+    return [run for run in runs if run[1] > 0]
+
+
 def _block_means(img: np.ndarray, grid: tuple[int, int] = _BLOCK_GRID) -> np.ndarray:
-    """Mean over an evenly split grid of blocks, flattened row-major."""
+    """Mean over an evenly split grid of blocks, flattened row-major.
+
+    The blocks are those of ``np.array_split`` along each axis. Blocks of
+    one size are copied into contiguous rows and averaged together, which
+    sums each block in the order ``block.mean()`` does.
+    """
     h, w = img.shape
     gh, gw = grid
     if h < gh or w < gw:
         raise ValueError(f"image {img.shape} smaller than block grid {grid}")
-    rows = np.array_split(img, gh, axis=0)
     out = np.empty((gh, gw))
-    for i, r in enumerate(rows):
-        for j, c in enumerate(np.array_split(r, gw, axis=1)):
-            out[i, j] = c.mean()
+    for i, nr, sr, y in _split_runs(h, gh):
+        for j, nc, sc, x in _split_runs(w, gw):
+            blocks = img[y : y + nr * sr, x : x + nc * sc].reshape(nr, sr, nc, sc).swapaxes(1, 2)
+            rows = np.ascontiguousarray(blocks).reshape(nr, nc, sr * sc)
+            out[i : i + nr, j : j + nc] = rows.mean(axis=2)
     return out.ravel()
 
 
@@ -145,6 +159,15 @@ def _sgd_fit(x, y, seed, ridge_lambda, batch=16, epochs=200, lr=0.05, decay=0.99
             reg[:, -1] = 0.0  # bias stays unpenalized, matching the closed form
             grad = 2.0 * err.T @ xi / xi.shape[0] + reg
             w -= step * grad
+    # A descent that ends above its zero-weight start has diverged, whether
+    # or not its weights overflowed on the way.
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = float(np.mean((xb @ w.T - y) ** 2))
+    if not residual <= float(np.mean(np.square(y))):
+        raise ValueError(
+            f"sgd diverged: mean squared residual {residual:.3g} is above that of zero weights; "
+            "use the closed-form ridge method"
+        )
     return w
 
 
@@ -230,8 +253,7 @@ def locate(model: LocalizationModel, samples) -> tuple[np.ndarray, list[int]]:
     kf = model.adcam_standardizer.apply([path_descriptor(s, model.path_select) for s in samples])
     adcam_labels = cdist(kf, model.adcam_centroids).argmin(axis=1)
     stacks = _ImageStacks([render_image(s.cfr, "cfr_magnitude") for s in samples])
-    everyone = np.arange(len(samples))
-    scores = [stacks.pair_scores(p, everyone) for p in model.founders.values()]
+    scores = stacks.pair_scores(list(model.founders.values()), np.arange(len(samples)))
     cfr_labels = np.array(list(model.founders))[np.argmax(scores, axis=0)]
     xy = np.empty((len(samples), 2))
     regions = []
@@ -247,8 +269,13 @@ def locate(model: LocalizationModel, samples) -> tuple[np.ndarray, list[int]]:
 
 
 def apply_weights(weights: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """Affine map: W @ [features; 1]."""
-    return weights @ np.append(features, 1.0)
+    """Affine map: W @ [features; 1].
+
+    W is taken column-major, the layout ``fit_region_weights`` returns:
+    the product rounds differently for each layout, and a model read
+    back from JSON must predict bit for bit as the trained one.
+    """
+    return np.asfortranarray(weights) @ np.append(features, 1.0)
 
 
 def predict(model: LocalizationModel, sample) -> np.ndarray:

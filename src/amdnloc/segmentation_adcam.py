@@ -117,7 +117,8 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iter: int = 100, tol: 
             [points[assignment == c].mean(axis=0) for c in range(k)]
         )
         wcss = float(np.sum((points - new_centroids[assignment]) ** 2))
-        assert wcss <= prev_wcss + 1e-9, "within-cluster scatter must not increase"
+        if not wcss <= prev_wcss + 1e-9:
+            raise ValueError(f"within-cluster scatter rose from {prev_wcss} to {wcss}")
         move = float(np.abs(new_centroids - centroids).max())
         centroids = new_centroids
         prev_wcss = wcss

@@ -91,31 +91,49 @@ def ncc(template: np.ndarray, source: np.ndarray) -> float:
     return float(np.clip(best, 0.0, 1.0))
 
 
-def _ncc_batch(template: np.ndarray, stack: np.ndarray, win: np.ndarray) -> np.ndarray:
-    """``ncc`` of one template against every image of a same-shape stack.
+# Image planes in one FFT temporary of ``_ncc_bank``; bounds its memory.
+_PLANES = 64
 
-    ``stack`` is (n, H, W) and ``win`` its window energies for the
-    template's shape, ``_window_energy(stack, template.shape)``, so they
-    can be computed once and reused across templates. The arithmetic is
-    that of ``ncc`` run over the leading axis: the same zero-energy mask
-    per image, 0 for an all-zero template, and a clip to [0, 1].
+
+def _ncc_bank(templates: np.ndarray, stack: np.ndarray, win: np.ndarray) -> np.ndarray:
+    """``ncc`` of every template of a bank against every image of a stack.
+
+    ``templates`` is (T, a, b), ``stack`` is (n, H, W) and ``win`` its
+    window energies for the templates' shape, ``_window_energy(stack,
+    (a, b))``, so they can be computed once and reused. Returns (T, n).
+    The numerator is a circular cross-correlation taken from FFTs
+    (J. P. Lewis, "Fast Normalized Cross-Correlation", 1995); every
+    valid placement lies inside the image, so it never wraps. The rest
+    is the arithmetic of ``ncc``: the same zero-energy mask per image,
+    0 for an all-zero template, and a clip to [0, 1]. Images and
+    templates are taken in chunks of about ``_PLANES`` correlation planes.
     """
-    template = np.asarray(template, dtype=float)
-    _check_fits(template.shape, stack.shape)
-    t_energy = float(np.sum(template * template))
-    if t_energy == 0.0:
-        return np.zeros(len(stack))
-    num = np.einsum(
-        "nijkl,kl->nij",
-        sliding_window_view(stack, template.shape, axis=(1, 2)),
-        template,
-    )
-    denom = np.sqrt(t_energy * win)
+    templates = np.asarray(templates, dtype=float)
+    _check_fits(templates.shape[1:], stack.shape)
+    (_, a, b), (n, h, w) = templates.shape, stack.shape
+    flat = templates.reshape(len(templates), -1)
+    t_energy = np.sum(flat * flat, axis=1)
+    scores = np.zeros((len(templates), n))
+    live = np.flatnonzero(t_energy > 0.0)  # an all-zero template scores 0
+    if live.size == 0 or n == 0:
+        return scores
+    t_spec = np.conj(np.fft.rfft2(templates[live], s=(h, w)))
     scale = np.max(win, axis=(1, 2), keepdims=True)
     valid = win > np.where(scale > 0, 1e-12 * scale, 0.0)
-    # Masked windows score -inf, so an image with no valid window clips to 0.
-    ratio = np.divide(num, denom, out=np.full(num.shape, -np.inf), where=valid)
-    return np.clip(np.max(ratio, axis=(1, 2)), 0.0, 1.0)
+    n_step = min(n, _PLANES)
+    t_step = max(1, _PLANES // n_step)
+    for i in range(0, n, n_step):
+        img = slice(i, i + n_step)
+        spec = np.fft.rfft2(stack[img])
+        for j in range(0, live.size, t_step):
+            tpl = live[j : j + t_step]
+            corr = np.fft.irfft2(t_spec[j : j + t_step, None] * spec, s=(h, w))
+            num = corr[..., : h - a + 1, : w - b + 1]
+            denom = np.sqrt(t_energy[tpl, None, None, None] * win[img])
+            # Masked windows score -inf, so an image with no valid window clips to 0.
+            ratio = np.divide(num, denom, out=np.full(num.shape, -np.inf), where=valid[img])
+            scores[tpl, img] = np.clip(np.max(ratio, axis=(2, 3)), 0.0, 1.0)
+    return scores
 
 
 def extract_templates(image: np.ndarray, size: tuple[int, int], founder_id: int = -1) -> TemplatePair:
@@ -172,20 +190,34 @@ class _ImageStacks:
             for t in (pair.t1, pair.t2):
                 if rows.size == 0:
                     break
-                keep = _ncc_batch(t, stack[rows], self._win(g, t.shape)[rows]) >= tau
+                keep = _ncc_bank(t[None], stack[rows], self._win(g, t.shape)[rows])[0] >= tau
                 here, rows = here[keep], rows[keep]
             hits[here] = True
         return hits
 
-    def pair_scores(self, pair: TemplatePair, indices: np.ndarray) -> np.ndarray:
-        """``_pair_score(pair, image)`` for each listed image."""
-        scores = np.empty(len(indices))
+    def pair_scores(self, pairs: list[TemplatePair], indices: np.ndarray) -> np.ndarray:
+        """``_pair_score(pair, image)`` of every pair against each listed
+        image, shape (len(pairs), len(indices)).
+
+        The templates of one shape are scored as one bank, with one
+        ``_ncc_bank`` call per image shape.
+        """
+        by_shape: dict[tuple[int, ...], list[int]] = {}
+        for k, pair in enumerate(pairs):
+            by_shape.setdefault(pair.t1.shape, []).append(k)
+        banks = {
+            shape: np.stack([t for k in ks for t in (pairs[k].t1, pairs[k].t2)])
+            for shape, ks in by_shape.items()
+        }
+        scores = np.empty((len(pairs), len(indices)))
         for g, stack in enumerate(self._stacks):
             here = np.flatnonzero(self._stack_of[indices] == g)
             rows = self._row_of[indices[here]]
-            if rows.size:
-                t1, t2 = (_ncc_batch(t, stack[rows], self._win(g, t.shape)[rows]) for t in (pair.t1, pair.t2))
-                scores[here] = np.minimum(t1, t2)
+            if rows.size == 0:
+                continue
+            for shape, ks in by_shape.items():
+                both = _ncc_bank(banks[shape], stack[rows], self._win(g, shape)[rows])
+                scores[np.ix_(ks, here)] = np.minimum(both[0::2], both[1::2])
         return scores
 
 

@@ -147,6 +147,11 @@ class TestRunPipeline:
             run_pipeline(bad)
         assert exc.value.stage == "generate"
 
+    def test_diverging_sgd_is_a_train_error(self):
+        with pytest.raises(PipelineError, match="sgd diverged") as exc:
+            run_pipeline({**SMALL_CONFIG, "method": "sgd"})
+        assert exc.value.stage == "train"
+
     def test_config_seed_replaces_scene_seed(self):
         scenes = [{**SMALL_CONFIG["scene"], "grid_jitter": 0.5, "seed": seed} for seed in (5, 6)]
         # the scene seed alone would move the terminals

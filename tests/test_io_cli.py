@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import shutil
 import struct
@@ -177,6 +178,44 @@ class TestBoundaryErrors:
         assert "[eval]" in err and "loudest" in err
 
 
+class TestTrainOptions:
+    def test_diverging_sgd_exits_with_a_train_error(self, trained_chain, tmp_path, capsys):
+        data = shutil.copytree(trained_chain[0], tmp_path / "data")
+        assert main([
+            "segment", "--data", str(data), "--tau-in", "0.95", "--tau-out", "0.95",
+            "--template", "8x8", "--min-count", "0", "--k-max", "3",
+        ]) == 0
+        out = tmp_path / "model.json"
+        rc = main(["train", "--data", str(data), "--regions", str(data / "region_map.csv"), "--method", "sgd", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "[train]" in err and "sgd diverged" in err
+        assert not out.exists()
+
+    def test_ridge_lambda_reaches_train(self, trained_chain, tmp_path):
+        from amdnloc.localizer import train
+
+        data, default_model = trained_chain
+        out = tmp_path / "model.json"
+        assert main([
+            "train", "--data", str(data), "--regions", str(data / "region_map.csv"),
+            "--ridge-lambda", "30", "--out", str(out),
+        ]) == 0
+        samples = dio.read_dataset(data)
+        by_id = {s.id: s for s in samples}
+        ids, regions = dio.read_region_map(data / "region_map.csv")
+        seg = json.loads((data / "segmentation.json").read_text())
+        founders = dio.recut_founders(samples, [(c, sid, seg["template_size"]) for c, sid in seg["founders"].items()])
+        model = train(
+            [by_id[i] for i in ids], regions, founders, np.array(seg["adcam_centroids"]),
+            dio._std_from_json(seg["adcam_standardizer"]), path_select=seg["path_select"], ridge_lambda=30,
+        )
+        written = json.loads(out.read_text())
+        assert written["ridge_lambda"] == 30
+        assert written["weights"] == {str(r): w.tolist() for r, w in model.weights.items()}
+        assert written["weights"] != json.loads(default_model.read_text())["weights"]
+
+
 class TestModelRoundtrip:
     def test_model_json_roundtrip(self, dataset, tmp_path):
         from amdnloc.channel import render_image
@@ -207,3 +246,6 @@ class TestModelRoundtrip:
         assert len(model.founders) >= 11
         assert list(again.founders) == list(model.founders)
         assert locate(again, samples)[1] == locate(model, samples)[1]
+        # terminals between the training grid's points predict bit for bit alike
+        held_out = build_dataset(dataclasses.replace(dataset[0], grid_spacing_m=7.0))
+        assert np.array_equal(locate(again, held_out)[0], locate(model, held_out)[0])

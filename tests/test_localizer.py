@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
 from amdnloc.channel import PathRecord, render_image
@@ -7,6 +8,7 @@ from amdnloc.evaluate import _split, default_config, segment
 from amdnloc.fusion import cleanse, fuse_labels
 from amdnloc.localizer import (
     FeatureConfig,
+    _block_means,
     _sgd_fit,
     apply_weights,
     extract_features_adcam,
@@ -35,6 +37,30 @@ def block_mean_oracle(img, grid=(8, 8)):
         for j in range(grid[1]):
             out.append(img[rb[i] : rb[i + 1], cb[j] : cb[j + 1]].mean())
     return np.array(out)
+
+
+def block_means_loop(img, grid=(8, 8)):
+    """Block averaging by nested ``np.array_split`` loops, one block at a time."""
+    gh, gw = grid
+    out = np.empty((gh, gw))
+    for i, r in enumerate(np.array_split(img, gh, axis=0)):
+        for j, c in enumerate(np.array_split(r, gw, axis=1)):
+            out[i, j] = c.mean()
+    return out.ravel()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(8, 70),
+    st.integers(8, 70),
+    st.sampled_from([1.0, 1e-7, 1e5]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([(8, 8), (3, 5), (1, 1)]),
+)
+def test_block_means_equal_the_loop(h, w, scale, seed, grid):
+    # even (32x32, 16x16) and uneven (20x20, 12x18) splits alike
+    img = scale * np.random.default_rng(seed).random((h, w))
+    assert np.array_equal(_block_means(img, grid), block_means_loop(img, grid))
 
 
 class TestCfrFeatures:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
+from amdnloc import segmentation_adcam
 from amdnloc.channel import PathRecord
 from amdnloc.scenegen import Sample
 from amdnloc.segmentation_adcam import (
@@ -136,6 +138,25 @@ class TestKmeans:
         pts = np.array([[0.0], [0.0], [1.0]])
         with pytest.raises(ValueError):
             kmeans(pts, 3, seed=0)
+
+    def test_rising_scatter_raises(self, monkeypatch):
+        # from the second Lloyd step on (the seeding asks about fewer than
+        # three centroids), every point joins its farthest centroid, so the
+        # within-cluster scatter rises
+        steps = []
+
+        def farthest_after_first(a, b):
+            d = cdist(a, b)
+            if len(b) < 3:
+                return d
+            steps.append(None)
+            return d if len(steps) == 1 else -d
+
+        monkeypatch.setattr(segmentation_adcam, "cdist", farthest_after_first)
+        rng = np.random.default_rng(5)
+        pts = np.vstack([rng.normal(c, 0.3, (20, 2)) for c in ([0, 0], [8, 8], [0, 8])])
+        with pytest.raises(ValueError, match="scatter rose"):
+            kmeans(pts, 3, seed=3)
 
     def test_determinism(self):
         rng = np.random.default_rng(4)

@@ -1,16 +1,19 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from amdnloc.channel import render_image
+from amdnloc import segmentation_cfr
 from amdnloc.scenegen import Rect, SceneConfig, build_dataset
 from amdnloc.segmentation_cfr import (
     UNLABELED,
     CfrLabeling,
     TemplatePair,
     _ImageStacks,
-    _ncc_batch,
+    _ncc_bank,
     _pair_score,
     _reindex,
     _window_energy,
@@ -277,22 +280,27 @@ class TestSegmentCfr:
 
 
 # ---------------------------------------------------------------------------
-# batched scoring against the scalar reference
+# the bank scorer against the scalar reference
 
 
 @st.composite
-def _stack_and_template(draw):
-    """A stack of same-shape images and a template that fits them, with
-    all-zero templates, all-zero images and zero windows drawn often."""
+def _bank_and_stack(draw):
+    """A bank of same-shape templates and a stack of same-shape images
+    they fit, with all-zero and faint templates, all-zero images and
+    zero windows drawn often."""
     h, w = draw(st.integers(1, 8)), draw(st.integers(1, 8))
     if draw(st.booleans()):
-        a, b = h, w  # template as large as the image
+        a, b = h, w  # templates as large as the image
     else:
         a, b = draw(st.integers(1, h)), draw(st.integers(1, w))
     pixels = TestNcc._pixels
-    template = draw(arrays(float, (a, b), elements=pixels))
-    if draw(st.booleans()):
-        template[:] = 0.0
+    templates = draw(arrays(float, (draw(st.integers(1, 4)), a, b), elements=pixels))
+    for tpl in templates:
+        kind = draw(st.sampled_from(["as drawn", "zero", "faint"]))
+        if kind == "zero":
+            tpl[:] = 0.0
+        elif kind == "faint":
+            tpl *= 1e-7
     stack = draw(arrays(float, (draw(st.integers(1, 4)), h, w), elements=pixels))
     for img in stack:
         kind = draw(st.sampled_from(["as drawn", "zero", "zero block", "faint"]))
@@ -303,29 +311,47 @@ def _stack_and_template(draw):
         elif kind == "zero block":
             y, x = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
             img[y : y + a, x : x + b] = 0.0
-    return template, stack
+    return templates, stack
 
 
 @settings(max_examples=200, deadline=None)
-@given(_stack_and_template())
-def test_ncc_batch_matches_ncc(case):
-    template, stack = case
-    got = _ncc_batch(template, stack, _window_energy(stack, template.shape))
-    assert got.shape == (len(stack),)
-    for score, img in zip(got, stack):
-        assert score == pytest.approx(ncc(template, img), abs=1e-9)
-    # the routing scorer equals the scalar pair score exactly, in the
-    # order of the listed indices
-    pair = TemplatePair(t1=template, t2=template[::-1, ::-1].copy(), size=template.shape, founder_id=0)
-    indices = np.arange(len(stack))[::-1]
-    scores = _ImageStacks(list(stack)).pair_scores(pair, indices)
-    assert scores.tolist() == [_pair_score(pair, stack[i]) for i in indices]
+@given(_bank_and_stack(), st.integers(1, 5))
+def test_ncc_bank_matches_ncc(case, planes):
+    templates, stack = case
+    # few planes per temporary, so the chunking over images and templates runs
+    with mock.patch.object(segmentation_cfr, "_PLANES", planes):
+        got = _ncc_bank(templates, stack, _window_energy(stack, templates.shape[1:]))
+        pairs = [
+            TemplatePair(t1=t, t2=t[::-1, ::-1].copy(), size=t.shape, founder_id=k)
+            for k, t in enumerate(templates)
+        ]
+        indices = np.arange(len(stack))[::-1]
+        scores = _ImageStacks(list(stack)).pair_scores(pairs, indices)
+    assert got.shape == (len(templates), len(stack))
+    for tpl, row in zip(templates, got):
+        for score, img in zip(row, stack):
+            assert score == pytest.approx(ncc(tpl, img), abs=1e-9)
+    # the routing scorer gives the scalar pair score, in the order of the
+    # listed indices
+    assert scores.shape == (len(pairs), len(indices))
+    for pair, row in zip(pairs, scores):
+        assert row == pytest.approx([_pair_score(pair, stack[i]) for i in indices], abs=1e-9)
 
 
-def test_ncc_batch_oversize_template_rejected():
+def test_pair_scores_mixes_template_and_image_shapes():
+    rng = np.random.default_rng(16)
+    images = [rng.random(shape) for shape in [(16, 16), (12, 18), (16, 16), (20, 20)]]
+    pairs = [extract_templates(images[i], size, founder_id=i) for i, size in [(0, (8, 8)), (1, (5, 7)), (3, (8, 8))]]
+    indices = np.array([3, 0, 1, 2])
+    scores = _ImageStacks(images).pair_scores(pairs, indices)
+    for pair, row in zip(pairs, scores):
+        assert row == pytest.approx([_pair_score(pair, images[i]) for i in indices], abs=1e-9)
+
+
+def test_ncc_bank_oversize_template_rejected():
     stack = np.ones((2, 4, 6))
     with pytest.raises(ValueError):
-        _ncc_batch(np.ones((5, 5)), stack, np.ones((2, 1, 1)))
+        _ncc_bank(np.ones((1, 5, 5)), stack, np.ones((2, 1, 1)))
 
 
 # ---------------------------------------------------------------------------
