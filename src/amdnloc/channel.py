@@ -8,6 +8,7 @@ image suitable for template matching and feature extraction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -99,11 +100,14 @@ def cfr_from_paths(
     return h
 
 
+@lru_cache(maxsize=16)
 def dft_matrices(nt: int, nc: int) -> tuple[np.ndarray, np.ndarray]:
     """Unitary DFT matrices for the angle (nt x nt) and delay (nc x nc) axes.
 
     The angle-axis matrix carries a half-aperture index shift so that a
     broadside arrival concentrates at row nt/2 after the transform.
+    Built once per (nt, nc) and shared between calls, so both arrays are
+    read-only.
     """
     if nt < 1 or nc < 1:
         raise ValueError("nt and nc must be >= 1")
@@ -111,6 +115,7 @@ def dft_matrices(nt: int, nc: int) -> tuple[np.ndarray, np.ndarray]:
     v = np.exp(-2j * np.pi * z_t * (q_t - nt / 2.0) / nt) / np.sqrt(nt)
     z_c, q_c = np.meshgrid(np.arange(nc), np.arange(nc), indexing="ij")
     f = np.exp(-2j * np.pi * z_c * q_c / nc) / np.sqrt(nc)
+    v.flags.writeable = f.flags.writeable = False
     return v, f
 
 

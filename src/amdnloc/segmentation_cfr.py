@@ -91,26 +91,42 @@ def ncc(template: np.ndarray, source: np.ndarray) -> float:
     return float(np.clip(best, 0.0, 1.0))
 
 
-# Image planes in one FFT temporary of ``_ncc_bank``; bounds its memory.
+# Image planes in one FFT temporary of ``_ncc_bank``, and images per chunk
+# when ``_ImageStacks`` builds spectra and window energies; bounds their memory.
 _PLANES = 64
 
 
-def _ncc_bank(templates: np.ndarray, stack: np.ndarray, win: np.ndarray) -> np.ndarray:
+def _valid_windows(win: np.ndarray) -> np.ndarray:
+    """``ncc``'s zero-energy mask of each image's window energies (n, p, q)."""
+    scale = np.max(win, axis=(1, 2), keepdims=True)
+    return win > np.where(scale > 0, 1e-12 * scale, 0.0)
+
+
+def _ncc_bank(
+    templates: np.ndarray,
+    spectra: np.ndarray,
+    shape: tuple[int, int],
+    win: np.ndarray,
+    valid: np.ndarray,
+) -> np.ndarray:
     """``ncc`` of every template of a bank against every image of a stack.
 
-    ``templates`` is (T, a, b), ``stack`` is (n, H, W) and ``win`` its
-    window energies for the templates' shape, ``_window_energy(stack,
-    (a, b))``, so they can be computed once and reused. Returns (T, n).
-    The numerator is a circular cross-correlation taken from FFTs
-    (J. P. Lewis, "Fast Normalized Cross-Correlation", 1995); every
-    valid placement lies inside the image, so it never wraps. The rest
-    is the arithmetic of ``ncc``: the same zero-energy mask per image,
-    0 for an all-zero template, and a clip to [0, 1]. Images and
-    templates are taken in chunks of about ``_PLANES`` correlation planes.
+    ``templates`` is (T, a, b). The n images, all of ``shape`` (H, W),
+    are given by their spectra ``np.fft.rfft2(image)``, (n, H, W//2 + 1),
+    by their window energies for the templates' shape, ``win =
+    _window_energy(image, (a, b))``, and by ``valid =
+    _valid_windows(win)``, so all three can be computed once per image
+    and reused. Returns (T, n). The numerator is a circular
+    cross-correlation taken from FFTs (J. P. Lewis, "Fast Normalized
+    Cross-Correlation", 1995); every valid placement lies inside the
+    image, so it never wraps. The rest is the arithmetic of ``ncc``: the
+    same zero-energy mask per image, 0 for an all-zero template, and a
+    clip to [0, 1]. Images and templates are taken in chunks of about
+    ``_PLANES`` correlation planes.
     """
     templates = np.asarray(templates, dtype=float)
-    _check_fits(templates.shape[1:], stack.shape)
-    (_, a, b), (n, h, w) = templates.shape, stack.shape
+    _check_fits(templates.shape[1:], shape)
+    (_, a, b), (h, w), n = templates.shape, shape, len(spectra)
     flat = templates.reshape(len(templates), -1)
     t_energy = np.sum(flat * flat, axis=1)
     scores = np.zeros((len(templates), n))
@@ -118,16 +134,13 @@ def _ncc_bank(templates: np.ndarray, stack: np.ndarray, win: np.ndarray) -> np.n
     if live.size == 0 or n == 0:
         return scores
     t_spec = np.conj(np.fft.rfft2(templates[live], s=(h, w)))
-    scale = np.max(win, axis=(1, 2), keepdims=True)
-    valid = win > np.where(scale > 0, 1e-12 * scale, 0.0)
     n_step = min(n, _PLANES)
     t_step = max(1, _PLANES // n_step)
     for i in range(0, n, n_step):
         img = slice(i, i + n_step)
-        spec = np.fft.rfft2(stack[img])
         for j in range(0, live.size, t_step):
             tpl = live[j : j + t_step]
-            corr = np.fft.irfft2(t_spec[j : j + t_step, None] * spec, s=(h, w))
+            corr = np.fft.irfft2(t_spec[j : j + t_step, None] * spectra[img], s=(h, w))
             num = corr[..., : h - a + 1, : w - b + 1]
             denom = np.sqrt(t_energy[tpl, None, None, None] * win[img])
             # Masked windows score -inf, so an image with no valid window clips to 0.
@@ -156,26 +169,56 @@ def _pair_score(pair: TemplatePair, image: np.ndarray) -> float:
 
 
 class _ImageStacks:
-    """Images stacked by shape, with window energies cached per template shape."""
+    """Images grouped by shape, each kept as its spectrum.
+
+    Every image's ``rfft2`` is taken once, when the stacks are built, and
+    the spectra take the place of a stacked copy of the images. Window
+    energies and their zero-energy masks are cached per template shape
+    the first time that shape is scored. Both are built ``_PLANES``
+    images at a time from the caller's images, which are kept by
+    reference, so no second copy of all the images is ever made; they
+    must not change while the stacks are in use.
+    """
 
     def __init__(self, images: list[np.ndarray]):
         by_shape: dict[tuple[int, ...], list[int]] = {}
         for n, img in enumerate(images):
             by_shape.setdefault(np.shape(img), []).append(n)
+        self._images = list(images)
+        self._members = list(by_shape.values())
+        self._shapes = list(by_shape)
         self._stack_of = np.empty(len(images), dtype=int)
         self._row_of = np.empty(len(images), dtype=int)
-        self._stacks: list[np.ndarray] = []
-        for g, members in enumerate(by_shape.values()):
+        self._spectra: list[np.ndarray] = []
+        for g, ((h, w), members) in enumerate(by_shape.items()):
             self._stack_of[members] = g
             self._row_of[members] = np.arange(len(members))
-            self._stacks.append(np.stack([np.asarray(images[n], dtype=float) for n in members]))
-        self._energy: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
+            spec = np.empty((len(members), h, w // 2 + 1), dtype=complex)
+            for i, chunk in self._chunks(members):
+                spec[i : i + len(chunk)] = np.fft.rfft2(chunk)
+            self._spectra.append(spec)
+        self._energy: dict[tuple[int, tuple[int, ...]], tuple[np.ndarray, np.ndarray]] = {}
 
-    def _win(self, g: int, shape: tuple[int, ...]) -> np.ndarray:
+    def _chunks(self, members: list[int]):
+        """(offset, stacked float images) for every ``_PLANES`` members."""
+        for i in range(0, len(members), _PLANES):
+            yield i, np.array([self._images[n] for n in members[i : i + _PLANES]], dtype=float)
+
+    def _win(self, g: int, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """Window energies of group ``g`` for a template shape, and their mask."""
         if (g, shape) not in self._energy:
-            _check_fits(shape, self._stacks[g].shape)
-            self._energy[g, shape] = _window_energy(self._stacks[g], shape)
+            _check_fits(shape, self._shapes[g])
+            (h, w), (a, b) = self._shapes[g], shape
+            win = np.empty((len(self._members[g]), h - a + 1, w - b + 1))
+            for i, chunk in self._chunks(self._members[g]):
+                win[i : i + len(chunk)] = _window_energy(chunk, shape)
+            self._energy[g, shape] = win, _valid_windows(win)
         return self._energy[g, shape]
+
+    def _score(self, g: int, templates: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """``_ncc_bank`` of a template bank against the listed rows of group ``g``."""
+        win, valid = self._win(g, templates.shape[1:])
+        return _ncc_bank(templates, self._spectra[g][rows], self._shapes[g], win[rows], valid[rows])
 
     def pair_hits(self, pair: TemplatePair, indices: np.ndarray, tau: float) -> np.ndarray:
         """Whether ``_pair_score(pair, image) >= tau`` for each listed image.
@@ -184,13 +227,13 @@ class _ImageStacks:
         is only scored on the images where t1 already reaches ``tau``.
         """
         hits = np.zeros(len(indices), dtype=bool)
-        for g, stack in enumerate(self._stacks):
+        for g in range(len(self._spectra)):
             here = np.flatnonzero(self._stack_of[indices] == g)
             rows = self._row_of[indices[here]]
             for t in (pair.t1, pair.t2):
                 if rows.size == 0:
                     break
-                keep = _ncc_bank(t[None], stack[rows], self._win(g, t.shape)[rows])[0] >= tau
+                keep = self._score(g, t[None], rows)[0] >= tau
                 here, rows = here[keep], rows[keep]
             hits[here] = True
         return hits
@@ -210,13 +253,13 @@ class _ImageStacks:
             for shape, ks in by_shape.items()
         }
         scores = np.empty((len(pairs), len(indices)))
-        for g, stack in enumerate(self._stacks):
+        for g in range(len(self._spectra)):
             here = np.flatnonzero(self._stack_of[indices] == g)
             rows = self._row_of[indices[here]]
             if rows.size == 0:
                 continue
             for shape, ks in by_shape.items():
-                both = _ncc_bank(banks[shape], stack[rows], self._win(g, shape)[rows])
+                both = self._score(g, banks[shape], rows)
                 scores[np.ix_(ks, here)] = np.minimum(both[0::2], both[1::2])
         return scores
 

@@ -39,7 +39,7 @@ from amdnloc.segmentation_adcam import (
     silhouette,
 )
 from amdnloc.segmentation_cfr import (
-    _pair_score,
+    _ImageStacks,
     extract_templates,
     match_between,
     match_within,
@@ -319,10 +319,12 @@ def _retained_error(train_s, test_s, lab, founders, cmodel, std, min_count):
         train_s, regions, founders, cmodel.centroids, std,
         ridge_lambda=HETERO_CONFIG["ridge_lambda"], seed=HETERO_CONFIG["seed"],
     )
+    # the CFR label: the first best-scoring founder in model.founders order
+    stacks = _ImageStacks([render_image(s.cfr, "cfr_magnitude") for s in test_s])
+    scores = stacks.pair_scores(list(model.founders.values()), np.arange(len(test_s)))
+    cfr_labels = np.array(list(model.founders))[np.argmax(scores, axis=0)]
     errs = []
-    for s in test_s:
-        mag = render_image(s.cfr, "cfr_magnitude")
-        c = max(model.founders, key=lambda k: _pair_score(model.founders[k], mag))
+    for s, c in zip(test_s, cfr_labels):
         kf = model.adcam_standardizer.apply(path_descriptor(s, "strongest"))
         a = int(np.argmin(np.sum((model.adcam_centroids - kf) ** 2, axis=1)))
         fused = model.pair_to_fused.get((int(c), a))

@@ -117,6 +117,21 @@ class TestDftMatrices:
                 want = np.exp(-1j * 2 * np.pi * z * q / nc) / np.sqrt(nc)
                 assert abs(f[z, q] - want) < 1e-12
 
+    def test_cached_and_read_only(self):
+        v, f = dft_matrices(8, 16)
+        again = dft_matrices(8, 16)
+        assert again[0] is v and again[1] is f
+        for m in (v, f):
+            with pytest.raises(ValueError):
+                m[0, 0] = 0.0
+        # adcam with the shared matrices equals adcam with freshly built ones
+        fresh_v, fresh_f = dft_matrices.__wrapped__(8, 16)
+        np.testing.assert_array_equal(v, fresh_v)
+        np.testing.assert_array_equal(f, fresh_f)
+        rng = np.random.default_rng(7)
+        h = rng.normal(size=(8, 16)) + 1j * rng.normal(size=(8, 16))
+        np.testing.assert_array_equal(adcam(h), np.abs(fresh_v.conj().T @ h @ fresh_f))
+
 
 class TestAdcam:
     def test_zero_matrix(self):

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -16,6 +17,7 @@ from amdnloc.segmentation_cfr import (
     _ncc_bank,
     _pair_score,
     _reindex,
+    _valid_windows,
     _window_energy,
     extract_templates,
     match_between,
@@ -320,7 +322,8 @@ def test_ncc_bank_matches_ncc(case, planes):
     templates, stack = case
     # few planes per temporary, so the chunking over images and templates runs
     with mock.patch.object(segmentation_cfr, "_PLANES", planes):
-        got = _ncc_bank(templates, stack, _window_energy(stack, templates.shape[1:]))
+        win = _window_energy(stack, templates.shape[1:])
+        got = _ncc_bank(templates, np.fft.rfft2(stack), stack.shape[1:], win, _valid_windows(win))
         pairs = [
             TemplatePair(t1=t, t2=t[::-1, ::-1].copy(), size=t.shape, founder_id=k)
             for k, t in enumerate(templates)
@@ -349,9 +352,78 @@ def test_pair_scores_mixes_template_and_image_shapes():
 
 
 def test_ncc_bank_oversize_template_rejected():
-    stack = np.ones((2, 4, 6))
+    spectra = np.fft.rfft2(np.ones((2, 4, 6)))
     with pytest.raises(ValueError):
-        _ncc_bank(np.ones((1, 5, 5)), stack, np.ones((2, 1, 1)))
+        _ncc_bank(np.ones((1, 5, 5)), spectra, (4, 6), np.ones((2, 1, 1)), np.ones((2, 1, 1), dtype=bool))
+
+
+@st.composite
+def _mixed_images_and_pairs(draw):
+    """Images of up to three shapes, with all-zero, faint and zero-block
+    images drawn often, template pairs of up to two shapes that fit every
+    image, and the listed image indices in a drawn order."""
+    pixels = TestNcc._pixels
+    shapes = draw(st.lists(st.tuples(st.integers(2, 8), st.integers(2, 8)), min_size=1, max_size=3))
+    h_min, w_min = min(h for h, _ in shapes), min(w for _, w in shapes)
+    t_shapes = draw(st.lists(st.tuples(st.integers(1, h_min), st.integers(1, w_min)), min_size=1, max_size=2))
+    images = []
+    for _ in range(draw(st.integers(1, 9))):
+        h, w = draw(st.sampled_from(shapes))
+        img = draw(arrays(float, (h, w), elements=pixels))
+        kind = draw(st.sampled_from(["as drawn", "zero", "zero block", "faint"]))
+        if kind == "zero":
+            img[:] = 0.0
+        elif kind == "faint":
+            img *= 1e-7
+        elif kind == "zero block":
+            y, x = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+            img[y : y + h_min, x : x + w_min] = 0.0
+        images.append(img)
+    pairs = []
+    for k in range(draw(st.integers(1, 3))):
+        size = draw(st.sampled_from(t_shapes))
+        if draw(st.booleans()):  # cut from an image, so some scores reach 1
+            pairs.append(extract_templates(draw(st.sampled_from(images)), size, founder_id=k))
+        else:
+            t1, t2 = (draw(arrays(float, size, elements=pixels)) for _ in range(2))
+            pairs.append(TemplatePair(t1=t1, t2=t2, size=size, founder_id=k))
+    indices = draw(st.lists(st.integers(0, len(images) - 1), unique=True))
+    return images, pairs, np.array(indices, dtype=int)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mixed_images_and_pairs(), st.integers(1, 5), st.sampled_from([0.5, 0.9, 0.99, 1.0]))
+def test_image_stacks_match_pair_score(case, planes, tau):
+    images, pairs, indices = case
+    # few images per chunk, so the spectrum and energy builds cross chunks
+    with mock.patch.object(segmentation_cfr, "_PLANES", planes):
+        stacks = _ImageStacks(images)
+        scores = stacks.pair_scores(pairs, indices)
+        hits = [stacks.pair_hits(pair, indices, tau) for pair in pairs]
+    for n, img in enumerate(images):
+        assert np.array_equal(stacks._spectra[stacks._stack_of[n]][stacks._row_of[n]], np.fft.rfft2(img))
+    assert scores.shape == (len(pairs), len(indices))
+    for pair, row, hit in zip(pairs, scores, hits):
+        want = np.array([_pair_score(pair, images[i]) for i in indices])
+        assert row == pytest.approx(want, abs=1e-9)
+        # a score within the bound of tau may fall on either side of it
+        clear = np.abs(want - tau) > 1e-9
+        np.testing.assert_array_equal(hit[clear], (want >= tau)[clear])
+
+
+def test_image_stacks_keep_spectra_not_images():
+    rng = np.random.default_rng(17)
+    images = [rng.random((32, 32)) for _ in range(300)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        stacks = _ImageStacks(images)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    spectra = sum(spec.nbytes for spec in stacks._spectra)
+    # a stacked copy of the images next to the spectra would nearly double this
+    assert kept <= 1.1 * spectra
 
 
 # ---------------------------------------------------------------------------
