@@ -12,11 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .channel import render_image
 from .fusion import RegionLabels
-from .segmentation_adcam import Standardizer, path_descriptor
+from .segmentation_adcam import Standardizer, _dist, path_descriptor
 from .segmentation_cfr import TemplatePair, _ImageStacks
 
 __all__ = [
@@ -251,7 +250,7 @@ def locate(model: LocalizationModel, samples) -> tuple[np.ndarray, list[int]]:
     training feature centroid is nearest.
     """
     kf = model.adcam_standardizer.apply([path_descriptor(s, model.path_select) for s in samples])
-    adcam_labels = cdist(kf, model.adcam_centroids).argmin(axis=1)
+    adcam_labels = _dist(kf, model.adcam_centroids).argmin(axis=1)
     stacks = _ImageStacks([render_image(s.cfr, "cfr_magnitude") for s in samples])
     scores = stacks.pair_scores(list(model.founders.values()), np.arange(len(samples)))
     cfr_labels = np.array(list(model.founders))[np.argmax(scores, axis=0)]

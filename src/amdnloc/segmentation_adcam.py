@@ -3,14 +3,14 @@
 Per-sample path descriptors (departure angle, arrival angle, gain
 magnitude, pathloss) are standardized and clustered with Lloyd's
 algorithm; the cluster count is selected automatically by combining the
-silhouette and Calinski-Harabasz indices.
+silhouette and Calinski-Harabasz indices. Every point-to-point distance
+comes from one numpy kernel, ``_dist``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 __all__ = [
     "ClusterModel",
@@ -77,12 +77,30 @@ def build_features(samples, path_select: str = "strongest") -> tuple[np.ndarray,
     return std.apply(raw), std
 
 
+def _dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distance of every row of ``a`` to every row of ``b``, (n, m).
+
+    Squared differences are summed one coordinate at a time, in column
+    order, before the square root: the order of scipy's ``cdist``, whose
+    values it reproduces bit for bit.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
+        raise ValueError(f"need two 2-D arrays with equal columns, got {a.shape} and {b.shape}")
+    total = np.zeros((a.shape[0], b.shape[0]))
+    for k in range(a.shape[1]):
+        diff = a[:, k, None] - b[None, :, k]
+        total += diff * diff
+    return np.sqrt(total)
+
+
 def _init_centroids(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Farthest-weighted (k-means++ style) seeding."""
     n = points.shape[0]
     centroids = [points[rng.integers(n)]]
     for _ in range(1, k):
-        d2 = cdist(points, np.asarray(centroids)).min(axis=1) ** 2
+        d2 = _dist(points, centroids).min(axis=1) ** 2
         total = d2.sum()
         if total == 0:
             # all remaining points coincide with a centroid; pick any new point
@@ -106,7 +124,7 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iter: int = 100, tol: 
     prev_wcss = np.inf
     assignment = np.zeros(n, dtype=int)
     for _ in range(max_iter):
-        d = cdist(points, centroids)
+        d = _dist(points, centroids)
         assignment = d.argmin(axis=1)
         for c in range(k):
             if not np.any(assignment == c):
@@ -124,31 +142,38 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iter: int = 100, tol: 
         prev_wcss = wcss
         if move < tol:
             break
-    d = cdist(points, centroids)
+    d = _dist(points, centroids)
     assignment = d.argmin(axis=1)
     wcss = float(np.sum((points - centroids[assignment]) ** 2))
     return ClusterModel(k=k, centroids=centroids, assignment=assignment, wcss=wcss)
 
 
 def silhouette(points: np.ndarray, assignment: np.ndarray) -> float:
-    """Mean silhouette score; singleton clusters contribute 0."""
+    """Mean silhouette score; singleton clusters contribute 0.
+
+    For each point, a is the mean distance to the other members of its
+    cluster and b the smallest mean distance to the members of another
+    cluster. Each cluster's distances are summed as one contiguous block
+    of columns in point order, which adds in the order of summing one
+    point's row of that cluster, so the score is that of the per-point
+    loop bit for bit.
+    """
     points = np.asarray(points, dtype=float)
-    assignment = np.asarray(assignment)
-    clusters = np.unique(assignment)
+    clusters, own, counts = np.unique(np.asarray(assignment), return_inverse=True, return_counts=True)
     if clusters.size < 2:
         raise ValueError("silhouette needs at least 2 clusters")
-    d = cdist(points, points)
+    d = _dist(points, points)
     n = points.shape[0]
+    sums = np.empty((n, clusters.size))
+    for c in range(clusters.size):
+        sums[:, c] = np.ascontiguousarray(d[:, own == c]).sum(axis=1)
+    means = sums / counts
+    means[np.arange(n), own] = np.inf
+    b = means.min(axis=1)
+    live = np.flatnonzero(counts[own] > 1)
+    a = sums[live, own[live]] / (counts[own[live]] - 1)
     scores = np.zeros(n)
-    for i in range(n):
-        own = assignment == assignment[i]
-        n_own = own.sum()
-        if n_own == 1:
-            scores[i] = 0.0
-            continue
-        a = d[i, own].sum() / (n_own - 1)
-        b = min(d[i, assignment == c].mean() for c in clusters if c != assignment[i])
-        scores[i] = (b - a) / max(a, b)
+    scores[live] = (b[live] - a) / np.maximum(a, b[live])
     return float(scores.mean())
 
 

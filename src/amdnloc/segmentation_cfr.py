@@ -238,6 +238,22 @@ class _ImageStacks:
             hits[here] = True
         return hits
 
+    def first_hit(self, pair: TemplatePair, indices: np.ndarray, tau: float) -> int | None:
+        """The first listed image that ``pair_hits`` holds, or None.
+
+        The images are scored in list order, in runs of ``_PLANES``
+        images that double in length, and the scan stops after the first
+        run that holds a hit, so an early hit skips scoring the rest.
+        """
+        start, step = 0, _PLANES
+        while start < len(indices):
+            run = indices[start : start + step]
+            hits = np.flatnonzero(self.pair_hits(pair, run, tau))
+            if hits.size:
+                return int(run[hits[0]])
+            start, step = start + step, 2 * step
+        return None
+
     def pair_scores(self, pairs: list[TemplatePair], indices: np.ndarray) -> np.ndarray:
         """``_pair_score(pair, image)`` of every pair against each listed
         image, shape (len(pairs), len(indices)).
@@ -277,9 +293,9 @@ def match_within(
     keeping a fresh one.
 
     Scoring is batched per founder: its pair is scored once against all
-    later unlabeled images, and (for the fallback) once against all
-    earlier ones. Recruitment order and results are those of the
-    image-by-image scan.
+    later unlabeled images, and the fallback scores earlier images in
+    runs until one holds a match (``_ImageStacks.first_hit``).
+    Recruitment order and results are those of the image-by-image scan.
     """
     if not images:
         raise ValueError("no images to segment")
@@ -299,9 +315,9 @@ def match_within(
         recruits = later[stacks.pair_hits(pair, later, tau_in)]
         labels[recruits] = class_num
         if recruits.size == 0:
-            earlier = np.flatnonzero(stacks.pair_hits(pair, np.arange(i), tau_in))
-            if earlier.size:
-                labels[i] = labels[earlier[0]]
+            first = stacks.first_hit(pair, np.arange(i), tau_in)
+            if first is not None:
+                labels[i] = labels[first]
         if labels[i] == class_num:
             founders[class_num] = pair
             class_num += 1
@@ -329,8 +345,10 @@ def match_between(labeling: CfrLabeling, tau_out: float) -> CfrLabeling:
     id survives), which is already the fixpoint of repeated scanning.
 
     Scoring is batched per founder: each category's pair is scored once
-    against the stack of all founder images. Links are applied in the
-    same (i, j) order as the pair-by-pair scan.
+    against the stacked images of the founders outside its current
+    component. A link inside one component cannot change the closure,
+    and the surviving root is the smallest id whatever the link order,
+    so the result is that of the pair-by-pair scan.
     """
     if not (0.0 < tau_out <= 1.0):
         raise ValueError(f"tau_out must lie in (0, 1], got {tau_out}")
@@ -350,11 +368,11 @@ def match_between(labeling: CfrLabeling, tau_out: float) -> CfrLabeling:
 
     cats = sorted(labeling.founders)
     stacks = _ImageStacks([labeling.images[labeling.founders[c].founder_id] for c in cats])
-    everyone = np.arange(len(cats))
-    for a, i in enumerate(cats):
-        for b in np.flatnonzero(stacks.pair_hits(labeling.founders[i], everyone, tau_out)):
-            if b != a:
-                union(i, cats[b])
+    for i in cats:
+        root = find(i)
+        others = np.flatnonzero([find(c) != root for c in cats])
+        for b in others[stacks.pair_hits(labeling.founders[i], others, tau_out)]:
+            union(i, cats[b])
 
     merged = np.array([find(int(lab)) for lab in labeling.labels])
     root_founders = {find(c): labeling.founders[find(c)] for c in cats}

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import amdnloc
 from amdnloc.evaluate import (
     PipelineError,
     cdf_curve,
@@ -140,6 +145,28 @@ class TestRunPipeline:
         rows = (tmp_path / "region_map.csv").read_text().strip().splitlines()[1:]
         retained = sum(int(r.rsplit(",", 1)[1]) for r in rows)
         assert report["covering_rate"] == pytest.approx(retained / len(rows))
+
+    def test_runs_without_scipy(self, tmp_path):
+        # scipy is a test dependency only: with it blocked, the package
+        # imports and a pipeline run (clustering, k selection and routing
+        # included) writes the artifacts of an ordinary run
+        code = (
+            "import json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import amdnloc\n"
+            "from amdnloc.evaluate import run_pipeline\n"
+            "run_pipeline(json.loads(sys.argv[1]), sys.argv[2])\n"
+        )
+        src = str(Path(amdnloc.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(SMALL_CONFIG), str(tmp_path / "bare")],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        run_pipeline(SMALL_CONFIG, out_dir=tmp_path / "here")
+        for name in ("report.json", "region_map.csv", "model.json"):
+            assert (tmp_path / "bare" / name).read_bytes() == (tmp_path / "here" / name).read_bytes(), name
 
     def test_stage_tagged_error(self):
         bad = {**SMALL_CONFIG, "scene": {**SMALL_CONFIG["scene"], "bs_pos": [26.0, 30.0]}}

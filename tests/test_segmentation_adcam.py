@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import cdist
 
 from amdnloc import segmentation_adcam
 from amdnloc.channel import PathRecord
 from amdnloc.scenegen import Sample
 from amdnloc.segmentation_adcam import (
+    _dist,
     build_features,
     calinski_harabasz,
     kmeans,
@@ -144,15 +147,16 @@ class TestKmeans:
         # three centroids), every point joins its farthest centroid, so the
         # within-cluster scatter rises
         steps = []
+        dist = segmentation_adcam._dist
 
         def farthest_after_first(a, b):
-            d = cdist(a, b)
+            d = dist(a, b)
             if len(b) < 3:
                 return d
             steps.append(None)
             return d if len(steps) == 1 else -d
 
-        monkeypatch.setattr(segmentation_adcam, "cdist", farthest_after_first)
+        monkeypatch.setattr(segmentation_adcam, "_dist", farthest_after_first)
         rng = np.random.default_rng(5)
         pts = np.vstack([rng.normal(c, 0.3, (20, 2)) for c in ([0, 0], [8, 8], [0, 8])])
         with pytest.raises(ValueError, match="scatter rose"):
@@ -167,7 +171,88 @@ class TestKmeans:
         np.testing.assert_array_equal(a.centroids, b.centroids)
 
 
+# coordinates of a few magnitudes, with exact zeros and repeats drawn often
+_coords = st.one_of(st.just(0.0), st.just(1.5), st.floats(-1e3, 1e3, allow_nan=False))
+
+
+@st.composite
+def _two_point_sets(draw):
+    """Two point sets of equal dimension, 0-5 rows each, sometimes sharing points."""
+    dim = draw(st.integers(1, 6))
+    a = draw(arrays(float, (draw(st.integers(0, 5)), dim), elements=_coords))
+    b = draw(arrays(float, (draw(st.integers(0, 5)), dim), elements=_coords))
+    if len(a) and len(b) and draw(st.booleans()):
+        b[draw(st.integers(0, len(b) - 1))] = a[draw(st.integers(0, len(a) - 1))]
+    return a, b
+
+
+class TestDist:
+    @settings(max_examples=300, deadline=None)
+    @given(_two_point_sets())
+    def test_equals_cdist_bit_for_bit(self, case):
+        a, b = case
+        got = _dist(a, b)
+        assert got.shape == (len(a), len(b))
+        assert np.array_equal(got, cdist(a, b))
+
+    def test_equals_cdist_on_clustering_sized_input(self):
+        rng = np.random.default_rng(8)
+        pts = rng.normal(size=(300, 4)) * np.array([1.0, 3.0, 1e-3, 40.0])
+        assert np.array_equal(_dist(pts, pts), cdist(pts, pts))
+        assert np.array_equal(_dist(pts, pts[:7]), cdist(pts, pts[:7]))
+
+    def test_coincident_points_are_zero_apart(self):
+        pts = np.array([[1.0, -2.0, 3.0]] * 3)
+        assert np.array_equal(_dist(pts, pts), np.zeros((3, 3)))
+
+    def test_mismatched_columns_rejected(self):
+        with pytest.raises(ValueError):
+            _dist(np.zeros((2, 3)), np.zeros((2, 2)))
+        with pytest.raises(ValueError):
+            _dist(np.zeros(3), np.zeros((2, 3)))
+
+
+def silhouette_loop(points, assignment):
+    """The per-point loop ``silhouette`` replaced, over scipy distances."""
+    clusters = np.unique(assignment)
+    d = cdist(points, points)
+    scores = np.zeros(len(points))
+    for i in range(len(points)):
+        own = assignment == assignment[i]
+        n_own = own.sum()
+        if n_own == 1:
+            continue
+        a = d[i, own].sum() / (n_own - 1)
+        b = min(d[i, assignment == c].mean() for c in clusters if c != assignment[i])
+        scores[i] = (b - a) / max(a, b)
+    return float(scores.mean())
+
+
+@st.composite
+def _clustered_points(draw):
+    """3-400 points in 1-6 dimensions with 2-8 clusters, singletons and
+    coincident points included."""
+    n = draw(st.integers(3, 400))
+    k = draw(st.integers(2, min(8, n)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(n, draw(st.integers(1, 6)))) * draw(st.sampled_from([1e-3, 1.0, 50.0]))
+    assignment = rng.integers(0, k, size=n)
+    assignment[:2] = [0, 1]  # at least two clusters
+    if draw(st.booleans()):
+        assignment[2] = k + 5  # a singleton cluster
+    if draw(st.booleans()):
+        pts[1:3] = pts[0] + 1.0  # coincident points, split over clusters
+    return pts, assignment
+
+
 class TestSilhouette:
+    @settings(max_examples=150, deadline=None)
+    @given(_clustered_points())
+    def test_equals_per_point_loop_bit_for_bit(self, case):
+        pts, assignment = case
+        assert np.array_equal(silhouette(pts, assignment), silhouette_loop(pts, assignment), equal_nan=True)
+
     def test_perfectly_separated_pairs(self):
         pts = np.array([[0.0], [0.0], [10.0], [10.0]])
         assert silhouette(pts, np.array([0, 0, 1, 1])) == pytest.approx(1.0)

@@ -400,10 +400,13 @@ def test_image_stacks_match_pair_score(case, planes, tau):
         stacks = _ImageStacks(images)
         scores = stacks.pair_scores(pairs, indices)
         hits = [stacks.pair_hits(pair, indices, tau) for pair in pairs]
+        firsts = [stacks.first_hit(pair, indices, tau) for pair in pairs]
     for n, img in enumerate(images):
         assert np.array_equal(stacks._spectra[stacks._stack_of[n]][stacks._row_of[n]], np.fft.rfft2(img))
     assert scores.shape == (len(pairs), len(indices))
-    for pair, row, hit in zip(pairs, scores, hits):
+    for pair, row, hit, first in zip(pairs, scores, hits, firsts):
+        # the run-by-run scan stops at the first image the full scan holds
+        assert first == (int(indices[hit][0]) if hit.any() else None)
         want = np.array([_pair_score(pair, images[i]) for i in indices])
         assert row == pytest.approx(want, abs=1e-9)
         # a score within the bound of tau may fall on either side of it
@@ -556,3 +559,42 @@ def test_stages_match_pairwise_scan_on_mixed_shapes():
         memo = {}
         for tau_out in (0.99, 0.95, 0.85):
             _assert_same_labeling(match_between(within, tau_out), match_between_oracle(within, tau_out, memo))
+
+
+def _plant_founder_corners(image, founder):
+    """Copy the 3x3 corner blocks of ``founder`` inside ``image``, away
+    from its own lower-right corner, so the founder's pair matches the
+    image while the image's own pair does not match the founder."""
+    image[4:7, 1:4] = founder[:3, :3]
+    image[1:4, 5:8] = founder[7:, 7:]
+
+
+def test_fallback_hit_past_the_first_run():
+    # runs of 1, 2, 4 and 8 images: the first hit, image 4, lies in the
+    # third run with image 6, and image 8 in the fourth matches too
+    rng = np.random.default_rng(18)
+    images = [rng.random((10, 10)) for _ in range(11)]
+    for k in (4, 6, 8):
+        _plant_founder_corners(images[k], images[10])
+    with mock.patch.object(segmentation_cfr, "_PLANES", 1):
+        got = match_within(images, 0.999, (3, 3))
+    _assert_same_labeling(got, match_within_oracle(images, 0.999, (3, 3)))
+    assert got.labels[10] == got.labels[4]
+    assert len({got.labels[4], got.labels[6], got.labels[8]}) == 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 12), st.integers(0, 3), st.data())
+def test_fallback_takes_first_hit_in_runs(planes, n, trailing, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    images = [rng.random((10, 10)) for _ in range(n + 1 + trailing)]
+    # image n recruits none of the trailing images and falls back to the
+    # first of the planted earlier ones
+    planted = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=4))
+    for k in planted:
+        _plant_founder_corners(images[k], images[n])
+    with mock.patch.object(segmentation_cfr, "_PLANES", planes):
+        got = match_within(images, 0.999, (3, 3))
+    _assert_same_labeling(got, match_within_oracle(images, 0.999, (3, 3)))
+    if planted:
+        assert got.labels[n] == got.labels[min(planted)]
