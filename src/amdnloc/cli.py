@@ -3,6 +3,8 @@
 Subcommands: generate, segment, train, eval, plot, pipeline. The
 environment variable AMDN_SEED overrides any configured seed. Exit code
 0 on success; failures print a stage-tagged message and exit nonzero.
+A pipeline stage that fails exits 2; an unreadable file or a config
+key the pipeline does not know exits 1.
 """
 from __future__ import annotations
 
@@ -198,7 +200,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except PipelineError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
+        return 1 if e.stage == "config" else 2
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as e:
         stage = getattr(args, "command", "cli")
         print(f"error: [{stage}] {e}", file=sys.stderr)

@@ -145,9 +145,13 @@ def run_pipeline(config: dict, out_dir: str | Path | None = None) -> dict:
     fit on training samples only and test samples are routed through
     the trained matchers. The config ``seed`` seeds everything, the
     scene included: it always replaces the scene's own ``seed``.
-    Returns the report dict; when ``out_dir`` is given all artifacts
-    (dataset, region map, model, report) are written there.
+    A top-level key that ``default_config`` lacks is a ``[config]``
+    error. Returns the report dict; when ``out_dir`` is given all
+    artifacts (dataset, region map, model, report) are written there.
     """
+    unknown = sorted(set(config) - set(default_config()))
+    if unknown:
+        raise PipelineError("config", f"unknown config keys: {', '.join(map(repr, unknown))}")
     cfg = {**default_config(), **config}
     if isinstance(cfg["scene"], dict):
         scene_dict = {**default_config()["scene"], **cfg["scene"]}

@@ -16,7 +16,7 @@ import numpy as np
 from .channel import render_image
 from .fusion import RegionLabels
 from .segmentation_adcam import Standardizer, _dist, path_descriptor
-from .segmentation_cfr import TemplatePair, _ImageStacks
+from .segmentation_cfr import TemplatePair, _ImageStacks, _pair_banks, _TemplateBank
 
 __all__ = [
     "FeatureConfig",
@@ -173,7 +173,12 @@ def _sgd_fit(x, y, seed, ridge_lambda, batch=16, epochs=200, lr=0.05, decay=0.99
 @dataclass
 class LocalizationModel:
     """Trained per-region regressors plus everything needed to route a
-    new sample to a region."""
+    new sample to a region.
+
+    The founder templates are kept as ``_pair_banks`` for the CFR image
+    shape too, built once from ``founders`` whenever a model is made, so
+    ``locate`` transforms no template.
+    """
 
     config: FeatureConfig
     weights: dict[int, np.ndarray]  # fused region id -> (2, d+1)
@@ -186,6 +191,10 @@ class LocalizationModel:
     region_feature_centroids: dict[int, np.ndarray]
     ridge_lambda: float = 1e-3
     method: str = "ridge_closed_form"
+    founder_banks: list[tuple[list[int], _TemplateBank]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.founder_banks = _pair_banks(list(self.founders.values()), (self.config.nt, self.config.nc))
 
 
 def train(
@@ -247,12 +256,19 @@ def locate(model: LocalizationModel, samples) -> tuple[np.ndarray, list[int]]:
     Routing pairs the CFR label, the first best-matching founder in
     ``model.founders`` order, with the nearest clustering centroid. A
     pair never seen (or cleansed away) falls back to the region whose
-    training feature centroid is nearest.
+    training feature centroid is nearest. The founders are scored
+    through the model's ``founder_banks``, so a call takes the ``rfft2``
+    of its samples' CFR magnitude images and of no template. Every
+    sample's CFR must have the model's shape (nt, nc).
     """
+    shape = (model.config.nt, model.config.nc)
+    for s in samples:
+        if s.cfr.shape != shape:
+            raise ValueError(f"sample {s.id} has CFR shape {s.cfr.shape}, the model takes {shape}")
     kf = model.adcam_standardizer.apply([path_descriptor(s, model.path_select) for s in samples])
     adcam_labels = _dist(kf, model.adcam_centroids).argmin(axis=1)
     stacks = _ImageStacks([render_image(s.cfr, "cfr_magnitude") for s in samples])
-    scores = stacks.pair_scores(list(model.founders.values()), np.arange(len(samples)))
+    scores = stacks.pair_scores(model.founder_banks, np.arange(len(samples)))
     cfr_labels = np.array(list(model.founders))[np.argmax(scores, axis=0)]
     xy = np.empty((len(samples), 2))
     regions = []

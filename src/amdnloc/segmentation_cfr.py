@@ -102,50 +102,81 @@ def _valid_windows(win: np.ndarray) -> np.ndarray:
     return win > np.where(scale > 0, 1e-12 * scale, 0.0)
 
 
+class _TemplateBank:
+    """Templates of one shape, kept as their spectra for images of one shape.
+
+    The counterpart of ``_ImageStacks`` on the template side: the
+    conjugated ``rfft2`` of every live template, zero-padded to
+    ``image_shape``, is taken once, when the bank is built, with each
+    live template's energy. An all-zero template is not live; it scores
+    0 against every image.
+    """
+
+    def __init__(self, templates: np.ndarray, image_shape: tuple[int, int]):
+        templates = np.asarray(templates, dtype=float)
+        _check_fits(templates.shape[1:], image_shape)
+        flat = templates.reshape(len(templates), -1)
+        energy = np.sum(flat * flat, axis=1)
+        self.count = len(templates)
+        self.shape = templates.shape[1:]
+        self.image_shape = tuple(image_shape)
+        self.live = np.flatnonzero(energy > 0.0)
+        self.energy = energy[self.live]
+        self.spectra = np.conj(np.fft.rfft2(templates[self.live], s=self.image_shape))
+
+
+def _pruned_irfft2(spec: np.ndarray, image_shape: tuple[int, int], template_shape: tuple[int, ...]) -> np.ndarray:
+    """``np.fft.irfft2(spec, s=(H, W))[..., :H - a + 1, :W - b + 1]``, bit
+    for bit, for an (H, W) image and an (a, b) template.
+
+    ``irfft2`` takes an ``ifft`` along the rows and then an ``irfft``
+    along the columns; here the ``irfft`` runs on the kept rows only.
+    """
+    (h, w), (a, b) = image_shape, template_shape
+    rows = np.fft.ifft(spec, axis=-2)[..., : h - a + 1, :]
+    return np.fft.irfft(rows, n=w, axis=-1)[..., : w - b + 1]
+
+
 def _ncc_bank(
-    templates: np.ndarray,
-    spectra: np.ndarray,
-    shape: tuple[int, int],
-    win: np.ndarray,
-    valid: np.ndarray,
+    bank: _TemplateBank, spectra: np.ndarray, win: np.ndarray, valid: np.ndarray
 ) -> np.ndarray:
     """``ncc`` of every template of a bank against every image of a stack.
 
-    ``templates`` is (T, a, b). The n images, all of ``shape`` (H, W),
-    are given by their spectra ``np.fft.rfft2(image)``, (n, H, W//2 + 1),
-    by their window energies for the templates' shape, ``win =
-    _window_energy(image, (a, b))``, and by ``valid =
-    _valid_windows(win)``, so all three can be computed once per image
-    and reused. Returns (T, n). The numerator is a circular
-    cross-correlation taken from FFTs (J. P. Lewis, "Fast Normalized
-    Cross-Correlation", 1995); every valid placement lies inside the
-    image, so it never wraps. The rest is the arithmetic of ``ncc``: the
+    The bank holds T templates of shape (a, b) for images of shape
+    (H, W). The n images are given by their spectra
+    ``np.fft.rfft2(image)``, (n, H, W//2 + 1), by their window energies
+    for the templates' shape, ``win = _window_energy(image, (a, b))``,
+    and by ``valid = _valid_windows(win)``, so all three can be computed
+    once per image and reused. Returns (T, n). The numerator is a
+    circular cross-correlation taken from FFTs (J. P. Lewis, "Fast
+    Normalized Cross-Correlation", 1995); every valid placement lies
+    inside the image, so it never wraps. The inverse transform
+    (``_pruned_irfft2``) computes only the (H - a + 1, W - b + 1) valid
+    placements. The rest is the arithmetic of ``ncc``: the
     same zero-energy mask per image, 0 for an all-zero template, and a
     clip to [0, 1]. Images and templates are taken in chunks of about
     ``_PLANES`` correlation planes.
     """
-    templates = np.asarray(templates, dtype=float)
-    _check_fits(templates.shape[1:], shape)
-    (_, a, b), (h, w), n = templates.shape, shape, len(spectra)
-    flat = templates.reshape(len(templates), -1)
-    t_energy = np.sum(flat * flat, axis=1)
-    scores = np.zeros((len(templates), n))
-    live = np.flatnonzero(t_energy > 0.0)  # an all-zero template scores 0
-    if live.size == 0 or n == 0:
+    (h, w), (a, b), n = bank.image_shape, bank.shape, len(spectra)
+    if spectra.shape[1:] != (h, w // 2 + 1) or win.shape[1:] != (h - a + 1, w - b + 1):
+        raise ValueError(
+            f"image spectra {spectra.shape[1:]} and windows {win.shape[1:]} do not fit "
+            f"a bank of {bank.shape} templates for {bank.image_shape} images"
+        )
+    scores = np.zeros((bank.count, n))
+    if bank.live.size == 0 or n == 0:
         return scores
-    t_spec = np.conj(np.fft.rfft2(templates[live], s=(h, w)))
     n_step = min(n, _PLANES)
     t_step = max(1, _PLANES // n_step)
     for i in range(0, n, n_step):
         img = slice(i, i + n_step)
-        for j in range(0, live.size, t_step):
-            tpl = live[j : j + t_step]
-            corr = np.fft.irfft2(t_spec[j : j + t_step, None] * spectra[img], s=(h, w))
-            num = corr[..., : h - a + 1, : w - b + 1]
-            denom = np.sqrt(t_energy[tpl, None, None, None] * win[img])
+        for j in range(0, bank.live.size, t_step):
+            tpl = slice(j, j + t_step)
+            num = _pruned_irfft2(bank.spectra[tpl, None] * spectra[img], (h, w), (a, b))
+            denom = np.sqrt(bank.energy[tpl, None, None, None] * win[img])
             # Masked windows score -inf, so an image with no valid window clips to 0.
             ratio = np.divide(num, denom, out=np.full(num.shape, -np.inf), where=valid[img])
-            scores[tpl, img] = np.clip(np.max(ratio, axis=(2, 3)), 0.0, 1.0)
+            scores[bank.live[tpl], img] = np.clip(np.max(ratio, axis=(2, 3)), 0.0, 1.0)
     return scores
 
 
@@ -166,6 +197,21 @@ def extract_templates(image: np.ndarray, size: tuple[int, int], founder_id: int 
 def _pair_score(pair: TemplatePair, image: np.ndarray) -> float:
     """min of the two template matches; both corners must agree."""
     return min(ncc(pair.t1, image), ncc(pair.t2, image))
+
+
+def _pair_banks(
+    pairs: list[TemplatePair], image_shape: tuple[int, int]
+) -> list[tuple[list[int], _TemplateBank]]:
+    """The templates of ``pairs`` as one bank per template shape, for
+    images of ``image_shape``: the positions in ``pairs`` of the pairs of
+    that shape, and the bank of their t1 and t2, interleaved."""
+    by_shape: dict[tuple[int, ...], list[int]] = {}
+    for k, pair in enumerate(pairs):
+        by_shape.setdefault(pair.t1.shape, []).append(k)
+    return [
+        (ks, _TemplateBank(np.stack([t for k in ks for t in (pairs[k].t1, pairs[k].t2)]), image_shape))
+        for ks in by_shape.values()
+    ]
 
 
 class _ImageStacks:
@@ -215,30 +261,40 @@ class _ImageStacks:
             self._energy[g, shape] = win, _valid_windows(win)
         return self._energy[g, shape]
 
-    def _score(self, g: int, templates: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    def _score(self, g: int, bank: _TemplateBank, rows: np.ndarray) -> np.ndarray:
         """``_ncc_bank`` of a template bank against the listed rows of group ``g``."""
-        win, valid = self._win(g, templates.shape[1:])
-        return _ncc_bank(templates, self._spectra[g][rows], self._shapes[g], win[rows], valid[rows])
+        win, valid = self._win(g, bank.shape)
+        return _ncc_bank(bank, self._spectra[g][rows], win[rows], valid[rows])
 
-    def pair_hits(self, pair: TemplatePair, indices: np.ndarray, tau: float) -> np.ndarray:
-        """Whether ``_pair_score(pair, image) >= tau`` for each listed image.
+    def corner_banks(self, pair: TemplatePair) -> list[tuple[_TemplateBank, _TemplateBank]]:
+        """The banks of a pair's t1 and of its t2 for each image shape of
+        the stacks, in the order ``pair_hits`` and ``first_hit`` take them."""
+        return [(_TemplateBank(pair.t1[None], s), _TemplateBank(pair.t2[None], s)) for s in self._shapes]
+
+    def pair_hits(
+        self, banks: list[tuple[_TemplateBank, _TemplateBank]], indices: np.ndarray, tau: float
+    ) -> np.ndarray:
+        """Whether ``_pair_score(pair, image) >= tau`` for each listed
+        image, the pair given by its ``corner_banks``.
 
         The pair score is the smaller of the two template scores, so t2
         is only scored on the images where t1 already reaches ``tau``.
         """
         hits = np.zeros(len(indices), dtype=bool)
-        for g in range(len(self._spectra)):
+        for g, corners in enumerate(banks):
             here = np.flatnonzero(self._stack_of[indices] == g)
             rows = self._row_of[indices[here]]
-            for t in (pair.t1, pair.t2):
+            for bank in corners:
                 if rows.size == 0:
                     break
-                keep = self._score(g, t[None], rows)[0] >= tau
+                keep = self._score(g, bank, rows)[0] >= tau
                 here, rows = here[keep], rows[keep]
             hits[here] = True
         return hits
 
-    def first_hit(self, pair: TemplatePair, indices: np.ndarray, tau: float) -> int | None:
+    def first_hit(
+        self, banks: list[tuple[_TemplateBank, _TemplateBank]], indices: np.ndarray, tau: float
+    ) -> int | None:
         """The first listed image that ``pair_hits`` holds, or None.
 
         The images are scored in list order, in runs of ``_PLANES``
@@ -248,34 +304,27 @@ class _ImageStacks:
         start, step = 0, _PLANES
         while start < len(indices):
             run = indices[start : start + step]
-            hits = np.flatnonzero(self.pair_hits(pair, run, tau))
+            hits = np.flatnonzero(self.pair_hits(banks, run, tau))
             if hits.size:
                 return int(run[hits[0]])
             start, step = start + step, 2 * step
         return None
 
-    def pair_scores(self, pairs: list[TemplatePair], indices: np.ndarray) -> np.ndarray:
-        """``_pair_score(pair, image)`` of every pair against each listed
-        image, shape (len(pairs), len(indices)).
+    def pair_scores(self, banks: list[tuple[list[int], _TemplateBank]], indices: np.ndarray) -> np.ndarray:
+        """``_pair_score(pair, image)`` of every pair of ``_pair_banks``
+        against each listed image, shape (pairs, len(indices)).
 
-        The templates of one shape are scored as one bank, with one
-        ``_ncc_bank`` call per image shape.
+        The listed images must all have the banks' image shape. Each bank
+        is scored with one ``_ncc_bank`` call.
         """
-        by_shape: dict[tuple[int, ...], list[int]] = {}
-        for k, pair in enumerate(pairs):
-            by_shape.setdefault(pair.t1.shape, []).append(k)
-        banks = {
-            shape: np.stack([t for k in ks for t in (pairs[k].t1, pairs[k].t2)])
-            for shape, ks in by_shape.items()
-        }
-        scores = np.empty((len(pairs), len(indices)))
+        scores = np.empty((sum(len(ks) for ks, _ in banks), len(indices)))
         for g in range(len(self._spectra)):
             here = np.flatnonzero(self._stack_of[indices] == g)
             rows = self._row_of[indices[here]]
             if rows.size == 0:
                 continue
-            for shape, ks in by_shape.items():
-                both = self._score(g, banks[shape], rows)
+            for ks, bank in banks:
+                both = self._score(g, bank, rows)
                 scores[np.ix_(ks, here)] = np.minimum(both[0::2], both[1::2])
         return scores
 
@@ -292,9 +341,10 @@ def match_within(
     images and adopts the first matching image's category instead of
     keeping a fresh one.
 
-    Scoring is batched per founder: its pair is scored once against all
-    later unlabeled images, and the fallback scores earlier images in
-    runs until one holds a match (``_ImageStacks.first_hit``).
+    Scoring is batched per founder: its template banks are built once,
+    its pair is scored once against all later unlabeled images, and the
+    fallback scores earlier images in runs until one holds a match
+    (``_ImageStacks.first_hit``).
     Recruitment order and results are those of the image-by-image scan.
     """
     if not images:
@@ -310,12 +360,13 @@ def match_within(
         if labels[i] != UNLABELED:
             continue
         pair = extract_templates(images[i], size, founder_id=i)
+        banks = stacks.corner_banks(pair)
         labels[i] = class_num
         later = i + 1 + np.flatnonzero(labels[i + 1 :] == UNLABELED)
-        recruits = later[stacks.pair_hits(pair, later, tau_in)]
+        recruits = later[stacks.pair_hits(banks, later, tau_in)]
         labels[recruits] = class_num
         if recruits.size == 0:
-            first = stacks.first_hit(pair, np.arange(i), tau_in)
+            first = stacks.first_hit(banks, np.arange(i), tau_in)
             if first is not None:
                 labels[i] = labels[first]
         if labels[i] == class_num:
@@ -371,7 +422,8 @@ def match_between(labeling: CfrLabeling, tau_out: float) -> CfrLabeling:
     for i in cats:
         root = find(i)
         others = np.flatnonzero([find(c) != root for c in cats])
-        for b in others[stacks.pair_hits(labeling.founders[i], others, tau_out)]:
+        banks = stacks.corner_banks(labeling.founders[i])
+        for b in others[stacks.pair_hits(banks, others, tau_out)]:
             union(i, cats[b])
 
     merged = np.array([find(int(lab)) for lab in labeling.labels])

@@ -174,6 +174,12 @@ class TestRunPipeline:
             run_pipeline(bad)
         assert exc.value.stage == "generate"
 
+    def test_unknown_config_key_is_a_config_error(self, tmp_path):
+        with pytest.raises(PipelineError, match="'tau_inn'") as exc:
+            run_pipeline({**SMALL_CONFIG, "tau_inn": 0.5}, out_dir=tmp_path)
+        assert exc.value.stage == "config"
+        assert not any(tmp_path.iterdir())
+
     def test_diverging_sgd_is_a_train_error(self):
         with pytest.raises(PipelineError, match="sgd diverged") as exc:
             run_pipeline({**SMALL_CONFIG, "method": "sgd"})

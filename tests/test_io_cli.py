@@ -130,6 +130,15 @@ class TestCliWorkflow:
         report = json.loads((out / "report.json").read_text())
         assert report["seed"] == 99
 
+    def test_pipeline_unknown_config_key_exits_1(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"tau_inn": 0.5, "seed": 1}))
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "[config]" in err and "tau_inn" in err
+        assert not out.exists()
+
     def test_missing_scene_file_nonzero_exit(self, tmp_path, capsys):
         rc = main(["generate", "--scene", str(tmp_path / "nope.json"), "--out", str(tmp_path / "d")])
         assert rc != 0

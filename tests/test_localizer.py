@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
+from amdnloc import io as dio
 from amdnloc.channel import PathRecord, render_image
 from amdnloc.evaluate import _split, default_config, segment
 from amdnloc.fusion import cleanse, fuse_labels
@@ -319,6 +322,46 @@ class TestLocate:
         for s in test[:5]:
             assert np.array_equal(predict(model, s), locate(model, [s])[0][0])
             assert predict(model, s).shape == (2,)
+
+    def test_read_back_and_replaced_models_route_through_their_founders(self, held_out_model, tmp_path):
+        model, test = held_out_model
+        dio.write_model(tmp_path / "model.json", model)
+        read = dio.read_model(tmp_path / "model.json", small_dataset())
+        # each category's founder re-cut from a held-out sample, in reverse
+        # order, so a bank left from the old founders would route otherwise
+        size = next(iter(model.founders.values())).size
+        cut = [extract_templates(render_image(s.cfr, "cfr_magnitude"), size, founder_id=s.id) for s in test]
+        replaced = dataclasses.replace(model, founders=dict(zip(reversed(list(model.founders)), cut)))
+        for m in (read, replaced):
+            xy, regions = locate(m, test)
+            assert regions == [route_oracle(m, s)[0] for s in test]
+            assert np.array_equal(xy, np.array([predict_oracle(m, s) for s in test]))
+        if len(model.founders) > 1:
+            assert locate(replaced, test)[1] != locate(model, test)[1]
+
+    def test_locate_transforms_no_template(self, held_out_model, monkeypatch):
+        model, test = held_out_model
+        want = locate(model, test)
+        rfft2 = np.fft.rfft2
+        shapes = []
+
+        def counted(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return rfft2(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft2", counted)
+        got = locate(model, test)
+        monkeypatch.undo()
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+        # only the samples' CFR magnitude images, each transformed once
+        assert all(shape[1:] == (model.config.nt, model.config.nc) for shape in shapes)
+        assert sum(shape[0] for shape in shapes) == len(test)
+
+    def test_sample_of_another_shape_rejected(self, held_out_model):
+        model, test = held_out_model
+        odd = dataclasses.replace(test[0], cfr=test[0].cfr[:, :-1])
+        with pytest.raises(ValueError, match=r"\(16, 15\).*\(16, 16\)"):
+            locate(model, [test[1], odd])
 
 
 class TestPiecewiseLinearRecovery:

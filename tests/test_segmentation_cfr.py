@@ -14,8 +14,11 @@ from amdnloc.segmentation_cfr import (
     CfrLabeling,
     TemplatePair,
     _ImageStacks,
+    _TemplateBank,
     _ncc_bank,
+    _pair_banks,
     _pair_score,
+    _pruned_irfft2,
     _reindex,
     _valid_windows,
     _window_energy,
@@ -323,13 +326,14 @@ def test_ncc_bank_matches_ncc(case, planes):
     # few planes per temporary, so the chunking over images and templates runs
     with mock.patch.object(segmentation_cfr, "_PLANES", planes):
         win = _window_energy(stack, templates.shape[1:])
-        got = _ncc_bank(templates, np.fft.rfft2(stack), stack.shape[1:], win, _valid_windows(win))
+        bank = _TemplateBank(templates, stack.shape[1:])
+        got = _ncc_bank(bank, np.fft.rfft2(stack), win, _valid_windows(win))
         pairs = [
             TemplatePair(t1=t, t2=t[::-1, ::-1].copy(), size=t.shape, founder_id=k)
             for k, t in enumerate(templates)
         ]
         indices = np.arange(len(stack))[::-1]
-        scores = _ImageStacks(list(stack)).pair_scores(pairs, indices)
+        scores = _ImageStacks(list(stack)).pair_scores(_pair_banks(pairs, stack.shape[1:]), indices)
     assert got.shape == (len(templates), len(stack))
     for tpl, row in zip(templates, got):
         for score, img in zip(row, stack):
@@ -345,16 +349,41 @@ def test_pair_scores_mixes_template_and_image_shapes():
     rng = np.random.default_rng(16)
     images = [rng.random(shape) for shape in [(16, 16), (12, 18), (16, 16), (20, 20)]]
     pairs = [extract_templates(images[i], size, founder_id=i) for i, size in [(0, (8, 8)), (1, (5, 7)), (3, (8, 8))]]
-    indices = np.array([3, 0, 1, 2])
-    scores = _ImageStacks(images).pair_scores(pairs, indices)
-    for pair, row in zip(pairs, scores):
-        assert row == pytest.approx([_pair_score(pair, images[i]) for i in indices], abs=1e-9)
+    stacks = _ImageStacks(images)
+    # the banks of one image shape score the listed images of that shape
+    for shape, indices in [((16, 16), [2, 0]), ((12, 18), [1]), ((20, 20), [3])]:
+        scores = stacks.pair_scores(_pair_banks(pairs, shape), np.array(indices))
+        for pair, row in zip(pairs, scores):
+            assert row == pytest.approx([_pair_score(pair, images[i]) for i in indices], abs=1e-9)
+    with pytest.raises(ValueError, match=r"\(16, 16\) images"):
+        stacks.pair_scores(_pair_banks(pairs, (16, 16)), np.array([0, 3]))
 
 
 def test_ncc_bank_oversize_template_rejected():
     spectra = np.fft.rfft2(np.ones((2, 4, 6)))
     with pytest.raises(ValueError):
-        _ncc_bank(np.ones((1, 5, 5)), spectra, (4, 6), np.ones((2, 1, 1)), np.ones((2, 1, 1), dtype=bool))
+        _ncc_bank(_TemplateBank(np.ones((1, 5, 5)), (4, 6)), spectra, np.ones((2, 1, 1)), np.ones((2, 1, 1), dtype=bool))
+
+
+def test_ncc_bank_rejects_images_of_another_shape():
+    # (4, 6) and (4, 7) images have spectra of one shape; their windows differ
+    bank = _TemplateBank(np.ones((1, 2, 2)), (4, 6))
+    image = np.ones((1, 4, 7))
+    win = _window_energy(image, (2, 2))
+    with pytest.raises(ValueError, match="do not fit"):
+        _ncc_bank(bank, np.fft.rfft2(image), win, _valid_windows(win))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.data(), st.sampled_from([1.0, 1e-7]), st.integers(0, 2**32 - 1))
+def test_pruned_inverse_equals_full_irfft2_crop(h, w, data, scale, seed):
+    # odd and even sides, templates from 1x1 up to the whole image, faint images
+    a, b = data.draw(st.integers(1, h)), data.draw(st.integers(1, w))
+    rng = np.random.default_rng(seed)
+    bank = _TemplateBank(rng.random((3, a, b)), (h, w))
+    spec = bank.spectra[:, None] * np.fft.rfft2(scale * rng.random((2, h, w)))
+    full = np.fft.irfft2(spec, s=(h, w))[..., : h - a + 1, : w - b + 1]
+    assert np.array_equal(_pruned_irfft2(spec, (h, w), (a, b)), full)
 
 
 @st.composite
@@ -398,9 +427,13 @@ def test_image_stacks_match_pair_score(case, planes, tau):
     # few images per chunk, so the spectrum and energy builds cross chunks
     with mock.patch.object(segmentation_cfr, "_PLANES", planes):
         stacks = _ImageStacks(images)
-        scores = stacks.pair_scores(pairs, indices)
-        hits = [stacks.pair_hits(pair, indices, tau) for pair in pairs]
-        firsts = [stacks.first_hit(pair, indices, tau) for pair in pairs]
+        scores = np.empty((len(pairs), len(indices)))
+        for shape in {images[i].shape for i in indices}:
+            here = np.flatnonzero([images[i].shape == shape for i in indices])
+            scores[:, here] = stacks.pair_scores(_pair_banks(pairs, shape), indices[here])
+        banks = [stacks.corner_banks(pair) for pair in pairs]
+        hits = [stacks.pair_hits(b, indices, tau) for b in banks]
+        firsts = [stacks.first_hit(b, indices, tau) for b in banks]
     for n, img in enumerate(images):
         assert np.array_equal(stacks._spectra[stacks._stack_of[n]][stacks._row_of[n]], np.fft.rfft2(img))
     assert scores.shape == (len(pairs), len(indices))
