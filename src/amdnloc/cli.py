@@ -1,10 +1,12 @@
 """Command-line interface.
 
 Subcommands: generate, segment, train, eval, plot, pipeline. The
-environment variable AMDN_SEED overrides any configured seed. Exit code
-0 on success; failures print a stage-tagged message and exit nonzero.
-A pipeline stage that fails exits 2; an unreadable file or a config
-key the pipeline does not know exits 1.
+environment variable AMDN_SEED overrides the seed of generate, segment
+and pipeline; train takes no seed, since its closed-form ridge fit draws
+nothing. Exit code 0 on success; failures print a stage-tagged message
+and exit nonzero. A pipeline stage that fails exits 2; an unreadable or
+malformed file (a model of an unknown fit method included) or a config
+key the pipeline does not know exits 1; an unknown option exits 2.
 """
 from __future__ import annotations
 
@@ -88,9 +90,7 @@ def _cmd_train(args) -> int:
         np.array(seg["adcam_centroids"]),
         dio._std_from_json(seg["adcam_standardizer"]),
         path_select=seg["path_select"],
-        method=args.method,
         ridge_lambda=args.ridge_lambda,
-        seed=_seed_override(args.seed),
     )
     dio.write_model(args.out, model)
     print(f"trained {len(model.weights)} region regressors; wrote {args.out}")
@@ -168,9 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("train", help="fit per-region regressors")
     t.add_argument("--data", required=True)
     t.add_argument("--regions", required=True)
-    t.add_argument("--method", choices=["ridge", "sgd"], default="ridge")
     t.add_argument("--ridge-lambda", type=float, default=default_config()["ridge_lambda"], dest="ridge_lambda")
-    t.add_argument("--seed", type=int, default=0)
     t.add_argument("--out", default="model.json")
     t.set_defaults(func=_cmd_train)
 
@@ -194,8 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "method", None) in ("ridge", "sgd"):
-        args.method = {"ridge": "ridge_closed_form", "sgd": "sgd"}[args.method]
     try:
         return args.func(args)
     except PipelineError as e:

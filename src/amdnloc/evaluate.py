@@ -94,7 +94,6 @@ def default_config() -> dict:
         "k_max": 8,
         "path_select": "strongest",
         "train_fraction": 0.8,
-        "method": "ridge_closed_form",
         "ridge_lambda": 1e-3,
         "single_region": False,
         "seed": 0,
@@ -182,9 +181,7 @@ def run_pipeline(config: dict, out_dir: str | Path | None = None) -> dict:
             centroids,
             adcam_std,
             path_select=cfg["path_select"],
-            method=cfg["method"],
             ridge_lambda=cfg["ridge_lambda"],
-            seed=cfg["seed"],
         )
     except (ValueError, np.linalg.LinAlgError) as e:
         raise PipelineError("train", str(e)) from e

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -55,15 +56,21 @@ def _write_bin(path: Path, arrays: list[np.ndarray], complex_data: bool):
 
 def _read_bin(path: Path, complex_data: bool) -> list[np.ndarray]:
     raw = Path(path).read_bytes()
+    if len(raw) < 20:
+        raise ValueError(f"{path}: {len(raw)} bytes, shorter than the 20-byte header")
     if raw[:4] != MAGIC:
         raise ValueError(f"{path}: bad magic bytes {raw[:4]!r}")
-    version, count, nt, nc = np.frombuffer(raw, dtype="<u4", count=4, offset=4)
+    version, count, nt, nc = (int(v) for v in np.frombuffer(raw, dtype="<u4", count=4, offset=4))
     if version != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported format version {version}")
     per = nt * nc * (2 if complex_data else 1)
+    if len(raw) - 20 != 4 * count * per:
+        raise ValueError(
+            f"{path}: payload of {len(raw) - 20} bytes, but {count} samples of {nt}x{nc} take {4 * count * per}"
+        )
     data = np.frombuffer(raw, dtype="<f4", offset=20)
-    if data.size != count * per:
-        raise ValueError(f"{path}: payload size mismatch")
+    if not np.all(np.isfinite(data)):
+        raise ValueError(f"{path}: non-finite values in the payload")
     out = []
     for i in range(count):
         block = data[i * per : (i + 1) * per].astype(np.float64)
@@ -98,12 +105,16 @@ def write_dataset(samples: list[Sample], out_dir: str | Path):
 
 
 def read_dataset(data_dir: str | Path) -> list[Sample]:
+    """Samples in positions.csv order; the files must agree on the
+    samples they hold, values must be finite and ids unique."""
     d = Path(data_dir)
     cfrs = _read_bin(d / "cfr.bin", complex_data=True)
     adcams = _read_bin(d / "adcam.bin", complex_data=False)
     paths_by_id: dict[int, list[PathRecord]] = {}
     with open(d / "paths.csv", newline="") as fh:
         for row in csv.DictReader(fh):
+            if not all(math.isfinite(float(row[k])) for k in ("aoa_rad", "aod_rad", "gain_re", "gain_im", "pathloss_db")):
+                raise ValueError(f"{d / 'paths.csv'}: a path of id {row['id']} has a non-finite value")
             paths_by_id.setdefault(int(row["id"]), []).append(
                 PathRecord(
                     aoa=float(row["aoa_rad"]),
@@ -113,21 +124,33 @@ def read_dataset(data_dir: str | Path) -> list[Sample]:
                     pathloss_db=float(row["pathloss_db"]),
                 )
             )
-    samples = []
     with open(d / "positions.csv", newline="") as fh:
-        for i, row in enumerate(csv.DictReader(fh)):
-            sid = int(row["id"])
-            samples.append(
-                Sample(
-                    id=sid,
-                    pos=(float(row["x"]), float(row["y"])),
-                    paths=paths_by_id.get(sid, []),
-                    is_los=bool(int(row["is_los"])),
-                    cfr=cfrs[i],
-                    adcam=adcams[i],
-                )
-            )
-    return samples
+        rows = list(csv.DictReader(fh))
+    if not len(rows) == len(cfrs) == len(adcams):
+        raise ValueError(
+            f"{d / 'positions.csv'}: {len(rows)} rows, but cfr.bin holds {len(cfrs)} "
+            f"and adcam.bin {len(adcams)} samples"
+        )
+    samples: dict[int, Sample] = {}
+    for row, cfr, adcam in zip(rows, cfrs, adcams):
+        sid = int(row["id"])
+        pos = (float(row["x"]), float(row["y"]))
+        if not all(map(math.isfinite, pos)):
+            raise ValueError(f"{d / 'positions.csv'}: sample {sid} has a non-finite position {pos}")
+        if sid in samples:
+            raise ValueError(f"{d / 'positions.csv'}: id {sid} is repeated")
+        samples[sid] = Sample(
+            id=sid,
+            pos=pos,
+            paths=paths_by_id.get(sid, []),
+            is_los=bool(int(row["is_los"])),
+            cfr=cfr,
+            adcam=adcam,
+        )
+    unknown = sorted(set(paths_by_id) - set(samples))
+    if unknown:
+        raise ValueError(f"{d / 'paths.csv'}: {len(unknown)} ids not in positions.csv, such as {unknown[:5]}")
+    return list(samples.values())
 
 
 def write_region_map(path: str | Path, sample_ids, labels: RegionLabels):
@@ -186,7 +209,6 @@ def write_model(path: str | Path, model: LocalizationModel):
         "version": FORMAT_VERSION,
         "nt": model.config.nt,
         "nc": model.config.nc,
-        "method": model.method,
         "ridge_lambda": model.ridge_lambda,
         "path_select": model.path_select,
         "weights": {str(r): w.tolist() for r, w in model.weights.items()},
@@ -224,6 +246,9 @@ def read_model(path: str | Path, samples: list[Sample]) -> LocalizationModel:
     obj = json.loads(Path(path).read_text())
     if obj.get("format") != "amdnloc-model":
         raise ValueError(f"{path}: not a model file")
+    # Older files name the fit method; closed-form ridge is the only one.
+    if obj.get("method", "ridge_closed_form") != "ridge_closed_form":
+        raise ValueError(f"{path}: fit method {obj['method']!r} is not supported; models are fit by closed-form ridge")
     founders = recut_founders(
         samples, [(c, f["founder_sample_id"], f["size"]) for c, f in obj["founders"].items()]
     )
@@ -240,5 +265,4 @@ def read_model(path: str | Path, samples: list[Sample]) -> LocalizationModel:
             int(r): np.array(c) for r, c in obj["region_feature_centroids"].items()
         },
         ridge_lambda=obj["ridge_lambda"],
-        method=obj["method"],
     )

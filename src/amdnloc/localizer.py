@@ -141,43 +141,14 @@ def fit_region_weights(x: np.ndarray, y: np.ndarray, ridge_lambda: float = 1e-3)
     return w.T  # (2, d+1)
 
 
-def _sgd_fit(x, y, seed, ridge_lambda, batch=16, epochs=200, lr=0.05, decay=0.99):
-    """Seeded mini-batch gradient descent on the same ridge objective."""
-    rng = np.random.default_rng(seed)
-    xb = np.hstack([x, np.ones((x.shape[0], 1))])
-    n, d = xb.shape
-    w = np.zeros((2, d))
-    for epoch in range(epochs):
-        order = rng.permutation(n)
-        step = lr * decay**epoch
-        for start in range(0, n, batch):
-            idx = order[start : start + batch]
-            xi, yi = xb[idx], y[idx]
-            err = xi @ w.T - yi  # (b, 2)
-            reg = 2.0 * ridge_lambda * w / n
-            reg[:, -1] = 0.0  # bias stays unpenalized, matching the closed form
-            grad = 2.0 * err.T @ xi / xi.shape[0] + reg
-            w -= step * grad
-    # A descent that ends above its zero-weight start has diverged, whether
-    # or not its weights overflowed on the way.
-    with np.errstate(over="ignore", invalid="ignore"):
-        residual = float(np.mean((xb @ w.T - y) ** 2))
-    if not residual <= float(np.mean(np.square(y))):
-        raise ValueError(
-            f"sgd diverged: mean squared residual {residual:.3g} is above that of zero weights; "
-            "use the closed-form ridge method"
-        )
-    return w
-
-
 @dataclass
 class LocalizationModel:
     """Trained per-region regressors plus everything needed to route a
     new sample to a region.
 
-    The founder templates are kept as ``_pair_banks`` for the CFR image
-    shape too, built once from ``founders`` whenever a model is made, so
-    ``locate`` transforms no template.
+    The founder templates are kept as a ``_pair_banks`` bank for the CFR
+    image shape too, built once from ``founders`` whenever a model is
+    made, so ``locate`` transforms no template.
     """
 
     config: FeatureConfig
@@ -190,11 +161,10 @@ class LocalizationModel:
     feature_standardizer: Standardizer
     region_feature_centroids: dict[int, np.ndarray]
     ridge_lambda: float = 1e-3
-    method: str = "ridge_closed_form"
-    founder_banks: list[tuple[list[int], _TemplateBank]] = field(init=False, repr=False, compare=False)
+    founder_bank: _TemplateBank = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.founder_banks = _pair_banks(list(self.founders.values()), (self.config.nt, self.config.nc))
+        self.founder_bank = _pair_banks(list(self.founders.values()), (self.config.nt, self.config.nc))
 
 
 def train(
@@ -204,18 +174,14 @@ def train(
     adcam_centroids: np.ndarray,
     adcam_standardizer: Standardizer,
     path_select: str = "strongest",
-    method: str = "ridge_closed_form",
     ridge_lambda: float = 1e-3,
-    seed: int = 0,
 ) -> LocalizationModel:
-    """Fit one affine regressor per retained fused region.
+    """Fit one closed-form ridge regressor per retained fused region.
 
     Feature normalization constants come from the retained training
     samples; the founders/centroids of the segmentation stages are
     stored so ``locate`` can route new samples.
     """
-    if method not in ("ridge_closed_form", "sgd"):
-        raise ValueError(f"unknown method {method!r}")
     config = FeatureConfig(nt=samples[0].cfr.shape[0], nc=samples[0].cfr.shape[1])
     raw = np.array([sample_features(s, config) for s in samples])
     feat_std = Standardizer.fit(raw[regions.retained])
@@ -229,10 +195,7 @@ def train(
         if not np.any(mask):
             raise ValueError(f"region {region} has no training samples")
         x, y = feats[mask], positions[mask]
-        if method == "ridge_closed_form":
-            weights[region] = fit_region_weights(x, y, ridge_lambda)
-        else:
-            weights[region] = _sgd_fit(x, y, seed + region, ridge_lambda)
+        weights[region] = fit_region_weights(x, y, ridge_lambda)
         centroids[region] = x.mean(axis=0)
 
     return LocalizationModel(
@@ -246,7 +209,6 @@ def train(
         feature_standardizer=feat_std,
         region_feature_centroids=centroids,
         ridge_lambda=ridge_lambda,
-        method=method,
     )
 
 
@@ -257,7 +219,7 @@ def locate(model: LocalizationModel, samples) -> tuple[np.ndarray, list[int]]:
     ``model.founders`` order, with the nearest clustering centroid. A
     pair never seen (or cleansed away) falls back to the region whose
     training feature centroid is nearest. The founders are scored
-    through the model's ``founder_banks``, so a call takes the ``rfft2``
+    through the model's ``founder_bank``, so a call takes the ``rfft2``
     of its samples' CFR magnitude images and of no template. Every
     sample's CFR must have the model's shape (nt, nc).
     """
@@ -268,7 +230,7 @@ def locate(model: LocalizationModel, samples) -> tuple[np.ndarray, list[int]]:
     kf = model.adcam_standardizer.apply([path_descriptor(s, model.path_select) for s in samples])
     adcam_labels = _dist(kf, model.adcam_centroids).argmin(axis=1)
     stacks = _ImageStacks([render_image(s.cfr, "cfr_magnitude") for s in samples])
-    scores = stacks.pair_scores(model.founder_banks, np.arange(len(samples)))
+    scores = stacks.pair_scores(model.founder_bank, np.arange(len(samples)))
     cfr_labels = np.array(list(model.founders))[np.argmax(scores, axis=0)]
     xy = np.empty((len(samples), 2))
     regions = []

@@ -199,80 +199,68 @@ def _pair_score(pair: TemplatePair, image: np.ndarray) -> float:
     return min(ncc(pair.t1, image), ncc(pair.t2, image))
 
 
-def _pair_banks(
-    pairs: list[TemplatePair], image_shape: tuple[int, int]
-) -> list[tuple[list[int], _TemplateBank]]:
-    """The templates of ``pairs`` as one bank per template shape, for
-    images of ``image_shape``: the positions in ``pairs`` of the pairs of
-    that shape, and the bank of their t1 and t2, interleaved."""
-    by_shape: dict[tuple[int, ...], list[int]] = {}
-    for k, pair in enumerate(pairs):
-        by_shape.setdefault(pair.t1.shape, []).append(k)
-    return [
-        (ks, _TemplateBank(np.stack([t for k in ks for t in (pairs[k].t1, pairs[k].t2)]), image_shape))
-        for ks in by_shape.values()
-    ]
+def _pair_banks(pairs: list[TemplatePair], image_shape: tuple[int, int]) -> _TemplateBank:
+    """The templates of ``pairs`` as one bank for images of
+    ``image_shape``, their t1 and t2 interleaved. Every template must
+    have one shape."""
+    shapes = {t.shape for pair in pairs for t in (pair.t1, pair.t2)}
+    if len(shapes) > 1:
+        raise ValueError(f"founder templates of more than one shape: {sorted(shapes)}")
+    return _TemplateBank(np.stack([t for pair in pairs for t in (pair.t1, pair.t2)]), image_shape)
 
 
 class _ImageStacks:
-    """Images grouped by shape, each kept as its spectrum.
+    """Images of one shape, each kept as its spectrum.
 
-    Every image's ``rfft2`` is taken once, when the stacks are built, and
+    Every image's ``rfft2`` is taken once, when the stack is built, and
     the spectra take the place of a stacked copy of the images. Window
     energies and their zero-energy masks are cached per template shape
     the first time that shape is scored. Both are built ``_PLANES``
     images at a time from the caller's images, which are kept by
     reference, so no second copy of all the images is ever made; they
-    must not change while the stacks are in use.
+    must not change while the stack is in use.
     """
 
     def __init__(self, images: list[np.ndarray]):
-        by_shape: dict[tuple[int, ...], list[int]] = {}
-        for n, img in enumerate(images):
-            by_shape.setdefault(np.shape(img), []).append(n)
+        shapes = {np.shape(img) for img in images}
+        if len(shapes) != 1:
+            raise ValueError(f"images must have one shape, got {sorted(shapes)}")
         self._images = list(images)
-        self._members = list(by_shape.values())
-        self._shapes = list(by_shape)
-        self._stack_of = np.empty(len(images), dtype=int)
-        self._row_of = np.empty(len(images), dtype=int)
-        self._spectra: list[np.ndarray] = []
-        for g, ((h, w), members) in enumerate(by_shape.items()):
-            self._stack_of[members] = g
-            self._row_of[members] = np.arange(len(members))
-            spec = np.empty((len(members), h, w // 2 + 1), dtype=complex)
-            for i, chunk in self._chunks(members):
-                spec[i : i + len(chunk)] = np.fft.rfft2(chunk)
-            self._spectra.append(spec)
-        self._energy: dict[tuple[int, tuple[int, ...]], tuple[np.ndarray, np.ndarray]] = {}
+        self.shape = shapes.pop()
+        h, w = self.shape
+        self._spectra = np.empty((len(images), h, w // 2 + 1), dtype=complex)
+        for i, chunk in self._chunks():
+            self._spectra[i : i + len(chunk)] = np.fft.rfft2(chunk)
+        self._energy: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
 
-    def _chunks(self, members: list[int]):
-        """(offset, stacked float images) for every ``_PLANES`` members."""
-        for i in range(0, len(members), _PLANES):
-            yield i, np.array([self._images[n] for n in members[i : i + _PLANES]], dtype=float)
+    def _chunks(self):
+        """(offset, stacked float images) for every ``_PLANES`` images."""
+        for i in range(0, len(self._images), _PLANES):
+            yield i, np.array(self._images[i : i + _PLANES], dtype=float)
 
-    def _win(self, g: int, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """Window energies of group ``g`` for a template shape, and their mask."""
-        if (g, shape) not in self._energy:
-            _check_fits(shape, self._shapes[g])
-            (h, w), (a, b) = self._shapes[g], shape
-            win = np.empty((len(self._members[g]), h - a + 1, w - b + 1))
-            for i, chunk in self._chunks(self._members[g]):
+    def _win(self, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """Window energies of the images for a template shape, and their mask."""
+        if shape not in self._energy:
+            _check_fits(shape, self.shape)
+            (h, w), (a, b) = self.shape, shape
+            win = np.empty((len(self._images), h - a + 1, w - b + 1))
+            for i, chunk in self._chunks():
                 win[i : i + len(chunk)] = _window_energy(chunk, shape)
-            self._energy[g, shape] = win, _valid_windows(win)
-        return self._energy[g, shape]
+            self._energy[shape] = win, _valid_windows(win)
+        return self._energy[shape]
 
-    def _score(self, g: int, bank: _TemplateBank, rows: np.ndarray) -> np.ndarray:
-        """``_ncc_bank`` of a template bank against the listed rows of group ``g``."""
-        win, valid = self._win(g, bank.shape)
-        return _ncc_bank(bank, self._spectra[g][rows], win[rows], valid[rows])
+    def _score(self, bank: _TemplateBank, rows: np.ndarray) -> np.ndarray:
+        """``_ncc_bank`` of a template bank against the listed images."""
+        win, valid = self._win(bank.shape)
+        return _ncc_bank(bank, self._spectra[rows], win[rows], valid[rows])
 
-    def corner_banks(self, pair: TemplatePair) -> list[tuple[_TemplateBank, _TemplateBank]]:
-        """The banks of a pair's t1 and of its t2 for each image shape of
-        the stacks, in the order ``pair_hits`` and ``first_hit`` take them."""
-        return [(_TemplateBank(pair.t1[None], s), _TemplateBank(pair.t2[None], s)) for s in self._shapes]
+    def corner_banks(self, pair: TemplatePair) -> tuple[_TemplateBank, _TemplateBank]:
+        """The banks of a pair's t1 and of its t2, in the order
+        ``pair_hits`` and ``first_hit`` take them."""
+        return _TemplateBank(pair.t1[None], self.shape), _TemplateBank(pair.t2[None], self.shape)
 
     def pair_hits(
-        self, banks: list[tuple[_TemplateBank, _TemplateBank]], indices: np.ndarray, tau: float
+        self, banks: tuple[_TemplateBank, _TemplateBank], indices: np.ndarray, tau: float
     ) -> np.ndarray:
         """Whether ``_pair_score(pair, image) >= tau`` for each listed
         image, the pair given by its ``corner_banks``.
@@ -281,19 +269,16 @@ class _ImageStacks:
         is only scored on the images where t1 already reaches ``tau``.
         """
         hits = np.zeros(len(indices), dtype=bool)
-        for g, corners in enumerate(banks):
-            here = np.flatnonzero(self._stack_of[indices] == g)
-            rows = self._row_of[indices[here]]
-            for bank in corners:
-                if rows.size == 0:
-                    break
-                keep = self._score(g, bank, rows)[0] >= tau
-                here, rows = here[keep], rows[keep]
-            hits[here] = True
+        here = np.arange(len(indices))
+        for bank in banks:
+            if here.size == 0:
+                break
+            here = here[self._score(bank, indices[here])[0] >= tau]
+        hits[here] = True
         return hits
 
     def first_hit(
-        self, banks: list[tuple[_TemplateBank, _TemplateBank]], indices: np.ndarray, tau: float
+        self, banks: tuple[_TemplateBank, _TemplateBank], indices: np.ndarray, tau: float
     ) -> int | None:
         """The first listed image that ``pair_hits`` holds, or None.
 
@@ -310,23 +295,12 @@ class _ImageStacks:
             start, step = start + step, 2 * step
         return None
 
-    def pair_scores(self, banks: list[tuple[list[int], _TemplateBank]], indices: np.ndarray) -> np.ndarray:
-        """``_pair_score(pair, image)`` of every pair of ``_pair_banks``
-        against each listed image, shape (pairs, len(indices)).
-
-        The listed images must all have the banks' image shape. Each bank
-        is scored with one ``_ncc_bank`` call.
-        """
-        scores = np.empty((sum(len(ks) for ks, _ in banks), len(indices)))
-        for g in range(len(self._spectra)):
-            here = np.flatnonzero(self._stack_of[indices] == g)
-            rows = self._row_of[indices[here]]
-            if rows.size == 0:
-                continue
-            for ks, bank in banks:
-                both = self._score(g, bank, rows)
-                scores[np.ix_(ks, here)] = np.minimum(both[0::2], both[1::2])
-        return scores
+    def pair_scores(self, bank: _TemplateBank, indices: np.ndarray) -> np.ndarray:
+        """``_pair_score(pair, image)`` of every pair of a ``_pair_banks``
+        bank against each listed image, shape (pairs, len(indices)),
+        from one ``_ncc_bank`` call."""
+        both = self._score(bank, indices)
+        return np.minimum(both[0::2], both[1::2])
 
 
 def match_within(

@@ -317,11 +317,11 @@ def _retained_error(train_s, test_s, lab, founders, cmodel, std, min_count):
     regions = cleanse(fuse_labels(lab.labels, cmodel.assignment), min_count)
     model = train(
         train_s, regions, founders, cmodel.centroids, std,
-        ridge_lambda=HETERO_CONFIG["ridge_lambda"], seed=HETERO_CONFIG["seed"],
+        ridge_lambda=HETERO_CONFIG["ridge_lambda"],
     )
     # the CFR label: the first best-scoring founder in model.founders order
     stacks = _ImageStacks([render_image(s.cfr, "cfr_magnitude") for s in test_s])
-    scores = stacks.pair_scores(model.founder_banks, np.arange(len(test_s)))
+    scores = stacks.pair_scores(model.founder_bank, np.arange(len(test_s)))
     cfr_labels = np.array(list(model.founders))[np.argmax(scores, axis=0)]
     errs = []
     for s, c in zip(test_s, cfr_labels):

@@ -180,10 +180,13 @@ class TestRunPipeline:
         assert exc.value.stage == "config"
         assert not any(tmp_path.iterdir())
 
-    def test_diverging_sgd_is_a_train_error(self):
-        with pytest.raises(PipelineError, match="sgd diverged") as exc:
-            run_pipeline({**SMALL_CONFIG, "method": "sgd"})
-        assert exc.value.stage == "train"
+    def test_method_key_is_a_config_error(self, tmp_path):
+        # closed-form ridge is the only fit: even the old default is unknown
+        for method in ("sgd", "ridge_closed_form"):
+            with pytest.raises(PipelineError, match="'method'") as exc:
+                run_pipeline({**SMALL_CONFIG, "method": method}, out_dir=tmp_path)
+            assert exc.value.stage == "config"
+        assert not any(tmp_path.iterdir())
 
     def test_config_seed_replaces_scene_seed(self):
         scenes = [{**SMALL_CONFIG["scene"], "grid_jitter": 0.5, "seed": seed} for seed in (5, 6)]

@@ -1,14 +1,20 @@
+import csv
 import dataclasses
 import json
+import re
 import shutil
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from amdnloc import io as dio
+from amdnloc.channel import PathRecord
 from amdnloc.cli import main
-from amdnloc.scenegen import Rect, SceneConfig, build_dataset, scene_to_json
+from amdnloc.scenegen import Rect, Sample, SceneConfig, build_dataset, scene_to_json
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +66,105 @@ class TestBinaryFormat:
             dio._read_bin(tmp_path / "cfr.bin", complex_data=True)
 
 
+# float32 values, so a dataset reads back exactly as written
+_f32 = st.floats(-1e6, 1e6, width=32)
+_angle = st.floats(0.0625, 3.125, width=32)
+
+
+@st.composite
+def _tiny_dataset(draw):
+    nt, nc = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    ids = draw(st.lists(st.integers(0, 10**6), min_size=2, max_size=4, unique=True))
+
+    def grid():
+        return np.array(draw(st.lists(_f32, min_size=nt * nc, max_size=nt * nc))).reshape(nt, nc)
+
+    samples = []
+    for sid in ids:
+        paths = [
+            PathRecord(
+                aoa=draw(_angle), aod=draw(_angle), gain=complex(draw(_f32), draw(_f32)),
+                delay_samples=draw(st.integers(0, 50)), pathloss_db=draw(st.floats(0, 200, width=32)),
+            )
+            for _ in range(draw(st.integers(0, 2)))
+        ]
+        pos = (draw(_f32), draw(_f32))
+        samples.append(Sample(id=sid, pos=pos, paths=paths, is_los=draw(st.booleans()), cfr=grid() + 1j * grid(), adcam=grid()))
+    return samples
+
+
+def _rewrite_csv(path, edit):
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[1:] = edit(rows[1:])
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+# a valid paths.csv row of a terminal that no drawn dataset holds
+_PATH_ROW = [str(10**6 + 1), "0", "1", "1", "1", "0", "0", "0"]
+
+
+def _plant_fault(fault, d, bin_name, data):
+    """Break one file of the dataset in ``d``; returns the file's name."""
+    bin_path = d / bin_name
+    raw = bytearray(bin_path.read_bytes())
+    if fault == "short header":
+        bin_path.write_bytes(raw[: data.draw(st.integers(0, 19))])
+    elif fault == "truncated payload":
+        bin_path.write_bytes(raw[: -data.draw(st.integers(1, len(raw) - 20))])
+    elif fault == "overlong payload":  # 1-3 and 5-7 bytes are not a whole float
+        bin_path.write_bytes(raw + bytes(data.draw(st.integers(1, 7))))
+    elif fault == "non-finite payload":
+        k = data.draw(st.integers(0, (len(raw) - 20) // 4 - 1))
+        struct.pack_into("<f", raw, 20 + 4 * k, data.draw(st.sampled_from([np.nan, np.inf, -np.inf])))
+        bin_path.write_bytes(raw)
+    else:
+        name = "paths.csv" if "path" in fault else "positions.csv"
+        k = data.draw(st.integers(0, 1))
+
+        def edit(rows):
+            if fault == "non-finite position":
+                rows[k][data.draw(st.sampled_from([1, 2]))] = data.draw(st.sampled_from(["nan", "inf", "-inf"]))
+            elif fault == "non-finite path value":
+                rows = rows or [list(_PATH_ROW)]
+                rows[k % len(rows)][data.draw(st.sampled_from([2, 3, 4, 5, 7]))] = data.draw(st.sampled_from(["nan", "inf", "-inf"]))
+            elif fault == "repeated id":
+                rows[1][0] = rows[0][0]
+            elif fault == "missing row":
+                del rows[k]
+            else:
+                rows.append(list(_PATH_ROW))
+            return rows
+
+        _rewrite_csv(d / name, edit)
+        return name
+    return bin_name
+
+
+_FAULTS = [
+    "short header", "truncated payload", "overlong payload", "non-finite payload",
+    "non-finite position", "repeated id", "missing row", "unknown path id", "non-finite path value",
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tiny_dataset(), st.sampled_from([None, *_FAULTS]), st.sampled_from(["cfr.bin", "adcam.bin"]), st.data())
+def test_read_dataset_rejects_malformed_files(samples, fault, bin_name, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        dio.write_dataset(samples, d)
+        if fault is None:
+            again = dio.read_dataset(d)
+            assert [(s.id, s.pos, s.paths, s.is_los) for s in again] == [(s.id, s.pos, s.paths, s.is_los) for s in samples]
+            for a, b in zip(again, samples):
+                assert np.array_equal(a.cfr, b.cfr) and np.array_equal(a.adcam, b.adcam)
+            return
+        name = _plant_fault(fault, d, bin_name, data)
+        with pytest.raises(ValueError, match=re.escape(name)):
+            dio.read_dataset(d)
+
+
 class TestCliWorkflow:
     def test_full_command_sequence(self, dataset, tmp_path, capsys):
         scene, _ = dataset
@@ -80,7 +185,7 @@ class TestCliWorkflow:
         model_path = tmp_path / "model.json"
         assert main([
             "train", "--data", str(data), "--regions", str(data / "region_map.csv"),
-            "--method", "ridge", "--seed", "3", "--out", str(model_path),
+            "--out", str(model_path),
         ]) == 0
         assert json.loads(model_path.read_text())["format"] == "amdnloc-model"
 
@@ -186,19 +291,49 @@ class TestBoundaryErrors:
         err = capsys.readouterr().err
         assert "[eval]" in err and "loudest" in err
 
-
-class TestTrainOptions:
-    def test_diverging_sgd_exits_with_a_train_error(self, trained_chain, tmp_path, capsys):
-        data = shutil.copytree(trained_chain[0], tmp_path / "data")
-        assert main([
-            "segment", "--data", str(data), "--tau-in", "0.95", "--tau-out", "0.95",
-            "--template", "8x8", "--min-count", "0", "--k-max", "3",
-        ]) == 0
-        out = tmp_path / "model.json"
-        rc = main(["train", "--data", str(data), "--regions", str(data / "region_map.csv"), "--method", "sgd", "--out", str(out)])
+    def test_eval_rejects_a_model_fit_by_sgd(self, trained_chain, tmp_path, capsys):
+        data, model_path = trained_chain
+        obj = json.loads(model_path.read_text())
+        obj["method"] = "sgd"
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(obj))
+        rc = main(["eval", "--data", str(data), "--model", str(bad), "--out", str(tmp_path / "r.json")])
         assert rc == 1
         err = capsys.readouterr().err
-        assert "[train]" in err and "sgd diverged" in err
+        assert "[eval]" in err and "'sgd'" in err and str(bad) in err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_eval_rejects_founders_of_mixed_sizes(self, trained_chain, tmp_path, capsys):
+        data, model_path = trained_chain
+        obj = json.loads(model_path.read_text())
+        assert len(obj["founders"]) >= 2
+        obj["founders"][min(obj["founders"])]["size"] = [6, 6]
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(obj))
+        rc = main(["eval", "--data", str(data), "--model", str(bad), "--out", str(tmp_path / "r.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "[eval]" in err and "more than one shape" in err
+
+    def test_eval_names_a_truncated_fingerprint_file(self, trained_chain, tmp_path, capsys):
+        data = shutil.copytree(trained_chain[0], tmp_path / "data")
+        raw = (data / "cfr.bin").read_bytes()
+        (data / "cfr.bin").write_bytes(raw[:-3])
+        rc = main(["eval", "--data", str(data), "--model", str(trained_chain[1]), "--out", str(tmp_path / "r.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "[eval]" in err and "cfr.bin" in err and "payload" in err
+
+
+class TestTrainOptions:
+    def test_removed_fit_options_are_unknown(self, trained_chain, tmp_path, capsys):
+        data = trained_chain[0]
+        out = tmp_path / "model.json"
+        for option in (["--method", "sgd"], ["--method", "ridge"], ["--seed", "3"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["train", "--data", str(data), "--regions", str(data / "region_map.csv"), *option, "--out", str(out)])
+            assert exc.value.code == 2  # argparse's exit for an unknown option
+            assert option[0] in capsys.readouterr().err
         assert not out.exists()
 
     def test_ridge_lambda_reaches_train(self, trained_chain, tmp_path):
@@ -225,26 +360,34 @@ class TestTrainOptions:
         assert written["weights"] != json.loads(default_model.read_text())["weights"]
 
 
+@pytest.fixture(scope="module")
+def trained_model(dataset):
+    """A model trained in memory on the dataset's own samples."""
+    from amdnloc.channel import render_image
+    from amdnloc.fusion import cleanse, fuse_labels
+    from amdnloc.localizer import train
+    from amdnloc.segmentation_adcam import build_features, kmeans
+    from amdnloc.segmentation_cfr import extract_templates, segment_cfr
+
+    _, samples = dataset
+    images = [render_image(s.cfr, "cfr_magnitude") for s in samples]
+    labeling = segment_cfr(images, 0.95, 0.95, (8, 8))
+    founders = {
+        c: extract_templates(images[p.founder_id], (8, 8), founder_id=samples[p.founder_id].id)
+        for c, p in labeling.founders.items()
+    }
+    feats, std = build_features(samples)
+    cm = kmeans(feats, 2, seed=0)
+    regions = cleanse(fuse_labels(labeling.labels, cm.assignment), 0)
+    return train(samples, regions, founders, cm.centroids, std)
+
+
 class TestModelRoundtrip:
-    def test_model_json_roundtrip(self, dataset, tmp_path):
-        from amdnloc.channel import render_image
-        from amdnloc.fusion import cleanse, fuse_labels
-        from amdnloc.localizer import locate, predict, train
-        from amdnloc.segmentation_adcam import build_features, kmeans
-        from amdnloc.segmentation_cfr import extract_templates, segment_cfr
+    def test_model_json_roundtrip(self, dataset, trained_model, tmp_path):
+        from amdnloc.localizer import locate, predict
 
         _, samples = dataset
-        images = [render_image(s.cfr, "cfr_magnitude") for s in samples]
-        labeling = segment_cfr(images, 0.95, 0.95, (8, 8))
-        founders = {
-            c: extract_templates(images[p.founder_id], (8, 8), founder_id=samples[p.founder_id].id)
-            for c, p in labeling.founders.items()
-        }
-        feats, std = build_features(samples)
-        cm = kmeans(feats, 2, seed=0)
-        regions = cleanse(fuse_labels(labeling.labels, cm.assignment), 0)
-        model = train(samples, regions, founders, cm.centroids, std)
-
+        model = trained_model
         path = tmp_path / "model.json"
         dio.write_model(path, model)
         again = dio.read_model(path, samples)
@@ -258,3 +401,20 @@ class TestModelRoundtrip:
         # terminals between the training grid's points predict bit for bit alike
         held_out = build_dataset(dataclasses.replace(dataset[0], grid_spacing_m=7.0))
         assert np.array_equal(locate(again, held_out)[0], locate(model, held_out)[0])
+
+    def test_model_file_naming_ridge_still_reads(self, dataset, trained_model, tmp_path):
+        from amdnloc.localizer import locate
+
+        _, samples = dataset
+        path = tmp_path / "model.json"
+        dio.write_model(path, trained_model)
+        obj = json.loads(path.read_text())
+        assert "method" not in obj
+        # the format of files that still name the fit method
+        obj["method"] = "ridge_closed_form"
+        path.write_text(json.dumps(obj, sort_keys=True, indent=1))
+        again = dio.read_model(path, samples)
+        held_out = build_dataset(dataclasses.replace(dataset[0], grid_spacing_m=7.0))
+        for batch in (samples, held_out):
+            got, want = locate(again, batch), locate(trained_model, batch)
+            assert np.array_equal(got[0], want[0]) and got[1] == want[1]

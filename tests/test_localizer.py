@@ -12,7 +12,6 @@ from amdnloc.fusion import cleanse, fuse_labels
 from amdnloc.localizer import (
     FeatureConfig,
     _block_means,
-    _sgd_fit,
     apply_weights,
     extract_features_adcam,
     extract_features_cfr,
@@ -152,35 +151,6 @@ class TestRidge:
         preds = np.array([apply_weights(w, xi) for xi in x])
         assert np.max(np.linalg.norm(preds - y, axis=1)) < 1e-6
 
-    def test_sgd_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(5)
-        x = rng.random((10, 3))
-        y = rng.random((10, 2))
-        xb = np.hstack([x, np.ones((10, 1))])
-        lam = 1e-3
-        w = rng.random((2, 4))
-
-        def loss(wf):
-            wm = wf.reshape(2, 4)
-            return float(np.mean(np.sum((xb @ wm.T - y) ** 2, axis=1))) + lam / 10 * np.sum(wm**2)
-
-        err = xb @ w.T - y
-        grad = 2.0 * err.T @ xb / 10 + 2.0 * lam * w / 10
-        eps = 1e-6
-        for i in range(8):
-            e = np.zeros(8)
-            e[i] = eps
-            fd = (loss(w.ravel() + e) - loss(w.ravel() - e)) / (2 * eps)
-            assert abs(fd - grad.ravel()[i]) / max(abs(fd), 1e-12) < 1e-4
-
-    def test_sgd_deterministic(self):
-        rng = np.random.default_rng(6)
-        x = rng.random((30, 4))
-        y = rng.random((30, 2))
-        a = _sgd_fit(x, y, seed=3, ridge_lambda=1e-3)
-        b = _sgd_fit(x, y, seed=3, ridge_lambda=1e-3)
-        np.testing.assert_array_equal(a, b)
-
 
 SMALL_SCENE = SceneConfig(
     area_m=(120.0, 120.0),
@@ -196,7 +166,7 @@ def small_dataset():
     return build_dataset(SMALL_SCENE)
 
 
-def segment_and_train(samples, method="ridge_closed_form", seed=0, min_count=0):
+def segment_and_train(samples, seed=0, min_count=0):
     images = [render_image(s.cfr, "cfr_magnitude") for s in samples]
     labeling = segment_cfr(images, 0.95, 0.95, (8, 8))
     founders = {
@@ -206,7 +176,7 @@ def segment_and_train(samples, method="ridge_closed_form", seed=0, min_count=0):
     feats, std = build_features(samples)
     cm = kmeans(feats, min(3, len(samples)), seed=seed)
     regions = cleanse(fuse_labels(labeling.labels, cm.assignment), min_count)
-    model = train(samples, regions, founders, cm.centroids, std, seed=seed)
+    model = train(samples, regions, founders, cm.centroids, std)
     return model, regions
 
 
@@ -234,10 +204,11 @@ class TestTrainPredict:
             if regions.retained[i]:
                 assert locate(model, [s])[1] == [regions.fused_labels[i]]
 
-    def test_sgd_deterministic_weights(self):
+    def test_deterministic_weights(self):
+        # seeded k-means, then closed-form ridge: two runs fit the same weights
         samples = small_dataset()
-        m1, _ = segment_and_train(samples, method="sgd", seed=5)
-        m2, _ = segment_and_train(samples, method="sgd", seed=5)
+        m1, _ = segment_and_train(samples, seed=5)
+        m2, _ = segment_and_train(samples, seed=5)
         for r in m1.weights:
             np.testing.assert_array_equal(m1.weights[r], m2.weights[r])
 

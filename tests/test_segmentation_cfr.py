@@ -138,11 +138,12 @@ class TestMatchWithin:
 
     def test_shifted_pair_plus_outlier(self):
         rng = np.random.default_rng(3)
-        big = rng.random((20, 20)) + 0.5
-        # the second image is a 2px-shifted superset view of the first, so
-        # both founder corner blocks occur in it verbatim
-        imgs = [big[2:18, 2:18], big[0:20, 0:20], rng.random((16, 16))]
-        lab = match_within(imgs, 0.99, (6, 6))
+        founder, shifted_copy = rng.random((10, 10)) + 0.5, rng.random((10, 10)) + 0.5
+        # both founder corner blocks occur verbatim in the second image,
+        # shifted away from its corners
+        _plant_founder_corners(shifted_copy, founder)
+        imgs = [founder, shifted_copy, rng.random((10, 10))]
+        lab = match_within(imgs, 0.99, (3, 3))
         assert lab.labels[0] == lab.labels[1]
         assert lab.labels[2] != lab.labels[0]
         assert lab.class_count == 2
@@ -345,18 +346,18 @@ def test_ncc_bank_matches_ncc(case, planes):
         assert row == pytest.approx([_pair_score(pair, stack[i]) for i in indices], abs=1e-9)
 
 
-def test_pair_scores_mixes_template_and_image_shapes():
+def test_stacks_and_banks_reject_mixed_shapes():
     rng = np.random.default_rng(16)
-    images = [rng.random(shape) for shape in [(16, 16), (12, 18), (16, 16), (20, 20)]]
-    pairs = [extract_templates(images[i], size, founder_id=i) for i, size in [(0, (8, 8)), (1, (5, 7)), (3, (8, 8))]]
-    stacks = _ImageStacks(images)
-    # the banks of one image shape score the listed images of that shape
-    for shape, indices in [((16, 16), [2, 0]), ((12, 18), [1]), ((20, 20), [3])]:
-        scores = stacks.pair_scores(_pair_banks(pairs, shape), np.array(indices))
-        for pair, row in zip(pairs, scores):
-            assert row == pytest.approx([_pair_score(pair, images[i]) for i in indices], abs=1e-9)
-    with pytest.raises(ValueError, match=r"\(16, 16\) images"):
-        stacks.pair_scores(_pair_banks(pairs, (16, 16)), np.array([0, 3]))
+    images = [rng.random(shape) for shape in [(16, 16), (12, 18), (16, 16)]]
+    with pytest.raises(ValueError, match=r"one shape.*\(12, 18\), \(16, 16\)"):
+        _ImageStacks(images)
+    pairs = [extract_templates(images[i], size, founder_id=i) for i, size in [(0, (8, 8)), (2, (5, 7)), (2, (8, 8))]]
+    with pytest.raises(ValueError, match=r"more than one shape.*\(5, 7\), \(8, 8\)"):
+        _pair_banks(pairs, (16, 16))
+    # a bank of one shape scores a stack of another image shape not at all
+    stacks = _ImageStacks([images[0], images[2]])
+    with pytest.raises(ValueError, match=r"\(12, 18\) images"):
+        stacks.pair_scores(_pair_banks([pairs[0]], (12, 18)), np.array([0, 1]))
 
 
 def test_ncc_bank_oversize_template_rejected():
@@ -387,17 +388,15 @@ def test_pruned_inverse_equals_full_irfft2_crop(h, w, data, scale, seed):
 
 
 @st.composite
-def _mixed_images_and_pairs(draw):
-    """Images of up to three shapes, with all-zero, faint and zero-block
-    images drawn often, template pairs of up to two shapes that fit every
-    image, and the listed image indices in a drawn order."""
+def _images_and_pairs(draw):
+    """Images of one shape, with all-zero, faint and zero-block images
+    drawn often, template pairs of one shape that fits them, and the
+    listed image indices in a drawn order."""
     pixels = TestNcc._pixels
-    shapes = draw(st.lists(st.tuples(st.integers(2, 8), st.integers(2, 8)), min_size=1, max_size=3))
-    h_min, w_min = min(h for h, _ in shapes), min(w for _, w in shapes)
-    t_shapes = draw(st.lists(st.tuples(st.integers(1, h_min), st.integers(1, w_min)), min_size=1, max_size=2))
+    h, w = draw(st.integers(2, 8)), draw(st.integers(2, 8))
+    size = draw(st.integers(1, h)), draw(st.integers(1, w))
     images = []
     for _ in range(draw(st.integers(1, 9))):
-        h, w = draw(st.sampled_from(shapes))
         img = draw(arrays(float, (h, w), elements=pixels))
         kind = draw(st.sampled_from(["as drawn", "zero", "zero block", "faint"]))
         if kind == "zero":
@@ -406,11 +405,10 @@ def _mixed_images_and_pairs(draw):
             img *= 1e-7
         elif kind == "zero block":
             y, x = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
-            img[y : y + h_min, x : x + w_min] = 0.0
+            img[y : y + size[0], x : x + size[1]] = 0.0
         images.append(img)
     pairs = []
     for k in range(draw(st.integers(1, 3))):
-        size = draw(st.sampled_from(t_shapes))
         if draw(st.booleans()):  # cut from an image, so some scores reach 1
             pairs.append(extract_templates(draw(st.sampled_from(images)), size, founder_id=k))
         else:
@@ -421,21 +419,18 @@ def _mixed_images_and_pairs(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_mixed_images_and_pairs(), st.integers(1, 5), st.sampled_from([0.5, 0.9, 0.99, 1.0]))
+@given(_images_and_pairs(), st.integers(1, 5), st.sampled_from([0.5, 0.9, 0.99, 1.0]))
 def test_image_stacks_match_pair_score(case, planes, tau):
     images, pairs, indices = case
     # few images per chunk, so the spectrum and energy builds cross chunks
     with mock.patch.object(segmentation_cfr, "_PLANES", planes):
         stacks = _ImageStacks(images)
-        scores = np.empty((len(pairs), len(indices)))
-        for shape in {images[i].shape for i in indices}:
-            here = np.flatnonzero([images[i].shape == shape for i in indices])
-            scores[:, here] = stacks.pair_scores(_pair_banks(pairs, shape), indices[here])
+        scores = stacks.pair_scores(_pair_banks(pairs, images[0].shape), indices)
         banks = [stacks.corner_banks(pair) for pair in pairs]
         hits = [stacks.pair_hits(b, indices, tau) for b in banks]
         firsts = [stacks.first_hit(b, indices, tau) for b in banks]
     for n, img in enumerate(images):
-        assert np.array_equal(stacks._spectra[stacks._stack_of[n]][stacks._row_of[n]], np.fft.rfft2(img))
+        assert np.array_equal(stacks._spectra[n], np.fft.rfft2(img))
     assert scores.shape == (len(pairs), len(indices))
     for pair, row, hit, first in zip(pairs, scores, hits, firsts):
         # the run-by-run scan stops at the first image the full scan holds
@@ -457,7 +452,7 @@ def test_image_stacks_keep_spectra_not_images():
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    spectra = sum(spec.nbytes for spec in stacks._spectra)
+    spectra = stacks._spectra.nbytes
     # a stacked copy of the images next to the spectra would nearly double this
     assert kept <= 1.1 * spectra
 
@@ -571,19 +566,19 @@ def test_stages_match_pairwise_scan_on_scene(invariants_scene_images):
     _assert_same_labeling(segment_cfr(images, 0.97, 0.99, (8, 8)), match_between_oracle(within_ref, 0.99, memo))
 
 
-def test_stages_match_pairwise_scan_on_mixed_shapes():
+def test_stages_match_pairwise_scan_on_shifted_views():
     rng = np.random.default_rng(14)
     big = rng.random((20, 20)) + 0.5
-    other = rng.random((12, 18)) + 0.5
+    other = rng.random((16, 16)) + 0.5
     images = []
     for n in range(24):
         kind = n % 4
         if kind == 0:
             images.append(big[2:18, 2:18] + 0.05 * rng.random((16, 16)))
         elif kind == 1:
-            images.append(big + 0.05 * rng.random((20, 20)))
+            images.append(big[:16, 4:] + 0.05 * rng.random((16, 16)))
         elif kind == 2:
-            images.append(other + 0.3 * rng.random((12, 18)))
+            images.append(other + 0.3 * rng.random((16, 16)))
         else:
             images.append(rng.random((16, 16)))
     for tau_in in (0.999, 0.97, 0.9):
@@ -592,6 +587,15 @@ def test_stages_match_pairwise_scan_on_mixed_shapes():
         memo = {}
         for tau_out in (0.99, 0.95, 0.85):
             _assert_same_labeling(match_between(within, tau_out), match_between_oracle(within, tau_out, memo))
+
+
+def test_match_within_rejects_mixed_shapes():
+    rng = np.random.default_rng(14)
+    images = [rng.random((16, 16)), rng.random((20, 20)), rng.random((16, 16))]
+    with pytest.raises(ValueError, match=r"one shape.*\(16, 16\), \(20, 20\)"):
+        match_within(images, 0.99, (6, 6))
+    with pytest.raises(ValueError, match="one shape"):
+        segment_cfr(images, 0.99, 0.99, (6, 6))
 
 
 def _plant_founder_corners(image, founder):
