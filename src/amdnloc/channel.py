@@ -44,8 +44,9 @@ class PathRecord:
     pathloss_db: float
 
     def __post_init__(self):
-        if not (0.0 < self.aoa < np.pi):
-            raise ValueError(f"aoa must lie in (0, pi), got {self.aoa}")
+        for name in ("aoa", "aod"):
+            if not (0.0 < getattr(self, name) < np.pi):
+                raise ValueError(f"{name} must lie in (0, pi), got {getattr(self, name)}")
         if self.delay_samples < 0:
             raise ValueError(f"delay_samples must be >= 0, got {self.delay_samples}")
         if self.pathloss_db < 0:
@@ -133,9 +134,12 @@ def render_image(m: np.ndarray, tag: str) -> np.ndarray:
     ``tag`` selects the channel: "cfr_magnitude" and "adcam" min-max
     normalize the (absolute) values per image, "cfr_phase" maps the
     argument affinely from [-pi, pi] to [0, 1]. Constant matrices render
-    to all zeros so degenerate ranges never divide by zero.
+    to all zeros so degenerate ranges never divide by zero. A stack of
+    shape (..., H, W) renders each (H, W) image on its own.
     """
     m = np.asarray(m)
+    if m.ndim < 2:
+        raise ValueError(f"need an (..., H, W) array, got shape {m.shape}")
     if tag == "cfr_phase":
         return (np.angle(m) + np.pi) / (2.0 * np.pi)
     if tag == "cfr_magnitude":
@@ -144,10 +148,10 @@ def render_image(m: np.ndarray, tag: str) -> np.ndarray:
         vals = np.asarray(m, dtype=float)
     else:
         raise ValueError(f"unknown channel tag {tag!r}")
-    lo, hi = vals.min(), vals.max()
-    if hi - lo == 0.0:
-        return np.zeros_like(vals, dtype=float)
-    return (vals - lo) / (hi - lo)
+    lo = vals.min(axis=(-2, -1), keepdims=True)
+    span = vals.max(axis=(-2, -1), keepdims=True) - lo
+    # a constant image has vals - lo == 0 everywhere
+    return (vals - lo) / np.where(span == 0.0, 1.0, span)
 
 
 def add_noise(h: np.ndarray, snr_db: float, seed: int) -> np.ndarray:

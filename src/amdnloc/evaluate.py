@@ -73,11 +73,12 @@ def export_region_map(samples, labels: RegionLabels, csv_path, ppm_path, cell_px
     gw = max(1, w // cell_px)
     gh = max(1, h // cell_px)
     img = np.zeros((gh, gw, 3), dtype=np.uint8)
-    for i, s in enumerate(samples):
+    labs = np.where(labels.retained, labels.fused_labels, -1).tolist()
+    palette = {lab: _label_color(lab) for lab in set(labs)}
+    for s, lab in zip(samples, labs):
         gx = min(int(s.pos[0] / w * gw), gw - 1)
         gy = min(int(s.pos[1] / h * gh), gh - 1)
-        lab = int(labels.fused_labels[i]) if labels.retained[i] else -1
-        img[gh - 1 - gy, gx] = _label_color(lab)
+        img[gh - 1 - gy, gx] = palette[lab]
     with open(ppm_path, "wb") as fh:
         fh.write(f"P6\n{gw} {gh}\n255\n".encode())
         fh.write(img.tobytes())
@@ -110,15 +111,16 @@ def _split(n: int, train_fraction: float, seed: int) -> tuple[np.ndarray, np.nda
 
 def segment(train_samples, cfg) -> tuple[RegionLabels, dict[int, TemplatePair], np.ndarray, Standardizer]:
     """Run both segmentations on the training set and fuse them; founder ids are sample ids."""
-    images = [render_image(s.cfr, "cfr_magnitude") for s in train_samples]
     size = tuple(cfg["template_size"])
     if cfg.get("single_region"):
         cfr_lab = np.zeros(len(train_samples), dtype=int)
-        founders = {0: extract_templates(images[0], size, founder_id=train_samples[0].id)}
+        image = render_image(train_samples[0].cfr, "cfr_magnitude")
+        founders = {0: extract_templates(image, size, founder_id=train_samples[0].id)}
         feats, std = build_features(train_samples, cfg["path_select"])
         centroids = feats.mean(axis=0, keepdims=True)
         adcam_lab = np.zeros(len(train_samples), dtype=int)
     else:
+        images = [render_image(s.cfr, "cfr_magnitude") for s in train_samples]
         labeling = segment_cfr(images, cfg["tau_in"], cfg["tau_out"], size)
         cfr_lab = labeling.labels
         founders = {

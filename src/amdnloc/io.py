@@ -113,17 +113,17 @@ def read_dataset(data_dir: str | Path) -> list[Sample]:
     paths_by_id: dict[int, list[PathRecord]] = {}
     with open(d / "paths.csv", newline="") as fh:
         for row in csv.DictReader(fh):
-            if not all(math.isfinite(float(row[k])) for k in ("aoa_rad", "aod_rad", "gain_re", "gain_im", "pathloss_db")):
-                raise ValueError(f"{d / 'paths.csv'}: a path of id {row['id']} has a non-finite value")
-            paths_by_id.setdefault(int(row["id"]), []).append(
-                PathRecord(
-                    aoa=float(row["aoa_rad"]),
-                    aod=float(row["aod_rad"]),
-                    gain=complex(float(row["gain_re"]), float(row["gain_im"])),
-                    delay_samples=int(row["delay_samples"]),
-                    pathloss_db=float(row["pathloss_db"]),
+            try:
+                aoa, aod, re, im, loss = (float(row[k]) for k in ("aoa_rad", "aod_rad", "gain_re", "gain_im", "pathloss_db"))
+                if not all(map(math.isfinite, (aoa, aod, re, im, loss))):
+                    raise ValueError("a value is not finite")
+                path = PathRecord(
+                    aoa=aoa, aod=aod, gain=complex(re, im), delay_samples=int(row["delay_samples"]), pathloss_db=loss
                 )
-            )
+                sid = int(row["id"])
+            except ValueError as e:
+                raise ValueError(f"{d / 'paths.csv'}: a path of id {row['id']} is rejected: {e}") from None
+            paths_by_id.setdefault(sid, []).append(path)
     with open(d / "positions.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     if not len(rows) == len(cfrs) == len(adcams):

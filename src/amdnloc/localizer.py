@@ -16,7 +16,7 @@ import numpy as np
 from .channel import render_image
 from .fusion import RegionLabels
 from .segmentation_adcam import Standardizer, _dist, path_descriptor
-from .segmentation_cfr import TemplatePair, _ImageStacks, _pair_banks, _TemplateBank
+from .segmentation_cfr import _PLANES, TemplatePair, _ImageStacks, _pair_banks, _TemplateBank
 
 __all__ = [
     "FeatureConfig",
@@ -62,69 +62,102 @@ def _split_runs(n: int, parts: int) -> list[tuple[int, int, int, int]]:
 
 
 def _block_means(img: np.ndarray, grid: tuple[int, int] = _BLOCK_GRID) -> np.ndarray:
-    """Mean over an evenly split grid of blocks, flattened row-major.
+    """Mean over an evenly split grid of blocks, flattened row-major, of
+    each image of an (..., H, W) stack.
 
     The blocks are those of ``np.array_split`` along each axis. Blocks of
     one size are copied into contiguous rows and averaged together, which
     sums each block in the order ``block.mean()`` does.
     """
-    h, w = img.shape
+    *lead, h, w = img.shape
     gh, gw = grid
     if h < gh or w < gw:
-        raise ValueError(f"image {img.shape} smaller than block grid {grid}")
-    out = np.empty((gh, gw))
+        raise ValueError(f"image {(h, w)} smaller than block grid {grid}")
+    out = np.empty((*lead, gh, gw))
     for i, nr, sr, y in _split_runs(h, gh):
         for j, nc, sc, x in _split_runs(w, gw):
-            blocks = img[y : y + nr * sr, x : x + nc * sc].reshape(nr, sr, nc, sc).swapaxes(1, 2)
-            rows = np.ascontiguousarray(blocks).reshape(nr, nc, sr * sc)
-            out[i : i + nr, j : j + nc] = rows.mean(axis=2)
-    return out.ravel()
+            blocks = img[..., y : y + nr * sr, x : x + nc * sc].reshape(*lead, nr, sr, nc, sc).swapaxes(-3, -2)
+            rows = np.ascontiguousarray(blocks).reshape(*lead, nr, nc, sr * sc)
+            out[..., i : i + nr, j : j + nc] = rows.mean(axis=-1)
+    return out.reshape(*lead, gh * gw)
+
+
+def _check_dims(config: FeatureConfig, *imgs: np.ndarray):
+    shapes = [img.shape[-2:] for img in imgs]
+    if any(shape != (config.nt, config.nc) for shape in shapes):
+        raise ValueError(
+            f"image dims {'/'.join(map(str, shapes))} do not match config ({config.nt}, {config.nc})"
+        )
+
+
+def _top_peaks(flat: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the ``k`` largest values of each row of ``flat``, (n, k).
+
+    Exactly ``np.argsort(-flat, kind="stable")[:, :k]``: larger values
+    first and equal values in index order. ``np.partition`` finds each
+    row's k-th largest value, and only the values at least that large
+    are sorted.
+    """
+    n, m = flat.shape
+    kth = np.partition(flat, m - k, axis=1)[:, m - k, None]
+    rows, cols = np.nonzero(flat >= kth)  # by row, then by index
+    order = np.lexsort((-flat[rows, cols], rows))
+    first = np.searchsorted(rows, np.arange(n))
+    return cols[order[first[:, None] + np.arange(k)]]
 
 
 def extract_features_cfr(mag: np.ndarray, phase: np.ndarray, config: FeatureConfig) -> np.ndarray:
-    """Block means of magnitude and phase plus magnitude row/column profiles."""
-    if mag.shape != (config.nt, config.nc) or phase.shape != (config.nt, config.nc):
-        raise ValueError(
-            f"image dims {mag.shape}/{phase.shape} do not match config ({config.nt}, {config.nc})"
-        )
+    """Block means of magnitude and phase plus magnitude row/column
+    profiles, of one image pair or of (n, nt, nc) stacks."""
+    _check_dims(config, mag, phase)
     return np.concatenate(
-        [_block_means(mag), _block_means(phase), mag.mean(axis=1), mag.mean(axis=0)]
+        [_block_means(mag), _block_means(phase), mag.mean(axis=-1), mag.mean(axis=-2)], axis=-1
     )
 
 
 def extract_features_adcam(img: np.ndarray, config: FeatureConfig) -> np.ndarray:
-    """Block means, row/column profiles, and the top peaks of the angle-delay image."""
-    if img.shape != (config.nt, config.nc):
-        raise ValueError(
-            f"image dims {img.shape} do not match config ({config.nt}, {config.nc})"
-        )
-    flat = img.ravel()
-    order = np.argsort(-flat, kind="stable")[:_TOP_PEAKS]
-    peaks = np.empty(3 * _TOP_PEAKS)
-    for i, idx in enumerate(order):
-        if flat[idx] == 0.0:
-            peaks[3 * i : 3 * i + 3] = 0.0  # zero peaks carry no location
-            continue
-        r, c = divmod(int(idx), img.shape[1])
-        peaks[3 * i : 3 * i + 3] = (r, c, flat[idx])
+    """Block means, row/column profiles, and the top peaks of the
+    angle-delay image, or of each image of an (n, nt, nc) stack."""
+    _check_dims(config, img)
+    blocks = _block_means(img)
+    flat = img.reshape(-1, config.nt * config.nc)
+    idx = _top_peaks(flat, _TOP_PEAKS)
+    peaks = np.empty((len(flat), _TOP_PEAKS, 3))
+    peaks[..., 0], peaks[..., 1] = np.divmod(idx, config.nc)
+    peaks[..., 2] = flat[np.arange(len(flat))[:, None], idx]
+    peaks[peaks[..., 2] == 0.0] = 0.0  # zero peaks carry no location
     return np.concatenate(
-        [_block_means(img), img.mean(axis=1), img.mean(axis=0), peaks]
+        [blocks, img.mean(axis=-1), img.mean(axis=-2), peaks.reshape(*img.shape[:-2], 3 * _TOP_PEAKS)], axis=-1
     )
 
 
 def fuse_features(f_cfr: np.ndarray, f_adcam: np.ndarray) -> np.ndarray:
-    """Concatenate the two feature vectors."""
-    return np.concatenate([f_cfr, f_adcam])
+    """Concatenate the two feature vectors (along the last axis)."""
+    return np.concatenate([f_cfr, f_adcam], axis=-1)
+
+
+def _stack_features(samples, config: FeatureConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The CFR magnitude images (n, nt, nc) and the raw fused feature
+    vectors (n, fused_len) of samples, from their stacked matrices."""
+    cfr = np.array([s.cfr for s in samples])
+    mag = render_image(cfr, "cfr_magnitude")
+    feats = fuse_features(
+        extract_features_cfr(mag, render_image(cfr, "cfr_phase"), config),
+        extract_features_adcam(render_image(np.array([s.adcam for s in samples]), "adcam"), config),
+    )
+    return mag, feats
 
 
 def sample_features(sample, config: FeatureConfig) -> np.ndarray:
     """Raw (un-normalized) fused feature vector of one dataset sample."""
-    mag = render_image(sample.cfr, "cfr_magnitude")
-    phase = render_image(sample.cfr, "cfr_phase")
-    ad = render_image(sample.adcam, "adcam")
-    return fuse_features(
-        extract_features_cfr(mag, phase, config), extract_features_adcam(ad, config)
-    )
+    return _stack_features([sample], config)[1][0]
+
+
+def _chunks(samples):
+    """(offset, samples) for every ``_PLANES`` samples, so feature
+    temporaries stay small however many samples there are."""
+    for i in range(0, len(samples), _PLANES):
+        yield i, samples[i : i + _PLANES]
 
 
 def fit_region_weights(x: np.ndarray, y: np.ndarray, ridge_lambda: float = 1e-3) -> np.ndarray:
@@ -183,7 +216,9 @@ def train(
     stored so ``locate`` can route new samples.
     """
     config = FeatureConfig(nt=samples[0].cfr.shape[0], nc=samples[0].cfr.shape[1])
-    raw = np.array([sample_features(s, config) for s in samples])
+    raw = np.empty((len(samples), config.fused_len))
+    for i, chunk in _chunks(samples):
+        raw[i : i + len(chunk)] = _stack_features(chunk, config)[1]
     feat_std = Standardizer.fit(raw[regions.retained])
     feats = feat_std.apply(raw)
     positions = np.array([s.pos for s in samples])
@@ -220,8 +255,10 @@ def locate(model: LocalizationModel, samples) -> tuple[np.ndarray, list[int]]:
     pair never seen (or cleansed away) falls back to the region whose
     training feature centroid is nearest. The founders are scored
     through the model's ``founder_bank``, so a call takes the ``rfft2``
-    of its samples' CFR magnitude images and of no template. Every
-    sample's CFR must have the model's shape (nt, nc).
+    of its samples' CFR magnitude images and of no template. Each
+    magnitude image is rendered once, with the features, ``_PLANES``
+    samples at a time. Every sample's CFR must have the model's shape
+    (nt, nc).
     """
     shape = (model.config.nt, model.config.nc)
     for s in samples:
@@ -229,13 +266,19 @@ def locate(model: LocalizationModel, samples) -> tuple[np.ndarray, list[int]]:
             raise ValueError(f"sample {s.id} has CFR shape {s.cfr.shape}, the model takes {shape}")
     kf = model.adcam_standardizer.apply([path_descriptor(s, model.path_select) for s in samples])
     adcam_labels = _dist(kf, model.adcam_centroids).argmin(axis=1)
-    stacks = _ImageStacks([render_image(s.cfr, "cfr_magnitude") for s in samples])
+    # one magnitude render per sample, shared by routing and features
+    mags: list[np.ndarray] = []
+    raw = np.empty((len(samples), model.config.fused_len))
+    for i, chunk in _chunks(samples):
+        mag, raw[i : i + len(chunk)] = _stack_features(chunk, model.config)
+        mags.extend(mag)
+    feats = model.feature_standardizer.apply(raw)
+    stacks = _ImageStacks(mags)
     scores = stacks.pair_scores(model.founder_bank, np.arange(len(samples)))
     cfr_labels = np.array(list(model.founders))[np.argmax(scores, axis=0)]
     xy = np.empty((len(samples), 2))
     regions = []
-    for i, s in enumerate(samples):
-        feat = model.feature_standardizer.apply(sample_features(s, model.config))
+    for i, feat in enumerate(feats):
         region = model.pair_to_fused.get((int(cfr_labels[i]), int(adcam_labels[i])))
         if region not in model.weights:
             centroids = model.region_feature_centroids

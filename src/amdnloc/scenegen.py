@@ -120,84 +120,113 @@ class Sample:
     adcam: np.ndarray
 
 
-def _segment_blocked(p: Sequence[float], q: Sequence[float], rect: Rect) -> bool:
-    """True iff the open segment p->q passes through the rectangle interior.
+def _blocked(px, py, qx, qy, rects: np.ndarray) -> np.ndarray:
+    """Which open segments p->q pass through which rectangle interiors.
 
-    Liang-Barsky clipping; a segment that merely grazes a wall or corner
-    does not count as blocked.
+    The coordinates broadcast to one shape S of segments; ``rects`` holds
+    one (x0, y0, x1, y1) row per rectangle. Returns a bool array of shape
+    S + (len(rects),). Liang-Barsky clipping; a segment that merely
+    grazes a wall or corner does not count as blocked.
     """
-    px, py = p
-    dx, dy = q[0] - px, q[1] - py
-    t0, t1 = 0.0, 1.0
-    for pos0, delta, lo, hi in (
-        (px, dx, rect.x, rect.x + rect.w),
-        (py, dy, rect.y, rect.y + rect.h),
-    ):
-        if abs(delta) < _EPS:
-            if pos0 <= lo or pos0 >= hi:
-                return False
-            continue
-        ta = (lo - pos0) / delta
-        tb = (hi - pos0) / delta
-        if ta > tb:
-            ta, tb = tb, ta
-        t0 = max(t0, ta)
-        t1 = min(t1, tb)
-        if t0 >= t1:
-            return False
-    if t1 - t0 <= _EPS:
-        return False
-    # Interval may lie along a wall; require the midpoint strictly inside.
+    px, py, qx, qy = (np.expand_dims(v, -1) for v in np.broadcast_arrays(px, py, qx, qy))
+    x0, y0, x1, y1 = rects.T
+    dx, dy = qx - px, qy - py
+    t0, t1, clear = 0.0, 1.0, False
+    for pos0, delta, lo, hi in ((px, dx, x0, x1), (py, dy, y0, y1)):
+        # a segment parallel to this axis is clear when it runs outside the slab
+        flat = np.abs(delta) < _EPS
+        clear = clear | (flat & ((pos0 <= lo) | (pos0 >= hi)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ta, tb = (lo - pos0) / delta, (hi - pos0) / delta
+        t0 = np.where(flat, t0, np.maximum(t0, np.minimum(ta, tb)))
+        t1 = np.where(flat, t1, np.minimum(t1, np.maximum(ta, tb)))
+    clear |= t1 - t0 <= _EPS
+    # The interval may lie along a wall; require the midpoint strictly inside.
     tm = 0.5 * (t0 + t1)
     mx, my = px + tm * dx, py + tm * dy
-    return rect.x + _EPS < mx < rect.x + rect.w - _EPS and rect.y + _EPS < my < rect.y + rect.h - _EPS
+    inside = (x0 + _EPS < mx) & (mx < x1 - _EPS) & (y0 + _EPS < my) & (my < y1 - _EPS)
+    return ~clear & inside
 
 
-def _clear(p, q, buildings) -> bool:
-    return not any(_segment_blocked(p, q, b) for b in buildings)
-
-
-def _angle_in_open_interval(dx: float, dy: float) -> float:
-    """Angle of direction (dx, dy) against the +x array axis, in (0, pi)."""
+def _angle_in_open_interval(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Angle of each direction (dx, dy) against the +x array axis, in (0, pi)."""
     n = np.hypot(dx, dy)
-    if n == 0:
-        return np.pi / 2.0
-    phi = float(np.arccos(np.clip(dx / n, -1.0, 1.0)))
-    return float(np.clip(phi, _ANGLE_EPS, np.pi - _ANGLE_EPS))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi = np.clip(np.arccos(np.clip(dx / n, -1.0, 1.0)), _ANGLE_EPS, np.pi - _ANGLE_EPS)
+    return np.where(n == 0, np.pi / 2.0, phi)
 
 
-def _friis_pathloss_db(length_m: float, carrier_hz: float) -> float:
+def _friis_pathloss_db(length_m: np.ndarray, carrier_hz: float) -> np.ndarray:
     return 20.0 * np.log10(4.0 * np.pi * length_m * carrier_hz / SPEED_OF_LIGHT)
 
 
-def _make_path(
-    scene: SceneConfig,
-    length_m: float,
-    arrive_dir: tuple[float, float],
-    depart_dir: tuple[float, float],
-    bounces: int,
-) -> PathRecord:
-    delay = int(round(length_m / SPEED_OF_LIGHT / scene.sample_interval_s))
-    delay = min(max(delay, 0), scene.nc - 1)
-    pathloss = _friis_pathloss_db(length_m, scene.carrier_hz)
-    pathloss = max(pathloss, 0.0) + bounces * scene.reflection_loss_db
-    phase = 2.0 * np.pi * length_m / scene.wavelength_m
-    return PathRecord(
-        aoa=_angle_in_open_interval(*arrive_dir),
-        aod=_angle_in_open_interval(*depart_dir),
-        gain=complex(np.exp(-1j * phase)),
-        delay_samples=delay,
-        pathloss_db=pathloss,
-    )
+def _trace(scene: SceneConfig, pts: np.ndarray) -> list[tuple[list[PathRecord], bool]]:
+    """``trace_paths`` of every terminal of an (n, 2) array, in one pass.
 
+    Each candidate path (the direct one, then one specular reflection
+    per building wall, in ``walls`` order) is a column of per-terminal
+    arrays; blocking is tested for all terminals and buildings at once.
+    """
+    rects = np.array([[b.x, b.y, b.x + b.w, b.y + b.h] for b in scene.buildings]).reshape(-1, 4)
+    bx, by = scene.bs_pos
+    mx, my = pts[:, 0], pts[:, 1]
+    is_los = ~_blocked(bx, by, mx, my, rects).any(axis=-1)
+    # per candidate: (path length, arrive x, y, depart x, y), and a kept mask
+    los_length = np.hypot(mx - bx, my - by)
+    cands = [(los_length, mx - bx, my - by, bx - mx, by - my)]
+    kept = [is_los & (los_length > 0)]
+    for b in scene.buildings:
+        for (x1, y1), (x2, y2) in b.walls():
+            # n: the coordinate across the wall, a: the one along it
+            vertical = x1 == x2
+            wn, (a1, a2) = (x1, (y1, y2)) if vertical else (y1, (x1, x2))
+            (bn, ba), (mn, ma) = ((bx, by), (mx, my)) if vertical else ((by, bx), (my, mx))
+            image_n = 2.0 * wn - bn  # the BS mirrored across the wall's line
+            dn, da = mn - image_n, ma - ba
+            # Intersection of image->MT with the wall's carrying line.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t = (wn - image_n) / dn
+                hit_a = ba + t * da
+            ok = (
+                (np.abs(dn) >= _EPS)
+                & (0.0 < t) & (t < 1.0)
+                & (min(a1, a2) + _EPS < hit_a) & (hit_a < max(a1, a2) - _EPS)
+                & ((bn - wn) * (mn - wn) > 0)
+            )
+            hit_n = np.full_like(hit_a, wn)
+            hx, hy = (hit_n, hit_a) if vertical else (hit_a, hit_n)
+            sel = np.flatnonzero(ok)
+            ok[sel] = ~(
+                _blocked(bx, by, hx[sel], hy[sel], rects).any(axis=-1)
+                | _blocked(hx[sel], hy[sel], mx[sel], my[sel], rects).any(axis=-1)
+            )
+            length = np.hypot(dn, da) if vertical else np.hypot(da, dn)
+            cands.append((length, hx - bx, hy - by, hx - mx, hy - my))
+            kept.append(ok)
 
-def _mirror(point, wall):
-    """Mirror a point across the (axis-aligned) line carrying a wall."""
-    (x1, y1), (x2, y2) = wall
-    px, py = point
-    if x1 == x2:  # vertical wall
-        return (2.0 * x1 - px, py)
-    return (px, 2.0 * y1 - py)
+    # the kept candidates, terminal by terminal, each in candidate order
+    rows, cols = np.nonzero(np.array(kept).T)
+    length, ax, ay, dx, dy = np.array(cands)[cols, :, rows].T
+    delay = np.clip(np.rint(length / SPEED_OF_LIGHT / scene.sample_interval_s), 0, scene.nc - 1).astype(int)
+    pathloss = np.maximum(_friis_pathloss_db(length, scene.carrier_hz), 0.0) + (cols > 0) * scene.reflection_loss_db
+    phase = 2.0 * np.pi * length / scene.wavelength_m
+    gain = np.exp(-1j * phase)
+    aoa = _angle_in_open_interval(ax, ay)
+    aod = _angle_in_open_interval(dx, dy)
+
+    # strongest maxpathnum per terminal, then by ascending delay (both stable)
+    order = np.lexsort((pathloss, rows))
+    first = np.searchsorted(rows[order], rows[order])
+    order = order[np.arange(len(order)) - first < scene.maxpathnum]
+    order = order[np.lexsort((pathloss[order], delay[order], rows[order]))]
+    records = [
+        PathRecord(aoa=aa, aod=ad, gain=g, delay_samples=d, pathloss_db=pl)
+        for aa, ad, g, d, pl in zip(
+            aoa[order].tolist(), aod[order].tolist(), gain[order].tolist(), delay[order].tolist(), pathloss[order]
+        )
+    ]
+    bounds = np.searchsorted(rows[order], np.arange(len(pts) + 1)).tolist()
+    return [(records[a:b], bool(los)) for a, b, los in zip(bounds, bounds[1:], is_los)]
 
 
 def trace_paths(scene: SceneConfig, mt: Sequence[float]) -> tuple[list[PathRecord], bool]:
@@ -213,55 +242,7 @@ def trace_paths(scene: SceneConfig, mt: Sequence[float]) -> tuple[list[PathRecor
     for b in scene.buildings:
         if b.contains(mt):
             raise ValueError(f"terminal {mt} inside building {b}")
-    bs = scene.bs_pos
-    candidates: list[tuple[float, PathRecord]] = []
-
-    is_los = _clear(bs, mt, scene.buildings)
-    if is_los:
-        length = float(np.hypot(mt[0] - bs[0], mt[1] - bs[1]))
-        if length > 0:
-            arrive = (mt[0] - bs[0], mt[1] - bs[1])
-            depart = (bs[0] - mt[0], bs[1] - mt[1])
-            candidates.append((length, _make_path(scene, length, arrive, depart, 0)))
-
-    for b in scene.buildings:
-        for wall in b.walls():
-            (x1, y1), (x2, y2) = wall
-            image = _mirror(bs, wall)
-            dx, dy = mt[0] - image[0], mt[1] - image[1]
-            # Intersection of image->MT with the wall's carrying line.
-            if x1 == x2:
-                if abs(dx) < _EPS:
-                    continue
-                t = (x1 - image[0]) / dx
-                hit = (x1, image[1] + t * dy)
-                lo, hi = min(y1, y2), max(y1, y2)
-                on_wall = lo + _EPS < hit[1] < hi - _EPS
-                same_side = (bs[0] - x1) * (mt[0] - x1) > 0
-            else:
-                if abs(dy) < _EPS:
-                    continue
-                t = (y1 - image[1]) / dy
-                hit = (image[0] + t * dx, y1)
-                lo, hi = min(x1, x2), max(x1, x2)
-                on_wall = lo + _EPS < hit[0] < hi - _EPS
-                same_side = (bs[1] - y1) * (mt[1] - y1) > 0
-            if not (0.0 < t < 1.0 and on_wall and same_side):
-                continue
-            if not (_clear(bs, hit, scene.buildings) and _clear(hit, mt, scene.buildings)):
-                continue
-            length = float(np.hypot(mt[0] - image[0], mt[1] - image[1]))
-            arrive = (hit[0] - bs[0], hit[1] - bs[1])
-            depart = (hit[0] - mt[0], hit[1] - mt[1])
-            candidates.append((length, _make_path(scene, length, arrive, depart, 1)))
-
-    if not candidates:
-        return [], is_los
-    paths = [p for _, p in candidates]
-    paths.sort(key=lambda p: p.pathloss_db)
-    paths = paths[: scene.maxpathnum]
-    paths.sort(key=lambda p: (p.delay_samples, p.pathloss_db))
-    return paths, is_los
+    return _trace(scene, np.array([mt]))[0]
 
 
 def build_dataset(scene: SceneConfig) -> list[Sample]:
@@ -269,28 +250,25 @@ def build_dataset(scene: SceneConfig) -> list[Sample]:
     w, h = scene.area_m
     rng = np.random.default_rng(scene.seed)
     spacing = scene.grid_spacing_m
-    xs = np.arange(spacing / 2.0, w, spacing)
-    ys = np.arange(spacing / 2.0, h, spacing)
+    gx, gy = np.meshgrid(np.arange(spacing / 2.0, w, spacing), np.arange(spacing / 2.0, h, spacing))
+    # one jitter draw per grid point keeps sampling deterministic
+    # regardless of which points survive
+    jit = rng.uniform(-0.5, 0.5, size=(gx.size, 2)) * spacing * scene.grid_jitter
+    x = np.clip(gx.ravel() + jit[:, 0], 0.0, w)
+    y = np.clip(gy.ravel() + jit[:, 1], 0.0, h)
+    outside = np.ones(x.shape, dtype=bool)
+    for b in scene.buildings:
+        outside &= ~((b.x < x) & (x < b.x + b.w) & (b.y < y) & (y < b.y + b.h))
+    pts = np.stack([x[outside], y[outside]], axis=1)
     samples: list[Sample] = []
-    sid = 0
-    for gy in ys:
-        for gx in xs:
-            # one jitter draw per grid point keeps sampling deterministic
-            # regardless of which points survive
-            jit = rng.uniform(-0.5, 0.5, size=2) * spacing * scene.grid_jitter
-            pos = (float(np.clip(gx + jit[0], 0.0, w)), float(np.clip(gy + jit[1], 0.0, h)))
-            if any(b.contains(pos) for b in scene.buildings):
-                continue
-            paths, is_los = trace_paths(scene, pos)
-            if not paths:
-                continue
-            cfr = cfr_from_paths(paths, scene.nt, scene.nc, scene.spacing_ratio)
-            if scene.snr_db != NO_NOISE:
-                cfr = add_noise(cfr, scene.snr_db, seed=scene.seed * 1_000_003 + sid)
-            samples.append(
-                Sample(id=sid, pos=pos, paths=paths, is_los=is_los, cfr=cfr, adcam=adcam(cfr))
-            )
-            sid += 1
+    for pos, (paths, is_los) in zip(map(tuple, pts.tolist()), _trace(scene, pts)):
+        if not paths:
+            continue
+        sid = len(samples)
+        cfr = cfr_from_paths(paths, scene.nt, scene.nc, scene.spacing_ratio)
+        if scene.snr_db != NO_NOISE:
+            cfr = add_noise(cfr, scene.snr_db, seed=scene.seed * 1_000_003 + sid)
+        samples.append(Sample(id=sid, pos=pos, paths=paths, is_los=is_los, cfr=cfr, adcam=adcam(cfr)))
     if not samples:
         raise ValueError("no reachable terminals in scene")
     return samples

@@ -187,6 +187,25 @@ class TestRenderImage:
             render_image(h, "cfr_magnitude"), render_image(3.7 * h, "cfr_magnitude")
         )
 
+    @pytest.mark.parametrize("tag", ["cfr_magnitude", "cfr_phase", "adcam"])
+    def test_stack_renders_each_image_alone(self, tag):
+        rng = np.random.default_rng(5)
+        stack = rng.normal(size=(4, 6, 7)) + 1j * rng.normal(size=(4, 6, 7))
+        if tag == "adcam":
+            stack = np.abs(stack)
+        stack[1] = stack[1, 0, 0]  # a constant image renders black
+        stack[2] *= 1e-9
+        got = render_image(stack, tag)
+        assert got.shape == stack.shape
+        for img, want in zip(stack, got):
+            assert np.array_equal(render_image(img, tag), want)
+        if tag != "cfr_phase":
+            assert np.all(got[1] == 0) and got[2].max() == 1.0
+
+    def test_non_image_rejected(self):
+        with pytest.raises(ValueError, match="H, W"):
+            render_image(np.ones(5), "adcam")
+
     def test_phase_range(self):
         rng = np.random.default_rng(4)
         h = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))

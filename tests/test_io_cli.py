@@ -129,6 +129,10 @@ def _plant_fault(fault, d, bin_name, data):
             elif fault == "non-finite path value":
                 rows = rows or [list(_PATH_ROW)]
                 rows[k % len(rows)][data.draw(st.sampled_from([2, 3, 4, 5, 7]))] = data.draw(st.sampled_from(["nan", "inf", "-inf"]))
+            elif fault in _BAD_PATH_FIELDS:
+                rows = rows or [list(_PATH_ROW)]
+                column, values = _BAD_PATH_FIELDS[fault]
+                rows[k % len(rows)][data.draw(st.sampled_from(column))] = data.draw(st.sampled_from(values))
             elif fault == "repeated id":
                 rows[1][0] = rows[0][0]
             elif fault == "missing row":
@@ -142,9 +146,18 @@ def _plant_fault(fault, d, bin_name, data):
     return bin_name
 
 
+# paths.csv faults that PathRecord rejects: (columns, values) to write
+_BAD_PATH_FIELDS = {
+    "out-of-range path angle": ([2, 3], ["0", "-0.5", "3.1416", "4"]),
+    "negative path delay": ([6], ["-1", "-7"]),
+    "non-integer path delay": ([6], ["2.5", "x"]),
+    "negative path loss": ([7], ["-0.5", "-30"]),
+}
+
 _FAULTS = [
     "short header", "truncated payload", "overlong payload", "non-finite payload",
     "non-finite position", "repeated id", "missing row", "unknown path id", "non-finite path value",
+    *_BAD_PATH_FIELDS,
 ]
 
 
@@ -323,6 +336,21 @@ class TestBoundaryErrors:
         assert rc == 1
         err = capsys.readouterr().err
         assert "[eval]" in err and "cfr.bin" in err and "payload" in err
+
+    def test_eval_names_the_paths_file_and_row_it_rejects(self, trained_chain, tmp_path, capsys):
+        data = shutil.copytree(trained_chain[0], tmp_path / "data")
+        rejected = []
+
+        def edit(rows):
+            rows[1][3] = "4.0"  # aod_rad outside (0, pi)
+            rejected.append(rows[1][0])
+            return rows
+
+        _rewrite_csv(data / "paths.csv", edit)
+        rc = main(["eval", "--data", str(data), "--model", str(trained_chain[1]), "--out", str(tmp_path / "r.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "[eval]" in err and "paths.csv" in err and f"id {rejected[0]} " in err and "aod" in err
 
 
 class TestTrainOptions:

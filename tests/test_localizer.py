@@ -12,6 +12,8 @@ from amdnloc.fusion import cleanse, fuse_labels
 from amdnloc.localizer import (
     FeatureConfig,
     _block_means,
+    _stack_features,
+    _top_peaks,
     apply_weights,
     extract_features_adcam,
     extract_features_cfr,
@@ -63,6 +65,94 @@ def test_block_means_equal_the_loop(h, w, scale, seed, grid):
     # even (32x32, 16x16) and uneven (20x20, 12x18) splits alike
     img = scale * np.random.default_rng(seed).random((h, w))
     assert np.array_equal(_block_means(img, grid), block_means_loop(img, grid))
+
+
+# ---------------------------------------------------------------------------
+# The per-sample feature path, one 2-D image at a time: the oracle of the
+# stacked features in localizer.
+
+
+def render_oracle(m, tag):
+    """One image min-max normalized by its scalar range (constant: zeros)."""
+    if tag == "cfr_phase":
+        return (np.angle(m) + np.pi) / (2.0 * np.pi)
+    vals = np.abs(m) if tag == "cfr_magnitude" else np.asarray(m, dtype=float)
+    lo, hi = vals.min(), vals.max()
+    if hi - lo == 0.0:
+        return np.zeros_like(vals, dtype=float)
+    return (vals - lo) / (hi - lo)
+
+
+def adcam_features_oracle(img):
+    flat = img.ravel()
+    peaks = np.zeros(15)
+    for i, idx in enumerate(np.argsort(-flat, kind="stable")[:5]):
+        if flat[idx] != 0.0:
+            peaks[3 * i : 3 * i + 3] = (*divmod(int(idx), img.shape[1]), flat[idx])
+    return np.concatenate([block_means_loop(img), img.mean(axis=1), img.mean(axis=0), peaks])
+
+
+def features_oracle(sample):
+    mag = render_oracle(sample.cfr, "cfr_magnitude")
+    phase = render_oracle(sample.cfr, "cfr_phase")
+    cfr = [block_means_loop(mag), block_means_loop(phase), mag.mean(axis=1), mag.mean(axis=0)]
+    return np.concatenate([*cfr, adcam_features_oracle(render_oracle(sample.adcam, "adcam"))])
+
+
+# The buildings and base station of the benchmark scenes, on their two grids.
+REFERENCE_SCENE = dict(
+    area_m=(250.0, 250.0),
+    bs_pos=(125.0, 2.0),
+    buildings=[
+        Rect(40.0, 60.0, 30.0, 40.0),
+        Rect(170.0, 50.0, 35.0, 30.0),
+        Rect(60.0, 170.0, 40.0, 30.0),
+        Rect(165.0, 160.0, 30.0, 45.0),
+        Rect(110.0, 30.0, 25.0, 20.0),
+    ],
+    nt=32,
+    nc=32,
+    seed=3,
+)
+
+
+@pytest.mark.parametrize("spacing, step", [(3.5, 4), (5.5, 1)], ids=["dense-global", "hetero-segmented"])
+def test_stacked_features_equal_the_per_sample_oracle(spacing, step):
+    samples = build_dataset(SceneConfig(grid_spacing_m=spacing, **REFERENCE_SCENE))[::step]
+    config = FeatureConfig(nt=32, nc=32)
+    want = np.array([features_oracle(s) for s in samples])
+    mag, got = _stack_features(samples, config)
+    assert np.array_equal(got, want)
+    assert np.array_equal(mag, [render_oracle(s.cfr, "cfr_magnitude") for s in samples])
+    assert all(np.array_equal(sample_features(s, config), w) for s, w in zip(samples[::50], want[::50]))
+
+
+# images with ties, zeros, constant images and fewer than 5 nonzero values
+_images = st.builds(
+    lambda n, h, w, levels, zeros, seed: np.where(
+        np.random.default_rng(seed).random((n, h, w)) < zeros,
+        0.0,
+        np.random.default_rng(seed + 1).integers(0, levels, size=(n, h, w)) / max(levels - 1, 1),
+    ),
+    st.integers(1, 6), st.integers(8, 20), st.integers(8, 20),
+    st.sampled_from([1, 2, 3, 1000, 2**40]), st.sampled_from([0.0, 0.5, 0.97, 1.0]), st.integers(0, 2**32 - 2),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_images)
+def test_top_peaks_equal_a_stable_full_sort(imgs):
+    flat = imgs.reshape(len(imgs), -1)
+    assert np.array_equal(_top_peaks(flat, 5), np.argsort(-flat, axis=1, kind="stable")[:, :5])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_images)
+def test_stacked_adcam_features_equal_the_oracle(imgs):
+    config = FeatureConfig(nt=imgs.shape[1], nc=imgs.shape[2])
+    want = np.array([adcam_features_oracle(img) for img in imgs])
+    assert np.array_equal(extract_features_adcam(imgs, config), want)
+    assert np.array_equal(extract_features_adcam(imgs[0], config), want[0])
 
 
 class TestCfrFeatures:

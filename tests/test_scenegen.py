@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from amdnloc.channel import NO_NOISE, PathRecord, add_noise, adcam, cfr_from_paths
 from amdnloc.scenegen import (
+    _ANGLE_EPS,
+    _EPS,
     SPEED_OF_LIGHT,
     Rect,
+    Sample,
     SceneConfig,
     build_dataset,
     nlos_filter,
@@ -27,6 +32,215 @@ def shadow_oracle(bs, rect: Rect, point) -> bool:
         if rect.x + 1e-6 < x < rect.x + rect.w - 1e-6 and rect.y + 1e-6 < y < rect.y + rect.h - 1e-6:
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# The per-terminal tracer: one terminal, one wall and one segment at a time,
+# in Python scalars. It is the oracle of the batched tracer in scenegen.
+
+
+def segment_blocked_oracle(p, q, rect: Rect) -> bool:
+    """True iff the open segment p->q passes through the rectangle interior
+    (Liang-Barsky clipping; grazing a wall or corner does not block)."""
+    px, py = p
+    dx, dy = q[0] - px, q[1] - py
+    t0, t1 = 0.0, 1.0
+    for pos0, delta, lo, hi in (
+        (px, dx, rect.x, rect.x + rect.w),
+        (py, dy, rect.y, rect.y + rect.h),
+    ):
+        if abs(delta) < _EPS:
+            if pos0 <= lo or pos0 >= hi:
+                return False
+            continue
+        ta = (lo - pos0) / delta
+        tb = (hi - pos0) / delta
+        if ta > tb:
+            ta, tb = tb, ta
+        t0 = max(t0, ta)
+        t1 = min(t1, tb)
+        if t0 >= t1:
+            return False
+    if t1 - t0 <= _EPS:
+        return False
+    tm = 0.5 * (t0 + t1)
+    mx, my = px + tm * dx, py + tm * dy
+    return rect.x + _EPS < mx < rect.x + rect.w - _EPS and rect.y + _EPS < my < rect.y + rect.h - _EPS
+
+
+def clear_oracle(p, q, buildings) -> bool:
+    return not any(segment_blocked_oracle(p, q, b) for b in buildings)
+
+
+def angle_oracle(dx: float, dy: float) -> float:
+    n = np.hypot(dx, dy)
+    if n == 0:
+        return np.pi / 2.0
+    phi = float(np.arccos(np.clip(dx / n, -1.0, 1.0)))
+    return float(np.clip(phi, _ANGLE_EPS, np.pi - _ANGLE_EPS))
+
+
+def make_path_oracle(scene, length_m, arrive_dir, depart_dir, bounces) -> PathRecord:
+    delay = int(round(length_m / SPEED_OF_LIGHT / scene.sample_interval_s))
+    delay = min(max(delay, 0), scene.nc - 1)
+    pathloss = 20.0 * np.log10(4.0 * np.pi * length_m * scene.carrier_hz / SPEED_OF_LIGHT)
+    pathloss = max(pathloss, 0.0) + bounces * scene.reflection_loss_db
+    phase = 2.0 * np.pi * length_m / scene.wavelength_m
+    return PathRecord(
+        aoa=angle_oracle(*arrive_dir),
+        aod=angle_oracle(*depart_dir),
+        gain=complex(np.exp(-1j * phase)),
+        delay_samples=delay,
+        pathloss_db=pathloss,
+    )
+
+
+def trace_oracle(scene, mt):
+    """(paths, is_los) of one terminal: the direct path, then one image-method
+    reflection per wall, strongest ``maxpathnum`` by ascending delay."""
+    mt = (float(mt[0]), float(mt[1]))
+    bs = scene.bs_pos
+    candidates = []
+    is_los = clear_oracle(bs, mt, scene.buildings)
+    if is_los:
+        length = float(np.hypot(mt[0] - bs[0], mt[1] - bs[1]))
+        if length > 0:
+            arrive = (mt[0] - bs[0], mt[1] - bs[1])
+            depart = (bs[0] - mt[0], bs[1] - mt[1])
+            candidates.append(make_path_oracle(scene, length, arrive, depart, 0))
+    for b in scene.buildings:
+        for wall in b.walls():
+            (x1, y1), (x2, y2) = wall
+            if x1 == x2:
+                image = (2.0 * x1 - bs[0], bs[1])
+            else:
+                image = (bs[0], 2.0 * y1 - bs[1])
+            dx, dy = mt[0] - image[0], mt[1] - image[1]
+            if x1 == x2:
+                if abs(dx) < _EPS:
+                    continue
+                t = (x1 - image[0]) / dx
+                hit = (x1, image[1] + t * dy)
+                on_wall = min(y1, y2) + _EPS < hit[1] < max(y1, y2) - _EPS
+                same_side = (bs[0] - x1) * (mt[0] - x1) > 0
+            else:
+                if abs(dy) < _EPS:
+                    continue
+                t = (y1 - image[1]) / dy
+                hit = (image[0] + t * dx, y1)
+                on_wall = min(x1, x2) + _EPS < hit[0] < max(x1, x2) - _EPS
+                same_side = (bs[1] - y1) * (mt[1] - y1) > 0
+            if not (0.0 < t < 1.0 and on_wall and same_side):
+                continue
+            if not (clear_oracle(bs, hit, scene.buildings) and clear_oracle(hit, mt, scene.buildings)):
+                continue
+            length = float(np.hypot(mt[0] - image[0], mt[1] - image[1]))
+            arrive = (hit[0] - bs[0], hit[1] - bs[1])
+            depart = (hit[0] - mt[0], hit[1] - mt[1])
+            candidates.append(make_path_oracle(scene, length, arrive, depart, 1))
+    paths = sorted(candidates, key=lambda p: p.pathloss_db)[: scene.maxpathnum]
+    paths.sort(key=lambda p: (p.delay_samples, p.pathloss_db))
+    return paths, is_los
+
+
+def build_dataset_oracle(scene):
+    """One sample per reachable grid terminal, one grid point at a time."""
+    w, h = scene.area_m
+    rng = np.random.default_rng(scene.seed)
+    spacing = scene.grid_spacing_m
+    samples = []
+    for gy in np.arange(spacing / 2.0, h, spacing):
+        for gx in np.arange(spacing / 2.0, w, spacing):
+            jit = rng.uniform(-0.5, 0.5, size=2) * spacing * scene.grid_jitter
+            pos = (float(np.clip(gx + jit[0], 0.0, w)), float(np.clip(gy + jit[1], 0.0, h)))
+            if any(b.contains(pos) for b in scene.buildings):
+                continue
+            paths, is_los = trace_oracle(scene, pos)
+            if not paths:
+                continue
+            sid = len(samples)
+            cfr = cfr_from_paths(paths, scene.nt, scene.nc, scene.spacing_ratio)
+            if scene.snr_db != NO_NOISE:
+                cfr = add_noise(cfr, scene.snr_db, seed=scene.seed * 1_000_003 + sid)
+            samples.append(Sample(id=sid, pos=pos, paths=paths, is_los=is_los, cfr=cfr, adcam=adcam(cfr)))
+    if not samples:
+        raise ValueError("no reachable terminals in scene")
+    return samples
+
+
+def assert_same_dataset(got, want):
+    assert [s.id for s in got] == [s.id for s in want]
+    for a, b in zip(got, want):
+        assert (a.pos, a.is_los) == (b.pos, b.is_los), a.id
+        assert a.paths == b.paths, a.id
+        assert np.array_equal(a.cfr, b.cfr) and np.array_equal(a.adcam, b.adcam), a.id
+
+
+# The buildings and base station of the benchmark scenes, on their two grids.
+REFERENCE_BUILDINGS = [
+    Rect(40.0, 60.0, 30.0, 40.0),
+    Rect(170.0, 50.0, 35.0, 30.0),
+    Rect(60.0, 170.0, 40.0, 30.0),
+    Rect(165.0, 160.0, 30.0, 45.0),
+    Rect(110.0, 30.0, 25.0, 20.0),
+]
+
+
+@pytest.mark.parametrize("spacing", [3.5, 5.5], ids=["dense-global", "hetero-segmented"])
+def test_build_dataset_equals_per_terminal_oracle_on_reference_scenes(spacing):
+    scene = SceneConfig(
+        area_m=(250.0, 250.0), bs_pos=(125.0, 2.0), buildings=REFERENCE_BUILDINGS,
+        grid_spacing_m=spacing, nt=32, nc=32, seed=3,
+    )
+    assert_same_dataset(build_dataset(scene), build_dataset_oracle(scene))
+
+
+@st.composite
+def lattice_scenes(draw):
+    """Small scenes whose base station and walls lie on the lattice of half
+    the grid spacing, so that segments often run along walls and through
+    corners; zero reflection loss makes pathloss ties."""
+    spacing = draw(st.sampled_from([2.0, 2.5, 3.0, 5.0]))
+    q = spacing / 2.0
+    nx, ny = draw(st.integers(4, 18)), draw(st.integers(4, 18))
+    buildings = []
+    for _ in range(draw(st.integers(0, 4))):
+        ix, iy = draw(st.integers(0, nx - 1)), draw(st.integers(0, ny - 1))
+        iw, ih = draw(st.integers(1, min(8, nx - ix))), draw(st.integers(1, min(8, ny - iy)))
+        buildings.append(Rect(ix * q, iy * q, iw * q, ih * q))
+    bs = (draw(st.integers(0, nx)) * q, draw(st.integers(0, ny)) * q)
+    assume(not any(b.contains(bs) for b in buildings))
+    return SceneConfig(
+        area_m=(nx * q, ny * q), bs_pos=bs, buildings=buildings,
+        grid_spacing_m=spacing,
+        grid_jitter=draw(st.sampled_from([0.0, 0.0, 0.3, 1.0])),
+        maxpathnum=draw(st.integers(1, 12)),
+        reflection_loss_db=draw(st.sampled_from([0.0, 6.0])),
+        snr_db=draw(st.sampled_from([NO_NOISE, 15.0])),
+        nt=4, nc=draw(st.sampled_from([4, 16])),
+        seed=draw(st.integers(0, 1000)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattice_scenes())
+def test_build_dataset_equals_per_terminal_oracle_on_random_scenes(scene):
+    try:
+        want = build_dataset_oracle(scene)
+    except ValueError:
+        with pytest.raises(ValueError, match="no reachable terminals"):
+            build_dataset(scene)
+        return
+    assert_same_dataset(build_dataset(scene), want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattice_scenes(), st.data())
+def test_trace_paths_equals_oracle_at_lattice_points(scene, data):
+    (w, h), q = scene.area_m, scene.grid_spacing_m / 2.0
+    mt = (data.draw(st.integers(0, round(w / q))) * q, data.draw(st.integers(0, round(h / q))) * q)
+    assume(not any(b.contains(mt) for b in scene.buildings))
+    assert trace_paths(scene, mt) == trace_oracle(scene, mt)
 
 
 class TestTracePaths:
@@ -70,8 +284,13 @@ class TestTracePaths:
 
     def test_mt_inside_building_rejected(self):
         scene = open_scene(buildings=[Rect(10, 10, 20, 20)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="inside building"):
             trace_paths(scene, (15.0, 15.0))
+
+    @pytest.mark.parametrize("mt", [(-0.5, 10.0), (10.0, 100.5), (101.0, -1.0)])
+    def test_mt_outside_area_rejected(self, mt):
+        with pytest.raises(ValueError, match="outside area"):
+            trace_paths(open_scene(), mt)
 
     def test_paths_sorted_by_delay_and_truncated(self):
         scene = open_scene(
