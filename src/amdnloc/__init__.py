@@ -50,7 +50,6 @@ from .segmentation_cfr import (
     extract_templates,
     match_between,
     match_within,
-    ncc,
     segment_cfr,
 )
 

@@ -38,20 +38,21 @@ MAGIC = b"AMDN"
 FORMAT_VERSION = 1
 
 
+# Samples converted and written per ``tobytes`` call; bounds the copy.
+_WRITE_CHUNK = 64
+
+
 def _write_bin(path: Path, arrays: list[np.ndarray], complex_data: bool):
+    """Header, then the samples as float32, ``_WRITE_CHUNK`` at a time;
+    complex64 stores each entry as its real and imaginary float32."""
     count = len(arrays)
     nt, nc = arrays[0].shape if count else (0, 0)
     header = MAGIC + np.array([FORMAT_VERSION, count, nt, nc], dtype="<u4").tobytes()
+    dtype = "<c8" if complex_data else "<f4"
     with open(path, "wb") as fh:
         fh.write(header)
-        for a in arrays:
-            if complex_data:
-                inter = np.empty((a.shape[0], a.shape[1], 2), dtype="<f4")
-                inter[..., 0] = a.real
-                inter[..., 1] = a.imag
-                fh.write(inter.tobytes())
-            else:
-                fh.write(np.asarray(a, dtype="<f4").tobytes())
+        for i in range(0, count, _WRITE_CHUNK):
+            fh.write(np.array(arrays[i : i + _WRITE_CHUNK], dtype=dtype).tobytes())
 
 
 def _read_bin(path: Path, complex_data: bool) -> list[np.ndarray]:

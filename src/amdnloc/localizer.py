@@ -16,7 +16,7 @@ import numpy as np
 from .channel import render_image
 from .fusion import RegionLabels
 from .segmentation_adcam import Standardizer, _dist, path_descriptor
-from .segmentation_cfr import _PLANES, TemplatePair, _ImageStacks, _pair_banks, _TemplateBank
+from .segmentation_cfr import _PLANES, TemplatePair, _best_pairs, _corner_banks, _TemplateBank
 
 __all__ = [
     "FeatureConfig",
@@ -179,9 +179,10 @@ class LocalizationModel:
     """Trained per-region regressors plus everything needed to route a
     new sample to a region.
 
-    The founder templates are kept as a ``_pair_banks`` bank for the CFR
-    image shape too, built once from ``founders`` whenever a model is
-    made, so ``locate`` transforms no template.
+    The founder templates are kept as ``_corner_banks`` for the CFR
+    image shape too, a t1 bank and a t2 bank built once from
+    ``founders`` whenever a model is made, so ``locate`` transforms no
+    template.
     """
 
     config: FeatureConfig
@@ -194,10 +195,10 @@ class LocalizationModel:
     feature_standardizer: Standardizer
     region_feature_centroids: dict[int, np.ndarray]
     ridge_lambda: float = 1e-3
-    founder_bank: _TemplateBank = field(init=False, repr=False, compare=False)
+    corner_banks: tuple[_TemplateBank, _TemplateBank] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.founder_bank = _pair_banks(list(self.founders.values()), (self.config.nt, self.config.nc))
+        self.corner_banks = _corner_banks(list(self.founders.values()), (self.config.nt, self.config.nc))
 
 
 def train(
@@ -253,12 +254,13 @@ def locate(model: LocalizationModel, samples) -> tuple[np.ndarray, list[int]]:
     Routing pairs the CFR label, the first best-matching founder in
     ``model.founders`` order, with the nearest clustering centroid. A
     pair never seen (or cleansed away) falls back to the region whose
-    training feature centroid is nearest. The founders are scored
-    through the model's ``founder_bank``, so a call takes the ``rfft2``
-    of its samples' CFR magnitude images and of no template. Each
-    magnitude image is rendered once, with the features, ``_PLANES``
-    samples at a time. Every sample's CFR must have the model's shape
-    (nt, nc).
+    training feature centroid is nearest. The CFR label comes from
+    ``_best_pairs`` over the model's ``corner_banks``, which scores a
+    founder's t2 only where it can still win. A call takes the
+    ``rfft2`` of its samples' CFR magnitude images and of no template;
+    a one-founder model transforms no image at all. Each magnitude
+    image is rendered once, with the features, ``_PLANES`` samples at
+    a time. Every sample's CFR must have the model's shape (nt, nc).
     """
     shape = (model.config.nt, model.config.nc)
     for s in samples:
@@ -273,9 +275,7 @@ def locate(model: LocalizationModel, samples) -> tuple[np.ndarray, list[int]]:
         mag, raw[i : i + len(chunk)] = _stack_features(chunk, model.config)
         mags.extend(mag)
     feats = model.feature_standardizer.apply(raw)
-    stacks = _ImageStacks(mags)
-    scores = stacks.pair_scores(model.founder_bank, np.arange(len(samples)))
-    cfr_labels = np.array(list(model.founders))[np.argmax(scores, axis=0)]
+    cfr_labels = np.array(list(model.founders))[_best_pairs(model.corner_banks, mags)]
     xy = np.empty((len(samples), 2))
     regions = []
     for i, feat in enumerate(feats):

@@ -18,7 +18,6 @@ __all__ = [
     "UNLABELED",
     "TemplatePair",
     "CfrLabeling",
-    "ncc",
     "extract_templates",
     "match_within",
     "match_between",
@@ -64,40 +63,15 @@ def _check_fits(template_shape: tuple[int, ...], source_shape: tuple[int, ...]):
         )
 
 
-def ncc(template: np.ndarray, source: np.ndarray) -> float:
-    """Best normalized cross-correlation of a template over a source image.
-
-    Maximum over all placements of sum(T*I) / sqrt(sum(T^2) * sum(I^2)),
-    the sums running over the template window. Placements whose window
-    energy is zero are skipped; an all-zero template scores 0.
-    """
-    template = np.asarray(template, dtype=float)
-    source = np.asarray(source, dtype=float)
-    _check_fits(template.shape, source.shape)
-    t_energy = float(np.sum(template * template))
-    if t_energy == 0.0:
-        return 0.0
-    num = np.einsum(
-        "ijkl,kl->ij", sliding_window_view(source, template.shape), template
-    )
-    win = _window_energy(source, template.shape)
-    denom = np.sqrt(t_energy * win)
-    # Zero-energy windows carry no signal; keep them out of the maximum.
-    scale = float(np.max(win))
-    valid = win > (1e-12 * scale if scale > 0 else 0.0)
-    if not np.any(valid):
-        return 0.0
-    best = float(np.max(num[valid] / denom[valid]))
-    return float(np.clip(best, 0.0, 1.0))
-
-
 # Image planes in one FFT temporary of ``_ncc_bank``, and images per chunk
 # when ``_ImageStacks`` builds spectra and window energies; bounds their memory.
 _PLANES = 64
 
 
 def _valid_windows(win: np.ndarray) -> np.ndarray:
-    """``ncc``'s zero-energy mask of each image's window energies (n, p, q)."""
+    """The zero-energy mask of each image's window energies (n, p, q):
+    the windows above 1e-12 of the image's largest window energy, or
+    above 0 when every window is empty."""
     scale = np.max(win, axis=(1, 2), keepdims=True)
     return win > np.where(scale > 0, 1e-12 * scale, 0.0)
 
@@ -109,7 +83,8 @@ class _TemplateBank:
     conjugated ``rfft2`` of every live template, zero-padded to
     ``image_shape``, is taken once, when the bank is built, with each
     live template's energy. An all-zero template is not live; it scores
-    0 against every image.
+    0 against every image. ``slots`` maps each template to its row of
+    ``spectra`` and ``energy``, or to -1 if it is not live.
     """
 
     def __init__(self, templates: np.ndarray, image_shape: tuple[int, int]):
@@ -121,6 +96,8 @@ class _TemplateBank:
         self.shape = templates.shape[1:]
         self.image_shape = tuple(image_shape)
         self.live = np.flatnonzero(energy > 0.0)
+        self.slots = np.full(self.count, -1)
+        self.slots[self.live] = np.arange(self.live.size)
         self.energy = energy[self.live]
         self.spectra = np.conj(np.fft.rfft2(templates[self.live], s=self.image_shape))
 
@@ -137,32 +114,50 @@ def _pruned_irfft2(spec: np.ndarray, image_shape: tuple[int, int], template_shap
     return np.fft.irfft(rows, n=w, axis=-1)[..., : w - b + 1]
 
 
-def _ncc_bank(
-    bank: _TemplateBank, spectra: np.ndarray, win: np.ndarray, valid: np.ndarray
+def _ncc_planes(
+    bank: _TemplateBank, slots: np.ndarray, spectra: np.ndarray, win: np.ndarray, valid: np.ndarray
 ) -> np.ndarray:
-    """``ncc`` of every template of a bank against every image of a stack.
-
-    The bank holds T templates of shape (a, b) for images of shape
-    (H, W). The n images are given by their spectra
-    ``np.fft.rfft2(image)``, (n, H, W//2 + 1), by their window energies
-    for the templates' shape, ``win = _window_energy(image, (a, b))``,
-    and by ``valid = _valid_windows(win)``, so all three can be computed
-    once per image and reused. Returns (T, n). The numerator is a
-    circular cross-correlation taken from FFTs (J. P. Lewis, "Fast
-    Normalized Cross-Correlation", 1995); every valid placement lies
-    inside the image, so it never wraps. The inverse transform
-    (``_pruned_irfft2``) computes only the (H - a + 1, W - b + 1) valid
-    placements. The rest is the arithmetic of ``ncc``: the
-    same zero-energy mask per image, 0 for an all-zero template, and a
-    clip to [0, 1]. Images and templates are taken in chunks of about
-    ``_PLANES`` correlation planes.
-    """
-    (h, w), (a, b), n = bank.image_shape, bank.shape, len(spectra)
+    """Scores of the live templates ``bank.spectra[slots]`` against
+    images given as ``_ncc_bank`` takes them, one correlation plane per
+    broadcast (template, image) pair: ``slots`` of shape (T, 1) against
+    n images give (T, n) scores, and ``slots`` of shape (n,) one score
+    per image."""
+    (h, w), (a, b) = bank.image_shape, bank.shape
     if spectra.shape[1:] != (h, w // 2 + 1) or win.shape[1:] != (h - a + 1, w - b + 1):
         raise ValueError(
             f"image spectra {spectra.shape[1:]} and windows {win.shape[1:]} do not fit "
             f"a bank of {bank.shape} templates for {bank.image_shape} images"
         )
+    num = _pruned_irfft2(bank.spectra[slots] * spectra, (h, w), (a, b))
+    denom = np.sqrt(bank.energy[slots][..., None, None] * win)
+    # Masked windows score -inf, so an image with no valid window clips to 0.
+    ratio = np.divide(num, denom, out=np.full(num.shape, -np.inf), where=valid)
+    return np.clip(np.max(ratio, axis=(-2, -1)), 0.0, 1.0)
+
+
+def _ncc_bank(
+    bank: _TemplateBank, spectra: np.ndarray, win: np.ndarray, valid: np.ndarray
+) -> np.ndarray:
+    """Normalized cross-correlation of every template of a bank against
+    every image of a stack, maximized over placements.
+
+    A placement scores sum(T*I) / sqrt(sum(T^2) * sum(I^2)), the sums
+    running over the template window. The bank holds T templates of
+    shape (a, b) for images of shape (H, W). The n images are given by
+    their spectra ``np.fft.rfft2(image)``, (n, H, W//2 + 1), by their
+    window energies for the templates' shape,
+    ``win = _window_energy(image, (a, b))``, and by
+    ``valid = _valid_windows(win)``, so all three can be computed once
+    per image and reused. Returns (T, n). The numerator is a circular
+    cross-correlation taken from FFTs (J. P. Lewis, "Fast Normalized
+    Cross-Correlation", 1995); every valid placement lies inside the
+    image, so it never wraps. The inverse transform (``_pruned_irfft2``)
+    computes only the (H - a + 1, W - b + 1) valid placements. Windows
+    outside ``valid`` are skipped, an all-zero template scores 0, and
+    scores are clipped to [0, 1]. Images and templates are taken in
+    chunks of about ``_PLANES`` correlation planes.
+    """
+    n = len(spectra)
     scores = np.zeros((bank.count, n))
     if bank.live.size == 0 or n == 0:
         return scores
@@ -171,12 +166,8 @@ def _ncc_bank(
     for i in range(0, n, n_step):
         img = slice(i, i + n_step)
         for j in range(0, bank.live.size, t_step):
-            tpl = slice(j, j + t_step)
-            num = _pruned_irfft2(bank.spectra[tpl, None] * spectra[img], (h, w), (a, b))
-            denom = np.sqrt(bank.energy[tpl, None, None, None] * win[img])
-            # Masked windows score -inf, so an image with no valid window clips to 0.
-            ratio = np.divide(num, denom, out=np.full(num.shape, -np.inf), where=valid[img])
-            scores[bank.live[tpl], img] = np.clip(np.max(ratio, axis=(2, 3)), 0.0, 1.0)
+            slots = np.arange(j, min(j + t_step, bank.live.size))
+            scores[bank.live[slots], img] = _ncc_planes(bank, slots[:, None], spectra[img], win[img], valid[img])
     return scores
 
 
@@ -194,19 +185,17 @@ def extract_templates(image: np.ndarray, size: tuple[int, int], founder_id: int 
     )
 
 
-def _pair_score(pair: TemplatePair, image: np.ndarray) -> float:
-    """min of the two template matches; both corners must agree."""
-    return min(ncc(pair.t1, image), ncc(pair.t2, image))
-
-
-def _pair_banks(pairs: list[TemplatePair], image_shape: tuple[int, int]) -> _TemplateBank:
-    """The templates of ``pairs`` as one bank for images of
-    ``image_shape``, their t1 and t2 interleaved. Every template must
-    have one shape."""
+def _corner_banks(pairs: list[TemplatePair], image_shape: tuple[int, int]) -> tuple[_TemplateBank, _TemplateBank]:
+    """The t1 templates of ``pairs`` as one bank for images of
+    ``image_shape``, and their t2 templates as another. Every template
+    must have one shape."""
     shapes = {t.shape for pair in pairs for t in (pair.t1, pair.t2)}
     if len(shapes) > 1:
         raise ValueError(f"founder templates of more than one shape: {sorted(shapes)}")
-    return _TemplateBank(np.stack([t for pair in pairs for t in (pair.t1, pair.t2)]), image_shape)
+    return (
+        _TemplateBank(np.stack([pair.t1 for pair in pairs]), image_shape),
+        _TemplateBank(np.stack([pair.t2 for pair in pairs]), image_shape),
+    )
 
 
 class _ImageStacks:
@@ -254,19 +243,28 @@ class _ImageStacks:
         win, valid = self._win(bank.shape)
         return _ncc_bank(bank, self._spectra[rows], win[rows], valid[rows])
 
-    def corner_banks(self, pair: TemplatePair) -> tuple[_TemplateBank, _TemplateBank]:
-        """The banks of a pair's t1 and of its t2, in the order
-        ``pair_hits`` and ``first_hit`` take them."""
-        return _TemplateBank(pair.t1[None], self.shape), _TemplateBank(pair.t2[None], self.shape)
+    def _score_pairs(self, bank: _TemplateBank, templates: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The ``_ncc_bank`` score of template ``templates[k]`` of a bank
+        against listed image ``rows[k]``, for each k, ``_PLANES`` pairs
+        at a time."""
+        win, valid = self._win(bank.shape)
+        slots = bank.slots[templates]
+        scores = np.zeros(len(rows))
+        live = np.flatnonzero(slots >= 0)  # an all-zero template scores 0
+        for j in range(0, live.size, _PLANES):
+            k = live[j : j + _PLANES]
+            r = rows[k]
+            scores[k] = _ncc_planes(bank, slots[k], self._spectra[r], win[r], valid[r])
+        return scores
 
     def pair_hits(
         self, banks: tuple[_TemplateBank, _TemplateBank], indices: np.ndarray, tau: float
     ) -> np.ndarray:
-        """Whether ``_pair_score(pair, image) >= tau`` for each listed
-        image, the pair given by its ``corner_banks``.
+        """Whether a pair's score, the smaller of its two template
+        scores, reaches ``tau`` for each listed image, the pair given by
+        its ``_corner_banks``.
 
-        The pair score is the smaller of the two template scores, so t2
-        is only scored on the images where t1 already reaches ``tau``.
+        t2 is only scored on the images where t1 already reaches ``tau``.
         """
         hits = np.zeros(len(indices), dtype=bool)
         here = np.arange(len(indices))
@@ -295,12 +293,44 @@ class _ImageStacks:
             start, step = start + step, 2 * step
         return None
 
-    def pair_scores(self, bank: _TemplateBank, indices: np.ndarray) -> np.ndarray:
-        """``_pair_score(pair, image)`` of every pair of a ``_pair_banks``
-        bank against each listed image, shape (pairs, len(indices)),
-        from one ``_ncc_bank`` call."""
-        both = self._score(bank, indices)
-        return np.minimum(both[0::2], both[1::2])
+
+def _best_pairs(banks: tuple[_TemplateBank, _TemplateBank], images: list[np.ndarray]) -> np.ndarray:
+    """For each image, the first founder with the best pair score,
+    ``min(t1 score, t2 score)``, the founders given by their
+    ``_corner_banks``: ``np.argmax`` of the full pair scores along the
+    founders, without scoring them all.
+
+    A founder's t1 score bounds its pair score from above (Mattoccia
+    et al., "Fast full-search equivalent template matching by enhanced
+    bounded correlation", TIP 2008). Every t1 is scored; t2 is scored
+    in descending t1 order, founder order breaking ties, one founder
+    per image per round. An image stops at the first founder whose t1
+    score can neither beat the best pair score found so far nor tie it
+    from an earlier founder; no later founder can either, so the first
+    maximum is that of the full scores. With one founder nothing is
+    scored, not even the images' spectra, and every image gets
+    founder 0.
+    """
+    t1, t2 = banks
+    if t1.count == 1:
+        return np.zeros(len(images), dtype=int)
+    stacks = _ImageStacks(images)
+    cols = np.arange(len(images))
+    s1 = stacks._score(t1, cols)
+    order = np.argsort(-s1, axis=0, kind="stable")
+    choice = order[0].copy()
+    best = np.minimum(s1[choice, cols], stacks._score_pairs(t2, choice, cols))
+    live = cols
+    for rank in order[1:]:
+        bound = s1[rank[live], live]
+        live = live[(bound > best[live]) | ((bound == best[live]) & (rank[live] < choice[live]))]
+        if live.size == 0:
+            break
+        f = rank[live]
+        pair = np.minimum(s1[f, live], stacks._score_pairs(t2, f, live))
+        wins = (pair > best[live]) | ((pair == best[live]) & (f < choice[live]))
+        best[live[wins]], choice[live[wins]] = pair[wins], f[wins]
+    return choice
 
 
 def match_within(
@@ -334,7 +364,7 @@ def match_within(
         if labels[i] != UNLABELED:
             continue
         pair = extract_templates(images[i], size, founder_id=i)
-        banks = stacks.corner_banks(pair)
+        banks = _corner_banks([pair], stacks.shape)
         labels[i] = class_num
         later = i + 1 + np.flatnonzero(labels[i + 1 :] == UNLABELED)
         recruits = later[stacks.pair_hits(banks, later, tau_in)]
@@ -396,7 +426,7 @@ def match_between(labeling: CfrLabeling, tau_out: float) -> CfrLabeling:
     for i in cats:
         root = find(i)
         others = np.flatnonzero([find(c) != root for c in cats])
-        banks = stacks.corner_banks(labeling.founders[i])
+        banks = _corner_banks([labeling.founders[i]], stacks.shape)
         for b in others[stacks.pair_hits(banks, others, tau_out)]:
             union(i, cats[b])
 

@@ -20,16 +20,18 @@ from amdnloc.channel import (
     dft_matrices,
     render_image,
 )
+from amdnloc import localizer
 from amdnloc.cli import main as cli_main
-from amdnloc.evaluate import _split, default_config, run_pipeline
+from amdnloc.evaluate import _split, default_config, run_pipeline, segment
 from amdnloc.fusion import cleanse, fuse_labels
 from amdnloc.localizer import (
     apply_weights,
     fit_region_weights,
+    locate,
     sample_features,
     train,
 )
-from amdnloc.scenegen import Rect, SceneConfig, build_dataset, scene_to_json
+from amdnloc.scenegen import Rect, SceneConfig, build_dataset, nlos_filter, scene_from_json, scene_to_json
 from amdnloc.segmentation_adcam import (
     build_features,
     calinski_harabasz,
@@ -39,13 +41,18 @@ from amdnloc.segmentation_adcam import (
     silhouette,
 )
 from amdnloc.segmentation_cfr import (
+    _best_pairs,
     _ImageStacks,
+    _ncc_bank,
+    _TemplateBank,
+    _valid_windows,
+    _window_energy,
     extract_templates,
     match_between,
     match_within,
-    ncc,
     segment_cfr,
 )
+from oracles import pair_scores
 
 # ---------------------------------------------------------------------------
 # shared oracles
@@ -173,9 +180,17 @@ def test_measured_dataset_results_out_of_scope():
 # 2. template matching against the brute-force scan
 
 
+def bank_ncc(template: np.ndarray, source: np.ndarray) -> float:
+    """The package's one template scorer, ``_ncc_bank``, on one template
+    and one image."""
+    win = _window_energy(source[None], template.shape)
+    bank = _TemplateBank(template[None], source.shape)
+    return float(_ncc_bank(bank, np.fft.rfft2(source[None]), win, _valid_windows(win))[0, 0])
+
+
 def test_ncc_matches_brute_force_scan():
     """200 random pairs agree with the literal scan. The time bound is on
-    the package's ``ncc`` calls alone; the Python oracle is left off the
+    the package's scorer calls alone; the Python oracle is left off the
     clock because its own cost says nothing about the package."""
     rng = np.random.default_rng(0)
     spent = 0.0
@@ -183,7 +198,7 @@ def test_ncc_matches_brute_force_scan():
         t = rng.uniform(0.0, 1.0, (16, 16))
         s = rng.uniform(0.0, 1.0, (64, 64))
         t0 = time.perf_counter()
-        got = ncc(t, s)
+        got = bank_ncc(t, s)
         spent += time.perf_counter() - t0
         assert got == pytest.approx(ncc_oracle(t, s), abs=1e-9)
     assert spent < 5.0
@@ -320,9 +335,8 @@ def _retained_error(train_s, test_s, lab, founders, cmodel, std, min_count):
         ridge_lambda=HETERO_CONFIG["ridge_lambda"],
     )
     # the CFR label: the first best-scoring founder in model.founders order
-    stacks = _ImageStacks([render_image(s.cfr, "cfr_magnitude") for s in test_s])
-    scores = stacks.pair_scores(model.founder_bank, np.arange(len(test_s)))
-    cfr_labels = np.array(list(model.founders))[np.argmax(scores, axis=0)]
+    best = _best_pairs(model.corner_banks, [render_image(s.cfr, "cfr_magnitude") for s in test_s])
+    cfr_labels = np.array(list(model.founders))[best]
     errs = []
     for s, c in zip(test_s, cfr_labels):
         kf = model.adcam_standardizer.apply(path_descriptor(s, "strongest"))
@@ -422,3 +436,50 @@ def test_pipeline_runs_are_byte_identical(tmp_path):
     assert cli_main(["pipeline", "--config", str(cfg_path), "--out", str(out_b)]) == 0
     for name in ("report.json", "region_map.csv"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# 11. routing on the benchmark scenes equals full founder scoring
+
+# The configs of the two benchmark workloads: HETERO_CONFIG, and the same
+# buildings on a 3.5 m grid with one global region.
+BENCHMARK_CONFIGS = {
+    "dense-global": {
+        **HETERO_CONFIG,
+        "scene": {**HETERO_CONFIG["scene"], "grid_spacing_m": 3.5},
+        "single_region": True,
+    },
+    "hetero-segmented": HETERO_CONFIG,
+}
+
+
+def _pipeline_model(cfg):
+    """The model that ``run_pipeline(cfg)`` trains, and its held-out samples."""
+    scene = scene_from_json(cfg["scene"])
+    scene.seed = cfg["seed"]
+    samples = nlos_filter(build_dataset(scene), cfg["nlos_mode"])
+    tr, te = _split(len(samples), cfg["train_fraction"], cfg["seed"])
+    train_s = [samples[i] for i in tr]
+    regions, founders, centroids, std = segment(train_s, cfg)
+    model = train(
+        train_s, regions, founders, centroids, std,
+        path_select=cfg["path_select"], ridge_lambda=cfg["ridge_lambda"],
+    )
+    return model, [samples[i] for i in te]
+
+
+@pytest.mark.parametrize("name", list(BENCHMARK_CONFIGS))
+def test_locate_equals_full_scoring_on_benchmark_scenes(name, monkeypatch):
+    model, test_s = _pipeline_model(BENCHMARK_CONFIGS[name])
+    xy, regions = locate(model, test_s)
+    pairs = list(model.founders.values())
+
+    def full_scoring(banks, images):
+        return np.argmax(pair_scores(_ImageStacks(images), pairs, np.arange(len(images))), axis=0)
+
+    monkeypatch.setattr(localizer, "_best_pairs", full_scoring)
+    want_xy, want_regions = locate(model, test_s)
+    assert regions == want_regions
+    assert np.array_equal(xy, want_xy)
+    if not BENCHMARK_CONFIGS[name].get("single_region"):
+        assert len(pairs) > 1 and len(set(regions)) > 1

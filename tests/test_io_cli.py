@@ -66,6 +66,52 @@ class TestBinaryFormat:
             dio._read_bin(tmp_path / "cfr.bin", complex_data=True)
 
 
+def write_bin_oracle(path, arrays, complex_data):
+    """The per-sample writer: one interleave copy and ``tobytes`` per sample."""
+    count = len(arrays)
+    nt, nc = arrays[0].shape if count else (0, 0)
+    with open(path, "wb") as fh:
+        fh.write(dio.MAGIC + np.array([dio.FORMAT_VERSION, count, nt, nc], dtype="<u4").tobytes())
+        for a in arrays:
+            if complex_data:
+                inter = np.empty((a.shape[0], a.shape[1], 2), dtype="<f4")
+                inter[..., 0] = a.real
+                inter[..., 1] = a.imag
+                fh.write(inter.tobytes())
+            else:
+                fh.write(np.asarray(a, dtype="<f4").tobytes())
+
+
+# values float32 rounds to nearest even, overflows, flushes or keeps signed
+_SPECIAL = [-0.0, np.nan, np.inf, -np.inf, 1e-46, 7e-46, 1e39, -3.4028236e38, 1.0 + 2.0**-24, 1.0 + 3 * 2.0**-25]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(st.sampled_from([0, 1, 63, 64, 65, 128, 129]), st.integers(0, 200)),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.sampled_from([1.0, 1e-42, 1e38]),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.sampled_from(_SPECIAL), max_size=6),
+)
+def test_write_bin_matches_the_per_sample_writer(count, nt, nc, scale, seed, specials):
+    rng = np.random.default_rng(seed)
+    values = scale * rng.normal(size=(count, nt, nc, 2))
+    flat = values.reshape(-1)  # a view, so the specials land in values
+    if flat.size:
+        flat[rng.integers(0, flat.size, len(specials))] = specials
+    cfr = list(values.view(complex)[..., 0])  # re and im exactly as drawn
+    adcam = list(values[..., 0])
+    # the planted overflows and infinities warn in both writers
+    with tempfile.TemporaryDirectory() as tmp, np.errstate(over="ignore", invalid="ignore"):
+        for arrays, complex_data in ((cfr, True), (adcam, False)):
+            got, want = Path(tmp) / "got.bin", Path(tmp) / "want.bin"
+            dio._write_bin(got, arrays, complex_data)
+            write_bin_oracle(want, arrays, complex_data)
+            assert got.read_bytes() == want.read_bytes()
+
+
 # float32 values, so a dataset reads back exactly as written
 _f32 = st.floats(-1e6, 1e6, width=32)
 _angle = st.floats(0.0625, 3.125, width=32)

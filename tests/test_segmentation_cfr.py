@@ -13,11 +13,11 @@ from amdnloc.segmentation_cfr import (
     UNLABELED,
     CfrLabeling,
     TemplatePair,
+    _best_pairs,
+    _corner_banks,
     _ImageStacks,
     _TemplateBank,
     _ncc_bank,
-    _pair_banks,
-    _pair_score,
     _pruned_irfft2,
     _reindex,
     _valid_windows,
@@ -25,9 +25,9 @@ from amdnloc.segmentation_cfr import (
     extract_templates,
     match_between,
     match_within,
-    ncc,
     segment_cfr,
 )
+from oracles import ncc, pair_score, pair_scores
 
 
 def ncc_oracle(template, source):
@@ -334,16 +334,16 @@ def test_ncc_bank_matches_ncc(case, planes):
             for k, t in enumerate(templates)
         ]
         indices = np.arange(len(stack))[::-1]
-        scores = _ImageStacks(list(stack)).pair_scores(_pair_banks(pairs, stack.shape[1:]), indices)
+        scores = pair_scores(_ImageStacks(list(stack)), pairs, indices)
     assert got.shape == (len(templates), len(stack))
     for tpl, row in zip(templates, got):
         for score, img in zip(row, stack):
             assert score == pytest.approx(ncc(tpl, img), abs=1e-9)
-    # the routing scorer gives the scalar pair score, in the order of the
-    # listed indices
+    # the full-scoring routing oracle gives the scalar pair score, in the
+    # order of the listed indices
     assert scores.shape == (len(pairs), len(indices))
     for pair, row in zip(pairs, scores):
-        assert row == pytest.approx([_pair_score(pair, stack[i]) for i in indices], abs=1e-9)
+        assert row == pytest.approx([pair_score(pair, stack[i]) for i in indices], abs=1e-9)
 
 
 def test_stacks_and_banks_reject_mixed_shapes():
@@ -353,11 +353,13 @@ def test_stacks_and_banks_reject_mixed_shapes():
         _ImageStacks(images)
     pairs = [extract_templates(images[i], size, founder_id=i) for i, size in [(0, (8, 8)), (2, (5, 7)), (2, (8, 8))]]
     with pytest.raises(ValueError, match=r"more than one shape.*\(5, 7\), \(8, 8\)"):
-        _pair_banks(pairs, (16, 16))
-    # a bank of one shape scores a stack of another image shape not at all
+        _corner_banks(pairs, (16, 16))
+    # banks of one image shape score a stack of another image shape not at all
     stacks = _ImageStacks([images[0], images[2]])
     with pytest.raises(ValueError, match=r"\(12, 18\) images"):
-        stacks.pair_scores(_pair_banks([pairs[0]], (12, 18)), np.array([0, 1]))
+        stacks.pair_hits(_corner_banks([pairs[0]], (12, 18)), np.array([0, 1]), 0.5)
+    with pytest.raises(ValueError, match=r"\(12, 18\) images"):
+        _best_pairs(_corner_banks([pairs[0], pairs[2]], (12, 18)), [images[0], images[2]])
 
 
 def test_ncc_bank_oversize_template_rejected():
@@ -425,8 +427,8 @@ def test_image_stacks_match_pair_score(case, planes, tau):
     # few images per chunk, so the spectrum and energy builds cross chunks
     with mock.patch.object(segmentation_cfr, "_PLANES", planes):
         stacks = _ImageStacks(images)
-        scores = stacks.pair_scores(_pair_banks(pairs, images[0].shape), indices)
-        banks = [stacks.corner_banks(pair) for pair in pairs]
+        scores = pair_scores(stacks, pairs, indices)
+        banks = [_corner_banks([pair], stacks.shape) for pair in pairs]
         hits = [stacks.pair_hits(b, indices, tau) for b in banks]
         firsts = [stacks.first_hit(b, indices, tau) for b in banks]
     for n, img in enumerate(images):
@@ -435,11 +437,86 @@ def test_image_stacks_match_pair_score(case, planes, tau):
     for pair, row, hit, first in zip(pairs, scores, hits, firsts):
         # the run-by-run scan stops at the first image the full scan holds
         assert first == (int(indices[hit][0]) if hit.any() else None)
-        want = np.array([_pair_score(pair, images[i]) for i in indices])
+        want = np.array([pair_score(pair, images[i]) for i in indices])
         assert row == pytest.approx(want, abs=1e-9)
         # a score within the bound of tau may fall on either side of it
         clear = np.abs(want - tau) > 1e-9
         np.testing.assert_array_equal(hit[clear], (want >= tau)[clear])
+
+
+@st.composite
+def _routing_case(draw):
+    """Images as ``_images_and_pairs`` draws them, and founders among
+    which some repeat an earlier founder exactly, so their scores tie,
+    and some have an all-zero corner or two."""
+    images, pairs, _ = draw(_images_and_pairs())
+    founders = list(pairs)
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["repeat", "zero t1", "zero t2", "zero"]))
+        base = draw(st.sampled_from(founders))
+        zero = np.zeros(base.size)
+        t1 = zero if kind in ("zero t1", "zero") else base.t1
+        t2 = zero if kind in ("zero t2", "zero") else base.t2
+        at = draw(st.integers(0, len(founders)))
+        founders.insert(at, TemplatePair(t1=t1, t2=t2, size=base.size, founder_id=len(founders)))
+    return images, founders
+
+
+@settings(max_examples=200, deadline=None)
+@given(_routing_case(), st.integers(1, 5))
+def test_best_pairs_equal_argmax_of_full_scores(case, planes):
+    images, founders = case
+    # few planes per temporary, so both the t1 bank and the pair scoring chunk
+    with mock.patch.object(segmentation_cfr, "_PLANES", planes):
+        got = _best_pairs(_corner_banks(founders, images[0].shape), images)
+        stacks = _ImageStacks(images)
+        cols = np.arange(len(images))
+        full = pair_scores(stacks, founders, cols)
+        # the pairwise scores are bit-equal to the whole-bank ones, so
+        # exact ties between founders fall the same way
+        t2 = _corner_banks(founders, stacks.shape)[1]
+        f, i = np.divmod(np.arange(len(founders) * len(images)), len(images))
+        assert np.array_equal(stacks._score_pairs(t2, f, i), stacks._score(t2, cols)[f, i])
+    assert np.array_equal(got, np.argmax(full, axis=0))
+
+
+def test_best_pairs_tie_goes_to_the_first_founder():
+    rng = np.random.default_rng(19)
+    images = [rng.random((12, 12)) for _ in range(4)]
+    pairs = [extract_templates(img, (5, 5), founder_id=k) for k, img in enumerate(images)]
+    # founders 1 and 3 repeat founders 0 and 2, so each pair of copies ties
+    founders = [pairs[0], pairs[0], pairs[2], pairs[2], pairs[1], pairs[3]]
+    assert _best_pairs(_corner_banks(founders, (12, 12)), images).tolist() == [0, 4, 2, 5]
+
+
+def test_best_pairs_score_a_second_corner_only_where_it_can_win():
+    rng = np.random.default_rng(20)
+    images = [rng.random((12, 12)) for _ in range(6)]
+    founders = [extract_templates(img, (5, 5), founder_id=k) for k, img in enumerate(images)]
+    images.append(np.zeros((12, 12)))  # every founder scores 0 on it and ties
+    scored = []
+    score_pairs = _ImageStacks._score_pairs
+
+    def counted(self, bank, templates, rows):
+        scored.extend(zip(templates.tolist(), rows.tolist()))
+        return score_pairs(self, bank, templates, rows)
+
+    with mock.patch.object(_ImageStacks, "_score_pairs", counted):
+        got = _best_pairs(_corner_banks(founders, (12, 12)), images)
+    # each image's own founder scores about 1 and no other t1 comes near;
+    # on the zero image no later founder can beat the first one's tie
+    assert got.tolist() == [0, 1, 2, 3, 4, 5, 0]
+    assert sorted(scored) == sorted([(k, k) for k in range(6)] + [(0, 6)])
+
+
+def test_best_pairs_of_one_founder_score_nothing():
+    rng = np.random.default_rng(21)
+    images = [rng.random((8, 8)) for _ in range(3)]
+    banks = _corner_banks([extract_templates(images[0], (4, 4))], (8, 8))
+    with mock.patch.object(segmentation_cfr, "_ImageStacks") as stacks:
+        got = _best_pairs(banks, images)
+    assert got.tolist() == [0, 0, 0] and got.dtype.kind == "i"
+    stacks.assert_not_called()
 
 
 def test_image_stacks_keep_spectra_not_images():
@@ -476,12 +553,12 @@ def match_within_oracle(images, tau_in, size):
         for j in range(i + 1, m):
             if labels[j] != UNLABELED:
                 continue
-            if _pair_score(pair, images[j]) >= tau_in:
+            if pair_score(pair, images[j]) >= tau_in:
                 labels[j] = class_num
                 recruited = True
         if not recruited:
             for k in range(i):
-                if _pair_score(pair, images[k]) >= tau_in:
+                if pair_score(pair, images[k]) >= tau_in:
                     labels[i] = labels[k]
                     break
         if labels[i] == class_num:
@@ -515,7 +592,7 @@ def match_between_oracle(labeling, tau_out, memo):
                 continue
             key = (labeling.founders[i].founder_id, labeling.founders[j].founder_id)
             if key not in memo:
-                memo[key] = _pair_score(labeling.founders[i], labeling.images[key[1]])
+                memo[key] = pair_score(labeling.founders[i], labeling.images[key[1]])
             if memo[key] >= tau_out:
                 union(i, j)
 
