@@ -36,6 +36,6 @@ within = match_within(images, tau_in=0.97, size=(8, 8))
 print(f"stage one: {within.class_count} categories")
 
 for tau_out in (0.99, 0.95, 0.9):
-    merged = match_between(within, tau_out)
+    merged = match_between(within, images, tau_out)
     sizes = sorted(collections.Counter(merged.labels.tolist()).values(), reverse=True)
     print(f"tau_out={tau_out}: {merged.class_count} categories, largest {sizes[:5]}")

@@ -261,7 +261,10 @@ def locate(model: LocalizationModel, samples) -> tuple[np.ndarray, list[int]]:
     a one-founder model transforms no image at all. Each magnitude
     image is rendered once, with the features, ``_PLANES`` samples at
     a time. Every sample's CFR must have the model's shape (nt, nc).
+    No samples give an empty (0, 2) array and no regions.
     """
+    if not samples:
+        return np.empty((0, 2)), []
     shape = (model.config.nt, model.config.nc)
     for s in samples:
         if s.cfr.shape != shape:

@@ -9,7 +9,7 @@ pixels, so values live in [0, 1].
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -45,7 +45,6 @@ class CfrLabeling:
     labels: np.ndarray  # int array, one label per sample
     founders: dict[int, TemplatePair]
     class_count: int
-    images: list[np.ndarray] = field(default_factory=list)
 
 
 def _window_energy(source: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -63,8 +62,8 @@ def _check_fits(template_shape: tuple[int, ...], source_shape: tuple[int, ...]):
         )
 
 
-# Image planes in one FFT temporary of ``_ncc_bank``, and images per chunk
-# when ``_ImageStacks`` builds spectra and window energies; bounds their memory.
+# Image planes in one FFT temporary of ``_ImageStacks._score``, and images
+# per chunk when ``_ImageStacks`` is built; bounds their memory.
 _PLANES = 64
 
 
@@ -80,26 +79,19 @@ class _TemplateBank:
     """Templates of one shape, kept as their spectra for images of one shape.
 
     The counterpart of ``_ImageStacks`` on the template side: the
-    conjugated ``rfft2`` of every live template, zero-padded to
+    conjugated ``rfft2`` of every template, zero-padded to
     ``image_shape``, is taken once, when the bank is built, with each
-    live template's energy. An all-zero template is not live; it scores
-    0 against every image. ``slots`` maps each template to its row of
-    ``spectra`` and ``energy``, or to -1 if it is not live.
+    template's energy.
     """
 
     def __init__(self, templates: np.ndarray, image_shape: tuple[int, int]):
         templates = np.asarray(templates, dtype=float)
         _check_fits(templates.shape[1:], image_shape)
         flat = templates.reshape(len(templates), -1)
-        energy = np.sum(flat * flat, axis=1)
-        self.count = len(templates)
         self.shape = templates.shape[1:]
         self.image_shape = tuple(image_shape)
-        self.live = np.flatnonzero(energy > 0.0)
-        self.slots = np.full(self.count, -1)
-        self.slots[self.live] = np.arange(self.live.size)
-        self.energy = energy[self.live]
-        self.spectra = np.conj(np.fft.rfft2(templates[self.live], s=self.image_shape))
+        self.energy = np.sum(flat * flat, axis=1)
+        self.spectra = np.conj(np.fft.rfft2(templates, s=self.image_shape))
 
 
 def _pruned_irfft2(spec: np.ndarray, image_shape: tuple[int, int], template_shape: tuple[int, ...]) -> np.ndarray:
@@ -115,60 +107,33 @@ def _pruned_irfft2(spec: np.ndarray, image_shape: tuple[int, int], template_shap
 
 
 def _ncc_planes(
-    bank: _TemplateBank, slots: np.ndarray, spectra: np.ndarray, win: np.ndarray, valid: np.ndarray
+    bank: _TemplateBank, templates: np.ndarray, spectra: np.ndarray, win: np.ndarray, valid: np.ndarray
 ) -> np.ndarray:
-    """Scores of the live templates ``bank.spectra[slots]`` against
-    images given as ``_ncc_bank`` takes them, one correlation plane per
-    broadcast (template, image) pair: ``slots`` of shape (T, 1) against
-    n images give (T, n) scores, and ``slots`` of shape (n,) one score
-    per image."""
-    (h, w), (a, b) = bank.image_shape, bank.shape
-    if spectra.shape[1:] != (h, w // 2 + 1) or win.shape[1:] != (h - a + 1, w - b + 1):
-        raise ValueError(
-            f"image spectra {spectra.shape[1:]} and windows {win.shape[1:]} do not fit "
-            f"a bank of {bank.shape} templates for {bank.image_shape} images"
-        )
-    num = _pruned_irfft2(bank.spectra[slots] * spectra, (h, w), (a, b))
-    denom = np.sqrt(bank.energy[slots][..., None, None] * win)
-    # Masked windows score -inf, so an image with no valid window clips to 0.
-    ratio = np.divide(num, denom, out=np.full(num.shape, -np.inf), where=valid)
-    return np.clip(np.max(ratio, axis=(-2, -1)), 0.0, 1.0)
-
-
-def _ncc_bank(
-    bank: _TemplateBank, spectra: np.ndarray, win: np.ndarray, valid: np.ndarray
-) -> np.ndarray:
-    """Normalized cross-correlation of every template of a bank against
-    every image of a stack, maximized over placements.
+    """Normalized cross-correlation of templates ``bank.spectra[templates]``
+    against images, maximized over placements, one correlation plane
+    per broadcast (template, image) pair: ``templates`` of shape (T, 1)
+    against n images give (T, n) scores, and ``templates`` of shape (n,)
+    one score per image.
 
     A placement scores sum(T*I) / sqrt(sum(T^2) * sum(I^2)), the sums
-    running over the template window. The bank holds T templates of
-    shape (a, b) for images of shape (H, W). The n images are given by
-    their spectra ``np.fft.rfft2(image)``, (n, H, W//2 + 1), by their
-    window energies for the templates' shape,
-    ``win = _window_energy(image, (a, b))``, and by
-    ``valid = _valid_windows(win)``, so all three can be computed once
-    per image and reused. Returns (T, n). The numerator is a circular
-    cross-correlation taken from FFTs (J. P. Lewis, "Fast Normalized
-    Cross-Correlation", 1995); every valid placement lies inside the
-    image, so it never wraps. The inverse transform (``_pruned_irfft2``)
-    computes only the (H - a + 1, W - b + 1) valid placements. Windows
-    outside ``valid`` are skipped, an all-zero template scores 0, and
-    scores are clipped to [0, 1]. Images and templates are taken in
-    chunks of about ``_PLANES`` correlation planes.
+    running over the template window. The images are given as
+    ``_ImageStacks`` keeps them: by their spectra ``np.fft.rfft2(image)``,
+    by their window energies ``win`` for the bank's template shape and
+    by the windows ``valid`` (``_valid_windows(win)``) that are scored.
+    The numerator is a circular cross-correlation taken from FFTs
+    (J. P. Lewis, "Fast Normalized Cross-Correlation", 1995); every
+    valid placement lies inside the image, so it never wraps, and the
+    inverse transform (``_pruned_irfft2``) computes only those
+    placements. Windows outside ``valid`` are skipped, an all-zero
+    template scores 0, and scores are clipped to [0, 1].
     """
-    n = len(spectra)
-    scores = np.zeros((bank.count, n))
-    if bank.live.size == 0 or n == 0:
-        return scores
-    n_step = min(n, _PLANES)
-    t_step = max(1, _PLANES // n_step)
-    for i in range(0, n, n_step):
-        img = slice(i, i + n_step)
-        for j in range(0, bank.live.size, t_step):
-            slots = np.arange(j, min(j + t_step, bank.live.size))
-            scores[bank.live[slots], img] = _ncc_planes(bank, slots[:, None], spectra[img], win[img], valid[img])
-    return scores
+    num = _pruned_irfft2(bank.spectra[templates] * spectra, bank.image_shape, bank.shape)
+    energy = bank.energy[templates][..., None, None]
+    denom = np.sqrt(energy * win)
+    # Masked windows score -inf, so an image with no valid window, or an
+    # all-zero template, clips to 0.
+    ratio = np.divide(num, denom, out=np.full(num.shape, -np.inf), where=valid & (energy > 0.0))
+    return np.clip(np.max(ratio, axis=(-2, -1)), 0.0, 1.0)
 
 
 def extract_templates(image: np.ndarray, size: tuple[int, int], founder_id: int = -1) -> TemplatePair:
@@ -199,62 +164,67 @@ def _corner_banks(pairs: list[TemplatePair], image_shape: tuple[int, int]) -> tu
 
 
 class _ImageStacks:
-    """Images of one shape, each kept as its spectrum.
+    """Images of one shape, kept as what templates of one shape score.
 
-    Every image's ``rfft2`` is taken once, when the stack is built, and
-    the spectra take the place of a stacked copy of the images. Window
-    energies and their zero-energy masks are cached per template shape
-    the first time that shape is scored. Both are built ``_PLANES``
-    images at a time from the caller's images, which are kept by
-    reference, so no second copy of all the images is ever made; they
-    must not change while the stack is in use.
+    Every image's ``rfft2``, its window energies for ``template_shape``
+    and their zero-energy mask are taken once, when the stack is built,
+    ``_PLANES`` images at a time, and take the place of a stacked copy
+    of the images.
     """
 
-    def __init__(self, images: list[np.ndarray]):
+    def __init__(self, images: list[np.ndarray], template_shape: tuple[int, int]):
         shapes = {np.shape(img) for img in images}
         if len(shapes) != 1:
             raise ValueError(f"images must have one shape, got {sorted(shapes)}")
-        self._images = list(images)
         self.shape = shapes.pop()
-        h, w = self.shape
+        self.template_shape = tuple(template_shape)
+        _check_fits(self.template_shape, self.shape)
+        (h, w), (a, b) = self.shape, self.template_shape
         self._spectra = np.empty((len(images), h, w // 2 + 1), dtype=complex)
-        for i, chunk in self._chunks():
-            self._spectra[i : i + len(chunk)] = np.fft.rfft2(chunk)
-        self._energy: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+        self._windows = np.empty((len(images), h - a + 1, w - b + 1))
+        self._valid = np.empty(self._windows.shape, dtype=bool)
+        for i in range(0, len(images), _PLANES):
+            chunk = np.array(images[i : i + _PLANES], dtype=float)
+            rows = slice(i, i + len(chunk))
+            self._spectra[rows] = np.fft.rfft2(chunk)
+            self._windows[rows] = _window_energy(chunk, self.template_shape)
+            self._valid[rows] = _valid_windows(self._windows[rows])
 
-    def _chunks(self):
-        """(offset, stacked float images) for every ``_PLANES`` images."""
-        for i in range(0, len(self._images), _PLANES):
-            yield i, np.array(self._images[i : i + _PLANES], dtype=float)
-
-    def _win(self, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """Window energies of the images for a template shape, and their mask."""
-        if shape not in self._energy:
-            _check_fits(shape, self.shape)
-            (h, w), (a, b) = self.shape, shape
-            win = np.empty((len(self._images), h - a + 1, w - b + 1))
-            for i, chunk in self._chunks():
-                win[i : i + len(chunk)] = _window_energy(chunk, shape)
-            self._energy[shape] = win, _valid_windows(win)
-        return self._energy[shape]
+    def _check(self, bank: _TemplateBank):
+        if (bank.image_shape, bank.shape) != (self.shape, self.template_shape):
+            raise ValueError(
+                f"{self.shape} images kept for {self.template_shape} templates do not fit "
+                f"a bank of {bank.shape} templates for {bank.image_shape} images"
+            )
 
     def _score(self, bank: _TemplateBank, rows: np.ndarray) -> np.ndarray:
-        """``_ncc_bank`` of a template bank against the listed images."""
-        win, valid = self._win(bank.shape)
-        return _ncc_bank(bank, self._spectra[rows], win[rows], valid[rows])
+        """``_ncc_planes`` of every template of a bank against every
+        listed image, (templates, len(rows)), taken in chunks of about
+        ``_PLANES`` correlation planes."""
+        self._check(bank)
+        # One gather of all listed rows, not one per chunk: a process's
+        # first scans then reuse the heap instead of faulting it in anew.
+        spectra, win, valid = self._spectra[rows], self._windows[rows], self._valid[rows]
+        count, n = len(bank.energy), len(rows)
+        scores = np.zeros((count, n))
+        n_step = max(1, min(n, _PLANES))
+        t_step = max(1, _PLANES // n_step)
+        for i in range(0, n, n_step):
+            img = slice(i, i + n_step)
+            for j in range(0, count, t_step):
+                templates = np.arange(j, min(j + t_step, count))
+                scores[templates, img] = _ncc_planes(bank, templates[:, None], spectra[img], win[img], valid[img])
+        return scores
 
     def _score_pairs(self, bank: _TemplateBank, templates: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """The ``_ncc_bank`` score of template ``templates[k]`` of a bank
-        against listed image ``rows[k]``, for each k, ``_PLANES`` pairs
-        at a time."""
-        win, valid = self._win(bank.shape)
-        slots = bank.slots[templates]
+        """The ``_score`` of template ``templates[k]`` of a bank against
+        listed image ``rows[k]``, for each k, ``_PLANES`` pairs at a time."""
+        self._check(bank)
         scores = np.zeros(len(rows))
-        live = np.flatnonzero(slots >= 0)  # an all-zero template scores 0
-        for j in range(0, live.size, _PLANES):
-            k = live[j : j + _PLANES]
+        for j in range(0, len(rows), _PLANES):
+            k = slice(j, j + _PLANES)
             r = rows[k]
-            scores[k] = _ncc_planes(bank, slots[k], self._spectra[r], win[r], valid[r])
+            scores[k] = _ncc_planes(bank, templates[k], self._spectra[r], self._windows[r], self._valid[r])
         return scores
 
     def pair_hits(
@@ -312,9 +282,9 @@ def _best_pairs(banks: tuple[_TemplateBank, _TemplateBank], images: list[np.ndar
     founder 0.
     """
     t1, t2 = banks
-    if t1.count == 1:
+    if len(t1.energy) == 1:
         return np.zeros(len(images), dtype=int)
-    stacks = _ImageStacks(images)
+    stacks = _ImageStacks(images, t1.shape)
     cols = np.arange(len(images))
     s1 = stacks._score(t1, cols)
     order = np.argsort(-s1, axis=0, kind="stable")
@@ -355,7 +325,7 @@ def match_within(
         raise ValueError("no images to segment")
     if not (0.0 < tau_in <= 1.0):
         raise ValueError(f"tau_in must lie in (0, 1], got {tau_in}")
-    stacks = _ImageStacks(images)
+    stacks = _ImageStacks(images, size)
     m = len(images)
     labels = np.full(m, UNLABELED, dtype=int)
     founders: dict[int, TemplatePair] = {}
@@ -376,7 +346,7 @@ def match_within(
         if labels[i] == class_num:
             founders[class_num] = pair
             class_num += 1
-    return CfrLabeling(labels=labels, founders=founders, class_count=class_num, images=list(images))
+    return CfrLabeling(labels=labels, founders=founders, class_count=class_num)
 
 
 def _reindex(labels: np.ndarray, founders: dict[int, TemplatePair]) -> tuple[np.ndarray, dict[int, TemplatePair]]:
@@ -391,11 +361,12 @@ def _reindex(labels: np.ndarray, founders: dict[int, TemplatePair]) -> tuple[np.
     return out, new_founders
 
 
-def match_between(labeling: CfrLabeling, tau_out: float) -> CfrLabeling:
+def match_between(labeling: CfrLabeling, images: list[np.ndarray], tau_out: float) -> CfrLabeling:
     """Stage two: merge categories whose founders match each other.
 
     The founder templates of category i are matched against the founder
-    image of category j; a score at or above ``tau_out`` links the two.
+    image of category j, ``images[founder_id]`` of the images the
+    labeling was made from; a score at or above ``tau_out`` links the two.
     Merging is the symmetric-transitive closure of those links (smaller
     id survives), which is already the fixpoint of repeated scanning.
 
@@ -422,7 +393,8 @@ def match_between(labeling: CfrLabeling, tau_out: float) -> CfrLabeling:
             parent[max(ra, rb)] = min(ra, rb)
 
     cats = sorted(labeling.founders)
-    stacks = _ImageStacks([labeling.images[labeling.founders[c].founder_id] for c in cats])
+    founder_images = [images[labeling.founders[c].founder_id] for c in cats]
+    stacks = _ImageStacks(founder_images, labeling.founders[cats[0]].size)
     for i in cats:
         root = find(i)
         others = np.flatnonzero([find(c) != root for c in cats])
@@ -433,12 +405,7 @@ def match_between(labeling: CfrLabeling, tau_out: float) -> CfrLabeling:
     merged = np.array([find(int(lab)) for lab in labeling.labels])
     root_founders = {find(c): labeling.founders[find(c)] for c in cats}
     new_labels, new_founders = _reindex(merged, root_founders)
-    return CfrLabeling(
-        labels=new_labels,
-        founders=new_founders,
-        class_count=len(new_founders),
-        images=labeling.images,
-    )
+    return CfrLabeling(labels=new_labels, founders=new_founders, class_count=len(new_founders))
 
 
 def segment_cfr(
@@ -448,4 +415,4 @@ def segment_cfr(
     size: tuple[int, int] = (16, 16),
 ) -> CfrLabeling:
     """Full two-stage segmentation of CFR magnitude images."""
-    return match_between(match_within(images, tau_in, size), tau_out)
+    return match_between(match_within(images, tau_in, size), images, tau_out)

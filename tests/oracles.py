@@ -45,8 +45,9 @@ def pair_score(pair, image: np.ndarray) -> float:
 
 def pair_scores(stacks, pairs, indices: np.ndarray) -> np.ndarray:
     """The pair score of every pair against each listed image of an
-    ``_ImageStacks``, shape (pairs, len(indices)): every template, t1
-    and t2 interleaved, scored in one bank call."""
+    ``_ImageStacks`` built for the pairs' template shape, shape
+    (pairs, len(indices)): every template, t1 and t2 interleaved, scored
+    in one ``_ImageStacks._score`` call."""
     bank = _TemplateBank(np.stack([t for pair in pairs for t in (pair.t1, pair.t2)]), stacks.shape)
     both = stacks._score(bank, indices)
     return np.minimum(both[0::2], both[1::2])

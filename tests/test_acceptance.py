@@ -43,10 +43,7 @@ from amdnloc.segmentation_adcam import (
 from amdnloc.segmentation_cfr import (
     _best_pairs,
     _ImageStacks,
-    _ncc_bank,
     _TemplateBank,
-    _valid_windows,
-    _window_energy,
     extract_templates,
     match_between,
     match_within,
@@ -59,23 +56,28 @@ from oracles import pair_scores
 
 
 def ncc_oracle(template: np.ndarray, source: np.ndarray) -> float:
-    """Literal sliding-window scan of the normalized cross-correlation."""
+    """Literal sliding-window scan of the normalized cross-correlation.
+
+    The window of placement (i, j) is gathered by explicit row indices
+    i..i+a-1 and column indices j..j+b-1, and its products and energy
+    are plain sums over it.
+    """
     a, b = template.shape
     t_energy = float(np.sum(template * template))
     if t_energy == 0.0:
         return 0.0
-    energies, scores = [], []
-    for i in range(source.shape[0] - a + 1):
-        for j in range(source.shape[1] - b + 1):
-            w = source[i : i + a, j : j + b]
-            we = float(np.sum(w * w))
-            energies.append(we)
-            scores.append(float(np.sum(template * w)) / np.sqrt(t_energy * we) if we > 0 else None)
-    emax = max(energies)
-    vals = [s for s, e in zip(scores, energies) if s is not None and e > 1e-12 * emax]
-    if not vals:
+    p, q = source.shape[0] - a + 1, source.shape[1] - b + 1
+    rows = np.arange(p)[:, None, None, None] + np.arange(a)[None, None, :, None]
+    cols = np.arange(q)[None, :, None, None] + np.arange(b)[None, None, None, :]
+    windows = source[rows, cols]  # (p, q, a, b)
+    energies = np.sum(windows * windows, axis=(2, 3))
+    products = np.sum(template * windows, axis=(2, 3))
+    # windows above 1e-12 of the largest energy, none when every one is empty
+    valid = energies > 1e-12 * energies.max()
+    if not valid.any():
         return 0.0
-    return min(max(max(vals), 0.0), 1.0)
+    best = float(np.max(products[valid] / np.sqrt(t_energy * energies[valid])))
+    return min(max(best, 0.0), 1.0)
 
 
 def silhouette_oracle(points, assignment):
@@ -181,11 +183,10 @@ def test_measured_dataset_results_out_of_scope():
 
 
 def bank_ncc(template: np.ndarray, source: np.ndarray) -> float:
-    """The package's one template scorer, ``_ncc_bank``, on one template
-    and one image."""
-    win = _window_energy(source[None], template.shape)
-    bank = _TemplateBank(template[None], source.shape)
-    return float(_ncc_bank(bank, np.fft.rfft2(source[None]), win, _valid_windows(win))[0, 0])
+    """The package's one template scorer, ``_ImageStacks._score``, on
+    one template and one image."""
+    stacks = _ImageStacks([source], template.shape)
+    return float(stacks._score(_TemplateBank(template[None], source.shape), np.arange(1))[0, 0])
 
 
 def test_ncc_matches_brute_force_scan():
@@ -304,13 +305,13 @@ def test_segmentation_invariants():
     within = match_within(images, 0.97, (8, 8))
     counts = []
     for tau_out in (0.99, 0.98, 0.95, 0.9):
-        merged = match_between(within, tau_out)
+        merged = match_between(within, images, tau_out)
         counts.append(merged.class_count)
         # totality: every image ends up labeled with a live category
         assert np.all(merged.labels >= 0)
         assert set(np.unique(merged.labels)) == set(merged.founders)
         # stage two is a fixpoint: merging again changes nothing
-        again = match_between(merged, tau_out)
+        again = match_between(merged, images, tau_out)
         assert np.array_equal(again.labels, merged.labels)
         assert again.class_count == merged.class_count
     # more permissive cross-category threshold can only merge further
@@ -475,7 +476,8 @@ def test_locate_equals_full_scoring_on_benchmark_scenes(name, monkeypatch):
     pairs = list(model.founders.values())
 
     def full_scoring(banks, images):
-        return np.argmax(pair_scores(_ImageStacks(images), pairs, np.arange(len(images))), axis=0)
+        stacks = _ImageStacks(images, pairs[0].size)
+        return np.argmax(pair_scores(stacks, pairs, np.arange(len(images))), axis=0)
 
     monkeypatch.setattr(localizer, "_best_pairs", full_scoring)
     want_xy, want_regions = locate(model, test_s)

@@ -423,6 +423,11 @@ class TestLocate:
             assert all(shape[1:] == (model.config.nt, model.config.nc) for shape in shapes)
             assert sum(shape[0] for shape in shapes) == len(test)
 
+    def test_no_samples_give_no_positions(self, held_out_model):
+        model, _ = held_out_model
+        xy, regions = locate(model, [])
+        assert xy.shape == (0, 2) and regions == []
+
     def test_sample_of_another_shape_rejected(self, held_out_model):
         model, test = held_out_model
         odd = dataclasses.replace(test[0], cfr=test[0].cfr[:, :-1])

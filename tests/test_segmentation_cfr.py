@@ -17,11 +17,8 @@ from amdnloc.segmentation_cfr import (
     _corner_banks,
     _ImageStacks,
     _TemplateBank,
-    _ncc_bank,
     _pruned_irfft2,
     _reindex,
-    _valid_windows,
-    _window_energy,
     extract_templates,
     match_between,
     match_within,
@@ -185,7 +182,7 @@ class TestMatchBetween:
         rng = np.random.default_rng(6)
         imgs = [rng.random((10, 10)) for _ in range(4)]
         lab = match_within(imgs, 0.9999, (6, 6))
-        merged = match_between(lab, 0.9999)
+        merged = match_between(lab, imgs, 0.9999)
         np.testing.assert_array_equal(merged.labels, lab.labels)
 
     def test_near_identical_founders_merge(self):
@@ -197,7 +194,7 @@ class TestMatchBetween:
         b = rng.random((10, 10))
         lab = match_within([a, b, a2], 0.999, (4, 4))
         assert lab.labels[0] != lab.labels[2]
-        merged = match_between(lab, 0.99)
+        merged = match_between(lab, [a, b, a2], 0.99)
         assert merged.labels[0] == merged.labels[2]
         assert merged.class_count == lab.class_count - 1
 
@@ -205,8 +202,8 @@ class TestMatchBetween:
         rng = np.random.default_rng(8)
         imgs = [rng.random((12, 12)) + 0.2 for _ in range(8)]
         lab = match_within(imgs, 0.995, (6, 6))
-        once = match_between(lab, 0.98)
-        twice = match_between(once, 0.98)
+        once = match_between(lab, imgs, 0.98)
+        twice = match_between(once, imgs, 0.98)
         np.testing.assert_array_equal(once.labels, twice.labels)
         assert once.class_count == twice.class_count
 
@@ -326,15 +323,14 @@ def test_ncc_bank_matches_ncc(case, planes):
     templates, stack = case
     # few planes per temporary, so the chunking over images and templates runs
     with mock.patch.object(segmentation_cfr, "_PLANES", planes):
-        win = _window_energy(stack, templates.shape[1:])
-        bank = _TemplateBank(templates, stack.shape[1:])
-        got = _ncc_bank(bank, np.fft.rfft2(stack), win, _valid_windows(win))
+        stacks = _ImageStacks(list(stack), templates.shape[1:])
+        got = stacks._score(_TemplateBank(templates, stack.shape[1:]), np.arange(len(stack)))
         pairs = [
             TemplatePair(t1=t, t2=t[::-1, ::-1].copy(), size=t.shape, founder_id=k)
             for k, t in enumerate(templates)
         ]
         indices = np.arange(len(stack))[::-1]
-        scores = pair_scores(_ImageStacks(list(stack)), pairs, indices)
+        scores = pair_scores(stacks, pairs, indices)
     assert got.shape == (len(templates), len(stack))
     for tpl, row in zip(templates, got):
         for score, img in zip(row, stack):
@@ -350,12 +346,12 @@ def test_stacks_and_banks_reject_mixed_shapes():
     rng = np.random.default_rng(16)
     images = [rng.random(shape) for shape in [(16, 16), (12, 18), (16, 16)]]
     with pytest.raises(ValueError, match=r"one shape.*\(12, 18\), \(16, 16\)"):
-        _ImageStacks(images)
+        _ImageStacks(images, (8, 8))
     pairs = [extract_templates(images[i], size, founder_id=i) for i, size in [(0, (8, 8)), (2, (5, 7)), (2, (8, 8))]]
     with pytest.raises(ValueError, match=r"more than one shape.*\(5, 7\), \(8, 8\)"):
         _corner_banks(pairs, (16, 16))
     # banks of one image shape score a stack of another image shape not at all
-    stacks = _ImageStacks([images[0], images[2]])
+    stacks = _ImageStacks([images[0], images[2]], (8, 8))
     with pytest.raises(ValueError, match=r"\(12, 18\) images"):
         stacks.pair_hits(_corner_banks([pairs[0]], (12, 18)), np.array([0, 1]), 0.5)
     with pytest.raises(ValueError, match=r"\(12, 18\) images"):
@@ -363,18 +359,39 @@ def test_stacks_and_banks_reject_mixed_shapes():
 
 
 def test_ncc_bank_oversize_template_rejected():
-    spectra = np.fft.rfft2(np.ones((2, 4, 6)))
+    # neither a stack nor a bank is built for templates larger than the images
     with pytest.raises(ValueError):
-        _ncc_bank(_TemplateBank(np.ones((1, 5, 5)), (4, 6)), spectra, np.ones((2, 1, 1)), np.ones((2, 1, 1), dtype=bool))
+        _ImageStacks(list(np.ones((2, 4, 6))), (5, 5))
+    with pytest.raises(ValueError):
+        _TemplateBank(np.ones((1, 5, 5)), (4, 6))
 
 
 def test_ncc_bank_rejects_images_of_another_shape():
     # (4, 6) and (4, 7) images have spectra of one shape; their windows differ
     bank = _TemplateBank(np.ones((1, 2, 2)), (4, 6))
-    image = np.ones((1, 4, 7))
-    win = _window_energy(image, (2, 2))
+    stacks = _ImageStacks([np.ones((4, 7))], (2, 2))
     with pytest.raises(ValueError, match="do not fit"):
-        _ncc_bank(bank, np.fft.rfft2(image), win, _valid_windows(win))
+        stacks._score(bank, np.arange(1))
+
+
+@pytest.mark.parametrize(
+    "image_shape, template_shape, bank_image_shape, bank_template_shape",
+    [
+        ((8, 8), (4, 4), (8, 8), (3, 3)),
+        # spectra (5, 4) and windows (4, 6) either way: only the shapes differ
+        ((5, 6), (2, 1), (5, 7), (2, 2)),
+    ],
+)
+def test_image_stacks_reject_a_bank_of_another_template_shape(
+    image_shape, template_shape, bank_image_shape, bank_template_shape
+):
+    rng = np.random.default_rng(22)
+    stacks = _ImageStacks([rng.random(image_shape) for _ in range(3)], template_shape)
+    bank = _TemplateBank(rng.random((2, *bank_template_shape)), bank_image_shape)
+    with pytest.raises(ValueError, match="do not fit"):
+        stacks._score(bank, np.arange(3))
+    with pytest.raises(ValueError, match="do not fit"):
+        stacks._score_pairs(bank, np.array([0, 1]), np.array([2, 0]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -426,7 +443,7 @@ def test_image_stacks_match_pair_score(case, planes, tau):
     images, pairs, indices = case
     # few images per chunk, so the spectrum and energy builds cross chunks
     with mock.patch.object(segmentation_cfr, "_PLANES", planes):
-        stacks = _ImageStacks(images)
+        stacks = _ImageStacks(images, pairs[0].size)
         scores = pair_scores(stacks, pairs, indices)
         banks = [_corner_banks([pair], stacks.shape) for pair in pairs]
         hits = [stacks.pair_hits(b, indices, tau) for b in banks]
@@ -469,7 +486,7 @@ def test_best_pairs_equal_argmax_of_full_scores(case, planes):
     # few planes per temporary, so both the t1 bank and the pair scoring chunk
     with mock.patch.object(segmentation_cfr, "_PLANES", planes):
         got = _best_pairs(_corner_banks(founders, images[0].shape), images)
-        stacks = _ImageStacks(images)
+        stacks = _ImageStacks(images, founders[0].size)
         cols = np.arange(len(images))
         full = pair_scores(stacks, founders, cols)
         # the pairwise scores are bit-equal to the whole-bank ones, so
@@ -525,13 +542,13 @@ def test_image_stacks_keep_spectra_not_images():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        stacks = _ImageStacks(images)
+        stacks = _ImageStacks(images, (16, 16))
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    spectra = stacks._spectra.nbytes
-    # a stacked copy of the images next to the spectra would nearly double this
-    assert kept <= 1.1 * spectra
+    arrays = stacks._spectra.nbytes + stacks._windows.nbytes + stacks._valid.nbytes
+    # a stacked copy of the images next to these would add about 70 %
+    assert kept <= 1.1 * arrays
 
 
 # ---------------------------------------------------------------------------
@@ -564,10 +581,10 @@ def match_within_oracle(images, tau_in, size):
         if labels[i] == class_num:
             founders[class_num] = pair
             class_num += 1
-    return CfrLabeling(labels=labels, founders=founders, class_count=class_num, images=list(images))
+    return CfrLabeling(labels=labels, founders=founders, class_count=class_num)
 
 
-def match_between_oracle(labeling, tau_out, memo):
+def match_between_oracle(labeling, images, tau_out, memo):
     """Stage two scored one founder pair at a time. ``memo`` caches each
     (founder, founder image) score by founder ids, so several thresholds
     can share the scan."""
@@ -592,16 +609,14 @@ def match_between_oracle(labeling, tau_out, memo):
                 continue
             key = (labeling.founders[i].founder_id, labeling.founders[j].founder_id)
             if key not in memo:
-                memo[key] = pair_score(labeling.founders[i], labeling.images[key[1]])
+                memo[key] = pair_score(labeling.founders[i], images[key[1]])
             if memo[key] >= tau_out:
                 union(i, j)
 
     merged = np.array([find(int(lab)) for lab in labeling.labels])
     root_founders = {find(c): labeling.founders[find(c)] for c in cats}
     new_labels, new_founders = _reindex(merged, root_founders)
-    return CfrLabeling(
-        labels=new_labels, founders=new_founders, class_count=len(new_founders), images=labeling.images
-    )
+    return CfrLabeling(labels=new_labels, founders=new_founders, class_count=len(new_founders))
 
 
 def _assert_same_labeling(got, want):
@@ -637,10 +652,12 @@ def test_stages_match_pairwise_scan_on_scene(invariants_scene_images):
     assert within.class_count > 100  # most founders recruit nobody here
     memo = {}
     for tau_out in (0.99, 0.98, 0.95, 0.9):
-        merged = match_between(within, tau_out)
-        _assert_same_labeling(merged, match_between_oracle(within_ref, tau_out, memo))
-        _assert_same_labeling(match_between(merged, tau_out), match_between_oracle(merged, tau_out, memo))
-    _assert_same_labeling(segment_cfr(images, 0.97, 0.99, (8, 8)), match_between_oracle(within_ref, 0.99, memo))
+        merged = match_between(within, images, tau_out)
+        _assert_same_labeling(merged, match_between_oracle(within_ref, images, tau_out, memo))
+        again = match_between(merged, images, tau_out)
+        _assert_same_labeling(again, match_between_oracle(merged, images, tau_out, memo))
+    want = match_between_oracle(within_ref, images, 0.99, memo)
+    _assert_same_labeling(segment_cfr(images, 0.97, 0.99, (8, 8)), want)
 
 
 def test_stages_match_pairwise_scan_on_shifted_views():
@@ -663,7 +680,8 @@ def test_stages_match_pairwise_scan_on_shifted_views():
         _assert_same_labeling(within, match_within_oracle(images, tau_in, (6, 6)))
         memo = {}
         for tau_out in (0.99, 0.95, 0.85):
-            _assert_same_labeling(match_between(within, tau_out), match_between_oracle(within, tau_out, memo))
+            want = match_between_oracle(within, images, tau_out, memo)
+            _assert_same_labeling(match_between(within, images, tau_out), want)
 
 
 def test_match_within_rejects_mixed_shapes():
