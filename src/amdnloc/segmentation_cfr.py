@@ -56,10 +56,11 @@ def _window_energy(source: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 
 
 def _check_fits(template_shape: tuple[int, ...], source_shape: tuple[int, ...]):
-    if template_shape[0] > source_shape[-2] or template_shape[1] > source_shape[-1]:
-        raise ValueError(
-            f"template {template_shape} larger than source {source_shape}"
-        )
+    size = tuple(template_shape)
+    if min(size) < 1:
+        raise ValueError(f"template size {size} has a side below 1")
+    if size[0] > source_shape[-2] or size[1] > source_shape[-1]:
+        raise ValueError(f"template size {size} larger than source {tuple(source_shape)}")
 
 
 # Image planes in one FFT temporary of ``_ImageStacks._score``, and images
@@ -68,9 +69,9 @@ _PLANES = 64
 
 
 def _valid_windows(win: np.ndarray) -> np.ndarray:
-    """The zero-energy mask of each image's window energies (n, p, q):
-    the windows above 1e-12 of the image's largest window energy, or
-    above 0 when every window is empty."""
+    """Which of each image's window energies (n, p, q) are scored: the
+    windows above 1e-12 of the image's largest window energy, or above 0
+    when every window is empty."""
     scale = np.max(win, axis=(1, 2), keepdims=True)
     return win > np.where(scale > 0, 1e-12 * scale, 0.0)
 
@@ -80,8 +81,9 @@ class _TemplateBank:
 
     The counterpart of ``_ImageStacks`` on the template side: the
     conjugated ``rfft2`` of every template, zero-padded to
-    ``image_shape``, is taken once, when the bank is built, with each
-    template's energy.
+    ``image_shape`` and stored with its two axes swapped, (W//2+1, H),
+    is taken once, when the bank is built, with each template's
+    energy, ``inf`` for an all-zero template so that it scores 0.
     """
 
     def __init__(self, templates: np.ndarray, image_shape: tuple[int, int]):
@@ -90,25 +92,26 @@ class _TemplateBank:
         flat = templates.reshape(len(templates), -1)
         self.shape = templates.shape[1:]
         self.image_shape = tuple(image_shape)
-        self.energy = np.sum(flat * flat, axis=1)
-        self.spectra = np.conj(np.fft.rfft2(templates, s=self.image_shape))
+        energy = np.sum(flat * flat, axis=1)
+        self.energy = np.where(energy > 0.0, energy, np.inf)
+        self.spectra = np.conj(np.fft.rfft2(templates, s=self.image_shape)).swapaxes(-2, -1).copy()
 
 
 def _pruned_irfft2(spec: np.ndarray, image_shape: tuple[int, int], template_shape: tuple[int, ...]) -> np.ndarray:
-    """``np.fft.irfft2(spec, s=(H, W))[..., :H - a + 1, :W - b + 1]``, bit
-    for bit, for an (H, W) image and an (a, b) template.
+    """``np.fft.irfft2(spec.swapaxes(-2, -1), s=(H, W))[..., :H - a + 1,
+    :W - b + 1]``, bit for bit, for an (H, W) image, an (a, b) template
+    and a spectrum kept with its axes swapped, (..., W//2+1, H).
 
     ``irfft2`` takes an ``ifft`` along the rows and then an ``irfft``
-    along the columns; here the ``irfft`` runs on the kept rows only.
+    along the columns. Here the ``ifft`` runs along the contiguous last
+    axis, and the ``irfft`` on a row-major copy of the kept rows only.
     """
     (h, w), (a, b) = image_shape, template_shape
-    rows = np.fft.ifft(spec, axis=-2)[..., : h - a + 1, :]
+    rows = np.fft.ifft(spec, axis=-1)[..., : h - a + 1].swapaxes(-2, -1).copy()
     return np.fft.irfft(rows, n=w, axis=-1)[..., : w - b + 1]
 
 
-def _ncc_planes(
-    bank: _TemplateBank, templates: np.ndarray, spectra: np.ndarray, win: np.ndarray, valid: np.ndarray
-) -> np.ndarray:
+def _ncc_planes(bank: _TemplateBank, templates: np.ndarray, spectra: np.ndarray, win: np.ndarray) -> np.ndarray:
     """Normalized cross-correlation of templates ``bank.spectra[templates]``
     against images, maximized over placements, one correlation plane
     per broadcast (template, image) pair: ``templates`` of shape (T, 1)
@@ -117,31 +120,26 @@ def _ncc_planes(
 
     A placement scores sum(T*I) / sqrt(sum(T^2) * sum(I^2)), the sums
     running over the template window. The images are given as
-    ``_ImageStacks`` keeps them: by their spectra ``np.fft.rfft2(image)``,
-    by their window energies ``win`` for the bank's template shape and
-    by the windows ``valid`` (``_valid_windows(win)``) that are scored.
-    The numerator is a circular cross-correlation taken from FFTs
-    (J. P. Lewis, "Fast Normalized Cross-Correlation", 1995); every
-    valid placement lies inside the image, so it never wraps, and the
-    inverse transform (``_pruned_irfft2``) computes only those
-    placements. Windows outside ``valid`` are skipped, an all-zero
-    template scores 0, and scores are clipped to [0, 1].
+    ``_ImageStacks`` keeps them: by their spectra ``np.fft.rfft2(image)``
+    with the axes swapped, and by their window energies ``win`` for the
+    bank's template shape, ``inf`` where a window is not scored. The
+    numerator is a circular cross-correlation taken from FFTs (J. P.
+    Lewis, "Fast Normalized Cross-Correlation", 1995); every valid
+    placement lies inside the image, so it never wraps, and the inverse
+    transform (``_pruned_irfft2``) computes only those placements. An
+    infinite energy, of a window or of an all-zero template, makes the
+    placement score 0, and scores are clipped to [0, 1].
     """
     num = _pruned_irfft2(bank.spectra[templates] * spectra, bank.image_shape, bank.shape)
     energy = bank.energy[templates][..., None, None]
-    denom = np.sqrt(energy * win)
-    # Masked windows score -inf, so an image with no valid window, or an
-    # all-zero template, clips to 0.
-    ratio = np.divide(num, denom, out=np.full(num.shape, -np.inf), where=valid & (energy > 0.0))
-    return np.clip(np.max(ratio, axis=(-2, -1)), 0.0, 1.0)
+    # Both energies are > 0 or inf, so neither 0 * inf nor 0 / 0 arises.
+    return np.clip(np.max(num / np.sqrt(energy * win), axis=(-2, -1)), 0.0, 1.0)
 
 
 def extract_templates(image: np.ndarray, size: tuple[int, int], founder_id: int = -1) -> TemplatePair:
     """Cut the upper-left and lower-right blocks of the given size."""
-    a, b = size
-    h, w = image.shape
-    if a > h or b > w:
-        raise ValueError(f"template size {size} exceeds image {image.shape}")
+    _check_fits(size, image.shape)
+    (a, b), (h, w) = size, image.shape
     return TemplatePair(
         t1=np.array(image[:a, :b]),
         t2=np.array(image[h - a :, w - b :]),
@@ -166,10 +164,11 @@ def _corner_banks(pairs: list[TemplatePair], image_shape: tuple[int, int]) -> tu
 class _ImageStacks:
     """Images of one shape, kept as what templates of one shape score.
 
-    Every image's ``rfft2``, its window energies for ``template_shape``
-    and their zero-energy mask are taken once, when the stack is built,
-    ``_PLANES`` images at a time, and take the place of a stacked copy
-    of the images.
+    Every image's ``rfft2``, stored with its two axes swapped,
+    (W//2+1, H), and its window energies for ``template_shape``, ``inf``
+    where ``_valid_windows`` leaves a window out, are taken once, when
+    the stack is built, ``_PLANES`` images at a time, and take the place
+    of a stacked copy of the images.
     """
 
     def __init__(self, images: list[np.ndarray], template_shape: tuple[int, int]):
@@ -180,15 +179,14 @@ class _ImageStacks:
         self.template_shape = tuple(template_shape)
         _check_fits(self.template_shape, self.shape)
         (h, w), (a, b) = self.shape, self.template_shape
-        self._spectra = np.empty((len(images), h, w // 2 + 1), dtype=complex)
+        self._spectra = np.empty((len(images), w // 2 + 1, h), dtype=complex)
         self._windows = np.empty((len(images), h - a + 1, w - b + 1))
-        self._valid = np.empty(self._windows.shape, dtype=bool)
         for i in range(0, len(images), _PLANES):
             chunk = np.array(images[i : i + _PLANES], dtype=float)
             rows = slice(i, i + len(chunk))
-            self._spectra[rows] = np.fft.rfft2(chunk)
-            self._windows[rows] = _window_energy(chunk, self.template_shape)
-            self._valid[rows] = _valid_windows(self._windows[rows])
+            self._spectra[rows] = np.fft.rfft2(chunk).swapaxes(-2, -1)
+            win = _window_energy(chunk, self.template_shape)
+            self._windows[rows] = np.where(_valid_windows(win), win, np.inf)
 
     def _check(self, bank: _TemplateBank):
         if (bank.image_shape, bank.shape) != (self.shape, self.template_shape):
@@ -202,18 +200,16 @@ class _ImageStacks:
         listed image, (templates, len(rows)), taken in chunks of about
         ``_PLANES`` correlation planes."""
         self._check(bank)
-        # One gather of all listed rows, not one per chunk: a process's
-        # first scans then reuse the heap instead of faulting it in anew.
-        spectra, win, valid = self._spectra[rows], self._windows[rows], self._valid[rows]
         count, n = len(bank.energy), len(rows)
         scores = np.zeros((count, n))
         n_step = max(1, min(n, _PLANES))
         t_step = max(1, _PLANES // n_step)
         for i in range(0, n, n_step):
             img = slice(i, i + n_step)
+            spectra, win = self._spectra[rows[img]], self._windows[rows[img]]
             for j in range(0, count, t_step):
                 templates = np.arange(j, min(j + t_step, count))
-                scores[templates, img] = _ncc_planes(bank, templates[:, None], spectra[img], win[img], valid[img])
+                scores[templates, img] = _ncc_planes(bank, templates[:, None], spectra, win)
         return scores
 
     def _score_pairs(self, bank: _TemplateBank, templates: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -224,7 +220,7 @@ class _ImageStacks:
         for j in range(0, len(rows), _PLANES):
             k = slice(j, j + _PLANES)
             r = rows[k]
-            scores[k] = _ncc_planes(bank, templates[k], self._spectra[r], self._windows[r], self._valid[r])
+            scores[k] = _ncc_planes(bank, templates[k], self._spectra[r], self._windows[r])
         return scores
 
     def pair_hits(

@@ -5,7 +5,10 @@ einsum, and ``pair_score`` takes the smaller of a pair's two corner
 scores, one pair and one image at a time. ``pair_scores`` scores every
 founder pair against every listed image with the package's bank scorer,
 t1 and t2 alike; ``np.argmax`` of it along the founders is the routing
-that ``segmentation_cfr._best_pairs`` must reproduce.
+that ``segmentation_cfr._best_pairs`` must reproduce. ``masked_scores``
+is the bank kernel as it was before it marked unscored windows by an
+infinite energy: a zero-energy mask array, a masked divide and whole-row
+gathers; the package's kernel must give its scores bit for bit.
 """
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -51,3 +54,38 @@ def pair_scores(stacks, pairs, indices: np.ndarray) -> np.ndarray:
     bank = _TemplateBank(np.stack([t for pair in pairs for t in (pair.t1, pair.t2)]), stacks.shape)
     both = stacks._score(bank, indices)
     return np.minimum(both[0::2], both[1::2])
+
+
+def valid_windows(win: np.ndarray) -> np.ndarray:
+    """The zero-energy mask of each image's window energies (n, p, q):
+    the windows above 1e-12 of the image's largest window energy, or
+    above 0 when every window is empty."""
+    scale = np.max(win, axis=(1, 2), keepdims=True)
+    return win > np.where(scale > 0, 1e-12 * scale, 0.0)
+
+
+def masked_scores(templates: np.ndarray, images: list, rows: np.ndarray, picks: np.ndarray | None = None) -> np.ndarray:
+    """NCC scores of templates (T, a, b) against the listed images
+    ``images[rows]``, maximized over placements: every template against
+    every listed image, (T, len(rows)), or, given ``picks``, template
+    ``picks[k]`` against listed image k.
+
+    The listed images are gathered whole, then transformed and scored
+    in one broadcast: FFT numerators cut from the full ``irfft2``,
+    windows outside ``valid_windows`` and all-zero templates masked out
+    of the divide as -inf, and the maxima clipped to [0, 1].
+    """
+    templates = np.asarray(templates, dtype=float)
+    stack = np.array(images, dtype=float)[rows]
+    (h, w), (a, b) = stack.shape[1:], templates.shape[1:]
+    flat = templates.reshape(len(templates), -1)
+    energy = np.sum(flat * flat, axis=1)
+    t = np.arange(len(templates))[:, None] if picks is None else picks
+    i = np.arange(len(rows))
+    product = np.conj(np.fft.rfft2(templates, s=(h, w)))[t] * np.fft.rfft2(stack)[i]
+    num = np.fft.irfft2(product, s=(h, w))[..., : h - a + 1, : w - b + 1]
+    win = _window_energy(stack, (a, b))
+    e = energy[t][..., None, None]
+    denom = np.sqrt(e * win[i])
+    ratio = np.divide(num, denom, out=np.full(num.shape, -np.inf), where=valid_windows(win)[i] & (e > 0.0))
+    return np.clip(np.max(ratio, axis=(-2, -1)), 0.0, 1.0)

@@ -174,6 +174,15 @@ class TestRunPipeline:
             run_pipeline(bad)
         assert exc.value.stage == "generate"
 
+    @pytest.mark.parametrize("single_region", [False, True])
+    @pytest.mark.parametrize("size", [(0, 8), (8, -2)])
+    def test_template_side_below_one_is_a_segment_error(self, tmp_path, size, single_region):
+        cfg = {**SMALL_CONFIG, "template_size": list(size), "single_region": single_region}
+        with pytest.raises(PipelineError, match=rf"template size \({size[0]}, {size[1]}\)") as exc:
+            run_pipeline(cfg, out_dir=tmp_path)
+        assert exc.value.stage == "segment"
+        assert not (tmp_path / "model.json").exists()
+
     def test_unknown_config_key_is_a_config_error(self, tmp_path):
         with pytest.raises(PipelineError, match="'tau_inn'") as exc:
             run_pipeline({**SMALL_CONFIG, "tau_inn": 0.5}, out_dir=tmp_path)

@@ -339,6 +339,14 @@ class TestBoundaryErrors:
         err = capsys.readouterr().err
         assert "[train]" in err and "9999" in err
 
+    def test_segment_rejects_a_template_side_below_one(self, trained_chain, tmp_path, capsys):
+        data = shutil.copytree(trained_chain[0], tmp_path / "data")
+        seg = (data / "segmentation.json").read_bytes()
+        assert main(["segment", "--data", str(data), "--template", "0x16"]) == 1
+        err = capsys.readouterr().err
+        assert "[segment]" in err and "template size (0, 16)" in err
+        assert (data / "segmentation.json").read_bytes() == seg
+
     def test_eval_rejects_unknown_path_select(self, trained_chain, tmp_path, capsys):
         data, model_path = trained_chain
         obj = json.loads(model_path.read_text())

@@ -24,7 +24,7 @@ from amdnloc.segmentation_cfr import (
     match_within,
     segment_cfr,
 )
-from oracles import ncc, pair_score, pair_scores
+from oracles import masked_scores, ncc, pair_score, pair_scores
 
 
 def ncc_oracle(template, source):
@@ -401,8 +401,9 @@ def test_pruned_inverse_equals_full_irfft2_crop(h, w, data, scale, seed):
     a, b = data.draw(st.integers(1, h)), data.draw(st.integers(1, w))
     rng = np.random.default_rng(seed)
     bank = _TemplateBank(rng.random((3, a, b)), (h, w))
-    spec = bank.spectra[:, None] * np.fft.rfft2(scale * rng.random((2, h, w)))
-    full = np.fft.irfft2(spec, s=(h, w))[..., : h - a + 1, : w - b + 1]
+    # spectra with their axes swapped, as banks and stacks keep them
+    spec = bank.spectra[:, None] * np.fft.rfft2(scale * rng.random((2, h, w))).swapaxes(-2, -1)
+    full = np.fft.irfft2(spec.swapaxes(-2, -1), s=(h, w))[..., : h - a + 1, : w - b + 1]
     assert np.array_equal(_pruned_irfft2(spec, (h, w), (a, b)), full)
 
 
@@ -449,7 +450,7 @@ def test_image_stacks_match_pair_score(case, planes, tau):
         hits = [stacks.pair_hits(b, indices, tau) for b in banks]
         firsts = [stacks.first_hit(b, indices, tau) for b in banks]
     for n, img in enumerate(images):
-        assert np.array_equal(stacks._spectra[n], np.fft.rfft2(img))
+        assert np.array_equal(stacks._spectra[n], np.fft.rfft2(img).swapaxes(-2, -1))
     assert scores.shape == (len(pairs), len(indices))
     for pair, row, hit, first in zip(pairs, scores, hits, firsts):
         # the run-by-run scan stops at the first image the full scan holds
@@ -459,6 +460,23 @@ def test_image_stacks_match_pair_score(case, planes, tau):
         # a score within the bound of tau may fall on either side of it
         clear = np.abs(want - tau) > 1e-9
         np.testing.assert_array_equal(hit[clear], (want >= tau)[clear])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_images_and_pairs(), st.integers(1, 5), st.data())
+def test_scores_equal_the_masked_kernel(case, planes, data):
+    images, pairs, indices = case
+    # the pairs' templates and an all-zero one, which must score 0
+    templates = np.stack([t for pair in pairs for t in (pair.t1, pair.t2)] + [np.zeros(pairs[0].size)])
+    picks = np.array(data.draw(st.lists(st.integers(0, len(templates) - 1), min_size=len(indices), max_size=len(indices))), dtype=int)
+    # few planes per temporary, so the per-chunk gathers cross chunks
+    with mock.patch.object(segmentation_cfr, "_PLANES", planes):
+        stacks = _ImageStacks(images, pairs[0].size)
+        bank = _TemplateBank(templates, stacks.shape)
+        got = stacks._score(bank, indices)
+        got_pairs = stacks._score_pairs(bank, picks, indices)
+    assert np.array_equal(got, masked_scores(templates, images, indices))
+    assert np.array_equal(got_pairs, masked_scores(templates, images, indices, picks))
 
 
 @st.composite
@@ -546,8 +564,8 @@ def test_image_stacks_keep_spectra_not_images():
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    arrays = stacks._spectra.nbytes + stacks._windows.nbytes + stacks._valid.nbytes
-    # a stacked copy of the images next to these would add about 70 %
+    arrays = stacks._spectra.nbytes + stacks._windows.nbytes
+    # a stacked copy of the images next to these would add about 75 %
     assert kept <= 1.1 * arrays
 
 
