@@ -111,7 +111,7 @@ def _split(n: int, train_fraction: float, seed: int) -> tuple[np.ndarray, np.nda
 
 def segment(train_samples, cfg) -> tuple[RegionLabels, dict[int, TemplatePair], np.ndarray, Standardizer]:
     """Run both segmentations on the training set and fuse them; founder ids are sample ids."""
-    size = tuple(cfg["template_size"])
+    size = cfg["template_size"]  # checked where a template is cut or scored
     if cfg.get("single_region"):
         cfr_lab = np.zeros(len(train_samples), dtype=int)
         image = render_image(train_samples[0].cfr, "cfr_magnitude")

@@ -9,7 +9,9 @@ pixels, so values live in [0, 1].
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -56,7 +58,9 @@ def _window_energy(source: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 
 
 def _check_fits(template_shape: tuple[int, ...], source_shape: tuple[int, ...]):
-    size = tuple(template_shape)
+    size = tuple(template_shape) if np.iterable(template_shape) else (template_shape,)
+    if len(size) != 2 or not all(isinstance(s, numbers.Integral) and not isinstance(s, bool) for s in size):
+        raise ValueError(f"template size {size!r} is not two integers")
     if min(size) < 1:
         raise ValueError(f"template size {size} has a side below 1")
     if size[0] > source_shape[-2] or size[1] > source_shape[-1]:
@@ -69,9 +73,10 @@ _PLANES = 64
 
 
 def _valid_windows(win: np.ndarray) -> np.ndarray:
-    """Which of each image's window energies (n, p, q) are scored: the
-    windows above 1e-12 of the image's largest window energy, or above 0
-    when every window is empty."""
+    """Which of each image's window energies (n, p, q), in either order
+    of the last two axes, are scored: the windows above 1e-12 of the
+    image's largest window energy, or above 0 when every window is
+    empty."""
     scale = np.max(win, axis=(1, 2), keepdims=True)
     return win > np.where(scale > 0, 1e-12 * scale, 0.0)
 
@@ -83,7 +88,7 @@ class _TemplateBank:
     conjugated ``rfft2`` of every template, zero-padded to
     ``image_shape`` and stored with its two axes swapped, (W//2+1, H),
     is taken once, when the bank is built, with each template's
-    energy, ``inf`` for an all-zero template so that it scores 0.
+    ``1/sqrt(energy)``, 0 for an all-zero template so that it scores 0.
     """
 
     def __init__(self, templates: np.ndarray, image_shape: tuple[int, int]):
@@ -93,25 +98,63 @@ class _TemplateBank:
         self.shape = templates.shape[1:]
         self.image_shape = tuple(image_shape)
         energy = np.sum(flat * flat, axis=1)
-        self.energy = np.where(energy > 0.0, energy, np.inf)
+        self.rnorm = np.divide(1.0, np.sqrt(energy), out=np.zeros_like(energy), where=energy > 0.0)
         self.spectra = np.conj(np.fft.rfft2(templates, s=self.image_shape)).swapaxes(-2, -1).copy()
+
+
+@lru_cache(maxsize=16)
+def _inverse_matrices(image_shape: tuple[int, int], template_shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The pruned inverse DFT of ``_pruned_irfft2`` as two real
+    matrices, for an (H, W) image and an (a, b) template. Built once per
+    shape pair and shared between calls, so both are read-only.
+
+    The first, (2H, 2(H-a+1)), is the inverse DFT along H, 1/H included,
+    kept to its first H-a+1 outputs. It acts on a spectrum's interleaved
+    real view, (W//2+1, 2H), and gives per row the real parts of the
+    outputs, then their imaginary parts. The second, stored transposed
+    as (W-b+1, 2(W//2+1)), is the inverse real DFT along W kept to its
+    first W-b+1 outputs: Hermitian weights of 1 for DC and Nyquist and
+    2 otherwise, each entry divided by W, and no imaginary part taken
+    from DC or Nyquist, as ``irfft`` takes none.
+    """
+    (h, w), (a, b) = image_shape, template_shape
+    p, q, u = h - a + 1, w - b + 1, w // 2 + 1
+    # exact phase indices keep the angles in [0, 2 pi)
+    angle = 2.0 * np.pi * (np.arange(h)[:, None] * np.arange(p) % h) / h
+    cos, sin = np.cos(angle) / h, np.sin(angle) / h
+    along_h = np.empty((h, 2, 2, p))  # (k, re/im in, re/im out, y)
+    along_h[:, 0, 0], along_h[:, 1, 0] = cos, -sin
+    along_h[:, 0, 1], along_h[:, 1, 1] = sin, cos
+    k = np.arange(u)[:, None]
+    angle = 2.0 * np.pi * (k * np.arange(q) % w) / w
+    edge = (k == 0) | (2 * k == w)
+    along_w = np.empty((u, 2, q))  # (column, re/im in, x)
+    along_w[:, 0] = np.where(edge, 1.0, 2.0) * np.cos(angle) / w
+    along_w[:, 1] = np.where(edge, 0.0, -2.0 * np.sin(angle) / w)
+    along_h, along_w = along_h.reshape(2 * h, 2 * p), along_w.reshape(2 * u, q).T.copy()
+    along_h.flags.writeable = along_w.flags.writeable = False
+    return along_h, along_w
 
 
 def _pruned_irfft2(spec: np.ndarray, image_shape: tuple[int, int], template_shape: tuple[int, ...]) -> np.ndarray:
     """``np.fft.irfft2(spec.swapaxes(-2, -1), s=(H, W))[..., :H - a + 1,
-    :W - b + 1]``, bit for bit, for an (H, W) image, an (a, b) template
-    and a spectrum kept with its axes swapped, (..., W//2+1, H).
+    :W - b + 1]`` with its last two axes swapped, (..., W-b+1, H-a+1),
+    to rounding, for an (H, W) image, an (a, b) template and a spectrum
+    kept with its axes swapped, (..., W//2+1, H).
 
-    ``irfft2`` takes an ``ifft`` along the rows and then an ``irfft``
-    along the columns. Here the ``ifft`` runs along the contiguous last
-    axis, and the ``irfft`` on a row-major copy of the kept rows only.
+    Both inverse transforms are products with the ``_inverse_matrices``
+    of the two shapes, which compute only the valid placements: first
+    the spectrum's interleaved real view times the one along H, then
+    the one along W times that. ``np.matmul`` makes one BLAS call per
+    plane, each of one shape, so a plane's result does not depend on
+    how many planes share the call.
     """
-    (h, w), (a, b) = image_shape, template_shape
-    rows = np.fft.ifft(spec, axis=-1)[..., : h - a + 1].swapaxes(-2, -1).copy()
-    return np.fft.irfft(rows, n=w, axis=-1)[..., : w - b + 1]
+    along_h, along_w = _inverse_matrices(image_shape, template_shape)
+    half = spec.view(float) @ along_h  # (..., W//2+1, 2(H-a+1))
+    return along_w @ half.reshape(*half.shape[:-2], -1, half.shape[-1] // 2)
 
 
-def _ncc_planes(bank: _TemplateBank, templates: np.ndarray, spectra: np.ndarray, win: np.ndarray) -> np.ndarray:
+def _ncc_planes(bank: _TemplateBank, templates: np.ndarray, spectra: np.ndarray, rwin: np.ndarray) -> np.ndarray:
     """Normalized cross-correlation of templates ``bank.spectra[templates]``
     against images, maximized over placements, one correlation plane
     per broadcast (template, image) pair: ``templates`` of shape (T, 1)
@@ -121,19 +164,23 @@ def _ncc_planes(bank: _TemplateBank, templates: np.ndarray, spectra: np.ndarray,
     A placement scores sum(T*I) / sqrt(sum(T^2) * sum(I^2)), the sums
     running over the template window. The images are given as
     ``_ImageStacks`` keeps them: by their spectra ``np.fft.rfft2(image)``
-    with the axes swapped, and by their window energies ``win`` for the
-    bank's template shape, ``inf`` where a window is not scored. The
-    numerator is a circular cross-correlation taken from FFTs (J. P.
-    Lewis, "Fast Normalized Cross-Correlation", 1995); every valid
-    placement lies inside the image, so it never wraps, and the inverse
-    transform (``_pruned_irfft2``) computes only those placements. An
-    infinite energy, of a window or of an all-zero template, makes the
-    placement score 0, and scores are clipped to [0, 1].
+    with the axes swapped, and by ``rwin``, the ``1/sqrt`` of their
+    window energies for the bank's template shape, also with the axes
+    swapped, and 0 where a window is not scored. The numerator is a
+    circular cross-correlation taken from FFTs (J. P. Lewis, "Fast
+    Normalized Cross-Correlation", 1995); every valid placement lies
+    inside the image, so it never wraps, and the inverse transform
+    (``_pruned_irfft2``) computes only those placements. A score is
+    ``max(num * rwin) * rnorm``, clipped to [0, 1]: a zero ``rwin``
+    or a zero ``bank.rnorm`` (an all-zero template) scores 0.
     """
     num = _pruned_irfft2(bank.spectra[templates] * spectra, bank.image_shape, bank.shape)
-    energy = bank.energy[templates][..., None, None]
-    # Both energies are > 0 or inf, so neither 0 * inf nor 0 / 0 arises.
-    return np.clip(np.max(num / np.sqrt(energy * win), axis=(-2, -1)), 0.0, 1.0)
+    num *= rwin
+    scores = np.clip(np.max(num, axis=(-2, -1)) * bank.rnorm[templates], 0.0, 1.0)
+    # np.clip passes a -0.0 (a zero factor times a negative numerator)
+    # through; adding +0.0 makes every zero score +0.0
+    scores += 0.0
+    return scores
 
 
 def extract_templates(image: np.ndarray, size: tuple[int, int], founder_id: int = -1) -> TemplatePair:
@@ -165,8 +212,9 @@ class _ImageStacks:
     """Images of one shape, kept as what templates of one shape score.
 
     Every image's ``rfft2``, stored with its two axes swapped,
-    (W//2+1, H), and its window energies for ``template_shape``, ``inf``
-    where ``_valid_windows`` leaves a window out, are taken once, when
+    (W//2+1, H), and the ``1/sqrt`` of its window energies for
+    ``template_shape``, also with the axes swapped, (W-b+1, H-a+1), and
+    0 where ``_valid_windows`` leaves a window out, are taken once, when
     the stack is built, ``_PLANES`` images at a time, and take the place
     of a stacked copy of the images.
     """
@@ -176,17 +224,17 @@ class _ImageStacks:
         if len(shapes) != 1:
             raise ValueError(f"images must have one shape, got {sorted(shapes)}")
         self.shape = shapes.pop()
+        _check_fits(template_shape, self.shape)
         self.template_shape = tuple(template_shape)
-        _check_fits(self.template_shape, self.shape)
         (h, w), (a, b) = self.shape, self.template_shape
         self._spectra = np.empty((len(images), w // 2 + 1, h), dtype=complex)
-        self._windows = np.empty((len(images), h - a + 1, w - b + 1))
+        self._rwin = np.zeros((len(images), w - b + 1, h - a + 1))
         for i in range(0, len(images), _PLANES):
             chunk = np.array(images[i : i + _PLANES], dtype=float)
             rows = slice(i, i + len(chunk))
             self._spectra[rows] = np.fft.rfft2(chunk).swapaxes(-2, -1)
-            win = _window_energy(chunk, self.template_shape)
-            self._windows[rows] = np.where(_valid_windows(win), win, np.inf)
+            win = _window_energy(chunk, self.template_shape).swapaxes(-2, -1)
+            np.divide(1.0, np.sqrt(win), out=self._rwin[rows], where=_valid_windows(win))
 
     def _check(self, bank: _TemplateBank):
         if (bank.image_shape, bank.shape) != (self.shape, self.template_shape):
@@ -200,16 +248,16 @@ class _ImageStacks:
         listed image, (templates, len(rows)), taken in chunks of about
         ``_PLANES`` correlation planes."""
         self._check(bank)
-        count, n = len(bank.energy), len(rows)
+        count, n = len(bank.rnorm), len(rows)
         scores = np.zeros((count, n))
         n_step = max(1, min(n, _PLANES))
         t_step = max(1, _PLANES // n_step)
         for i in range(0, n, n_step):
             img = slice(i, i + n_step)
-            spectra, win = self._spectra[rows[img]], self._windows[rows[img]]
+            spectra, rwin = self._spectra[rows[img]], self._rwin[rows[img]]
             for j in range(0, count, t_step):
                 templates = np.arange(j, min(j + t_step, count))
-                scores[templates, img] = _ncc_planes(bank, templates[:, None], spectra, win)
+                scores[templates, img] = _ncc_planes(bank, templates[:, None], spectra, rwin)
         return scores
 
     def _score_pairs(self, bank: _TemplateBank, templates: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -220,7 +268,7 @@ class _ImageStacks:
         for j in range(0, len(rows), _PLANES):
             k = slice(j, j + _PLANES)
             r = rows[k]
-            scores[k] = _ncc_planes(bank, templates[k], self._spectra[r], self._windows[r])
+            scores[k] = _ncc_planes(bank, templates[k], self._spectra[r], self._rwin[r])
         return scores
 
     def pair_hits(
@@ -278,7 +326,7 @@ def _best_pairs(banks: tuple[_TemplateBank, _TemplateBank], images: list[np.ndar
     founder 0.
     """
     t1, t2 = banks
-    if len(t1.energy) == 1:
+    if len(t1.rnorm) == 1:
         return np.zeros(len(images), dtype=int)
     stacks = _ImageStacks(images, t1.shape)
     cols = np.arange(len(images))

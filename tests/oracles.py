@@ -7,8 +7,10 @@ founder pair against every listed image with the package's bank scorer,
 t1 and t2 alike; ``np.argmax`` of it along the founders is the routing
 that ``segmentation_cfr._best_pairs`` must reproduce. ``masked_scores``
 is the bank kernel as it was before it marked unscored windows by an
-infinite energy: a zero-energy mask array, a masked divide and whole-row
-gathers; the package's kernel must give its scores bit for bit.
+infinite energy: a zero-energy mask array, a masked divide, whole-row
+gathers and pocketfft's ``irfft2``; the package's kernel must give its
+scores to rounding. ``refuse_numpy_inverse_ffts`` makes every numpy
+inverse FFT raise, for the tests that scoring takes none.
 """
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -89,3 +91,13 @@ def masked_scores(templates: np.ndarray, images: list, rows: np.ndarray, picks: 
     denom = np.sqrt(e * win[i])
     ratio = np.divide(num, denom, out=np.full(num.shape, -np.inf), where=valid_windows(win)[i] & (e > 0.0))
     return np.clip(np.max(ratio, axis=(-2, -1)), 0.0, 1.0)
+
+
+def refuse_numpy_inverse_ffts(monkeypatch):
+    """Make every numpy inverse FFT raise, through pytest's ``monkeypatch``."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a numpy inverse FFT was called")
+
+    for name in ("ifft", "irfft", "ifft2", "irfft2", "ifftn", "irfftn"):
+        monkeypatch.setattr(np.fft, name, refuse)

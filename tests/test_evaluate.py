@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -179,6 +180,16 @@ class TestRunPipeline:
     def test_template_side_below_one_is_a_segment_error(self, tmp_path, size, single_region):
         cfg = {**SMALL_CONFIG, "template_size": list(size), "single_region": single_region}
         with pytest.raises(PipelineError, match=rf"template size \({size[0]}, {size[1]}\)") as exc:
+            run_pipeline(cfg, out_dir=tmp_path)
+        assert exc.value.stage == "segment"
+        assert not (tmp_path / "model.json").exists()
+
+    @pytest.mark.parametrize("single_region", [False, True])
+    @pytest.mark.parametrize("size", [[8.5, 8], ["8", 8], [8, 8, 8], 8], ids=["float", "str", "three", "scalar"])
+    def test_template_size_not_two_integers_is_a_segment_error(self, tmp_path, size, single_region):
+        cfg = {**SMALL_CONFIG, "template_size": size, "single_region": single_region}
+        named = re.escape(repr(tuple(size) if isinstance(size, list) else (size,)))
+        with pytest.raises(PipelineError, match=rf"template size {named} is not two integers") as exc:
             run_pipeline(cfg, out_dir=tmp_path)
         assert exc.value.stage == "segment"
         assert not (tmp_path / "model.json").exists()

@@ -18,13 +18,14 @@ from amdnloc.segmentation_cfr import (
     _ImageStacks,
     _TemplateBank,
     _pruned_irfft2,
+    _window_energy,
     _reindex,
     extract_templates,
     match_between,
     match_within,
     segment_cfr,
 )
-from oracles import masked_scores, ncc, pair_score, pair_scores
+from oracles import masked_scores, ncc, pair_score, pair_scores, refuse_numpy_inverse_ffts, valid_windows
 
 
 def ncc_oracle(template, source):
@@ -404,7 +405,11 @@ def test_pruned_inverse_equals_full_irfft2_crop(h, w, data, scale, seed):
     # spectra with their axes swapped, as banks and stacks keep them
     spec = bank.spectra[:, None] * np.fft.rfft2(scale * rng.random((2, h, w))).swapaxes(-2, -1)
     full = np.fft.irfft2(spec.swapaxes(-2, -1), s=(h, w))[..., : h - a + 1, : w - b + 1]
-    assert np.array_equal(_pruned_irfft2(spec, (h, w), (a, b)), full)
+    # placements come back with their axes swapped too; the matrices round
+    # apart from pocketfft (largest difference seen: 1.1e-16 of max|spec|)
+    got = _pruned_irfft2(spec, (h, w), (a, b)).swapaxes(-2, -1)
+    assert got.shape == full.shape
+    assert np.max(np.abs(got - full)) <= 1e-12 * np.max(np.abs(spec))
 
 
 @st.composite
@@ -462,6 +467,27 @@ def test_image_stacks_match_pair_score(case, planes, tau):
         np.testing.assert_array_equal(hit[clear], (want >= tau)[clear])
 
 
+def _exact_zeros_and_bounds(templates, images, indices):
+    """Where the scores of templates against the listed images must be
+    exactly +0.0, (T, len(indices)): an all-zero template, or an image
+    with no scored window. And how far the scores of two roundings of
+    the FFT numerator may lie apart, per listed image: the rounding of
+    an inverse DFT is about eps times the image's norm, and a faint
+    scored window (energy down to 1e-12 of the largest) magnifies it in
+    its score by the root of the image's energy over the window's."""
+    stack = np.array(images, dtype=float)[indices]
+    win = _window_energy(stack, templates.shape[1:])
+    scored = valid_windows(win)
+    faintest = np.min(np.where(scored, win, np.inf), axis=(1, 2))
+    bounds = 1e-12 * np.sqrt(np.sum(stack * stack, axis=(1, 2)) / faintest)
+    zeros = (np.sum(templates * templates, axis=(1, 2)) == 0.0)[:, None] | ~np.any(scored, axis=(1, 2))
+    return zeros, bounds
+
+
+def _assert_exact_zeros(scores, zeros):
+    assert np.all(scores[zeros] == 0.0) and not np.any(np.signbit(scores[zeros]))
+
+
 @settings(max_examples=200, deadline=None)
 @given(_images_and_pairs(), st.integers(1, 5), st.data())
 def test_scores_equal_the_masked_kernel(case, planes, data):
@@ -475,8 +501,42 @@ def test_scores_equal_the_masked_kernel(case, planes, data):
         bank = _TemplateBank(templates, stacks.shape)
         got = stacks._score(bank, indices)
         got_pairs = stacks._score_pairs(bank, picks, indices)
-    assert np.array_equal(got, masked_scores(templates, images, indices))
-    assert np.array_equal(got_pairs, masked_scores(templates, images, indices, picks))
+    # the inverse DFT rounds apart from the oracle's pocketfft
+    zeros, bounds = _exact_zeros_and_bounds(templates, images, indices)
+    want = masked_scores(templates, images, indices)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= bounds)
+    _assert_exact_zeros(got, zeros)
+    k = np.arange(len(indices))
+    want = masked_scores(templates, images, indices, picks)
+    assert got_pairs.shape == want.shape
+    assert np.all(np.abs(got_pairs - want) <= bounds)
+    _assert_exact_zeros(got_pairs, zeros[picks, k])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_images_and_pairs(), st.integers(1, 5), st.data())
+def test_a_score_does_not_depend_on_its_call(case, planes, data):
+    images, pairs, _ = case
+    templates = np.stack([t for pair in pairs for t in (pair.t1, pair.t2)] + [np.zeros(pairs[0].size)])
+    n, count = len(images), len(templates)
+    rows = np.array(data.draw(st.permutations(range(n))))[: data.draw(st.integers(1, n))]
+    keep = sorted(data.draw(st.sets(st.integers(0, count - 1), min_size=1)))
+    t, i = np.divmod(np.array(data.draw(st.permutations(range(count * n))), dtype=int), n)
+    # few planes per temporary, so calls chunk differently
+    with mock.patch.object(segmentation_cfr, "_PLANES", planes):
+        stacks = _ImageStacks(images, pairs[0].size)
+        bank = _TemplateBank(templates, stacks.shape)
+        full = stacks._score(bank, np.arange(n))
+        for k in range(n):
+            assert np.array_equal(stacks._score(bank, np.array([k])), full[:, [k]])
+        # any subset of the images in any order, and any subset of the bank
+        assert np.array_equal(stacks._score(bank, rows), full[:, rows])
+        sub = _TemplateBank(templates[keep], stacks.shape)
+        assert np.array_equal(stacks._score(sub, rows), full[np.ix_(keep, rows)])
+        # every (template, image) pair, in a drawn order
+        assert np.array_equal(stacks._score_pairs(bank, t, i), full[t, i])
+    _assert_exact_zeros(full, _exact_zeros_and_bounds(templates, images, np.arange(n))[0])
 
 
 @st.composite
@@ -554,6 +614,17 @@ def test_best_pairs_of_one_founder_score_nothing():
     stacks.assert_not_called()
 
 
+def test_scoring_takes_no_numpy_inverse_fft(monkeypatch):
+    rng = np.random.default_rng(23)
+    images = [rng.random((12, 12)) for _ in range(10)]
+    images += [img.copy() for img in images[:3]]
+    refuse_numpy_inverse_ffts(monkeypatch)
+    lab = segment_cfr(images, 0.95, 0.9, (5, 5))
+    pairs = [lab.founders[c] for c in sorted(lab.founders)]
+    assert len(pairs) > 1
+    assert len(_best_pairs(_corner_banks(pairs, (12, 12)), images)) == len(images)
+
+
 def test_image_stacks_keep_spectra_not_images():
     rng = np.random.default_rng(17)
     images = [rng.random((32, 32)) for _ in range(300)]
@@ -564,7 +635,7 @@ def test_image_stacks_keep_spectra_not_images():
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    arrays = stacks._spectra.nbytes + stacks._windows.nbytes
+    arrays = stacks._spectra.nbytes + stacks._rwin.nbytes
     # a stacked copy of the images next to these would add about 75 %
     assert kept <= 1.1 * arrays
 
