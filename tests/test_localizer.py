@@ -27,7 +27,7 @@ from amdnloc.localizer import (
 from amdnloc.scenegen import Rect, Sample, SceneConfig, build_dataset
 from amdnloc.segmentation_adcam import Standardizer, build_features, kmeans, path_descriptor
 from amdnloc.segmentation_cfr import extract_templates, segment_cfr
-from oracles import ncc, refuse_numpy_inverse_ffts
+from oracles import ncc
 
 CONFIG = FeatureConfig(nt=16, nc=16)
 
@@ -422,13 +422,6 @@ class TestLocate:
             # only the samples' CFR magnitude images, each transformed once
             assert all(shape[1:] == (model.config.nt, model.config.nc) for shape in shapes)
             assert sum(shape[0] for shape in shapes) == len(test)
-
-    def test_locate_takes_no_numpy_inverse_fft(self, held_out_model, monkeypatch):
-        model, test = held_out_model
-        want = locate(model, test)
-        refuse_numpy_inverse_ffts(monkeypatch)
-        got = locate(model, test)
-        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
 
     def test_no_samples_give_no_positions(self, held_out_model):
         model, _ = held_out_model

@@ -471,15 +471,18 @@ def _exact_zeros_and_bounds(templates, images, indices):
     """Where the scores of templates against the listed images must be
     exactly +0.0, (T, len(indices)): an all-zero template, or an image
     with no scored window. And how far the scores of two roundings of
-    the FFT numerator may lie apart, per listed image: the rounding of
-    an inverse DFT is about eps times the image's norm, and a faint
-    scored window (energy down to 1e-12 of the largest) magnifies it in
-    its score by the root of the image's energy over the window's."""
+    the FFT numerator may lie apart, per listed image: 1e-12, or more
+    where a faint scored window magnifies the rounding. The rounding of
+    an inverse DFT is a few eps times the image's norm, and a window of
+    energy E_w turns it into a score error of that many eps times
+    sqrt(E_img / E_w); the faintest scored window (energy down to 1e-12
+    of the largest) bounds every placement. 2e-15 is about 9 eps; the
+    largest error seen in a random search of faint windows was 2.6 eps."""
     stack = np.array(images, dtype=float)[indices]
     win = _window_energy(stack, templates.shape[1:])
     scored = valid_windows(win)
     faintest = np.min(np.where(scored, win, np.inf), axis=(1, 2))
-    bounds = 1e-12 * np.sqrt(np.sum(stack * stack, axis=(1, 2)) / faintest)
+    bounds = np.maximum(1e-12, 2e-15 * np.sqrt(np.sum(stack * stack, axis=(1, 2)) / faintest))
     zeros = (np.sum(templates * templates, axis=(1, 2)) == 0.0)[:, None] | ~np.any(scored, axis=(1, 2))
     return zeros, bounds
 
@@ -537,6 +540,27 @@ def test_a_score_does_not_depend_on_its_call(case, planes, data):
         # every (template, image) pair, in a drawn order
         assert np.array_equal(stacks._score_pairs(bank, t, i), full[t, i])
     _assert_exact_zeros(full, _exact_zeros_and_bounds(templates, images, np.arange(n))[0])
+
+
+@pytest.mark.parametrize("side", [64, 128])
+def test_a_score_does_not_depend_on_its_call_at_large_shapes(side):
+    # 16x16 templates on 64x64 images, the scene default, and on 128x128
+    # images, whose per-plane products OpenBLAS splits across two threads
+    rng = np.random.default_rng(29)
+    images = list(rng.random((12, side, side)) ** 4)
+    templates = np.stack([images[k][:16, :16] for k in (0, 5)] + list(rng.random((4, 16, 16))))
+    n, count = len(images), len(templates)
+    stacks = _ImageStacks(images, (16, 16))
+    bank = _TemplateBank(templates, stacks.shape)
+    full = stacks._score(bank, np.arange(n))
+    assert full[[0, 1], [0, 5]] == pytest.approx(1.0, abs=1e-12)
+    for k in range(n):
+        assert np.array_equal(stacks._score(bank, np.array([k])), full[:, [k]])
+    rows = rng.permutation(n)
+    assert np.array_equal(stacks._score(bank, rows), full[:, rows])
+    assert np.array_equal(stacks._score(bank, rows[:5]), full[:, rows[:5]])
+    t, i = np.divmod(rng.permutation(count * n), n)
+    assert np.array_equal(stacks._score_pairs(bank, t, i), full[t, i])
 
 
 @st.composite
