@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "UNLABELED",
@@ -42,19 +41,29 @@ class TemplatePair:
 
 @dataclass
 class CfrLabeling:
-    """Per-sample category labels plus the founder template of each category."""
+    """Per-sample category labels plus the founder template of each category.
+
+    ``scores``, (K, K, 2), holds the t1 and t2 scores of category c's
+    founder templates against category d's founder image at [c, d],
+    NaN where they were not taken; None stands for all NaN.
+    """
 
     labels: np.ndarray  # int array, one label per sample
     founders: dict[int, TemplatePair]
     class_count: int
+    scores: np.ndarray | None = None
 
 
 def _window_energy(source: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Energy of every placement window over the last two axes of ``source``."""
-    windows = sliding_window_view(source, shape, axis=(-2, -1))
-    e = np.einsum("...ijkl,...ijkl->...ij", windows, windows)
-    np.maximum(e, 0.0, out=e)
-    return e
+    """Energy of every placement window over the last two axes of
+    ``source``: the squares summed over the window's rows, then over its
+    columns, as two products with 0/1 band matrices. The terms are
+    nonnegative, so nothing cancels, and ``np.matmul`` makes one BLAS
+    call per plane, so a plane's sums do not depend on its stack."""
+    (h, w), (a, b) = source.shape[-2:], shape
+    y = np.arange(h) - np.arange(h - a + 1)[:, None]
+    x = np.arange(w)[:, None] - np.arange(w - b + 1)
+    return ((0 <= y) & (y < a)).astype(float) @ (source * source) @ ((0 <= x) & (x < b)).astype(float)
 
 
 def _check_fits(template_shape: tuple[int, ...], source_shape: tuple[int, ...]):
@@ -271,37 +280,43 @@ class _ImageStacks:
             scores[k] = _ncc_planes(bank, templates[k], self._spectra[r], self._rwin[r])
         return scores
 
-    def pair_hits(
-        self, banks: tuple[_TemplateBank, _TemplateBank], indices: np.ndarray, tau: float
-    ) -> np.ndarray:
+    def pair_hits(self, banks, indices: np.ndarray, tau: float, table: np.ndarray | None = None) -> np.ndarray:
         """Whether a pair's score, the smaller of its two template
         scores, reaches ``tau`` for each listed image, the pair given by
-        its ``_corner_banks``.
+        its ``_corner_banks`` or by a function that builds them.
 
-        t2 is only scored on the images where t1 already reaches ``tau``.
+        ``table``, (2, images in the stack), holds the t1 and t2 score
+        of each image, NaN where not taken yet. Only the NaN entries
+        needed are scored and written into it: t1 on every listed image,
+        t2 where t1 reaches ``tau``. The banks are built, if given as a
+        function, only when an entry is scored.
         """
-        hits = np.zeros(len(indices), dtype=bool)
+        if table is None:
+            table = np.full((2, len(self._spectra)), np.nan)
         here = np.arange(len(indices))
-        for bank in banks:
-            if here.size == 0:
-                break
-            here = here[self._score(bank, indices[here])[0] >= tau]
+        for side, row in enumerate(table):
+            img = indices[here]
+            gaps = img[np.isnan(row[img])]
+            if gaps.size:
+                banks = banks() if callable(banks) else banks
+                row[gaps] = self._score(banks[side], gaps)[0]
+            here = here[row[img] >= tau]
+        hits = np.zeros(len(indices), dtype=bool)
         hits[here] = True
         return hits
 
-    def first_hit(
-        self, banks: tuple[_TemplateBank, _TemplateBank], indices: np.ndarray, tau: float
-    ) -> int | None:
+    def first_hit(self, banks, indices: np.ndarray, tau: float, table: np.ndarray | None = None) -> int | None:
         """The first listed image that ``pair_hits`` holds, or None.
 
         The images are scored in list order, in runs of ``_PLANES``
         images that double in length, and the scan stops after the first
         run that holds a hit, so an early hit skips scoring the rest.
+        ``table`` is read and written as ``pair_hits`` does.
         """
         start, step = 0, _PLANES
         while start < len(indices):
             run = indices[start : start + step]
-            hits = np.flatnonzero(self.pair_hits(banks, run, tau))
+            hits = np.flatnonzero(self.pair_hits(banks, run, tau, table))
             if hits.size:
                 return int(run[hits[0]])
             start, step = start + step, 2 * step
@@ -364,6 +379,8 @@ def match_within(
     fallback scores earlier images in runs until one holds a match
     (``_ImageStacks.first_hit``).
     Recruitment order and results are those of the image-by-image scan.
+    Every score a kept founder took is returned in ``scores``; a
+    founder that adopts another category drops its scores.
     """
     if not images:
         raise ValueError("no images to segment")
@@ -373,24 +390,32 @@ def match_within(
     m = len(images)
     labels = np.full(m, UNLABELED, dtype=int)
     founders: dict[int, TemplatePair] = {}
+    ids: list[int] = []  # the kept founders' images
+    rows = []  # each kept founder's columns, and its t1 and t2 scores on them
     class_num = 0
     for i in range(m):
         if labels[i] != UNLABELED:
             continue
         pair = extract_templates(images[i], size, founder_id=i)
         banks = _corner_banks([pair], stacks.shape)
+        row = np.full((2, m), np.nan)
         labels[i] = class_num
         later = i + 1 + np.flatnonzero(labels[i + 1 :] == UNLABELED)
-        recruits = later[stacks.pair_hits(banks, later, tau_in)]
+        recruits = later[stacks.pair_hits(banks, later, tau_in, row)]
         labels[recruits] = class_num
         if recruits.size == 0:
-            first = stacks.first_hit(banks, np.arange(i), tau_in)
+            first = stacks.first_hit(banks, np.arange(i), tau_in, row)
             if first is not None:
                 labels[i] = labels[first]
         if labels[i] == class_num:
             founders[class_num] = pair
+            ids.append(i)
+            # only the images that may still found a category keep their scores
+            cols = np.concatenate([ids, later[labels[later] == UNLABELED]])
+            rows.append((cols, row[:, cols]))
             class_num += 1
-    return CfrLabeling(labels=labels, founders=founders, class_count=class_num)
+    scores = np.array([kept[:, np.searchsorted(cols, ids)].T for cols, kept in rows])
+    return CfrLabeling(labels=labels, founders=founders, class_count=class_num, scores=scores)
 
 
 def _reindex(labels: np.ndarray, founders: dict[int, TemplatePair]) -> tuple[np.ndarray, dict[int, TemplatePair]]:
@@ -418,38 +443,33 @@ def match_between(labeling: CfrLabeling, images: list[np.ndarray], tau_out: floa
     against the stacked images of the founders outside its current
     component. A link inside one component cannot change the closure,
     and the surviving root is the smallest id whatever the link order,
-    so the result is that of the pair-by-pair scan.
+    so the result is that of the pair-by-pair scan. Only the scores
+    missing from ``labeling.scores`` are taken, and a category's banks
+    are built only when one of its scores is missing; the labeling
+    returned carries the scores forward, re-indexed.
     """
     if not (0.0 < tau_out <= 1.0):
         raise ValueError(f"tau_out must lie in (0, 1], got {tau_out}")
     k = labeling.class_count
-    parent = list(range(k))
+    pairs = [labeling.founders[c] for c in range(k)]
+    table = np.full((k, k, 2), np.nan) if labeling.scores is None else labeling.scores.copy()
+    stacks = _ImageStacks([images[pair.founder_id] for pair in pairs], pairs[0].size)
+    roots = np.arange(k)  # each category's component, by its smallest id
+    for i in range(k):
+        others = np.flatnonzero(roots != roots[i])
+        hits = stacks.pair_hits(lambda: _corner_banks([pairs[i]], stacks.shape), others, tau_out, table[i].T)
+        for b in others[hits]:
+            lo, hi = sorted((roots[i], roots[b]))
+            roots[roots == hi] = lo
 
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    cats = sorted(labeling.founders)
-    founder_images = [images[labeling.founders[c].founder_id] for c in cats]
-    stacks = _ImageStacks(founder_images, labeling.founders[cats[0]].size)
-    for i in cats:
-        root = find(i)
-        others = np.flatnonzero([find(c) != root for c in cats])
-        banks = _corner_banks([labeling.founders[i]], stacks.shape)
-        for b in others[stacks.pair_hits(banks, others, tau_out)]:
-            union(i, cats[b])
-
-    merged = np.array([find(int(lab)) for lab in labeling.labels])
-    root_founders = {find(c): labeling.founders[find(c)] for c in cats}
-    new_labels, new_founders = _reindex(merged, root_founders)
-    return CfrLabeling(labels=new_labels, founders=new_founders, class_count=len(new_founders))
+    # the result then reuses the stack's memory, not the heap above it
+    del stacks
+    merged = roots[labeling.labels]
+    new_labels, new_founders = _reindex(merged, {int(r): pairs[r] for r in np.unique(roots)})
+    order = merged[np.sort(np.unique(merged, return_index=True)[1])]  # old root of each new id
+    return CfrLabeling(
+        labels=new_labels, founders=new_founders, class_count=len(new_founders), scores=table[np.ix_(order, order)]
+    )
 
 
 def segment_cfr(

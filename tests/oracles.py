@@ -1,8 +1,10 @@
 """Slow reference scorers that the package's fast paths are held to.
 
-``ncc`` scores one template against one image with a sliding-window
-einsum, and ``pair_score`` takes the smaller of a pair's two corner
-scores, one pair and one image at a time. ``pair_scores`` scores every
+``window_energy`` sums each placement window's squares with a
+sliding-window einsum, the package's box sums' reference. ``ncc``
+scores one template against one image with the same einsum, and
+``pair_score`` takes the smaller of a pair's two corner scores, one
+pair and one image at a time. ``pair_scores`` scores every
 founder pair against every listed image with the package's bank scorer,
 t1 and t2 alike; ``np.argmax`` of it along the founders is the routing
 that ``segmentation_cfr._best_pairs`` must reproduce. ``masked_scores``
@@ -15,7 +17,15 @@ inverse FFT raise, for the tests that scoring takes none.
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from amdnloc.segmentation_cfr import _check_fits, _TemplateBank, _window_energy
+from amdnloc.segmentation_cfr import _check_fits, _TemplateBank
+
+
+def window_energy(source: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Energy of every placement window over the last two axes of ``source``."""
+    windows = sliding_window_view(source, shape, axis=(-2, -1))
+    e = np.einsum("...ijkl,...ijkl->...ij", windows, windows)
+    np.maximum(e, 0.0, out=e)
+    return e
 
 
 def ncc(template: np.ndarray, source: np.ndarray) -> float:
@@ -32,7 +42,7 @@ def ncc(template: np.ndarray, source: np.ndarray) -> float:
     if t_energy == 0.0:
         return 0.0
     num = np.einsum("ijkl,kl->ij", sliding_window_view(source, template.shape), template)
-    win = _window_energy(source, template.shape)
+    win = window_energy(source, template.shape)
     denom = np.sqrt(t_energy * win)
     # Zero-energy windows carry no signal; keep them out of the maximum.
     scale = float(np.max(win))
@@ -86,7 +96,7 @@ def masked_scores(templates: np.ndarray, images: list, rows: np.ndarray, picks: 
     i = np.arange(len(rows))
     product = np.conj(np.fft.rfft2(templates, s=(h, w)))[t] * np.fft.rfft2(stack)[i]
     num = np.fft.irfft2(product, s=(h, w))[..., : h - a + 1, : w - b + 1]
-    win = _window_energy(stack, (a, b))
+    win = window_energy(stack, (a, b))
     e = energy[t][..., None, None]
     denom = np.sqrt(e * win[i])
     ratio = np.divide(num, denom, out=np.full(num.shape, -np.inf), where=valid_windows(win)[i] & (e > 0.0))

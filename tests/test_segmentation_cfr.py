@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from unittest import mock
 
@@ -25,7 +26,15 @@ from amdnloc.segmentation_cfr import (
     match_within,
     segment_cfr,
 )
-from oracles import masked_scores, ncc, pair_score, pair_scores, refuse_numpy_inverse_ffts, valid_windows
+from oracles import (
+    masked_scores,
+    ncc,
+    pair_score,
+    pair_scores,
+    refuse_numpy_inverse_ffts,
+    valid_windows,
+    window_energy,
+)
 
 
 def ncc_oracle(template, source):
@@ -413,6 +422,40 @@ def test_pruned_inverse_equals_full_irfft2_crop(h, w, data, scale, seed):
 
 
 @st.composite
+def _wide_range_images(draw):
+    """A stack of images whose pixels span 16 decades, with zero blocks
+    and faint halves drawn often, and a window shape that fits them."""
+    h, w = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    a, b = draw(st.integers(1, h)), draw(st.integers(1, w))
+    n = draw(st.integers(1, 4))
+    mantissas = draw(arrays(float, (n, h, w), elements=st.floats(1.0, 10.0, exclude_max=True)))
+    decades = draw(arrays(int, (n, h, w), elements=st.integers(-16, 0)))
+    stack = mantissas * 10.0**decades
+    for img in stack:
+        kind = draw(st.sampled_from(["as drawn", "zero block", "faint half"]))
+        y, x = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+        if kind == "zero block":
+            img[y : y + a, x : x + b] = 0.0
+        elif kind == "faint half":
+            img[y:] *= 1e-8
+    return stack, (a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_wide_range_images())
+def test_window_energy_box_sums_equal_the_einsum(case):
+    stack, shape = case
+    got, want = _window_energy(stack, shape), window_energy(stack, shape)
+    assert got.shape == want.shape
+    # sums of nonnegative terms in another order: a few eps apart, relative
+    # to every window, faint ones too (4.4 eps the largest seen), and exact
+    # where every term is 0
+    assert np.all(np.abs(got - want) <= 8 * np.finfo(float).eps * want)
+    assert np.all(got[want == 0.0] == 0.0)
+    assert np.array_equal(segmentation_cfr._valid_windows(got), segmentation_cfr._valid_windows(want))
+
+
+@st.composite
 def _images_and_pairs(draw):
     """Images of one shape, with all-zero, faint and zero-block images
     drawn often, template pairs of one shape that fits them, and the
@@ -479,7 +522,7 @@ def _exact_zeros_and_bounds(templates, images, indices):
     of the largest) bounds every placement. 2e-15 is about 9 eps; the
     largest error seen in a random search of faint windows was 2.6 eps."""
     stack = np.array(images, dtype=float)[indices]
-    win = _window_energy(stack, templates.shape[1:])
+    win = window_energy(stack, templates.shape[1:])
     scored = valid_windows(win)
     faintest = np.min(np.where(scored, win, np.inf), axis=(1, 2))
     bounds = np.maximum(1e-12, 2e-15 * np.sqrt(np.sum(stack * stack, axis=(1, 2)) / faintest))
@@ -561,6 +604,23 @@ def test_a_score_does_not_depend_on_its_call_at_large_shapes(side):
     assert np.array_equal(stacks._score(bank, rows[:5]), full[:, rows[:5]])
     t, i = np.divmod(rng.permutation(count * n), n)
     assert np.array_equal(stacks._score_pairs(bank, t, i), full[t, i])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_images_and_pairs(), st.integers(1, 5), st.integers(1, 5), st.data())
+def test_stacks_keep_one_spectrum_and_window_row_per_image(case, planes, sub_planes, data):
+    # stage two reads scores stage one took on another stack, so an image's
+    # spectrum and 1/sqrt window energies must not depend on its stack
+    images, pairs, _ = case
+    n = len(images)
+    rows = np.array(data.draw(st.permutations(range(n))))[: data.draw(st.integers(1, n))]
+    with mock.patch.object(segmentation_cfr, "_PLANES", planes):
+        full = _ImageStacks(images, pairs[0].size)
+    with mock.patch.object(segmentation_cfr, "_PLANES", sub_planes):
+        sub = _ImageStacks([images[r] for r in rows], pairs[0].size)
+    for k, r in enumerate(rows):
+        assert np.array_equal(sub._spectra[k], full._spectra[r])
+        assert np.array_equal(sub._rwin[k], full._rwin[r])
 
 
 @st.composite
@@ -795,6 +855,77 @@ def test_stages_match_pairwise_scan_on_shifted_views():
         for tau_out in (0.99, 0.95, 0.85):
             want = match_between_oracle(within, images, tau_out, memo)
             _assert_same_labeling(match_between(within, images, tau_out), want)
+
+
+def _assert_scores_were_taken(labeling, images):
+    """Every entry of ``labeling.scores`` that is not NaN is the score
+    its category's founder template takes on the other category's
+    founder image, bit for bit, scored afresh on a stack of the founder
+    images."""
+    k = labeling.class_count
+    pairs = [labeling.founders[c] for c in range(k)]
+    stacks = _ImageStacks([images[pair.founder_id] for pair in pairs], pairs[0].size)
+    banks = _corner_banks(pairs, stacks.shape)
+    fresh = np.stack([stacks._score(bank, np.arange(k)) for bank in banks], axis=-1)
+    assert labeling.scores.shape == (k, k, 2)
+    taken = ~np.isnan(labeling.scores)
+    assert np.array_equal(labeling.scores[taken], fresh[taken])
+    return taken
+
+
+def _stage_two_scoring(labeling):
+    """A patch of ``_ImageStacks._score`` and the list it fills with the
+    entries of ``labeling.scores`` that ``match_between`` scores, as
+    (category, side, founder image) triples; a bank's category and side
+    are told apart by its spectra."""
+    taken = []
+    score = _ImageStacks._score
+
+    def recorded(self, bank, rows):
+        c, side = next(
+            (c, side)
+            for c, pair in labeling.founders.items()
+            for side, template in enumerate((pair.t1, pair.t2))
+            if np.array_equal(_TemplateBank(template[None], self.shape).spectra, bank.spectra)
+        )
+        taken.extend((c, side, int(r)) for r in rows)
+        return score(self, bank, rows)
+
+    return mock.patch.object(_ImageStacks, "_score", recorded), taken
+
+
+def test_stage_two_scores_only_what_stage_one_left(invariants_scene_images):
+    images = invariants_scene_images[::2]
+    for tau_in, tau_outs in ((0.97, (0.99, 0.95, 0.9)), (0.9, (0.95, 0.85))):
+        within = match_within(images, tau_in, (8, 8))
+        kept = _assert_scores_were_taken(within, images)
+        # stage one scored t1 of every kept founder on each later founder
+        later = np.triu(np.ones((within.class_count,) * 2, dtype=bool), 1)
+        assert kept[..., 0][later].all()
+        blank = dataclasses.replace(within, scores=np.full_like(within.scores, np.nan))
+        memo = {}
+        for tau_out in tau_outs:
+            patch, taken = _stage_two_scoring(within)
+            with patch:
+                got = match_between(within, images, tau_out)
+            # stage two scores only entries the table lacks, each once
+            assert taken and len(set(taken)) == len(taken)
+            assert all(np.isnan(within.scores[c, r, side]) for c, side, r in taken)
+            patch, taken_blank = _stage_two_scoring(blank)
+            with patch:
+                want = match_between(blank, images, tau_out)
+            assert len(taken) < len(taken_blank)
+            _assert_same_labeling(got, want)
+            _assert_same_labeling(got, match_between_oracle(within, images, tau_out, memo))
+            _assert_scores_were_taken(got, images)
+            _assert_scores_were_taken(want, images)
+            # the surviving founders were scored against each other while
+            # apart, so a second pass takes no score at all
+            patch, taken = _stage_two_scoring(got)
+            with patch:
+                again = match_between(got, images, tau_out)
+            assert taken == []
+            _assert_same_labeling(again, got)
 
 
 def test_match_within_rejects_mixed_shapes():
