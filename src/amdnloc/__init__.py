@@ -16,7 +16,7 @@ from .channel import (
     render_image,
 )
 from .evaluate import cdf_curve, mean_error, run_pipeline
-from .fusion import RegionLabels, cleanse, fuse_labels
+from .fusion import RegionLabels, Segmentation, cleanse, fuse_labels
 from .localizer import (
     FeatureConfig,
     LocalizationModel,

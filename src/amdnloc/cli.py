@@ -47,29 +47,17 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _parse_template(text: str) -> tuple[int, int]:
-    h, w = text.lower().split("x")
-    return int(h), int(w)
-
-
 def _cmd_segment(args) -> int:
     samples = dio.read_dataset(args.data)
-    size = _parse_template(args.template)
+    h, w = args.template.lower().split("x")
     # the option names are the config keys: tau_in, tau_out, min_count, k_max, path_select
-    cfg = {**default_config(), **vars(args), "template_size": size, "seed": _seed_override(args.seed)}
-    regions, founders, centroids, std = segment(samples, cfg)
+    cfg = {**default_config(), **vars(args), "template_size": (int(h), int(w)), "seed": _seed_override(args.seed)}
+    seg = segment(samples, cfg)
     data = Path(args.data)
-    export_region_map(samples, regions, data / "region_map.csv", data / "region_map.ppm")
-    seg = {
-        "template_size": list(size),
-        "path_select": args.path_select,
-        "founders": {str(c): p.founder_id for c, p in founders.items()},
-        "adcam_centroids": centroids.tolist(),
-        "adcam_standardizer": dio._std_to_json(std),
-    }
-    (data / "segmentation.json").write_text(json.dumps(seg, sort_keys=True, indent=1))
+    export_region_map(samples, seg.regions, data / "region_map.csv", data / "region_map.ppm")
+    dio.write_segmentation(data / "segmentation.json", seg)
     print(
-        f"{regions.fused_count} regions, covering rate {regions.covering_rate:.3f}; "
+        f"{seg.regions.fused_count} regions, covering rate {seg.regions.covering_rate:.3f}; "
         f"wrote region_map.csv and segmentation.json"
     )
     return 0
@@ -77,21 +65,8 @@ def _cmd_segment(args) -> int:
 
 def _cmd_train(args) -> int:
     samples = dio.read_dataset(args.data)
-    by_id = {s.id: s for s in samples}
-    ids, regions = dio.read_region_map(args.regions)
-    seg = json.loads((Path(args.data) / "segmentation.json").read_text())
-    founders = dio.recut_founders(
-        samples, [(c, sid, seg["template_size"]) for c, sid in seg["founders"].items()]
-    )
-    model = train(
-        [by_id[i] for i in ids],
-        regions,
-        founders,
-        np.array(seg["adcam_centroids"]),
-        dio._std_from_json(seg["adcam_standardizer"]),
-        path_select=seg["path_select"],
-        ridge_lambda=args.ridge_lambda,
-    )
+    train_samples, segmentation = dio.read_segmentation(Path(args.data) / "segmentation.json", samples, args.regions)
+    model = train(train_samples, segmentation, args.ridge_lambda)
     dio.write_model(args.out, model)
     print(f"trained {len(model.weights)} region regressors; wrote {args.out}")
     return 0

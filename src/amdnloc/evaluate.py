@@ -9,11 +9,11 @@ import numpy as np
 
 from . import io as dio
 from .channel import render_image
-from .fusion import RegionLabels, cleanse, fuse_labels
+from .fusion import RegionLabels, Segmentation, cleanse, fuse_labels
 from .localizer import locate, train
 from .scenegen import SceneConfig, build_dataset, nlos_filter, scene_from_json, scene_to_json
-from .segmentation_adcam import Standardizer, build_features, kmeans, select_k
-from .segmentation_cfr import TemplatePair, extract_templates, segment_cfr
+from .segmentation_adcam import build_features, kmeans, select_k
+from .segmentation_cfr import extract_templates, segment_cfr
 
 __all__ = [
     "mean_error",
@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 DEFAULT_CDF_THRESHOLDS = [0.5, 1.0, 2.0, 3.0, 5.0, 10.0, 20.0, 50.0, 100.0, 250.0, 500.0]
+_CELL_PX = 4  # meters per pixel of the region-map raster, along each axis
 
 
 class PipelineError(RuntimeError):
@@ -63,15 +64,15 @@ def _label_color(label: int) -> tuple[int, int, int]:
     return (int(c[0]), int(c[1]), int(c[2]))
 
 
-def export_region_map(samples, labels: RegionLabels, csv_path, ppm_path, cell_px: int = 4):
+def export_region_map(samples, labels: RegionLabels, csv_path, ppm_path):
     """Region map as CSV plus a binary PPM raster (one color per label)."""
     dio.write_region_map(csv_path, [s.id for s in samples], labels)
     xs = np.array([s.pos[0] for s in samples])
     ys = np.array([s.pos[1] for s in samples])
     w = int(np.ceil(xs.max())) + 1 if xs.size else 1
     h = int(np.ceil(ys.max())) + 1 if ys.size else 1
-    gw = max(1, w // cell_px)
-    gh = max(1, h // cell_px)
+    gw = max(1, w // _CELL_PX)
+    gh = max(1, h // _CELL_PX)
     img = np.zeros((gh, gw, 3), dtype=np.uint8)
     labs = np.where(labels.retained, labels.fused_labels, -1).tolist()
     palette = {lab: _label_color(lab) for lab in set(labs)}
@@ -109,7 +110,7 @@ def _split(n: int, train_fraction: float, seed: int) -> tuple[np.ndarray, np.nda
     return np.sort(order[:n_train]), np.sort(order[n_train:])
 
 
-def segment(train_samples, cfg) -> tuple[RegionLabels, dict[int, TemplatePair], np.ndarray, Standardizer]:
+def segment(train_samples, cfg) -> Segmentation:
     """Run both segmentations on the training set and fuse them; founder ids are sample ids."""
     size = cfg["template_size"]  # checked where a template is cut or scored
     if cfg.get("single_region"):
@@ -136,7 +137,7 @@ def segment(train_samples, cfg) -> tuple[RegionLabels, dict[int, TemplatePair], 
         adcam_lab = cmodel.assignment
         centroids = cmodel.centroids
     regions = cleanse(fuse_labels(cfr_lab, adcam_lab), cfg["min_count"])
-    return regions, founders, centroids, std
+    return Segmentation(regions, founders, centroids, std, cfg["path_select"])
 
 
 def run_pipeline(config: dict, out_dir: str | Path | None = None) -> dict:
@@ -171,20 +172,12 @@ def run_pipeline(config: dict, out_dir: str | Path | None = None) -> dict:
     test_samples = [samples[i] for i in test_idx]
 
     try:
-        regions, founders, centroids, adcam_std = segment(train_samples, cfg)
+        segmentation = segment(train_samples, cfg)
     except ValueError as e:
         raise PipelineError("segment", str(e)) from e
 
     try:
-        model = train(
-            train_samples,
-            regions,
-            founders,
-            centroids,
-            adcam_std,
-            path_select=cfg["path_select"],
-            ridge_lambda=cfg["ridge_lambda"],
-        )
+        model = train(train_samples, segmentation, cfg["ridge_lambda"])
     except (ValueError, np.linalg.LinAlgError) as e:
         raise PipelineError("train", str(e)) from e
 
@@ -202,11 +195,11 @@ def run_pipeline(config: dict, out_dir: str | Path | None = None) -> dict:
         "mean_error_m": me,
         "rmse_m": rmse,
         "cdf": cdf_curve(errors),
-        "covering_rate": regions.covering_rate,
+        "covering_rate": segmentation.regions.covering_rate,
         "per_region_errors": per_region,
         "n_train": len(train_samples),
         "n_test": len(test_samples),
-        "region_count": regions.fused_count,
+        "region_count": segmentation.regions.fused_count,
         "config": cfg,
         "seed": cfg["seed"],
     }
@@ -216,7 +209,7 @@ def run_pipeline(config: dict, out_dir: str | Path | None = None) -> dict:
         out.mkdir(parents=True, exist_ok=True)
         dio.write_dataset(samples, out / "dataset")
         export_region_map(
-            train_samples, regions, out / "region_map.csv", out / "region_map.ppm"
+            train_samples, segmentation.regions, out / "region_map.csv", out / "region_map.ppm"
         )
         dio.write_model(out / "model.json", model)
         (out / "report.json").write_text(json.dumps(report, sort_keys=True, indent=1))

@@ -5,7 +5,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["RegionLabels", "fuse_labels", "cleanse"]
+from .segmentation_adcam import Standardizer
+from .segmentation_cfr import TemplatePair
+
+__all__ = ["RegionLabels", "Segmentation", "fuse_labels", "cleanse"]
 
 
 @dataclass
@@ -27,6 +30,18 @@ class RegionLabels:
     @property
     def covering_rate(self) -> float:
         return float(self.retained.sum()) / self.retained.size
+
+
+@dataclass
+class Segmentation:
+    """Regions of the training samples, in order, and the state that
+    routes a new sample to one; founder ids are sample ids."""
+
+    regions: RegionLabels
+    founders: dict[int, TemplatePair]
+    adcam_centroids: np.ndarray
+    adcam_standardizer: Standardizer
+    path_select: str
 
 
 def fuse_labels(cfr_labels, adcam_labels) -> RegionLabels:

@@ -16,11 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from .channel import PathRecord, render_image
-from .fusion import RegionLabels
+from .fusion import RegionLabels, Segmentation
 from .localizer import FeatureConfig, LocalizationModel
 from .scenegen import Sample
 from .segmentation_adcam import Standardizer
-from .segmentation_cfr import TemplatePair, extract_templates
+from .segmentation_cfr import extract_templates
 
 __all__ = [
     "MAGIC",
@@ -29,8 +29,9 @@ __all__ = [
     "read_dataset",
     "write_region_map",
     "read_region_map",
+    "write_segmentation",
+    "read_segmentation",
     "write_model",
-    "recut_founders",
     "read_model",
 ]
 
@@ -171,10 +172,16 @@ def write_region_map(path: str | Path, sample_ids, labels: RegionLabels):
 
 
 def read_region_map(path: str | Path) -> tuple[list[int], RegionLabels]:
+    """Sample ids and their labels, in file order; ids must be unique."""
     ids, cfr, ad, fused, ret = [], [], [], [], []
+    seen = set()
     with open(path, newline="") as fh:
         for row in csv.DictReader(fh):
-            ids.append(int(row["id"]))
+            sid = int(row["id"])
+            if sid in seen:
+                raise ValueError(f"{path}: id {sid} is repeated")
+            seen.add(sid)
+            ids.append(sid)
             cfr.append(int(row["cfr_label"]))
             ad.append(int(row["adcam_label"]))
             fused.append(int(row["fused_label"]))
@@ -204,6 +211,55 @@ def _std_from_json(obj: dict) -> Standardizer:
     return Standardizer(mean=np.array(obj["mean"]), scale=np.array(obj["scale"]))
 
 
+def _routing_to_json(state: Segmentation | LocalizationModel) -> dict:
+    """The routing state, the keys segmentation.json and model.json share."""
+    return {
+        "path_select": state.path_select,
+        "founders": {str(c): {"founder_sample_id": p.founder_id, "size": list(p.size)} for c, p in state.founders.items()},
+        "adcam_centroids": state.adcam_centroids.tolist(),
+        "adcam_standardizer": _std_to_json(state.adcam_standardizer),
+    }
+
+
+def _routing_from_json(path: str | Path, obj: dict, by_id: dict[int, Sample]) -> dict:
+    """The routing fields of a ``Segmentation`` or ``LocalizationModel``,
+    founder templates re-cut in ascending category order: the trained
+    model's order, by which routing breaks ties."""
+    founders = {}
+    for c, f in sorted(obj["founders"].items(), key=lambda item: int(item[0])):
+        sid = f["founder_sample_id"]
+        if sid not in by_id:
+            raise ValueError(f"{path}: founder sample {sid} of category {c} is not in the dataset")
+        img = render_image(by_id[sid].cfr, "cfr_magnitude")
+        founders[int(c)] = extract_templates(img, tuple(f["size"]), founder_id=sid)
+    return {
+        "founders": founders,
+        "adcam_centroids": np.array(obj["adcam_centroids"]),
+        "adcam_standardizer": _std_from_json(obj["adcam_standardizer"]),
+        "path_select": obj["path_select"],
+    }
+
+
+def write_segmentation(path: str | Path, segmentation: Segmentation):
+    """segmentation.json: the routing state; the regions go to the region map."""
+    obj = {"format": "amdnloc-segmentation", **_routing_to_json(segmentation)}
+    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1))
+
+
+def read_segmentation(path: str | Path, samples: list[Sample], region_map: str | Path) -> tuple[list[Sample], Segmentation]:
+    """The samples of a region map, in its order, and their segmentation,
+    its founder templates re-cut from ``samples``."""
+    obj = json.loads(Path(path).read_text())
+    if not isinstance(obj, dict) or obj.get("format") != "amdnloc-segmentation":
+        raise ValueError(f"{path}: not a segmentation file of this version; run amdnloc segment again")
+    ids, regions = read_region_map(region_map)
+    by_id = {s.id: s for s in samples}
+    missing = [sid for sid in ids if sid not in by_id]
+    if missing:
+        raise ValueError(f"{region_map}: id {missing[0]} is not in the dataset")
+    return [by_id[sid] for sid in ids], Segmentation(regions, **_routing_from_json(path, obj, by_id))
+
+
 def write_model(path: str | Path, model: LocalizationModel):
     obj = {
         "format": "amdnloc-model",
@@ -211,14 +267,8 @@ def write_model(path: str | Path, model: LocalizationModel):
         "nt": model.config.nt,
         "nc": model.config.nc,
         "ridge_lambda": model.ridge_lambda,
-        "path_select": model.path_select,
         "weights": {str(r): w.tolist() for r, w in model.weights.items()},
-        "founders": {
-            str(c): {"founder_sample_id": p.founder_id, "size": list(p.size)}
-            for c, p in model.founders.items()
-        },
-        "adcam_centroids": model.adcam_centroids.tolist(),
-        "adcam_standardizer": _std_to_json(model.adcam_standardizer),
+        **_routing_to_json(model),
         "feature_standardizer": _std_to_json(model.feature_standardizer),
         "pair_to_fused": [[c, a, f] for (c, a), f in sorted(model.pair_to_fused.items())],
         "region_feature_centroids": {
@@ -228,38 +278,18 @@ def write_model(path: str | Path, model: LocalizationModel):
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1))
 
 
-def recut_founders(samples: list[Sample], specs) -> dict[int, TemplatePair]:
-    """Founder templates re-cut from (category, sample id, size) triples,
-    in ascending category order: the trained model's order, by which
-    routing breaks ties."""
-    by_id = {s.id: s for s in samples}
-    founders = {}
-    for c, sid, size in sorted(specs, key=lambda spec: int(spec[0])):
-        if sid not in by_id:
-            raise ValueError(f"founder sample {sid} of category {c} is not in the dataset")
-        img = render_image(by_id[sid].cfr, "cfr_magnitude")
-        founders[int(c)] = extract_templates(img, tuple(size), founder_id=sid)
-    return founders
-
-
 def read_model(path: str | Path, samples: list[Sample]) -> LocalizationModel:
     """Load a model; founder templates are re-cut from the given dataset."""
     obj = json.loads(Path(path).read_text())
-    if obj.get("format") != "amdnloc-model":
+    if not isinstance(obj, dict) or obj.get("format") != "amdnloc-model":
         raise ValueError(f"{path}: not a model file")
     # Older files name the fit method; closed-form ridge is the only one.
     if obj.get("method", "ridge_closed_form") != "ridge_closed_form":
         raise ValueError(f"{path}: fit method {obj['method']!r} is not supported; models are fit by closed-form ridge")
-    founders = recut_founders(
-        samples, [(c, f["founder_sample_id"], f["size"]) for c, f in obj["founders"].items()]
-    )
     return LocalizationModel(
         config=FeatureConfig(nt=obj["nt"], nc=obj["nc"]),
         weights={int(r): np.array(w) for r, w in obj["weights"].items()},
-        founders=founders,
-        adcam_centroids=np.array(obj["adcam_centroids"]),
-        adcam_standardizer=_std_from_json(obj["adcam_standardizer"]),
-        path_select=obj["path_select"],
+        **_routing_from_json(path, obj, {s.id: s for s in samples}),
         pair_to_fused={(c, a): f for c, a, f in obj["pair_to_fused"]},
         feature_standardizer=_std_from_json(obj["feature_standardizer"]),
         region_feature_centroids={

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import render_image
-from .fusion import RegionLabels
+from .fusion import Segmentation
 from .segmentation_adcam import Standardizer, _dist, path_descriptor
 from .segmentation_cfr import _PLANES, TemplatePair, _best_pairs, _corner_banks, _TemplateBank
 
@@ -201,21 +201,14 @@ class LocalizationModel:
         self.corner_banks = _corner_banks(list(self.founders.values()), (self.config.nt, self.config.nc))
 
 
-def train(
-    samples,
-    regions: RegionLabels,
-    founders: dict[int, TemplatePair],
-    adcam_centroids: np.ndarray,
-    adcam_standardizer: Standardizer,
-    path_select: str = "strongest",
-    ridge_lambda: float = 1e-3,
-) -> LocalizationModel:
+def train(samples, segmentation: Segmentation, ridge_lambda: float = 1e-3) -> LocalizationModel:
     """Fit one closed-form ridge regressor per retained fused region.
 
     Feature normalization constants come from the retained training
-    samples; the founders/centroids of the segmentation stages are
-    stored so ``locate`` can route new samples.
+    samples; the segmentation's routing state is stored so ``locate``
+    can route new samples.
     """
+    regions = segmentation.regions
     config = FeatureConfig(nt=samples[0].cfr.shape[0], nc=samples[0].cfr.shape[1])
     raw = np.empty((len(samples), config.fused_len))
     for i, chunk in _chunks(samples):
@@ -237,10 +230,10 @@ def train(
     return LocalizationModel(
         config=config,
         weights=weights,
-        founders=founders,
-        adcam_centroids=np.asarray(adcam_centroids, dtype=float),
-        adcam_standardizer=adcam_standardizer,
-        path_select=path_select,
+        founders=segmentation.founders,
+        adcam_centroids=np.asarray(segmentation.adcam_centroids, dtype=float),
+        adcam_standardizer=segmentation.adcam_standardizer,
+        path_select=segmentation.path_select,
         pair_to_fused=dict(regions.pair_to_fused),
         feature_standardizer=feat_std,
         region_feature_centroids=centroids,

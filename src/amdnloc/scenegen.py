@@ -47,12 +47,9 @@ class Rect:
         if self.w <= 0 or self.h <= 0:
             raise ValueError("rectangle must have positive extent")
 
-    def contains(self, p: Sequence[float], margin: float = 0.0) -> bool:
+    def contains(self, p: Sequence[float]) -> bool:
         px, py = p
-        return (
-            self.x - margin < px < self.x + self.w + margin
-            and self.y - margin < py < self.y + self.h + margin
-        )
+        return self.x < px < self.x + self.w and self.y < py < self.y + self.h
 
     def walls(self):
         """Four wall segments as ((x1, y1), (x2, y2)) tuples."""

@@ -23,6 +23,9 @@ __all__ = [
     "select_k",
 ]
 
+_MAX_ITER = 100  # Lloyd iterations of k-means, at most
+_TOL = 1e-6  # k-means stops once no centroid coordinate moves this far
+
 
 @dataclass
 class Standardizer:
@@ -110,7 +113,7 @@ def _init_centroids(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return np.asarray(centroids)
 
 
-def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iter: int = 100, tol: float = 1e-6) -> ClusterModel:
+def kmeans(points: np.ndarray, k: int, seed: int = 0) -> ClusterModel:
     """Seeded Lloyd iterations; empty clusters are reseeded from the farthest point."""
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
@@ -123,7 +126,7 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iter: int = 100, tol: 
     centroids = _init_centroids(points, k, rng)
     prev_wcss = np.inf
     assignment = np.zeros(n, dtype=int)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         d = _dist(points, centroids)
         assignment = d.argmin(axis=1)
         for c in range(k):
@@ -140,7 +143,7 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iter: int = 100, tol: 
         move = float(np.abs(new_centroids - centroids).max())
         centroids = new_centroids
         prev_wcss = wcss
-        if move < tol:
+        if move < _TOL:
             break
     d = _dist(points, centroids)
     assignment = d.argmin(axis=1)

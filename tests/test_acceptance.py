@@ -23,7 +23,7 @@ from amdnloc.channel import (
 from amdnloc import localizer
 from amdnloc.cli import main as cli_main
 from amdnloc.evaluate import _split, default_config, run_pipeline, segment
-from amdnloc.fusion import cleanse, fuse_labels
+from amdnloc.fusion import Segmentation, cleanse, fuse_labels
 from amdnloc.localizer import (
     apply_weights,
     fit_region_weights,
@@ -331,10 +331,8 @@ def test_segmentation_invariants():
 
 def _retained_error(train_s, test_s, lab, founders, cmodel, std, min_count):
     regions = cleanse(fuse_labels(lab.labels, cmodel.assignment), min_count)
-    model = train(
-        train_s, regions, founders, cmodel.centroids, std,
-        ridge_lambda=HETERO_CONFIG["ridge_lambda"],
-    )
+    segmentation = Segmentation(regions, founders, cmodel.centroids, std, "strongest")
+    model = train(train_s, segmentation, HETERO_CONFIG["ridge_lambda"])
     # the CFR label: the first best-scoring founder in model.founders order
     best = _best_pairs(model.corner_banks, [render_image(s.cfr, "cfr_magnitude") for s in test_s])
     cfr_labels = np.array(list(model.founders))[best]
@@ -461,11 +459,7 @@ def _pipeline_model(cfg):
     samples = nlos_filter(build_dataset(scene), cfg["nlos_mode"])
     tr, te = _split(len(samples), cfg["train_fraction"], cfg["seed"])
     train_s = [samples[i] for i in tr]
-    regions, founders, centroids, std = segment(train_s, cfg)
-    model = train(
-        train_s, regions, founders, centroids, std,
-        path_select=cfg["path_select"], ridge_lambda=cfg["ridge_lambda"],
-    )
+    model = train(train_s, segment(train_s, cfg), cfg["ridge_lambda"])
     return model, [samples[i] for i in te]
 
 

@@ -332,12 +332,50 @@ class TestBoundaryErrors:
     def test_train_names_a_founder_missing_from_the_dataset(self, trained_chain, tmp_path, capsys):
         data = shutil.copytree(trained_chain[0], tmp_path / "data")
         seg = json.loads((data / "segmentation.json").read_text())
-        seg["founders"]["1"] = 9999
+        seg["founders"]["1"]["founder_sample_id"] = 9999
         (data / "segmentation.json").write_text(json.dumps(seg))
         rc = main(["train", "--data", str(data), "--regions", str(data / "region_map.csv"), "--out", str(tmp_path / "m.json")])
         assert rc == 1
         err = capsys.readouterr().err
         assert "[train]" in err and "9999" in err
+
+    @pytest.mark.parametrize("fault", ["missing id", "repeated id"])
+    def test_train_names_a_bad_region_map_id(self, trained_chain, tmp_path, capsys, fault):
+        data = shutil.copytree(trained_chain[0], tmp_path / "data")
+        region_map = data / "region_map.csv"
+        bad = []
+
+        def edit(rows):
+            if fault == "missing id":
+                rows[2][0] = "99999"
+            else:
+                rows.append(list(rows[3]))
+            bad.append(rows[-1][0] if fault == "repeated id" else "99999")
+            return rows
+
+        _rewrite_csv(region_map, edit)
+        out = tmp_path / "m.json"
+        rc = main(["train", "--data", str(data), "--regions", str(region_map), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "[train]" in err and str(region_map) in err and f"id {bad[0]} " in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fault", ["old format", "not an object"])
+    def test_train_rejects_a_segmentation_file_of_the_old_format(self, trained_chain, tmp_path, capsys, fault):
+        data = shutil.copytree(trained_chain[0], tmp_path / "data")
+        seg = json.loads((data / "segmentation.json").read_text())
+        # the format before the routing state had one codec: bare founder ids, one template size
+        old = {k: v for k, v in seg.items() if k != "format"}
+        old["founders"] = {c: f["founder_sample_id"] for c, f in seg["founders"].items()}
+        old["template_size"] = [8, 8]
+        (data / "segmentation.json").write_text(json.dumps(old if fault == "old format" else [old]))
+        out = tmp_path / "m.json"
+        rc = main(["train", "--data", str(data), "--regions", str(data / "region_map.csv"), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "[train]" in err and str(data / "segmentation.json") in err and "amdnloc segment" in err
+        assert not out.exists()
 
     def test_segment_rejects_a_template_side_below_one(self, trained_chain, tmp_path, capsys):
         data = shutil.copytree(trained_chain[0], tmp_path / "data")
@@ -369,6 +407,15 @@ class TestBoundaryErrors:
         err = capsys.readouterr().err
         assert "[eval]" in err and "'sgd'" in err and str(bad) in err
         assert not (tmp_path / "r.json").exists()
+
+    def test_eval_rejects_a_model_file_that_is_not_an_object(self, trained_chain, tmp_path, capsys):
+        data, model_path = trained_chain
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps([json.loads(model_path.read_text())]))
+        rc = main(["eval", "--data", str(data), "--model", str(bad), "--out", str(tmp_path / "r.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "[eval]" in err and str(bad) in err and "not a model file" in err
 
     def test_eval_rejects_founders_of_mixed_sizes(self, trained_chain, tmp_path, capsys):
         data, model_path = trained_chain
@@ -428,14 +475,8 @@ class TestTrainOptions:
             "--ridge-lambda", "30", "--out", str(out),
         ]) == 0
         samples = dio.read_dataset(data)
-        by_id = {s.id: s for s in samples}
-        ids, regions = dio.read_region_map(data / "region_map.csv")
-        seg = json.loads((data / "segmentation.json").read_text())
-        founders = dio.recut_founders(samples, [(c, sid, seg["template_size"]) for c, sid in seg["founders"].items()])
-        model = train(
-            [by_id[i] for i in ids], regions, founders, np.array(seg["adcam_centroids"]),
-            dio._std_from_json(seg["adcam_standardizer"]), path_select=seg["path_select"], ridge_lambda=30,
-        )
+        train_samples, segmentation = dio.read_segmentation(data / "segmentation.json", samples, data / "region_map.csv")
+        model = train(train_samples, segmentation, ridge_lambda=30)
         written = json.loads(out.read_text())
         assert written["ridge_lambda"] == 30
         assert written["weights"] == {str(r): w.tolist() for r, w in model.weights.items()}
@@ -446,7 +487,7 @@ class TestTrainOptions:
 def trained_model(dataset):
     """A model trained in memory on the dataset's own samples."""
     from amdnloc.channel import render_image
-    from amdnloc.fusion import cleanse, fuse_labels
+    from amdnloc.fusion import Segmentation, cleanse, fuse_labels
     from amdnloc.localizer import train
     from amdnloc.segmentation_adcam import build_features, kmeans
     from amdnloc.segmentation_cfr import extract_templates, segment_cfr
@@ -461,7 +502,7 @@ def trained_model(dataset):
     feats, std = build_features(samples)
     cm = kmeans(feats, 2, seed=0)
     regions = cleanse(fuse_labels(labeling.labels, cm.assignment), 0)
-    return train(samples, regions, founders, cm.centroids, std)
+    return train(samples, Segmentation(regions, founders, cm.centroids, std, "strongest"))
 
 
 class TestModelRoundtrip:
@@ -500,3 +541,62 @@ class TestModelRoundtrip:
         for batch in (samples, held_out):
             got, want = locate(again, batch), locate(trained_model, batch)
             assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+
+
+class TestSegmentationRecord:
+    @pytest.mark.parametrize("single_region", [False, True])
+    def test_segmentation_roundtrip(self, dataset, tmp_path, single_region):
+        from amdnloc.evaluate import default_config, segment
+
+        _, samples = dataset
+        cfg = {
+            **default_config(), "tau_in": 0.95, "tau_out": 0.95, "template_size": (8, 8), "min_count": 0,
+            "k_max": 3, "path_select": "first_arrival", "single_region": single_region,
+        }
+        seg = segment(samples, cfg)
+        dio.write_region_map(tmp_path / "region_map.csv", [s.id for s in samples], seg.regions)
+        dio.write_segmentation(tmp_path / "segmentation.json", seg)
+        obj = json.loads((tmp_path / "segmentation.json").read_text())
+        assert sorted(obj) == ["adcam_centroids", "adcam_standardizer", "format", "founders", "path_select"]
+        assert obj["format"] == "amdnloc-segmentation"
+        read, again = dio.read_segmentation(tmp_path / "segmentation.json", samples, tmp_path / "region_map.csv")
+        assert [s.id for s in read] == [s.id for s in samples]
+        for name in ("cfr_labels", "adcam_labels", "fused_labels", "retained"):
+            assert np.array_equal(getattr(again.regions, name), getattr(seg.regions, name))
+        assert again.regions.fused_count == seg.regions.fused_count
+        assert again.regions.pair_to_fused == seg.regions.pair_to_fused
+        # routing breaks ties by founder order, so the order is kept too
+        assert list(again.founders) == sorted(seg.founders)
+        for c, pair in seg.founders.items():
+            got = again.founders[c]
+            assert (got.founder_id, got.size) == (pair.founder_id, pair.size)
+            assert np.array_equal(got.t1, pair.t1) and np.array_equal(got.t2, pair.t2)
+        assert np.array_equal(again.adcam_centroids, seg.adcam_centroids)
+        assert np.array_equal(again.adcam_standardizer.mean, seg.adcam_standardizer.mean)
+        assert np.array_equal(again.adcam_standardizer.scale, seg.adcam_standardizer.scale)
+        assert again.path_select == seg.path_select == "first_arrival"
+
+    def test_cli_segment_and_train_write_the_model_of_the_library_calls(self, trained_chain, tmp_path, monkeypatch):
+        from amdnloc.evaluate import default_config, segment
+        from amdnloc.localizer import train
+
+        monkeypatch.delenv("AMDN_SEED", raising=False)
+        data = shutil.copytree(trained_chain[0], tmp_path / "data")
+        assert main([
+            "segment", "--data", str(data), "--tau-in", "0.95", "--tau-out", "0.93", "--template", "8x8",
+            "--min-count", "1", "--k-max", "3", "--path-select", "first_arrival", "--seed", "4",
+        ]) == 0
+        out = tmp_path / "model.json"
+        assert main([
+            "train", "--data", str(data), "--regions", str(data / "region_map.csv"), "--ridge-lambda", "0.5", "--out", str(out),
+        ]) == 0
+        samples = dio.read_dataset(data)
+        cfg = {
+            **default_config(), "tau_in": 0.95, "tau_out": 0.93, "template_size": (8, 8), "min_count": 1,
+            "k_max": 3, "path_select": "first_arrival", "seed": 4,
+        }
+        dio.write_model(tmp_path / "library.json", train(samples, segment(samples, cfg), 0.5))
+        assert out.read_bytes() == (tmp_path / "library.json").read_bytes()
+        # segmentation.json holds model.json's routing state, key for key
+        seg, model = (json.loads(p.read_text()) for p in (data / "segmentation.json", out))
+        assert {k: v for k, v in seg.items() if k != "format"} == {k: model[k] for k in seg if k != "format"}

@@ -8,7 +8,7 @@ from scipy.spatial.distance import cdist
 from amdnloc import io as dio
 from amdnloc.channel import PathRecord, render_image
 from amdnloc.evaluate import _split, default_config, segment
-from amdnloc.fusion import cleanse, fuse_labels
+from amdnloc.fusion import Segmentation, cleanse, fuse_labels
 from amdnloc.localizer import (
     FeatureConfig,
     _block_means,
@@ -267,7 +267,7 @@ def segment_and_train(samples, seed=0, min_count=0):
     feats, std = build_features(samples)
     cm = kmeans(feats, min(3, len(samples)), seed=seed)
     regions = cleanse(fuse_labels(labeling.labels, cm.assignment), min_count)
-    model = train(samples, regions, founders, cm.centroids, std)
+    model = train(samples, Segmentation(regions, founders, cm.centroids, std, "strongest"))
     return model, regions
 
 
@@ -363,8 +363,7 @@ def held_out_model(request):
         "k_max": 4,
         "single_region": request.param,
     }
-    regions, founders, centroids, std = segment(train_s, cfg)
-    return train(train_s, regions, founders, centroids, std), [samples[i] for i in te]
+    return train(train_s, segment(train_s, cfg)), [samples[i] for i in te]
 
 
 class TestLocate:
