@@ -121,6 +121,7 @@ def _cmd_pipeline(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    defaults = default_config()
     p = argparse.ArgumentParser(prog="amdnloc", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -131,19 +132,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("segment", help="segment a dataset into regions")
     s.add_argument("--data", required=True)
-    s.add_argument("--tau-in", type=float, default=0.99, dest="tau_in")
-    s.add_argument("--tau-out", type=float, default=0.99, dest="tau_out")
-    s.add_argument("--template", default="16x16")
-    s.add_argument("--min-count", type=int, default=2, dest="min_count")
-    s.add_argument("--k-max", type=int, default=8, dest="k_max")
-    s.add_argument("--path-select", default="strongest", dest="path_select")
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--tau-in", type=float, default=defaults["tau_in"], dest="tau_in")
+    s.add_argument("--tau-out", type=float, default=defaults["tau_out"], dest="tau_out")
+    s.add_argument("--template", default="x".join(map(str, defaults["template_size"])))
+    s.add_argument("--min-count", type=int, default=defaults["min_count"], dest="min_count")
+    s.add_argument("--k-max", type=int, default=defaults["k_max"], dest="k_max")
+    s.add_argument("--path-select", default=defaults["path_select"], dest="path_select")
+    s.add_argument("--seed", type=int, default=defaults["seed"])
     s.set_defaults(func=_cmd_segment)
 
     t = sub.add_parser("train", help="fit per-region regressors")
     t.add_argument("--data", required=True)
     t.add_argument("--regions", required=True)
-    t.add_argument("--ridge-lambda", type=float, default=default_config()["ridge_lambda"], dest="ridge_lambda")
+    t.add_argument("--ridge-lambda", type=float, default=defaults["ridge_lambda"], dest="ridge_lambda")
     t.add_argument("--out", default="model.json")
     t.set_defaults(func=_cmd_train)
 

@@ -12,7 +12,7 @@ from .channel import render_image
 from .fusion import RegionLabels, Segmentation, cleanse, fuse_labels
 from .localizer import locate, train
 from .scenegen import SceneConfig, build_dataset, nlos_filter, scene_from_json, scene_to_json
-from .segmentation_adcam import build_features, kmeans, select_k
+from .segmentation_adcam import build_features, select_k
 from .segmentation_cfr import extract_templates, segment_cfr
 
 __all__ = [
@@ -74,7 +74,7 @@ def export_region_map(samples, labels: RegionLabels, csv_path, ppm_path):
     gw = max(1, w // _CELL_PX)
     gh = max(1, h // _CELL_PX)
     img = np.zeros((gh, gw, 3), dtype=np.uint8)
-    labs = np.where(labels.retained, labels.fused_labels, -1).tolist()
+    labs = labels.fused_labels.tolist()
     palette = {lab: _label_color(lab) for lab in set(labs)}
     for s, lab in zip(samples, labs):
         gx = min(int(s.pos[0] / w * gw), gw - 1)
@@ -111,15 +111,17 @@ def _split(n: int, train_fraction: float, seed: int) -> tuple[np.ndarray, np.nda
 
 
 def segment(train_samples, cfg) -> Segmentation:
-    """Run both segmentations on the training set and fuse them; founder ids are sample ids."""
+    """Run both segmentations on the training set and fuse them; founder ids are sample ids.
+
+    ``single_region`` makes one CFR category, founded by the first
+    sample, and one cluster.
+    """
     size = cfg["template_size"]  # checked where a template is cut or scored
     if cfg.get("single_region"):
+        first = train_samples[0]
         cfr_lab = np.zeros(len(train_samples), dtype=int)
-        image = render_image(train_samples[0].cfr, "cfr_magnitude")
-        founders = {0: extract_templates(image, size, founder_id=train_samples[0].id)}
-        feats, std = build_features(train_samples, cfg["path_select"])
-        centroids = feats.mean(axis=0, keepdims=True)
-        adcam_lab = np.zeros(len(train_samples), dtype=int)
+        founders = {0: extract_templates(render_image(first.cfr, "cfr_magnitude"), size, founder_id=first.id)}
+        k_max = 1
     else:
         images = [render_image(s.cfr, "cfr_magnitude") for s in train_samples]
         labeling = segment_cfr(images, cfg["tau_in"], cfg["tau_out"], size)
@@ -128,16 +130,12 @@ def segment(train_samples, cfg) -> Segmentation:
             c: dataclasses.replace(p, founder_id=train_samples[p.founder_id].id)
             for c, p in labeling.founders.items()
         }
-        feats, std = build_features(train_samples, cfg["path_select"])
-        k_max = min(cfg["k_max"], np.unique(feats, axis=0).shape[0], len(train_samples) - 1)
-        if k_max >= 2:
-            _, cmodel = select_k(feats, range(2, k_max + 1), seed=cfg["seed"])
-        else:
-            cmodel = kmeans(feats, 1, seed=cfg["seed"])
-        adcam_lab = cmodel.assignment
-        centroids = cmodel.centroids
-    regions = cleanse(fuse_labels(cfr_lab, adcam_lab), cfg["min_count"])
-    return Segmentation(regions, founders, centroids, std, cfg["path_select"])
+        k_max = cfg["k_max"]
+    feats, std = build_features(train_samples, cfg["path_select"])
+    k_max = min(k_max, np.unique(feats, axis=0).shape[0], len(train_samples) - 1)
+    _, cmodel = select_k(feats, range(2, k_max + 1) or [1], seed=cfg["seed"])
+    regions = cleanse(fuse_labels(cfr_lab, cmodel.assignment), cfg["min_count"])
+    return Segmentation(regions, founders, cmodel.centroids, std, cfg["path_select"])
 
 
 def run_pipeline(config: dict, out_dir: str | Path | None = None) -> dict:

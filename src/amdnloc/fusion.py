@@ -1,7 +1,7 @@
 """Cross-product fusion of the two segmentations plus small-category cleansing."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,19 +13,33 @@ __all__ = ["RegionLabels", "Segmentation", "fuse_labels", "cleanse"]
 
 @dataclass
 class RegionLabels:
-    """Per-sample region bookkeeping after fusing both segmentations.
+    """Per-sample region labels after fusing both segmentations.
 
-    ``fused_label`` enumerates distinct (cfr, adcam) pairs in
-    lexicographic order; cleansed samples keep their labels but are
-    flagged retained=False.
+    ``fused_labels`` numbers the distinct (cfr, adcam) pairs in
+    lexicographic order; a cleansed sample keeps its two labels and has
+    fused label -1. The other facts are derived from the three arrays.
     """
 
     cfr_labels: np.ndarray
     adcam_labels: np.ndarray
-    fused_labels: np.ndarray
-    retained: np.ndarray  # bool
-    fused_count: int
-    pair_to_fused: dict[tuple[int, int], int] = field(default_factory=dict)
+    fused_labels: np.ndarray  # -1 marks a cleansed sample
+
+    @property
+    def retained(self) -> np.ndarray:
+        return self.fused_labels >= 0
+
+    @property
+    def fused_count(self) -> int:
+        return int(self.fused_labels.max(initial=-1)) + 1
+
+    @property
+    def pair_to_fused(self) -> dict[tuple[int, int], int]:
+        """The fused label of each retained pair, in sorted pair order."""
+        keep = self.retained
+        rows = np.unique(
+            np.stack([self.cfr_labels[keep], self.adcam_labels[keep], self.fused_labels[keep]], axis=1), axis=0
+        )
+        return {(c, a): f for c, a, f in rows.tolist()}
 
     @property
     def covering_rate(self) -> float:
@@ -45,55 +59,28 @@ class Segmentation:
 
 
 def fuse_labels(cfr_labels, adcam_labels) -> RegionLabels:
-    """Map distinct (cfr, adcam) label pairs to consecutive region ids."""
+    """Number the distinct (cfr, adcam) label pairs in lexicographic order."""
     cfr_labels = np.asarray(cfr_labels, dtype=int)
     adcam_labels = np.asarray(adcam_labels, dtype=int)
     if cfr_labels.shape != adcam_labels.shape:
         raise ValueError(
             f"label length mismatch: {cfr_labels.shape} vs {adcam_labels.shape}"
         )
-    pairs = sorted(set(zip(cfr_labels.tolist(), adcam_labels.tolist())))
-    pair_to_fused = {pair: i for i, pair in enumerate(pairs)}
-    fused = np.array(
-        [pair_to_fused[(c, a)] for c, a in zip(cfr_labels.tolist(), adcam_labels.tolist())]
-    )
-    return RegionLabels(
-        cfr_labels=cfr_labels,
-        adcam_labels=adcam_labels,
-        fused_labels=fused,
-        retained=np.ones(cfr_labels.size, dtype=bool),
-        fused_count=len(pairs),
-        pair_to_fused=pair_to_fused,
-    )
+    _, fused = np.unique(np.stack([cfr_labels, adcam_labels], axis=1), axis=0, return_inverse=True)
+    return RegionLabels(cfr_labels, adcam_labels, fused)
 
 
 def cleanse(labels: RegionLabels, min_count: int) -> RegionLabels:
     """Drop fused categories with at most ``min_count`` retained members.
 
-    Surviving category ids are re-indexed contiguously (preserving
-    order); dropped samples are kept but flagged retained=False.
+    Surviving categories are renumbered contiguously, in order; a
+    dropped sample keeps its two labels and gets fused label -1.
     """
     if min_count < 0:
         raise ValueError("min_count must be >= 0")
-    counts = np.bincount(
-        labels.fused_labels[labels.retained], minlength=labels.fused_count
-    )
-    keep = {c for c in range(labels.fused_count) if counts[c] > min_count}
-    if not keep:
+    keep = np.bincount(labels.fused_labels[labels.retained]) > min_count
+    if not keep.any():
         raise ValueError(f"min_count={min_count} removes every sample")
-    remap = {old: new for new, old in enumerate(sorted(keep))}
-    retained = labels.retained & np.isin(labels.fused_labels, sorted(keep))
-    fused = np.array(
-        [remap.get(int(c), -1) for c in labels.fused_labels]
-    )
-    pair_to_fused = {
-        pair: remap[old] for pair, old in labels.pair_to_fused.items() if old in keep
-    }
-    return RegionLabels(
-        cfr_labels=labels.cfr_labels,
-        adcam_labels=labels.adcam_labels,
-        fused_labels=fused,
-        retained=retained,
-        fused_count=len(keep),
-        pair_to_fused=pair_to_fused,
-    )
+    # label -1, cleansed by an earlier call, indexes the appended -1
+    remap = np.append(np.where(keep, np.cumsum(keep) - 1, -1), -1)
+    return RegionLabels(labels.cfr_labels, labels.adcam_labels, remap[labels.fused_labels])

@@ -159,48 +159,31 @@ def write_region_map(path: str | Path, sample_ids, labels: RegionLabels):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["id", "cfr_label", "adcam_label", "fused_label", "retained"])
-        for i, sid in enumerate(sample_ids):
-            w.writerow(
-                [
-                    sid,
-                    int(labels.cfr_labels[i]),
-                    int(labels.adcam_labels[i]),
-                    int(labels.fused_labels[i]),
-                    int(labels.retained[i]),
-                ]
-            )
+        columns = (labels.cfr_labels, labels.adcam_labels, labels.fused_labels, labels.retained.astype(int))
+        w.writerows(zip(sample_ids, *(c.tolist() for c in columns)))
 
 
 def read_region_map(path: str | Path) -> tuple[list[int], RegionLabels]:
-    """Sample ids and their labels, in file order; ids must be unique."""
-    ids, cfr, ad, fused, ret = [], [], [], [], []
+    """Sample ids and their labels, in file order; ids must be unique,
+    and a row is retained exactly when its fused label is not -1."""
+    ids, cfr, ad, fused = [], [], [], []
     seen = set()
     with open(path, newline="") as fh:
         for row in csv.DictReader(fh):
-            sid = int(row["id"])
+            sid, f = int(row["id"]), int(row["fused_label"])
             if sid in seen:
                 raise ValueError(f"{path}: id {sid} is repeated")
+            if f < -1 or int(row["retained"]) != int(f >= 0):
+                raise ValueError(
+                    f"{path}: id {sid} has fused label {f} and retained {row['retained']}; "
+                    "a label is -1 (cleansed, retained 0) or a region (retained 1)"
+                )
             seen.add(sid)
             ids.append(sid)
             cfr.append(int(row["cfr_label"]))
             ad.append(int(row["adcam_label"]))
-            fused.append(int(row["fused_label"]))
-            ret.append(bool(int(row["retained"])))
-    fused_arr = np.array(fused)
-    retained = np.array(ret)
-    pair_to_fused = {}
-    for c, a, f, r in zip(cfr, ad, fused, ret):
-        if r:
-            pair_to_fused[(c, a)] = f
-    labels = RegionLabels(
-        cfr_labels=np.array(cfr),
-        adcam_labels=np.array(ad),
-        fused_labels=fused_arr,
-        retained=retained,
-        fused_count=int(fused_arr[retained].max()) + 1 if retained.any() else 0,
-        pair_to_fused=pair_to_fused,
-    )
-    return ids, labels
+            fused.append(f)
+    return ids, RegionLabels(np.array(cfr, dtype=int), np.array(ad, dtype=int), np.array(fused, dtype=int))
 
 
 def _std_to_json(s: Standardizer) -> dict:
@@ -227,6 +210,11 @@ def _routing_from_json(path: str | Path, obj: dict, by_id: dict[int, Sample]) ->
     model's order, by which routing breaks ties."""
     founders = {}
     for c, f in sorted(obj["founders"].items(), key=lambda item: int(item[0])):
+        shaped = isinstance(f, dict) and isinstance(f.get("size"), list) and len(f["size"]) == 2
+        if not (shaped and all(type(v) is int for v in (f.get("founder_sample_id"), *f["size"]))):
+            raise ValueError(
+                f"{path}: the founder of category {c}, {f!r}, is not an object with an integer founder_sample_id and a size of two integers"
+            )
         sid = f["founder_sample_id"]
         if sid not in by_id:
             raise ValueError(f"{path}: founder sample {sid} of category {c} is not in the dataset")
@@ -248,7 +236,8 @@ def write_segmentation(path: str | Path, segmentation: Segmentation):
 
 def read_segmentation(path: str | Path, samples: list[Sample], region_map: str | Path) -> tuple[list[Sample], Segmentation]:
     """The samples of a region map, in its order, and their segmentation,
-    its founder templates re-cut from ``samples``."""
+    its founder templates re-cut from ``samples``. Every retained row's
+    labels must name a founder and a centroid of the segmentation file."""
     obj = json.loads(Path(path).read_text())
     if not isinstance(obj, dict) or obj.get("format") != "amdnloc-segmentation":
         raise ValueError(f"{path}: not a segmentation file of this version; run amdnloc segment again")
@@ -257,7 +246,18 @@ def read_segmentation(path: str | Path, samples: list[Sample], region_map: str |
     missing = [sid for sid in ids if sid not in by_id]
     if missing:
         raise ValueError(f"{region_map}: id {missing[0]} is not in the dataset")
-    return [by_id[sid] for sid in ids], Segmentation(regions, **_routing_from_json(path, obj, by_id))
+    routing = _routing_from_json(path, obj, by_id)
+    n_centroids = len(routing["adcam_centroids"])
+    columns = (regions.cfr_labels, regions.adcam_labels, regions.retained)
+    for sid, c, a, kept in zip(ids, *(col.tolist() for col in columns)):
+        if kept and c not in routing["founders"]:
+            problem = f"cfr_label {c}, but {path} has no founder of category {c}"
+        elif kept and not 0 <= a < n_centroids:
+            problem = f"adcam_label {a}, but {path} has {n_centroids} centroids"
+        else:
+            continue
+        raise ValueError(f"{region_map}: id {sid} has {problem}; pass the region map of the segment run that wrote it")
+    return [by_id[sid] for sid in ids], Segmentation(regions, **routing)
 
 
 def write_model(path: str | Path, model: LocalizationModel):

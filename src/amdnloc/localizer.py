@@ -220,7 +220,7 @@ def train(samples, segmentation: Segmentation, ridge_lambda: float = 1e-3) -> Lo
     weights: dict[int, np.ndarray] = {}
     centroids: dict[int, np.ndarray] = {}
     for region in range(regions.fused_count):
-        mask = regions.retained & (regions.fused_labels == region)
+        mask = regions.fused_labels == region
         if not np.any(mask):
             raise ValueError(f"region {region} has no training samples")
         x, y = feats[mask], positions[mask]
@@ -234,7 +234,7 @@ def train(samples, segmentation: Segmentation, ridge_lambda: float = 1e-3) -> Lo
         adcam_centroids=np.asarray(segmentation.adcam_centroids, dtype=float),
         adcam_standardizer=segmentation.adcam_standardizer,
         path_select=segmentation.path_select,
-        pair_to_fused=dict(regions.pair_to_fused),
+        pair_to_fused=regions.pair_to_fused,
         feature_standardizer=feat_std,
         region_feature_centroids=centroids,
         ridge_lambda=ridge_lambda,

@@ -13,7 +13,14 @@ infinite energy: a zero-energy mask array, a masked divide, whole-row
 gathers and pocketfft's ``irfft2``; the package's kernel must give its
 scores to rounding. ``refuse_numpy_inverse_ffts`` makes every numpy
 inverse FFT raise, for the tests that scoring takes none.
+
+``fuse_labels`` and ``cleanse`` are the dict-based fusion that stored
+every region fact, ``retained``, the region count and the pair map,
+next to the fused labels, in ``StoredLabels``; the package derives them
+from its fused labels and must give the same.
 """
+from dataclasses import dataclass
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -111,3 +118,35 @@ def refuse_numpy_inverse_ffts(monkeypatch):
 
     for name in ("ifft", "irfft", "ifft2", "irfft2", "ifftn", "irfftn"):
         monkeypatch.setattr(np.fft, name, refuse)
+
+
+@dataclass
+class StoredLabels:
+    fused_labels: np.ndarray
+    retained: np.ndarray
+    fused_count: int
+    pair_to_fused: dict[tuple[int, int], int]
+
+
+def fuse_labels(cfr_labels, adcam_labels) -> StoredLabels:
+    """Distinct (cfr, adcam) pairs numbered in sorted order, all retained."""
+    pairs = list(zip(np.asarray(cfr_labels).tolist(), np.asarray(adcam_labels).tolist()))
+    pair_to_fused = {pair: i for i, pair in enumerate(sorted(set(pairs)))}
+    fused = np.array([pair_to_fused[pair] for pair in pairs], dtype=int)
+    return StoredLabels(fused, np.ones(len(pairs), dtype=bool), len(pair_to_fused), pair_to_fused)
+
+
+def cleanse(labels: StoredLabels, min_count: int) -> StoredLabels:
+    """Categories with more than ``min_count`` retained members, numbered
+    again in order; every other sample gets label -1 and is not retained."""
+    counts = np.bincount(labels.fused_labels[labels.retained], minlength=labels.fused_count)
+    keep = {c for c in range(labels.fused_count) if counts[c] > min_count}
+    if not keep:
+        raise ValueError(f"min_count={min_count} removes every sample")
+    remap = {old: new for new, old in enumerate(sorted(keep))}
+    return StoredLabels(
+        fused_labels=np.array([remap.get(int(c), -1) for c in labels.fused_labels], dtype=int),
+        retained=labels.retained & np.isin(labels.fused_labels, sorted(keep)),
+        fused_count=len(keep),
+        pair_to_fused={pair: remap[old] for pair, old in labels.pair_to_fused.items() if old in keep},
+    )

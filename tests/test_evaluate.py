@@ -94,7 +94,7 @@ class TestExportRegionMap:
     def test_removed_samples_black(self, tmp_path):
         samples = self._samples([(2.0, 2.0), (30.0, 30.0)])
         labels = fuse_labels([0, 1], [0, 0])
-        labels.retained[1] = False
+        labels.fused_labels[1] = -1  # cleansed
         export_region_map(samples, labels, tmp_path / "m.csv", tmp_path / "m.ppm")
         body = (tmp_path / "m.ppm").read_bytes().split(b"\n", 3)[3]
         pixels = {tuple(body[i : i + 3]) for i in range(0, len(body), 3)}

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from amdnloc.fusion import cleanse, fuse_labels
 
 
@@ -80,3 +82,36 @@ class TestCleanse:
         labels = fuse_labels(rng.integers(0, 4, 120), rng.integers(0, 2, 120))
         rates = [cleanse(labels, m).covering_rate for m in (0, 2, 10)]
         assert rates == sorted(rates, reverse=True)
+
+
+def _assert_same_labels(got, want):
+    np.testing.assert_array_equal(got.fused_labels, want.fused_labels)
+    np.testing.assert_array_equal(got.retained, want.retained)
+    assert got.fused_count == want.fused_count
+    assert got.pair_to_fused == want.pair_to_fused
+    assert list(got.pair_to_fused) == sorted(want.pair_to_fused)  # sorted pair order
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(st.integers(-2, 9), st.sampled_from([0, 3, 7, 40])), min_size=1, max_size=40),
+    min_counts=st.lists(st.integers(0, 5), max_size=4),
+)
+def test_fuse_and_chained_cleanse_match_the_stored_oracle(pairs, min_counts):
+    """Unsorted, repeated labels and chained cleanses, each step equal
+    to the dict-based fusion that stored every fact; the same calls
+    raise."""
+    cfr, ad = (list(column) for column in zip(*pairs))
+    got, want = fuse_labels(cfr, ad), oracles.fuse_labels(cfr, ad)
+    _assert_same_labels(got, want)
+    for m in min_counts:
+        try:
+            want = oracles.cleanse(want, m)
+        except ValueError:
+            with pytest.raises(ValueError, match="removes every sample"):
+                cleanse(got, m)
+            return
+        got = cleanse(got, m)
+        _assert_same_labels(got, want)
+        np.testing.assert_array_equal(got.cfr_labels, cfr)
+        np.testing.assert_array_equal(got.adcam_labels, ad)

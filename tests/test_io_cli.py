@@ -377,6 +377,73 @@ class TestBoundaryErrors:
         assert "[train]" in err and str(data / "segmentation.json") in err and "amdnloc segment" in err
         assert not out.exists()
 
+    def test_train_rejects_a_region_map_of_another_segment_run(self, tmp_path, capsys):
+        # the scene of CI's console-script step
+        scene = {"area_m": [80, 80], "bs_pos": [10, 40], "buildings": [[35, 25, 8, 30]],
+                 "grid_spacing_m": 6, "nt": 16, "nc": 16, "seed": 2}
+        (tmp_path / "scene.json").write_text(json.dumps(scene))
+        data, old_map = tmp_path / "data", tmp_path / "old_region_map.csv"
+        assert main(["generate", "--scene", str(tmp_path / "scene.json"), "--out", str(data)]) == 0
+        options = ["--template", "8x8", "--min-count", "1", "--k-max", "3"]
+        assert main(["segment", "--data", str(data), *options, "--tau-in", "0.99", "--tau-out", "0.99"]) == 0
+        shutil.copy(data / "region_map.csv", old_map)
+        assert main(["segment", "--data", str(data), *options, "--tau-in", "0.8", "--tau-out", "0.8"]) == 0
+        founders = json.loads((data / "segmentation.json").read_text())["founders"]
+        _, old = dio.read_region_map(old_map)
+        assert old.cfr_labels[old.retained].max() >= len(founders)  # the old map names categories the new file lacks
+        out = tmp_path / "m.json"
+        rc = main(["train", "--data", str(data), "--regions", str(old_map), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "[train]" in err and str(old_map) in err and str(data / "segmentation.json") in err
+        assert re.search(r"id \d+ has cfr_label \d+,", err)
+        assert not out.exists()
+        # the map that segment run wrote trains
+        assert main(["train", "--data", str(data), "--regions", str(data / "region_map.csv"), "--out", str(out)]) == 0
+
+    def test_train_rejects_an_adcam_label_without_a_centroid(self, trained_chain, tmp_path, capsys):
+        data = shutil.copytree(trained_chain[0], tmp_path / "data")
+        centroids = json.loads((data / "segmentation.json").read_text())["adcam_centroids"]
+        edited = []
+
+        def edit(rows):
+            row = next(r for r in rows if r[4] == "1")
+            row[2] = str(len(centroids))
+            edited.append(row[0])
+            return rows
+
+        _rewrite_csv(data / "region_map.csv", edit)
+        out = tmp_path / "m.json"
+        rc = main(["train", "--data", str(data), "--regions", str(data / "region_map.csv"), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "[train]" in err and str(data / "region_map.csv") in err and str(data / "segmentation.json") in err
+        assert f"id {edited[0]} has adcam_label {len(centroids)}," in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize(
+        "entry",
+        [None, 3, {"size": [8, 8]}, {"founder_sample_id": "3", "size": [8, 8]}, {"founder_sample_id": 3, "size": [8]},
+         {"founder_sample_id": 3, "size": [8, 8.5]}, {"founder_sample_id": True, "size": [8, 8]}, {"founder_sample_id": 3}],
+    )
+    def test_founder_entries_are_checked(self, trained_chain, tmp_path, capsys, command, entry):
+        data = shutil.copytree(trained_chain[0], tmp_path / "data")
+        path = data / "segmentation.json" if command == "train" else tmp_path / "model.json"
+        obj = json.loads((data / "segmentation.json" if command == "train" else trained_chain[1]).read_text())
+        category = max(obj["founders"], key=int)
+        obj["founders"][category] = entry
+        path.write_text(json.dumps(obj))
+        out = tmp_path / "out.json"
+        if command == "train":
+            argv = ["train", "--data", str(data), "--regions", str(data / "region_map.csv"), "--out", str(out)]
+        else:
+            argv = ["eval", "--data", str(data), "--model", str(path), "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"[{command}]" in err and str(path) in err and f"founder of category {category}, " in err
+        assert not out.exists()
+
     def test_segment_rejects_a_template_side_below_one(self, trained_chain, tmp_path, capsys):
         data = shutil.copytree(trained_chain[0], tmp_path / "data")
         seg = (data / "segmentation.json").read_bytes()
@@ -452,6 +519,54 @@ class TestBoundaryErrors:
         assert rc == 1
         err = capsys.readouterr().err
         assert "[eval]" in err and "paths.csv" in err and f"id {rejected[0]} " in err and "aod" in err
+
+
+class TestRegionMap:
+    def _labels(self):
+        from amdnloc.fusion import cleanse, fuse_labels
+
+        return cleanse(fuse_labels([3, 0, 3, 1, 3, 0], [0, 2, 0, 0, 0, 2]), 1)
+
+    def test_roundtrip(self, tmp_path):
+        labels = self._labels()
+        assert list(labels.fused_labels) == [1, 0, 1, -1, 1, 0]
+        ids = [7, 3, 11, 5, 2, 9]
+        dio.write_region_map(tmp_path / "m.csv", ids, labels)
+        rows = (tmp_path / "m.csv").read_text().splitlines()
+        assert rows[:2] == ["id,cfr_label,adcam_label,fused_label,retained", "7,3,0,1,1"]
+        assert rows[4] == "5,1,0,-1,0"
+        got_ids, got = dio.read_region_map(tmp_path / "m.csv")
+        assert got_ids == ids
+        for name in ("cfr_labels", "adcam_labels", "fused_labels", "retained"):
+            assert np.array_equal(getattr(got, name), getattr(labels, name))
+        assert (got.fused_count, got.pair_to_fused) == (labels.fused_count, labels.pair_to_fused) == (2, {(0, 2): 0, (3, 0): 1})
+
+    @pytest.mark.parametrize(
+        "fused, retained",
+        [("-1", "1"), ("1", "0"), ("-2", "0"), ("-2", "1"), ("1", "2")],
+    )
+    def test_malformed_row_rejected(self, tmp_path, fused, retained):
+        dio.write_region_map(tmp_path / "m.csv", [7, 3, 11, 5, 2, 9], self._labels())
+
+        def edit(rows):
+            rows[3][3:] = [fused, retained]
+            return rows
+
+        _rewrite_csv(tmp_path / "m.csv", edit)
+        with pytest.raises(ValueError, match=rf"m\.csv: id 5 has fused label {fused} and retained {retained};"):
+            dio.read_region_map(tmp_path / "m.csv")
+
+
+def test_segment_option_defaults_are_the_config_defaults():
+    from amdnloc.cli import build_parser
+    from amdnloc.evaluate import default_config
+
+    defaults = default_config()
+    args = build_parser().parse_args(["segment", "--data", "d"])
+    for key in ("tau_in", "tau_out", "min_count", "k_max", "path_select", "seed"):
+        assert getattr(args, key) == defaults[key], key
+    assert [int(side) for side in args.template.split("x")] == defaults["template_size"]
+    assert build_parser().parse_args(["train", "--data", "d", "--regions", "r"]).ridge_lambda == defaults["ridge_lambda"]
 
 
 class TestTrainOptions:
