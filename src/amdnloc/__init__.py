@@ -12,6 +12,7 @@ from .channel import (
     adcam,
     array_response,
     cfr_from_paths,
+    cfr_stack,
     dft_matrices,
     render_image,
 )

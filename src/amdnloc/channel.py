@@ -16,6 +16,7 @@ import numpy as np
 __all__ = [
     "PathRecord",
     "array_response",
+    "cfr_stack",
     "cfr_from_paths",
     "dft_matrices",
     "adcam",
@@ -26,6 +27,9 @@ __all__ = [
 
 # Sentinel SNR meaning "do not add noise".
 NO_NOISE = float("inf")
+
+# Matrices per block of the stacked kernels: 64 of 32 x 32 complex are 1 MB.
+_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -75,30 +79,55 @@ def array_response(phi: float, nt: int, spacing_ratio: float = 0.5) -> np.ndarra
     return np.exp(-2j * np.pi * k * spacing_ratio * np.cos(phi))
 
 
+def cfr_stack(
+    path_lists: Sequence[Sequence[PathRecord]],
+    nt: int,
+    nc: int,
+    spacing_ratio: float = 0.5,
+) -> np.ndarray:
+    """Channel frequency responses (n x nt x nc) of n path lists.
+
+    Matrix i, column l, is the sum over the paths of list i of
+    amplitude * steering(aoa) * exp(-j*2*pi*l*delay/nc). Pathloss scales
+    the complex gain by 10**(-dB/20). The matrices are built
+    ``_CHUNK`` at a time: path slot j of every list in a chunk that has
+    one is added at once as amp * (steer * phase), so each matrix sums
+    its paths in list order, as one path at a time would.
+    """
+    if nt < 1 or nc < 1:
+        raise ValueError("nt and nc must be >= 1")
+    h = np.zeros((len(path_lists), nt, nc), dtype=np.complex128)
+    # the exponents of array_response and of the delay phase, up to cos(aoa) and delay/nc
+    angle_exp = -2j * np.pi * np.arange(nt) * spacing_ratio
+    delay_exp = -2j * np.pi * np.arange(nc)
+    for start in range(0, len(path_lists), _CHUNK):
+        chunk = path_lists[start : start + _CHUNK]
+        block = h[start : start + len(chunk)]
+        for j in range(max(map(len, chunk))):
+            rows = [i for i, paths in enumerate(chunk) if len(paths) > j]
+            slot = [chunk[i][j] for i in rows]
+            delay = np.array([p.delay_samples for p in slot])
+            if delay.max() >= nc:
+                raise ValueError(f"path delay {delay.max()} exceeds cyclic window nc={nc}")
+            steer = np.exp(angle_exp * np.cos([p.aoa for p in slot])[:, None])
+            phase = np.exp(delay_exp * delay[:, None] / nc)
+            term = np.array([p.amplitude for p in slot])[:, None, None] * (steer[:, :, None] * phase[:, None, :])
+            if len(rows) == len(chunk):
+                block += term
+            else:
+                block[rows] += term
+    return h
+
+
 def cfr_from_paths(
     paths: Iterable[PathRecord],
     nt: int,
     nc: int,
     spacing_ratio: float = 0.5,
 ) -> np.ndarray:
-    """Channel frequency response matrix (nt x nc) from a path list.
-
-    Column l is the sum over paths of amplitude * steering(aoa) *
-    exp(-j*2*pi*l*delay/nc). Pathloss scales the complex gain by
-    10**(-dB/20).
-    """
-    if nt < 1 or nc < 1:
-        raise ValueError("nt and nc must be >= 1")
-    h = np.zeros((nt, nc), dtype=np.complex128)
-    l = np.arange(nc)
-    for p in paths:
-        if p.delay_samples >= nc:
-            raise ValueError(
-                f"path delay {p.delay_samples} exceeds cyclic window nc={nc}"
-            )
-        delay_phase = np.exp(-2j * np.pi * l * p.delay_samples / nc)
-        h += p.amplitude * np.outer(array_response(p.aoa, nt, spacing_ratio), delay_phase)
-    return h
+    """Channel frequency response matrix (nt x nc) of one path list: the
+    one-list ``cfr_stack``."""
+    return cfr_stack([list(paths)], nt, nc, spacing_ratio)[0]
 
 
 @lru_cache(maxsize=16)
@@ -121,11 +150,19 @@ def dft_matrices(nt: int, nc: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def adcam(h: np.ndarray) -> np.ndarray:
-    """Angle-delay channel amplitude matrix |V^H H F| of a CFR matrix."""
+    """Angle-delay channel amplitude matrix |V^H H F| of a CFR matrix,
+    or of each matrix of an (..., nt, nc) stack, ``_CHUNK`` at a time."""
     h = np.asarray(h, dtype=np.complex128)
-    nt, nc = h.shape
+    if h.ndim < 2:
+        raise ValueError(f"need an (..., nt, nc) array, got shape {h.shape}")
+    nt, nc = h.shape[-2:]
     v, f = dft_matrices(nt, nc)
-    return np.abs(v.conj().T @ h @ f)
+    vh = v.conj().T
+    flat = h.reshape(-1, nt, nc)
+    out = np.empty(flat.shape)
+    for i in range(0, len(flat), _CHUNK):
+        np.abs(vh @ flat[i : i + _CHUNK] @ f, out=out[i : i + _CHUNK])
+    return out.reshape(h.shape)
 
 
 def render_image(m: np.ndarray, tag: str) -> np.ndarray:

@@ -10,9 +10,9 @@ import numpy as np
 from . import io as dio
 from .channel import render_image
 from .fusion import RegionLabels, Segmentation, cleanse, fuse_labels
-from .localizer import locate, train
+from .localizer import _chunks, locate, train
 from .scenegen import SceneConfig, build_dataset, nlos_filter, scene_from_json, scene_to_json
-from .segmentation_adcam import build_features, select_k
+from .segmentation_adcam import _distinct_rows, build_features, select_k
 from .segmentation_cfr import extract_templates, segment_cfr
 
 __all__ = [
@@ -123,7 +123,11 @@ def segment(train_samples, cfg) -> Segmentation:
         founders = {0: extract_templates(render_image(first.cfr, "cfr_magnitude"), size, founder_id=first.id)}
         k_max = 1
     else:
-        images = [render_image(s.cfr, "cfr_magnitude") for s in train_samples]
+        images = [
+            image
+            for _, chunk in _chunks(train_samples)
+            for image in render_image(np.array([s.cfr for s in chunk]), "cfr_magnitude")
+        ]
         labeling = segment_cfr(images, cfg["tau_in"], cfg["tau_out"], size)
         cfr_lab = labeling.labels
         founders = {
@@ -132,7 +136,7 @@ def segment(train_samples, cfg) -> Segmentation:
         }
         k_max = cfg["k_max"]
     feats, std = build_features(train_samples, cfg["path_select"])
-    k_max = min(k_max, np.unique(feats, axis=0).shape[0], len(train_samples) - 1)
+    k_max = min(k_max, _distinct_rows(feats), len(train_samples) - 1)
     _, cmodel = select_k(feats, range(2, k_max + 1) or [1], seed=cfg["seed"])
     regions = cleanse(fuse_labels(cfr_lab, cmodel.assignment), cfg["min_count"])
     return Segmentation(regions, founders, cmodel.centroids, std, cfg["path_select"])

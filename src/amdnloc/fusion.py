@@ -36,10 +36,9 @@ class RegionLabels:
     def pair_to_fused(self) -> dict[tuple[int, int], int]:
         """The fused label of each retained pair, in sorted pair order."""
         keep = self.retained
-        rows = np.unique(
-            np.stack([self.cfr_labels[keep], self.adcam_labels[keep], self.fused_labels[keep]], axis=1), axis=0
-        )
-        return {(c, a): f for c, a, f in rows.tolist()}
+        cfr, adcam, fused = self.cfr_labels[keep], self.adcam_labels[keep], self.fused_labels[keep]
+        first = np.unique(_pair_keys(cfr, adcam), return_index=True)[1]
+        return dict(zip(zip(cfr[first].tolist(), adcam[first].tolist()), fused[first].tolist()))
 
     @property
     def covering_rate(self) -> float:
@@ -58,6 +57,13 @@ class Segmentation:
     path_select: str
 
 
+def _pair_keys(cfr_labels: np.ndarray, adcam_labels: np.ndarray) -> np.ndarray:
+    """One integer per (cfr, adcam) label pair, ordered as the pairs are
+    in lexicographic order."""
+    lo, hi = adcam_labels.min(initial=0), adcam_labels.max(initial=0)
+    return (cfr_labels - cfr_labels.min(initial=0)) * (hi - lo + 1) + (adcam_labels - lo)
+
+
 def fuse_labels(cfr_labels, adcam_labels) -> RegionLabels:
     """Number the distinct (cfr, adcam) label pairs in lexicographic order."""
     cfr_labels = np.asarray(cfr_labels, dtype=int)
@@ -66,7 +72,7 @@ def fuse_labels(cfr_labels, adcam_labels) -> RegionLabels:
         raise ValueError(
             f"label length mismatch: {cfr_labels.shape} vs {adcam_labels.shape}"
         )
-    _, fused = np.unique(np.stack([cfr_labels, adcam_labels], axis=1), axis=0, return_inverse=True)
+    _, fused = np.unique(_pair_keys(cfr_labels, adcam_labels), return_inverse=True)
     return RegionLabels(cfr_labels, adcam_labels, fused)
 
 

@@ -165,9 +165,11 @@ def write_region_map(path: str | Path, sample_ids, labels: RegionLabels):
 
 def read_region_map(path: str | Path) -> tuple[list[int], RegionLabels]:
     """Sample ids and their labels, in file order; ids must be unique,
-    and a row is retained exactly when its fused label is not -1."""
+    a row is retained exactly when its fused label is not -1, and the
+    retained rows of one (cfr, adcam) pair share one fused label."""
     ids, cfr, ad, fused = [], [], [], []
     seen = set()
+    region_of = {}  # the fused label of each retained pair
     with open(path, newline="") as fh:
         for row in csv.DictReader(fh):
             sid, f = int(row["id"]), int(row["fused_label"])
@@ -178,10 +180,16 @@ def read_region_map(path: str | Path) -> tuple[list[int], RegionLabels]:
                     f"{path}: id {sid} has fused label {f} and retained {row['retained']}; "
                     "a label is -1 (cleansed, retained 0) or a region (retained 1)"
                 )
+            pair = int(row["cfr_label"]), int(row["adcam_label"])
+            if f >= 0 and region_of.setdefault(pair, f) != f:
+                raise ValueError(
+                    f"{path}: pair (cfr_label {pair[0]}, adcam_label {pair[1]}) has fused labels "
+                    f"{region_of[pair]} and {f} (id {sid}); the retained rows of a pair share one"
+                )
             seen.add(sid)
             ids.append(sid)
-            cfr.append(int(row["cfr_label"]))
-            ad.append(int(row["adcam_label"]))
+            cfr.append(pair[0])
+            ad.append(pair[1])
             fused.append(f)
     return ids, RegionLabels(np.array(cfr, dtype=int), np.array(ad, dtype=int), np.array(fused, dtype=int))
 
@@ -208,8 +216,16 @@ def _routing_from_json(path: str | Path, obj: dict, by_id: dict[int, Sample]) ->
     """The routing fields of a ``Segmentation`` or ``LocalizationModel``,
     founder templates re-cut in ascending category order: the trained
     model's order, by which routing breaks ties."""
+    entries = obj["founders"]
+    if not isinstance(entries, dict):
+        raise ValueError(f"{path}: founders must be an object from category to founder, not a {type(entries).__name__}")
+    for c in entries:
+        try:
+            int(c)
+        except ValueError:
+            raise ValueError(f"{path}: founder category {c!r} is not an integer") from None
     founders = {}
-    for c, f in sorted(obj["founders"].items(), key=lambda item: int(item[0])):
+    for c, f in sorted(entries.items(), key=lambda item: int(item[0])):
         shaped = isinstance(f, dict) and isinstance(f.get("size"), list) and len(f["size"]) == 2
         if not (shaped and all(type(v) is int for v in (f.get("founder_sample_id"), *f["size"]))):
             raise ValueError(

@@ -214,7 +214,10 @@ def train(samples, segmentation: Segmentation, ridge_lambda: float = 1e-3) -> Lo
     for i, chunk in _chunks(samples):
         raw[i : i + len(chunk)] = _stack_features(chunk, config)[1]
     feat_std = Standardizer.fit(raw[regions.retained])
-    feats = feat_std.apply(raw)
+    # Standardizer.apply's two operations, in place
+    feats = raw
+    feats -= feat_std.mean
+    feats /= feat_std.scale
     positions = np.array([s.pos for s in samples])
 
     weights: dict[int, np.ndarray] = {}

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import NO_NOISE, PathRecord, add_noise, adcam, cfr_from_paths
+from .channel import NO_NOISE, PathRecord, add_noise, adcam, cfr_stack
 
 __all__ = [
     "Rect",
@@ -243,7 +243,11 @@ def trace_paths(scene: SceneConfig, mt: Sequence[float]) -> tuple[list[PathRecor
 
 
 def build_dataset(scene: SceneConfig) -> list[Sample]:
-    """One sample per reachable grid terminal, in grid-index order."""
+    """One sample per reachable grid terminal, in grid-index order.
+
+    The CFR and ADCAM matrices of all samples are built as two stacks,
+    (n, nt, nc) each, and every sample holds its row of both.
+    """
     w, h = scene.area_m
     rng = np.random.default_rng(scene.seed)
     spacing = scene.grid_spacing_m
@@ -257,18 +261,20 @@ def build_dataset(scene: SceneConfig) -> list[Sample]:
     for b in scene.buildings:
         outside &= ~((b.x < x) & (x < b.x + b.w) & (b.y < y) & (y < b.y + b.h))
     pts = np.stack([x[outside], y[outside]], axis=1)
-    samples: list[Sample] = []
-    for pos, (paths, is_los) in zip(map(tuple, pts.tolist()), _trace(scene, pts)):
-        if not paths:
-            continue
-        sid = len(samples)
-        cfr = cfr_from_paths(paths, scene.nt, scene.nc, scene.spacing_ratio)
-        if scene.snr_db != NO_NOISE:
-            cfr = add_noise(cfr, scene.snr_db, seed=scene.seed * 1_000_003 + sid)
-        samples.append(Sample(id=sid, pos=pos, paths=paths, is_los=is_los, cfr=cfr, adcam=adcam(cfr)))
-    if not samples:
+    reached = [
+        (pos, paths, is_los) for pos, (paths, is_los) in zip(map(tuple, pts.tolist()), _trace(scene, pts)) if paths
+    ]
+    if not reached:
         raise ValueError("no reachable terminals in scene")
-    return samples
+    cfr = cfr_stack([paths for _, paths, _ in reached], scene.nt, scene.nc, scene.spacing_ratio)
+    if scene.snr_db != NO_NOISE:
+        for sid in range(len(cfr)):
+            cfr[sid] = add_noise(cfr[sid], scene.snr_db, seed=scene.seed * 1_000_003 + sid)
+    amplitudes = adcam(cfr)
+    return [
+        Sample(id=sid, pos=pos, paths=paths, is_los=is_los, cfr=cfr[sid], adcam=amplitudes[sid])
+        for sid, (pos, paths, is_los) in enumerate(reached)
+    ]
 
 
 def nlos_filter(samples: list[Sample], mode: str = "all") -> list[Sample]:

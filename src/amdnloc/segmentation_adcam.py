@@ -25,6 +25,7 @@ __all__ = [
 
 _MAX_ITER = 100  # Lloyd iterations of k-means, at most
 _TOL = 1e-6  # k-means stops once no centroid coordinate moves this far
+_ROWS = 64  # distance rows per block of the silhouette pass
 
 
 @dataclass
@@ -98,6 +99,14 @@ def _dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(total)
 
 
+def _distinct_rows(points: np.ndarray) -> int:
+    """Number of distinct rows of a 2-D array: its rows in lexicographic
+    order, counted where a row differs from the one before."""
+    points = np.asarray(points)
+    ordered = points[np.lexsort(points.T[::-1])]
+    return min(len(points), 1) + int(np.count_nonzero((ordered[1:] != ordered[:-1]).any(axis=1)))
+
+
 def _init_centroids(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Farthest-weighted (k-means++ style) seeding."""
     n = points.shape[0]
@@ -119,7 +128,7 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0) -> ClusterModel:
     n = points.shape[0]
     if k < 1:
         raise ValueError("k must be >= 1")
-    n_distinct = np.unique(points, axis=0).shape[0]
+    n_distinct = _distinct_rows(points)
     if k > n_distinct:
         raise ValueError(f"k={k} exceeds the {n_distinct} distinct points")
     rng = np.random.default_rng(seed)
@@ -151,33 +160,48 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0) -> ClusterModel:
     return ClusterModel(k=k, centroids=centroids, assignment=assignment, wcss=wcss)
 
 
+def _silhouettes(points: np.ndarray, assignments) -> list[float]:
+    """Mean silhouette score of each assignment of the same points; see
+    ``silhouette``.
+
+    The distances come in blocks of ``_ROWS`` rows of ``_dist``, each
+    made once and read by every assignment. Each cluster's distances in
+    a row are summed as one contiguous block of columns in point order,
+    which adds in the order of summing that point's row of the cluster,
+    so every score is that of the per-point loop bit for bit.
+    """
+    points = np.asarray(points, dtype=float)
+    n = points.shape[0]
+    labeled = [np.unique(np.asarray(a), return_inverse=True, return_counts=True)[1:] for a in assignments]
+    if any(counts.size < 2 for _, counts in labeled):
+        raise ValueError("silhouette needs at least 2 clusters")
+    sums = [np.empty((n, counts.size)) for _, counts in labeled]
+    for start in range(0, n, _ROWS):
+        d = _dist(points[start : start + _ROWS], points)
+        for (own, counts), cluster_sums in zip(labeled, sums):
+            for c in range(counts.size):
+                cluster_sums[start : start + len(d), c] = np.ascontiguousarray(d[:, own == c]).sum(axis=1)
+    scores = []
+    for (own, counts), cluster_sums in zip(labeled, sums):
+        means = cluster_sums / counts
+        means[np.arange(n), own] = np.inf
+        b = means.min(axis=1)
+        live = np.flatnonzero(counts[own] > 1)
+        a = cluster_sums[live, own[live]] / (counts[own[live]] - 1)
+        point_scores = np.zeros(n)
+        point_scores[live] = (b[live] - a) / np.maximum(a, b[live])
+        scores.append(float(point_scores.mean()))
+    return scores
+
+
 def silhouette(points: np.ndarray, assignment: np.ndarray) -> float:
     """Mean silhouette score; singleton clusters contribute 0.
 
     For each point, a is the mean distance to the other members of its
     cluster and b the smallest mean distance to the members of another
-    cluster. Each cluster's distances are summed as one contiguous block
-    of columns in point order, which adds in the order of summing one
-    point's row of that cluster, so the score is that of the per-point
-    loop bit for bit.
+    cluster.
     """
-    points = np.asarray(points, dtype=float)
-    clusters, own, counts = np.unique(np.asarray(assignment), return_inverse=True, return_counts=True)
-    if clusters.size < 2:
-        raise ValueError("silhouette needs at least 2 clusters")
-    d = _dist(points, points)
-    n = points.shape[0]
-    sums = np.empty((n, clusters.size))
-    for c in range(clusters.size):
-        sums[:, c] = np.ascontiguousarray(d[:, own == c]).sum(axis=1)
-    means = sums / counts
-    means[np.arange(n), own] = np.inf
-    b = means.min(axis=1)
-    live = np.flatnonzero(counts[own] > 1)
-    a = sums[live, own[live]] / (counts[own[live]] - 1)
-    scores = np.zeros(n)
-    scores[live] = (b[live] - a) / np.maximum(a, b[live])
-    return float(scores.mean())
+    return _silhouettes(points, [assignment])[0]
 
 
 def calinski_harabasz(points: np.ndarray, assignment: np.ndarray) -> float:
@@ -188,15 +212,15 @@ def calinski_harabasz(points: np.ndarray, assignment: np.ndarray) -> float:
     points = np.asarray(points, dtype=float)
     assignment = np.asarray(assignment)
     q = points.shape[0]
-    clusters = np.unique(assignment)
+    clusters, own = np.unique(assignment, return_inverse=True)
     k = clusters.size
     if not (2 <= k < q):
         raise ValueError(f"need 2 <= k < n, got k={k}, n={q}")
     global_c = points.mean(axis=0)
     tr_b = 0.0
     tr_w = 0.0
-    for c in clusters:
-        members = points[assignment == c]
+    for c in range(k):
+        members = points[own == c]
         cc = members.mean(axis=0)
         tr_b += members.shape[0] * float(np.sum((cc - global_c) ** 2))
         tr_w += float(np.sum((members - cc) ** 2))
@@ -216,7 +240,7 @@ def select_k(points: np.ndarray, k_range=range(2, 9), seed: int = 0) -> tuple[in
     if len(ks) == 1:
         k = ks[0]
         return k, models[k]
-    sc = np.array([silhouette(points, models[k].assignment) for k in ks])
+    sc = np.array(_silhouettes(points, [models[k].assignment for k in ks]))
     ch = np.array([calinski_harabasz(points, models[k].assignment) for k in ks])
 
     def norm(v: np.ndarray) -> np.ndarray:

@@ -465,7 +465,7 @@ def match_between(labeling: CfrLabeling, images: list[np.ndarray], tau_out: floa
     # the result then reuses the stack's memory, not the heap above it
     del stacks
     merged = roots[labeling.labels]
-    new_labels, new_founders = _reindex(merged, {int(r): pairs[r] for r in np.unique(roots)})
+    new_labels, new_founders = _reindex(merged, dict(enumerate(pairs)))  # keeps the roots' pairs
     order = merged[np.sort(np.unique(merged, return_index=True)[1])]  # old root of each new id
     return CfrLabeling(
         labels=new_labels, founders=new_founders, class_count=len(new_founders), scores=table[np.ix_(order, order)]

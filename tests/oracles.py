@@ -14,6 +14,10 @@ gathers and pocketfft's ``irfft2``; the package's kernel must give its
 scores to rounding. ``refuse_numpy_inverse_ffts`` makes every numpy
 inverse FFT raise, for the tests that scoring takes none.
 
+``cfr_from_paths`` builds one CFR matrix path by path, and ``adcam``
+transforms one matrix at a time: the references of the package's
+stacked ``channel.cfr_stack`` and ``channel.adcam``.
+
 ``fuse_labels`` and ``cleanse`` are the dict-based fusion that stored
 every region fact, ``retained``, the region count and the pair map,
 next to the fused labels, in ``StoredLabels``; the package derives them
@@ -24,7 +28,27 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from amdnloc.channel import array_response, dft_matrices
 from amdnloc.segmentation_cfr import _check_fits, _TemplateBank
+
+
+def cfr_from_paths(paths, nt: int, nc: int, spacing_ratio: float = 0.5) -> np.ndarray:
+    """Channel frequency response matrix (nt x nc) of one path list, one
+    path at a time: amplitude * outer(steering(aoa), delay phase)."""
+    h = np.zeros((nt, nc), dtype=np.complex128)
+    l = np.arange(nc)
+    for p in paths:
+        if p.delay_samples >= nc:
+            raise ValueError(f"path delay {p.delay_samples} exceeds cyclic window nc={nc}")
+        delay_phase = np.exp(-2j * np.pi * l * p.delay_samples / nc)
+        h += p.amplitude * np.outer(array_response(p.aoa, nt, spacing_ratio), delay_phase)
+    return h
+
+
+def adcam(h: np.ndarray) -> np.ndarray:
+    """|V^H H F| of one (nt, nc) CFR matrix."""
+    v, f = dft_matrices(*h.shape)
+    return np.abs(v.conj().T @ h @ f)
 
 
 def window_energy(source: np.ndarray, shape: tuple[int, int]) -> np.ndarray:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from amdnloc.channel import (
     NO_NOISE,
     PathRecord,
@@ -9,6 +10,7 @@ from amdnloc.channel import (
     adcam,
     array_response,
     cfr_from_paths,
+    cfr_stack,
     dft_matrices,
     render_image,
 )
@@ -91,6 +93,65 @@ class TestCfr:
         np.testing.assert_allclose(
             both, cfr_from_paths(p1, 4, 16) + cfr_from_paths(p2, 4, 16), atol=1e-10
         )
+
+
+@st.composite
+def _path_lists(draw):
+    """Path lists of 0 to ``maxpathnum`` paths each, their counts mixed
+    inside every 64-list chunk, 0 to 150 lists in all: broadside
+    arrivals, zero delays, zero and unit-modulus gains included."""
+    nt, nc = draw(st.integers(1, 9)), draw(st.integers(1, 17))
+    maxpathnum = draw(st.integers(1, 12))
+    n = draw(st.sampled_from([0, 1, 5, 63, 64, 65, 150]))
+    ratio = draw(st.sampled_from([0.5, 0.25, 1.3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def path():
+        aoa = np.pi / 2 if rng.random() < 0.2 else rng.uniform(1e-6, np.pi - 1e-6)
+        gain = [0j, complex(np.exp(-1j * rng.uniform(0, 1e3))), complex(rng.normal(), rng.normal())][rng.integers(3)]
+        delay = 0 if rng.random() < 0.2 else int(rng.integers(0, nc))
+        return PathRecord(aoa=aoa, aod=1.0, gain=gain, delay_samples=delay, pathloss_db=rng.uniform(0, 120))
+
+    lists = [[path() for _ in range(count)] for count in rng.integers(0, maxpathnum + 1, size=n)]
+    return nt, nc, ratio, lists
+
+
+@settings(max_examples=60, deadline=None)
+@given(_path_lists())
+def test_cfr_stack_equals_the_per_path_oracle_bit_for_bit(case):
+    nt, nc, ratio, lists = case
+    got = cfr_stack(lists, nt, nc, ratio)
+    assert got.shape == (len(lists), nt, nc) and got.dtype == np.complex128
+    for paths, h in zip(lists, got):
+        # tobytes, so that -0.0 and 0.0 count as different
+        assert h.tobytes() == oracles.cfr_from_paths(paths, nt, nc, ratio).tobytes()
+    for paths in lists[:3]:
+        assert cfr_from_paths(iter(paths), nt, nc, ratio).tobytes() == oracles.cfr_from_paths(paths, nt, nc, ratio).tobytes()
+
+
+def test_cfr_stack_rejects_a_delay_beyond_the_window():
+    ok = PathRecord(aoa=1.0, aod=1.0, gain=1, delay_samples=7, pathloss_db=0)
+    late = PathRecord(aoa=1.0, aod=1.0, gain=1, delay_samples=8, pathloss_db=0)
+    with pytest.raises(ValueError, match="delay 8 exceeds cyclic window nc=8"):
+        cfr_stack([[ok]] * 70 + [[ok, late]], 4, 8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([(), (0,), (1,), (63,), (64,), (65,), (2, 70)]),
+    st.integers(1, 17),
+    st.integers(1, 17),
+    st.sampled_from([1e-9, 1.0, 1e6]),
+    st.integers(0, 2**32 - 1),
+)
+def test_stacked_adcam_equals_the_per_matrix_transform_bit_for_bit(lead, nt, nc, scale, seed):
+    rng = np.random.default_rng(seed)
+    h = (rng.normal(size=(*lead, nt, nc)) + 1j * rng.normal(size=(*lead, nt, nc))) * scale
+    h[rng.random(h.shape) < 0.1] = 0.0
+    got = adcam(h)
+    assert got.shape == h.shape and got.dtype == np.float64
+    for m, a in zip(h.reshape(-1, nt, nc), got.reshape(-1, nt, nc)):
+        assert a.tobytes() == oracles.adcam(m).tobytes()
 
 
 class TestDftMatrices:

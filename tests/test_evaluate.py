@@ -169,6 +169,26 @@ class TestRunPipeline:
         for name in ("report.json", "region_map.csv", "model.json"):
             assert (tmp_path / "bare" / name).read_bytes() == (tmp_path / "here" / name).read_bytes(), name
 
+    def test_leaves_numpy_ma_unimported(self, tmp_path):
+        # numpy imports numpy.ma (about 1 MB) on a first np.unique call
+        # with axis=0 or without return_* flags; the pipeline makes neither
+        code = (
+            "import json, sys\n"
+            "from amdnloc.evaluate import run_pipeline\n"
+            "cfg = json.loads(sys.argv[1])\n"
+            "run_pipeline(cfg, sys.argv[2])\n"
+            "run_pipeline({**cfg, 'single_region': True}, sys.argv[2])\n"
+            "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))\n"
+        )
+        src = str(Path(amdnloc.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(SMALL_CONFIG), str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
     def test_stage_tagged_error(self):
         bad = {**SMALL_CONFIG, "scene": {**SMALL_CONFIG["scene"], "bs_pos": [26.0, 30.0]}}
         with pytest.raises(PipelineError) as exc:

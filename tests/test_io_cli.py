@@ -444,6 +444,63 @@ class TestBoundaryErrors:
         assert f"[{command}]" in err and str(path) in err and f"founder of category {category}, " in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize(
+        "founders",
+        [[], "0", None, {"zero": "founder"}, {"1.0": "founder"}],
+        ids=["list", "string", "null", "word key", "decimal key"],
+    )
+    def test_founders_must_map_integer_categories(self, trained_chain, tmp_path, capsys, command, founders):
+        data = shutil.copytree(trained_chain[0], tmp_path / "data")
+        path = data / "segmentation.json" if command == "train" else tmp_path / "model.json"
+        obj = json.loads((data / "segmentation.json" if command == "train" else trained_chain[1]).read_text())
+        if isinstance(founders, dict):
+            # a valid entry under a key that is not an integer
+            (key,) = founders
+            founders = {**obj["founders"], key: next(iter(obj["founders"].values()))}
+        obj["founders"] = founders
+        path.write_text(json.dumps(obj))
+        out = tmp_path / "out.json"
+        if command == "train":
+            argv = ["train", "--data", str(data), "--regions", str(data / "region_map.csv"), "--out", str(out)]
+        else:
+            argv = ["eval", "--data", str(data), "--model", str(path), "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"[{command}]" in err and str(path) in err
+        if isinstance(founders, dict):
+            assert f"founder category {key!r} is not an integer" in err
+        else:
+            assert f"founders must be an object from category to founder, not a {type(founders).__name__}" in err
+        assert not out.exists()
+
+    def test_train_rejects_a_pair_with_two_fused_labels(self, trained_chain, tmp_path, capsys):
+        data = shutil.copytree(trained_chain[0], tmp_path / "data")
+        edited = []
+
+        def edit(rows):
+            # the later of two retained rows of one pair moves to another region
+            retained = [r for r in rows if r[4] == "1"]
+            seen = {}
+            for r in retained:
+                first = seen.setdefault((r[1], r[2]), r)
+                if first is not r:
+                    other = next(x[3] for x in retained if x[3] != r[3])
+                    edited.append((r[1], r[2], r[3], other))
+                    r[3] = other
+                    return rows
+            raise AssertionError("no retained pair has two rows")
+
+        _rewrite_csv(data / "region_map.csv", edit)
+        out = tmp_path / "m.json"
+        rc = main(["train", "--data", str(data), "--regions", str(data / "region_map.csv"), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        c, a, f, other = edited[0]
+        assert "[train]" in err and str(data / "region_map.csv") in err
+        assert f"pair (cfr_label {c}, adcam_label {a}) has fused labels {f} and {other}" in err
+        assert not out.exists()
+
     def test_segment_rejects_a_template_side_below_one(self, trained_chain, tmp_path, capsys):
         data = shutil.copytree(trained_chain[0], tmp_path / "data")
         seg = (data / "segmentation.json").read_bytes()
@@ -540,6 +597,28 @@ class TestRegionMap:
         for name in ("cfr_labels", "adcam_labels", "fused_labels", "retained"):
             assert np.array_equal(getattr(got, name), getattr(labels, name))
         assert (got.fused_count, got.pair_to_fused) == (labels.fused_count, labels.pair_to_fused) == (2, {(0, 2): 0, (3, 0): 1})
+
+    def test_a_retained_pair_has_one_fused_label(self, tmp_path):
+        dio.write_region_map(tmp_path / "m.csv", [7, 3, 11, 5, 2, 9], self._labels())
+
+        def edit(rows):
+            rows[2][3] = "0"  # id 11, the second row of pair (3, 0), which is region 1
+            return rows
+
+        _rewrite_csv(tmp_path / "m.csv", edit)
+        with pytest.raises(ValueError, match=r"m\.csv: pair \(cfr_label 3, adcam_label 0\) has fused labels 1 and 0 \(id 11\)"):
+            dio.read_region_map(tmp_path / "m.csv")
+
+    def test_a_cleansed_row_may_share_a_retained_pair(self, tmp_path):
+        dio.write_region_map(tmp_path / "m.csv", [7, 3, 11, 5, 2, 9], self._labels())
+
+        def edit(rows):
+            rows[2][3:] = ["-1", "0"]  # id 11 of pair (3, 0), cleansed
+            return rows
+
+        _rewrite_csv(tmp_path / "m.csv", edit)
+        _, labels = dio.read_region_map(tmp_path / "m.csv")
+        assert labels.fused_labels.tolist() == [1, 0, -1, -1, 1, 0]
 
     @pytest.mark.parametrize(
         "fused, retained",

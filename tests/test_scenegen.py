@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from amdnloc.channel import NO_NOISE, PathRecord, add_noise, adcam, cfr_from_paths
+import oracles
+from amdnloc.channel import NO_NOISE, PathRecord, add_noise
 from amdnloc.scenegen import (
     _ANGLE_EPS,
     _EPS,
@@ -144,7 +145,8 @@ def trace_oracle(scene, mt):
 
 
 def build_dataset_oracle(scene):
-    """One sample per reachable grid terminal, one grid point at a time."""
+    """One sample per reachable grid terminal, one grid point at a time,
+    its CFR built path by path and transformed on its own."""
     w, h = scene.area_m
     rng = np.random.default_rng(scene.seed)
     spacing = scene.grid_spacing_m
@@ -159,10 +161,10 @@ def build_dataset_oracle(scene):
             if not paths:
                 continue
             sid = len(samples)
-            cfr = cfr_from_paths(paths, scene.nt, scene.nc, scene.spacing_ratio)
+            cfr = oracles.cfr_from_paths(paths, scene.nt, scene.nc, scene.spacing_ratio)
             if scene.snr_db != NO_NOISE:
                 cfr = add_noise(cfr, scene.snr_db, seed=scene.seed * 1_000_003 + sid)
-            samples.append(Sample(id=sid, pos=pos, paths=paths, is_los=is_los, cfr=cfr, adcam=adcam(cfr)))
+            samples.append(Sample(id=sid, pos=pos, paths=paths, is_los=is_los, cfr=cfr, adcam=oracles.adcam(cfr)))
     if not samples:
         raise ValueError("no reachable terminals in scene")
     return samples
@@ -173,7 +175,7 @@ def assert_same_dataset(got, want):
     for a, b in zip(got, want):
         assert (a.pos, a.is_los) == (b.pos, b.is_los), a.id
         assert a.paths == b.paths, a.id
-        assert np.array_equal(a.cfr, b.cfr) and np.array_equal(a.adcam, b.adcam), a.id
+        assert a.cfr.tobytes() == b.cfr.tobytes() and a.adcam.tobytes() == b.adcam.tobytes(), a.id
 
 
 # The buildings and base station of the benchmark scenes, on their two grids.
@@ -186,11 +188,15 @@ REFERENCE_BUILDINGS = [
 ]
 
 
-@pytest.mark.parametrize("spacing", [3.5, 5.5], ids=["dense-global", "hetero-segmented"])
-def test_build_dataset_equals_per_terminal_oracle_on_reference_scenes(spacing):
+@pytest.mark.parametrize(
+    "spacing, snr_db",
+    [(3.5, NO_NOISE), (5.5, NO_NOISE), (5.5, 30.0)],
+    ids=["dense-global", "hetero-segmented", "hetero-segmented-snr30"],
+)
+def test_build_dataset_equals_per_terminal_oracle_on_reference_scenes(spacing, snr_db):
     scene = SceneConfig(
         area_m=(250.0, 250.0), bs_pos=(125.0, 2.0), buildings=REFERENCE_BUILDINGS,
-        grid_spacing_m=spacing, nt=32, nc=32, seed=3,
+        grid_spacing_m=spacing, nt=32, nc=32, snr_db=snr_db, seed=3,
     )
     assert_same_dataset(build_dataset(scene), build_dataset_oracle(scene))
 
@@ -384,3 +390,13 @@ class TestSceneJson:
     def test_bs_inside_building_rejected(self):
         with pytest.raises(ValueError):
             SceneConfig(area_m=(100, 100), bs_pos=(50, 50), buildings=[Rect(40, 40, 20, 20)])
+
+
+def test_samples_hold_rows_of_one_stack_per_domain():
+    samples = build_dataset(open_scene(buildings=[Rect(60, 20, 10, 30)], grid_spacing_m=5.0, snr_db=20.0))
+    assert len(samples) > 64  # more than one chunk of the stacked kernels
+    for name in ("cfr", "adcam"):
+        stack = getattr(samples[0], name).base
+        assert stack.shape == (len(samples), 8, 32)
+        assert all(getattr(s, name).base is stack for s in samples)
+        assert all(np.shares_memory(getattr(s, name), stack[s.id]) for s in samples)

@@ -9,6 +9,8 @@ from amdnloc.channel import PathRecord
 from amdnloc.scenegen import Sample
 from amdnloc.segmentation_adcam import (
     _dist,
+    _distinct_rows,
+    _silhouettes,
     build_features,
     calinski_harabasz,
     kmeans,
@@ -253,6 +255,24 @@ class TestSilhouette:
         pts, assignment = case
         assert np.array_equal(silhouette(pts, assignment), silhouette_loop(pts, assignment), equal_nan=True)
 
+    @settings(max_examples=60, deadline=None)
+    @given(_clustered_points(), st.integers(0, 2**32 - 1))
+    def test_one_pass_scores_every_assignment_as_the_loop_does(self, case, seed):
+        # several assignments of the same points share each block of distance rows
+        pts, assignment = case
+        rng = np.random.default_rng(seed)
+        others = [rng.permutation(assignment) for _ in range(rng.integers(0, 4))]
+        others.append(np.where(np.arange(len(pts)) < len(pts) // 2, -3, 9))
+        got = _silhouettes(pts, [assignment, *others])
+        assert len(got) == len(others) + 1
+        for score, asg in zip(got, [assignment, *others]):
+            assert np.array_equal(score, silhouette_loop(pts, asg), equal_nan=True)
+
+    def test_one_pass_rejects_a_single_cluster_anywhere(self):
+        pts = np.arange(8.0).reshape(4, 2)
+        with pytest.raises(ValueError, match="at least 2 clusters"):
+            _silhouettes(pts, [np.array([0, 0, 1, 1]), np.zeros(4, dtype=int)])
+
     def test_perfectly_separated_pairs(self):
         pts = np.array([[0.0], [0.0], [10.0], [10.0]])
         assert silhouette(pts, np.array([0, 0, 1, 1])) == pytest.approx(1.0)
@@ -344,3 +364,16 @@ class TestSelectK:
         pts = rng.normal(size=(20, 4))
         k, model = select_k(pts, [4], seed=0)
         assert k == 4 and model.k == 4
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 120),
+    st.integers(1, 5),
+    st.sampled_from([[0.0], [0.0, -0.0, 1.0], [-1.5, 0.0, 2.0, 1e-300], [np.inf, -np.inf, 3.0]]),
+    st.integers(0, 2**32 - 1),
+)
+def test_distinct_rows_counts_as_unique_along_rows(n, d, values, seed):
+    # few values per coordinate, so that rows repeat; -0.0 equals 0.0
+    pts = np.random.default_rng(seed).choice(values, size=(n, d))
+    assert _distinct_rows(pts) == np.unique(pts, axis=0).shape[0]
