@@ -21,11 +21,9 @@ from .fusion import RegionLabels, Segmentation, cleanse, fuse_labels
 from .localizer import (
     FeatureConfig,
     LocalizationModel,
-    extract_features_adcam,
-    extract_features_cfr,
-    fuse_features,
     locate,
     predict,
+    sample_features,
     train,
 )
 from .scenegen import (

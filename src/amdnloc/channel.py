@@ -188,7 +188,8 @@ def render_image(m: np.ndarray, tag: str) -> np.ndarray:
     lo = vals.min(axis=(-2, -1), keepdims=True)
     span = vals.max(axis=(-2, -1), keepdims=True) - lo
     # a constant image has vals - lo == 0 everywhere
-    return (vals - lo) / np.where(span == 0.0, 1.0, span)
+    span[span == 0.0] = 1.0
+    return (vals - lo) / span
 
 
 def add_noise(h: np.ndarray, snr_db: float, seed: int) -> np.ndarray:

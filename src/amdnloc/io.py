@@ -56,7 +56,8 @@ def _write_bin(path: Path, arrays: list[np.ndarray], complex_data: bool):
             fh.write(np.array(arrays[i : i + _WRITE_CHUNK], dtype=dtype).tobytes())
 
 
-def _read_bin(path: Path, complex_data: bool) -> list[np.ndarray]:
+def _read_bin(path: Path, complex_data: bool) -> tuple[tuple[int, int], list[np.ndarray]]:
+    """The (nt, nc) of the header and the samples of a .bin file."""
     raw = Path(path).read_bytes()
     if len(raw) < 20:
         raise ValueError(f"{path}: {len(raw)} bytes, shorter than the 20-byte header")
@@ -81,7 +82,7 @@ def _read_bin(path: Path, complex_data: bool) -> list[np.ndarray]:
             out.append((block[..., 0] + 1j * block[..., 1]).astype(np.complex128))
         else:
             out.append(block.reshape(nt, nc))
-    return out
+    return (nt, nc), out
 
 
 def write_dataset(samples: list[Sample], out_dir: str | Path):
@@ -108,10 +109,16 @@ def write_dataset(samples: list[Sample], out_dir: str | Path):
 
 def read_dataset(data_dir: str | Path) -> list[Sample]:
     """Samples in positions.csv order; the files must agree on the
-    samples they hold, values must be finite and ids unique."""
+    samples they hold, cfr.bin and adcam.bin on the matrix shape (nt,
+    nc), values must be finite and ids unique."""
     d = Path(data_dir)
-    cfrs = _read_bin(d / "cfr.bin", complex_data=True)
-    adcams = _read_bin(d / "adcam.bin", complex_data=False)
+    cfr_dims, cfrs = _read_bin(d / "cfr.bin", complex_data=True)
+    adcam_dims, adcams = _read_bin(d / "adcam.bin", complex_data=False)
+    if cfr_dims != adcam_dims:
+        raise ValueError(
+            f"{d / 'cfr.bin'} holds {cfr_dims[0]}x{cfr_dims[1]} matrices, "
+            f"but {d / 'adcam.bin'} {adcam_dims[0]}x{adcam_dims[1]}"
+        )
     paths_by_id: dict[int, list[PathRecord]] = {}
     with open(d / "paths.csv", newline="") as fh:
         for row in csv.DictReader(fh):

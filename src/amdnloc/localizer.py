@@ -2,10 +2,15 @@
 
 Features are deterministic: block means of the CFR magnitude/phase and
 angle-delay images, row/column profiles, and the strongest angle-delay
-peaks. Each fused region gets its own affine regressor over the fused
-feature vector; test samples are routed to a region by re-running the
-training-time matchers (CFR founder templates, clustering centroids)
-with a nearest-centroid fallback.
+peaks. ``_image_features`` defines their layout, and ``train``,
+``locate`` and ``sample_features`` all take them through
+``_stack_features``: one pass over a stack of up to ``_PLANES`` samples
+that renders the three images of every sample into one plane stack and
+writes the fused vectors into one preallocated array. Each fused region
+gets its own affine regressor over the fused feature vector; test
+samples are routed to a region by re-running the training-time
+matchers (CFR founder templates, clustering centroids) with a
+nearest-centroid fallback.
 """
 from __future__ import annotations
 
@@ -21,9 +26,7 @@ from .segmentation_cfr import _PLANES, TemplatePair, _best_pairs, _corner_banks,
 __all__ = [
     "FeatureConfig",
     "LocalizationModel",
-    "extract_features_cfr",
-    "extract_features_adcam",
-    "fuse_features",
+    "sample_features",
     "fit_region_weights",
     "apply_weights",
     "train",
@@ -66,8 +69,9 @@ def _block_means(img: np.ndarray, grid: tuple[int, int] = _BLOCK_GRID) -> np.nda
     each image of an (..., H, W) stack.
 
     The blocks are those of ``np.array_split`` along each axis. Blocks of
-    one size are copied into contiguous rows and averaged together, which
-    sums each block in the order ``block.mean()`` does.
+    one size are copied into contiguous rows, summed together by one
+    ``np.add.reduce`` and divided by their size: each block is summed in
+    the order ``block.mean()`` sums it, and divided as it divides.
     """
     *lead, h, w = img.shape
     gh, gw = grid
@@ -78,16 +82,8 @@ def _block_means(img: np.ndarray, grid: tuple[int, int] = _BLOCK_GRID) -> np.nda
         for j, nc, sc, x in _split_runs(w, gw):
             blocks = img[..., y : y + nr * sr, x : x + nc * sc].reshape(*lead, nr, sr, nc, sc).swapaxes(-3, -2)
             rows = np.ascontiguousarray(blocks).reshape(*lead, nr, nc, sr * sc)
-            out[..., i : i + nr, j : j + nc] = rows.mean(axis=-1)
+            np.divide(np.add.reduce(rows, axis=-1), sr * sc, out=out[..., i : i + nr, j : j + nc])
     return out.reshape(*lead, gh * gw)
-
-
-def _check_dims(config: FeatureConfig, *imgs: np.ndarray):
-    shapes = [img.shape[-2:] for img in imgs]
-    if any(shape != (config.nt, config.nc) for shape in shapes):
-        raise ValueError(
-            f"image dims {'/'.join(map(str, shapes))} do not match config ({config.nt}, {config.nc})"
-        )
 
 
 def _top_peaks(flat: np.ndarray, k: int) -> np.ndarray:
@@ -100,57 +96,83 @@ def _top_peaks(flat: np.ndarray, k: int) -> np.ndarray:
     """
     n, m = flat.shape
     kth = np.partition(flat, m - k, axis=1)[:, m - k, None]
-    rows, cols = np.nonzero(flat >= kth)  # by row, then by index
-    order = np.lexsort((-flat[rows, cols], rows))
+    pos = np.flatnonzero(flat >= kth)  # by row, then by index
+    rows, cols = np.divmod(pos, m)
+    order = np.lexsort((-flat.ravel()[pos], rows))
     first = np.searchsorted(rows, np.arange(n))
     return cols[order[first[:, None] + np.arange(k)]]
 
 
-def extract_features_cfr(mag: np.ndarray, phase: np.ndarray, config: FeatureConfig) -> np.ndarray:
-    """Block means of magnitude and phase plus magnitude row/column
-    profiles, of one image pair or of (n, nt, nc) stacks."""
-    _check_dims(config, mag, phase)
-    return np.concatenate(
-        [_block_means(mag), _block_means(phase), mag.mean(axis=-1), mag.mean(axis=-2)], axis=-1
-    )
+def _image_features(planes: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The fused feature vectors of rendered images, written into ``out``
+    (n, fused_len) and returned; the one definition of the layout.
 
+    ``planes`` is the (3, n, nt, nc) stack of the CFR magnitude, CFR
+    phase and ADCAM images. Each vector is the CFR part, ``cfr_len``
+    values:
 
-def extract_features_adcam(img: np.ndarray, config: FeatureConfig) -> np.ndarray:
-    """Block means, row/column profiles, and the top peaks of the
-    angle-delay image, or of each image of an (n, nt, nc) stack."""
-    _check_dims(config, img)
-    blocks = _block_means(img)
-    flat = img.reshape(-1, config.nt * config.nc)
+    - the block means of the magnitude, then of the phase;
+    - the magnitude's row means (nt), then its column means (nc);
+
+    then the ADCAM part, ``adcam_len`` values:
+
+    - the block means, row means and column means of the ADCAM image;
+    - its ``_TOP_PEAKS`` largest values, largest first, each as (row,
+      column, value); a zero value carries no location, so its peak is
+      (0, 0, 0).
+
+    Every block mean comes from one ``_block_means`` call, and the row
+    and column means of the magnitude and the ADCAM from one reduction
+    each, equal bit for bit to ``.mean`` on one image.
+    """
+    _, n, nt, nc = planes.shape
+    blocks = _block_means(planes)
+    pair = planes[::2]  # magnitude and ADCAM
+    rows = np.add.reduce(pair, axis=-1) / nc
+    cols = np.add.reduce(pair, axis=-2) / nt
+    flat = planes[2].reshape(n, nt * nc)
     idx = _top_peaks(flat, _TOP_PEAKS)
-    peaks = np.empty((len(flat), _TOP_PEAKS, 3))
-    peaks[..., 0], peaks[..., 1] = np.divmod(idx, config.nc)
-    peaks[..., 2] = flat[np.arange(len(flat))[:, None], idx]
-    peaks[peaks[..., 2] == 0.0] = 0.0  # zero peaks carry no location
-    return np.concatenate(
-        [blocks, img.mean(axis=-1), img.mean(axis=-2), peaks.reshape(*img.shape[:-2], 3 * _TOP_PEAKS)], axis=-1
-    )
+    peaks = np.empty((n, _TOP_PEAKS, 3))
+    peaks[..., 0], peaks[..., 1] = np.divmod(idx, nc)
+    peaks[..., 2] = flat[np.arange(n)[:, None], idx]
+    peaks[peaks[..., 2] == 0.0] = 0.0
+    parts = [blocks[0], blocks[1], rows[0], cols[0], blocks[2], rows[1], cols[1], peaks.reshape(n, -1)]
+    return np.concatenate(parts, axis=1, out=out)
 
 
-def fuse_features(f_cfr: np.ndarray, f_adcam: np.ndarray) -> np.ndarray:
-    """Concatenate the two feature vectors (along the last axis)."""
-    return np.concatenate([f_cfr, f_adcam], axis=-1)
+def _check_samples(samples, shape: tuple[int, int]):
+    """Reject the first sample whose CFR or ADCAM is not ``shape``."""
+    for s in samples:
+        for domain, m in (("CFR", s.cfr), ("ADCAM", s.adcam)):
+            if m.shape != shape:
+                raise ValueError(f"sample {s.id} has {domain} shape {m.shape}, the features take {shape}")
 
 
-def _stack_features(samples, config: FeatureConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The CFR magnitude images (n, nt, nc) and the raw fused feature
-    vectors (n, fused_len) of samples, from their stacked matrices."""
+def _stack_features(samples, config: FeatureConfig, out: np.ndarray) -> np.ndarray:
+    """Write the raw fused feature vectors of samples into ``out`` (n,
+    fused_len), in one pass over their stacked matrices, and return
+    their CFR magnitude images (n, nt, nc).
+
+    The samples are checked by ``_check_samples``. ``render_image``
+    renders each domain of the whole stack into one (3, n, nt, nc)
+    plane stack, which ``_image_features`` reduces.
+    """
+    shape = (config.nt, config.nc)
+    _check_samples(samples, shape)
     cfr = np.array([s.cfr for s in samples])
-    mag = render_image(cfr, "cfr_magnitude")
-    feats = fuse_features(
-        extract_features_cfr(mag, render_image(cfr, "cfr_phase"), config),
-        extract_features_adcam(render_image(np.array([s.adcam for s in samples]), "adcam"), config),
-    )
-    return mag, feats
+    planes = np.empty((3, len(samples), *shape))
+    planes[0] = render_image(cfr, "cfr_magnitude")
+    planes[1] = render_image(cfr, "cfr_phase")
+    planes[2] = render_image(np.array([s.adcam for s in samples]), "adcam")
+    _image_features(planes, out)
+    return planes[0]
 
 
 def sample_features(sample, config: FeatureConfig) -> np.ndarray:
     """Raw (un-normalized) fused feature vector of one dataset sample."""
-    return _stack_features([sample], config)[1][0]
+    out = np.empty((1, config.fused_len))
+    _stack_features([sample], config, out)
+    return out[0]
 
 
 def _chunks(samples):
@@ -179,10 +201,12 @@ class LocalizationModel:
     """Trained per-region regressors plus everything needed to route a
     new sample to a region.
 
-    The founder templates are kept as ``_corner_banks`` for the CFR
-    image shape too, a t1 bank and a t2 bank built once from
-    ``founders`` whenever a model is made, so ``locate`` transforms no
-    template.
+    Whenever a model is made, it keeps what ``locate`` would otherwise
+    redo on every call: the founder templates as ``_corner_banks`` for
+    the CFR image shape, a t1 bank and a t2 bank, so ``locate``
+    transforms no template; the founder categories as one array, in
+    ``founders`` order; and each region's weights column-major, as
+    ``apply_weights`` takes them.
     """
 
     config: FeatureConfig
@@ -196,9 +220,13 @@ class LocalizationModel:
     region_feature_centroids: dict[int, np.ndarray]
     ridge_lambda: float = 1e-3
     corner_banks: tuple[_TemplateBank, _TemplateBank] = field(init=False, repr=False, compare=False)
+    founder_labels: np.ndarray = field(init=False, repr=False, compare=False)
+    fortran_weights: dict[int, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.corner_banks = _corner_banks(list(self.founders.values()), (self.config.nt, self.config.nc))
+        self.founder_labels = np.array(list(self.founders))
+        self.fortran_weights = {r: np.asfortranarray(w) for r, w in self.weights.items()}
 
 
 def train(samples, segmentation: Segmentation, ridge_lambda: float = 1e-3) -> LocalizationModel:
@@ -206,13 +234,14 @@ def train(samples, segmentation: Segmentation, ridge_lambda: float = 1e-3) -> Lo
 
     Feature normalization constants come from the retained training
     samples; the segmentation's routing state is stored so ``locate``
-    can route new samples.
+    can route new samples. Every sample's CFR and ADCAM must have the
+    shape of the first sample's CFR, which sets the model's (nt, nc).
     """
     regions = segmentation.regions
     config = FeatureConfig(nt=samples[0].cfr.shape[0], nc=samples[0].cfr.shape[1])
     raw = np.empty((len(samples), config.fused_len))
     for i, chunk in _chunks(samples):
-        raw[i : i + len(chunk)] = _stack_features(chunk, config)[1]
+        _stack_features(chunk, config, raw[i : i + len(chunk)])
     feat_std = Standardizer.fit(raw[regions.retained])
     # Standardizer.apply's two operations, in place
     feats = raw
@@ -254,27 +283,25 @@ def locate(model: LocalizationModel, samples) -> tuple[np.ndarray, list[int]]:
     ``_best_pairs`` over the model's ``corner_banks``, which scores a
     founder's t2 only where it can still win. A call takes the
     ``rfft2`` of its samples' CFR magnitude images and of no template;
-    a one-founder model transforms no image at all. Each magnitude
-    image is rendered once, with the features, ``_PLANES`` samples at
-    a time. Every sample's CFR must have the model's shape (nt, nc).
-    No samples give an empty (0, 2) array and no regions.
+    a one-founder model transforms no image at all. The features are
+    taken ``_PLANES`` samples at a time, in one ``_stack_features``
+    pass per chunk, whose magnitude images fill the one (n, nt, nc)
+    stack that routing scores. Every sample's CFR and ADCAM must have
+    the model's shape (nt, nc). No samples give an empty (0, 2) array
+    and no regions.
     """
     if not samples:
         return np.empty((0, 2)), []
-    shape = (model.config.nt, model.config.nc)
-    for s in samples:
-        if s.cfr.shape != shape:
-            raise ValueError(f"sample {s.id} has CFR shape {s.cfr.shape}, the model takes {shape}")
+    config = model.config
+    mags = np.empty((len(samples), config.nt, config.nc))
+    raw = np.empty((len(samples), config.fused_len))
+    for i, chunk in _chunks(samples):
+        rows = slice(i, i + len(chunk))
+        mags[rows] = _stack_features(chunk, config, raw[rows])
+    feats = model.feature_standardizer.apply(raw)
     kf = model.adcam_standardizer.apply([path_descriptor(s, model.path_select) for s in samples])
     adcam_labels = _dist(kf, model.adcam_centroids).argmin(axis=1)
-    # one magnitude render per sample, shared by routing and features
-    mags: list[np.ndarray] = []
-    raw = np.empty((len(samples), model.config.fused_len))
-    for i, chunk in _chunks(samples):
-        mag, raw[i : i + len(chunk)] = _stack_features(chunk, model.config)
-        mags.extend(mag)
-    feats = model.feature_standardizer.apply(raw)
-    cfr_labels = np.array(list(model.founders))[_best_pairs(model.corner_banks, mags)]
+    cfr_labels = model.founder_labels[_best_pairs(model.corner_banks, mags)]
     xy = np.empty((len(samples), 2))
     regions = []
     for i, feat in enumerate(feats):
@@ -282,7 +309,7 @@ def locate(model: LocalizationModel, samples) -> tuple[np.ndarray, list[int]]:
         if region not in model.weights:
             centroids = model.region_feature_centroids
             region = min(centroids, key=lambda r: float(np.sum((centroids[r] - feat) ** 2)))
-        xy[i] = apply_weights(model.weights[region], feat)
+        xy[i] = apply_weights(model.fortran_weights[region], feat)
         regions.append(region)
     return xy, regions
 

@@ -329,6 +329,21 @@ def trained_chain(dataset, tmp_path_factory):
 
 
 class TestBoundaryErrors:
+    def test_segment_names_both_fingerprint_files_of_other_dims(self, dataset, tmp_path, capsys):
+        # 16x16 CFRs with the 8x8 ADCAMs of another dataset of the same terminals
+        _, samples = dataset
+        data, other = tmp_path / "data", tmp_path / "other"
+        dio.write_dataset(samples, data)
+        dio.write_dataset([dataclasses.replace(s, adcam=s.adcam[:8, :8]) for s in samples], other)
+        shutil.copy(other / "adcam.bin", data / "adcam.bin")
+        want = f"{data / 'cfr.bin'} holds 16x16 matrices, but {data / 'adcam.bin'} 8x8"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            dio.read_dataset(data)
+        rc = main(["segment", "--data", str(data), "--template", "8x8", "--min-count", "1", "--k-max", "3"])
+        assert rc == 1
+        assert f"[segment] {want}" in capsys.readouterr().err
+        assert not (data / "region_map.csv").exists()
+
     def test_train_names_a_founder_missing_from_the_dataset(self, trained_chain, tmp_path, capsys):
         data = shutil.copytree(trained_chain[0], tmp_path / "data")
         seg = json.loads((data / "segmentation.json").read_text())

@@ -12,13 +12,11 @@ from amdnloc.fusion import Segmentation, cleanse, fuse_labels
 from amdnloc.localizer import (
     FeatureConfig,
     _block_means,
+    _image_features,
     _stack_features,
     _top_peaks,
     apply_weights,
-    extract_features_adcam,
-    extract_features_cfr,
     fit_region_weights,
-    fuse_features,
     locate,
     predict,
     sample_features,
@@ -26,7 +24,7 @@ from amdnloc.localizer import (
 )
 from amdnloc.scenegen import Rect, Sample, SceneConfig, build_dataset
 from amdnloc.segmentation_adcam import Standardizer, build_features, kmeans, path_descriptor
-from amdnloc.segmentation_cfr import extract_templates, segment_cfr
+from amdnloc.segmentation_cfr import _PLANES, extract_templates, segment_cfr
 from oracles import ncc
 
 CONFIG = FeatureConfig(nt=16, nc=16)
@@ -122,10 +120,30 @@ def test_stacked_features_equal_the_per_sample_oracle(spacing, step):
     samples = build_dataset(SceneConfig(grid_spacing_m=spacing, **REFERENCE_SCENE))[::step]
     config = FeatureConfig(nt=32, nc=32)
     want = np.array([features_oracle(s) for s in samples])
-    mag, got = _stack_features(samples, config)
+    got = np.empty((len(samples), config.fused_len))
+    mag = _stack_features(samples, config, got)
     assert np.array_equal(got, want)
     assert np.array_equal(mag, [render_oracle(s.cfr, "cfr_magnitude") for s in samples])
     assert all(np.array_equal(sample_features(s, config), w) for s, w in zip(samples[::50], want[::50]))
+
+
+def image_features(mag, phase, adcam):
+    """``_image_features`` of one image triple, or of three (n, nt, nc) stacks."""
+    planes = np.array([mag, phase, adcam], dtype=float)
+    *lead, nt, nc = planes.shape[1:]
+    planes = planes.reshape(3, -1, nt, nc)
+    out = np.empty((planes.shape[1], FeatureConfig(nt, nc).fused_len))
+    return _image_features(planes, out).reshape(*lead, -1)
+
+
+def cfr_features(mag, phase):
+    """The CFR part of the fused features."""
+    return image_features(mag, phase, np.zeros_like(mag))[..., : FeatureConfig(*mag.shape[-2:]).cfr_len]
+
+
+def adcam_features(img):
+    """The ADCAM part of the fused features."""
+    return image_features(np.zeros_like(img), np.zeros_like(img), img)[..., FeatureConfig(*img.shape[-2:]).cfr_len :]
 
 
 # images with ties, zeros, constant images and fewer than 5 nonzero values
@@ -152,18 +170,18 @@ def test_top_peaks_equal_a_stable_full_sort(imgs):
 def test_stacked_adcam_features_equal_the_oracle(imgs):
     config = FeatureConfig(nt=imgs.shape[1], nc=imgs.shape[2])
     want = np.array([adcam_features_oracle(img) for img in imgs])
-    assert np.array_equal(extract_features_adcam(imgs, config), want)
-    assert np.array_equal(extract_features_adcam(imgs[0], config), want[0])
+    assert np.array_equal(adcam_features(imgs), want)
+    assert np.array_equal(adcam_features(imgs[0]), want[0])
 
 
 class TestCfrFeatures:
     def test_zero_image_zero_vector(self):
         z = np.zeros((16, 16))
-        np.testing.assert_array_equal(extract_features_cfr(z, z, CONFIG), np.zeros(CONFIG.cfr_len))
+        np.testing.assert_array_equal(cfr_features(z, z), np.zeros(CONFIG.cfr_len))
 
     def test_constant_magnitude(self):
         mag = np.full((16, 16), 0.5)
-        feats = extract_features_cfr(mag, np.zeros((16, 16)), CONFIG)
+        feats = cfr_features(mag, np.zeros((16, 16)))
         np.testing.assert_allclose(feats[:64], 0.5)
         np.testing.assert_allclose(feats[128:], 0.5)
 
@@ -171,33 +189,34 @@ class TestCfrFeatures:
         rng = np.random.default_rng(0)
         mag = rng.random((16, 16))
         phase = rng.random((16, 16))
-        feats = extract_features_cfr(mag, phase, CONFIG)
+        feats = cfr_features(mag, phase)
         np.testing.assert_allclose(feats[:64], block_mean_oracle(mag), atol=1e-12)
         np.testing.assert_allclose(feats[64:128], block_mean_oracle(phase), atol=1e-12)
         np.testing.assert_allclose(feats[128:144], mag.mean(axis=1), atol=1e-12)
         np.testing.assert_allclose(feats[144:], mag.mean(axis=0), atol=1e-12)
 
     def test_dim_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            extract_features_cfr(np.zeros((8, 8)), np.zeros((8, 8)), CONFIG)
+        sample = Sample(id=4, pos=(0.0, 0.0), paths=[], is_los=True, cfr=np.zeros((8, 8), complex), adcam=np.zeros((8, 8)))
+        with pytest.raises(ValueError, match=r"sample 4 has CFR shape \(8, 8\), the features take \(16, 16\)"):
+            sample_features(sample, CONFIG)
 
 
 class TestAdcamFeatures:
     def test_zero_image(self):
-        feats = extract_features_adcam(np.zeros((16, 16)), CONFIG)
+        feats = adcam_features(np.zeros((16, 16)))
         np.testing.assert_array_equal(feats, np.zeros(CONFIG.adcam_len))
 
     def test_single_peak_location(self):
         img = np.zeros((16, 16))
         img[8, 3] = 1.0
-        feats = extract_features_adcam(img, CONFIG)
+        feats = adcam_features(img)
         r, c, v = feats[-15], feats[-14], feats[-13]
         assert (r, c, v) == (8.0, 3.0, 1.0)
 
     def test_top5_matches_brute_force(self):
         rng = np.random.default_rng(1)
         img = rng.random((16, 16))
-        feats = extract_features_adcam(img, CONFIG)
+        feats = adcam_features(img)
         got_vals = feats[-15:].reshape(5, 3)[:, 2]
         want = np.sort(img.ravel())[::-1][:5]
         np.testing.assert_allclose(got_vals, want)
@@ -205,11 +224,16 @@ class TestAdcamFeatures:
 
 class TestFuseFeatures:
     def test_zero_concat(self):
-        fused = fuse_features(np.zeros(3), np.zeros(2))
-        np.testing.assert_array_equal(fused, np.zeros(5))
+        z = np.zeros((16, 16))
+        np.testing.assert_array_equal(image_features(z, z, z), np.zeros(CONFIG.fused_len))
 
     def test_lengths_add(self):
-        assert fuse_features(np.ones(7), np.ones(4)).size == 11
+        img = np.random.default_rng(5).random((3, 16, 16))
+        fused = image_features(*img)
+        assert fused.size == CONFIG.cfr_len + CONFIG.adcam_len
+        # the CFR part, then the ADCAM part, each of its own images only
+        assert np.array_equal(fused[: CONFIG.cfr_len], cfr_features(img[0], img[1]))
+        assert np.array_equal(fused[CONFIG.cfr_len :], adcam_features(img[2]))
 
     def test_training_set_moments(self):
         rng = np.random.default_rng(2)
@@ -315,6 +339,17 @@ class TestTrainPredict:
             mix = apply_weights(w, alpha * a + (1 - alpha) * b)
             direct = alpha * apply_weights(w, a) + (1 - alpha) * apply_weights(w, b)
             np.testing.assert_allclose(mix, direct, atol=1e-9)
+
+    @pytest.mark.parametrize("domain, cut", [("CFR", (16, 15)), ("ADCAM", (15, 16))])
+    def test_train_rejects_a_sample_of_another_shape(self, domain, cut):
+        samples = small_dataset()
+        model, regions = segment_and_train(samples)
+        seg = Segmentation(regions, model.founders, model.adcam_centroids, model.adcam_standardizer, model.path_select)
+        odd = samples[5]
+        field = domain.lower()
+        samples[5] = dataclasses.replace(odd, **{field: getattr(odd, field)[: cut[0], : cut[1]]})
+        with pytest.raises(ValueError, match=rf"sample {odd.id} has {domain} shape \({cut[0]}, {cut[1]}\), the features take \(16, 16\)"):
+            train(samples, seg)
 
     def test_duplicate_sample_identical_prediction(self):
         samples = small_dataset()
@@ -432,6 +467,34 @@ class TestLocate:
         odd = dataclasses.replace(test[0], cfr=test[0].cfr[:, :-1])
         with pytest.raises(ValueError, match=r"\(16, 15\).*\(16, 16\)"):
             locate(model, [test[1], odd])
+        odd = dataclasses.replace(test[0], adcam=test[0].adcam[:-1])
+        with pytest.raises(ValueError, match=rf"sample {odd.id} has ADCAM shape \(15, 16\), the features take \(16, 16\)"):
+            locate(model, [test[1], odd])
+
+    def test_batch_across_chunks_matches_the_oracle(self, held_out_model):
+        # the held-out samples repeated, each pass in another order, so
+        # every chunk of _PLANES samples routes through several founders
+        model, test = held_out_model
+        rng = np.random.default_rng(9)
+        batch = [test[i] for _ in range(2 * _PLANES // len(test) + 2) for i in rng.permutation(len(test))]
+        assert len(batch) > 2 * _PLANES and len(batch) % _PLANES != 0
+        xy, regions = locate(model, batch)
+        assert regions == [route_oracle(model, s)[0] for s in batch]
+        assert np.array_equal(xy, np.array([predict_oracle(model, s) for s in batch]))
+
+
+def test_locate_across_chunks_on_the_dense_reference_scene():
+    # 2,540 distinct 32x32 terminals; a single-region model on 4/5 of them
+    samples = build_dataset(SceneConfig(grid_spacing_m=3.5, **REFERENCE_SCENE))
+    tr, te = _split(len(samples), 0.8, 0)
+    train_s = [samples[i] for i in tr]
+    model = train(train_s, segment(train_s, {**default_config(), "single_region": True}))
+    test = [samples[i] for i in te[: 3 * _PLANES - 11]]
+    assert len(test) > 2 * _PLANES
+    xy, regions = locate(model, test)
+    assert regions == [0] * len(test)
+    assert np.array_equal(xy, np.array([predict(model, s) for s in test]))
+    assert np.array_equal(xy, np.array([predict_oracle(model, s) for s in test]))
 
 
 class TestPiecewiseLinearRecovery:
