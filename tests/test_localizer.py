@@ -168,7 +168,6 @@ def test_top_peaks_equal_a_stable_full_sort(imgs):
 @settings(max_examples=100, deadline=None)
 @given(_images)
 def test_stacked_adcam_features_equal_the_oracle(imgs):
-    config = FeatureConfig(nt=imgs.shape[1], nc=imgs.shape[2])
     want = np.array([adcam_features_oracle(img) for img in imgs])
     assert np.array_equal(adcam_features(imgs), want)
     assert np.array_equal(adcam_features(imgs[0]), want[0])
