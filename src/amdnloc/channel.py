@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -28,8 +28,15 @@ __all__ = [
 # Sentinel SNR meaning "do not add noise".
 NO_NOISE = float("inf")
 
-# Matrices per block of the stacked kernels: 64 of 32 x 32 complex are 1 MB.
+# Rows per temporary of every stacked pass in the package, read at call
+# time: 64 matrices of 32 x 32 complex are 1 MB.
 _CHUNK = 64
+
+
+def _chunks(n: int) -> Iterator[slice]:
+    """The slices of ``_CHUNK`` rows that cover ``range(n)``, in order."""
+    for start in range(0, n, _CHUNK):
+        yield slice(start, start + _CHUNK)
 
 
 @dataclass(frozen=True)
@@ -100,9 +107,8 @@ def cfr_stack(
     # the exponents of array_response and of the delay phase, up to cos(aoa) and delay/nc
     angle_exp = -2j * np.pi * np.arange(nt) * spacing_ratio
     delay_exp = -2j * np.pi * np.arange(nc)
-    for start in range(0, len(path_lists), _CHUNK):
-        chunk = path_lists[start : start + _CHUNK]
-        block = h[start : start + len(chunk)]
+    for part in _chunks(len(path_lists)):
+        chunk, block = path_lists[part], h[part]
         for j in range(max(map(len, chunk))):
             rows = [i for i, paths in enumerate(chunk) if len(paths) > j]
             slot = [chunk[i][j] for i in rows]
@@ -160,8 +166,8 @@ def adcam(h: np.ndarray) -> np.ndarray:
     vh = v.conj().T
     flat = h.reshape(-1, nt, nc)
     out = np.empty(flat.shape)
-    for i in range(0, len(flat), _CHUNK):
-        np.abs(vh @ flat[i : i + _CHUNK] @ f, out=out[i : i + _CHUNK])
+    for rows in _chunks(len(flat)):
+        np.abs(vh @ flat[rows] @ f, out=out[rows])
     return out.reshape(h.shape)
 
 

@@ -47,11 +47,19 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _template_size(text: str) -> tuple[int, int]:
+    try:
+        h, w = (int(side) for side in text.lower().split("x"))
+    except ValueError:
+        raise ValueError(f"--template {text!r} is not of the form HxW, such as 16x16") from None
+    return h, w
+
+
 def _cmd_segment(args) -> int:
+    size = _template_size(args.template)
     samples = dio.read_dataset(args.data)
-    h, w = args.template.lower().split("x")
     # the option names are the config keys: tau_in, tau_out, min_count, k_max, path_select
-    cfg = {**default_config(), **vars(args), "template_size": (int(h), int(w)), "seed": _seed_override(args.seed)}
+    cfg = {**default_config(), **vars(args), "template_size": size, "seed": _seed_override(args.seed)}
     seg = segment(samples, cfg)
     data = Path(args.data)
     export_region_map(samples, seg.regions, data / "region_map.csv", data / "region_map.ppm")

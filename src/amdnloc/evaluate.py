@@ -8,9 +8,9 @@ from pathlib import Path
 import numpy as np
 
 from . import io as dio
-from .channel import render_image
+from .channel import _chunks, render_image
 from .fusion import RegionLabels, Segmentation, cleanse, fuse_labels
-from .localizer import _chunks, locate, train
+from .localizer import locate, train
 from .scenegen import SceneConfig, build_dataset, nlos_filter, scene_from_json, scene_to_json
 from .segmentation_adcam import _distinct_rows, build_features, select_k
 from .segmentation_cfr import extract_templates, segment_cfr
@@ -125,8 +125,8 @@ def segment(train_samples, cfg) -> Segmentation:
     else:
         images = [
             image
-            for _, chunk in _chunks(train_samples)
-            for image in render_image(np.array([s.cfr for s in chunk]), "cfr_magnitude")
+            for rows in _chunks(len(train_samples))
+            for image in render_image(np.array([s.cfr for s in train_samples[rows]]), "cfr_magnitude")
         ]
         labeling = segment_cfr(images, cfg["tau_in"], cfg["tau_out"], size)
         cfr_lab = labeling.labels
@@ -157,12 +157,8 @@ def run_pipeline(config: dict, out_dir: str | Path | None = None) -> dict:
     if unknown:
         raise PipelineError("config", f"unknown config keys: {', '.join(map(repr, unknown))}")
     cfg = {**default_config(), **config}
-    if isinstance(cfg["scene"], dict):
-        scene_dict = {**default_config()["scene"], **cfg["scene"]}
-    else:
-        scene_dict = cfg["scene"]
     try:
-        scene = scene_from_json(scene_dict)
+        scene = scene_from_json(cfg["scene"])
         scene.seed = int(cfg["seed"])
         samples = build_dataset(scene)
         samples = nlos_filter(samples, cfg["nlos_mode"])

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import PathRecord, render_image
+from .channel import PathRecord, _chunks, render_image
 from .fusion import RegionLabels, Segmentation
 from .localizer import FeatureConfig, LocalizationModel
 from .scenegen import Sample
@@ -39,12 +39,8 @@ MAGIC = b"AMDN"
 FORMAT_VERSION = 1
 
 
-# Samples converted and written per ``tobytes`` call; bounds the copy.
-_WRITE_CHUNK = 64
-
-
 def _write_bin(path: Path, arrays: list[np.ndarray], complex_data: bool):
-    """Header, then the samples as float32, ``_WRITE_CHUNK`` at a time;
+    """Header, then the samples as float32, ``channel._CHUNK`` at a time;
     complex64 stores each entry as its real and imaginary float32."""
     count = len(arrays)
     nt, nc = arrays[0].shape if count else (0, 0)
@@ -52,12 +48,14 @@ def _write_bin(path: Path, arrays: list[np.ndarray], complex_data: bool):
     dtype = "<c8" if complex_data else "<f4"
     with open(path, "wb") as fh:
         fh.write(header)
-        for i in range(0, count, _WRITE_CHUNK):
-            fh.write(np.array(arrays[i : i + _WRITE_CHUNK], dtype=dtype).tobytes())
+        for rows in _chunks(count):
+            fh.write(np.array(arrays[rows], dtype=dtype).tobytes())
 
 
-def _read_bin(path: Path, complex_data: bool) -> tuple[tuple[int, int], list[np.ndarray]]:
-    """The (nt, nc) of the header and the samples of a .bin file."""
+def _read_bin(path: Path, complex_data: bool) -> tuple[tuple[int, int], np.ndarray]:
+    """The (nt, nc) of the header and the samples of a .bin file, as one
+    (count, nt, nc) float64 or complex128 stack, converted
+    ``channel._CHUNK`` samples at a time."""
     raw = Path(path).read_bytes()
     if len(raw) < 20:
         raise ValueError(f"{path}: {len(raw)} bytes, shorter than the 20-byte header")
@@ -74,14 +72,11 @@ def _read_bin(path: Path, complex_data: bool) -> tuple[tuple[int, int], list[np.
     data = np.frombuffer(raw, dtype="<f4", offset=20)
     if not np.all(np.isfinite(data)):
         raise ValueError(f"{path}: non-finite values in the payload")
-    out = []
-    for i in range(count):
-        block = data[i * per : (i + 1) * per].astype(np.float64)
-        if complex_data:
-            block = block.reshape(nt, nc, 2)
-            out.append((block[..., 0] + 1j * block[..., 1]).astype(np.complex128))
-        else:
-            out.append(block.reshape(nt, nc))
+    entries = data.reshape(count, nt, nc, 2 if complex_data else 1)
+    out = np.empty((count, nt, nc), dtype=np.complex128 if complex_data else np.float64)
+    for rows in _chunks(count):
+        block = entries[rows].astype(np.float64)
+        out[rows] = block[..., 0] + 1j * block[..., 1] if complex_data else block[..., 0]
     return (nt, nc), out
 
 
@@ -108,9 +103,10 @@ def write_dataset(samples: list[Sample], out_dir: str | Path):
 
 
 def read_dataset(data_dir: str | Path) -> list[Sample]:
-    """Samples in positions.csv order; the files must agree on the
-    samples they hold, cfr.bin and adcam.bin on the matrix shape (nt,
-    nc), values must be finite and ids unique."""
+    """Samples in positions.csv order, each holding its row of one CFR
+    stack and one ADCAM stack; the files must agree on the samples they
+    hold, cfr.bin and adcam.bin on the matrix shape (nt, nc), values
+    must be finite and ids unique."""
     d = Path(data_dir)
     cfr_dims, cfrs = _read_bin(d / "cfr.bin", complex_data=True)
     adcam_dims, adcams = _read_bin(d / "adcam.bin", complex_data=False)

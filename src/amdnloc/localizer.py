@@ -4,13 +4,13 @@ Features are deterministic: block means of the CFR magnitude/phase and
 angle-delay images, row/column profiles, and the strongest angle-delay
 peaks. ``_image_features`` defines their layout, and ``train``,
 ``locate`` and ``sample_features`` all take them through
-``_stack_features``: one pass over a stack of up to ``_PLANES`` samples
-that renders the three images of every sample into one plane stack and
-writes the fused vectors into one preallocated array. Each fused region
-gets its own affine regressor over the fused feature vector; test
-samples are routed to a region by re-running the training-time
-matchers (CFR founder templates, clustering centroids) with a
-nearest-centroid fallback.
+``_stack_features``: one pass over a stack of up to ``channel._CHUNK``
+samples that renders the three images of every sample into one plane
+stack and writes the fused vectors into one preallocated array. Each
+fused region gets its own affine regressor over the fused feature
+vector; test samples are routed to a region by re-running the
+training-time matchers (CFR founder templates, clustering centroids)
+with a nearest-centroid fallback.
 """
 from __future__ import annotations
 
@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import render_image
+from .channel import _chunks, render_image
 from .fusion import Segmentation
 from .segmentation_adcam import Standardizer, _dist, path_descriptor
-from .segmentation_cfr import _PLANES, TemplatePair, _best_pairs, _corner_banks, _TemplateBank
+from .segmentation_cfr import TemplatePair, _best_pairs, _corner_banks, _TemplateBank
 
 __all__ = [
     "FeatureConfig",
@@ -175,13 +175,6 @@ def sample_features(sample, config: FeatureConfig) -> np.ndarray:
     return out[0]
 
 
-def _chunks(samples):
-    """(offset, samples) for every ``_PLANES`` samples, so feature
-    temporaries stay small however many samples there are."""
-    for i in range(0, len(samples), _PLANES):
-        yield i, samples[i : i + _PLANES]
-
-
 def fit_region_weights(x: np.ndarray, y: np.ndarray, ridge_lambda: float = 1e-3) -> np.ndarray:
     """Closed-form ridge solution for one region; returns 2 x (d+1) weights."""
     xb = np.hstack([x, np.ones((x.shape[0], 1))])
@@ -236,12 +229,17 @@ def train(samples, segmentation: Segmentation, ridge_lambda: float = 1e-3) -> Lo
     samples; the segmentation's routing state is stored so ``locate``
     can route new samples. Every sample's CFR and ADCAM must have the
     shape of the first sample's CFR, which sets the model's (nt, nc).
+    No samples, or none retained, are a ``ValueError``.
     """
     regions = segmentation.regions
+    if not samples:
+        raise ValueError("no training samples")
+    if not regions.retained.any():
+        raise ValueError(f"none of the {len(samples)} training samples is retained; every one was cleansed")
     config = FeatureConfig(nt=samples[0].cfr.shape[0], nc=samples[0].cfr.shape[1])
     raw = np.empty((len(samples), config.fused_len))
-    for i, chunk in _chunks(samples):
-        _stack_features(chunk, config, raw[i : i + len(chunk)])
+    for rows in _chunks(len(samples)):
+        _stack_features(samples[rows], config, raw[rows])
     feat_std = Standardizer.fit(raw[regions.retained])
     # Standardizer.apply's two operations, in place
     feats = raw
@@ -284,9 +282,9 @@ def locate(model: LocalizationModel, samples) -> tuple[np.ndarray, list[int]]:
     founder's t2 only where it can still win. A call takes the
     ``rfft2`` of its samples' CFR magnitude images and of no template;
     a one-founder model transforms no image at all. The features are
-    taken ``_PLANES`` samples at a time, in one ``_stack_features``
-    pass per chunk, whose magnitude images fill the one (n, nt, nc)
-    stack that routing scores. Every sample's CFR and ADCAM must have
+    taken ``channel._CHUNK`` samples at a time, in one
+    ``_stack_features`` pass per chunk, whose magnitude images fill the
+    one (n, nt, nc) stack that routing scores. Every sample's CFR and ADCAM must have
     the model's shape (nt, nc). No samples give an empty (0, 2) array
     and no regions.
     """
@@ -295,9 +293,8 @@ def locate(model: LocalizationModel, samples) -> tuple[np.ndarray, list[int]]:
     config = model.config
     mags = np.empty((len(samples), config.nt, config.nc))
     raw = np.empty((len(samples), config.fused_len))
-    for i, chunk in _chunks(samples):
-        rows = slice(i, i + len(chunk))
-        mags[rows] = _stack_features(chunk, config, raw[rows])
+    for rows in _chunks(len(samples)):
+        mags[rows] = _stack_features(samples[rows], config, raw[rows])
     feats = model.feature_standardizer.apply(raw)
     kf = model.adcam_standardizer.apply([path_descriptor(s, model.path_select) for s in samples])
     adcam_labels = _dist(kf, model.adcam_centroids).argmin(axis=1)

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import _chunks
+
 __all__ = [
     "ClusterModel",
     "Standardizer",
@@ -25,7 +27,6 @@ __all__ = [
 
 _MAX_ITER = 100  # Lloyd iterations of k-means, at most
 _TOL = 1e-6  # k-means stops once no centroid coordinate moves this far
-_ROWS = 64  # distance rows per block of the silhouette pass
 
 
 @dataclass
@@ -164,11 +165,12 @@ def _silhouettes(points: np.ndarray, assignments) -> list[float]:
     """Mean silhouette score of each assignment of the same points; see
     ``silhouette``.
 
-    The distances come in blocks of ``_ROWS`` rows of ``_dist``, each
-    made once and read by every assignment. Each cluster's distances in
-    a row are summed as one contiguous block of columns in point order,
-    which adds in the order of summing that point's row of the cluster,
-    so every score is that of the per-point loop bit for bit.
+    The distances come in blocks of ``channel._CHUNK`` rows of
+    ``_dist``, each made once and read by every assignment. Each
+    cluster's distances in a row are summed as one contiguous block of
+    columns in point order, which adds in the order of summing that
+    point's row of the cluster, so every score is that of the per-point
+    loop bit for bit.
     """
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
@@ -176,11 +178,11 @@ def _silhouettes(points: np.ndarray, assignments) -> list[float]:
     if any(counts.size < 2 for _, counts in labeled):
         raise ValueError("silhouette needs at least 2 clusters")
     sums = [np.empty((n, counts.size)) for _, counts in labeled]
-    for start in range(0, n, _ROWS):
-        d = _dist(points[start : start + _ROWS], points)
+    for rows in _chunks(n):
+        d = _dist(points[rows], points)
         for (own, counts), cluster_sums in zip(labeled, sums):
             for c in range(counts.size):
-                cluster_sums[start : start + len(d), c] = np.ascontiguousarray(d[:, own == c]).sum(axis=1)
+                cluster_sums[rows, c] = np.ascontiguousarray(d[:, own == c]).sum(axis=1)
     scores = []
     for (own, counts), cluster_sums in zip(labeled, sums):
         means = cluster_sums / counts

@@ -15,6 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import channel
+
 __all__ = [
     "UNLABELED",
     "TemplatePair",
@@ -25,7 +27,7 @@ __all__ = [
     "segment_cfr",
 ]
 
-# Sentinel for "no category yet"; any value larger than every valid label works.
+# Sentinel for "no category yet"; any value that is not a valid label works.
 UNLABELED = -1
 
 
@@ -74,11 +76,6 @@ def _check_fits(template_shape: tuple[int, ...], source_shape: tuple[int, ...]):
         raise ValueError(f"template size {size} has a side below 1")
     if size[0] > source_shape[-2] or size[1] > source_shape[-1]:
         raise ValueError(f"template size {size} larger than source {tuple(source_shape)}")
-
-
-# Image planes in one FFT temporary of ``_ImageStacks._score``, and images
-# per chunk when ``_ImageStacks`` is built; bounds their memory.
-_PLANES = 64
 
 
 def _valid_windows(win: np.ndarray) -> np.ndarray:
@@ -224,8 +221,8 @@ class _ImageStacks:
     (W//2+1, H), and the ``1/sqrt`` of its window energies for
     ``template_shape``, also with the axes swapped, (W-b+1, H-a+1), and
     0 where ``_valid_windows`` leaves a window out, are taken once, when
-    the stack is built, ``_PLANES`` images at a time, and take the place
-    of a stacked copy of the images.
+    the stack is built, ``channel._CHUNK`` images at a time, and take the
+    place of a stacked copy of the images.
     """
 
     def __init__(self, images: list[np.ndarray], template_shape: tuple[int, int]):
@@ -238,9 +235,8 @@ class _ImageStacks:
         (h, w), (a, b) = self.shape, self.template_shape
         self._spectra = np.empty((len(images), w // 2 + 1, h), dtype=complex)
         self._rwin = np.zeros((len(images), w - b + 1, h - a + 1))
-        for i in range(0, len(images), _PLANES):
-            chunk = np.array(images[i : i + _PLANES], dtype=float)
-            rows = slice(i, i + len(chunk))
+        for rows in channel._chunks(len(images)):
+            chunk = np.array(images[rows], dtype=float)
             self._spectra[rows] = np.fft.rfft2(chunk).swapaxes(-2, -1)
             win = _window_energy(chunk, self.template_shape).swapaxes(-2, -1)
             np.divide(1.0, np.sqrt(win), out=self._rwin[rows], where=_valid_windows(win))
@@ -255,12 +251,12 @@ class _ImageStacks:
     def _score(self, bank: _TemplateBank, rows: np.ndarray) -> np.ndarray:
         """``_ncc_planes`` of every template of a bank against every
         listed image, (templates, len(rows)), taken in chunks of about
-        ``_PLANES`` correlation planes."""
+        ``channel._CHUNK`` correlation planes."""
         self._check(bank)
         count, n = len(bank.rnorm), len(rows)
         scores = np.zeros((count, n))
-        n_step = max(1, min(n, _PLANES))
-        t_step = max(1, _PLANES // n_step)
+        n_step = max(1, min(n, channel._CHUNK))
+        t_step = max(1, channel._CHUNK // n_step)
         for i in range(0, n, n_step):
             img = slice(i, i + n_step)
             spectra, rwin = self._spectra[rows[img]], self._rwin[rows[img]]
@@ -271,11 +267,10 @@ class _ImageStacks:
 
     def _score_pairs(self, bank: _TemplateBank, templates: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """The ``_score`` of template ``templates[k]`` of a bank against
-        listed image ``rows[k]``, for each k, ``_PLANES`` pairs at a time."""
+        listed image ``rows[k]``, for each k, one chunk of pairs at a time."""
         self._check(bank)
         scores = np.zeros(len(rows))
-        for j in range(0, len(rows), _PLANES):
-            k = slice(j, j + _PLANES)
+        for k in channel._chunks(len(rows)):
             r = rows[k]
             scores[k] = _ncc_planes(bank, templates[k], self._spectra[r], self._rwin[r])
         return scores
@@ -308,12 +303,12 @@ class _ImageStacks:
     def first_hit(self, banks, indices: np.ndarray, tau: float, table: np.ndarray | None = None) -> int | None:
         """The first listed image that ``pair_hits`` holds, or None.
 
-        The images are scored in list order, in runs of ``_PLANES``
+        The images are scored in list order, in runs of ``channel._CHUNK``
         images that double in length, and the scan stops after the first
         run that holds a hit, so an early hit skips scoring the rest.
         ``table`` is read and written as ``pair_hits`` does.
         """
-        start, step = 0, _PLANES
+        start, step = 0, channel._CHUNK
         while start < len(indices):
             run = indices[start : start + step]
             hits = np.flatnonzero(self.pair_hits(banks, run, tau, table))
@@ -418,18 +413,6 @@ def match_within(
     return CfrLabeling(labels=labels, founders=founders, class_count=class_num, scores=scores)
 
 
-def _reindex(labels: np.ndarray, founders: dict[int, TemplatePair]) -> tuple[np.ndarray, dict[int, TemplatePair]]:
-    """Relabel to 0..K-1 in order of first occurrence in sample order."""
-    mapping: dict[int, int] = {}
-    out = np.empty_like(labels)
-    for idx, lab in enumerate(labels):
-        if lab not in mapping:
-            mapping[lab] = len(mapping)
-        out[idx] = mapping[lab]
-    new_founders = {mapping[old]: pair for old, pair in founders.items() if old in mapping}
-    return out, new_founders
-
-
 def match_between(labeling: CfrLabeling, images: list[np.ndarray], tau_out: float) -> CfrLabeling:
     """Stage two: merge categories whose founders match each other.
 
@@ -446,7 +429,9 @@ def match_between(labeling: CfrLabeling, images: list[np.ndarray], tau_out: floa
     so the result is that of the pair-by-pair scan. Only the scores
     missing from ``labeling.scores`` are taken, and a category's banks
     are built only when one of its scores is missing; the labeling
-    returned carries the scores forward, re-indexed.
+    returned carries the scores forward, re-indexed. The surviving
+    categories are renumbered 0..K-1 in order of first occurrence in
+    sample order, each keeping its root's founder.
     """
     if not (0.0 < tau_out <= 1.0):
         raise ValueError(f"tau_out must lie in (0, 1], got {tau_out}")
@@ -465,10 +450,14 @@ def match_between(labeling: CfrLabeling, images: list[np.ndarray], tau_out: floa
     # the result then reuses the stack's memory, not the heap above it
     del stacks
     merged = roots[labeling.labels]
-    new_labels, new_founders = _reindex(merged, dict(enumerate(pairs)))  # keeps the roots' pairs
     order = merged[np.sort(np.unique(merged, return_index=True)[1])]  # old root of each new id
+    rank = np.empty_like(roots)
+    rank[order] = np.arange(len(order))
     return CfrLabeling(
-        labels=new_labels, founders=new_founders, class_count=len(new_founders), scores=table[np.ix_(order, order)]
+        labels=rank[merged],
+        founders={new: pairs[old] for new, old in enumerate(order.tolist())},
+        class_count=len(order),
+        scores=table[np.ix_(order, order)],
     )
 
 

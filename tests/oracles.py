@@ -18,6 +18,10 @@ inverse FFT raise, for the tests that scoring takes none.
 transforms one matrix at a time: the references of the package's
 stacked ``channel.cfr_stack`` and ``channel.adcam``.
 
+``reindex`` numbers categories 0..K-1 in order of first occurrence one
+sample at a time, the renumbering that ``segmentation_cfr.match_between``
+derives from its roots' order.
+
 ``fuse_labels`` and ``cleanse`` are the dict-based fusion that stored
 every region fact, ``retained``, the region count and the pair map,
 next to the fused labels, in ``StoredLabels``; the package derives them
@@ -132,6 +136,18 @@ def masked_scores(templates: np.ndarray, images: list, rows: np.ndarray, picks: 
     denom = np.sqrt(e * win[i])
     ratio = np.divide(num, denom, out=np.full(num.shape, -np.inf), where=valid_windows(win)[i] & (e > 0.0))
     return np.clip(np.max(ratio, axis=(-2, -1)), 0.0, 1.0)
+
+
+def reindex(labels: np.ndarray, founders: dict) -> tuple[np.ndarray, dict]:
+    """Relabel to 0..K-1 in order of first occurrence in sample order."""
+    mapping: dict[int, int] = {}
+    out = np.empty_like(labels)
+    for idx, lab in enumerate(labels):
+        if lab not in mapping:
+            mapping[lab] = len(mapping)
+        out[idx] = mapping[lab]
+    new_founders = {mapping[old]: pair for old, pair in founders.items() if old in mapping}
+    return out, new_founders
 
 
 def refuse_numpy_inverse_ffts(monkeypatch):

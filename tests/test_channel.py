@@ -1,11 +1,16 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from amdnloc import channel
 from amdnloc.channel import (
     NO_NOISE,
     PathRecord,
+    _chunks,
     add_noise,
     adcam,
     array_response,
@@ -152,6 +157,17 @@ def test_stacked_adcam_equals_the_per_matrix_transform_bit_for_bit(lead, nt, nc,
     assert got.shape == h.shape and got.dtype == np.float64
     for m, a in zip(h.reshape(-1, nt, nc), got.reshape(-1, nt, nc)):
         assert a.tobytes() == oracles.adcam(m).tobytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 64])
+@pytest.mark.parametrize("n", [0, 1, 5, 63, 64, 65, 150])
+def test_chunks_cover_the_rows_in_order(n, chunk):
+    rows = list(range(n))
+    with mock.patch.object(channel, "_CHUNK", chunk):
+        parts = [rows[part] for part in _chunks(n)]
+    assert [i for part in parts for i in part] == rows
+    assert [len(part) for part in parts[:-1]] == [chunk] * (len(parts) - 1)
+    assert len(parts) == math.ceil(n / chunk) and all(parts)
 
 
 class TestDftMatrices:

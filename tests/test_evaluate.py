@@ -1,23 +1,27 @@
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import amdnloc
+from amdnloc import channel, localizer
 from amdnloc.evaluate import (
     PipelineError,
     cdf_curve,
+    default_config,
     export_region_map,
     mean_error,
     run_pipeline,
 )
 from amdnloc.fusion import fuse_labels
-from amdnloc.scenegen import Sample, build_dataset, scene_from_json
+from amdnloc.scenegen import Sample, SceneConfig, build_dataset, scene_from_json
 
 
 class TestMeanError:
@@ -135,6 +139,38 @@ class TestRunPipeline:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
         for name in ("positions.csv", "paths.csv", "cfr.bin", "adcam.bin"):
             assert (a / "dataset" / name).read_bytes() == (b / "dataset" / name).read_bytes(), name
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SMALL_CONFIG,
+            {**SMALL_CONFIG, "single_region": True},
+            {**SMALL_CONFIG, "scene": {**SMALL_CONFIG["scene"], "snr_db": 30.0}},
+        ],
+        ids=["segmented", "single_region", "snr_db"],
+    )
+    def test_chunk_size_changes_no_artifact(self, tmp_path, config):
+        # every stacked pass takes its rows channel._CHUNK at a time; the
+        # region map holds every training sample's labels
+        def artifacts(out):
+            return {str(f.relative_to(out)): f.read_bytes() for f in sorted(out.rglob("*")) if f.is_file()}
+
+        run_pipeline(config, out_dir=tmp_path / "default")
+        want = artifacts(tmp_path / "default")
+        assert {"report.json", "model.json", "region_map.csv", "region_map.ppm", "dataset/cfr.bin"} <= set(want)
+        for chunk in (1, 3, 5):
+            out = tmp_path / f"chunk-{chunk}"
+            spy = mock.Mock(wraps=localizer._stack_features)
+            with mock.patch.object(channel, "_CHUNK", chunk), mock.patch.object(localizer, "_stack_features", spy):
+                report = run_pipeline(config, out_dir=out)
+            assert report["n_train"] > 5
+            # train and locate each take one feature pass per chunk
+            assert spy.call_count == math.ceil(report["n_train"] / chunk) + math.ceil(report["n_test"] / chunk)
+            assert artifacts(out) == want, chunk
+
+    def test_default_scene_is_the_scene_config_default(self):
+        # run_pipeline leaves a scene key the config lacks to SceneConfig's default
+        assert scene_from_json(default_config()["scene"]) == SceneConfig()
 
     def test_report_covering_rate_consistency(self, tmp_path):
         # relaxed thresholds keep multi-member categories alive at min_count=1

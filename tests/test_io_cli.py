@@ -416,6 +416,23 @@ class TestBoundaryErrors:
         # the map that segment run wrote trains
         assert main(["train", "--data", str(data), "--regions", str(data / "region_map.csv"), "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("fault", ["header only", "every row cleansed"])
+    def test_train_rejects_a_region_map_with_no_retained_sample(self, trained_chain, tmp_path, capsys, fault):
+        data = shutil.copytree(trained_chain[0], tmp_path / "data")
+        region_map = data / "region_map.csv"
+        if fault == "header only":
+            _rewrite_csv(region_map, lambda rows: [])
+            want = "no training samples"
+        else:
+            _rewrite_csv(region_map, lambda rows: [[sid, cfr, adcam, "-1", "0"] for sid, cfr, adcam, *_ in rows])
+            want = "none of the"
+        out = tmp_path / "m.json"
+        rc = main(["train", "--data", str(data), "--regions", str(region_map), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"[train] {want}" in err
+        assert not out.exists()
+
     def test_train_rejects_an_adcam_label_without_a_centroid(self, trained_chain, tmp_path, capsys):
         data = shutil.copytree(trained_chain[0], tmp_path / "data")
         centroids = json.loads((data / "segmentation.json").read_text())["adcam_centroids"]
@@ -522,6 +539,15 @@ class TestBoundaryErrors:
         assert main(["segment", "--data", str(data), "--template", "0x16"]) == 1
         err = capsys.readouterr().err
         assert "[segment]" in err and "template size (0, 16)" in err
+        assert (data / "segmentation.json").read_bytes() == seg
+
+    @pytest.mark.parametrize("template", ["16", "16x", "x16", "16x16x16", "axb", ""])
+    def test_segment_names_a_template_not_of_the_form_hxw(self, trained_chain, tmp_path, capsys, template):
+        data = shutil.copytree(trained_chain[0], tmp_path / "data")
+        seg = (data / "segmentation.json").read_bytes()
+        assert main(["segment", "--data", str(data), "--template", template]) == 1
+        err = capsys.readouterr().err
+        assert f"[segment] --template {template!r} is not of the form HxW" in err
         assert (data / "segmentation.json").read_bytes() == seg
 
     def test_eval_rejects_unknown_path_select(self, trained_chain, tmp_path, capsys):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
 from amdnloc import io as dio
-from amdnloc.channel import PathRecord, render_image
+from amdnloc.channel import _CHUNK, PathRecord, render_image
 from amdnloc.evaluate import _split, default_config, segment
 from amdnloc.fusion import Segmentation, cleanse, fuse_labels
 from amdnloc.localizer import (
@@ -24,7 +24,7 @@ from amdnloc.localizer import (
 )
 from amdnloc.scenegen import Rect, Sample, SceneConfig, build_dataset
 from amdnloc.segmentation_adcam import Standardizer, build_features, kmeans, path_descriptor
-from amdnloc.segmentation_cfr import _PLANES, extract_templates, segment_cfr
+from amdnloc.segmentation_cfr import extract_templates, segment_cfr
 from oracles import ncc
 
 CONFIG = FeatureConfig(nt=16, nc=16)
@@ -472,11 +472,11 @@ class TestLocate:
 
     def test_batch_across_chunks_matches_the_oracle(self, held_out_model):
         # the held-out samples repeated, each pass in another order, so
-        # every chunk of _PLANES samples routes through several founders
+        # every chunk of _CHUNK samples routes through several founders
         model, test = held_out_model
         rng = np.random.default_rng(9)
-        batch = [test[i] for _ in range(2 * _PLANES // len(test) + 2) for i in rng.permutation(len(test))]
-        assert len(batch) > 2 * _PLANES and len(batch) % _PLANES != 0
+        batch = [test[i] for _ in range(2 * _CHUNK // len(test) + 2) for i in rng.permutation(len(test))]
+        assert len(batch) > 2 * _CHUNK and len(batch) % _CHUNK != 0
         xy, regions = locate(model, batch)
         assert regions == [route_oracle(model, s)[0] for s in batch]
         assert np.array_equal(xy, np.array([predict_oracle(model, s) for s in batch]))
@@ -488,8 +488,8 @@ def test_locate_across_chunks_on_the_dense_reference_scene():
     tr, te = _split(len(samples), 0.8, 0)
     train_s = [samples[i] for i in tr]
     model = train(train_s, segment(train_s, {**default_config(), "single_region": True}))
-    test = [samples[i] for i in te[: 3 * _PLANES - 11]]
-    assert len(test) > 2 * _PLANES
+    test = [samples[i] for i in te[: 3 * _CHUNK - 11]]
+    assert len(test) > 2 * _CHUNK
     xy, regions = locate(model, test)
     assert regions == [0] * len(test)
     assert np.array_equal(xy, np.array([predict(model, s) for s in test]))

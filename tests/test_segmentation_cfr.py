@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from amdnloc import channel, segmentation_cfr
 from amdnloc.channel import render_image
-from amdnloc import segmentation_cfr
 from amdnloc.scenegen import Rect, SceneConfig, build_dataset
 from amdnloc.segmentation_cfr import (
     UNLABELED,
@@ -20,7 +20,6 @@ from amdnloc.segmentation_cfr import (
     _TemplateBank,
     _pruned_irfft2,
     _window_energy,
-    _reindex,
     extract_templates,
     match_between,
     match_within,
@@ -32,6 +31,7 @@ from oracles import (
     pair_score,
     pair_scores,
     refuse_numpy_inverse_ffts,
+    reindex,
     valid_windows,
     window_energy,
 )
@@ -332,7 +332,7 @@ def _bank_and_stack(draw):
 def test_ncc_bank_matches_ncc(case, planes):
     templates, stack = case
     # few planes per temporary, so the chunking over images and templates runs
-    with mock.patch.object(segmentation_cfr, "_PLANES", planes):
+    with mock.patch.object(channel, "_CHUNK", planes):
         stacks = _ImageStacks(list(stack), templates.shape[1:])
         got = stacks._score(_TemplateBank(templates, stack.shape[1:]), np.arange(len(stack)))
         pairs = [
@@ -491,7 +491,7 @@ def _images_and_pairs(draw):
 def test_image_stacks_match_pair_score(case, planes, tau):
     images, pairs, indices = case
     # few images per chunk, so the spectrum and energy builds cross chunks
-    with mock.patch.object(segmentation_cfr, "_PLANES", planes):
+    with mock.patch.object(channel, "_CHUNK", planes):
         stacks = _ImageStacks(images, pairs[0].size)
         scores = pair_scores(stacks, pairs, indices)
         banks = [_corner_banks([pair], stacks.shape) for pair in pairs]
@@ -542,7 +542,7 @@ def test_scores_equal_the_masked_kernel(case, planes, data):
     templates = np.stack([t for pair in pairs for t in (pair.t1, pair.t2)] + [np.zeros(pairs[0].size)])
     picks = np.array(data.draw(st.lists(st.integers(0, len(templates) - 1), min_size=len(indices), max_size=len(indices))), dtype=int)
     # few planes per temporary, so the per-chunk gathers cross chunks
-    with mock.patch.object(segmentation_cfr, "_PLANES", planes):
+    with mock.patch.object(channel, "_CHUNK", planes):
         stacks = _ImageStacks(images, pairs[0].size)
         bank = _TemplateBank(templates, stacks.shape)
         got = stacks._score(bank, indices)
@@ -570,7 +570,7 @@ def test_a_score_does_not_depend_on_its_call(case, planes, data):
     keep = sorted(data.draw(st.sets(st.integers(0, count - 1), min_size=1)))
     t, i = np.divmod(np.array(data.draw(st.permutations(range(count * n))), dtype=int), n)
     # few planes per temporary, so calls chunk differently
-    with mock.patch.object(segmentation_cfr, "_PLANES", planes):
+    with mock.patch.object(channel, "_CHUNK", planes):
         stacks = _ImageStacks(images, pairs[0].size)
         bank = _TemplateBank(templates, stacks.shape)
         full = stacks._score(bank, np.arange(n))
@@ -614,9 +614,9 @@ def test_stacks_keep_one_spectrum_and_window_row_per_image(case, planes, sub_pla
     images, pairs, _ = case
     n = len(images)
     rows = np.array(data.draw(st.permutations(range(n))))[: data.draw(st.integers(1, n))]
-    with mock.patch.object(segmentation_cfr, "_PLANES", planes):
+    with mock.patch.object(channel, "_CHUNK", planes):
         full = _ImageStacks(images, pairs[0].size)
-    with mock.patch.object(segmentation_cfr, "_PLANES", sub_planes):
+    with mock.patch.object(channel, "_CHUNK", sub_planes):
         sub = _ImageStacks([images[r] for r in rows], pairs[0].size)
     for k, r in enumerate(rows):
         assert np.array_equal(sub._spectra[k], full._spectra[r])
@@ -646,7 +646,7 @@ def _routing_case(draw):
 def test_best_pairs_equal_argmax_of_full_scores(case, planes):
     images, founders = case
     # few planes per temporary, so both the t1 bank and the pair scoring chunk
-    with mock.patch.object(segmentation_cfr, "_PLANES", planes):
+    with mock.patch.object(channel, "_CHUNK", planes):
         got = _best_pairs(_corner_banks(founders, images[0].shape), images)
         stacks = _ImageStacks(images, founders[0].size)
         cols = np.arange(len(images))
@@ -788,7 +788,7 @@ def match_between_oracle(labeling, images, tau_out, memo):
 
     merged = np.array([find(int(lab)) for lab in labeling.labels])
     root_founders = {find(c): labeling.founders[find(c)] for c in cats}
-    new_labels, new_founders = _reindex(merged, root_founders)
+    new_labels, new_founders = reindex(merged, root_founders)
     return CfrLabeling(labels=new_labels, founders=new_founders, class_count=len(new_founders))
 
 
@@ -952,7 +952,7 @@ def test_fallback_hit_past_the_first_run():
     images = [rng.random((10, 10)) for _ in range(11)]
     for k in (4, 6, 8):
         _plant_founder_corners(images[k], images[10])
-    with mock.patch.object(segmentation_cfr, "_PLANES", 1):
+    with mock.patch.object(channel, "_CHUNK", 1):
         got = match_within(images, 0.999, (3, 3))
     _assert_same_labeling(got, match_within_oracle(images, 0.999, (3, 3)))
     assert got.labels[10] == got.labels[4]
@@ -969,7 +969,7 @@ def test_fallback_takes_first_hit_in_runs(planes, n, trailing, data):
     planted = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=4))
     for k in planted:
         _plant_founder_corners(images[k], images[n])
-    with mock.patch.object(segmentation_cfr, "_PLANES", planes):
+    with mock.patch.object(channel, "_CHUNK", planes):
         got = match_within(images, 0.999, (3, 3))
     _assert_same_labeling(got, match_within_oracle(images, 0.999, (3, 3)))
     if planted:
