@@ -171,31 +171,44 @@ def adcam(h: np.ndarray) -> np.ndarray:
     return out.reshape(h.shape)
 
 
+def _min_max(vals: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Stretch each (H, W) image of an (..., H, W) stack to [0, 1] by its
+    own minimum and range, into ``out`` (``vals`` itself works) or a new
+    array; the one min-max rule. A constant image has ``vals - lo == 0``
+    everywhere, and its range is taken as 1, so it stretches to zeros."""
+    lo = vals.min(axis=(-2, -1), keepdims=True)
+    span = vals.max(axis=(-2, -1), keepdims=True) - lo
+    span[span == 0.0] = 1.0
+    return np.divide(np.subtract(vals, lo, out=out), span, out=out)
+
+
+def _phase_map(angle: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Map angles affinely from [-pi, pi] to [0, 1], into ``out``
+    (``angle`` itself works) or a new array; the one phase map."""
+    return np.divide(np.add(angle, np.pi, out=out), 2.0 * np.pi, out=out)
+
+
 def render_image(m: np.ndarray, tag: str) -> np.ndarray:
     """Render a CFR or angle-delay matrix as a grayscale image in [0, 1].
 
-    ``tag`` selects the channel: "cfr_magnitude" and "adcam" min-max
-    normalize the (absolute) values per image, "cfr_phase" maps the
-    argument affinely from [-pi, pi] to [0, 1]. Constant matrices render
-    to all zeros so degenerate ranges never divide by zero. A stack of
-    shape (..., H, W) renders each (H, W) image on its own.
+    ``tag`` selects the channel: "cfr_magnitude" and "adcam" stretch the
+    (absolute) values of each image by ``_min_max``, and "cfr_phase"
+    maps the argument by ``_phase_map``. Constant matrices render to all
+    zeros so degenerate ranges never divide by zero. A stack of shape
+    (..., H, W) renders each (H, W) image on its own. The input is never
+    written; ``localizer`` renders its feature planes in place with the
+    same two maps, bit for bit as this function.
     """
     m = np.asarray(m)
     if m.ndim < 2:
         raise ValueError(f"need an (..., H, W) array, got shape {m.shape}")
     if tag == "cfr_phase":
-        return (np.angle(m) + np.pi) / (2.0 * np.pi)
+        return _phase_map(np.angle(m))
     if tag == "cfr_magnitude":
-        vals = np.abs(m)
-    elif tag == "adcam":
-        vals = np.asarray(m, dtype=float)
-    else:
-        raise ValueError(f"unknown channel tag {tag!r}")
-    lo = vals.min(axis=(-2, -1), keepdims=True)
-    span = vals.max(axis=(-2, -1), keepdims=True) - lo
-    # a constant image has vals - lo == 0 everywhere
-    span[span == 0.0] = 1.0
-    return (vals - lo) / span
+        return _min_max(np.abs(m))
+    if tag == "adcam":
+        return _min_max(np.asarray(m, dtype=float))
+    raise ValueError(f"unknown channel tag {tag!r}")
 
 
 def add_noise(h: np.ndarray, snr_db: float, seed: int) -> np.ndarray:

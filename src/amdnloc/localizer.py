@@ -5,8 +5,8 @@ angle-delay images, row/column profiles, and the strongest angle-delay
 peaks. ``_image_features`` defines their layout, and ``train``,
 ``locate`` and ``sample_features`` all take them through
 ``_stack_features``: one pass over a stack of up to ``channel._CHUNK``
-samples that renders the three images of every sample into one plane
-stack and writes the fused vectors into one preallocated array. Each
+samples that renders the three images of every sample in place into
+one plane stack and writes the fused vectors into one preallocated array. Each
 fused region gets its own affine regressor over the fused feature
 vector; test samples are routed to a region by re-running the
 training-time matchers (CFR founder templates, clustering centroids)
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import _chunks, render_image
+from .channel import _chunks, _min_max, _phase_map
 from .fusion import Segmentation
 from .segmentation_adcam import Standardizer, _dist, path_descriptor
 from .segmentation_cfr import TemplatePair, _best_pairs, _corner_banks, _TemplateBank
@@ -148,22 +148,37 @@ def _check_samples(samples, shape: tuple[int, int]):
                 raise ValueError(f"sample {s.id} has {domain} shape {m.shape}, the features take {shape}")
 
 
+def _render_planes(cfr: np.ndarray, adcam) -> np.ndarray:
+    """The (3, n, nt, nc) stack of the CFR magnitude, CFR phase and ADCAM
+    images of an (n, nt, nc) CFR stack and its (n, nt, nc) ADCAM stack,
+    each plane bit for bit ``channel.render_image`` of its domain.
+
+    The planes are rendered in place: |CFR| goes into plane 0 and the
+    ADCAM into plane 2, and ``channel._min_max`` stretches both as one
+    (2, n, nt, nc) view; the phase goes into plane 1 by ``np.arctan2``,
+    as ``np.angle`` takes it, and ``channel._phase_map`` maps it there.
+    """
+    planes = np.empty((3, *cfr.shape))
+    np.abs(cfr, out=planes[0])
+    planes[2] = adcam
+    pair = planes[::2]
+    _min_max(pair, out=pair)
+    _phase_map(np.arctan2(cfr.imag, cfr.real, out=planes[1]), out=planes[1])
+    return planes
+
+
 def _stack_features(samples, config: FeatureConfig, out: np.ndarray) -> np.ndarray:
     """Write the raw fused feature vectors of samples into ``out`` (n,
     fused_len), in one pass over their stacked matrices, and return
     their CFR magnitude images (n, nt, nc).
 
-    The samples are checked by ``_check_samples``. ``render_image``
-    renders each domain of the whole stack into one (3, n, nt, nc)
-    plane stack, which ``_image_features`` reduces.
+    The samples are checked by ``_check_samples``. ``_render_planes``
+    renders the stacked CFRs and ADCAMs in place into one
+    (3, n, nt, nc) plane stack, with no ``render_image`` call, and
+    ``_image_features`` reduces it.
     """
-    shape = (config.nt, config.nc)
-    _check_samples(samples, shape)
-    cfr = np.array([s.cfr for s in samples])
-    planes = np.empty((3, len(samples), *shape))
-    planes[0] = render_image(cfr, "cfr_magnitude")
-    planes[1] = render_image(cfr, "cfr_phase")
-    planes[2] = render_image(np.array([s.adcam for s in samples]), "adcam")
+    _check_samples(samples, (config.nt, config.nc))
+    planes = _render_planes(np.array([s.cfr for s in samples]), [s.adcam for s in samples])
     _image_features(planes, out)
     return planes[0]
 
@@ -232,15 +247,17 @@ def train(samples, segmentation: Segmentation, ridge_lambda: float = 1e-3) -> Lo
     No samples, or none retained, are a ``ValueError``.
     """
     regions = segmentation.regions
+    retained = regions.retained
     if not samples:
         raise ValueError("no training samples")
-    if not regions.retained.any():
+    if not retained.any():
         raise ValueError(f"none of the {len(samples)} training samples is retained; every one was cleansed")
     config = FeatureConfig(nt=samples[0].cfr.shape[0], nc=samples[0].cfr.shape[1])
     raw = np.empty((len(samples), config.fused_len))
     for rows in _chunks(len(samples)):
         _stack_features(samples[rows], config, raw[rows])
-    feat_std = Standardizer.fit(raw[regions.retained])
+    # no gathered copy of the rows when every sample is retained
+    feat_std = Standardizer.fit(raw if retained.all() else raw[retained])
     # Standardizer.apply's two operations, in place
     feats = raw
     feats -= feat_std.mean
@@ -253,7 +270,8 @@ def train(samples, segmentation: Segmentation, ridge_lambda: float = 1e-3) -> Lo
         mask = regions.fused_labels == region
         if not np.any(mask):
             raise ValueError(f"region {region} has no training samples")
-        x, y = feats[mask], positions[mask]
+        # one region holding every row needs no gather
+        x, y = (feats, positions) if mask.all() else (feats[mask], positions[mask])
         weights[region] = fit_region_weights(x, y, ridge_lambda)
         centroids[region] = x.mean(axis=0)
 
@@ -281,12 +299,16 @@ def locate(model: LocalizationModel, samples) -> tuple[np.ndarray, list[int]]:
     ``_best_pairs`` over the model's ``corner_banks``, which scores a
     founder's t2 only where it can still win. A call takes the
     ``rfft2`` of its samples' CFR magnitude images and of no template;
-    a one-founder model transforms no image at all. The features are
-    taken ``channel._CHUNK`` samples at a time, in one
-    ``_stack_features`` pass per chunk, whose magnitude images fill the
-    one (n, nt, nc) stack that routing scores. Every sample's CFR and ADCAM must have
-    the model's shape (nt, nc). No samples give an empty (0, 2) array
-    and no regions.
+    a one-founder model transforms no image at all. A one-centroid model
+    (every ``single_region`` model) labels every sample with cluster 0
+    and takes no ``path_descriptor``, so its samples need no paths; with
+    more centroids a sample without paths is a ``ValueError``. The
+    features are taken ``channel._CHUNK`` samples at a time, in one
+    ``_stack_features`` pass per chunk, which renders the planes in
+    place and whose magnitude images fill the one (n, nt, nc) stack that
+    routing scores. Every sample's CFR and ADCAM must have the model's
+    shape (nt, nc). No samples give an empty (0, 2) array and no
+    regions.
     """
     if not samples:
         return np.empty((0, 2)), []
@@ -296,8 +318,12 @@ def locate(model: LocalizationModel, samples) -> tuple[np.ndarray, list[int]]:
     for rows in _chunks(len(samples)):
         mags[rows] = _stack_features(samples[rows], config, raw[rows])
     feats = model.feature_standardizer.apply(raw)
-    kf = model.adcam_standardizer.apply([path_descriptor(s, model.path_select) for s in samples])
-    adcam_labels = _dist(kf, model.adcam_centroids).argmin(axis=1)
+    if len(model.adcam_centroids) == 1:
+        # the nearest of one centroid is always centroid 0
+        adcam_labels = np.zeros(len(samples), dtype=np.intp)
+    else:
+        kf = model.adcam_standardizer.apply([path_descriptor(s, model.path_select) for s in samples])
+        adcam_labels = _dist(kf, model.adcam_centroids).argmin(axis=1)
     cfr_labels = model.founder_labels[_best_pairs(model.corner_banks, mags)]
     xy = np.empty((len(samples), 2))
     regions = []

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
 from amdnloc import io as dio
+from amdnloc import localizer
 from amdnloc.channel import _CHUNK, PathRecord, render_image
 from amdnloc.evaluate import _split, default_config, segment
 from amdnloc.fusion import Segmentation, cleanse, fuse_labels
@@ -13,6 +14,7 @@ from amdnloc.localizer import (
     FeatureConfig,
     _block_means,
     _image_features,
+    _render_planes,
     _stack_features,
     _top_peaks,
     apply_weights,
@@ -125,6 +127,43 @@ def test_stacked_features_equal_the_per_sample_oracle(spacing, step):
     assert np.array_equal(got, want)
     assert np.array_equal(mag, [render_oracle(s.cfr, "cfr_magnitude") for s in samples])
     assert all(np.array_equal(sample_features(s, config), w) for s, w in zip(samples[::50], want[::50]))
+
+
+# Image kinds of the fused render test: a single-path terminal's CFR has a
+# flat magnitude whose range is rounding noise (about 1e-21), and an
+# all-zero CFR carries signed zeros, which set its phase.
+def _render_image_of(kind, rng, shape):
+    cfr = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    adcam = np.abs(rng.normal(size=shape))
+    if kind == "constant":
+        cfr[:], adcam[:] = cfr[0, 0], adcam[0, 0]
+    elif kind == "zero":
+        cfr = 0.0 * cfr
+        adcam[:] = 0.0
+    elif kind == "faint":
+        cfr = 3.7599147566781e-06 * np.exp(1j * rng.uniform(-np.pi, np.pi, shape))
+        adcam = 1e-21 * adcam
+    return cfr, adcam
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([1, _CHUNK, _CHUNK + 1]),
+    st.sampled_from([(8, 8), (16, 16), (12, 18)]),
+    st.lists(st.sampled_from(["random", "constant", "zero", "faint"]), min_size=1, max_size=8),
+    st.integers(0, 2**32 - 1),
+)
+def test_fused_render_equals_render_image(n, shape, kinds, seed):
+    rng = np.random.default_rng(seed)
+    pairs = [_render_image_of(kinds[i % len(kinds)], rng, shape) for i in range(n)]
+    cfr, adcam = np.array([c for c, _ in pairs]), np.array([a for _, a in pairs])
+    before = cfr.tobytes(), adcam.tobytes()
+    planes = _render_planes(cfr, list(adcam))
+    assert planes.shape == (3, n, *shape)
+    for plane, (m, tag) in zip(planes, [(cfr, "cfr_magnitude"), (cfr, "cfr_phase"), (adcam, "adcam")]):
+        assert plane.tobytes() == render_image(m, tag).tobytes()
+    # neither render writes its input
+    assert (cfr.tobytes(), adcam.tobytes()) == before
 
 
 def image_features(mag, phase, adcam):
@@ -294,6 +333,28 @@ def segment_and_train(samples, seed=0, min_count=0):
     return model, regions
 
 
+@pytest.mark.parametrize("single_region", [False, True], ids=["segmented", "single_region"])
+def test_train_equals_the_gathered_per_region_fit(single_region):
+    # with one region holding every sample train gathers no rows; with
+    # cleansed samples it fits on the retained rows of each region
+    samples = small_dataset()
+    cfg = {**default_config(), "tau_in": 0.9, "tau_out": 0.9, "template_size": [8, 8], "k_max": 4}
+    segmentation = segment(samples, {**cfg, "single_region": single_region})
+    regions = segmentation.regions
+    assert regions.retained.all() == single_region and (regions.fused_count == 1) == single_region
+    model = train(samples, segmentation, ridge_lambda=0.5)
+    raw = np.array([sample_features(s, CONFIG) for s in samples])
+    std = Standardizer.fit(raw[regions.retained])
+    feats, pos = std.apply(raw), np.array([s.pos for s in samples])
+    assert np.array_equal(model.feature_standardizer.mean, std.mean)
+    assert np.array_equal(model.feature_standardizer.scale, std.scale)
+    assert sorted(model.weights) == list(range(regions.fused_count))
+    for r, w in model.weights.items():
+        mask = regions.fused_labels == r
+        assert np.array_equal(w, fit_region_weights(feats[mask], pos[mask], 0.5))
+        assert np.array_equal(model.region_feature_centroids[r], feats[mask].mean(axis=0))
+
+
 class TestTrainPredict:
     def test_training_samples_route_to_their_region(self):
         samples = small_dataset()
@@ -455,6 +516,33 @@ class TestLocate:
             # only the samples' CFR magnitude images, each transformed once
             assert all(shape[1:] == (model.config.nt, model.config.nc) for shape in shapes)
             assert sum(shape[0] for shape in shapes) == len(test)
+
+    def test_one_centroid_model_takes_no_descriptor(self, held_out_model, monkeypatch):
+        model, test = held_out_model
+        want = [route_oracle(model, s)[0] for s in test], np.array([predict_oracle(model, s) for s in test])
+        pathless = [dataclasses.replace(s, paths=[]) for s in test]
+        # the single-region fixture has one centroid, the segmented one several
+        one = len(model.adcam_centroids) == 1
+        assert one == (len(model.founders) == 1)
+        calls = []
+
+        def descriptor(sample, path_select):
+            if one:
+                raise AssertionError("a one-centroid model needs no cluster label")
+            calls.append(sample.id)
+            return path_descriptor(sample, path_select)
+
+        monkeypatch.setattr(localizer, "path_descriptor", descriptor)
+        xy, regions = locate(model, test)
+        assert regions == want[0] and np.array_equal(xy, want[1])
+        if one:
+            # every label is 0, so a sample needs no paths
+            xy, regions = locate(model, pathless)
+            assert regions == want[0] and np.array_equal(xy, want[1])
+        else:
+            assert calls == [s.id for s in test]
+            with pytest.raises(ValueError, match=f"sample {test[0].id} has no paths"):
+                locate(model, pathless)
 
     def test_no_samples_give_no_positions(self, held_out_model):
         model, _ = held_out_model
