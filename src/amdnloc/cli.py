@@ -17,18 +17,8 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import io as dio
-from .evaluate import (
-    PipelineError,
-    cdf_curve,
-    default_config,
-    export_region_map,
-    mean_error,
-    run_pipeline,
-    segment,
-)
+from .evaluate import PipelineError, default_config, error_report, export_region_map, run_pipeline, segment
 from .localizer import locate, train
 from .scenegen import build_dataset, scene_from_json
 
@@ -83,18 +73,10 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     samples = dio.read_dataset(args.data)
     model = dio.read_model(args.model, samples)
-    preds, _ = locate(model, samples)
-    truths = np.array([s.pos for s in samples])
-    me, rmse = mean_error(preds, truths)
-    errors = np.linalg.norm(preds - truths, axis=1)
-    report = {
-        "mean_error_m": me,
-        "rmse_m": rmse,
-        "cdf": cdf_curve(errors),
-        "n_samples": len(samples),
-    }
+    preds, regions = locate(model, samples)
+    report = {**error_report(preds, [s.pos for s in samples], regions), "n_samples": len(samples)}
     Path(args.out).write_text(json.dumps(report, sort_keys=True, indent=1))
-    print(f"mean error {me:.3f} m over {len(samples)} samples; wrote {args.out}")
+    print(f"mean error {report['mean_error_m']:.3f} m over {len(samples)} samples; wrote {args.out}")
     return 0
 
 

@@ -18,6 +18,7 @@ from .segmentation_cfr import extract_templates, segment_cfr
 __all__ = [
     "mean_error",
     "cdf_curve",
+    "error_report",
     "export_region_map",
     "PipelineError",
     "segment",
@@ -38,13 +39,10 @@ class PipelineError(RuntimeError):
 
 
 def mean_error(preds, truths) -> tuple[float, float]:
-    """Mean Euclidean error and RMSE (both meters)."""
-    preds = np.asarray(preds, dtype=float)
-    truths = np.asarray(truths, dtype=float)
-    if preds.shape != truths.shape or preds.size == 0:
-        raise ValueError("predictions and truths must be equal-length and nonempty")
-    d = np.linalg.norm(preds - truths, axis=1)
-    return float(d.mean()), float(np.sqrt(np.mean(d**2)))
+    """Mean Euclidean error and RMSE (both meters), as ``error_report``
+    gives them."""
+    report = error_report(preds, truths, [0] * len(preds))
+    return report["mean_error_m"], report["rmse_m"]
 
 
 def cdf_curve(errors, thresholds=DEFAULT_CDF_THRESHOLDS) -> list[tuple[float, float]]:
@@ -53,6 +51,27 @@ def cdf_curve(errors, thresholds=DEFAULT_CDF_THRESHOLDS) -> list[tuple[float, fl
     if errors.size == 0:
         raise ValueError("no errors to summarize")
     return [(float(t), float(np.mean(errors <= t))) for t in thresholds]
+
+
+def error_report(preds, truths, regions) -> dict:
+    """The error summary of predictions against their truths, from one
+    pass over the Euclidean errors: ``mean_error_m``, ``rmse_m``, the
+    ``cdf`` of ``cdf_curve`` and ``per_region_errors``, the mean error
+    of each region a prediction was routed to (keyed by its id as a
+    string). The three inputs must be of equal length and nonempty.
+    """
+    preds = np.asarray(preds, dtype=float)
+    truths = np.asarray(truths, dtype=float)
+    regions = np.asarray(regions)
+    if preds.shape != truths.shape or preds.size == 0 or regions.shape != preds.shape[:1]:
+        raise ValueError("predictions, truths and regions must be equal-length and nonempty")
+    errors = np.linalg.norm(preds - truths, axis=1)
+    return {
+        "mean_error_m": float(errors.mean()),
+        "rmse_m": float(np.sqrt(np.mean(errors**2))),
+        "cdf": cdf_curve(errors),
+        "per_region_errors": {str(r): float(errors[regions == r].mean()) for r in sorted(set(regions.tolist()))},
+    }
 
 
 def _label_color(label: int) -> tuple[int, int, int]:
@@ -182,19 +201,13 @@ def run_pipeline(config: dict, out_dir: str | Path | None = None) -> dict:
     try:
         eval_samples = test_samples if test_samples else train_samples
         preds, assigned = locate(model, eval_samples)
-        truths = np.array([s.pos for s in eval_samples])
-        errors = np.linalg.norm(preds - truths, axis=1)
-        me, rmse = mean_error(preds, truths)
-        per_region = {str(r): float(errors[np.equal(assigned, r)].mean()) for r in sorted(set(assigned))}
+        errors = error_report(preds, [s.pos for s in eval_samples], assigned)
     except ValueError as e:
         raise PipelineError("eval", str(e)) from e
 
     report = {
-        "mean_error_m": me,
-        "rmse_m": rmse,
-        "cdf": cdf_curve(errors),
+        **errors,
         "covering_rate": segmentation.regions.covering_rate,
-        "per_region_errors": per_region,
         "n_train": len(train_samples),
         "n_test": len(test_samples),
         "region_count": segmentation.regions.fused_count,

@@ -8,9 +8,10 @@ peaks. ``_image_features`` defines their layout, and ``train``,
 samples that renders the three images of every sample in place into
 one plane stack and writes the fused vectors into one preallocated array. Each
 fused region gets its own affine regressor over the fused feature
-vector; test samples are routed to a region by re-running the
-training-time matchers (CFR founder templates, clustering centroids)
-with a nearest-centroid fallback.
+vector. A model of one region sends every test sample to it; with more
+regions a test sample is routed by re-running the training-time
+matchers (CFR founder templates, clustering centroids) with a
+nearest-centroid fallback.
 """
 from __future__ import annotations
 
@@ -209,16 +210,16 @@ class LocalizationModel:
     """Trained per-region regressors plus everything needed to route a
     new sample to a region.
 
-    Whenever a model is made, it keeps what ``locate`` would otherwise
-    redo on every call: the founder templates as ``_corner_banks`` for
-    the CFR image shape, a t1 bank and a t2 bank, so ``locate``
-    transforms no template; the founder categories as one array, in
-    ``founders`` order; and each region's weights column-major, as
-    ``apply_weights`` takes them.
+    Whenever a model is made, each region's weights are stored once,
+    column-major, as ``apply_weights`` takes them, and it keeps what
+    ``locate`` would otherwise redo on every call: the founder templates
+    as ``_corner_banks`` for the CFR image shape, a t1 bank and a t2
+    bank, so ``locate`` transforms no template, and the founder
+    categories as one array, in ``founders`` order.
     """
 
     config: FeatureConfig
-    weights: dict[int, np.ndarray]  # fused region id -> (2, d+1)
+    weights: dict[int, np.ndarray]  # fused region id -> (2, d+1), column-major
     founders: dict[int, TemplatePair]  # cfr category -> founder templates
     adcam_centroids: np.ndarray
     adcam_standardizer: Standardizer
@@ -229,12 +230,11 @@ class LocalizationModel:
     ridge_lambda: float = 1e-3
     corner_banks: tuple[_TemplateBank, _TemplateBank] = field(init=False, repr=False, compare=False)
     founder_labels: np.ndarray = field(init=False, repr=False, compare=False)
-    fortran_weights: dict[int, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.weights = {r: np.asfortranarray(w) for r, w in self.weights.items()}
         self.corner_banks = _corner_banks(list(self.founders.values()), (self.config.nt, self.config.nc))
         self.founder_labels = np.array(list(self.founders))
-        self.fortran_weights = {r: np.asfortranarray(w) for r, w in self.weights.items()}
 
 
 def train(samples, segmentation: Segmentation, ridge_lambda: float = 1e-3) -> LocalizationModel:
@@ -292,18 +292,17 @@ def train(samples, segmentation: Segmentation, ridge_lambda: float = 1e-3) -> Lo
 def locate(model: LocalizationModel, samples) -> tuple[np.ndarray, list[int]]:
     """Estimated (x, y) in meters, shape (n, 2), and the region of each sample.
 
-    Routing pairs the CFR label, the first best-matching founder in
-    ``model.founders`` order, with the nearest clustering centroid. A
-    pair never seen (or cleansed away) falls back to the region whose
-    training feature centroid is nearest. The CFR label comes from
-    ``_best_pairs`` over the model's ``corner_banks``, which scores a
-    founder's t2 only where it can still win. A call takes the
-    ``rfft2`` of its samples' CFR magnitude images and of no template;
-    a one-founder model transforms no image at all. A one-centroid model
-    (every ``single_region`` model) labels every sample with cluster 0
-    and takes no ``path_descriptor``, so its samples need no paths; with
-    more centroids a sample without paths is a ``ValueError``. The
-    features are taken ``channel._CHUNK`` samples at a time, in one
+    A model of one region sends every sample to it, with no routing: it
+    takes no ``path_descriptor``, so its samples need no paths, and
+    scores no template. With more regions, routing pairs the CFR label,
+    the first best-matching founder in ``model.founders`` order, with
+    the nearest clustering centroid; a sample without paths is then a
+    ``ValueError``. A pair never seen (or cleansed away) falls back to
+    the region whose training feature centroid is nearest. The CFR label
+    comes from ``_best_pairs`` over the model's ``corner_banks``, which
+    scores a founder's t2 only where it can still win; a call takes the
+    ``rfft2`` of its samples' CFR magnitude images and of no template.
+    The features are taken ``channel._CHUNK`` samples at a time, in one
     ``_stack_features`` pass per chunk, which renders the planes in
     place and whose magnitude images fill the one (n, nt, nc) stack that
     routing scores. Every sample's CFR and ADCAM must have the model's
@@ -318,22 +317,23 @@ def locate(model: LocalizationModel, samples) -> tuple[np.ndarray, list[int]]:
     for rows in _chunks(len(samples)):
         mags[rows] = _stack_features(samples[rows], config, raw[rows])
     feats = model.feature_standardizer.apply(raw)
-    if len(model.adcam_centroids) == 1:
-        # the nearest of one centroid is always centroid 0
-        adcam_labels = np.zeros(len(samples), dtype=np.intp)
+    if len(model.weights) == 1:
+        # both the pair lookup and the fallback can only give this region
+        regions = list(model.weights) * len(samples)
     else:
         kf = model.adcam_standardizer.apply([path_descriptor(s, model.path_select) for s in samples])
         adcam_labels = _dist(kf, model.adcam_centroids).argmin(axis=1)
-    cfr_labels = model.founder_labels[_best_pairs(model.corner_banks, mags)]
+        cfr_labels = model.founder_labels[_best_pairs(model.corner_banks, mags)]
+        regions = []
+        for c, a, feat in zip(cfr_labels.tolist(), adcam_labels.tolist(), feats):
+            region = model.pair_to_fused.get((c, a))
+            if region not in model.weights:
+                centroids = model.region_feature_centroids
+                region = min(centroids, key=lambda r: float(np.sum((centroids[r] - feat) ** 2)))
+            regions.append(region)
     xy = np.empty((len(samples), 2))
-    regions = []
-    for i, feat in enumerate(feats):
-        region = model.pair_to_fused.get((int(cfr_labels[i]), int(adcam_labels[i])))
-        if region not in model.weights:
-            centroids = model.region_feature_centroids
-            region = min(centroids, key=lambda r: float(np.sum((centroids[r] - feat) ** 2)))
-        xy[i] = apply_weights(model.fortran_weights[region], feat)
-        regions.append(region)
+    for i, (region, feat) in enumerate(zip(regions, feats)):
+        xy[i] = apply_weights(model.weights[region], feat)
     return xy, regions
 
 

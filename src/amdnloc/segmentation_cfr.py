@@ -331,13 +331,9 @@ def _best_pairs(banks: tuple[_TemplateBank, _TemplateBank], images: list[np.ndar
     per image per round. An image stops at the first founder whose t1
     score can neither beat the best pair score found so far nor tie it
     from an earlier founder; no later founder can either, so the first
-    maximum is that of the full scores. With one founder nothing is
-    scored, not even the images' spectra, and every image gets
-    founder 0.
+    maximum is that of the full scores.
     """
     t1, t2 = banks
-    if len(t1.rnorm) == 1:
-        return np.zeros(len(images), dtype=int)
     stacks = _ImageStacks(images, t1.shape)
     cols = np.arange(len(images))
     s1 = stacks._score(t1, cols)

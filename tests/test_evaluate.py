@@ -16,6 +16,7 @@ from amdnloc.evaluate import (
     PipelineError,
     cdf_curve,
     default_config,
+    error_report,
     export_region_map,
     mean_error,
     run_pipeline,
@@ -46,6 +47,31 @@ class TestMeanError:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             mean_error([], [])
+
+
+class TestErrorReport:
+    def test_matches_a_loop_over_the_regions(self):
+        rng = np.random.default_rng(2)
+        preds, truths = 50 * rng.random((40, 2)), 50 * rng.random((40, 2))
+        regions = rng.choice([0, 3, 11], size=40).tolist()
+        got = error_report(preds, truths, regions)
+        assert sorted(got) == ["cdf", "mean_error_m", "per_region_errors", "rmse_m"]
+        assert (got["mean_error_m"], got["rmse_m"]) == mean_error(preds, truths)
+        errors = np.linalg.norm(preds - truths, axis=1)
+        assert got["cdf"] == cdf_curve(errors)
+        dists = [np.hypot(*(p - t)) for p, t in zip(preds, truths)]
+        want = {str(r): np.mean([d for d, q in zip(dists, regions) if q == r]) for r in (0, 3, 11)}
+        assert got["per_region_errors"] == pytest.approx(want, abs=1e-12)
+        assert list(got["per_region_errors"]) == ["0", "3", "11"]
+
+    @pytest.mark.parametrize("regions", [[0], [0, 0, 0]], ids=["short", "long"])
+    def test_regions_of_another_length_rejected(self, regions):
+        with pytest.raises(ValueError, match="equal-length"):
+            error_report([[0.0, 0.0], [1.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]], regions)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            error_report(np.empty((0, 2)), np.empty((0, 2)), [])
 
 
 class TestCdfCurve:

@@ -14,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 from amdnloc import io as dio
 from amdnloc.channel import PathRecord
 from amdnloc.cli import main
+from amdnloc.evaluate import error_report
+from amdnloc.localizer import locate
 from amdnloc.scenegen import Rect, Sample, SceneConfig, build_dataset, scene_to_json
 
 
@@ -259,6 +261,41 @@ class TestCliWorkflow:
         assert main(["plot", "--report", str(report_path), "--out", str(plots)]) == 0
         cdf = (plots / "cdf.csv").read_text().splitlines()
         assert cdf[0] == "threshold_m,fraction"
+
+    def test_eval_report_is_the_error_report_of_its_predictions(self, trained_chain, tmp_path):
+        data, model_path = trained_chain
+        out = tmp_path / "report.json"
+        assert main(["eval", "--data", str(data), "--model", str(model_path), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        samples = dio.read_dataset(data)
+        preds, regions = locate(dio.read_model(model_path, samples), samples)
+        # through JSON, as eval writes it: its cdf pairs become lists
+        want = json.loads(json.dumps(error_report(preds, [s.pos for s in samples], regions)))
+        assert report == {**want, "n_samples": len(samples)}
+        assert len(report["per_region_errors"]) > 1
+        plots = tmp_path / "plots"
+        assert main(["plot", "--report", str(out), "--out", str(plots)]) == 0
+        rows = (plots / "per_region_errors.csv").read_text().splitlines()
+        assert rows[0] == "region,mean_error_m" and len(rows) == len(report["per_region_errors"]) + 1
+
+    def test_eval_of_a_global_model_needs_no_paths(self, tmp_path):
+        cfg = {
+            "scene": {
+                "area_m": [60.0, 60.0], "bs_pos": [8.0, 30.0],
+                "buildings": [[25, 20, 8, 25]], "grid_spacing_m": 11.0,
+                "nt": 16, "nc": 16,
+            },
+            "template_size": [8, 8], "single_region": True, "seed": 1,
+        }
+        cfg_path, run = tmp_path / "config.json", tmp_path / "run"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(run)]) == 0
+        paths = run / "dataset" / "paths.csv"
+        paths.write_text(paths.read_text().splitlines()[0] + "\n")
+        assert all(s.paths == [] for s in dio.read_dataset(run / "dataset"))
+        out = tmp_path / "report.json"
+        assert main(["eval", "--data", str(run / "dataset"), "--model", str(run / "model.json"), "--out", str(out)]) == 0
+        assert list(json.loads(out.read_text())["per_region_errors"]) == ["0"]
 
     def test_pipeline_command(self, tmp_path):
         cfg = {

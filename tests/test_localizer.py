@@ -509,8 +509,8 @@ class TestLocate:
         got = locate(model, test)
         monkeypatch.undo()
         assert np.array_equal(got[0], want[0]) and got[1] == want[1]
-        if len(model.founders) == 1:
-            # every sample routes to the one founder, so none is scored
+        if len(model.weights) == 1:
+            # a one-region model routes nothing, so no image is scored
             assert shapes == []
         else:
             # only the samples' CFR magnitude images, each transformed once
@@ -521,14 +521,15 @@ class TestLocate:
         model, test = held_out_model
         want = [route_oracle(model, s)[0] for s in test], np.array([predict_oracle(model, s) for s in test])
         pathless = [dataclasses.replace(s, paths=[]) for s in test]
-        # the single-region fixture has one centroid, the segmented one several
-        one = len(model.adcam_centroids) == 1
-        assert one == (len(model.founders) == 1)
+        # the single-region fixture has one centroid and one region, the
+        # segmented one several of each
+        one = len(model.weights) == 1
+        assert one == (len(model.adcam_centroids) == 1)
         calls = []
 
         def descriptor(sample, path_select):
             if one:
-                raise AssertionError("a one-centroid model needs no cluster label")
+                raise AssertionError("a one-region model needs no cluster label")
             calls.append(sample.id)
             return path_descriptor(sample, path_select)
 
@@ -536,13 +537,55 @@ class TestLocate:
         xy, regions = locate(model, test)
         assert regions == want[0] and np.array_equal(xy, want[1])
         if one:
-            # every label is 0, so a sample needs no paths
+            # nothing is routed, so a sample needs no paths
             xy, regions = locate(model, pathless)
             assert regions == want[0] and np.array_equal(xy, want[1])
         else:
             assert calls == [s.id for s in test]
             with pytest.raises(ValueError, match=f"sample {test[0].id} has no paths"):
                 locate(model, pathless)
+
+    def test_a_model_cut_to_one_region_routes_nothing(self, held_out_model, monkeypatch):
+        # the segmented model keeps its founders and centroids, but with one
+        # region both the pair lookup and the fallback can only give it
+        model, test = held_out_model
+        pathless = [dataclasses.replace(s, paths=[]) for s in test]
+        if len(model.weights) > 1:
+            assert len(model.founders) > 1 and len(model.adcam_centroids) > 1
+
+        def refuse(*args):
+            raise AssertionError("a one-region model routes nothing")
+
+        for region in model.weights:
+            cut = dataclasses.replace(
+                model,
+                weights={region: model.weights[region]},
+                region_feature_centroids={region: model.region_feature_centroids[region]},
+            )
+            assert len(cut.founders) == len(model.founders)
+            assert len(cut.adcam_centroids) == len(model.adcam_centroids)
+            want = np.array([predict_oracle(cut, s) for s in test])
+            assert all(route_oracle(cut, s)[0] == region for s in test)
+            with monkeypatch.context() as m:
+                m.setattr(localizer, "_best_pairs", refuse)
+                m.setattr(localizer, "path_descriptor", refuse)
+                for samples in (test, pathless):
+                    xy, regions = locate(cut, samples)
+                    assert regions == [region] * len(test)
+                    assert np.array_equal(xy, want)
+
+    def test_weights_are_stored_once_column_major(self, held_out_model, tmp_path):
+        model, test = held_out_model
+        dio.write_model(tmp_path / "model.json", model)
+        read = dio.read_model(tmp_path / "model.json", small_dataset())
+        replaced = dataclasses.replace(model, weights={r: np.ascontiguousarray(w) for r, w in model.weights.items()})
+        want = locate(model, test)
+        for m in (model, read, replaced):
+            assert not hasattr(m, "fortran_weights")
+            assert all(w.flags.f_contiguous and not w.flags.c_contiguous for w in m.weights.values())
+            assert all(np.array_equal(m.weights[r], w) for r, w in model.weights.items())
+            xy, regions = locate(m, test)
+            assert regions == want[1] and np.array_equal(xy, want[0])
 
     def test_no_samples_give_no_positions(self, held_out_model):
         model, _ = held_out_model

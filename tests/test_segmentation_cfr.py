@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import tracemalloc
 from unittest import mock
@@ -688,16 +689,6 @@ def test_best_pairs_score_a_second_corner_only_where_it_can_win():
     assert sorted(scored) == sorted([(k, k) for k in range(6)] + [(0, 6)])
 
 
-def test_best_pairs_of_one_founder_score_nothing():
-    rng = np.random.default_rng(21)
-    images = [rng.random((8, 8)) for _ in range(3)]
-    banks = _corner_banks([extract_templates(images[0], (4, 4))], (8, 8))
-    with mock.patch.object(segmentation_cfr, "_ImageStacks") as stacks:
-        got = _best_pairs(banks, images)
-    assert got.tolist() == [0, 0, 0] and got.dtype.kind == "i"
-    stacks.assert_not_called()
-
-
 def test_scoring_takes_no_numpy_inverse_fft(monkeypatch):
     rng = np.random.default_rng(23)
     images = [rng.random((12, 12)) for _ in range(10)]
@@ -874,24 +865,38 @@ def _assert_scores_were_taken(labeling, images):
 
 
 def _stage_two_scoring(labeling):
-    """A patch of ``_ImageStacks._score`` and the list it fills with the
-    entries of ``labeling.scores`` that ``match_between`` scores, as
-    (category, side, founder image) triples; a bank's category and side
-    are told apart by its spectra."""
+    """A patch of ``_corner_banks`` and ``_ImageStacks._score`` and the
+    list it fills with the entries of ``labeling.scores`` that
+    ``match_between`` scores, as (category, side, founder image)
+    triples. A bank's category and side are told apart by identity:
+    each bank ``_corner_banks`` builds is recorded with the category of
+    its one founder pair and its side, so two categories whose templates
+    are equal are still told apart."""
     taken = []
-    score = _ImageStacks._score
+    category = {id(pair): c for c, pair in labeling.founders.items()}
+    built = {}  # id of each bank -> (bank, category, side); the bank keeps its id unique
+    corner_banks, score = segmentation_cfr._corner_banks, _ImageStacks._score
+
+    def recorded_banks(pairs, image_shape):
+        banks = corner_banks(pairs, image_shape)
+        (pair,) = pairs
+        for side, bank in enumerate(banks):
+            built[id(bank)] = (bank, category[id(pair)], side)
+        return banks
 
     def recorded(self, bank, rows):
-        c, side = next(
-            (c, side)
-            for c, pair in labeling.founders.items()
-            for side, template in enumerate((pair.t1, pair.t2))
-            if np.array_equal(_TemplateBank(template[None], self.shape).spectra, bank.spectra)
-        )
+        _, c, side = built[id(bank)]
         taken.extend((c, side, int(r)) for r in rows)
         return score(self, bank, rows)
 
-    return mock.patch.object(_ImageStacks, "_score", recorded), taken
+    @contextlib.contextmanager
+    def patch():
+        with mock.patch.object(segmentation_cfr, "_corner_banks", recorded_banks), mock.patch.object(
+            _ImageStacks, "_score", recorded
+        ):
+            yield
+
+    return patch(), taken
 
 
 def test_stage_two_scores_only_what_stage_one_left(invariants_scene_images):
