@@ -11,7 +11,18 @@ from . import io as dio
 from .channel import _chunks, render_image
 from .fusion import RegionLabels, Segmentation, cleanse, fuse_labels
 from .localizer import locate, train
-from .scenegen import SceneConfig, build_dataset, nlos_filter, scene_from_json, scene_to_json
+from .scenegen import (
+    _COUNT,
+    _SEED,
+    SceneConfig,
+    _check,
+    _is_int,
+    _is_real,
+    build_dataset,
+    nlos_filter,
+    scene_from_json,
+    scene_to_json,
+)
 from .segmentation_adcam import _distinct_rows, build_features, select_k
 from .segmentation_cfr import extract_templates, segment_cfr
 
@@ -28,6 +39,19 @@ __all__ = [
 
 DEFAULT_CDF_THRESHOLDS = [0.5, 1.0, 2.0, 3.0, 5.0, 10.0, 20.0, 50.0, 100.0, 250.0, 500.0]
 _CELL_PX = 4  # meters per pixel of the region-map raster, along each axis
+_FRACTION = ("a number in (0, 1]", lambda v: _is_real(v) and 0 < v <= 1)
+# the config keys checked before a run; scene, nlos_mode, template_size
+# and path_select are checked by the stage that reads them
+_CONFIG_RULES = {
+    "tau_in": _FRACTION,
+    "tau_out": _FRACTION,
+    "min_count": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
+    "k_max": _COUNT,
+    "train_fraction": _FRACTION,
+    "ridge_lambda": ("a finite number >= 0", lambda v: _is_real(v) and v >= 0),
+    "single_region": ("true or false", lambda v: isinstance(v, bool)),
+    "seed": _SEED,
+}
 
 
 class PipelineError(RuntimeError):
@@ -168,14 +192,20 @@ def run_pipeline(config: dict, out_dir: str | Path | None = None) -> dict:
     fit on training samples only and test samples are routed through
     the trained matchers. The config ``seed`` seeds everything, the
     scene included: it always replaces the scene's own ``seed``.
-    A top-level key that ``default_config`` lacks is a ``[config]``
-    error. Returns the report dict; when ``out_dir`` is given all
-    artifacts (dataset, region map, model, report) are written there.
+    A top-level key that ``default_config`` lacks, or a value of the
+    wrong type or range (``_CONFIG_RULES``), is a ``[config]`` error,
+    raised before anything is written. Returns the report dict; when
+    ``out_dir`` is given all artifacts (dataset, region map, model,
+    report) are written there.
     """
     unknown = sorted(set(config) - set(default_config()))
     if unknown:
         raise PipelineError("config", f"unknown config keys: {', '.join(map(repr, unknown))}")
     cfg = {**default_config(), **config}
+    try:
+        _check(_CONFIG_RULES, cfg, "key")
+    except ValueError as e:
+        raise PipelineError("config", str(e)) from None
     try:
         scene = scene_from_json(cfg["scene"])
         scene.seed = int(cfg["seed"])

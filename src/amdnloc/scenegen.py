@@ -8,7 +8,9 @@ image method; no diffraction or scattering.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+import numbers
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -32,6 +34,46 @@ SPEED_OF_LIGHT = 2.99792458e8
 # nudge angles off the array axis.
 _EPS = 1e-9
 _ANGLE_EPS = 1e-6
+
+
+def _is_int(v) -> bool:
+    """An integer; a bool (JSON's true or false) is not one."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    """A finite real number; a bool is not one."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _check(rules: dict, values: dict, what: str):
+    """Raise a ``ValueError`` naming the first key of ``rules`` whose value
+    fails its test; each rule is (what the value must be, its test)."""
+    for key, (want, ok) in rules.items():
+        if not ok(values[key]):
+            raise ValueError(f"{what} {key} is {values[key]!r}; it must be {want}")
+
+
+_POSITIVE = ("a finite number > 0", lambda v: _is_real(v) and v > 0)
+_COUNT = ("an integer >= 1", lambda v: _is_int(v) and v >= 1)
+_SEED = ("an integer >= 0", lambda v: _is_int(v) and v >= 0)
+_PAIR = ("two finite numbers", lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_real, v)))
+_SCENE_RULES = {
+    "area_m": ("two finite numbers > 0", lambda v: _PAIR[1](v) and min(v) > 0),
+    "bs_pos": _PAIR,
+    "buildings": ("a list", lambda v: isinstance(v, (list, tuple))),
+    "grid_spacing_m": _POSITIVE,
+    "grid_jitter": ("a number in [0, 1]", lambda v: _is_real(v) and 0 <= v <= 1),
+    "carrier_hz": _POSITIVE,
+    "bandwidth_hz": _POSITIVE,
+    "nc": _COUNT,
+    "nt": _COUNT,
+    "maxpathnum": _COUNT,
+    "reflection_loss_db": ("a finite number", _is_real),
+    "spacing_ratio": _POSITIVE,
+    "snr_db": ("a finite number, or null for no noise", lambda v: _is_real(v) or v == NO_NOISE),
+    "seed": _SEED,
+}
 
 
 @dataclass(frozen=True)
@@ -82,7 +124,12 @@ class SceneConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check(_SCENE_RULES, vars(self), "scene")
+        for b in self.buildings:
+            if not (isinstance(b, Rect) or isinstance(b, (list, tuple)) and len(b) == 4 and all(map(_is_real, b))):
+                raise ValueError(f"scene buildings entry {b!r} is not [x, y, w, h], four finite numbers")
         self.buildings = [b if isinstance(b, Rect) else Rect(*b) for b in self.buildings]
+        self.area_m, self.bs_pos = tuple(self.area_m), tuple(self.bs_pos)
         w, h = self.area_m
         for b in self.buildings:
             if b.x < 0 or b.y < 0 or b.x + b.w > w or b.y + b.h > h:
@@ -93,8 +140,6 @@ class SceneConfig:
         for b in self.buildings:
             if b.contains(self.bs_pos):
                 raise ValueError("bs_pos inside a building")
-        if self.maxpathnum < 1:
-            raise ValueError("maxpathnum must be >= 1")
 
     @property
     def sample_interval_s(self) -> float:
@@ -311,14 +356,13 @@ def scene_to_json(scene: SceneConfig) -> dict:
 
 
 def scene_from_json(obj: dict | str) -> SceneConfig:
-    """Parse a scene.json dict (or JSON text) into a SceneConfig."""
+    """Parse a scene.json dict (or JSON text) into a SceneConfig. A key
+    that ``SceneConfig`` lacks is a ``ValueError`` that names it."""
     if isinstance(obj, str):
         obj = json.loads(obj)
-    kwargs = dict(obj)
-    if "area_m" in kwargs:
-        kwargs["area_m"] = tuple(kwargs["area_m"])
-    if "bs_pos" in kwargs:
-        kwargs["bs_pos"] = tuple(kwargs["bs_pos"])
-    if kwargs.get("snr_db") is None:
-        kwargs["snr_db"] = NO_NOISE
-    return SceneConfig(**kwargs)
+    if not isinstance(obj, dict):
+        raise ValueError(f"a scene is a JSON object, not {obj!r}")
+    unknown = sorted(set(obj) - {f.name for f in fields(SceneConfig)})
+    if unknown:
+        raise ValueError(f"unknown scene keys: {', '.join(map(repr, unknown))}")
+    return SceneConfig(**{**obj, "snr_db": NO_NOISE if obj.get("snr_db") is None else obj["snr_db"]})

@@ -12,7 +12,9 @@ import pytest
 
 import amdnloc
 from amdnloc import channel, localizer
+from amdnloc.cli import main
 from amdnloc.evaluate import (
+    _CONFIG_RULES,
     PipelineError,
     cdf_curve,
     default_config,
@@ -22,7 +24,7 @@ from amdnloc.evaluate import (
     run_pipeline,
 )
 from amdnloc.fusion import fuse_labels
-from amdnloc.scenegen import Sample, SceneConfig, build_dataset, scene_from_json
+from amdnloc.scenegen import Sample, SceneConfig, _check, build_dataset, scene_from_json
 
 
 class TestMeanError:
@@ -281,6 +283,39 @@ class TestRunPipeline:
             run_pipeline({**SMALL_CONFIG, "tau_inn": 0.5}, out_dir=tmp_path)
         assert exc.value.stage == "config"
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("tau_in", "0.9"), ("tau_in", 0), ("tau_in", 1.5),
+            ("tau_out", "0.9"), ("tau_out", -0.1), ("tau_out", math.nan),
+            ("min_count", "8"), ("min_count", 2.5), ("min_count", -1), ("min_count", True),
+            ("k_max", 0), ("k_max", 3.0), ("k_max", "3"),
+            ("train_fraction", "0.8"), ("train_fraction", 1.5), ("train_fraction", 0),
+            ("ridge_lambda", "x"), ("ridge_lambda", -1), ("ridge_lambda", math.inf), ("ridge_lambda", False),
+            ("single_region", "no"), ("single_region", 1), ("single_region", None),
+            ("seed", "3"), ("seed", 2.5), ("seed", -1), ("seed", True),
+        ],
+    )
+    def test_config_value_of_wrong_type_or_range_is_a_config_error(self, tmp_path, capsys, monkeypatch, key, value):
+        with pytest.raises(PipelineError, match=re.escape(f"key {key} is {value!r}; it must be")) as exc:
+            run_pipeline({**SMALL_CONFIG, key: value}, out_dir=tmp_path / "lib")
+        assert exc.value.stage == "config"
+        # the console script: exit 1, nothing written, no traceback
+        monkeypatch.delenv("AMDN_SEED", raising=False)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({**SMALL_CONFIG, key: value}))
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "cli")]) == 1
+        assert f"error: [config] key {key} is {value!r}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("tau_in", 1), ("tau_out", 1.0), ("min_count", 0), ("k_max", 1), ("train_fraction", 1),
+         ("ridge_lambda", 0), ("single_region", False), ("seed", 0), ("seed", np.int64(3))],
+    )
+    def test_config_values_at_their_bounds_pass_the_check(self, key, value):
+        _check(_CONFIG_RULES, {**default_config(), key: value}, "key")
 
     def test_method_key_is_a_config_error(self, tmp_path):
         # closed-form ridge is the only fit: even the old default is unknown

@@ -345,6 +345,20 @@ class TestCliWorkflow:
         assert rc != 0
         assert "generate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("grid_spacing_m", 0), ("nt", "16"), ("nc", 2.5), ("snr_db", "x"), ("buildings", [[1, 2, 3]]),
+         ("grid_jitter", 5), ("grid_spacing_m", -5), ("bogus", 1)],
+    )
+    def test_bad_scene_value_is_a_generate_error(self, dataset, tmp_path, capsys, key, value):
+        scene, _ = dataset
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps({**scene_to_json(scene), key: value}))
+        assert main(["generate", "--scene", str(path), "--out", str(tmp_path / "d")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [generate] ") and repr(key)[1:-1] in err and "Traceback" not in err
+        assert not (tmp_path / "d").exists()
+
     def test_invalid_scene_nonzero_exit(self, tmp_path, capsys):
         bad = tmp_path / "scene.json"
         bad.write_text(json.dumps({"bs_pos": [50, 50], "buildings": [[40, 40, 20, 20]]}))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -390,6 +392,42 @@ class TestSceneJson:
     def test_bs_inside_building_rejected(self):
         with pytest.raises(ValueError):
             SceneConfig(area_m=(100, 100), bs_pos=(50, 50), buildings=[Rect(40, 40, 20, 20)])
+
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [
+            ("grid_spacing_m", 0, "grid_spacing_m is 0"),
+            ("grid_spacing_m", -5, "grid_spacing_m is -5"),
+            ("grid_jitter", 5, "grid_jitter is 5"),
+            ("nt", "16", "nt is '16'"),
+            ("nc", 2.5, "nc is 2.5"),
+            ("maxpathnum", 0, "maxpathnum is 0"),
+            ("snr_db", "x", "snr_db is 'x'"),
+            ("snr_db", -np.inf, "snr_db is -inf"),
+            ("carrier_hz", True, "carrier_hz is True"),
+            ("area_m", [100], "area_m is [100]"),
+            ("area_m", [0, 100], "area_m is [0, 100]"),
+            ("buildings", [[1, 2, 3]], "buildings entry [1, 2, 3]"),
+            ("buildings", [[1, 2, 3, "4"]], "buildings entry [1, 2, 3, '4']"),
+            ("buildings", 5, "buildings is 5"),
+            ("seed", "3", "seed is '3'"),
+            ("seed", -1, "seed is -1"),
+            ("bogus", 1, "unknown scene keys: 'bogus'"),
+        ],
+    )
+    def test_value_of_wrong_type_or_range_rejected(self, key, value, named):
+        obj = {**scene_to_json(open_scene()), key: value}
+        with pytest.raises(ValueError, match=re.escape(named)):
+            scene_from_json(obj)
+
+    def test_scene_that_is_not_an_object_rejected(self):
+        with pytest.raises(ValueError, match="a scene is a JSON object"):
+            scene_from_json("[1, 2]")
+
+    def test_null_snr_is_noise_free(self):
+        obj = scene_to_json(open_scene(snr_db=20.0))
+        assert scene_from_json({**obj, "snr_db": None}).snr_db == NO_NOISE
+        assert scene_from_json(obj).snr_db == 20.0
 
 
 def test_samples_hold_rows_of_one_stack_per_domain():
