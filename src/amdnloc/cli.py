@@ -5,8 +5,10 @@ environment variable AMDN_SEED overrides the seed of generate, segment
 and pipeline; train takes no seed, since its closed-form ridge fit draws
 nothing. Exit code 0 on success; failures print a stage-tagged message
 and exit nonzero. A pipeline stage that fails exits 2; an unreadable or
-malformed file (a model of an unknown fit method included) or a config
-key the pipeline does not know exits 1; an unknown option exits 2.
+malformed file (a model of an unknown fit method included), a bad scene
+value, a config key the pipeline does not know, or a config value or
+option value of the wrong type or range exits 1; an unknown option
+exits 2.
 """
 from __future__ import annotations
 
@@ -18,9 +20,17 @@ import sys
 from pathlib import Path
 
 from . import io as dio
-from .evaluate import PipelineError, default_config, error_report, export_region_map, run_pipeline, segment
+from .evaluate import (
+    _CONFIG_RULES,
+    PipelineError,
+    default_config,
+    error_report,
+    export_region_map,
+    run_pipeline,
+    segment,
+)
 from .localizer import locate, train
-from .scenegen import build_dataset, scene_from_json
+from .scenegen import _check, build_dataset, scene_from_json
 
 
 def _seed_override(seed: int) -> int:
@@ -47,9 +57,10 @@ def _template_size(text: str) -> tuple[int, int]:
 
 def _cmd_segment(args) -> int:
     size = _template_size(args.template)
-    samples = dio.read_dataset(args.data)
     # the option names are the config keys: tau_in, tau_out, min_count, k_max, path_select
     cfg = {**default_config(), **vars(args), "template_size": size, "seed": _seed_override(args.seed)}
+    _check(_CONFIG_RULES, cfg, "key")
+    samples = dio.read_dataset(args.data)
     seg = segment(samples, cfg)
     data = Path(args.data)
     export_region_map(samples, seg.regions, data / "region_map.csv", data / "region_map.ppm")
@@ -62,6 +73,7 @@ def _cmd_segment(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    _check({"ridge_lambda": _CONFIG_RULES["ridge_lambda"]}, vars(args), "key")
     samples = dio.read_dataset(args.data)
     train_samples, segmentation = dio.read_segmentation(Path(args.data) / "segmentation.json", samples, args.regions)
     model = train(train_samples, segmentation, args.ridge_lambda)

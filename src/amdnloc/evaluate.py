@@ -65,7 +65,7 @@ class PipelineError(RuntimeError):
 def mean_error(preds, truths) -> tuple[float, float]:
     """Mean Euclidean error and RMSE (both meters), as ``error_report``
     gives them."""
-    report = error_report(preds, truths, [0] * len(preds))
+    report = error_report(preds, truths, np.zeros(np.shape(preds)[:1], dtype=int))
     return report["mean_error_m"], report["rmse_m"]
 
 

@@ -359,6 +359,26 @@ class TestCliWorkflow:
         assert err.startswith("error: [generate] ") and repr(key)[1:-1] in err and "Traceback" not in err
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize(
+        "option, value, named",
+        [("--k-max", "0", "k_max is 0"), ("--tau-in", "1.5", "tau_in is 1.5"), ("--tau-out", "nan", "tau_out is nan"),
+         ("--min-count", "-1", "min_count is -1"), ("--seed", "-2", "seed is -2")],
+    )
+    def test_segment_option_out_of_range_is_a_segment_error(self, trained_chain, tmp_path, capsys, option, value, named):
+        data = shutil.copytree(trained_chain[0], tmp_path / "data")
+        (data / "region_map.csv").unlink()
+        assert main(["segment", "--data", str(data), "--template", "8x8", option, value]) == 1
+        assert f"error: [segment] key {named}; it must be" in capsys.readouterr().err
+        assert not (data / "region_map.csv").exists()
+
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_train_ridge_lambda_out_of_range_is_a_train_error(self, trained_chain, tmp_path, capsys, value):
+        data, out = trained_chain[0], tmp_path / "model.json"
+        argv = ["train", "--data", str(data), "--regions", str(data / "region_map.csv"), "--ridge-lambda", value, "--out", str(out)]
+        assert main(argv) == 1
+        assert f"error: [train] key ridge_lambda is {float(value)!r}; it must be" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_scene_nonzero_exit(self, tmp_path, capsys):
         bad = tmp_path / "scene.json"
         bad.write_text(json.dumps({"bs_pos": [50, 50], "buildings": [[40, 40, 20, 20]]}))
