@@ -69,21 +69,24 @@ class PathRecord:
         return self.gain * 10.0 ** (-self.pathloss_db / 20.0)
 
 
-def array_response(phi: float, nt: int, spacing_ratio: float = 0.5) -> np.ndarray:
-    """Steering vector of a uniform linear array for arrival angle ``phi``.
+def array_response(phi: float | np.ndarray, nt: int, spacing_ratio: float = 0.5) -> np.ndarray:
+    """Steering vectors of a uniform linear array for arrival angles ``phi``.
 
-    Entry k is exp(-j*2*pi*k*spacing_ratio*cos(phi)); entry 0 is 1.
-    ``spacing_ratio`` is antenna spacing over carrier wavelength
-    (0.5 for the usual half-wavelength arrays).
+    Entry k is exp(-j*2*pi*k*spacing_ratio*cos(phi)); entry 0 is 1. A
+    scalar angle in [0, pi] gives an (nt,) vector, and angles of shape S
+    give shape S + (nt,), each row bit for bit its angle's vector.
+    ``spacing_ratio`` is antenna spacing over carrier wavelength (0.5 for
+    the usual half-wavelength arrays).
     """
     if nt < 1:
         raise ValueError(f"nt must be >= 1, got {nt}")
-    if not (0.0 <= phi <= np.pi):
-        raise ValueError(f"phi must lie in [0, pi], got {phi}")
+    phi = np.asarray(phi, dtype=float)
+    bad = phi[~((0.0 <= phi) & (phi <= np.pi))]
+    if bad.size:
+        raise ValueError(f"phi must lie in [0, pi], got {bad[0]}")
     if spacing_ratio <= 0:
         raise ValueError(f"spacing_ratio must be > 0, got {spacing_ratio}")
-    k = np.arange(nt)
-    return np.exp(-2j * np.pi * k * spacing_ratio * np.cos(phi))
+    return np.exp(-2j * np.pi * np.arange(nt) * spacing_ratio * np.cos(phi)[..., None])
 
 
 def cfr_stack(
@@ -95,8 +98,8 @@ def cfr_stack(
     """Channel frequency responses (n x nt x nc) of n path lists.
 
     Matrix i, column l, is the sum over the paths of list i of
-    amplitude * steering(aoa) * exp(-j*2*pi*l*delay/nc). Pathloss scales
-    the complex gain by 10**(-dB/20). The matrices are built
+    amplitude * array_response(aoa) * exp(-j*2*pi*l*delay/nc). Pathloss
+    scales the complex gain by 10**(-dB/20). The matrices are built
     ``_CHUNK`` at a time: path slot j of every list in a chunk that has
     one is added at once as amp * (steer * phase), so each matrix sums
     its paths in list order, as one path at a time would.
@@ -104,8 +107,7 @@ def cfr_stack(
     if nt < 1 or nc < 1:
         raise ValueError("nt and nc must be >= 1")
     h = np.zeros((len(path_lists), nt, nc), dtype=np.complex128)
-    # the exponents of array_response and of the delay phase, up to cos(aoa) and delay/nc
-    angle_exp = -2j * np.pi * np.arange(nt) * spacing_ratio
+    # the exponent of the delay phase, up to delay/nc
     delay_exp = -2j * np.pi * np.arange(nc)
     for part in _chunks(len(path_lists)):
         chunk, block = path_lists[part], h[part]
@@ -115,7 +117,7 @@ def cfr_stack(
             delay = np.array([p.delay_samples for p in slot])
             if delay.max() >= nc:
                 raise ValueError(f"path delay {delay.max()} exceeds cyclic window nc={nc}")
-            steer = np.exp(angle_exp * np.cos([p.aoa for p in slot])[:, None])
+            steer = array_response([p.aoa for p in slot], nt, spacing_ratio)
             phase = np.exp(delay_exp * delay[:, None] / nc)
             term = np.array([p.amplitude for p in slot])[:, None, None] * (steer[:, :, None] * phase[:, None, :])
             if len(rows) == len(chunk):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -30,17 +31,26 @@ from .evaluate import (
     segment,
 )
 from .localizer import locate, train
-from .scenegen import _check, build_dataset, scene_from_json
+from .scenegen import _SEED, _check, build_dataset, scene_from_json
 
 
 def _seed_override(seed: int) -> int:
+    """The seed AMDN_SEED holds, checked like every other seed, or
+    ``seed`` when it is unset."""
     env = os.environ.get("AMDN_SEED")
-    return int(env) if env is not None else seed
+    if env is None:
+        return seed
+    try:
+        value = int(env)
+    except ValueError:
+        value = env
+    _check({"AMDN_SEED": _SEED}, {"AMDN_SEED": value}, "environment variable")
+    return value
 
 
 def _cmd_generate(args) -> int:
     scene = scene_from_json(json.loads(Path(args.scene).read_text()))
-    scene.seed = _seed_override(scene.seed)
+    scene = dataclasses.replace(scene, seed=_seed_override(scene.seed))
     samples = build_dataset(scene)
     dio.write_dataset(samples, args.out)
     print(f"wrote {len(samples)} samples to {args.out}")
@@ -113,7 +123,8 @@ def _cmd_plot(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     cfg = json.loads(Path(args.config).read_text())
-    cfg["seed"] = _seed_override(cfg.get("seed", 0))
+    if isinstance(cfg, dict):  # run_pipeline rejects any other config
+        cfg["seed"] = _seed_override(cfg.get("seed", 0))
     report = run_pipeline(cfg, out_dir=args.out)
     print(
         f"mean error {report['mean_error_m']:.3f} m, "

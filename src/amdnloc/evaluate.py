@@ -146,10 +146,10 @@ def default_config() -> dict:
 
 
 def _split(n: int, train_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded sorted train and test indices of n >= 2 samples, both nonempty."""
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
-    n_train = max(1, int(round(n * train_fraction)))
-    n_train = min(n_train, n - 1) if n > 1 else 1
+    n_train = min(max(1, int(round(n * train_fraction))), n - 1)
     return np.sort(order[:n_train]), np.sort(order[n_train:])
 
 
@@ -192,12 +192,17 @@ def run_pipeline(config: dict, out_dir: str | Path | None = None) -> dict:
     fit on training samples only and test samples are routed through
     the trained matchers. The config ``seed`` seeds everything, the
     scene included: it always replaces the scene's own ``seed``.
-    A top-level key that ``default_config`` lacks, or a value of the
-    wrong type or range (``_CONFIG_RULES``), is a ``[config]`` error,
-    raised before anything is written. Returns the report dict; when
+    A config that is not a dict, a top-level key that
+    ``default_config`` lacks, or a value of the wrong type or range
+    (``_CONFIG_RULES``), is a ``[config]`` error, raised before anything
+    is written. The error is reported on held-out samples only, so
+    fewer than 2 samples after ``nlos_filter`` is a ``[generate]``
+    error. Returns the report dict; when
     ``out_dir`` is given all artifacts (dataset, region map, model,
     report) are written there.
     """
+    if not isinstance(config, dict):
+        raise PipelineError("config", f"a config is a JSON object, not {config!r}")
     unknown = sorted(set(config) - set(default_config()))
     if unknown:
         raise PipelineError("config", f"unknown config keys: {', '.join(map(repr, unknown))}")
@@ -211,6 +216,8 @@ def run_pipeline(config: dict, out_dir: str | Path | None = None) -> dict:
         scene.seed = int(cfg["seed"])
         samples = build_dataset(scene)
         samples = nlos_filter(samples, cfg["nlos_mode"])
+        if len(samples) < 2:
+            raise ValueError(f"{len(samples)} sample; the pipeline holds samples out to test on and needs at least 2")
     except (ValueError, TypeError) as e:
         raise PipelineError("generate", str(e)) from e
 
@@ -229,9 +236,8 @@ def run_pipeline(config: dict, out_dir: str | Path | None = None) -> dict:
         raise PipelineError("train", str(e)) from e
 
     try:
-        eval_samples = test_samples if test_samples else train_samples
-        preds, assigned = locate(model, eval_samples)
-        errors = error_report(preds, [s.pos for s in eval_samples], assigned)
+        preds, assigned = locate(model, test_samples)
+        errors = error_report(preds, [s.pos for s in test_samples], assigned)
     except ValueError as e:
         raise PipelineError("eval", str(e)) from e
 

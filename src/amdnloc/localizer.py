@@ -304,20 +304,24 @@ def locate(model: LocalizationModel, samples) -> tuple[np.ndarray, list[int]]:
     ``rfft2`` of its samples' CFR magnitude images and of no template.
     The features are taken ``channel._CHUNK`` samples at a time, in one
     ``_stack_features`` pass per chunk, which renders the planes in
-    place and whose magnitude images fill the one (n, nt, nc) stack that
-    routing scores. Every sample's CFR and ADCAM must have the model's
-    shape (nt, nc). No samples give an empty (0, 2) array and no
-    regions.
+    place; with more than one region its magnitude images fill the one
+    (n, nt, nc) stack that routing scores. Every sample's CFR and ADCAM
+    must have the model's shape (nt, nc). No samples give an empty
+    (0, 2) array and no regions.
     """
     if not samples:
         return np.empty((0, 2)), []
     config = model.config
-    mags = np.empty((len(samples), config.nt, config.nc))
+    routed = len(model.weights) > 1
+    mags = np.empty((len(samples), config.nt, config.nc)) if routed else None
     raw = np.empty((len(samples), config.fused_len))
     for rows in _chunks(len(samples)):
-        mags[rows] = _stack_features(samples[rows], config, raw[rows])
+        if routed:
+            mags[rows] = _stack_features(samples[rows], config, raw[rows])
+        else:
+            _stack_features(samples[rows], config, raw[rows])
     feats = model.feature_standardizer.apply(raw)
-    if len(model.weights) == 1:
+    if not routed:
         # both the pair lookup and the fallback can only give this region
         regions = list(model.weights) * len(samples)
     else:

@@ -89,9 +89,10 @@ class Rect:
         if self.w <= 0 or self.h <= 0:
             raise ValueError("rectangle must have positive extent")
 
-    def contains(self, p: Sequence[float]) -> bool:
+    def contains(self, p):
+        """Whether p = (x, y) lies strictly inside; coordinate arrays give a bool per point."""
         px, py = p
-        return self.x < px < self.x + self.w and self.y < py < self.y + self.h
+        return (self.x < px) & (px < self.x + self.w) & (self.y < py) & (py < self.y + self.h)
 
     def walls(self):
         """Four wall segments as ((x1, y1), (x2, y2)) tuples."""
@@ -304,7 +305,7 @@ def build_dataset(scene: SceneConfig) -> list[Sample]:
     y = np.clip(gy.ravel() + jit[:, 1], 0.0, h)
     outside = np.ones(x.shape, dtype=bool)
     for b in scene.buildings:
-        outside &= ~((b.x < x) & (x < b.x + b.w) & (b.y < y) & (y < b.y + b.h))
+        outside &= ~b.contains((x, y))
     pts = np.stack([x[outside], y[outside]], axis=1)
     reached = [
         (pos, paths, is_los) for pos, (paths, is_los) in zip(map(tuple, pts.tolist()), _trace(scene, pts)) if paths
@@ -336,22 +337,13 @@ def nlos_filter(samples: list[Sample], mode: str = "all") -> list[Sample]:
 
 
 def scene_to_json(scene: SceneConfig) -> dict:
-    """SceneConfig as a plain dict with the scene.json key names."""
+    """SceneConfig as a plain dict with the scene.json key names, its fields in order."""
     return {
+        **{f.name: getattr(scene, f.name) for f in fields(SceneConfig)},
         "area_m": list(scene.area_m),
         "bs_pos": list(scene.bs_pos),
         "buildings": [[b.x, b.y, b.w, b.h] for b in scene.buildings],
-        "grid_spacing_m": scene.grid_spacing_m,
-        "grid_jitter": scene.grid_jitter,
-        "carrier_hz": scene.carrier_hz,
-        "bandwidth_hz": scene.bandwidth_hz,
-        "nc": scene.nc,
-        "nt": scene.nt,
-        "maxpathnum": scene.maxpathnum,
-        "reflection_loss_db": scene.reflection_loss_db,
-        "spacing_ratio": scene.spacing_ratio,
         "snr_db": None if scene.snr_db == NO_NOISE else scene.snr_db,
-        "seed": scene.seed,
     }
 
 

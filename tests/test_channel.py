@@ -70,6 +70,28 @@ class TestArrayResponse:
         with pytest.raises(ValueError):
             array_response(1.0, 0)
 
+    @pytest.mark.parametrize("ratio", [0.5, 0.37])
+    def test_angle_array_equals_per_angle_calls_bit_for_bit(self, ratio):
+        # the ends of [0, pi], and pi/2 with its neighbors, whose cosines
+        # are +0 and -0 up to rounding
+        half = np.pi / 2
+        edges = [0.0, np.pi, half, np.nextafter(half, 0.0), np.nextafter(half, np.pi)]
+        phi = np.concatenate([edges, np.random.default_rng(4).uniform(0.0, np.pi, 19)])
+        assert np.cos(edges[3]) > 0 > np.cos(edges[4])
+        for angles in (phi, phi.reshape(4, 6), phi[:1]):
+            got = array_response(angles, 7, ratio)
+            assert got.shape == angles.shape + (7,)
+            want = np.array([array_response(a, 7, ratio) for a in angles.ravel().tolist()])
+            assert np.array_equal(got.reshape(-1, 7), want)
+        assert array_response(half, 7, ratio).shape == (7,)
+        assert array_response([], 7, ratio).shape == (0, 7)
+
+    @pytest.mark.parametrize("bad", [-0.25, np.pi + 1e-9, np.nan])
+    def test_angle_array_with_one_angle_outside_rejected(self, bad):
+        angles = [[0.5, 1.0], [np.pi, bad], [2.0, 7.0]]
+        with pytest.raises(ValueError, match=rf"phi must lie in \[0, pi\], got {bad}$"):
+            array_response(angles, 4)
+
 
 class TestCfr:
     def test_empty_paths_zero(self):

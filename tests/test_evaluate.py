@@ -16,6 +16,7 @@ from amdnloc.cli import main
 from amdnloc.evaluate import (
     _CONFIG_RULES,
     PipelineError,
+    _split,
     cdf_curve,
     default_config,
     error_report,
@@ -335,6 +336,63 @@ class TestRunPipeline:
             del r["config"]  # echoes each scene as given
         assert reports[0] == reports[1]
 
+    def test_one_sample_is_a_generate_error(self, tmp_path, capsys, monkeypatch):
+        # one terminal leaves nothing to hold out, so no error to report
+        one = {
+            "scene": {"area_m": [40, 40], "bs_pos": [5, 20], "grid_spacing_m": 30, "nt": 16, "nc": 16},
+            "template_size": [8, 8],
+            "min_count": 0,
+        }
+        assert len(build_dataset(scene_from_json(one["scene"]))) == 1
+        message = "1 sample; the pipeline holds samples out to test on and needs at least 2"
+        with pytest.raises(PipelineError, match=message) as exc:
+            run_pipeline(one, out_dir=tmp_path / "lib")
+        assert exc.value.stage == "generate"
+        monkeypatch.delenv("AMDN_SEED", raising=False)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(one))
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "cli")]) == 2
+        assert capsys.readouterr().err == f"error: [generate] {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize("config", [[1, 2], "x", None, 3])
+    @pytest.mark.parametrize("seed_env", [None, "5"])
+    def test_config_that_is_not_an_object_is_a_config_error(self, tmp_path, capsys, monkeypatch, config, seed_env):
+        message = f"a config is a JSON object, not {config!r}"
+        with pytest.raises(PipelineError, match=re.escape(message)) as exc:
+            run_pipeline(config, out_dir=tmp_path / "lib")
+        assert exc.value.stage == "config"
+        # the console script: exit 1, nothing written, no traceback
+        if seed_env is None:
+            monkeypatch.delenv("AMDN_SEED", raising=False)
+        else:
+            monkeypatch.setenv("AMDN_SEED", seed_env)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "cli")]) == 1
+        assert capsys.readouterr().err == f"error: [config] {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
     def test_cdf_terminal_value(self):
         report = run_pipeline(SMALL_CONFIG)
         assert report["cdf"][-1][1] == 1.0
+
+
+def _split_with_the_one_sample_case(n: int, train_fraction: float, seed: int):
+    """``_split`` as it was while it still split one sample into one
+    training sample and no test sample."""
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n)
+    n_train = max(1, int(round(n * train_fraction)))
+    n_train = min(n_train, n - 1) if n > 1 else 1
+    return np.sort(order[:n_train]), np.sort(order[n_train:])
+
+
+@pytest.mark.parametrize("train_fraction", [1e-9, 0.1, 0.25, 0.5, 0.8, 0.99, 1.0])
+def test_split_is_unchanged_from_two_samples_up(train_fraction):
+    for n in (2, 3, 4, 5, 7, 10, 11, 63, 200, 1016):
+        for seed in (0, 1, 3):
+            train_idx, test_idx = _split(n, train_fraction, seed)
+            want = _split_with_the_one_sample_case(n, train_fraction, seed)
+            assert np.array_equal(train_idx, want[0]) and np.array_equal(test_idx, want[1])
+            assert len(train_idx) >= 1 and len(test_idx) >= 1

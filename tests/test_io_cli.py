@@ -331,6 +331,35 @@ class TestCliWorkflow:
         report = json.loads((out / "report.json").read_text())
         assert report["seed"] == 99
 
+    @pytest.mark.parametrize("value, shown", [("x", "'x'"), ("-1", "-1"), ("2.5", "'2.5'"), ("", "''")])
+    def test_bad_seed_env_is_an_error_of_every_seeded_command(self, trained_chain, tmp_path, capsys, monkeypatch, value, shown):
+        data = shutil.copytree(trained_chain[0], tmp_path / "data")
+        (data / "region_map.csv").unlink()
+        cfg_path = tmp_path / "config.json"
+        scene = json.loads((trained_chain[0].parent / "scene.json").read_text())
+        cfg_path.write_text(json.dumps({"scene": scene, "template_size": [8, 8], "min_count": 0}))
+        monkeypatch.setenv("AMDN_SEED", value)
+        runs = {
+            "generate": ["generate", "--scene", str(trained_chain[0].parent / "scene.json"), "--out", str(tmp_path / "gen")],
+            "segment": ["segment", "--data", str(data), "--template", "8x8"],
+            "pipeline": ["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "run")],
+        }
+        for command, argv in runs.items():
+            assert main(argv) == 1
+            want = f"error: [{command}] environment variable AMDN_SEED is {shown}; it must be an integer >= 0\n"
+            assert capsys.readouterr().err == want
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "data"]
+        assert not (data / "region_map.csv").exists()
+
+    def test_seed_env_seeds_the_generated_scene(self, dataset, tmp_path, monkeypatch):
+        scene = dataclasses.replace(dataset[0], grid_jitter=0.5)
+        (tmp_path / "scene.json").write_text(json.dumps(scene_to_json(scene)))
+        monkeypatch.setenv("AMDN_SEED", "7")
+        assert main(["generate", "--scene", str(tmp_path / "scene.json"), "--out", str(tmp_path / "d")]) == 0
+        got = [s.pos for s in dio.read_dataset(tmp_path / "d")]
+        assert got == [s.pos for s in build_dataset(dataclasses.replace(scene, seed=7))]
+        assert got != [s.pos for s in build_dataset(scene)]
+
     def test_pipeline_unknown_config_key_exits_1(self, tmp_path, capsys):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({"tau_inn": 0.5, "seed": 1}))

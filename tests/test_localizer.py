@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -625,6 +626,34 @@ def test_locate_across_chunks_on_the_dense_reference_scene():
     assert regions == [0] * len(test)
     assert np.array_equal(xy, np.array([predict(model, s) for s in test]))
     assert np.array_equal(xy, np.array([predict_oracle(model, s) for s in test]))
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes that ``fn()`` allocates, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_one_region_locate_keeps_no_magnitude_stack():
+    # the peak is the raw and the standardized feature arrays plus one
+    # chunk's feature pass; the (n, nt, nc) magnitude stack that only
+    # routing reads would add 2.4 MB on top
+    samples = build_dataset(SceneConfig(grid_spacing_m=8.0, **REFERENCE_SCENE))
+    train_s, test = samples[::5], samples[:300]
+    model = train(train_s, segment(train_s, {**default_config(), "single_region": True}))
+    config = model.config
+    locate(model, test[:2])  # first-call imports and caches
+    out = np.empty((_CHUNK, config.fused_len))
+    chunk_pass = _traced_peak(lambda: _stack_features(test[:_CHUNK], config, out))
+    features = 2 * len(test) * config.fused_len * 8
+    stack = len(test) * config.nt * config.nc * 8
+    slack = 64 * 1024
+    assert stack > 30 * slack
+    assert _traced_peak(lambda: locate(model, test)) <= features + chunk_pass + slack
 
 
 class TestPiecewiseLinearRecovery:

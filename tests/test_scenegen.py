@@ -1,4 +1,6 @@
+import json
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -379,7 +381,36 @@ class TestNlosFilter:
         assert nlos and all(not s.is_los for s in nlos)
 
 
+class TestRect:
+    def test_coordinate_arrays_equal_per_point_calls(self):
+        rect = Rect(2.0, -1.5, 3.0, 0.75)
+        x0, y0, x1, y1 = rect.x, rect.y, rect.x + rect.w, rect.y + rect.h
+        # every wall, its corners, points just inside and outside each
+        # wall, and random points around the rectangle
+        xs = [x0, x1, np.nextafter(x0, x1), np.nextafter(x1, x0), np.nextafter(x0, -9), np.nextafter(x1, 9), 3.1]
+        ys = [y0, y1, np.nextafter(y0, y1), np.nextafter(y1, y0), np.nextafter(y0, -9), np.nextafter(y1, 9), -1.0]
+        gx, gy = np.meshgrid(xs, ys)
+        rng = np.random.default_rng(2)
+        px = np.concatenate([gx.ravel(), rng.uniform(0.0, 7.0, 43)])
+        py = np.concatenate([gy.ravel(), rng.uniform(-3.0, 1.0, 43)])
+        got = rect.contains((px, py))
+        want = [rect.contains(pt) for pt in zip(px.tolist(), py.tolist())]
+        assert got.dtype == bool and got.tolist() == want
+        assert want == [x0 < x < x1 and y0 < y < y1 for x, y in zip(px.tolist(), py.tolist())]
+        assert any(want) and not all(want) and all(type(v) is bool for v in want)
+        assert rect.contains((px.reshape(4, -1), py.reshape(4, -1))).tolist() == got.reshape(4, -1).tolist()
+
+
 class TestSceneJson:
+    def test_keys_are_the_fields_in_order(self):
+        scene = open_scene(buildings=[Rect(30, 30, 20, 20)])
+        obj = scene_to_json(scene)
+        assert list(obj) == [f.name for f in fields(SceneConfig)]
+        assert (obj["area_m"], obj["bs_pos"], obj["buildings"], obj["snr_db"]) == (
+            [100.0, 100.0], [50.0, 50.0], [[30, 30, 20, 20]], None
+        )
+        assert json.loads(json.dumps(obj)) == obj
+
     def test_roundtrip(self):
         scene = open_scene(buildings=[Rect(30, 30, 20, 20)], grid_jitter=0.3, seed=5)
         again = scene_from_json(scene_to_json(scene))
