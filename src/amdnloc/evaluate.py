@@ -10,20 +10,23 @@ import numpy as np
 from . import io as dio
 from .channel import _chunks, render_image
 from .fusion import RegionLabels, Segmentation, cleanse, fuse_labels
-from .localizer import locate, train
+from .localizer import _BLOCK_GRID, locate, train
 from .scenegen import (
     _COUNT,
+    _NLOS_MODES,
+    _NONNEGATIVE,
     _SEED,
     SceneConfig,
     _check,
     _is_int,
     _is_real,
+    _one_of,
     build_dataset,
     nlos_filter,
     scene_from_json,
     scene_to_json,
 )
-from .segmentation_adcam import _distinct_rows, build_features, select_k
+from .segmentation_adcam import _PATH_SELECTS, _distinct_rows, build_features, select_k
 from .segmentation_cfr import extract_templates, segment_cfr
 
 __all__ = [
@@ -40,15 +43,20 @@ __all__ = [
 DEFAULT_CDF_THRESHOLDS = [0.5, 1.0, 2.0, 3.0, 5.0, 10.0, 20.0, 50.0, 100.0, 250.0, 500.0]
 _CELL_PX = 4  # meters per pixel of the region-map raster, along each axis
 _FRACTION = ("a number in (0, 1]", lambda v: _is_real(v) and 0 < v <= 1)
-# the config keys checked before a run; scene, nlos_mode, template_size
-# and path_select are checked by the stage that reads them
 _CONFIG_RULES = {
+    "scene": ("a scene object", lambda v: isinstance(v, dict)),
+    "nlos_mode": _one_of(_NLOS_MODES),
     "tau_in": _FRACTION,
     "tau_out": _FRACTION,
+    "template_size": (
+        "two integers >= 1",
+        lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(_is_int(side) and side >= 1 for side in v),
+    ),
     "min_count": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
     "k_max": _COUNT,
+    "path_select": _one_of(_PATH_SELECTS),
     "train_fraction": _FRACTION,
-    "ridge_lambda": ("a finite number >= 0", lambda v: _is_real(v) and v >= 0),
+    "ridge_lambda": _NONNEGATIVE,
     "single_region": ("true or false", lambda v: isinstance(v, bool)),
     "seed": _SEED,
 }
@@ -193,12 +201,13 @@ def run_pipeline(config: dict, out_dir: str | Path | None = None) -> dict:
     the trained matchers. The config ``seed`` seeds everything, the
     scene included: it always replaces the scene's own ``seed``.
     A config that is not a dict, a top-level key that
-    ``default_config`` lacks, or a value of the wrong type or range
-    (``_CONFIG_RULES``), is a ``[config]`` error, raised before anything
-    is written. The error is reported on held-out samples only, so
-    fewer than 2 samples after ``nlos_filter`` is a ``[generate]``
-    error. Returns the report dict; when
-    ``out_dir`` is given all artifacts (dataset, region map, model,
+    ``default_config`` lacks, a value of the wrong type or range
+    (``_CONFIG_RULES``), a bad scene value, or a template or feature
+    block grid larger than the scene's (nt, nc), is a ``[config]``
+    error, raised before anything runs or is written. The error is
+    reported on held-out samples only, so fewer than 2 samples after
+    ``nlos_filter`` is a ``[generate]`` error. Returns the report dict;
+    when ``out_dir`` is given all artifacts (dataset, region map, model,
     report) are written there.
     """
     if not isinstance(config, dict):
@@ -209,10 +218,14 @@ def run_pipeline(config: dict, out_dir: str | Path | None = None) -> dict:
     cfg = {**default_config(), **config}
     try:
         _check(_CONFIG_RULES, cfg, "key")
-    except ValueError as e:
+        scene = scene_from_json(cfg["scene"])
+        shape = (scene.nt, scene.nc)
+        for name, size in (("template_size", tuple(cfg["template_size"])), ("feature block grid", _BLOCK_GRID)):
+            if size[0] > shape[0] or size[1] > shape[1]:
+                raise ValueError(f"{name} {size} is larger than the scene's (nt, nc) {shape}")
+    except (ValueError, TypeError) as e:
         raise PipelineError("config", str(e)) from None
     try:
-        scene = scene_from_json(cfg["scene"])
         scene.seed = int(cfg["seed"])
         samples = build_dataset(scene)
         samples = nlos_filter(samples, cfg["nlos_mode"])

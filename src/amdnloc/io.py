@@ -18,13 +18,14 @@ import numpy as np
 from .channel import PathRecord, _chunks, render_image
 from .fusion import RegionLabels, Segmentation
 from .localizer import FeatureConfig, LocalizationModel
-from .scenegen import Sample
-from .segmentation_adcam import Standardizer
+from .scenegen import _COUNT, _NONNEGATIVE, Sample, _check, _is_int, _one_of
+from .segmentation_adcam import _PATH_SELECTS, Standardizer
 from .segmentation_cfr import extract_templates
 
 __all__ = [
     "MAGIC",
     "FORMAT_VERSION",
+    "MODEL_VERSION",
     "write_dataset",
     "read_dataset",
     "write_region_map",
@@ -36,7 +37,8 @@ __all__ = [
 ]
 
 MAGIC = b"AMDN"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 1  # of the .bin files
+MODEL_VERSION = 1  # of model.json
 
 
 def _write_bin(path: Path, arrays: list[np.ndarray], complex_data: bool):
@@ -201,8 +203,30 @@ def _std_to_json(s: Standardizer) -> dict:
     return {"mean": s.mean.tolist(), "scale": s.scale.tolist()}
 
 
-def _std_from_json(obj: dict) -> Standardizer:
-    return Standardizer(mean=np.array(obj["mean"]), scale=np.array(obj["scale"]))
+def _array(path, key: str, value, shape: tuple) -> np.ndarray:
+    """``value`` as a float array of ``shape``, every entry finite, where
+    ``None`` in ``shape`` is any length >= 1; else a ``ValueError`` that
+    names the file and the key."""
+    try:
+        arr = np.array(value)
+    except ValueError:  # lists of unequal lengths
+        arr = np.array(None)
+    fits = arr.ndim == len(shape) and all(n == want or want is None and n >= 1 for n, want in zip(arr.shape, shape))
+    if not (fits and arr.dtype.kind in "iuf" and np.isfinite(arr).all()):
+        dims = " x ".join("k" if n is None else str(n) for n in shape)
+        raise ValueError(f"{path}: {key} must be {dims} finite numbers")
+    return arr.astype(float)
+
+
+def _std_from_json(path, key: str, obj, length: int) -> Standardizer:
+    """A standardizer of ``length`` dims: finite means and scales > 0."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: {key} must be an object with a mean and a scale")
+    mean = _array(path, f"{key} mean", obj.get("mean"), (length,))
+    scale = _array(path, f"{key} scale", obj.get("scale"), (length,))
+    if not np.all(scale > 0):
+        raise ValueError(f"{path}: {key} scale must be > 0")
+    return Standardizer(mean=mean, scale=scale)
 
 
 def _routing_to_json(state: Segmentation | LocalizationModel) -> dict:
@@ -218,8 +242,12 @@ def _routing_to_json(state: Segmentation | LocalizationModel) -> dict:
 def _routing_from_json(path: str | Path, obj: dict, by_id: dict[int, Sample]) -> dict:
     """The routing fields of a ``Segmentation`` or ``LocalizationModel``,
     founder templates re-cut in ascending category order: the trained
-    model's order, by which routing breaks ties."""
-    entries = obj["founders"]
+    model's order, by which routing breaks ties. ``path_select`` must be
+    a key of ``_PATH_SELECTS``, ``adcam_centroids`` k >= 1 rows of the
+    four ``path_descriptor`` values and ``adcam_standardizer`` four
+    values, all finite and its scales > 0."""
+    _check({"path_select": _one_of(_PATH_SELECTS)}, {"path_select": obj.get("path_select")}, f"{path}:")
+    entries = obj.get("founders")
     if not isinstance(entries, dict):
         raise ValueError(f"{path}: founders must be an object from category to founder, not a {type(entries).__name__}")
     for c in entries:
@@ -241,8 +269,8 @@ def _routing_from_json(path: str | Path, obj: dict, by_id: dict[int, Sample]) ->
         founders[int(c)] = extract_templates(img, tuple(f["size"]), founder_id=sid)
     return {
         "founders": founders,
-        "adcam_centroids": np.array(obj["adcam_centroids"]),
-        "adcam_standardizer": _std_from_json(obj["adcam_standardizer"]),
+        "adcam_centroids": _array(path, "adcam_centroids", obj.get("adcam_centroids"), (None, 4)),
+        "adcam_standardizer": _std_from_json(path, "adcam_standardizer", obj.get("adcam_standardizer"), 4),
         "path_select": obj["path_select"],
     }
 
@@ -282,7 +310,7 @@ def read_segmentation(path: str | Path, samples: list[Sample], region_map: str |
 def write_model(path: str | Path, model: LocalizationModel):
     obj = {
         "format": "amdnloc-model",
-        "version": FORMAT_VERSION,
+        "version": MODEL_VERSION,
         "nt": model.config.nt,
         "nc": model.config.nc,
         "ridge_lambda": model.ridge_lambda,
@@ -297,22 +325,65 @@ def write_model(path: str | Path, model: LocalizationModel):
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1))
 
 
+def _by_region(path, key: str, obj, shape: tuple) -> dict[int, np.ndarray]:
+    """A nonempty object from region id to an array of ``shape``."""
+    if not isinstance(obj, dict) or not obj:
+        raise ValueError(f"{path}: {key} must be a nonempty object from region to values")
+    out = {}
+    for r, values in obj.items():
+        try:
+            region = int(r)
+        except ValueError:
+            raise ValueError(f"{path}: {key} region {r!r} is not an integer") from None
+        out[region] = _array(path, f"{key} of region {r}", values, shape)
+    return out
+
+
 def read_model(path: str | Path, samples: list[Sample]) -> LocalizationModel:
-    """Load a model; founder templates are re-cut from the given dataset."""
+    """Load a model; founder templates are re-cut from the given dataset.
+
+    The file must be of ``MODEL_VERSION``, and every field must fit the
+    model's own (nt, nc): each region's weights are (2, fused_len + 1)
+    finite values; the feature standardizer's mean and scale are
+    fused_len finite values, scales > 0; ``region_feature_centroids``
+    holds exactly the weights' regions, each fused_len finite values;
+    each ``pair_to_fused`` entry is three integers whose region has
+    weights; ``ridge_lambda`` is a finite number >= 0. Anything else is
+    a ``ValueError`` that names the file and the key.
+    """
     obj = json.loads(Path(path).read_text())
     if not isinstance(obj, dict) or obj.get("format") != "amdnloc-model":
         raise ValueError(f"{path}: not a model file")
+    version = obj.get("version")
+    if not (_is_int(version) and version == MODEL_VERSION):
+        found = f"version {version!r}" if "version" in obj else "no version"
+        raise ValueError(f"{path}: a model file of {found}; this release reads version {MODEL_VERSION}")
     # Older files name the fit method; closed-form ridge is the only one.
     if obj.get("method", "ridge_closed_form") != "ridge_closed_form":
         raise ValueError(f"{path}: fit method {obj['method']!r} is not supported; models are fit by closed-form ridge")
+    rules = {"nt": _COUNT, "nc": _COUNT, "ridge_lambda": _NONNEGATIVE}
+    _check(rules, {key: obj.get(key) for key in rules}, f"{path}:")
+    config = FeatureConfig(nt=obj["nt"], nc=obj["nc"])
+    weights = _by_region(path, "weights", obj.get("weights"), (2, config.fused_len + 1))
+    centroids = _by_region(path, "region_feature_centroids", obj.get("region_feature_centroids"), (config.fused_len,))
+    if set(centroids) != set(weights):
+        raise ValueError(
+            f"{path}: region_feature_centroids holds regions {sorted(centroids)}, but the weights {sorted(weights)}"
+        )
+    pairs = obj.get("pair_to_fused")
+    if not isinstance(pairs, list):
+        raise ValueError(f"{path}: pair_to_fused must be a list of [cfr_label, adcam_label, region] entries")
+    for entry in pairs:
+        if not (isinstance(entry, list) and len(entry) == 3 and all(map(_is_int, entry))):
+            raise ValueError(f"{path}: pair_to_fused entry {entry!r} is not three integers [cfr_label, adcam_label, region]")
+        if entry[2] not in weights:
+            raise ValueError(f"{path}: pair_to_fused entry {entry!r} names region {entry[2]}, which has no weights")
     return LocalizationModel(
-        config=FeatureConfig(nt=obj["nt"], nc=obj["nc"]),
-        weights={int(r): np.array(w) for r, w in obj["weights"].items()},
+        config=config,
+        weights=weights,
         **_routing_from_json(path, obj, {s.id: s for s in samples}),
-        pair_to_fused={(c, a): f for c, a, f in obj["pair_to_fused"]},
-        feature_standardizer=_std_from_json(obj["feature_standardizer"]),
-        region_feature_centroids={
-            int(r): np.array(c) for r, c in obj["region_feature_centroids"].items()
-        },
+        pair_to_fused={(c, a): f for c, a, f in pairs},
+        feature_standardizer=_std_from_json(path, "feature_standardizer", obj.get("feature_standardizer"), config.fused_len),
+        region_feature_centroids=centroids,
         ridge_lambda=obj["ridge_lambda"],
     )

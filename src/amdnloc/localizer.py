@@ -4,14 +4,14 @@ Features are deterministic: block means of the CFR magnitude/phase and
 angle-delay images, row/column profiles, and the strongest angle-delay
 peaks. ``_image_features`` defines their layout, and ``train``,
 ``locate`` and ``sample_features`` all take them through
-``_stack_features``: one pass over a stack of up to ``channel._CHUNK``
-samples that renders the three images of every sample in place into
-one plane stack and writes the fused vectors into one preallocated array. Each
-fused region gets its own affine regressor over the fused feature
-vector. A model of one region sends every test sample to it; with more
-regions a test sample is routed by re-running the training-time
-matchers (CFR founder templates, clustering centroids) with a
-nearest-centroid fallback.
+``_stack_features``: one pass over the samples, ``channel._CHUNK`` at a
+time, that renders the three images of every sample in place into one
+plane stack and writes the fused vectors into one array, which
+``Standardizer.apply`` then standardizes in place. Each fused region
+gets its own affine regressor over the fused feature vector. A model of
+one region sends every test sample to it; with more regions a test
+sample is routed by re-running the training-time matchers (CFR founder
+templates, clustering centroids) with a nearest-centroid fallback.
 """
 from __future__ import annotations
 
@@ -168,27 +168,31 @@ def _render_planes(cfr: np.ndarray, adcam) -> np.ndarray:
     return planes
 
 
-def _stack_features(samples, config: FeatureConfig, out: np.ndarray) -> np.ndarray:
-    """Write the raw fused feature vectors of samples into ``out`` (n,
-    fused_len), in one pass over their stacked matrices, and return
-    their CFR magnitude images (n, nt, nc).
+def _stack_features(samples, config: FeatureConfig, mags: np.ndarray | None = None) -> np.ndarray:
+    """The raw fused feature vectors of samples, (n, fused_len).
 
-    The samples are checked by ``_check_samples``. ``_render_planes``
-    renders the stacked CFRs and ADCAMs in place into one
-    (3, n, nt, nc) plane stack, with no ``render_image`` call, and
-    ``_image_features`` reduces it.
+    The samples are checked once by ``_check_samples``, then taken
+    ``channel._CHUNK`` at a time: ``_render_planes`` renders a chunk's
+    stacked CFRs and ADCAMs in place into one (3, chunk, nt, nc) plane
+    stack, with no ``render_image`` call, and ``_image_features`` writes
+    its rows of the result. When ``mags`` (n, nt, nc) is given, each
+    chunk's CFR magnitude images are written into its rows.
     """
     _check_samples(samples, (config.nt, config.nc))
-    planes = _render_planes(np.array([s.cfr for s in samples]), [s.adcam for s in samples])
-    _image_features(planes, out)
-    return planes[0]
+    raw = np.empty((len(samples), config.fused_len))
+    for rows in _chunks(len(samples)):
+        chunk = samples[rows]
+        planes = _render_planes(np.array([s.cfr for s in chunk]), [s.adcam for s in chunk])
+        _image_features(planes, raw[rows])
+        if mags is not None:
+            mags[rows] = planes[0]
+        del planes  # the next chunk's render does not hold this one's planes too
+    return raw
 
 
 def sample_features(sample, config: FeatureConfig) -> np.ndarray:
     """Raw (un-normalized) fused feature vector of one dataset sample."""
-    out = np.empty((1, config.fused_len))
-    _stack_features([sample], config, out)
-    return out[0]
+    return _stack_features([sample], config)[0]
 
 
 def fit_region_weights(x: np.ndarray, y: np.ndarray, ridge_lambda: float = 1e-3) -> np.ndarray:
@@ -253,15 +257,10 @@ def train(samples, segmentation: Segmentation, ridge_lambda: float = 1e-3) -> Lo
     if not retained.any():
         raise ValueError(f"none of the {len(samples)} training samples is retained; every one was cleansed")
     config = FeatureConfig(nt=samples[0].cfr.shape[0], nc=samples[0].cfr.shape[1])
-    raw = np.empty((len(samples), config.fused_len))
-    for rows in _chunks(len(samples)):
-        _stack_features(samples[rows], config, raw[rows])
+    raw = _stack_features(samples, config)
     # no gathered copy of the rows when every sample is retained
     feat_std = Standardizer.fit(raw if retained.all() else raw[retained])
-    # Standardizer.apply's two operations, in place
-    feats = raw
-    feats -= feat_std.mean
-    feats /= feat_std.scale
+    feats = feat_std.apply(raw, out=raw)
     positions = np.array([s.pos for s in samples])
 
     weights: dict[int, np.ndarray] = {}
@@ -302,26 +301,19 @@ def locate(model: LocalizationModel, samples) -> tuple[np.ndarray, list[int]]:
     comes from ``_best_pairs`` over the model's ``corner_banks``, which
     scores a founder's t2 only where it can still win; a call takes the
     ``rfft2`` of its samples' CFR magnitude images and of no template.
-    The features are taken ``channel._CHUNK`` samples at a time, in one
-    ``_stack_features`` pass per chunk, which renders the planes in
-    place; with more than one region its magnitude images fill the one
-    (n, nt, nc) stack that routing scores. Every sample's CFR and ADCAM
-    must have the model's shape (nt, nc). No samples give an empty
-    (0, 2) array and no regions.
+    The features come from one ``_stack_features`` pass, standardized in
+    place; with more than one region it also fills the one (n, nt, nc)
+    stack of magnitude images that routing scores. Every sample's CFR
+    and ADCAM must have the model's shape (nt, nc). No samples give an
+    empty (0, 2) array and no regions.
     """
     if not samples:
         return np.empty((0, 2)), []
     config = model.config
-    routed = len(model.weights) > 1
-    mags = np.empty((len(samples), config.nt, config.nc)) if routed else None
-    raw = np.empty((len(samples), config.fused_len))
-    for rows in _chunks(len(samples)):
-        if routed:
-            mags[rows] = _stack_features(samples[rows], config, raw[rows])
-        else:
-            _stack_features(samples[rows], config, raw[rows])
-    feats = model.feature_standardizer.apply(raw)
-    if not routed:
+    mags = np.empty((len(samples), config.nt, config.nc)) if len(model.weights) > 1 else None
+    raw = _stack_features(samples, config, mags)
+    feats = model.feature_standardizer.apply(raw, out=raw)
+    if mags is None:
         # both the pair lookup and the fallback can only give this region
         regions = list(model.weights) * len(samples)
     else:

@@ -54,7 +54,13 @@ def _check(rules: dict, values: dict, what: str):
             raise ValueError(f"{what} {key} is {values[key]!r}; it must be {want}")
 
 
+def _one_of(names) -> tuple[str, object]:
+    """The rule that a value is one of the string ``names``."""
+    return f"one of {', '.join(map(repr, names))}", lambda v: isinstance(v, str) and v in names
+
+
 _POSITIVE = ("a finite number > 0", lambda v: _is_real(v) and v > 0)
+_NONNEGATIVE = ("a finite number >= 0", lambda v: _is_real(v) and v >= 0)
 _COUNT = ("an integer >= 1", lambda v: _is_int(v) and v >= 1)
 _SEED = ("an integer >= 0", lambda v: _is_int(v) and v >= 0)
 _PAIR = ("two finite numbers", lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_real, v)))
@@ -323,14 +329,14 @@ def build_dataset(scene: SceneConfig) -> list[Sample]:
     ]
 
 
+# the samples each nlos_filter mode keeps
+_NLOS_MODES = {"all": lambda s: True, "nlos_only": lambda s: not s.is_los}
+
+
 def nlos_filter(samples: list[Sample], mode: str = "all") -> list[Sample]:
-    """Keep NLOS-only samples or everything."""
-    if mode == "all":
-        out = list(samples)
-    elif mode == "nlos_only":
-        out = [s for s in samples if not s.is_los]
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    """Keep the samples of a mode of ``_NLOS_MODES``: everything or NLOS only."""
+    _check({"mode": _one_of(_NLOS_MODES)}, {"mode": mode}, "nlos_filter")
+    out = [s for s in samples if _NLOS_MODES[mode](s)]
     if not out:
         raise ValueError(f"nlos_filter({mode!r}) left no samples")
     return out

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import _chunks
+from .scenegen import _check, _one_of
 
 __all__ = [
     "ClusterModel",
@@ -46,8 +47,11 @@ class Standardizer:
         scale = np.where(std > floor, std, 1.0)
         return cls(mean=mean, scale=scale)
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return (np.asarray(x, dtype=float) - self.mean) / self.scale
+    def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """(x - mean) / scale, written into ``out`` when it is given;
+        ``out=x`` standardizes ``x`` in place."""
+        out = np.subtract(np.asarray(x, dtype=float), self.mean, out=out)
+        return np.divide(out, self.scale, out=out)
 
 
 @dataclass
@@ -58,20 +62,20 @@ class ClusterModel:
     wcss: float
 
 
+# what each path_select minimizes over a sample's paths
+_PATH_SELECTS = {"strongest": lambda p: p.pathloss_db, "first_arrival": lambda p: p.delay_samples}
+
+
 def path_descriptor(sample, path_select: str) -> list[float]:
     """[aod, aoa, |gain|, pathloss_db] of the path that represents a sample.
 
-    ``path_select`` picks that path: "strongest" (lowest pathloss) or
-    "first_arrival" (smallest delay).
+    ``path_select``, a key of ``_PATH_SELECTS``, picks that path:
+    "strongest" (lowest pathloss) or "first_arrival" (smallest delay).
     """
+    _check({"path_select": _one_of(_PATH_SELECTS)}, {"path_select": path_select}, "key")
     if not sample.paths:
         raise ValueError(f"sample {sample.id} has no paths")
-    if path_select == "strongest":
-        p = min(sample.paths, key=lambda p: p.pathloss_db)
-    elif path_select == "first_arrival":
-        p = min(sample.paths, key=lambda p: p.delay_samples)
-    else:
-        raise ValueError(f"unknown path_select {path_select!r}")
+    p = min(sample.paths, key=_PATH_SELECTS[path_select])
     return [p.aod, p.aoa, abs(p.gain), p.pathloss_db]
 
 
@@ -79,7 +83,7 @@ def build_features(samples, path_select: str = "strongest") -> tuple[np.ndarray,
     """One standardized ``path_descriptor`` row per sample."""
     raw = np.asarray([path_descriptor(s, path_select) for s in samples], dtype=float)
     std = Standardizer.fit(raw)
-    return std.apply(raw), std
+    return std.apply(raw, out=raw), std
 
 
 def _dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:

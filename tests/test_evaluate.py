@@ -189,11 +189,11 @@ class TestRunPipeline:
         assert {"report.json", "model.json", "region_map.csv", "region_map.ppm", "dataset/cfr.bin"} <= set(want)
         for chunk in (1, 3, 5):
             out = tmp_path / f"chunk-{chunk}"
-            spy = mock.Mock(wraps=localizer._stack_features)
-            with mock.patch.object(channel, "_CHUNK", chunk), mock.patch.object(localizer, "_stack_features", spy):
+            spy = mock.Mock(wraps=localizer._render_planes)
+            with mock.patch.object(channel, "_CHUNK", chunk), mock.patch.object(localizer, "_render_planes", spy):
                 report = run_pipeline(config, out_dir=out)
             assert report["n_train"] > 5
-            # train and locate each take one feature pass per chunk
+            # train and locate each render one plane stack per chunk
             assert spy.call_count == math.ceil(report["n_train"] / chunk) + math.ceil(report["n_test"] / chunk)
             assert artifacts(out) == want, chunk
 
@@ -256,28 +256,76 @@ class TestRunPipeline:
 
     def test_stage_tagged_error(self):
         bad = {**SMALL_CONFIG, "scene": {**SMALL_CONFIG["scene"], "bs_pos": [26.0, 30.0]}}
-        with pytest.raises(PipelineError) as exc:
+        with pytest.raises(PipelineError, match=r"\[config\] bs_pos inside a building") as exc:
             run_pipeline(bad)
-        assert exc.value.stage == "generate"
+        assert exc.value.stage == "config"
 
     @pytest.mark.parametrize("single_region", [False, True])
     @pytest.mark.parametrize("size", [(0, 8), (8, -2)])
-    def test_template_side_below_one_is_a_segment_error(self, tmp_path, size, single_region):
+    def test_template_side_below_one_is_a_config_error(self, tmp_path, size, single_region):
         cfg = {**SMALL_CONFIG, "template_size": list(size), "single_region": single_region}
-        with pytest.raises(PipelineError, match=rf"template size \({size[0]}, {size[1]}\)") as exc:
+        with pytest.raises(PipelineError, match=re.escape(f"key template_size is {list(size)!r}; it must be two integers >= 1")) as exc:
             run_pipeline(cfg, out_dir=tmp_path)
-        assert exc.value.stage == "segment"
-        assert not (tmp_path / "model.json").exists()
+        assert exc.value.stage == "config"
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("single_region", [False, True])
     @pytest.mark.parametrize("size", [[8.5, 8], ["8", 8], [8, 8, 8], 8], ids=["float", "str", "three", "scalar"])
-    def test_template_size_not_two_integers_is_a_segment_error(self, tmp_path, size, single_region):
+    def test_template_size_not_two_integers_is_a_config_error(self, tmp_path, size, single_region):
         cfg = {**SMALL_CONFIG, "template_size": size, "single_region": single_region}
-        named = re.escape(repr(tuple(size) if isinstance(size, list) else (size,)))
-        with pytest.raises(PipelineError, match=rf"template size {named} is not two integers") as exc:
+        with pytest.raises(PipelineError, match=re.escape(f"key template_size is {size!r}; it must be two integers >= 1")) as exc:
             run_pipeline(cfg, out_dir=tmp_path)
-        assert exc.value.stage == "segment"
-        assert not (tmp_path / "model.json").exists()
+        assert exc.value.stage == "config"
+        assert not any(tmp_path.iterdir())
+
+    def test_config_rules_cover_every_config_key(self):
+        assert set(_CONFIG_RULES) == set(default_config())
+
+    @pytest.mark.parametrize(
+        "scene, message",
+        [
+            ({"nt": 0}, "scene nt is 0; it must be an integer >= 1"),
+            ({"grid_spacing_m": -5}, "scene grid_spacing_m is -5; it must be a finite number > 0"),
+            ({"bs_pos": [26.0, 30.0]}, "bs_pos inside a building"),
+            ({"bogus": 1}, "unknown scene keys: 'bogus'"),
+            ({"nt": 4, "nc": 4}, "template_size (8, 8) is larger than the scene's (nt, nc) (4, 4)"),
+            ({"nt": 8, "nc": 6}, "template_size (8, 8) is larger than the scene's (nt, nc) (8, 6)"),
+        ],
+        ids=["nt", "grid_spacing_m", "bs_pos", "unknown", "template_4x4", "template_8x6"],
+    )
+    def test_bad_scene_value_is_a_config_error(self, tmp_path, capsys, monkeypatch, scene, message):
+        cfg = {**SMALL_CONFIG, "scene": {**SMALL_CONFIG["scene"], **scene}}
+        with pytest.raises(PipelineError, match=re.escape(message)) as exc:
+            run_pipeline(cfg, out_dir=tmp_path / "lib")
+        assert exc.value.stage == "config"
+        # the console script: exit 1, nothing written, no traceback
+        monkeypatch.delenv("AMDN_SEED", raising=False)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "cli")]) == 1
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize(
+        "scene, template, message",
+        [
+            ({"nt": 16, "nc": 16}, [100, 100], "template_size (100, 100) is larger than the scene's (nt, nc) (16, 16)"),
+            ({"nt": 16, "nc": 16}, [8, 17], "template_size (8, 17) is larger than the scene's (nt, nc) (16, 16)"),
+            ({"nt": 4, "nc": 4}, [4, 4], "feature block grid (8, 8) is larger than the scene's (nt, nc) (4, 4)"),
+            ({"nt": 16, "nc": 7}, [4, 4], "feature block grid (8, 8) is larger than the scene's (nt, nc) (16, 7)"),
+        ],
+    )
+    def test_template_or_block_grid_larger_than_the_scene_is_a_config_error(self, tmp_path, scene, template, message):
+        cfg = {**SMALL_CONFIG, "scene": {**SMALL_CONFIG["scene"], **scene}, "template_size": template}
+        with pytest.raises(PipelineError, match=re.escape(message)) as exc:
+            run_pipeline(cfg, out_dir=tmp_path)
+        assert exc.value.stage == "config"
+        assert not any(tmp_path.iterdir())
+
+    def test_template_and_block_grid_as_large_as_the_scene_pass(self):
+        scene = {**SMALL_CONFIG["scene"], "nt": 8, "nc": 8}
+        report = run_pipeline({**SMALL_CONFIG, "scene": scene, "template_size": [8, 8], "single_region": True})
+        assert report["region_count"] == 1
 
     def test_unknown_config_key_is_a_config_error(self, tmp_path):
         with pytest.raises(PipelineError, match="'tau_inn'") as exc:
@@ -296,6 +344,8 @@ class TestRunPipeline:
             ("ridge_lambda", "x"), ("ridge_lambda", -1), ("ridge_lambda", math.inf), ("ridge_lambda", False),
             ("single_region", "no"), ("single_region", 1), ("single_region", None),
             ("seed", "3"), ("seed", 2.5), ("seed", -1), ("seed", True),
+            ("scene", "x"), ("scene", None), ("nlos_mode", "x"), ("nlos_mode", ["all"]),
+            ("path_select", "loudest"), ("path_select", None),
         ],
     )
     def test_config_value_of_wrong_type_or_range_is_a_config_error(self, tmp_path, capsys, monkeypatch, key, value):
@@ -313,7 +363,8 @@ class TestRunPipeline:
     @pytest.mark.parametrize(
         "key, value",
         [("tau_in", 1), ("tau_out", 1.0), ("min_count", 0), ("k_max", 1), ("train_fraction", 1),
-         ("ridge_lambda", 0), ("single_region", False), ("seed", 0), ("seed", np.int64(3))],
+         ("ridge_lambda", 0), ("single_region", False), ("seed", 0), ("seed", np.int64(3)),
+         ("nlos_mode", "nlos_only"), ("path_select", "first_arrival"), ("template_size", (1, 1))],
     )
     def test_config_values_at_their_bounds_pass_the_check(self, key, value):
         _check(_CONFIG_RULES, {**default_config(), key: value}, "key")

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 import re
 import shutil
 import struct
@@ -15,7 +16,7 @@ from amdnloc import io as dio
 from amdnloc.channel import PathRecord
 from amdnloc.cli import main
 from amdnloc.evaluate import error_report
-from amdnloc.localizer import locate
+from amdnloc.localizer import FeatureConfig, locate
 from amdnloc.scenegen import Rect, Sample, SceneConfig, build_dataset, scene_to_json
 
 
@@ -391,7 +392,8 @@ class TestCliWorkflow:
     @pytest.mark.parametrize(
         "option, value, named",
         [("--k-max", "0", "k_max is 0"), ("--tau-in", "1.5", "tau_in is 1.5"), ("--tau-out", "nan", "tau_out is nan"),
-         ("--min-count", "-1", "min_count is -1"), ("--seed", "-2", "seed is -2")],
+         ("--min-count", "-1", "min_count is -1"), ("--seed", "-2", "seed is -2"),
+         ("--path-select", "loudest", "path_select is 'loudest'")],
     )
     def test_segment_option_out_of_range_is_a_segment_error(self, trained_chain, tmp_path, capsys, option, value, named):
         data = shutil.copytree(trained_chain[0], tmp_path / "data")
@@ -399,6 +401,9 @@ class TestCliWorkflow:
         assert main(["segment", "--data", str(data), "--template", "8x8", option, value]) == 1
         assert f"error: [segment] key {named}; it must be" in capsys.readouterr().err
         assert not (data / "region_map.csv").exists()
+        # the options are checked before the dataset is read
+        assert main(["segment", "--data", str(tmp_path / "no_data"), "--template", "8x8", option, value]) == 1
+        assert f"error: [segment] key {named}; it must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
     def test_train_ridge_lambda_out_of_range_is_a_train_error(self, trained_chain, tmp_path, capsys, value):
@@ -413,6 +418,16 @@ class TestCliWorkflow:
         bad.write_text(json.dumps({"bs_pos": [50, 50], "buildings": [[40, 40, 20, 20]]}))
         rc = main(["generate", "--scene", str(bad), "--out", str(tmp_path / "d")])
         assert rc != 0
+
+
+FUSED = FeatureConfig(16, 16).fused_len  # the features of trained_chain's 16x16 scene
+
+
+def _put(obj, where: list, value):
+    """Set the entry of a nested JSON object that ``where`` leads to."""
+    for key in where[:-1]:
+        obj = obj[key]
+    obj[where[-1]] = value
 
 
 @pytest.fixture(scope="module")
@@ -638,7 +653,7 @@ class TestBoundaryErrors:
         seg = (data / "segmentation.json").read_bytes()
         assert main(["segment", "--data", str(data), "--template", "0x16"]) == 1
         err = capsys.readouterr().err
-        assert "[segment]" in err and "template size (0, 16)" in err
+        assert "[segment] key template_size is (0, 16); it must be two integers >= 1" in err
         assert (data / "segmentation.json").read_bytes() == seg
 
     @pytest.mark.parametrize("template", ["16", "16x", "x16", "16x16x16", "axb", ""])
@@ -681,6 +696,87 @@ class TestBoundaryErrors:
         assert rc == 1
         err = capsys.readouterr().err
         assert "[eval]" in err and str(bad) in err and "not a model file" in err
+
+    @pytest.mark.parametrize(
+        "where, value, message",
+        [
+            (["weights", "0", 0, 0], math.nan, f"weights of region 0 must be 2 x {FUSED + 1} finite numbers"),
+            (["weights", "0", 1], [0.0], f"weights of region 0 must be 2 x {FUSED + 1} finite numbers"),
+            (["weights", "0", 0, 0], "1.5", f"weights of region 0 must be 2 x {FUSED + 1} finite numbers"),
+            (["weights"], {}, "weights must be a nonempty object from region to values"),
+            (["feature_standardizer", "mean"], [0.0], f"feature_standardizer mean must be {FUSED} finite numbers"),
+            (["feature_standardizer", "scale", 3], 0.0, "feature_standardizer scale must be > 0"),
+            (["feature_standardizer", "scale", 3], math.inf, f"feature_standardizer scale must be {FUSED} finite numbers"),
+            (["region_feature_centroids", "0"], [0.0], f"region_feature_centroids of region 0 must be {FUSED} finite numbers"),
+            (["region_feature_centroids", "99"], [0.0] * FUSED, ", 99], but the weights [0, 1, "),
+            (["pair_to_fused", 0, 2], 99, "names region 99, which has no weights"),
+            (["pair_to_fused", 0], [0, 1], "pair_to_fused entry [0, 1] is not three integers"),
+            (["pair_to_fused", 0, 0], 0.5, "is not three integers"),
+            (["ridge_lambda"], "x", "ridge_lambda is 'x'; it must be a finite number >= 0"),
+            (["ridge_lambda"], -1.0, "ridge_lambda is -1.0; it must be a finite number >= 0"),
+            (["nt"], "16", "nt is '16'; it must be an integer >= 1"),
+            (["adcam_centroids", 0], [0.0, 1.0, 2.0], "adcam_centroids must be k x 4 finite numbers"),
+            (["adcam_centroids"], [], "adcam_centroids must be k x 4 finite numbers"),
+            (["adcam_standardizer", "mean", 0], None, "adcam_standardizer mean must be 4 finite numbers"),
+            (["adcam_standardizer", "scale", 1], -1.0, "adcam_standardizer scale must be > 0"),
+            (["adcam_standardizer"], [1, 2], "adcam_standardizer must be an object with a mean and a scale"),
+        ],
+        ids=[
+            "nan-weight", "short-weight-row", "string-weight", "no-weights", "short-mean", "zero-scale", "inf-scale",
+            "short-centroid", "extra-centroid", "pair-to-untrained", "pair-of-two", "pair-float", "lambda-string",
+            "lambda-negative", "nt-string", "centroid-row-of-3", "no-centroids", "adcam-mean-null",
+            "adcam-scale-negative", "adcam-std-list",
+        ],
+    )
+    def test_eval_rejects_a_model_value_it_cannot_use(self, trained_chain, tmp_path, capsys, where, value, message):
+        data, model_path = trained_chain
+        obj = json.loads(model_path.read_text())
+        assert "0" in obj["weights"] and "99" not in obj["weights"]
+        _put(obj, where, value)
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(obj))
+        rc = main(["eval", "--data", str(data), "--model", str(bad), "--out", str(tmp_path / "r.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: [eval] {bad}: ") and message in err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize(
+        "where, value, message",
+        [
+            (["adcam_centroids", 1], [0.0, math.nan, 0.0, 0.0], "adcam_centroids must be k x 4 finite numbers"),
+            (["adcam_standardizer", "scale"], [1.0, 1.0, 1.0], "adcam_standardizer scale must be 4 finite numbers"),
+            (["adcam_standardizer", "scale", 0], 0, "adcam_standardizer scale must be > 0"),
+        ],
+        ids=["nan-centroid", "short-scale", "zero-scale"],
+    )
+    def test_train_rejects_a_segmentation_value_it_cannot_use(self, trained_chain, tmp_path, capsys, where, value, message):
+        data = shutil.copytree(trained_chain[0], tmp_path / "data")
+        seg = json.loads((data / "segmentation.json").read_text())
+        _put(seg, where, value)
+        (data / "segmentation.json").write_text(json.dumps(seg))
+        out = tmp_path / "m.json"
+        assert main(["train", "--data", str(data), "--regions", str(data / "region_map.csv"), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: [train] {data / 'segmentation.json'}: ") and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("version", [99, 0, "1", 1.0, True, None, "missing"])
+    def test_eval_rejects_a_model_of_another_version(self, trained_chain, tmp_path, capsys, version):
+        data, model_path = trained_chain
+        obj = json.loads(model_path.read_text())
+        assert obj["version"] == dio.MODEL_VERSION == 1
+        if version == "missing":
+            del obj["version"]
+        else:
+            obj["version"] = version
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(obj))
+        rc = main(["eval", "--data", str(data), "--model", str(bad), "--out", str(tmp_path / "r.json")])
+        assert rc == 1
+        found = "no version" if version == "missing" else f"version {version!r}"
+        assert f"[eval] {bad}: a model file of {found}; this release reads version 1" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
     def test_eval_rejects_founders_of_mixed_sizes(self, trained_chain, tmp_path, capsys):
         data, model_path = trained_chain
@@ -861,7 +957,7 @@ class TestModelRoundtrip:
         assert np.array_equal(locate(again, held_out)[0], locate(model, held_out)[0])
 
     def test_model_file_naming_ridge_still_reads(self, dataset, trained_model, tmp_path):
-        from amdnloc.localizer import locate
+        from amdnloc.localizer import FeatureConfig, locate
 
         _, samples = dataset
         path = tmp_path / "model.json"

@@ -1,13 +1,14 @@
 import dataclasses
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
+from amdnloc import channel, localizer
 from amdnloc import io as dio
-from amdnloc import localizer
 from amdnloc.channel import _CHUNK, PathRecord, render_image
 from amdnloc.evaluate import _split, default_config, segment
 from amdnloc.fusion import Segmentation, cleanse, fuse_labels
@@ -123,10 +124,11 @@ def test_stacked_features_equal_the_per_sample_oracle(spacing, step):
     samples = build_dataset(SceneConfig(grid_spacing_m=spacing, **REFERENCE_SCENE))[::step]
     config = FeatureConfig(nt=32, nc=32)
     want = np.array([features_oracle(s) for s in samples])
-    got = np.empty((len(samples), config.fused_len))
-    mag = _stack_features(samples, config, got)
+    mags = np.empty((len(samples), config.nt, config.nc))
+    got = _stack_features(samples, config, mags)
     assert np.array_equal(got, want)
-    assert np.array_equal(mag, [render_oracle(s.cfr, "cfr_magnitude") for s in samples])
+    assert np.array_equal(mags, [render_oracle(s.cfr, "cfr_magnitude") for s in samples])
+    assert np.array_equal(_stack_features(samples, config), want)
     assert all(np.array_equal(sample_features(s, config), w) for s, w in zip(samples[::50], want[::50]))
 
 
@@ -638,22 +640,37 @@ def _traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-def test_one_region_locate_keeps_no_magnitude_stack():
-    # the peak is the raw and the standardized feature arrays plus one
-    # chunk's feature pass; the (n, nt, nc) magnitude stack that only
-    # routing reads would add 2.4 MB on top
+@pytest.fixture(scope="module")
+def one_region_model():
+    """A one-region model on the 32x32 reference scene and 300 samples."""
     samples = build_dataset(SceneConfig(grid_spacing_m=8.0, **REFERENCE_SCENE))
     train_s, test = samples[::5], samples[:300]
     model = train(train_s, segment(train_s, {**default_config(), "single_region": True}))
-    config = model.config
     locate(model, test[:2])  # first-call imports and caches
-    out = np.empty((_CHUNK, config.fused_len))
-    chunk_pass = _traced_peak(lambda: _stack_features(test[:_CHUNK], config, out))
+    return model, test
+
+
+def test_one_region_locate_keeps_no_magnitude_stack(one_region_model):
+    # the bound is two feature arrays plus one chunk's feature pass; the
+    # (n, nt, nc) magnitude stack that only routing reads would add 2.4 MB
+    model, test = one_region_model
+    config = model.config
+    # the peak of one chunk's pass, less the chunk's own rows of features
+    chunk_pass = _traced_peak(lambda: _stack_features(test[:_CHUNK], config)) - _CHUNK * config.fused_len * 8
     features = 2 * len(test) * config.fused_len * 8
     stack = len(test) * config.nt * config.nc * 8
     slack = 64 * 1024
     assert stack > 30 * slack
     assert _traced_peak(lambda: locate(model, test)) <= features + chunk_pass + slack
+
+
+def test_locate_standardizes_its_features_in_place(one_region_model):
+    # one sample per chunk: the pass holds the (n, fused_len) features and
+    # one sample's planes, and a second feature array would double it
+    model, test = one_region_model
+    features = len(test) * model.config.fused_len * 8
+    with mock.patch.object(channel, "_CHUNK", 1):
+        assert _traced_peak(lambda: locate(model, test)) < 1.5 * features
 
 
 class TestPiecewiseLinearRecovery:

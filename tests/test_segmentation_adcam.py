@@ -8,6 +8,7 @@ from amdnloc import segmentation_adcam
 from amdnloc.channel import PathRecord
 from amdnloc.scenegen import Sample
 from amdnloc.segmentation_adcam import (
+    Standardizer,
     _dist,
     _distinct_rows,
     _silhouettes,
@@ -66,6 +67,26 @@ def mk_sample(sid, *paths):
 
 def mk_path(aoa=1.0, aod=1.0, gain=1 + 0j, delay=0, loss=10.0):
     return PathRecord(aoa=aoa, aod=aod, gain=gain, delay_samples=delay, pathloss_db=loss)
+
+
+class TestStandardizer:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 6)), elements=st.floats(-1e6, 1e6)),
+        st.lists(st.integers(0, 5), min_size=1, max_size=3),
+    )
+    def test_apply_in_place_equals_apply(self, x, constant):
+        constant = sorted({c % x.shape[1] for c in constant})
+        x[:, constant] = x[:1, constant]  # no spread, so a scale of 1
+        std = Standardizer.fit(x)
+        assert np.all(std.scale[constant] == 1.0)
+        want = std.apply(x)
+        assert want.tobytes() == ((x - std.mean) / std.scale).tobytes()
+        before = x.tobytes()
+        assert std.apply(x, out=np.empty_like(x)).tobytes() == want.tobytes()
+        assert x.tobytes() == before
+        assert std.apply(x, out=x) is x
+        assert x.tobytes() == want.tobytes()
 
 
 class TestBuildFeatures:
