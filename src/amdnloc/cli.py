@@ -67,7 +67,6 @@ def _template_size(text: str) -> tuple[int, int]:
 
 def _cmd_segment(args) -> int:
     size = _template_size(args.template)
-    # the option names are the config keys: tau_in, tau_out, min_count, k_max, path_select
     cfg = {**default_config(), **vars(args), "template_size": size, "seed": _seed_override(args.seed)}
     _check(_CONFIG_RULES, cfg, "key")
     samples = dio.read_dataset(args.data)
@@ -124,13 +123,19 @@ def _cmd_plot(args) -> int:
 def _cmd_pipeline(args) -> int:
     cfg = json.loads(Path(args.config).read_text())
     if isinstance(cfg, dict):  # run_pipeline rejects any other config
-        cfg["seed"] = _seed_override(cfg.get("seed", 0))
+        cfg["seed"] = _seed_override(cfg.get("seed", default_config()["seed"]))
     report = run_pipeline(cfg, out_dir=args.out)
     print(
         f"mean error {report['mean_error_m']:.3f} m, "
         f"{report['region_count']} regions, covering rate {report['covering_rate']:.3f}"
     )
     return 0
+
+
+def _config_options(parser, defaults: dict, *keys: str):
+    """One option per config key, ``--tau-in`` for ``tau_in``, of the type and value of its default."""
+    for key in keys:
+        parser.add_argument(f"--{key.replace('_', '-')}", type=type(defaults[key]), default=defaults[key])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -145,19 +150,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("segment", help="segment a dataset into regions")
     s.add_argument("--data", required=True)
-    s.add_argument("--tau-in", type=float, default=defaults["tau_in"], dest="tau_in")
-    s.add_argument("--tau-out", type=float, default=defaults["tau_out"], dest="tau_out")
     s.add_argument("--template", default="x".join(map(str, defaults["template_size"])))
-    s.add_argument("--min-count", type=int, default=defaults["min_count"], dest="min_count")
-    s.add_argument("--k-max", type=int, default=defaults["k_max"], dest="k_max")
-    s.add_argument("--path-select", default=defaults["path_select"], dest="path_select")
-    s.add_argument("--seed", type=int, default=defaults["seed"])
+    _config_options(s, defaults, "tau_in", "tau_out", "min_count", "k_max", "path_select", "seed")
     s.set_defaults(func=_cmd_segment)
 
     t = sub.add_parser("train", help="fit per-region regressors")
     t.add_argument("--data", required=True)
     t.add_argument("--regions", required=True)
-    t.add_argument("--ridge-lambda", type=float, default=defaults["ridge_lambda"], dest="ridge_lambda")
+    _config_options(t, defaults, "ridge_lambda")
     t.add_argument("--out", default="model.json")
     t.set_defaults(func=_cmd_train)
 

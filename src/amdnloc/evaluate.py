@@ -1,6 +1,7 @@
 """Metrics, report generation and end-to-end pipeline orchestration."""
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 from pathlib import Path
@@ -43,23 +44,26 @@ __all__ = [
 DEFAULT_CDF_THRESHOLDS = [0.5, 1.0, 2.0, 3.0, 5.0, 10.0, 20.0, 50.0, 100.0, 250.0, 500.0]
 _CELL_PX = 4  # meters per pixel of the region-map raster, along each axis
 _FRACTION = ("a number in (0, 1]", lambda v: _is_real(v) and 0 < v <= 1)
-_CONFIG_RULES = {
-    "scene": ("a scene object", lambda v: isinstance(v, dict)),
-    "nlos_mode": _one_of(_NLOS_MODES),
-    "tau_in": _FRACTION,
-    "tau_out": _FRACTION,
+# each config key: (its default, what a value must be, its test), in config.json order
+_CONFIG = {
+    "scene": (scene_to_json(SceneConfig()), "a scene object", lambda v: isinstance(v, dict)),
+    "nlos_mode": ("all", *_one_of(_NLOS_MODES)),
+    "tau_in": (0.99, *_FRACTION),
+    "tau_out": (0.99, *_FRACTION),
     "template_size": (
+        [16, 16],
         "two integers >= 1",
         lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(_is_int(side) and side >= 1 for side in v),
     ),
-    "min_count": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
-    "k_max": _COUNT,
-    "path_select": _one_of(_PATH_SELECTS),
-    "train_fraction": _FRACTION,
-    "ridge_lambda": _NONNEGATIVE,
-    "single_region": ("true or false", lambda v: isinstance(v, bool)),
-    "seed": _SEED,
+    "min_count": (2, "an integer >= 0", lambda v: _is_int(v) and v >= 0),
+    "k_max": (8, *_COUNT),
+    "path_select": ("strongest", *_one_of(_PATH_SELECTS)),
+    "train_fraction": (0.8, *_FRACTION),
+    "ridge_lambda": (1e-3, *_NONNEGATIVE),
+    "single_region": (False, "true or false", lambda v: isinstance(v, bool)),
+    "seed": (0, *_SEED),
 }
+_CONFIG_RULES = {key: (want, ok) for key, (_, want, ok) in _CONFIG.items()}
 
 
 class PipelineError(RuntimeError):
@@ -137,20 +141,8 @@ def export_region_map(samples, labels: RegionLabels, csv_path, ppm_path):
 
 
 def default_config() -> dict:
-    return {
-        "scene": scene_to_json(SceneConfig()),
-        "nlos_mode": "all",
-        "tau_in": 0.99,
-        "tau_out": 0.99,
-        "template_size": [16, 16],
-        "min_count": 2,
-        "k_max": 8,
-        "path_select": "strongest",
-        "train_fraction": 0.8,
-        "ridge_lambda": 1e-3,
-        "single_region": False,
-        "seed": 0,
-    }
+    """Every config key with its default, a fresh copy on each call."""
+    return copy.deepcopy({key: default for key, (default, _, _) in _CONFIG.items()})
 
 
 def _split(n: int, train_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -200,19 +192,18 @@ def run_pipeline(config: dict, out_dir: str | Path | None = None) -> dict:
     fit on training samples only and test samples are routed through
     the trained matchers. The config ``seed`` seeds everything, the
     scene included: it always replaces the scene's own ``seed``.
-    A config that is not a dict, a top-level key that
-    ``default_config`` lacks, a value of the wrong type or range
-    (``_CONFIG_RULES``), a bad scene value, or a template or feature
-    block grid larger than the scene's (nt, nc), is a ``[config]``
-    error, raised before anything runs or is written. The error is
-    reported on held-out samples only, so fewer than 2 samples after
+    A config that is not a dict, a top-level key that ``_CONFIG``
+    lacks, a value that fails its rule there, a bad scene value, or a
+    template or feature block grid larger than the scene's (nt, nc), is
+    a ``[config]`` error, raised before anything runs or is written. The
+    error is reported on held-out samples only, so fewer than 2 samples after
     ``nlos_filter`` is a ``[generate]`` error. Returns the report dict;
     when ``out_dir`` is given all artifacts (dataset, region map, model,
     report) are written there.
     """
     if not isinstance(config, dict):
         raise PipelineError("config", f"a config is a JSON object, not {config!r}")
-    unknown = sorted(set(config) - set(default_config()))
+    unknown = sorted(set(config) - set(_CONFIG))
     if unknown:
         raise PipelineError("config", f"unknown config keys: {', '.join(map(repr, unknown))}")
     cfg = {**default_config(), **config}

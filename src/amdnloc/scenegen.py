@@ -64,22 +64,11 @@ _NONNEGATIVE = ("a finite number >= 0", lambda v: _is_real(v) and v >= 0)
 _COUNT = ("an integer >= 1", lambda v: _is_int(v) and v >= 1)
 _SEED = ("an integer >= 0", lambda v: _is_int(v) and v >= 0)
 _PAIR = ("two finite numbers", lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_real, v)))
-_SCENE_RULES = {
-    "area_m": ("two finite numbers > 0", lambda v: _PAIR[1](v) and min(v) > 0),
-    "bs_pos": _PAIR,
-    "buildings": ("a list", lambda v: isinstance(v, (list, tuple))),
-    "grid_spacing_m": _POSITIVE,
-    "grid_jitter": ("a number in [0, 1]", lambda v: _is_real(v) and 0 <= v <= 1),
-    "carrier_hz": _POSITIVE,
-    "bandwidth_hz": _POSITIVE,
-    "nc": _COUNT,
-    "nt": _COUNT,
-    "maxpathnum": _COUNT,
-    "reflection_loss_db": ("a finite number", _is_real),
-    "spacing_ratio": _POSITIVE,
-    "snr_db": ("a finite number, or null for no noise", lambda v: _is_real(v) or v == NO_NOISE),
-    "seed": _SEED,
-}
+
+
+def _setting(default, rule: tuple[str, object]):
+    """A ``SceneConfig`` field of ``default``, its rule as its metadata."""
+    return field(default=default, metadata={"rule": rule})
 
 
 @dataclass(frozen=True)
@@ -113,25 +102,26 @@ class Rect:
 
 @dataclass
 class SceneConfig:
-    """Scene layout plus channel and sampling parameters."""
+    """Scene layout plus channel and sampling parameters; each field holds
+    its default and, as its metadata, the rule a scene is made by."""
 
-    area_m: tuple[float, float] = (250.0, 250.0)
-    bs_pos: tuple[float, float] = (125.0, 125.0)
-    buildings: list[Rect] = field(default_factory=list)
-    grid_spacing_m: float = 10.0
-    grid_jitter: float = 0.0  # fraction of half-spacing, in [0, 1]
-    carrier_hz: float = 60e9
-    bandwidth_hz: float = 0.05e9
-    nc: int = 64
-    nt: int = 64
-    maxpathnum: int = 10
-    reflection_loss_db: float = 6.0
-    spacing_ratio: float = 0.5
-    snr_db: float = NO_NOISE
-    seed: int = 0
+    area_m: tuple[float, float] = _setting((250.0, 250.0), ("two finite numbers > 0", lambda v: _PAIR[1](v) and min(v) > 0))
+    bs_pos: tuple[float, float] = _setting((125.0, 125.0), _PAIR)
+    buildings: list[Rect] = field(default_factory=list, metadata={"rule": ("a list", lambda v: isinstance(v, (list, tuple)))})
+    grid_spacing_m: float = _setting(10.0, _POSITIVE)
+    grid_jitter: float = _setting(0.0, ("a number in [0, 1]", lambda v: _is_real(v) and 0 <= v <= 1))  # of half-spacing
+    carrier_hz: float = _setting(60e9, _POSITIVE)
+    bandwidth_hz: float = _setting(0.05e9, _POSITIVE)
+    nc: int = _setting(64, _COUNT)
+    nt: int = _setting(64, _COUNT)
+    maxpathnum: int = _setting(10, _COUNT)
+    reflection_loss_db: float = _setting(6.0, ("a finite number", _is_real))
+    spacing_ratio: float = _setting(0.5, _POSITIVE)
+    snr_db: float = _setting(NO_NOISE, ("a finite number, or null for no noise", lambda v: _is_real(v) or v == NO_NOISE))
+    seed: int = _setting(0, _SEED)
 
     def __post_init__(self):
-        _check(_SCENE_RULES, vars(self), "scene")
+        _check({f.name: f.metadata["rule"] for f in fields(self)}, vars(self), "scene")
         for b in self.buildings:
             if not (isinstance(b, Rect) or isinstance(b, (list, tuple)) and len(b) == 4 and all(map(_is_real, b))):
                 raise ValueError(f"scene buildings entry {b!r} is not [x, y, w, h], four finite numbers")

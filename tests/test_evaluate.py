@@ -281,6 +281,14 @@ class TestRunPipeline:
     def test_config_rules_cover_every_config_key(self):
         assert set(_CONFIG_RULES) == set(default_config())
 
+    def test_default_config_hands_out_a_fresh_copy(self):
+        first = default_config()
+        first["scene"]["nt"] = 3
+        first["template_size"][0] = 99
+        again = default_config()
+        assert again["scene"]["nt"] == SceneConfig().nt == 64
+        assert again["template_size"] == [16, 16]
+
     @pytest.mark.parametrize(
         "scene, message",
         [

@@ -885,6 +885,22 @@ def test_segment_option_defaults_are_the_config_defaults():
     assert build_parser().parse_args(["train", "--data", "d", "--regions", "r"]).ridge_lambda == defaults["ridge_lambda"]
 
 
+def test_config_options_parse_to_the_config_types():
+    from amdnloc.cli import build_parser
+    from amdnloc.evaluate import default_config
+
+    defaults = default_config()
+    segment = vars(build_parser().parse_args(["segment", "--data", "d"]))
+    train = vars(build_parser().parse_args(["train", "--data", "d", "--regions", "r"]))
+    parsed = {**{key: segment[key] for key in ("tau_in", "tau_out", "min_count", "k_max", "path_select", "seed")},
+              "ridge_lambda": train["ridge_lambda"]}
+    assert [(key, value, type(value)) for key, value in parsed.items()] == [
+        (key, defaults[key], type(defaults[key])) for key in parsed
+    ]
+    tau_in = build_parser().parse_args(["segment", "--data", "d", "--tau-in", "1"]).tau_in
+    assert tau_in == 1.0 and type(tau_in) is float
+
+
 class TestTrainOptions:
     def test_removed_fit_options_are_unknown(self, trained_chain, tmp_path, capsys):
         data = trained_chain[0]
