@@ -17,6 +17,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from .evaluate import (
     segment,
 )
 from .localizer import locate, train
-from .scenegen import _SEED, _check, build_dataset, scene_from_json
+from .scenegen import _PAIR, _SEED, _check, _is_real, build_dataset, scene_from_json
 
 
 def _seed_override(seed: int) -> int:
@@ -103,18 +104,24 @@ def _cmd_eval(args) -> int:
 
 def _cmd_plot(args) -> int:
     report = json.loads(Path(args.report).read_text())
+    cdf = report.get("cdf") if isinstance(report, dict) else None
+    if not (isinstance(cdf, list) and all(map(_PAIR[1], cdf))):
+        raise ValueError(f"{args.report}: a report is an object whose cdf is a list of [threshold, fraction] number pairs")
+    errors = report.get("per_region_errors", {})
+    if not (isinstance(errors, dict) and all(re.fullmatch(r"-?[0-9]+", r) and _is_real(e) for r, e in errors.items())):
+        raise ValueError(f"{args.report}: per_region_errors must be an object from integer region ids to numbers")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "cdf.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["threshold_m", "fraction"])
-        for t, f in report["cdf"]:
+        for t, f in cdf:
             w.writerow([t, f])
     if "per_region_errors" in report:
         with open(out / "per_region_errors.csv", "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["region", "mean_error_m"])
-            for r, e in sorted(report["per_region_errors"].items(), key=lambda kv: int(kv[0])):
+            for r, e in sorted(errors.items(), key=lambda kv: int(kv[0])):
                 w.writerow([r, e])
     print(f"wrote plot tables to {out}")
     return 0

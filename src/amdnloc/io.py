@@ -41,6 +41,31 @@ FORMAT_VERSION = 1  # of the .bin files
 MODEL_VERSION = 1  # of model.json
 
 
+# CSV column rules: (what a field must be, its parser)
+_INT = ("an integer", int)
+_NUMBER = ("a number", float)
+_BIT = ("0 or 1", {"0": False, "1": True}.__getitem__)
+
+
+def _csv_rows(path, columns: dict):
+    """Each row of a CSV file as a dict of its ``columns``, every field
+    parsed by its column's rule. A column the header lacks, or a field
+    that does not parse, is a ``ValueError`` that names the file."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}: no {', '.join(missing)} column in the header")
+        for row in reader:
+            parsed = {}
+            for key, (want, parse) in columns.items():
+                try:
+                    parsed[key] = parse(row[key])
+                except (ValueError, TypeError, KeyError):
+                    raise ValueError(f"{path}: line {reader.line_num}: {key} is {row[key]!r}; it must be {want}") from None
+            yield parsed
+
+
 def _write_bin(path: Path, arrays: list[np.ndarray], complex_data: bool):
     """Header, then the samples as float32, ``channel._CHUNK`` at a time;
     complex64 stores each entry as its real and imaginary float32."""
@@ -107,8 +132,9 @@ def write_dataset(samples: list[Sample], out_dir: str | Path):
 def read_dataset(data_dir: str | Path) -> list[Sample]:
     """Samples in positions.csv order, each holding its row of one CFR
     stack and one ADCAM stack; the files must agree on the samples they
-    hold, cfr.bin and adcam.bin on the matrix shape (nt, nc), values
-    must be finite and ids unique."""
+    hold, cfr.bin and adcam.bin on the matrix shape (nt, nc), every CSV
+    field must parse (``_csv_rows``), values must be finite, ``is_los``
+    0 or 1 and ids unique."""
     d = Path(data_dir)
     cfr_dims, cfrs = _read_bin(d / "cfr.bin", complex_data=True)
     adcam_dims, adcams = _read_bin(d / "adcam.bin", complex_data=False)
@@ -118,21 +144,19 @@ def read_dataset(data_dir: str | Path) -> list[Sample]:
             f"but {d / 'adcam.bin'} {adcam_dims[0]}x{adcam_dims[1]}"
         )
     paths_by_id: dict[int, list[PathRecord]] = {}
-    with open(d / "paths.csv", newline="") as fh:
-        for row in csv.DictReader(fh):
-            try:
-                aoa, aod, re, im, loss = (float(row[k]) for k in ("aoa_rad", "aod_rad", "gain_re", "gain_im", "pathloss_db"))
-                if not all(map(math.isfinite, (aoa, aod, re, im, loss))):
-                    raise ValueError("a value is not finite")
-                path = PathRecord(
-                    aoa=aoa, aod=aod, gain=complex(re, im), delay_samples=int(row["delay_samples"]), pathloss_db=loss
-                )
-                sid = int(row["id"])
-            except ValueError as e:
-                raise ValueError(f"{d / 'paths.csv'}: a path of id {row['id']} is rejected: {e}") from None
-            paths_by_id.setdefault(sid, []).append(path)
-    with open(d / "positions.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    values = ("aoa_rad", "aod_rad", "gain_re", "gain_im", "pathloss_db")
+    for row in _csv_rows(d / "paths.csv", {"id": _INT, **dict.fromkeys(values, _NUMBER), "delay_samples": _INT}):
+        try:
+            if not all(math.isfinite(row[k]) for k in values):
+                raise ValueError("a value is not finite")
+            path = PathRecord(
+                aoa=row["aoa_rad"], aod=row["aod_rad"], gain=complex(row["gain_re"], row["gain_im"]),
+                delay_samples=row["delay_samples"], pathloss_db=row["pathloss_db"],
+            )
+        except ValueError as e:
+            raise ValueError(f"{d / 'paths.csv'}: a path of id {row['id']} is rejected: {e}") from None
+        paths_by_id.setdefault(row["id"], []).append(path)
+    rows = list(_csv_rows(d / "positions.csv", {"id": _INT, "x": _NUMBER, "y": _NUMBER, "is_los": _BIT}))
     if not len(rows) == len(cfrs) == len(adcams):
         raise ValueError(
             f"{d / 'positions.csv'}: {len(rows)} rows, but cfr.bin holds {len(cfrs)} "
@@ -140,20 +164,12 @@ def read_dataset(data_dir: str | Path) -> list[Sample]:
         )
     samples: dict[int, Sample] = {}
     for row, cfr, adcam in zip(rows, cfrs, adcams):
-        sid = int(row["id"])
-        pos = (float(row["x"]), float(row["y"]))
+        sid, pos = row["id"], (row["x"], row["y"])
         if not all(map(math.isfinite, pos)):
             raise ValueError(f"{d / 'positions.csv'}: sample {sid} has a non-finite position {pos}")
         if sid in samples:
             raise ValueError(f"{d / 'positions.csv'}: id {sid} is repeated")
-        samples[sid] = Sample(
-            id=sid,
-            pos=pos,
-            paths=paths_by_id.get(sid, []),
-            is_los=bool(int(row["is_los"])),
-            cfr=cfr,
-            adcam=adcam,
-        )
+        samples[sid] = Sample(id=sid, pos=pos, paths=paths_by_id.get(sid, []), is_los=row["is_los"], cfr=cfr, adcam=adcam)
     unknown = sorted(set(paths_by_id) - set(samples))
     if unknown:
         raise ValueError(f"{d / 'paths.csv'}: {len(unknown)} ids not in positions.csv, such as {unknown[:5]}")
@@ -169,33 +185,33 @@ def write_region_map(path: str | Path, sample_ids, labels: RegionLabels):
 
 
 def read_region_map(path: str | Path) -> tuple[list[int], RegionLabels]:
-    """Sample ids and their labels, in file order; ids must be unique,
-    a row is retained exactly when its fused label is not -1, and the
-    retained rows of one (cfr, adcam) pair share one fused label."""
+    """Sample ids and their labels, in file order; every field must be
+    an integer (``_csv_rows``), ids must be unique, a row is retained
+    exactly when its fused label is not -1, and the retained rows of one
+    (cfr, adcam) pair share one fused label."""
     ids, cfr, ad, fused = [], [], [], []
     seen = set()
     region_of = {}  # the fused label of each retained pair
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            sid, f = int(row["id"]), int(row["fused_label"])
-            if sid in seen:
-                raise ValueError(f"{path}: id {sid} is repeated")
-            if f < -1 or int(row["retained"]) != int(f >= 0):
-                raise ValueError(
-                    f"{path}: id {sid} has fused label {f} and retained {row['retained']}; "
-                    "a label is -1 (cleansed, retained 0) or a region (retained 1)"
-                )
-            pair = int(row["cfr_label"]), int(row["adcam_label"])
-            if f >= 0 and region_of.setdefault(pair, f) != f:
-                raise ValueError(
-                    f"{path}: pair (cfr_label {pair[0]}, adcam_label {pair[1]}) has fused labels "
-                    f"{region_of[pair]} and {f} (id {sid}); the retained rows of a pair share one"
-                )
-            seen.add(sid)
-            ids.append(sid)
-            cfr.append(pair[0])
-            ad.append(pair[1])
-            fused.append(f)
+    for row in _csv_rows(path, dict.fromkeys(("id", "cfr_label", "adcam_label", "fused_label", "retained"), _INT)):
+        sid, f = row["id"], row["fused_label"]
+        if sid in seen:
+            raise ValueError(f"{path}: id {sid} is repeated")
+        if f < -1 or row["retained"] != int(f >= 0):
+            raise ValueError(
+                f"{path}: id {sid} has fused label {f} and retained {row['retained']}; "
+                "a label is -1 (cleansed, retained 0) or a region (retained 1)"
+            )
+        pair = row["cfr_label"], row["adcam_label"]
+        if f >= 0 and region_of.setdefault(pair, f) != f:
+            raise ValueError(
+                f"{path}: pair (cfr_label {pair[0]}, adcam_label {pair[1]}) has fused labels "
+                f"{region_of[pair]} and {f} (id {sid}); the retained rows of a pair share one"
+            )
+        seen.add(sid)
+        ids.append(sid)
+        cfr.append(pair[0])
+        ad.append(pair[1])
+        fused.append(f)
     return ids, RegionLabels(np.array(cfr, dtype=int), np.array(ad, dtype=int), np.array(fused, dtype=int))
 
 

@@ -219,7 +219,8 @@ class LocalizationModel:
     ``locate`` would otherwise redo on every call: the founder templates
     as ``_corner_banks`` for the CFR image shape, a t1 bank and a t2
     bank, so ``locate`` transforms no template, and the founder
-    categories as one array, in ``founders`` order.
+    categories as one array, in ``founders`` order. A model of no
+    regions (empty ``weights``) is a ``ValueError``.
     """
 
     config: FeatureConfig
@@ -236,6 +237,8 @@ class LocalizationModel:
     founder_labels: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not self.weights:
+            raise ValueError("a model has no regions; it needs the weights of one at least")
         self.weights = {r: np.asfortranarray(w) for r, w in self.weights.items()}
         self.corner_banks = _corner_banks(list(self.founders.values()), (self.config.nt, self.config.nc))
         self.founder_labels = np.array(list(self.founders))

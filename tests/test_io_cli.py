@@ -815,6 +815,92 @@ class TestBoundaryErrors:
         assert "[eval]" in err and "paths.csv" in err and f"id {rejected[0]} " in err and "aod" in err
 
 
+class TestPlotReport:
+    def _plot(self, tmp_path, capsys, report) -> str:
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report))
+        assert main(["plot", "--report", str(path), "--out", str(tmp_path / "plots")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: [plot] {path}: ") and "Traceback" not in err
+        assert not (tmp_path / "plots").exists()
+        return err
+
+    @pytest.mark.parametrize(
+        "report",
+        [[1], {"cdf": 5}, {}, {"cdf": [[1.0]]}, {"cdf": [[1.0, "x"]]}, {"cdf": [1.0, 0.5]}, {"cdf": [[True, 0.5]]}],
+    )
+    def test_a_report_without_a_cdf_of_number_pairs_is_a_plot_error(self, tmp_path, capsys, report):
+        assert "[threshold, fraction] number pairs" in self._plot(tmp_path, capsys, report)
+
+    @pytest.mark.parametrize("errors", [[1.0], {"x": 1.0}, {"1.5": 1.0}, {"0": "2.5"}, {"0": None}])
+    def test_per_region_errors_not_from_integer_ids_to_numbers_is_a_plot_error(self, tmp_path, capsys, errors):
+        report = {"cdf": [[1.0, 0.5]], "per_region_errors": errors}
+        assert "per_region_errors must be an object from integer region ids to numbers" in self._plot(tmp_path, capsys, report)
+
+
+class TestCsvFields:
+    """A CSV field that does not parse, or a missing column, is an error
+    that names the file (and the line): exit 1, nothing written."""
+
+    @staticmethod
+    def _run(command, data, tmp_path, capsys) -> str:
+        out = tmp_path / "out.json"
+        argv = ["--model", str(data.parent / "model.json")] if command == "eval" else ["--regions", str(data / "region_map.csv")]
+        assert main([command, "--data", str(data), *argv, "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return err
+
+    @staticmethod
+    def _rewrite(path, edit):
+        """Rewrite a CSV file with ``edit`` of its rows, header included."""
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(edit(rows))
+
+    def _set_line_4(self, path, column, value):
+        def edit(rows):
+            rows[3][rows[0].index(column)] = value
+            return rows
+
+        self._rewrite(path, edit)
+
+    @pytest.fixture
+    def data(self, trained_chain, tmp_path):
+        shutil.copy(trained_chain[1], tmp_path / "model.json")
+        return shutil.copytree(trained_chain[0], tmp_path / "data")
+
+    @pytest.mark.parametrize(
+        "column, value, want",
+        [("is_los", "yes", "0 or 1"), ("is_los", "7", "0 or 1"), ("x", "abc", "a number"), ("id", "2.0", "an integer")],
+    )
+    def test_eval_names_the_positions_line_of_a_field_that_does_not_parse(self, data, tmp_path, capsys, column, value, want):
+        self._set_line_4(data / "positions.csv", column, value)
+        err = self._run("eval", data, tmp_path, capsys)
+        assert err == f"error: [eval] {data / 'positions.csv'}: line 4: {column} is {value!r}; it must be {want}\n"
+
+    @pytest.mark.parametrize("column, value", [("id", "x"), ("cfr_label", "1.5"), ("fused_label", ""), ("retained", "yes")])
+    def test_train_names_the_region_map_line_of_a_field_that_does_not_parse(self, data, tmp_path, capsys, column, value):
+        self._set_line_4(data / "region_map.csv", column, value)
+        err = self._run("train", data, tmp_path, capsys)
+        assert err == f"error: [train] {data / 'region_map.csv'}: line 4: {column} is {value!r}; it must be an integer\n"
+
+    @pytest.mark.parametrize(
+        "command, name, column",
+        [("eval", "positions.csv", "is_los"), ("eval", "paths.csv", "delay_samples"), ("train", "region_map.csv", "retained")],
+    )
+    def test_a_missing_column_names_the_file(self, data, tmp_path, capsys, command, name, column):
+        def drop(rows):
+            k = rows[0].index(column)
+            return [row[:k] + row[k + 1 :] for row in rows]
+
+        self._rewrite(data / name, drop)
+        err = self._run(command, data, tmp_path, capsys)
+        assert err == f"error: [{command}] {data / name}: no {column} column in the header\n"
+
+
 class TestRegionMap:
     def _labels(self):
         from amdnloc.fusion import cleanse, fuse_labels

@@ -498,6 +498,11 @@ class TestLocate:
         if len(model.founders) > 1:
             assert locate(replaced, test)[1] != locate(model, test)[1]
 
+    def test_a_model_of_no_regions_is_refused_where_it_is_made(self, held_out_model):
+        model, test = held_out_model
+        with pytest.raises(ValueError, match="a model has no regions"):
+            dataclasses.replace(model, weights={}, region_feature_centroids={})
+
     def test_locate_transforms_no_template(self, held_out_model, monkeypatch):
         model, test = held_out_model
         want = locate(model, test)
