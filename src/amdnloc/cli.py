@@ -5,10 +5,10 @@ environment variable AMDN_SEED overrides the seed of generate, segment
 and pipeline; train takes no seed, since its closed-form ridge fit draws
 nothing. Exit code 0 on success; failures print a stage-tagged message
 and exit nonzero. A pipeline stage that fails exits 2; an unreadable or
-malformed file (a model of an unknown fit method included), a bad scene
-value, a config key the pipeline does not know, or a config value or
-option value of the wrong type or range exits 1; an unknown option
-exits 2.
+malformed file, named in the message (a file that is not JSON and a
+model of an unknown fit method included), a bad scene value, a config
+key the pipeline does not know, or a config value or option value of
+the wrong type or range exits 1; an unknown option exits 2.
 """
 from __future__ import annotations
 
@@ -50,7 +50,7 @@ def _seed_override(seed: int) -> int:
 
 
 def _cmd_generate(args) -> int:
-    scene = scene_from_json(json.loads(Path(args.scene).read_text()))
+    scene = scene_from_json(dio.read_json(args.scene))
     scene = dataclasses.replace(scene, seed=_seed_override(scene.seed))
     samples = build_dataset(scene)
     dio.write_dataset(samples, args.out)
@@ -103,7 +103,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    report = json.loads(Path(args.report).read_text())
+    report = dio.read_json(args.report)
     cdf = report.get("cdf") if isinstance(report, dict) else None
     if not (isinstance(cdf, list) and all(map(_PAIR[1], cdf))):
         raise ValueError(f"{args.report}: a report is an object whose cdf is a list of [threshold, fraction] number pairs")
@@ -128,7 +128,7 @@ def _cmd_plot(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    cfg = json.loads(Path(args.config).read_text())
+    cfg = dio.read_json(args.config)
     if isinstance(cfg, dict):  # run_pipeline rejects any other config
         cfg["seed"] = _seed_override(cfg.get("seed", default_config()["seed"]))
     report = run_pipeline(cfg, out_dir=args.out)
@@ -193,7 +193,7 @@ def main(argv=None) -> int:
     except PipelineError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1 if e.stage == "config" else 2
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as e:
+    except (ValueError, OSError, KeyError) as e:
         stage = getattr(args, "command", "cli")
         print(f"error: [{stage}] {e}", file=sys.stderr)
         return 1

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ __all__ = [
     "MAGIC",
     "FORMAT_VERSION",
     "MODEL_VERSION",
+    "read_json",
     "write_dataset",
     "read_dataset",
     "write_region_map",
@@ -39,6 +41,15 @@ __all__ = [
 MAGIC = b"AMDN"
 FORMAT_VERSION = 1  # of the .bin files
 MODEL_VERSION = 1  # of model.json
+
+
+def read_json(path: str | Path):
+    """The value a JSON file holds; a file that is not UTF-8 JSON is a
+    ``ValueError`` that names it."""
+    try:
+        return json.loads(Path(path).read_bytes())
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise ValueError(f"{path} is not a JSON file: {e}") from None
 
 
 # CSV column rules: (what a field must be, its parser)
@@ -81,8 +92,8 @@ def _write_bin(path: Path, arrays: list[np.ndarray], complex_data: bool):
 
 def _read_bin(path: Path, complex_data: bool) -> tuple[tuple[int, int], np.ndarray]:
     """The (nt, nc) of the header and the samples of a .bin file, as one
-    (count, nt, nc) float64 or complex128 stack, converted
-    ``channel._CHUNK`` samples at a time."""
+    (count, nt, nc) float64 or complex128 stack, each stored float32
+    widened exactly."""
     raw = Path(path).read_bytes()
     if len(raw) < 20:
         raise ValueError(f"{path}: {len(raw)} bytes, shorter than the 20-byte header")
@@ -96,15 +107,10 @@ def _read_bin(path: Path, complex_data: bool) -> tuple[tuple[int, int], np.ndarr
         raise ValueError(
             f"{path}: payload of {len(raw) - 20} bytes, but {count} samples of {nt}x{nc} take {4 * count * per}"
         )
-    data = np.frombuffer(raw, dtype="<f4", offset=20)
+    data = np.frombuffer(raw, dtype="<c8" if complex_data else "<f4", offset=20)
     if not np.all(np.isfinite(data)):
         raise ValueError(f"{path}: non-finite values in the payload")
-    entries = data.reshape(count, nt, nc, 2 if complex_data else 1)
-    out = np.empty((count, nt, nc), dtype=np.complex128 if complex_data else np.float64)
-    for rows in _chunks(count):
-        block = entries[rows].astype(np.float64)
-        out[rows] = block[..., 0] + 1j * block[..., 1] if complex_data else block[..., 0]
-    return (nt, nc), out
+    return (nt, nc), data.reshape(count, nt, nc).astype(np.complex128 if complex_data else np.float64)
 
 
 def write_dataset(samples: list[Sample], out_dir: str | Path):
@@ -215,6 +221,18 @@ def read_region_map(path: str | Path) -> tuple[list[int], RegionLabels]:
     return ids, RegionLabels(np.array(cfr, dtype=int), np.array(ad, dtype=int), np.array(fused, dtype=int))
 
 
+def _by_id(path, key: str, obj) -> list[tuple[int, object]]:
+    """The entries of a nonempty object keyed by integer ids, each id
+    written as ``str`` writes it, in ascending id order; else a
+    ``ValueError`` that names the file and the key."""
+    if not (isinstance(obj, dict) and obj):
+        raise ValueError(f"{path}: {key} must be a nonempty object keyed by integer ids")
+    for k in obj:
+        if not re.fullmatch(r"0|-?[1-9][0-9]*", k):
+            raise ValueError(f"{path}: {key} key {k!r} is not an integer")
+    return sorted((int(k), v) for k, v in obj.items())
+
+
 def _std_to_json(s: Standardizer) -> dict:
     return {"mean": s.mean.tolist(), "scale": s.scale.tolist()}
 
@@ -261,20 +279,13 @@ def _routing_from_json(path: str | Path, obj: dict, by_id: dict[int, Sample]) ->
     model's order, by which routing breaks ties. ``path_select`` must be
     a key of ``_PATH_SELECTS``, ``adcam_centroids`` k >= 1 rows of the
     four ``path_descriptor`` values and ``adcam_standardizer`` four
-    values, all finite and its scales > 0."""
+    values, all finite and its scales > 0. ``founders`` is read by
+    ``_by_id``, its templates of one size that fits the images."""
     _check({"path_select": _one_of(_PATH_SELECTS)}, {"path_select": obj.get("path_select")}, f"{path}:")
-    entries = obj.get("founders")
-    if not isinstance(entries, dict):
-        raise ValueError(f"{path}: founders must be an object from category to founder, not a {type(entries).__name__}")
-    for c in entries:
-        try:
-            int(c)
-        except ValueError:
-            raise ValueError(f"{path}: founder category {c!r} is not an integer") from None
     founders = {}
-    for c, f in sorted(entries.items(), key=lambda item: int(item[0])):
+    for c, f in _by_id(path, "founders", obj.get("founders")):
         shaped = isinstance(f, dict) and isinstance(f.get("size"), list) and len(f["size"]) == 2
-        if not (shaped and all(type(v) is int for v in (f.get("founder_sample_id"), *f["size"]))):
+        if not (shaped and all(map(_is_int, (f.get("founder_sample_id"), *f["size"])))):
             raise ValueError(
                 f"{path}: the founder of category {c}, {f!r}, is not an object with an integer founder_sample_id and a size of two integers"
             )
@@ -282,7 +293,13 @@ def _routing_from_json(path: str | Path, obj: dict, by_id: dict[int, Sample]) ->
         if sid not in by_id:
             raise ValueError(f"{path}: founder sample {sid} of category {c} is not in the dataset")
         img = render_image(by_id[sid].cfr, "cfr_magnitude")
-        founders[int(c)] = extract_templates(img, tuple(f["size"]), founder_id=sid)
+        try:
+            founders[c] = extract_templates(img, tuple(f["size"]), founder_id=sid)
+        except ValueError as e:  # a size below 1 or larger than the images
+            raise ValueError(f"{path}: the founder of category {c}, {f!r}, does not fit the dataset: {e}") from None
+    sizes = {p.size for p in founders.values()}
+    if len(sizes) > 1:
+        raise ValueError(f"{path}: founders of more than one shape: {sorted(sizes)}")
     return {
         "founders": founders,
         "adcam_centroids": _array(path, "adcam_centroids", obj.get("adcam_centroids"), (None, 4)),
@@ -301,7 +318,7 @@ def read_segmentation(path: str | Path, samples: list[Sample], region_map: str |
     """The samples of a region map, in its order, and their segmentation,
     its founder templates re-cut from ``samples``. Every retained row's
     labels must name a founder and a centroid of the segmentation file."""
-    obj = json.loads(Path(path).read_text())
+    obj = read_json(path)
     if not isinstance(obj, dict) or obj.get("format") != "amdnloc-segmentation":
         raise ValueError(f"{path}: not a segmentation file of this version; run amdnloc segment again")
     ids, regions = read_region_map(region_map)
@@ -341,20 +358,6 @@ def write_model(path: str | Path, model: LocalizationModel):
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1))
 
 
-def _by_region(path, key: str, obj, shape: tuple) -> dict[int, np.ndarray]:
-    """A nonempty object from region id to an array of ``shape``."""
-    if not isinstance(obj, dict) or not obj:
-        raise ValueError(f"{path}: {key} must be a nonempty object from region to values")
-    out = {}
-    for r, values in obj.items():
-        try:
-            region = int(r)
-        except ValueError:
-            raise ValueError(f"{path}: {key} region {r!r} is not an integer") from None
-        out[region] = _array(path, f"{key} of region {r}", values, shape)
-    return out
-
-
 def read_model(path: str | Path, samples: list[Sample]) -> LocalizationModel:
     """Load a model; founder templates are re-cut from the given dataset.
 
@@ -367,7 +370,7 @@ def read_model(path: str | Path, samples: list[Sample]) -> LocalizationModel:
     weights; ``ridge_lambda`` is a finite number >= 0. Anything else is
     a ``ValueError`` that names the file and the key.
     """
-    obj = json.loads(Path(path).read_text())
+    obj = read_json(path)
     if not isinstance(obj, dict) or obj.get("format") != "amdnloc-model":
         raise ValueError(f"{path}: not a model file")
     version = obj.get("version")
@@ -380,8 +383,10 @@ def read_model(path: str | Path, samples: list[Sample]) -> LocalizationModel:
     rules = {"nt": _COUNT, "nc": _COUNT, "ridge_lambda": _NONNEGATIVE}
     _check(rules, {key: obj.get(key) for key in rules}, f"{path}:")
     config = FeatureConfig(nt=obj["nt"], nc=obj["nc"])
-    weights = _by_region(path, "weights", obj.get("weights"), (2, config.fused_len + 1))
-    centroids = _by_region(path, "region_feature_centroids", obj.get("region_feature_centroids"), (config.fused_len,))
+    weights, centroids = (
+        {r: _array(path, f"{key} of region {r}", values, shape) for r, values in _by_id(path, key, obj.get(key))}
+        for key, shape in (("weights", (2, config.fused_len + 1)), ("region_feature_centroids", (config.fused_len,)))
+    )
     if set(centroids) != set(weights):
         raise ValueError(
             f"{path}: region_feature_centroids holds regions {sorted(centroids)}, but the weights {sorted(weights)}"

@@ -7,7 +7,6 @@ image method; no diffraction or scattering.
 """
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass, field, fields
@@ -343,11 +342,9 @@ def scene_to_json(scene: SceneConfig) -> dict:
     }
 
 
-def scene_from_json(obj: dict | str) -> SceneConfig:
-    """Parse a scene.json dict (or JSON text) into a SceneConfig. A key
-    that ``SceneConfig`` lacks is a ``ValueError`` that names it."""
-    if isinstance(obj, str):
-        obj = json.loads(obj)
+def scene_from_json(obj: dict) -> SceneConfig:
+    """The SceneConfig of a scene.json object, as parsed. A key that
+    ``SceneConfig`` lacks is a ``ValueError`` that names it."""
     if not isinstance(obj, dict):
         raise ValueError(f"a scene is a JSON object, not {obj!r}")
     unknown = sorted(set(obj) - {f.name for f in fields(SceneConfig)})

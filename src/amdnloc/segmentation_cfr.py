@@ -9,13 +9,13 @@ pixels, so values live in [0, 1].
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import channel
+from .scenegen import _is_int
 
 __all__ = [
     "UNLABELED",
@@ -70,7 +70,7 @@ def _window_energy(source: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 
 def _check_fits(template_shape: tuple[int, ...], source_shape: tuple[int, ...]):
     size = tuple(template_shape) if np.iterable(template_shape) else (template_shape,)
-    if len(size) != 2 or not all(isinstance(s, numbers.Integral) and not isinstance(s, bool) for s in size):
+    if len(size) != 2 or not all(map(_is_int, size)):
         raise ValueError(f"template size {size!r} is not two integers")
     if min(size) < 1:
         raise ValueError(f"template size {size} has a side below 1")

@@ -69,6 +69,30 @@ class TestBinaryFormat:
             dio._read_bin(tmp_path / "cfr.bin", complex_data=True)
 
 
+# float32 values the widening must keep bit for bit: signed zeros, the
+# smallest and largest subnormals, the smallest normal and +-max float32
+_EDGES = [0.0, -0.0, 1e-45, -1e-45, 1.1754942e-38, 1.1754944e-38, 3.4028235e38, -3.4028235e38]
+_f32_or_edge = st.one_of(st.sampled_from(_EDGES), st.floats(width=32, allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 5), st.integers(1, 4), st.integers(1, 4), st.data())
+def test_read_bin_widens_each_stored_float32_exactly(count, nt, nc, data):
+    size = count * nt * nc
+    stored = np.array(data.draw(st.lists(_f32_or_edge, min_size=2 * size, max_size=2 * size)), dtype="<f4")
+    wide = stored.astype(np.float64)  # exact: every float32 is a float64
+    header = dio.MAGIC + np.array([dio.FORMAT_VERSION, count, nt, nc], dtype="<u4").tobytes()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.bin"
+        path.write_bytes(header + stored.tobytes())
+        dims, cfr = dio._read_bin(path, complex_data=True)
+        # float64 (re, im) pairs are the bytes of complex128
+        assert dims == (nt, nc) and cfr.dtype == np.complex128 and cfr.tobytes() == wide.tobytes()
+        path.write_bytes(header + stored[:size].tobytes())
+        dims, adcam = dio._read_bin(path, complex_data=False)
+        assert dims == (nt, nc) and adcam.dtype == np.float64 and adcam.tobytes() == wide[:size].tobytes()
+
+
 def write_bin_oracle(path, arrays, complex_data):
     """The per-sample writer: one interleave copy and ``tobytes`` per sample."""
     count = len(arrays)
@@ -430,6 +454,25 @@ def _put(obj, where: list, value):
     obj[where[-1]] = value
 
 
+def _read_edited_routing(trained_chain, tmp_path, capsys, command, edit) -> tuple[Path, str]:
+    """Run ``command``, train or eval, on a copy of the chain whose
+    segmentation.json or model.json ``edit`` changed in place; it must
+    exit 1 and write nothing. The edited file and the error printed."""
+    data = shutil.copytree(trained_chain[0], tmp_path / "data")
+    path = data / "segmentation.json" if command == "train" else tmp_path / "model.json"
+    obj = json.loads((data / "segmentation.json" if command == "train" else trained_chain[1]).read_text())
+    edit(obj)
+    path.write_text(json.dumps(obj))
+    out = tmp_path / "out.json"
+    if command == "train":
+        argv = ["train", "--data", str(data), "--regions", str(data / "region_map.csv"), "--out", str(out)]
+    else:
+        argv = ["eval", "--data", str(data), "--model", str(path), "--out", str(out)]
+    assert main(argv) == 1
+    assert not out.exists()
+    return path, capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def trained_chain(dataset, tmp_path_factory):
     """A dataset directory after generate and segment, plus a trained model."""
@@ -572,54 +615,37 @@ class TestBoundaryErrors:
     @pytest.mark.parametrize(
         "entry",
         [None, 3, {"size": [8, 8]}, {"founder_sample_id": "3", "size": [8, 8]}, {"founder_sample_id": 3, "size": [8]},
-         {"founder_sample_id": 3, "size": [8, 8.5]}, {"founder_sample_id": True, "size": [8, 8]}, {"founder_sample_id": 3}],
+         {"founder_sample_id": 3, "size": [8, 8.5]}, {"founder_sample_id": True, "size": [8, 8]}, {"founder_sample_id": 3},
+         {"founder_sample_id": 3, "size": [64, 64]}, {"founder_sample_id": 3, "size": [0, 8]}],
     )
     def test_founder_entries_are_checked(self, trained_chain, tmp_path, capsys, command, entry):
-        data = shutil.copytree(trained_chain[0], tmp_path / "data")
-        path = data / "segmentation.json" if command == "train" else tmp_path / "model.json"
-        obj = json.loads((data / "segmentation.json" if command == "train" else trained_chain[1]).read_text())
-        category = max(obj["founders"], key=int)
-        obj["founders"][category] = entry
-        path.write_text(json.dumps(obj))
-        out = tmp_path / "out.json"
-        if command == "train":
-            argv = ["train", "--data", str(data), "--regions", str(data / "region_map.csv"), "--out", str(out)]
-        else:
-            argv = ["eval", "--data", str(data), "--model", str(path), "--out", str(out)]
-        assert main(argv) == 1
-        err = capsys.readouterr().err
+        category = max(json.loads(trained_chain[1].read_text())["founders"], key=int)
+        path, err = _read_edited_routing(
+            trained_chain, tmp_path, capsys, command, lambda obj: _put(obj, ["founders", category], entry)
+        )
         assert f"[{command}]" in err and str(path) in err and f"founder of category {category}, " in err
-        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     @pytest.mark.parametrize(
         "founders",
-        [[], "0", None, {"zero": "founder"}, {"1.0": "founder"}],
-        ids=["list", "string", "null", "word key", "decimal key"],
+        [[], "0", None, {}, {"zero": "founder"}, {"1.0": "founder"}, {"01": "founder"}],
+        ids=["list", "string", "null", "empty", "word key", "decimal key", "leading zero key"],
     )
     def test_founders_must_map_integer_categories(self, trained_chain, tmp_path, capsys, command, founders):
-        data = shutil.copytree(trained_chain[0], tmp_path / "data")
-        path = data / "segmentation.json" if command == "train" else tmp_path / "model.json"
-        obj = json.loads((data / "segmentation.json" if command == "train" else trained_chain[1]).read_text())
-        if isinstance(founders, dict):
-            # a valid entry under a key that is not an integer
-            (key,) = founders
-            founders = {**obj["founders"], key: next(iter(obj["founders"].values()))}
-        obj["founders"] = founders
-        path.write_text(json.dumps(obj))
-        out = tmp_path / "out.json"
-        if command == "train":
-            argv = ["train", "--data", str(data), "--regions", str(data / "region_map.csv"), "--out", str(out)]
+        bad_key = isinstance(founders, dict) and bool(founders)
+
+        def edit(obj):
+            if bad_key:  # a valid entry under a key that is not an integer
+                obj["founders"].update(dict.fromkeys(founders, next(iter(obj["founders"].values()))))
+            else:
+                obj["founders"] = founders
+
+        path, err = _read_edited_routing(trained_chain, tmp_path, capsys, command, edit)
+        assert f"[{command}] {path}: " in err
+        if bad_key:
+            assert f"founders key {next(iter(founders))!r} is not an integer" in err
         else:
-            argv = ["eval", "--data", str(data), "--model", str(path), "--out", str(out)]
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert f"[{command}]" in err and str(path) in err
-        if isinstance(founders, dict):
-            assert f"founder category {key!r} is not an integer" in err
-        else:
-            assert f"founders must be an object from category to founder, not a {type(founders).__name__}" in err
-        assert not out.exists()
+            assert "founders must be a nonempty object keyed by integer ids" in err
 
     def test_train_rejects_a_pair_with_two_fused_labels(self, trained_chain, tmp_path, capsys):
         data = shutil.copytree(trained_chain[0], tmp_path / "data")
@@ -703,12 +729,14 @@ class TestBoundaryErrors:
             (["weights", "0", 0, 0], math.nan, f"weights of region 0 must be 2 x {FUSED + 1} finite numbers"),
             (["weights", "0", 1], [0.0], f"weights of region 0 must be 2 x {FUSED + 1} finite numbers"),
             (["weights", "0", 0, 0], "1.5", f"weights of region 0 must be 2 x {FUSED + 1} finite numbers"),
-            (["weights"], {}, "weights must be a nonempty object from region to values"),
+            (["weights"], {}, "weights must be a nonempty object keyed by integer ids"),
+            (["weights", "01"], [[0.0] * (FUSED + 1)] * 2, "weights key '01' is not an integer"),
             (["feature_standardizer", "mean"], [0.0], f"feature_standardizer mean must be {FUSED} finite numbers"),
             (["feature_standardizer", "scale", 3], 0.0, "feature_standardizer scale must be > 0"),
             (["feature_standardizer", "scale", 3], math.inf, f"feature_standardizer scale must be {FUSED} finite numbers"),
             (["region_feature_centroids", "0"], [0.0], f"region_feature_centroids of region 0 must be {FUSED} finite numbers"),
             (["region_feature_centroids", "99"], [0.0] * FUSED, ", 99], but the weights [0, 1, "),
+            (["region_feature_centroids", "r1"], [0.0] * FUSED, "region_feature_centroids key 'r1' is not an integer"),
             (["pair_to_fused", 0, 2], 99, "names region 99, which has no weights"),
             (["pair_to_fused", 0], [0, 1], "pair_to_fused entry [0, 1] is not three integers"),
             (["pair_to_fused", 0, 0], 0.5, "is not three integers"),
@@ -722,10 +750,10 @@ class TestBoundaryErrors:
             (["adcam_standardizer"], [1, 2], "adcam_standardizer must be an object with a mean and a scale"),
         ],
         ids=[
-            "nan-weight", "short-weight-row", "string-weight", "no-weights", "short-mean", "zero-scale", "inf-scale",
-            "short-centroid", "extra-centroid", "pair-to-untrained", "pair-of-two", "pair-float", "lambda-string",
-            "lambda-negative", "nt-string", "centroid-row-of-3", "no-centroids", "adcam-mean-null",
-            "adcam-scale-negative", "adcam-std-list",
+            "nan-weight", "short-weight-row", "string-weight", "no-weights", "zero-led-weight-key", "short-mean",
+            "zero-scale", "inf-scale", "short-centroid", "extra-centroid", "word-centroid-key", "pair-to-untrained",
+            "pair-of-two", "pair-float", "lambda-string", "lambda-negative", "nt-string", "centroid-row-of-3",
+            "no-centroids", "adcam-mean-null", "adcam-scale-negative", "adcam-std-list",
         ],
     )
     def test_eval_rejects_a_model_value_it_cannot_use(self, trained_chain, tmp_path, capsys, where, value, message):
@@ -778,17 +806,33 @@ class TestBoundaryErrors:
         assert f"[eval] {bad}: a model file of {found}; this release reads version 1" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
-    def test_eval_rejects_founders_of_mixed_sizes(self, trained_chain, tmp_path, capsys):
-        data, model_path = trained_chain
-        obj = json.loads(model_path.read_text())
-        assert len(obj["founders"]) >= 2
-        obj["founders"][min(obj["founders"])]["size"] = [6, 6]
-        bad = tmp_path / "model.json"
-        bad.write_text(json.dumps(obj))
-        rc = main(["eval", "--data", str(data), "--model", str(bad), "--out", str(tmp_path / "r.json")])
-        assert rc == 1
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_founders_of_mixed_sizes_name_their_file(self, trained_chain, tmp_path, capsys, command):
+        def edit(obj):
+            assert len(obj["founders"]) >= 2
+            obj["founders"][min(obj["founders"])]["size"] = [6, 6]
+
+        path, err = _read_edited_routing(trained_chain, tmp_path, capsys, command, edit)
+        assert f"[{command}] {path}: founders of more than one shape: [(6, 6), (8, 8)]" in err
+
+    @pytest.mark.parametrize("content", [b"nope", b"AMDN\x01\x00\x00\x00\xff\xfe"], ids=["text", "binary"])
+    @pytest.mark.parametrize("command", ["generate", "train", "eval", "plot", "pipeline"])
+    def test_a_file_that_is_not_json_names_itself(self, trained_chain, tmp_path, capsys, command, content):
+        data = shutil.copytree(trained_chain[0], tmp_path / "data")
+        path = data / "segmentation.json" if command == "train" else tmp_path / "input.json"
+        path.write_bytes(content)
+        out = tmp_path / "out"
+        argv = {
+            "generate": ["generate", "--scene", str(path), "--out", str(out)],
+            "train": ["train", "--data", str(data), "--regions", str(data / "region_map.csv"), "--out", str(out)],
+            "eval": ["eval", "--data", str(data), "--model", str(path), "--out", str(out)],
+            "plot": ["plot", "--report", str(path), "--out", str(out)],
+            "pipeline": ["pipeline", "--config", str(path), "--out", str(out)],
+        }[command]
+        assert main(argv) == 1
         err = capsys.readouterr().err
-        assert "[eval]" in err and "more than one shape" in err
+        assert err.startswith(f"error: [{command}] {path} is not a JSON file: ") and "Traceback" not in err
+        assert not out.exists()
 
     def test_eval_names_a_truncated_fingerprint_file(self, trained_chain, tmp_path, capsys):
         data = shutil.copytree(trained_chain[0], tmp_path / "data")
@@ -1051,8 +1095,11 @@ class TestModelRoundtrip:
             np.testing.assert_allclose(predict(model, s), predict(again, s), atol=1e-12)
         # routing breaks ties by founder order, so the read-back model keeps
         # the trained order (0, 1, 2, ..., not the file's "0", "1", "10", ...)
-        assert len(model.founders) >= 11
+        assert len(model.founders) >= 11 and len(model.weights) >= 11
         assert list(again.founders) == list(model.founders)
+        # and so do the regions, by which the nearest-centroid fallback breaks ties
+        assert list(again.weights) == list(model.weights)
+        assert list(again.region_feature_centroids) == list(model.region_feature_centroids)
         assert locate(again, samples)[1] == locate(model, samples)[1]
         # terminals between the training grid's points predict bit for bit alike
         held_out = build_dataset(dataclasses.replace(dataset[0], grid_spacing_m=7.0))

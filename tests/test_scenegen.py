@@ -453,7 +453,7 @@ class TestSceneJson:
 
     def test_scene_that_is_not_an_object_rejected(self):
         with pytest.raises(ValueError, match="a scene is a JSON object"):
-            scene_from_json("[1, 2]")
+            scene_from_json([1, 2])
 
     def test_null_snr_is_noise_free(self):
         obj = scene_to_json(open_scene(snr_db=20.0))
