@@ -55,6 +55,10 @@ def _cmd_generate(args) -> int:
     samples = build_dataset(scene)
     dio.write_dataset(samples, args.out)
     print(f"wrote {len(samples)} samples to {args.out}")
+    # a delay past the window is clipped into its last bin
+    last = sum(any(p.delay_samples == scene.nc - 1 for p in s.paths) for s in samples)
+    share = last / len(samples)  # build_dataset refuses a scene of no samples
+    print(f"{last} of {len(samples)} terminals ({share:.1%}) have a path in the last delay bin, {scene.nc - 1}")
     return 0
 
 

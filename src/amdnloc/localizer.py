@@ -11,7 +11,10 @@ plane stack and writes the fused vectors into one array, which
 gets its own affine regressor over the fused feature vector. A model of
 one region sends every test sample to it; with more regions a test
 sample is routed by re-running the training-time matchers (CFR founder
-templates, clustering centroids) with a nearest-centroid fallback.
+templates, clustering centroids) with a nearest-centroid fallback. The
+cluster is taken first: when every founder would send the sample to one
+region, by its (founder, cluster) pair or by the fallback, that region
+is taken and no founder is scored; only the other samples are scored.
 """
 from __future__ import annotations
 
@@ -299,16 +302,25 @@ def locate(model: LocalizationModel, samples) -> tuple[np.ndarray, list[int]]:
     scores no template. With more regions, routing pairs the CFR label,
     the first best-matching founder in ``model.founders`` order, with
     the nearest clustering centroid; a sample without paths is then a
-    ``ValueError``. A pair never seen (or cleansed away) falls back to
-    the region whose training feature centroid is nearest. The CFR label
-    comes from ``_best_pairs`` over the model's ``corner_banks``, which
-    scores a founder's t2 only where it can still win; a call takes the
-    ``rfft2`` of its samples' CFR magnitude images and of no template.
-    The features come from one ``_stack_features`` pass, standardized in
-    place; with more than one region it also fills the one (n, nt, nc)
-    stack of magnitude images that routing scores. Every sample's CFR
-    and ADCAM must have the model's shape (nt, nc). No samples give an
-    empty (0, 2) array and no regions.
+    ``ValueError``. A pair never seen (or cleansed away, or naming a
+    region without weights) falls back to the region whose training
+    feature centroid is nearest, the first in order on a tie.
+
+    The cluster decides the route when every founder gives the same
+    region (``_cluster_routes``, built from ``pair_to_fused`` on each
+    call): every founder's pair with the cluster reaches one region; or
+    no founder has a pair, so the fallback is the region; or the pairs
+    reach one region and the fallback is that region too. Such a sample
+    is routed without a CFR label. Only the others are scored: their CFR
+    labels come from one ``_best_pairs`` call over the model's
+    ``corner_banks``, which scores a founder's t2 only where it can
+    still win, and takes the ``rfft2`` of those samples' CFR magnitude
+    images and of no template; when every sample is decided it is not
+    called. The features come from one ``_stack_features`` pass,
+    standardized in place; with more than one region it also fills the
+    one (n, nt, nc) stack of magnitude images that routing scores.
+    Every sample's CFR and ADCAM must have the model's shape (nt, nc).
+    No samples give an empty (0, 2) array and no regions.
     """
     if not samples:
         return np.empty((0, 2)), []
@@ -321,19 +333,51 @@ def locate(model: LocalizationModel, samples) -> tuple[np.ndarray, list[int]]:
         regions = list(model.weights) * len(samples)
     else:
         kf = model.adcam_standardizer.apply([path_descriptor(s, model.path_select) for s in samples])
-        adcam_labels = _dist(kf, model.adcam_centroids).argmin(axis=1)
-        cfr_labels = model.founder_labels[_best_pairs(model.corner_banks, mags)]
+        adcam_labels = _dist(kf, model.adcam_centroids).argmin(axis=1).tolist()
+        routes = _cluster_routes(model)
+        nearest = _nearest_centroid(model.region_feature_centroids)
         regions = []
-        for c, a, feat in zip(cfr_labels.tolist(), adcam_labels.tolist(), feats):
-            region = model.pair_to_fused.get((c, a))
-            if region not in model.weights:
-                centroids = model.region_feature_centroids
-                region = min(centroids, key=lambda r: float(np.sum((centroids[r] - feat) ** 2)))
-            regions.append(region)
+        for a, feat in zip(adcam_labels, feats):
+            reach, falls = routes.get(a, (set(), True))
+            if falls and len(reach) <= 1:
+                # the fallback can still decide the route: take it as one more region
+                reach, falls = reach | {nearest(feat)}, False
+            regions.append(next(iter(reach)) if len(reach) == 1 and not falls else None)
+        scored = [i for i, region in enumerate(regions) if region is None]
+        if scored:
+            cfr_labels = model.founder_labels[_best_pairs(model.corner_banks, mags[scored])]
+            for i, c in zip(scored, cfr_labels.tolist()):
+                region = model.pair_to_fused.get((c, adcam_labels[i]))
+                regions[i] = region if region in model.weights else nearest(feats[i])
     xy = np.empty((len(samples), 2))
     for i, (region, feat) in enumerate(zip(regions, feats)):
         xy[i] = apply_weights(model.weights[region], feat)
     return xy, regions
+
+
+def _cluster_routes(model: LocalizationModel) -> dict[int, tuple[set[int], bool]]:
+    """Where the founders send a terminal of each cluster named by a
+    ``pair_to_fused`` entry: the regions with weights that the cluster's
+    pairs with founders reach, and whether some founder has no such pair
+    and so leaves the terminal to the nearest-centroid fallback. A
+    cluster absent here sends every terminal to the fallback."""
+    reach: dict[int, set[int]] = {}
+    paired: dict[int, int] = {}
+    for (c, a), region in model.pair_to_fused.items():
+        if c in model.founders and region in model.weights:
+            reach.setdefault(a, set()).add(region)
+            paired[a] = paired.get(a, 0) + 1
+    return {a: (regions, paired[a] < len(model.founders)) for a, regions in reach.items()}
+
+
+def _nearest_centroid(centroids: dict[int, np.ndarray]):
+    """The function from a feature vector to the region of the nearest
+    centroid by squared distance, the first region in order on a tie:
+    ``min(centroids, key=lambda r: float(np.sum((centroids[r] - feat) **
+    2)))`` bit for bit, from one row-wise sum over the centroids stacked
+    in region order."""
+    keys, table = list(centroids), np.array(list(centroids.values()))
+    return lambda feat: keys[int(np.argmin(np.sum((table - feat) ** 2, axis=1)))]
 
 
 def apply_weights(weights: np.ndarray, features: np.ndarray) -> np.ndarray:

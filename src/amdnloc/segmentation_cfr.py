@@ -56,16 +56,28 @@ class CfrLabeling:
     scores: np.ndarray | None = None
 
 
+@lru_cache(maxsize=16)
+def _band_matrices(source_shape: tuple[int, int], shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The 0/1 band matrices of ``_window_energy`` for (H, W) sources and
+    (a, b) windows: (H-a+1, H), which sums a window's rows, and
+    (W, W-b+1), which sums its columns. Built once per shape pair and
+    shared between calls, so both are read-only."""
+    (h, w), (a, b) = source_shape, shape
+    y = np.arange(h) - np.arange(h - a + 1)[:, None]
+    x = np.arange(w)[:, None] - np.arange(w - b + 1)
+    rows, cols = ((0 <= y) & (y < a)).astype(float), ((0 <= x) & (x < b)).astype(float)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def _window_energy(source: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """Energy of every placement window over the last two axes of
     ``source``: the squares summed over the window's rows, then over its
-    columns, as two products with 0/1 band matrices. The terms are
-    nonnegative, so nothing cancels, and ``np.matmul`` makes one BLAS
-    call per plane, so a plane's sums do not depend on its stack."""
-    (h, w), (a, b) = source.shape[-2:], shape
-    y = np.arange(h) - np.arange(h - a + 1)[:, None]
-    x = np.arange(w)[:, None] - np.arange(w - b + 1)
-    return ((0 <= y) & (y < a)).astype(float) @ (source * source) @ ((0 <= x) & (x < b)).astype(float)
+    columns, as two products with the 0/1 ``_band_matrices``. The terms
+    are nonnegative, so nothing cancels, and ``np.matmul`` makes one
+    BLAS call per plane, so a plane's sums do not depend on its stack."""
+    rows, cols = _band_matrices(source.shape[-2:], tuple(shape))
+    return rows @ (source * source) @ cols
 
 
 def _check_fits(template_shape: tuple[int, ...], source_shape: tuple[int, ...]):
@@ -160,29 +172,40 @@ def _pruned_irfft2(spec: np.ndarray, image_shape: tuple[int, int], template_shap
     return along_w @ half.reshape(*half.shape[:-2], -1, half.shape[-1] // 2)
 
 
-def _ncc_planes(bank: _TemplateBank, templates: np.ndarray, spectra: np.ndarray, rwin: np.ndarray) -> np.ndarray:
-    """Normalized cross-correlation of templates ``bank.spectra[templates]``
-    against images, maximized over placements, one correlation plane
-    per broadcast (template, image) pair: ``templates`` of shape (T, 1)
-    against n images give (T, n) scores, and ``templates`` of shape (n,)
-    one score per image.
+def _ncc_planes(
+    template_spectra: np.ndarray,
+    rnorm: np.ndarray,
+    spectra: np.ndarray,
+    rwin: np.ndarray,
+    image_shape: tuple[int, int],
+    template_shape: tuple[int, int],
+) -> np.ndarray:
+    """Normalized cross-correlation of templates against images,
+    maximized over placements, one correlation plane per broadcast
+    (template, image) pair: templates of shape (T, 1, W//2+1, H) against
+    n images give (T, n) scores, and n templates one score per image.
+
+    The templates are given as a ``_TemplateBank`` keeps them: by their
+    conjugated spectra and by ``rnorm``, the ``1/sqrt`` of their
+    energies, broadcast as the spectra are without their last two axes;
+    a slice of a bank's rows passes them with no copy. The images are
+    given as ``_ImageStacks`` keeps them: by their spectra
+    ``np.fft.rfft2(image)`` with the axes swapped, and by ``rwin``, the
+    ``1/sqrt`` of their window energies for ``template_shape``, also with
+    the axes swapped, and 0 where a window is not scored.
 
     A placement scores sum(T*I) / sqrt(sum(T^2) * sum(I^2)), the sums
-    running over the template window. The images are given as
-    ``_ImageStacks`` keeps them: by their spectra ``np.fft.rfft2(image)``
-    with the axes swapped, and by ``rwin``, the ``1/sqrt`` of their
-    window energies for the bank's template shape, also with the axes
-    swapped, and 0 where a window is not scored. The numerator is a
-    circular cross-correlation taken from FFTs (J. P. Lewis, "Fast
-    Normalized Cross-Correlation", 1995); every valid placement lies
-    inside the image, so it never wraps, and the inverse transform
+    running over the template window. The numerator is a circular
+    cross-correlation taken from FFTs (J. P. Lewis, "Fast Normalized
+    Cross-Correlation", 1995); every valid placement lies inside the
+    image, so it never wraps, and the inverse transform
     (``_pruned_irfft2``) computes only those placements. A score is
-    ``max(num * rwin) * rnorm``, clipped to [0, 1]: a zero ``rwin``
-    or a zero ``bank.rnorm`` (an all-zero template) scores 0.
+    ``max(num * rwin) * rnorm``, clipped to [0, 1]: a zero ``rwin`` or a
+    zero ``rnorm`` (an all-zero template) scores 0.
     """
-    num = _pruned_irfft2(bank.spectra[templates] * spectra, bank.image_shape, bank.shape)
+    num = _pruned_irfft2(template_spectra * spectra, image_shape, template_shape)
     num *= rwin
-    scores = np.clip(np.max(num, axis=(-2, -1)) * bank.rnorm[templates], 0.0, 1.0)
+    scores = np.clip(np.max(num, axis=(-2, -1)) * rnorm, 0.0, 1.0)
     # np.clip passes a -0.0 (a zero factor times a negative numerator)
     # through; adding +0.0 makes every zero score +0.0
     scores += 0.0
@@ -251,7 +274,8 @@ class _ImageStacks:
     def _score(self, bank: _TemplateBank, rows: np.ndarray) -> np.ndarray:
         """``_ncc_planes`` of every template of a bank against every
         listed image, (templates, len(rows)), taken in chunks of about
-        ``channel._CHUNK`` correlation planes."""
+        ``channel._CHUNK`` correlation planes; each chunk's templates are
+        a slice of the bank's rows, so no template spectrum is copied."""
         self._check(bank)
         count, n = len(bank.rnorm), len(rows)
         scores = np.zeros((count, n))
@@ -261,8 +285,10 @@ class _ImageStacks:
             img = slice(i, i + n_step)
             spectra, rwin = self._spectra[rows[img]], self._rwin[rows[img]]
             for j in range(0, count, t_step):
-                templates = np.arange(j, min(j + t_step, count))
-                scores[templates, img] = _ncc_planes(bank, templates[:, None], spectra, rwin)
+                t = slice(j, j + t_step)
+                scores[t, img] = _ncc_planes(
+                    bank.spectra[t, None], bank.rnorm[t, None], spectra, rwin, bank.image_shape, bank.shape
+                )
         return scores
 
     def _score_pairs(self, bank: _TemplateBank, templates: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -271,8 +297,10 @@ class _ImageStacks:
         self._check(bank)
         scores = np.zeros(len(rows))
         for k in channel._chunks(len(rows)):
-            r = rows[k]
-            scores[k] = _ncc_planes(bank, templates[k], self._spectra[r], self._rwin[r])
+            r, t = rows[k], templates[k]
+            scores[k] = _ncc_planes(
+                bank.spectra[t], bank.rnorm[t], self._spectra[r], self._rwin[r], bank.image_shape, bank.shape
+            )
         return scores
 
     def pair_hits(self, banks, indices: np.ndarray, tau: float, table: np.ndarray | None = None) -> np.ndarray:

@@ -376,6 +376,27 @@ class TestCliWorkflow:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "data"]
         assert not (data / "region_map.csv").exists()
 
+    @pytest.mark.parametrize("nc, last", [(16, 0), (8, 17)])
+    def test_generate_counts_the_last_delay_bin(self, dataset, tmp_path, capsys, nc, last):
+        # 6 m per delay bin: the 80 m scene fits a window of 16 bins, and
+        # 17 of its 29 terminals have a path clipped into the last of 8
+        scene = dataclasses.replace(dataset[0], nc=nc)
+        samples = build_dataset(scene)
+        assert last == sum(max((p.delay_samples for p in s.paths), default=-1) == nc - 1 for s in samples)
+        (tmp_path / "scene.json").write_text(json.dumps(scene_to_json(scene)))
+        data = tmp_path / "data"
+        assert main(["generate", "--scene", str(tmp_path / "scene.json"), "--out", str(data)]) == 0
+        share = f"{100 * last / len(samples):.1f}%"
+        assert capsys.readouterr().out.splitlines() == [
+            f"wrote {len(samples)} samples to {data}",
+            f"{last} of {len(samples)} terminals ({share}) have a path in the last delay bin, {nc - 1}",
+        ]
+        # only standard output tells of it: the files are write_dataset's
+        dio.write_dataset(samples, tmp_path / "direct")
+        names = sorted(p.name for p in data.iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "direct").iterdir())
+        assert all((data / n).read_bytes() == (tmp_path / "direct" / n).read_bytes() for n in names)
+
     def test_seed_env_seeds_the_generated_scene(self, dataset, tmp_path, monkeypatch):
         scene = dataclasses.replace(dataset[0], grid_jitter=0.5)
         (tmp_path / "scene.json").write_text(json.dumps(scene_to_json(scene)))

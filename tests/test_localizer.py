@@ -5,6 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import cdist
 
 from amdnloc import channel, localizer
@@ -16,6 +17,7 @@ from amdnloc.localizer import (
     FeatureConfig,
     _block_means,
     _image_features,
+    _nearest_centroid,
     _render_planes,
     _stack_features,
     _top_peaks,
@@ -421,6 +423,31 @@ class TestTrainPredict:
         np.testing.assert_array_equal(predict(model, s), predict(model, s))
 
 
+def cluster_oracle(model, sample) -> int:
+    """The sample's clustering label, by ``scipy`` distances."""
+    kf = model.adcam_standardizer.apply(path_descriptor(sample, model.path_select))
+    return int(cdist([kf], model.adcam_centroids)[0].argmin())
+
+
+def route_via(model, cfr_label, adcam_label, sample) -> tuple[int, bool]:
+    """Where the (CFR, cluster) pair sends the sample: the region, and
+    whether the pair routed it directly rather than the fallback."""
+    fused = model.pair_to_fused.get((cfr_label, adcam_label))
+    if fused is not None and fused in model.weights:
+        return fused, True
+    return nearest_oracle(model, sample), False
+
+
+def nearest_oracle(model, sample) -> int:
+    """The fallback: the region whose training feature centroid is
+    nearest to the sample's features, the first in order on a tie."""
+    feat = model.feature_standardizer.apply(sample_features(sample, model.config))
+    return min(
+        model.region_feature_centroids,
+        key=lambda r: float(np.sum((model.region_feature_centroids[r] - feat) ** 2)),
+    )
+
+
 def route_oracle(model, sample) -> tuple[int, bool]:
     """Routing one sample at a time with the scalar ``ncc``: the region,
     and whether the sample's (CFR, cluster) pair routed it directly."""
@@ -429,17 +456,14 @@ def route_oracle(model, sample) -> tuple[int, bool]:
         model.founders,
         key=lambda c: min(ncc(model.founders[c].t1, mag), ncc(model.founders[c].t2, mag)),
     )
-    kf = model.adcam_standardizer.apply(path_descriptor(sample, model.path_select))
-    adcam_label = int(cdist([kf], model.adcam_centroids)[0].argmin())
-    fused = model.pair_to_fused.get((int(cfr_label), adcam_label))
-    if fused is not None and fused in model.weights:
-        return fused, True
-    feat = model.feature_standardizer.apply(sample_features(sample, model.config))
-    nearest = min(
-        model.region_feature_centroids,
-        key=lambda r: float(np.sum((model.region_feature_centroids[r] - feat) ** 2)),
-    )
-    return nearest, False
+    return route_via(model, int(cfr_label), cluster_oracle(model, sample), sample)
+
+
+def decided_oracle(model, sample) -> bool:
+    """Whether every founder sends the sample to one region, so that no
+    founder needs scoring: each founder's route taken one at a time."""
+    a = cluster_oracle(model, sample)
+    return len({route_via(model, c, a, sample)[0] for c in model.founders}) == 1
 
 
 def predict_oracle(model, sample) -> np.ndarray:
@@ -523,7 +547,7 @@ class TestLocate:
         else:
             # only the samples' CFR magnitude images, each transformed once
             assert all(shape[1:] == (model.config.nt, model.config.nc) for shape in shapes)
-            assert sum(shape[0] for shape in shapes) == len(test)
+            assert sum(shape[0] for shape in shapes) == sum(not decided_oracle(model, s) for s in test)
 
     def test_one_centroid_model_takes_no_descriptor(self, held_out_model, monkeypatch):
         model, test = held_out_model
@@ -619,6 +643,109 @@ class TestLocate:
         xy, regions = locate(model, batch)
         assert regions == [route_oracle(model, s)[0] for s in batch]
         assert np.array_equal(xy, np.array([predict_oracle(model, s) for s in batch]))
+
+
+@st.composite
+def _centroids_and_feature(draw):
+    """Region centroids keyed by distinct ids in a drawn order, drawn from
+    a few rows so that duplicates are common, and a feature vector, often
+    one of the rows; small integer values make distinct rows tie too. The
+    lengths reach past 128, where ``np.sum`` splits a row pairwise."""
+    d = draw(st.sampled_from([1, 3, 8, 9, 127, 129, 335]))
+    values = draw(st.sampled_from([st.integers(-2, 2).map(float), st.floats(-1e6, 1e6)]))
+    pool = draw(st.lists(arrays(float, d, elements=values), min_size=1, max_size=4))
+    keys = draw(st.lists(st.integers(0, 60), min_size=1, max_size=12, unique=True))
+    centroids = {k: pool[draw(st.integers(0, len(pool) - 1))] for k in keys}
+    feat = draw(st.one_of(st.sampled_from(pool), arrays(float, d, elements=values)))
+    return centroids, feat
+
+
+@settings(max_examples=300, deadline=None)
+@given(_centroids_and_feature())
+def test_nearest_centroid_equals_the_scalar_min(case):
+    centroids, feat = case
+    got = _nearest_centroid(centroids)(feat)
+    assert got == min(centroids, key=lambda r: float(np.sum((centroids[r] - feat) ** 2)))
+    dist = {r: float(np.sum((c - feat) ** 2)) for r, c in centroids.items()}
+    assert got == next(r for r in centroids if dist[r] == min(dist.values()))
+
+
+def test_nearest_centroid_ties_go_to_the_first_region_in_order():
+    x, y = np.array([1.0, 2.0]), np.array([1.0, 2.5])
+    assert _nearest_centroid({7: x, 3: x, 5: y})(x) == 7
+    assert _nearest_centroid({5: y, 3: x, 7: x})(np.array([1.0, 2.0])) == 3
+    # equally far on either side
+    assert _nearest_centroid({4: x, 2: y})(np.array([1.0, 2.25])) == 4
+
+
+def _plant(model, test, case):
+    """The model with pairs planted for the cluster of ``test[0]``, that
+    cluster, and whether ``test[0]`` is routed without scoring."""
+    t, founders = test[0], list(model.founders)
+    a, near = cluster_oracle(model, t), nearest_oracle(model, t)
+    far = next(r for r in model.weights if r != near)
+    missing = max(model.weights) + 1
+    others = {pair: r for pair, r in model.pair_to_fused.items() if pair[1] != a}
+    every = {**others, **{(c, a): far for c in founders}}
+    pairs, decided = {
+        "no-pair": (others, True),
+        "every-founder-one-region": (every, True),
+        "only-pair-without-weights": ({**others, (founders[0], a): missing}, True),
+        "one-founder-without-weights": ({**every, (founders[0], a): missing}, False),
+        "one-pair-the-fallback-equals": ({**others, (founders[-1], a): near}, True),
+        "one-pair-the-fallback-differs": ({**others, (founders[-1], a): far}, False),
+    }[case]
+    return dataclasses.replace(model, pair_to_fused=pairs), a, decided
+
+
+def _locate_taking_transforms(model, samples, monkeypatch):
+    """``locate``'s output, and a copy of every array ``np.fft.rfft2``
+    took during the call."""
+    rfft2, taken = np.fft.rfft2, []
+
+    def counted(a, *args, **kwargs):
+        taken.append(np.array(a))
+        return rfft2(a, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(np.fft, "rfft2", counted)
+        return locate(model, samples), taken
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "no-pair",
+        "every-founder-one-region",
+        "only-pair-without-weights",
+        "one-founder-without-weights",
+        "one-pair-the-fallback-equals",
+        "one-pair-the-fallback-differs",
+    ],
+)
+@pytest.mark.parametrize("held_out_model", [False], ids=["segmented"], indirect=True)
+def test_locate_scores_only_the_routes_in_doubt(held_out_model, case, monkeypatch):
+    # a terminal whose founders all send it to one region is routed
+    # without scoring; every other one has its magnitude image scored
+    model, test = held_out_model
+    planted, a, decided = _plant(model, test, case)
+    assert decided_oracle(planted, test[0]) == decided
+    if case in ("no-pair", "every-founder-one-region", "only-pair-without-weights"):
+        assert all(decided_oracle(planted, s) for s in test if cluster_oracle(planted, s) == a)
+    (xy, regions), taken = _locate_taking_transforms(planted, test, monkeypatch)
+    oracle = [route_oracle(planted, s) for s in test]
+    assert regions == [r for r, _ in oracle]
+    assert xy.tobytes() == np.array([predict_oracle(planted, s) for s in test]).tobytes()
+    if case == "every-founder-one-region":
+        assert oracle[0] == (regions[0], True) and regions[0] != nearest_oracle(planted, test[0])
+    # the undecided terminals' CFR magnitude images, each transformed once, in order
+    undecided = [render_image(s.cfr, "cfr_magnitude") for s in test if not decided_oracle(planted, s)]
+    assert 0 < len(undecided) < len(test)
+    assert np.array_equal(np.concatenate(taken), np.array(undecided))
+    # with every terminal decided, _best_pairs is not called
+    all_decided = [s for s in test if decided_oracle(planted, s)]
+    (xy, regions), taken = _locate_taking_transforms(planted, all_decided, monkeypatch)
+    assert taken == [] and regions == [route_oracle(planted, s)[0] for s in all_decided]
 
 
 def test_locate_across_chunks_on_the_dense_reference_scene():

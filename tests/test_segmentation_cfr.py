@@ -19,6 +19,8 @@ from amdnloc.segmentation_cfr import (
     _corner_banks,
     _ImageStacks,
     _TemplateBank,
+    _band_matrices,
+    _ncc_planes,
     _pruned_irfft2,
     _window_energy,
     extract_templates,
@@ -454,6 +456,72 @@ def test_window_energy_box_sums_equal_the_einsum(case):
     assert np.all(np.abs(got - want) <= 8 * np.finfo(float).eps * want)
     assert np.all(got[want == 0.0] == 0.0)
     assert np.array_equal(segmentation_cfr._valid_windows(got), segmentation_cfr._valid_windows(want))
+
+
+def _fresh_bands(source_shape, shape):
+    (h, w), (a, b) = source_shape, shape
+    y = np.arange(h) - np.arange(h - a + 1)[:, None]
+    x = np.arange(w)[:, None] - np.arange(w - b + 1)
+    return ((0 <= y) & (y < a)).astype(float), ((0 <= x) & (x < b)).astype(float)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_wide_range_images())
+def test_window_energy_equals_it_with_fresh_bands(case):
+    stack, shape = case
+    rows, cols = _fresh_bands(stack.shape[-2:], shape)
+    assert _window_energy(stack, shape).tobytes() == (rows @ (stack * stack) @ cols).tobytes()
+    cached = _band_matrices(stack.shape[-2:], shape)
+    assert cached is _band_matrices(stack.shape[-2:], shape)
+    for band, fresh in zip(cached, (rows, cols)):
+        assert not band.flags.writeable and band.tobytes() == fresh.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            band[0, 0] = 2.0
+
+
+def _gathered_scores(stacks, bank, rows):
+    """``_ImageStacks._score`` with each chunk's template spectra and
+    ``rnorm`` gathered by index, the gather form the slices replace."""
+    count, n = len(bank.rnorm), len(rows)
+    scores = np.zeros((count, n))
+    n_step = max(1, min(n, channel._CHUNK))
+    t_step = max(1, channel._CHUNK // n_step)
+    for i in range(0, n, n_step):
+        img = rows[i : i + n_step]
+        for j in range(0, count, t_step):
+            t = np.arange(j, min(j + t_step, count))[:, None]
+            scores[t[:, 0], i : i + n_step] = _ncc_planes(
+                bank.spectra[t], bank.rnorm[t], stacks._spectra[img], stacks._rwin[img], bank.image_shape, bank.shape
+            )
+    return scores
+
+
+@pytest.mark.parametrize("count", [channel._CHUNK - 1, channel._CHUNK, channel._CHUNK + 1])
+@pytest.mark.parametrize("n", [1, channel._CHUNK - 1, channel._CHUNK + 1])
+def test_scores_of_sliced_templates_equal_the_gather_form(count, n):
+    rng = np.random.default_rng(count * 1000 + n)
+    images = list(rng.random((n, 6, 7)) ** 3)
+    templates = rng.random((count, 3, 4)) ** 2
+    templates[count // 2] = 0.0  # an all-zero template scores 0
+    stacks = _ImageStacks(images, (3, 4))
+    bank = _TemplateBank(templates, stacks.shape)
+    rows = rng.permutation(n)
+    passed = []
+    kernel = segmentation_cfr._ncc_planes
+
+    def seen(template_spectra, *args):
+        passed.append(template_spectra)
+        return kernel(template_spectra, *args)
+
+    with mock.patch.object(segmentation_cfr, "_ncc_planes", seen):
+        got = stacks._score(bank, rows)
+    # every chunk's templates are a view of the bank's spectra, not a copy
+    assert passed and all(ts.base is not None and np.shares_memory(ts, bank.spectra) for ts in passed)
+    want = _gathered_scores(stacks, bank, rows)
+    assert got.tobytes() == want.tobytes()
+    assert np.all(got[count // 2] == 0.0) and not np.any(np.signbit(got))
+    picks = rng.integers(0, count, size=n)
+    assert stacks._score_pairs(bank, picks, rows).tobytes() == want[picks, np.arange(n)].tobytes()
 
 
 @st.composite
