@@ -95,8 +95,9 @@ def _valid_windows(win: np.ndarray) -> np.ndarray:
     of the last two axes, are scored: the windows above 1e-12 of the
     image's largest window energy, or above 0 when every window is
     empty."""
-    scale = np.max(win, axis=(1, 2), keepdims=True)
-    return win > np.where(scale > 0, 1e-12 * scale, 0.0)
+    # an image with a NaN pixel has a NaN maximum, which fmax makes 0
+    scale = np.fmax(win.reshape(len(win), -1).max(axis=1), 0.0)
+    return win > 1e-12 * scale[:, None, None]
 
 
 class _TemplateBank:
@@ -259,10 +260,11 @@ class _ImageStacks:
         self._spectra = np.empty((len(images), w // 2 + 1, h), dtype=complex)
         self._rwin = np.zeros((len(images), w - b + 1, h - a + 1))
         for rows in channel._chunks(len(images)):
-            chunk = np.array(images[rows], dtype=float)
+            chunk = np.asarray(images[rows], dtype=float)  # no copy of a float array
             self._spectra[rows] = np.fft.rfft2(chunk).swapaxes(-2, -1)
-            win = _window_energy(chunk, self.template_shape).swapaxes(-2, -1)
-            np.divide(1.0, np.sqrt(win), out=self._rwin[rows], where=_valid_windows(win))
+            win = _window_energy(chunk, self.template_shape)
+            valid = _valid_windows(win)
+            np.divide(1.0, np.sqrt(win, out=win), out=self._rwin[rows].swapaxes(-2, -1), where=valid)
 
     def _check(self, bank: _TemplateBank):
         if (bank.image_shape, bank.shape) != (self.shape, self.template_shape):
@@ -328,23 +330,6 @@ class _ImageStacks:
         hits[here] = True
         return hits
 
-    def first_hit(self, banks, indices: np.ndarray, tau: float, table: np.ndarray | None = None) -> int | None:
-        """The first listed image that ``pair_hits`` holds, or None.
-
-        The images are scored in list order, in runs of ``channel._CHUNK``
-        images that double in length, and the scan stops after the first
-        run that holds a hit, so an early hit skips scoring the rest.
-        ``table`` is read and written as ``pair_hits`` does.
-        """
-        start, step = 0, channel._CHUNK
-        while start < len(indices):
-            run = indices[start : start + step]
-            hits = np.flatnonzero(self.pair_hits(banks, run, tau, table))
-            if hits.size:
-                return int(run[hits[0]])
-            start, step = start + step, 2 * step
-        return None
-
 
 def _best_pairs(banks: tuple[_TemplateBank, _TemplateBank], images: list[np.ndarray]) -> np.ndarray:
     """For each image, the first founder with the best pair score,
@@ -381,6 +366,37 @@ def _best_pairs(banks: tuple[_TemplateBank, _TemplateBank], images: list[np.ndar
     return choice
 
 
+# Stage one's forward pass scores the t1 templates of this many unlabeled
+# images as one bank. On the 813 training images of the reference scene,
+# blocks of 1, 4, 8, 16, 32 and 64 scored 149,555, 156,914, 160,590,
+# 166,203, 180,950 and 204,517 correlation planes, and match_within took
+# 1.15, 1.00, 1.01, 1.03, 1.04 and 1.16 s of CPU time (medians of 9
+# interleaved runs, one BLAS thread): a block shares each call's image
+# gathers among its templates, but wastes the row of every member that an
+# earlier member recruits. Blocks of 4 to 32 lie within noise of each other.
+_BLOCK = 16
+
+
+def _corner_bank(images: list[np.ndarray], rows, side: str, stacks: _ImageStacks) -> _TemplateBank:
+    """The ``side`` ("t1" or "t2") corner templates of the listed images
+    as one bank for the images of ``stacks``."""
+    pairs = [extract_templates(images[i], stacks.template_shape) for i in rows]
+    return _TemplateBank(np.stack([getattr(pair, side) for pair in pairs]), stacks.shape)
+
+
+def _listed_scores(stacks: _ImageStacks, images: list[np.ndarray], founders: np.ndarray, side: str, f, r) -> np.ndarray:
+    """The ``side`` score of founder image ``founders[f[k]]`` on image
+    ``r[k]``, for each k, with banks of at most ``channel._CHUNK``
+    founders, each built only for founders that have a pair listed."""
+    need, f = np.unique(f, return_inverse=True)
+    scores = np.empty(len(f))
+    for rows in channel._chunks(len(need)):
+        part = (rows.start <= f) & (f < rows.stop)
+        bank = _corner_bank(images, founders[need[rows]], side, stacks)
+        scores[part] = stacks._score_pairs(bank, f[part] - rows.start, r[part])
+    return scores
+
+
 def match_within(
     images: list[np.ndarray], tau_in: float, size: tuple[int, int]
 ) -> CfrLabeling:
@@ -393,11 +409,22 @@ def match_within(
     images and adopts the first matching image's category instead of
     keeping a fresh one.
 
-    Scoring is batched per founder: its template banks are built once,
-    its pair is scored once against all later unlabeled images, and the
-    fallback scores earlier images in runs until one holds a match
-    (``_ImageStacks.first_hit``).
-    Recruitment order and results are those of the image-by-image scan.
+    The scan runs as two batched passes, with the results of the
+    image-by-image scan. A founder that recruits nobody (a lonely one)
+    changes no label but its own, to that of an earlier image, so whether
+    it adopts one never changes the forward scan, and every fallback can
+    wait for its end. The forward pass takes the next ``_BLOCK`` unlabeled
+    images as one bank of t1 templates, scored once against the unlabeled
+    images after the block and once on the pairs inside it, then walks the
+    block in order: a member an earlier one recruited is skipped, and a
+    member scores t2 only where its t1 reaches ``tau_in``. The fallback
+    pass then goes over the images in runs of ``channel._CHUNK``, in
+    order, scoring every lonely founder still looking past the run's start
+    in banks of at most ``channel._CHUNK`` templates; a founder stops at
+    the run that holds its first pair hit. The adoptions are settled in
+    founder order, so an earlier founder's is settled before a later one
+    copies it. A score does not depend on the call it was taken in.
+
     Every score a kept founder took is returned in ``scores``; a
     founder that adopts another category drops its scores.
     """
@@ -407,34 +434,84 @@ def match_within(
         raise ValueError(f"tau_in must lie in (0, 1], got {tau_in}")
     stacks = _ImageStacks(images, size)
     m = len(images)
-    labels = np.full(m, UNLABELED, dtype=int)
-    founders: dict[int, TemplatePair] = {}
-    ids: list[int] = []  # the kept founders' images
-    rows = []  # each kept founder's columns, and its t1 and t2 scores on them
-    class_num = 0
-    for i in range(m):
-        if labels[i] != UNLABELED:
-            continue
-        pair = extract_templates(images[i], size, founder_id=i)
-        banks = _corner_banks([pair], stacks.shape)
-        row = np.full((2, m), np.nan)
-        labels[i] = class_num
-        later = i + 1 + np.flatnonzero(labels[i + 1 :] == UNLABELED)
-        recruits = later[stacks.pair_hits(banks, later, tau_in, row)]
-        labels[recruits] = class_num
-        if recruits.size == 0:
-            first = stacks.first_hit(banks, np.arange(i), tau_in, row)
-            if first is not None:
-                labels[i] = labels[first]
-        if labels[i] == class_num:
-            founders[class_num] = pair
-            ids.append(i)
-            # only the images that may still found a category keep their scores
-            cols = np.concatenate([ids, later[labels[later] == UNLABELED]])
-            rows.append((cols, row[:, cols]))
-            class_num += 1
-    scores = np.array([kept[:, np.searchsorted(cols, ids)].T for cols, kept in rows])
-    return CfrLabeling(labels=labels, founders=founders, class_count=class_num, scores=scores)
+    labels = np.full(m, UNLABELED, dtype=int)  # the image of each image's founder
+    lonely = []
+    # each founder's t1 and t2 scores on the images still unlabeled after
+    # its turn: the later images that a later founder takes
+    ahead = {}
+    free = np.arange(m)
+    while free.size:
+        block, rest = free[:_BLOCK], free[_BLOCK:]
+        bank = _corner_bank(images, block, "t1", stacks)
+        t1 = np.full((len(block), m), np.nan)
+        t1[:, rest] = stacks._score(bank, rest)
+        above, below = np.triu_indices(len(block), 1)
+        t1[above, block[below]] = stacks._score_pairs(bank, above, block[below])
+        for k, i in enumerate(block.tolist()):
+            if labels[i] != UNLABELED:
+                continue
+            labels[i] = i
+            later = free[k + 1 :][labels[free[k + 1 :]] == UNLABELED]
+            row = np.full((2, len(later)), np.nan)
+            row[0] = t1[k, later]
+            reach = np.flatnonzero(row[0] >= tau_in)
+            if reach.size:
+                row[1, reach] = stacks._score(_corner_bank(images, [i], "t2", stacks), later[reach])[0]
+            hits = row[1] >= tau_in
+            labels[later[hits]] = i
+            if not hits.any():
+                lonely.append(i)
+            ahead[i] = row[:, ~hits]
+        free = rest[labels[rest] == UNLABELED]
+
+    heads = np.array(sorted(ahead))  # every founder's image
+    first = {}  # the first earlier image each lonely founder's pair hits
+    behind = {i: [np.empty((2, 0))] for i in lonely}  # scores on the founder images before it
+    pending = np.array(lonely, dtype=int)
+    for start in range(0, m, channel._CHUNK):
+        pending = pending[pending > start]
+        if not pending.size:
+            break
+        run = np.arange(start, min(start + channel._CHUNK, m))
+        inside, past = pending[pending <= run[-1]], pending[pending > run[-1]]
+        # a founder inside the run scores only the run's images before it
+        f, r = np.nonzero(run < inside[:, None])
+        scores = np.full((2, len(pending), len(run)), np.nan)
+        scores[0, f, r] = _listed_scores(stacks, images, inside, "t1", f, run[r])
+        for rows in channel._chunks(len(past)):
+            rows = slice(len(inside) + rows.start, len(inside) + rows.stop)
+            scores[0, rows] = stacks._score(_corner_bank(images, pending[rows], "t1", stacks), run)
+        f, r = np.nonzero(scores[0] >= tau_in)
+        scores[1, f, r] = _listed_scores(stacks, images, pending, "t2", f, run[r])
+        hits = scores[1] >= tau_in
+        at_heads = np.isin(run, heads)
+        for n, i in enumerate(pending.tolist()):
+            if hits[n].any():
+                first[i] = int(run[np.argmax(hits[n])])
+                del behind[i]
+            else:
+                behind[i].append(scores[:, n, at_heads & (run < i)])
+        pending = pending[~hits.any(axis=1)]
+
+    taken = labels.copy()  # the founder that took each image in the forward pass
+    for i in lonely:
+        if i in first:
+            labels[i] = labels[first[i]]
+    kept = heads[labels[heads] == heads]
+    k = len(kept)
+    table = np.full((k, k, 2), np.nan)
+    for c, i in enumerate(kept.tolist()):
+        cols = i + 1 + np.flatnonzero(taken[i + 1 :] > i)
+        table[c, c + 1 :] = ahead[i][:, np.searchsorted(cols, kept[c + 1 :])].T
+        if i in behind:
+            row = np.concatenate(behind[i], axis=1)
+            table[c, :c] = row[:, np.searchsorted(heads, kept[:c])].T
+    return CfrLabeling(
+        labels=np.searchsorted(kept, labels),
+        founders={c: extract_templates(images[i], size, founder_id=i) for c, i in enumerate(kept.tolist())},
+        class_count=k,
+        scores=table,
+    )
 
 
 def match_between(labeling: CfrLabeling, images: list[np.ndarray], tau_out: float) -> CfrLabeling:

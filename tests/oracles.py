@@ -18,6 +18,12 @@ inverse FFT raise, for the tests that scoring takes none.
 transforms one matrix at a time: the references of the package's
 stacked ``channel.cfr_stack`` and ``channel.adcam``.
 
+``match_within_sequential`` is stage one as it ran before its two
+batched passes: one founder at a time, each founder's fallback right
+after its turn, over earlier images in runs of ``channel._CHUNK``
+that double in length. The package's ``match_within`` must give its
+labels, founders and ``scores`` bit for bit.
+
 ``reindex`` numbers categories 0..K-1 in order of first occurrence one
 sample at a time, the renumbering that ``segmentation_cfr.match_between``
 derives from its roots' order.
@@ -32,8 +38,17 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from amdnloc import channel
 from amdnloc.channel import array_response, dft_matrices
-from amdnloc.segmentation_cfr import _check_fits, _TemplateBank
+from amdnloc.segmentation_cfr import (
+    UNLABELED,
+    CfrLabeling,
+    _check_fits,
+    _corner_banks,
+    _ImageStacks,
+    _TemplateBank,
+    extract_templates,
+)
 
 
 def cfr_from_paths(paths, nt: int, nc: int, spacing_ratio: float = 0.5) -> np.ndarray:
@@ -136,6 +151,48 @@ def masked_scores(templates: np.ndarray, images: list, rows: np.ndarray, picks: 
     denom = np.sqrt(e * win[i])
     ratio = np.divide(num, denom, out=np.full(num.shape, -np.inf), where=valid_windows(win)[i] & (e > 0.0))
     return np.clip(np.max(ratio, axis=(-2, -1)), 0.0, 1.0)
+
+
+def match_within_sequential(images, tau_in, size):
+    """Stage one scored one founder at a time on one ``_ImageStacks``:
+    its pair against all later unlabeled images, then, if it recruits
+    nobody, against earlier images in runs that double in length until
+    one holds a hit. Every score a kept founder took is returned in
+    ``scores``."""
+    stacks = _ImageStacks(images, size)
+    m = len(images)
+    labels = np.full(m, UNLABELED, dtype=int)
+    founders = {}
+    ids = []  # the kept founders' images
+    rows = []  # each kept founder's columns, and its t1 and t2 scores on them
+    class_num = 0
+    for i in range(m):
+        if labels[i] != UNLABELED:
+            continue
+        pair = extract_templates(images[i], size, founder_id=i)
+        banks = _corner_banks([pair], stacks.shape)
+        row = np.full((2, m), np.nan)
+        labels[i] = class_num
+        later = i + 1 + np.flatnonzero(labels[i + 1 :] == UNLABELED)
+        recruits = later[stacks.pair_hits(banks, later, tau_in, row)]
+        labels[recruits] = class_num
+        start, step = 0, channel._CHUNK
+        while recruits.size == 0 and start < i:
+            run = np.arange(start, min(start + step, i))
+            hits = np.flatnonzero(stacks.pair_hits(banks, run, tau_in, row))
+            if hits.size:
+                labels[i] = labels[run[hits[0]]]
+                break
+            start, step = start + step, 2 * step
+        if labels[i] == class_num:
+            founders[class_num] = pair
+            ids.append(i)
+            # only the images that may still found a category keep their scores
+            cols = np.concatenate([ids, later[labels[later] == UNLABELED]])
+            rows.append((cols, row[:, cols]))
+            class_num += 1
+    scores = np.array([kept[:, np.searchsorted(cols, ids)].T for cols, kept in rows])
+    return CfrLabeling(labels=labels, founders=founders, class_count=class_num, scores=scores)
 
 
 def reindex(labels: np.ndarray, founders: dict) -> tuple[np.ndarray, dict]:

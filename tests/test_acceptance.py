@@ -49,7 +49,7 @@ from amdnloc.segmentation_cfr import (
     match_within,
     segment_cfr,
 )
-from oracles import pair_scores
+from oracles import match_within_sequential, pair_scores
 
 # ---------------------------------------------------------------------------
 # shared oracles
@@ -361,6 +361,17 @@ def test_cleansing_trades_coverage_for_accuracy(hetero_segmentation):
     # non-increasing or within 5% of the previous one
     for prev, cur in zip(errors, errors[1:]):
         assert cur <= prev * 1.05
+
+
+def test_stage_one_equals_the_sequential_scan_on_hetero(hetero_segmentation):
+    # the reference scene's training images, as run_pipeline segments them
+    images = [render_image(s.cfr, "cfr_magnitude") for s in hetero_segmentation[0]]
+    got = match_within(images, HETERO_CONFIG["tau_in"], (16, 16))
+    want = match_within_sequential(images, HETERO_CONFIG["tau_in"], (16, 16))
+    np.testing.assert_array_equal(got.labels, want.labels)
+    assert got.class_count == want.class_count == len(got.founders)
+    assert {c: p.founder_id for c, p in got.founders.items()} == {c: p.founder_id for c, p in want.founders.items()}
+    assert got.scores.tobytes() == want.scores.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from amdnloc.segmentation_cfr import (
 )
 from oracles import (
     masked_scores,
+    match_within_sequential,
     ncc,
     pair_score,
     pair_scores,
@@ -565,13 +566,10 @@ def test_image_stacks_match_pair_score(case, planes, tau):
         scores = pair_scores(stacks, pairs, indices)
         banks = [_corner_banks([pair], stacks.shape) for pair in pairs]
         hits = [stacks.pair_hits(b, indices, tau) for b in banks]
-        firsts = [stacks.first_hit(b, indices, tau) for b in banks]
     for n, img in enumerate(images):
         assert np.array_equal(stacks._spectra[n], np.fft.rfft2(img).swapaxes(-2, -1))
     assert scores.shape == (len(pairs), len(indices))
-    for pair, row, hit, first in zip(pairs, scores, hits, firsts):
-        # the run-by-run scan stops at the first image the full scan holds
-        assert first == (int(indices[hit][0]) if hit.any() else None)
+    for pair, row, hit in zip(pairs, scores, hits):
         want = np.array([pair_score(pair, images[i]) for i in indices])
         assert row == pytest.approx(want, abs=1e-9)
         # a score within the bound of tau may fall on either side of it
@@ -861,6 +859,15 @@ def _assert_same_labeling(got, want):
         np.testing.assert_array_equal(got.founders[c].t2, pair.t2)
 
 
+def _assert_same_stage_one(got, want):
+    """Labels, founders and category count, and the scores table bit
+    for bit, NaN entries included."""
+    _assert_same_labeling(got, want)
+    assert got.labels.dtype == want.labels.dtype
+    assert got.scores.shape == want.scores.shape
+    assert got.scores.tobytes() == want.scores.tobytes()
+
+
 @pytest.fixture(scope="module")
 def invariants_scene_images():
     """CFR magnitude images of the scene in test_segmentation_invariants."""
@@ -892,6 +899,45 @@ def test_stages_match_pairwise_scan_on_scene(invariants_scene_images):
     _assert_same_labeling(segment_cfr(images, 0.97, 0.99, (8, 8)), want)
 
 
+def test_stage_one_equals_the_sequential_scan_on_scene(invariants_scene_images):
+    images = invariants_scene_images
+    for tau_in in (0.97, 0.9):
+        _assert_same_stage_one(match_within(images, tau_in, (8, 8)), match_within_sequential(images, tau_in, (8, 8)))
+
+
+def test_stage_one_scores_no_pair_twice(invariants_scene_images):
+    images = invariants_scene_images
+    (a, b), (h, w) = (8, 8), images[0].shape
+    corners = [img[:a, :b].tobytes() for img in images] + [img[h - a :, w - b :].tobytes() for img in images]
+    # a template is told by its pixels, so no two may be equal
+    assert len(set(corners)) == len(corners)
+    templates = {}  # id of each bank -> (bank, its templates' pixels); the bank keeps its id unique
+    scored = []
+    bank_init, score, score_pairs = _TemplateBank.__init__, _ImageStacks._score, _ImageStacks._score_pairs
+
+    def recorded_init(self, templates_, image_shape):
+        bank_init(self, templates_, image_shape)
+        templates[id(self)] = (self, [np.asarray(t, dtype=float).tobytes() for t in templates_])
+
+    def recorded_score(self, bank, rows):
+        scored.extend((t, int(r)) for t in templates[id(bank)][1] for r in rows)
+        return score(self, bank, rows)
+
+    def recorded_pairs(self, bank, picks, rows):
+        scored.extend((templates[id(bank)][1][t], int(r)) for t, r in zip(picks, rows))
+        return score_pairs(self, bank, picks, rows)
+
+    with mock.patch.object(_TemplateBank, "__init__", recorded_init), mock.patch.object(
+        _ImageStacks, "_score", recorded_score
+    ), mock.patch.object(_ImageStacks, "_score_pairs", recorded_pairs):
+        got = match_within(images, 0.97, (8, 8))
+    assert len(set(scored)) == len(scored)
+    # and no template scores its own image
+    own = {corner: k % len(images) for k, corner in enumerate(corners)}
+    assert all(own[t] != r for t, r in scored)
+    _assert_same_stage_one(got, match_within_sequential(images, 0.97, (8, 8)))
+
+
 def test_stages_match_pairwise_scan_on_shifted_views():
     rng = np.random.default_rng(14)
     big = rng.random((20, 20)) + 0.5
@@ -910,6 +956,7 @@ def test_stages_match_pairwise_scan_on_shifted_views():
     for tau_in in (0.999, 0.97, 0.9):
         within = match_within(images, tau_in, (6, 6))
         _assert_same_labeling(within, match_within_oracle(images, tau_in, (6, 6)))
+        _assert_same_stage_one(within, match_within_sequential(images, tau_in, (6, 6)))
         memo = {}
         for tau_out in (0.99, 0.95, 0.85):
             want = match_between_oracle(within, images, tau_out, memo)
@@ -1019,8 +1066,8 @@ def _plant_founder_corners(image, founder):
 
 
 def test_fallback_hit_past_the_first_run():
-    # runs of 1, 2, 4 and 8 images: the first hit, image 4, lies in the
-    # third run with image 6, and image 8 in the fourth matches too
+    # runs of one image: the first hit, image 4, lies in the fifth run,
+    # and images 6 and 8 in later runs match too
     rng = np.random.default_rng(18)
     images = [rng.random((10, 10)) for _ in range(11)]
     for k in (4, 6, 8):
@@ -1047,3 +1094,89 @@ def test_fallback_takes_first_hit_in_runs(planes, n, trailing, data):
     _assert_same_labeling(got, match_within_oracle(images, 0.999, (3, 3)))
     if planted:
         assert got.labels[n] == got.labels[min(planted)]
+
+
+def _assert_stage_one_as_both_scans(images, tau_in, size, planes, block):
+    """``match_within`` with ``channel._CHUNK`` and the block size
+    patched equals the image-by-image scan and the sequential one."""
+    with mock.patch.object(channel, "_CHUNK", planes), mock.patch.object(segmentation_cfr, "_BLOCK", block):
+        got = match_within(images, tau_in, size)
+    _assert_same_labeling(got, match_within_oracle(images, tau_in, size))
+    _assert_same_stage_one(got, match_within_sequential(images, tau_in, size))
+    return got
+
+
+@pytest.mark.parametrize("planes", [1, 2, 3, 64])
+@pytest.mark.parametrize("block", [1, 2, 3, 16])
+def test_fallback_copies_an_earlier_adoption(planes, block):
+    # image 7 recruits nobody and first hits image 4, a founder that
+    # recruited nobody either and adopted the category of image 1; so
+    # image 7 takes image 1's category only if image 4's adoption is
+    # settled first
+    rng = np.random.default_rng(30)
+    images = [rng.random((10, 10)) for _ in range(10)]
+    _plant_founder_corners(images[1], images[4])
+    _plant_founder_corners(images[4], images[7])
+    got = _assert_stage_one_as_both_scans(images, 0.999, (3, 3), planes, block)
+    assert got.labels[7] == got.labels[4] == got.labels[1]
+    assert got.class_count == 8
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 16])
+def test_fallback_hit_on_the_last_image_of_a_run(block):
+    # runs of three images: image 9's first hit, image 5, ends the second
+    # run, and image 6, which starts the third, matches too; image 10
+    # hits images 7 and 8 of the third run, the last just before image 9
+    rng = np.random.default_rng(31)
+    images = [rng.random((10, 10)) for _ in range(12)]
+    for k in (5, 6):
+        _plant_founder_corners(images[k], images[9])
+    for k in (7, 8):
+        _plant_founder_corners(images[k], images[10])
+    got = _assert_stage_one_as_both_scans(images, 0.999, (3, 3), 3, block)
+    assert got.labels[9] == got.labels[5] != got.labels[6]
+    assert got.labels[10] == got.labels[7] != got.labels[8]
+
+
+@pytest.mark.parametrize("planes", [1, 3, 64])
+@pytest.mark.parametrize("block", [2, 3, 5, 16])
+def test_block_member_recruited_by_an_earlier_one(planes, block):
+    # images 0 and 1 share every block: image 0 recruits image 1, whose
+    # own pair would recruit image 3 and must not, since image 1 founds
+    # nothing; image 3 founds its own category
+    rng = np.random.default_rng(32)
+    images = [rng.random((10, 10)) for _ in range(8)]
+    _plant_founder_corners(images[1], images[0])
+    _plant_founder_corners(images[3], images[1])
+    got = _assert_stage_one_as_both_scans(images, 0.999, (3, 3), planes, block)
+    assert got.labels[1] == got.labels[0] != got.labels[3]
+    assert [pair.founder_id for pair in got.founders.values()] == [0, 2, 3, 4, 5, 6, 7]
+
+
+@st.composite
+def _stage_one_case(draw):
+    """Images as ``_images_and_pairs`` draws them, some copied later in
+    the list and some holding the corner templates of a later image, so
+    that founders recruit and fall back; and the template size."""
+    images, pairs, _ = draw(_images_and_pairs())
+    size = pairs[0].size
+    (h, w), (a, b) = images[0].shape, size
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(images)))
+        images.insert(at, draw(st.sampled_from(images)).copy())
+    for _ in range(draw(st.integers(0, 4))):
+        k = draw(st.integers(0, len(images) - 1))
+        later = extract_templates(images[draw(st.integers(k, len(images) - 1))], size)
+        for t in (later.t1, later.t2):
+            y, x = draw(st.integers(0, h - a)), draw(st.integers(0, w - b))
+            images[k][y : y + a, x : x + b] = t
+    return images, size
+
+
+@settings(max_examples=200, deadline=None)
+@given(_stage_one_case(), st.integers(1, 5), st.integers(1, 5), st.sampled_from([0.5, 0.9, 0.99, 1.0]))
+def test_stage_one_equals_the_sequential_scan(case, planes, block, tau):
+    images, size = case
+    with mock.patch.object(channel, "_CHUNK", planes), mock.patch.object(segmentation_cfr, "_BLOCK", block):
+        got = match_within(images, tau, size)
+    _assert_same_stage_one(got, match_within_sequential(images, tau, size))
