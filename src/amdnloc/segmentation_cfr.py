@@ -47,7 +47,9 @@ class CfrLabeling:
 
     ``scores``, (K, K, 2), holds the t1 and t2 scores of category c's
     founder templates against category d's founder image at [c, d],
-    NaN where they were not taken; None stands for all NaN.
+    NaN where they were not taken; None stands for all NaN. Stage two's
+    table holds every off-diagonal t1, and t2 wherever t1 reaches
+    ``tau_out``.
     """
 
     labels: np.ndarray  # int array, one label per sample
@@ -305,31 +307,6 @@ class _ImageStacks:
             )
         return scores
 
-    def pair_hits(self, banks, indices: np.ndarray, tau: float, table: np.ndarray | None = None) -> np.ndarray:
-        """Whether a pair's score, the smaller of its two template
-        scores, reaches ``tau`` for each listed image, the pair given by
-        its ``_corner_banks`` or by a function that builds them.
-
-        ``table``, (2, images in the stack), holds the t1 and t2 score
-        of each image, NaN where not taken yet. Only the NaN entries
-        needed are scored and written into it: t1 on every listed image,
-        t2 where t1 reaches ``tau``. The banks are built, if given as a
-        function, only when an entry is scored.
-        """
-        if table is None:
-            table = np.full((2, len(self._spectra)), np.nan)
-        here = np.arange(len(indices))
-        for side, row in enumerate(table):
-            img = indices[here]
-            gaps = img[np.isnan(row[img])]
-            if gaps.size:
-                banks = banks() if callable(banks) else banks
-                row[gaps] = self._score(banks[side], gaps)[0]
-            here = here[row[img] >= tau]
-        hits = np.zeros(len(indices), dtype=bool)
-        hits[here] = True
-        return hits
-
 
 def _best_pairs(banks: tuple[_TemplateBank, _TemplateBank], images: list[np.ndarray]) -> np.ndarray:
     """For each image, the first founder with the best pair score,
@@ -386,8 +363,9 @@ def _corner_bank(images: list[np.ndarray], rows, side: str, stacks: _ImageStacks
 
 def _listed_scores(stacks: _ImageStacks, images: list[np.ndarray], founders: np.ndarray, side: str, f, r) -> np.ndarray:
     """The ``side`` score of founder image ``founders[f[k]]`` on image
-    ``r[k]``, for each k, with banks of at most ``channel._CHUNK``
-    founders, each built only for founders that have a pair listed."""
+    ``r[k]`` of ``stacks``, for each k, with banks of at most
+    ``channel._CHUNK`` founders, each built only for founders that have
+    a pair listed."""
     need, f = np.unique(f, return_inverse=True)
     scores = np.empty(len(f))
     for rows in channel._chunks(len(need)):
@@ -517,20 +495,21 @@ def match_within(
 def match_between(labeling: CfrLabeling, images: list[np.ndarray], tau_out: float) -> CfrLabeling:
     """Stage two: merge categories whose founders match each other.
 
-    The founder templates of category i are matched against the founder
-    image of category j, ``images[founder_id]`` of the images the
-    labeling was made from; a score at or above ``tau_out`` links the two.
-    Merging is the symmetric-transitive closure of those links (smaller
-    id survives), which is already the fixpoint of repeated scanning.
+    The founder templates of category i, the corners of its founder
+    image ``images[founder_id]`` of the images the labeling was made
+    from, are matched against the founder image of category j; a pair
+    score at or above ``tau_out`` links the two. Merging is the
+    symmetric-transitive closure of those links (smaller id survives),
+    which is already the fixpoint of repeated scanning.
 
-    Scoring is batched per founder: each category's pair is scored once
-    against the stacked images of the founders outside its current
-    component. A link inside one component cannot change the closure,
-    and the surviving root is the smallest id whatever the link order,
-    so the result is that of the pair-by-pair scan. Only the scores
-    missing from ``labeling.scores`` are taken, and a category's banks
-    are built only when one of its scores is missing; the labeling
-    returned carries the scores forward, re-indexed. The surviving
+    The links are read from one completed score table: ``labeling.scores``
+    with every off-diagonal t1 entry it lacks taken in one
+    ``_listed_scores`` pass, then every t2 entry it lacks where t1
+    reaches ``tau_out`` in a second. An entry the table holds is not
+    scored again; a score does not depend on the call it was taken in,
+    and the closure and its smallest root do not depend on the link
+    order, so the result is that of the pair-by-pair scan. The labeling
+    returned carries the table forward, re-indexed. The surviving
     categories are renumbered 0..K-1 in order of first occurrence in
     sample order, each keeping its root's founder.
     """
@@ -538,15 +517,18 @@ def match_between(labeling: CfrLabeling, images: list[np.ndarray], tau_out: floa
         raise ValueError(f"tau_out must lie in (0, 1], got {tau_out}")
     k = labeling.class_count
     pairs = [labeling.founders[c] for c in range(k)]
+    founders = np.array([pair.founder_id for pair in pairs])
     table = np.full((k, k, 2), np.nan) if labeling.scores is None else labeling.scores.copy()
-    stacks = _ImageStacks([images[pair.founder_id] for pair in pairs], pairs[0].size)
+    stacks = _ImageStacks([images[i] for i in founders], pairs[0].size)
+    links = ~np.eye(k, dtype=bool)
+    for side, name in enumerate(("t1", "t2")):
+        f, r = np.nonzero(links & np.isnan(table[..., side]))
+        table[f, r, side] = _listed_scores(stacks, images, founders, name, f, r)
+        links &= table[..., side] >= tau_out
     roots = np.arange(k)  # each category's component, by its smallest id
-    for i in range(k):
-        others = np.flatnonzero(roots != roots[i])
-        hits = stacks.pair_hits(lambda: _corner_banks([pairs[i]], stacks.shape), others, tau_out, table[i].T)
-        for b in others[hits]:
-            lo, hi = sorted((roots[i], roots[b]))
-            roots[roots == hi] = lo
+    for a, b in zip(*np.nonzero(links)):
+        lo, hi = sorted((roots[a], roots[b]))
+        roots[roots == hi] = lo
 
     # the result then reuses the stack's memory, not the heap above it
     del stacks

@@ -153,6 +153,21 @@ def masked_scores(templates: np.ndarray, images: list, rows: np.ndarray, picks: 
     return np.clip(np.max(ratio, axis=(-2, -1)), 0.0, 1.0)
 
 
+def _pair_hits(stacks, banks, indices, tau, row):
+    """Whether the pair score of a founder, given by its ``_corner_banks``,
+    reaches ``tau`` on each listed image. ``row``, (2, images in the
+    stack), holds its t1 and t2 scores, NaN where not taken yet; only
+    the NaN entries needed are scored with ``_score`` and written into
+    it: t1 on every listed image, t2 where t1 reaches ``tau``."""
+    here = indices
+    for side, scores in enumerate(row):
+        gaps = here[np.isnan(scores[here])]
+        if gaps.size:
+            scores[gaps] = stacks._score(banks[side], gaps)[0]
+        here = here[scores[here] >= tau]
+    return np.isin(indices, here)
+
+
 def match_within_sequential(images, tau_in, size):
     """Stage one scored one founder at a time on one ``_ImageStacks``:
     its pair against all later unlabeled images, then, if it recruits
@@ -174,12 +189,12 @@ def match_within_sequential(images, tau_in, size):
         row = np.full((2, m), np.nan)
         labels[i] = class_num
         later = i + 1 + np.flatnonzero(labels[i + 1 :] == UNLABELED)
-        recruits = later[stacks.pair_hits(banks, later, tau_in, row)]
+        recruits = later[_pair_hits(stacks, banks, later, tau_in, row)]
         labels[recruits] = class_num
         start, step = 0, channel._CHUNK
         while recruits.size == 0 and start < i:
             run = np.arange(start, min(start + step, i))
-            hits = np.flatnonzero(stacks.pair_hits(banks, run, tau_in, row))
+            hits = np.flatnonzero(_pair_hits(stacks, banks, run, tau_in, row))
             if hits.size:
                 labels[i] = labels[run[hits[0]]]
                 break

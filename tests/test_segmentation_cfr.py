@@ -366,8 +366,11 @@ def test_stacks_and_banks_reject_mixed_shapes():
         _corner_banks(pairs, (16, 16))
     # banks of one image shape score a stack of another image shape not at all
     stacks = _ImageStacks([images[0], images[2]], (8, 8))
+    t1, t2 = _corner_banks([pairs[0]], (12, 18))
     with pytest.raises(ValueError, match=r"\(12, 18\) images"):
-        stacks.pair_hits(_corner_banks([pairs[0]], (12, 18)), np.array([0, 1]), 0.5)
+        stacks._score(t1, np.array([0, 1]))
+    with pytest.raises(ValueError, match=r"\(12, 18\) images"):
+        stacks._score_pairs(t2, np.array([0, 0]), np.array([0, 1]))
     with pytest.raises(ValueError, match=r"\(12, 18\) images"):
         _best_pairs(_corner_banks([pairs[0], pairs[2]], (12, 18)), [images[0], images[2]])
 
@@ -557,24 +560,19 @@ def _images_and_pairs(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_images_and_pairs(), st.integers(1, 5), st.sampled_from([0.5, 0.9, 0.99, 1.0]))
-def test_image_stacks_match_pair_score(case, planes, tau):
+@given(_images_and_pairs(), st.integers(1, 5))
+def test_image_stacks_match_pair_score(case, planes):
     images, pairs, indices = case
     # few images per chunk, so the spectrum and energy builds cross chunks
     with mock.patch.object(channel, "_CHUNK", planes):
         stacks = _ImageStacks(images, pairs[0].size)
         scores = pair_scores(stacks, pairs, indices)
-        banks = [_corner_banks([pair], stacks.shape) for pair in pairs]
-        hits = [stacks.pair_hits(b, indices, tau) for b in banks]
     for n, img in enumerate(images):
         assert np.array_equal(stacks._spectra[n], np.fft.rfft2(img).swapaxes(-2, -1))
     assert scores.shape == (len(pairs), len(indices))
-    for pair, row, hit in zip(pairs, scores, hits):
+    for pair, row in zip(pairs, scores):
         want = np.array([pair_score(pair, images[i]) for i in indices])
         assert row == pytest.approx(want, abs=1e-9)
-        # a score within the bound of tau may fall on either side of it
-        clear = np.abs(want - tau) > 1e-9
-        np.testing.assert_array_equal(hit[clear], (want >= tau)[clear])
 
 
 def _exact_zeros_and_bounds(templates, images, indices):
@@ -963,16 +961,23 @@ def test_stages_match_pairwise_scan_on_shifted_views():
             _assert_same_labeling(match_between(within, images, tau_out), want)
 
 
+def _fresh_scores(labeling, images):
+    """Every (K, K, 2) score of ``labeling.scores``, scored afresh on a
+    stack of the founder images."""
+    k = labeling.class_count
+    pairs = [labeling.founders[c] for c in range(k)]
+    stacks = _ImageStacks([images[pair.founder_id] for pair in pairs], pairs[0].size)
+    banks = _corner_banks(pairs, stacks.shape)
+    return np.stack([stacks._score(bank, np.arange(k)) for bank in banks], axis=-1)
+
+
 def _assert_scores_were_taken(labeling, images):
     """Every entry of ``labeling.scores`` that is not NaN is the score
     its category's founder template takes on the other category's
     founder image, bit for bit, scored afresh on a stack of the founder
     images."""
     k = labeling.class_count
-    pairs = [labeling.founders[c] for c in range(k)]
-    stacks = _ImageStacks([images[pair.founder_id] for pair in pairs], pairs[0].size)
-    banks = _corner_banks(pairs, stacks.shape)
-    fresh = np.stack([stacks._score(bank, np.arange(k)) for bank in banks], axis=-1)
+    fresh = _fresh_scores(labeling, images)
     assert labeling.scores.shape == (k, k, 2)
     taken = ~np.isnan(labeling.scores)
     assert np.array_equal(labeling.scores[taken], fresh[taken])
@@ -980,38 +985,44 @@ def _assert_scores_were_taken(labeling, images):
 
 
 def _stage_two_scoring(labeling):
-    """A patch of ``_corner_banks`` and ``_ImageStacks._score`` and the
-    list it fills with the entries of ``labeling.scores`` that
-    ``match_between`` scores, as (category, side, founder image)
-    triples. A bank's category and side are told apart by identity:
-    each bank ``_corner_banks`` builds is recorded with the category of
-    its one founder pair and its side, so two categories whose templates
-    are equal are still told apart."""
-    taken = []
-    category = {id(pair): c for c, pair in labeling.founders.items()}
-    built = {}  # id of each bank -> (bank, category, side); the bank keeps its id unique
-    corner_banks, score = segmentation_cfr._corner_banks, _ImageStacks._score
+    """A patch of ``_TemplateBank.__init__``, ``_ImageStacks._score`` and
+    ``_ImageStacks._score_pairs``, and the two lists it fills: the
+    entries of ``labeling.scores`` that ``match_between`` scores, as
+    (category, side, founder image) triples, and the (category, side)
+    of the templates of each bank it builds. A template is told by its
+    pixels, so no two founder templates may be equal; a stack's rows
+    are the categories."""
+    corner = {
+        np.asarray(t, dtype=float).tobytes(): (c, side)
+        for c, pair in labeling.founders.items()
+        for side, t in enumerate((pair.t1, pair.t2))
+    }
+    assert len(corner) == 2 * labeling.class_count
+    taken, built = [], []
+    templates = {}  # id of each bank -> (bank, its templates' categories and sides); the bank keeps its id unique
+    bank_init, score, score_pairs = _TemplateBank.__init__, _ImageStacks._score, _ImageStacks._score_pairs
 
-    def recorded_banks(pairs, image_shape):
-        banks = corner_banks(pairs, image_shape)
-        (pair,) = pairs
-        for side, bank in enumerate(banks):
-            built[id(bank)] = (bank, category[id(pair)], side)
-        return banks
+    def recorded_init(self, templates_, image_shape):
+        bank_init(self, templates_, image_shape)
+        templates[id(self)] = (self, [corner[np.asarray(t, dtype=float).tobytes()] for t in templates_])
+        built.append(templates[id(self)][1])
 
-    def recorded(self, bank, rows):
-        _, c, side = built[id(bank)]
-        taken.extend((c, side, int(r)) for r in rows)
+    def recorded_score(self, bank, rows):
+        taken.extend((c, side, int(r)) for c, side in templates[id(bank)][1] for r in rows)
         return score(self, bank, rows)
+
+    def recorded_pairs(self, bank, picks, rows):
+        taken.extend((*templates[id(bank)][1][t], int(r)) for t, r in zip(picks, rows))
+        return score_pairs(self, bank, picks, rows)
 
     @contextlib.contextmanager
     def patch():
-        with mock.patch.object(segmentation_cfr, "_corner_banks", recorded_banks), mock.patch.object(
-            _ImageStacks, "_score", recorded
-        ):
+        with mock.patch.object(_TemplateBank, "__init__", recorded_init), mock.patch.object(
+            _ImageStacks, "_score", recorded_score
+        ), mock.patch.object(_ImageStacks, "_score_pairs", recorded_pairs):
             yield
 
-    return patch(), taken
+    return patch(), taken, built
 
 
 def test_stage_two_scores_only_what_stage_one_left(invariants_scene_images):
@@ -1025,13 +1036,13 @@ def test_stage_two_scores_only_what_stage_one_left(invariants_scene_images):
         blank = dataclasses.replace(within, scores=np.full_like(within.scores, np.nan))
         memo = {}
         for tau_out in tau_outs:
-            patch, taken = _stage_two_scoring(within)
+            patch, taken, _ = _stage_two_scoring(within)
             with patch:
                 got = match_between(within, images, tau_out)
             # stage two scores only entries the table lacks, each once
             assert taken and len(set(taken)) == len(taken)
             assert all(np.isnan(within.scores[c, r, side]) for c, side, r in taken)
-            patch, taken_blank = _stage_two_scoring(blank)
+            patch, taken_blank, _ = _stage_two_scoring(blank)
             with patch:
                 want = match_between(blank, images, tau_out)
             assert len(taken) < len(taken_blank)
@@ -1041,11 +1052,39 @@ def test_stage_two_scores_only_what_stage_one_left(invariants_scene_images):
             _assert_scores_were_taken(want, images)
             # the surviving founders were scored against each other while
             # apart, so a second pass takes no score at all
-            patch, taken = _stage_two_scoring(got)
+            patch, taken, _ = _stage_two_scoring(got)
             with patch:
                 again = match_between(got, images, tau_out)
             assert taken == []
             _assert_same_labeling(again, got)
+
+
+def test_stage_two_completes_the_table_in_two_listed_passes(invariants_scene_images):
+    images = invariants_scene_images
+    within = match_within(images, 0.97, (8, 8))
+    k = within.class_count
+    fresh = _fresh_scores(within, images)
+    missing = np.isnan(within.scores) & ~np.eye(k, dtype=bool)[..., None]
+    for tau_out in (0.95, 0.85):
+        # t1 where the table lacks it, then t2 where it lacks it and t1 reaches tau_out
+        need = missing & np.stack([np.ones((k, k), dtype=bool), fresh[..., 0] >= tau_out], axis=-1)
+        want = [(c, side, r) for c, r, side in zip(*np.nonzero(need))]
+        assert {side for _, side, _ in want} == {0, 1}
+        # banks of up to channel._CHUNK founders, and of at most 5
+        for chunk in (channel._CHUNK, 5):
+            patch, taken, built = _stage_two_scoring(within)
+            with patch, mock.patch.object(channel, "_CHUNK", chunk):
+                got = match_between(within, images, tau_out)
+            assert len(set(taken)) == len(taken)
+            assert sorted(taken) == sorted(want)
+            # every bank holds templates of one side, at most chunk founders each
+            sides = [{s for _, s in bank} for bank in built]
+            assert all(len(s) == 1 for s in sides) and all(len(bank) <= chunk for bank in built)
+            for side in (0, 1):
+                founders = np.count_nonzero(need[..., side].any(axis=1))
+                assert sides.count({side}) <= -(-founders // chunk)
+            _assert_same_stage_one(got, match_between(within, images, tau_out))
+            _assert_scores_were_taken(got, images)
 
 
 def test_match_within_rejects_mixed_shapes():
