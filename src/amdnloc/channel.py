@@ -39,6 +39,14 @@ def _chunks(n: int) -> Iterator[slice]:
         yield slice(start, start + _CHUNK)
 
 
+def _chunk_rows(n: int) -> int:
+    """Rows of the largest slice ``_chunks(n)`` yields. A pass makes its
+    chunk-sized work arrays once, this many rows long, and every chunk
+    reuses them: a temporary made anew per chunk can be handed back to
+    the system when it is freed and faulted in again by the next."""
+    return min(n, _CHUNK)
+
+
 @dataclass(frozen=True)
 class PathRecord:
     """One propagation path between the base station and a terminal.
@@ -107,6 +115,7 @@ def cfr_stack(
     if nt < 1 or nc < 1:
         raise ValueError("nt and nc must be >= 1")
     h = np.zeros((len(path_lists), nt, nc), dtype=np.complex128)
+    work = np.empty((_chunk_rows(len(path_lists)), nt, nc), dtype=np.complex128)
     # the exponent of the delay phase, up to delay/nc
     delay_exp = -2j * np.pi * np.arange(nc)
     for part in _chunks(len(path_lists)):
@@ -119,7 +128,8 @@ def cfr_stack(
                 raise ValueError(f"path delay {delay.max()} exceeds cyclic window nc={nc}")
             steer = array_response([p.aoa for p in slot], nt, spacing_ratio)
             phase = np.exp(delay_exp * delay[:, None] / nc)
-            term = np.array([p.amplitude for p in slot])[:, None, None] * (steer[:, :, None] * phase[:, None, :])
+            term = np.multiply(steer[:, :, None], phase[:, None, :], out=work[: len(rows)])
+            np.multiply(np.array([p.amplitude for p in slot])[:, None, None], term, out=term)
             if len(rows) == len(chunk):
                 block += term
             else:
@@ -168,8 +178,10 @@ def adcam(h: np.ndarray) -> np.ndarray:
     vh = v.conj().T
     flat = h.reshape(-1, nt, nc)
     out = np.empty(flat.shape)
+    left, both = np.empty((2, _chunk_rows(len(flat)), nt, nc), dtype=np.complex128)
     for rows in _chunks(len(flat)):
-        np.abs(vh @ flat[rows] @ f, out=out[rows])
+        k = len(out[rows])
+        np.abs(np.matmul(np.matmul(vh, flat[rows], out=left[:k]), f, out=both[:k]), out=out[rows])
     return out.reshape(h.shape)
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import _chunks, _min_max, _phase_map
+from .channel import _chunk_rows, _chunks, _min_max, _phase_map
 from .fusion import Segmentation
 from .segmentation_adcam import Standardizer, _dist, path_descriptor
 from .segmentation_cfr import TemplatePair, _best_pairs, _corner_banks, _TemplateBank
@@ -152,17 +152,18 @@ def _check_samples(samples, shape: tuple[int, int]):
                 raise ValueError(f"sample {s.id} has {domain} shape {m.shape}, the features take {shape}")
 
 
-def _render_planes(cfr: np.ndarray, adcam) -> np.ndarray:
+def _render_planes(cfr: np.ndarray, adcam, out: np.ndarray | None = None) -> np.ndarray:
     """The (3, n, nt, nc) stack of the CFR magnitude, CFR phase and ADCAM
     images of an (n, nt, nc) CFR stack and its (n, nt, nc) ADCAM stack,
-    each plane bit for bit ``channel.render_image`` of its domain.
+    each plane bit for bit ``channel.render_image`` of its domain, written
+    into ``out`` when it is given.
 
     The planes are rendered in place: |CFR| goes into plane 0 and the
     ADCAM into plane 2, and ``channel._min_max`` stretches both as one
     (2, n, nt, nc) view; the phase goes into plane 1 by ``np.arctan2``,
     as ``np.angle`` takes it, and ``channel._phase_map`` maps it there.
     """
-    planes = np.empty((3, *cfr.shape))
+    planes = np.empty((3, *cfr.shape)) if out is None else out
     np.abs(cfr, out=planes[0])
     planes[2] = adcam
     pair = planes[::2]
@@ -171,25 +172,33 @@ def _render_planes(cfr: np.ndarray, adcam) -> np.ndarray:
     return planes
 
 
-def _stack_features(samples, config: FeatureConfig, mags: np.ndarray | None = None) -> np.ndarray:
-    """The raw fused feature vectors of samples, (n, fused_len).
+def _stack_features(
+    samples, config: FeatureConfig, mags: np.ndarray | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
+    """The raw fused feature vectors of samples, (n, fused_len), written
+    into ``out`` when it is given.
 
     The samples are checked once by ``_check_samples``, then taken
-    ``channel._CHUNK`` at a time: ``_render_planes`` renders a chunk's
-    stacked CFRs and ADCAMs in place into one (3, chunk, nt, nc) plane
-    stack, with no ``render_image`` call, and ``_image_features`` writes
-    its rows of the result. When ``mags`` (n, nt, nc) is given, each
-    chunk's CFR magnitude images are written into its rows.
+    ``channel._CHUNK`` at a time: a chunk's CFRs are stacked, and
+    ``_render_planes`` renders them and the chunk's ADCAMs in place into
+    one (3, chunk, nt, nc) plane stack, with no ``render_image`` call;
+    every chunk reuses the CFR stack and the plane stack.
+    ``_image_features`` writes the chunk's rows of the result. When
+    ``mags`` (n, nt, nc) is given, each chunk's CFR magnitude images are
+    written into its rows.
     """
     _check_samples(samples, (config.nt, config.nc))
-    raw = np.empty((len(samples), config.fused_len))
+    raw = np.empty((len(samples), config.fused_len)) if out is None else out
+    cfrs = np.empty((_chunk_rows(len(samples)), config.nt, config.nc), dtype=complex)
+    work = np.empty((3, *cfrs.shape))
     for rows in _chunks(len(samples)):
         chunk = samples[rows]
-        planes = _render_planes(np.array([s.cfr for s in chunk]), [s.adcam for s in chunk])
+        for i, s in enumerate(chunk):
+            cfrs[i] = s.cfr
+        planes = _render_planes(cfrs[: len(chunk)], [s.adcam for s in chunk], work[:, : len(chunk)])
         _image_features(planes, raw[rows])
         if mags is not None:
             mags[rows] = planes[0]
-        del planes  # the next chunk's render does not hold this one's planes too
     return raw
 
 
@@ -198,18 +207,23 @@ def sample_features(sample, config: FeatureConfig) -> np.ndarray:
     return _stack_features([sample], config)[0]
 
 
-def fit_region_weights(x: np.ndarray, y: np.ndarray, ridge_lambda: float = 1e-3) -> np.ndarray:
-    """Closed-form ridge solution for one region; returns 2 x (d+1) weights."""
-    xb = np.hstack([x, np.ones((x.shape[0], 1))])
-    d = xb.shape[1]
+def _solve_ridge(design: np.ndarray, y: np.ndarray, ridge_lambda: float) -> np.ndarray:
+    """Closed-form ridge solution of an (n, d+1) design matrix whose last
+    column is ones; returns 2 x (d+1) weights."""
+    d = design.shape[1]
     # leave the bias column unpenalized: targets are absolute coordinates
     penalty = ridge_lambda * np.eye(d)
     penalty[-1, -1] = 0.0
-    gram = xb.T @ xb + penalty
+    gram = design.T @ design + penalty
     if ridge_lambda == 0.0 and np.linalg.matrix_rank(gram) < d:
         raise np.linalg.LinAlgError("singular system; use ridge_lambda > 0")
-    w = np.linalg.solve(gram, xb.T @ y)
+    w = np.linalg.solve(gram, design.T @ y)
     return w.T  # (2, d+1)
+
+
+def fit_region_weights(x: np.ndarray, y: np.ndarray, ridge_lambda: float = 1e-3) -> np.ndarray:
+    """Closed-form ridge solution for one region; returns 2 x (d+1) weights."""
+    return _solve_ridge(np.hstack([x, np.ones((x.shape[0], 1))]), y, ridge_lambda)
 
 
 @dataclass
@@ -263,10 +277,14 @@ def train(samples, segmentation: Segmentation, ridge_lambda: float = 1e-3) -> Lo
     if not retained.any():
         raise ValueError(f"none of the {len(samples)} training samples is retained; every one was cleansed")
     config = FeatureConfig(nt=samples[0].cfr.shape[0], nc=samples[0].cfr.shape[1])
-    raw = _stack_features(samples, config)
+    width = config.fused_len
+    # the one design matrix: the features, standardized in place, then ones
+    design = np.empty((len(samples), width + 1))
+    design[:, width] = 1.0
+    feats = _stack_features(samples, config, out=design[:, :width])
     # no gathered copy of the rows when every sample is retained
-    feat_std = Standardizer.fit(raw if retained.all() else raw[retained])
-    feats = feat_std.apply(raw, out=raw)
+    feat_std = Standardizer.fit(feats if retained.all() else feats[retained])
+    feat_std.apply(feats, out=feats)
     positions = np.array([s.pos for s in samples])
 
     weights: dict[int, np.ndarray] = {}
@@ -276,9 +294,9 @@ def train(samples, segmentation: Segmentation, ridge_lambda: float = 1e-3) -> Lo
         if not np.any(mask):
             raise ValueError(f"region {region} has no training samples")
         # one region holding every row needs no gather
-        x, y = (feats, positions) if mask.all() else (feats[mask], positions[mask])
-        weights[region] = fit_region_weights(x, y, ridge_lambda)
-        centroids[region] = x.mean(axis=0)
+        x, y = (design, positions) if mask.all() else (design[mask], positions[mask])
+        weights[region] = _solve_ridge(x, y, ridge_lambda)
+        centroids[region] = x[:, :width].mean(axis=0)
 
     return LocalizationModel(
         config=config,

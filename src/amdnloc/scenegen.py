@@ -202,17 +202,21 @@ def _trace(scene: SceneConfig, pts: np.ndarray) -> list[tuple[list[PathRecord], 
     """``trace_paths`` of every terminal of an (n, 2) array, in one pass.
 
     Each candidate path (the direct one, then one specular reflection
-    per building wall, in ``walls`` order) is a column of per-terminal
-    arrays; blocking is tested for all terminals and buildings at once.
+    per building wall, in ``walls`` order) is computed for all terminals
+    at once, and blocking is tested for all terminals and buildings
+    together. Right after that test only the terminals where the path
+    survives keep its entries; one ``np.lexsort`` of all kept entries
+    puts them in (terminal, candidate) order.
     """
     rects = np.array([[b.x, b.y, b.x + b.w, b.y + b.h] for b in scene.buildings]).reshape(-1, 4)
     bx, by = scene.bs_pos
     mx, my = pts[:, 0], pts[:, 1]
     is_los = ~_blocked(bx, by, mx, my, rects).any(axis=-1)
-    # per candidate: (path length, arrive x, y, depart x, y), and a kept mask
+    # per candidate, of the terminals it reaches: (terminal, path length,
+    # arrive x, y, depart x, y)
     los_length = np.hypot(mx - bx, my - by)
-    cands = [(los_length, mx - bx, my - by, bx - mx, by - my)]
-    kept = [is_los & (los_length > 0)]
+    sel = np.flatnonzero(is_los & (los_length > 0))
+    kept = [(sel, los_length[sel], mx[sel] - bx, my[sel] - by, bx - mx[sel], by - my[sel])]
     for b in scene.buildings:
         for (x1, y1), (x2, y2) in b.walls():
             # n: the coordinate across the wall, a: the one along it
@@ -231,20 +235,22 @@ def _trace(scene: SceneConfig, pts: np.ndarray) -> list[tuple[list[PathRecord], 
                 & (min(a1, a2) + _EPS < hit_a) & (hit_a < max(a1, a2) - _EPS)
                 & ((bn - wn) * (mn - wn) > 0)
             )
+            sel = np.flatnonzero(ok)
+            hit_a = hit_a[sel]
             hit_n = np.full_like(hit_a, wn)
             hx, hy = (hit_n, hit_a) if vertical else (hit_a, hit_n)
-            sel = np.flatnonzero(ok)
-            ok[sel] = ~(
-                _blocked(bx, by, hx[sel], hy[sel], rects).any(axis=-1)
-                | _blocked(hx[sel], hy[sel], mx[sel], my[sel], rects).any(axis=-1)
+            clear = ~(
+                _blocked(bx, by, hx, hy, rects).any(axis=-1) | _blocked(hx, hy, mx[sel], my[sel], rects).any(axis=-1)
             )
-            length = np.hypot(dn, da) if vertical else np.hypot(da, dn)
-            cands.append((length, hx - bx, hy - by, hx - mx, hy - my))
-            kept.append(ok)
+            sel, hx, hy = sel[clear], hx[clear], hy[clear]
+            length = np.hypot(dn[sel], da[sel]) if vertical else np.hypot(da[sel], dn[sel])
+            kept.append((sel, length, hx - bx, hy - by, hx - mx[sel], hy - my[sel]))
 
     # the kept candidates, terminal by terminal, each in candidate order
-    rows, cols = np.nonzero(np.array(kept).T)
-    length, ax, ay, dx, dy = np.array(cands)[cols, :, rows].T
+    rows, length, ax, ay, dx, dy = (np.concatenate(col) for col in zip(*kept))
+    cols = np.repeat(np.arange(len(kept)), [len(entry[0]) for entry in kept])
+    order = np.lexsort((cols, rows))
+    rows, cols, length, ax, ay, dx, dy = (v[order] for v in (rows, cols, length, ax, ay, dx, dy))
     delay = np.clip(np.rint(length / SPEED_OF_LIGHT / scene.sample_interval_s), 0, scene.nc - 1).astype(int)
     pathloss = np.maximum(_friis_pathloss_db(length, scene.carrier_hz), 0.0) + (cols > 0) * scene.reflection_loss_db
     phase = 2.0 * np.pi * length / scene.wavelength_m
@@ -259,9 +265,7 @@ def _trace(scene: SceneConfig, pts: np.ndarray) -> list[tuple[list[PathRecord], 
     order = order[np.lexsort((pathloss[order], delay[order], rows[order]))]
     records = [
         PathRecord(aoa=aa, aod=ad, gain=g, delay_samples=d, pathloss_db=pl)
-        for aa, ad, g, d, pl in zip(
-            aoa[order].tolist(), aod[order].tolist(), gain[order].tolist(), delay[order].tolist(), pathloss[order]
-        )
+        for aa, ad, g, d, pl in zip(*(v[order].tolist() for v in (aoa, aod, gain, delay, pathloss)))
     ]
     bounds = np.searchsorted(rows[order], np.arange(len(pts) + 1)).tolist()
     return [(records[a:b], bool(los)) for a, b, los in zip(bounds, bounds[1:], is_los)]

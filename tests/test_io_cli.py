@@ -47,6 +47,18 @@ class TestBinaryFormat:
             np.testing.assert_allclose(a.cfr, b.cfr, rtol=1e-6, atol=1e-7)
             np.testing.assert_allclose(a.adcam, b.adcam, rtol=1e-6, atol=1e-6)
 
+    def test_paths_read_back_as_built(self, dataset, tmp_path):
+        # every field of a path is a Python number, whether traced or read
+        _, samples = dataset
+        dio.write_dataset(samples, tmp_path)
+        again = dio.read_dataset(tmp_path)
+
+        def kinds(samples):
+            return {tuple(type(getattr(p, f.name)) for f in dataclasses.fields(PathRecord)) for s in samples for p in s.paths}
+
+        assert kinds(samples) == kinds(again) == {(float, float, complex, int, float)}
+        assert [s.paths for s in again] == [s.paths for s in samples]
+
     def test_header_layout(self, dataset, tmp_path):
         _, samples = dataset
         dio.write_dataset(samples, tmp_path)

@@ -796,6 +796,21 @@ def test_one_region_locate_keeps_no_magnitude_stack(one_region_model):
     assert _traced_peak(lambda: locate(model, test)) <= features + chunk_pass + slack
 
 
+def test_one_region_train_holds_one_design_matrix():
+    # on the dense benchmark scene's 2,034 training rows: the (n, fused_len
+    # + 1) design matrix and one temporary of its size (the deviations the
+    # standardizer's std takes), a tenth of it to spare for small arrays;
+    # the features next to an hstack copy of them with ones reach 2.34x
+    samples = build_dataset(SceneConfig(grid_spacing_m=3.5, **REFERENCE_SCENE))
+    train_s = [samples[i] for i in _split(len(samples), 0.8, 3)[0]]
+    cfg = {**default_config(), "single_region": True}
+    segmentation = segment(train_s, cfg)
+    train(train_s[:3], segment(train_s[:3], cfg))  # first-call imports and caches
+    design = len(train_s) * (FeatureConfig(32, 32).fused_len + 1) * 8
+    assert len(train_s) == 2034
+    assert _traced_peak(lambda: train(train_s, segmentation)) <= 2.1 * design
+
+
 def test_locate_standardizes_its_features_in_place(one_region_model):
     # one sample per chunk: the pass holds the (n, fused_len) features and
     # one sample's planes, and a second feature array would double it

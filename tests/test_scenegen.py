@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -15,6 +16,8 @@ from amdnloc.scenegen import (
     Rect,
     Sample,
     SceneConfig,
+    _blocked,
+    _trace,
     build_dataset,
     nlos_filter,
     scene_from_json,
@@ -192,17 +195,48 @@ REFERENCE_BUILDINGS = [
 ]
 
 
+def reference_scene(spacing, snr_db=NO_NOISE):
+    return SceneConfig(
+        area_m=(250.0, 250.0), bs_pos=(125.0, 2.0), buildings=REFERENCE_BUILDINGS,
+        grid_spacing_m=spacing, nt=32, nc=32, snr_db=snr_db, seed=3,
+    )
+
+
+def traced(fn):
+    """``fn()``, the bytes it leaves allocated and its peak, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return (out, *tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize(
     "spacing, snr_db",
     [(3.5, NO_NOISE), (5.5, NO_NOISE), (5.5, 30.0)],
     ids=["dense-global", "hetero-segmented", "hetero-segmented-snr30"],
 )
 def test_build_dataset_equals_per_terminal_oracle_on_reference_scenes(spacing, snr_db):
-    scene = SceneConfig(
-        area_m=(250.0, 250.0), bs_pos=(125.0, 2.0), buildings=REFERENCE_BUILDINGS,
-        grid_spacing_m=spacing, nt=32, nc=32, snr_db=snr_db, seed=3,
-    )
+    scene = reference_scene(spacing, snr_db)
     assert_same_dataset(build_dataset(scene), build_dataset_oracle(scene))
+
+
+def test_trace_keeps_only_the_paths_that_survive():
+    # on the dense reference scene: the traced paths themselves, one
+    # blocking test of every terminal against every building and 256 KB to
+    # spare; full-length columns of all 21 candidates, 5 values each, and
+    # their stack would add 7.7 MB
+    scene = reference_scene(3.5)
+    grid = np.arange(1.75, 250.0, 3.5)
+    pts = np.stack([np.tile(grid, len(grid)), np.repeat(grid, len(grid))], axis=1)
+    pts = pts[~np.any([b.contains(pts.T) for b in REFERENCE_BUILDINGS], axis=0)]
+    rects = np.array([[b.x, b.y, b.x + b.w, b.y + b.h] for b in REFERENCE_BUILDINGS])
+    _trace(scene, pts[:2])  # first-call imports and caches
+    _, _, blocking = traced(lambda: _blocked(*scene.bs_pos, pts[:, 0], pts[:, 1], rects))
+    traced_paths, held, peak = traced(lambda: _trace(scene, pts))
+    assert len(pts) == 4590 and sum(len(paths) for paths, _ in traced_paths) == 3322
+    assert peak <= held + blocking + 256 * 1024
 
 
 @st.composite
