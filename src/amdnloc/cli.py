@@ -162,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("segment", help="segment a dataset into regions")
     s.add_argument("--data", required=True)
     s.add_argument("--template", default="x".join(map(str, defaults["template_size"])))
-    _config_options(s, defaults, "tau_in", "tau_out", "min_count", "k_max", "path_select", "seed")
+    _config_options(s, defaults, "tau_in", "tau_out", "min_count", "k_max", "seed")
     s.set_defaults(func=_cmd_segment)
 
     t = sub.add_parser("train", help="fit per-region regressors")

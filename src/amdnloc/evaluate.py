@@ -27,7 +27,7 @@ from .scenegen import (
     scene_from_json,
     scene_to_json,
 )
-from .segmentation_adcam import _PATH_SELECTS, _distinct_rows, build_features, select_k
+from .segmentation_adcam import _PATH_SELECT, _distinct_rows, build_features, select_k
 from .segmentation_cfr import extract_templates, segment_cfr
 
 __all__ = [
@@ -57,7 +57,7 @@ _CONFIG = {
     ),
     "min_count": (2, "an integer >= 0", lambda v: _is_int(v) and v >= 0),
     "k_max": (8, *_COUNT),
-    "path_select": ("strongest", *_one_of(_PATH_SELECTS)),
+    "path_select": (_PATH_SELECT, *_one_of([_PATH_SELECT])),
     "train_fraction": (0.8, *_FRACTION),
     "ridge_lambda": (1e-3, *_NONNEGATIVE),
     "single_region": (False, "true or false", lambda v: isinstance(v, bool)),
@@ -178,11 +178,11 @@ def segment(train_samples, cfg) -> Segmentation:
             for c, p in labeling.founders.items()
         }
         k_max = cfg["k_max"]
-    feats, std = build_features(train_samples, cfg["path_select"])
+    feats, std = build_features(train_samples)
     k_max = min(k_max, _distinct_rows(feats), len(train_samples) - 1)
     _, cmodel = select_k(feats, range(2, k_max + 1) or [1], seed=cfg["seed"])
     regions = cleanse(fuse_labels(cfr_lab, cmodel.assignment), cfg["min_count"])
-    return Segmentation(regions, founders, cmodel.centroids, std, cfg["path_select"])
+    return Segmentation(regions, founders, cmodel.centroids, std)
 
 
 def run_pipeline(config: dict, out_dir: str | Path | None = None) -> dict:

@@ -54,7 +54,6 @@ class Segmentation:
     founders: dict[int, TemplatePair]
     adcam_centroids: np.ndarray
     adcam_standardizer: Standardizer
-    path_select: str
 
 
 def _pair_keys(cfr_labels: np.ndarray, adcam_labels: np.ndarray) -> np.ndarray:

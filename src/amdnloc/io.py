@@ -20,7 +20,7 @@ from .channel import PathRecord, _chunks, render_image
 from .fusion import RegionLabels, Segmentation
 from .localizer import FeatureConfig, LocalizationModel
 from .scenegen import _COUNT, _NONNEGATIVE, Sample, _check, _is_int, _one_of
-from .segmentation_adcam import _PATH_SELECTS, Standardizer
+from .segmentation_adcam import _PATH_SELECT, Standardizer
 from .segmentation_cfr import extract_templates
 
 __all__ = [
@@ -266,7 +266,7 @@ def _std_from_json(path, key: str, obj, length: int) -> Standardizer:
 def _routing_to_json(state: Segmentation | LocalizationModel) -> dict:
     """The routing state, the keys segmentation.json and model.json share."""
     return {
-        "path_select": state.path_select,
+        "path_select": _PATH_SELECT,
         "founders": {str(c): {"founder_sample_id": p.founder_id, "size": list(p.size)} for c, p in state.founders.items()},
         "adcam_centroids": state.adcam_centroids.tolist(),
         "adcam_standardizer": _std_to_json(state.adcam_standardizer),
@@ -277,11 +277,11 @@ def _routing_from_json(path: str | Path, obj: dict, by_id: dict[int, Sample]) ->
     """The routing fields of a ``Segmentation`` or ``LocalizationModel``,
     founder templates re-cut in ascending category order: the trained
     model's order, by which routing breaks ties. ``path_select`` must be
-    a key of ``_PATH_SELECTS``, ``adcam_centroids`` k >= 1 rows of the
+    ``_PATH_SELECT``, ``adcam_centroids`` k >= 1 rows of the
     four ``path_descriptor`` values and ``adcam_standardizer`` four
     values, all finite and its scales > 0. ``founders`` is read by
     ``_by_id``, its templates of one size that fits the images."""
-    _check({"path_select": _one_of(_PATH_SELECTS)}, {"path_select": obj.get("path_select")}, f"{path}:")
+    _check({"path_select": _one_of([_PATH_SELECT])}, {"path_select": obj.get("path_select")}, f"{path}:")
     founders = {}
     for c, f in _by_id(path, "founders", obj.get("founders")):
         shaped = isinstance(f, dict) and isinstance(f.get("size"), list) and len(f["size"]) == 2
@@ -304,7 +304,6 @@ def _routing_from_json(path: str | Path, obj: dict, by_id: dict[int, Sample]) ->
         "founders": founders,
         "adcam_centroids": _array(path, "adcam_centroids", obj.get("adcam_centroids"), (None, 4)),
         "adcam_standardizer": _std_from_json(path, "adcam_standardizer", obj.get("adcam_standardizer"), 4),
-        "path_select": obj["path_select"],
     }
 
 

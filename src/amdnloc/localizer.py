@@ -245,7 +245,6 @@ class LocalizationModel:
     founders: dict[int, TemplatePair]  # cfr category -> founder templates
     adcam_centroids: np.ndarray
     adcam_standardizer: Standardizer
-    path_select: str
     pair_to_fused: dict[tuple[int, int], int]
     feature_standardizer: Standardizer
     region_feature_centroids: dict[int, np.ndarray]
@@ -304,7 +303,6 @@ def train(samples, segmentation: Segmentation, ridge_lambda: float = 1e-3) -> Lo
         founders=segmentation.founders,
         adcam_centroids=np.asarray(segmentation.adcam_centroids, dtype=float),
         adcam_standardizer=segmentation.adcam_standardizer,
-        path_select=segmentation.path_select,
         pair_to_fused=regions.pair_to_fused,
         feature_standardizer=feat_std,
         region_feature_centroids=centroids,
@@ -350,7 +348,7 @@ def locate(model: LocalizationModel, samples) -> tuple[np.ndarray, list[int]]:
         # both the pair lookup and the fallback can only give this region
         regions = list(model.weights) * len(samples)
     else:
-        kf = model.adcam_standardizer.apply([path_descriptor(s, model.path_select) for s in samples])
+        kf = model.adcam_standardizer.apply([path_descriptor(s) for s in samples])
         adcam_labels = _dist(kf, model.adcam_centroids).argmin(axis=1).tolist()
         routes = _cluster_routes(model)
         nearest = _nearest_centroid(model.region_feature_centroids)

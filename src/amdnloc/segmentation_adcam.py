@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import _chunks
-from .scenegen import _check, _one_of
 
 __all__ = [
     "ClusterModel",
@@ -62,26 +61,23 @@ class ClusterModel:
     wcss: float
 
 
-# what each path_select minimizes over a sample's paths
-_PATH_SELECTS = {"strongest": lambda p: p.pathloss_db, "first_arrival": lambda p: p.delay_samples}
+# the name of path_descriptor's rule, which configs, segmentation.json
+# and model.json still carry as their path_select
+_PATH_SELECT = "strongest"
 
 
-def path_descriptor(sample, path_select: str) -> list[float]:
-    """[aod, aoa, |gain|, pathloss_db] of the path that represents a sample.
-
-    ``path_select``, a key of ``_PATH_SELECTS``, picks that path:
-    "strongest" (lowest pathloss) or "first_arrival" (smallest delay).
-    """
-    _check({"path_select": _one_of(_PATH_SELECTS)}, {"path_select": path_select}, "key")
+def path_descriptor(sample) -> list[float]:
+    """[aod, aoa, |gain|, pathloss_db] of a sample's strongest path, the
+    one of lowest pathloss."""
     if not sample.paths:
         raise ValueError(f"sample {sample.id} has no paths")
-    p = min(sample.paths, key=_PATH_SELECTS[path_select])
+    p = min(sample.paths, key=lambda path: path.pathloss_db)
     return [p.aod, p.aoa, abs(p.gain), p.pathloss_db]
 
 
-def build_features(samples, path_select: str = "strongest") -> tuple[np.ndarray, Standardizer]:
+def build_features(samples) -> tuple[np.ndarray, Standardizer]:
     """One standardized ``path_descriptor`` row per sample."""
-    raw = np.asarray([path_descriptor(s, path_select) for s in samples], dtype=float)
+    raw = np.asarray([path_descriptor(s) for s in samples], dtype=float)
     std = Standardizer.fit(raw)
     return std.apply(raw, out=raw), std
 

@@ -161,7 +161,7 @@ def hetero_segmentation():
         c: extract_templates(images[p.founder_id], (16, 16), founder_id=train_s[p.founder_id].id)
         for c, p in lab.founders.items()
     }
-    feats, std = build_features(train_s, "strongest")
+    feats, std = build_features(train_s)
     _, cmodel = select_k(feats, range(2, HETERO_CONFIG["k_max"] + 1), seed=HETERO_CONFIG["seed"])
     return train_s, test_s, lab, founders, cmodel, std
 
@@ -331,14 +331,14 @@ def test_segmentation_invariants():
 
 def _retained_error(train_s, test_s, lab, founders, cmodel, std, min_count):
     regions = cleanse(fuse_labels(lab.labels, cmodel.assignment), min_count)
-    segmentation = Segmentation(regions, founders, cmodel.centroids, std, "strongest")
+    segmentation = Segmentation(regions, founders, cmodel.centroids, std)
     model = train(train_s, segmentation, HETERO_CONFIG["ridge_lambda"])
     # the CFR label: the first best-scoring founder in model.founders order
     best = _best_pairs(model.corner_banks, [render_image(s.cfr, "cfr_magnitude") for s in test_s])
     cfr_labels = np.array(list(model.founders))[best]
     errs = []
     for s, c in zip(test_s, cfr_labels):
-        kf = model.adcam_standardizer.apply(path_descriptor(s, "strongest"))
+        kf = model.adcam_standardizer.apply(path_descriptor(s))
         a = int(np.argmin(np.sum((model.adcam_centroids - kf) ** 2, axis=1)))
         fused = model.pair_to_fused.get((int(c), a))
         if fused is None or fused not in model.weights:
@@ -444,8 +444,12 @@ def test_pipeline_runs_are_byte_identical(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert cli_main(["pipeline", "--config", str(cfg_path), "--out", str(out_a)]) == 0
     assert cli_main(["pipeline", "--config", str(cfg_path), "--out", str(out_b)]) == 0
-    for name in ("report.json", "region_map.csv"):
-        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+    names = [sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()) for out in (out_a, out_b)]
+    assert names[0] == names[1]
+    dataset = ["dataset/adcam.bin", "dataset/cfr.bin", "dataset/paths.csv", "dataset/positions.csv"]
+    assert set(names[0]) >= {"report.json", "region_map.csv", "region_map.ppm", "model.json", *dataset}
+    for name in names[0]:
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
 
 # ---------------------------------------------------------------------------

@@ -353,11 +353,13 @@ class TestRunPipeline:
             ("single_region", "no"), ("single_region", 1), ("single_region", None),
             ("seed", "3"), ("seed", 2.5), ("seed", -1), ("seed", True),
             ("scene", "x"), ("scene", None), ("nlos_mode", "x"), ("nlos_mode", ["all"]),
-            ("path_select", "loudest"), ("path_select", None),
+            ("path_select", "loudest"), ("path_select", None), ("path_select", "first_arrival"),
         ],
     )
     def test_config_value_of_wrong_type_or_range_is_a_config_error(self, tmp_path, capsys, monkeypatch, key, value):
-        with pytest.raises(PipelineError, match=re.escape(f"key {key} is {value!r}; it must be")) as exc:
+        # the message names the rule, so path_select's names 'strongest'
+        want = f"key {key} is {value!r}; it must be {_CONFIG_RULES[key][0]}"
+        with pytest.raises(PipelineError, match=re.escape(want)) as exc:
             run_pipeline({**SMALL_CONFIG, key: value}, out_dir=tmp_path / "lib")
         assert exc.value.stage == "config"
         # the console script: exit 1, nothing written, no traceback
@@ -365,14 +367,14 @@ class TestRunPipeline:
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({**SMALL_CONFIG, key: value}))
         assert main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "cli")]) == 1
-        assert f"error: [config] key {key} is {value!r}" in capsys.readouterr().err
+        assert f"error: [config] {want}" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     @pytest.mark.parametrize(
         "key, value",
         [("tau_in", 1), ("tau_out", 1.0), ("min_count", 0), ("k_max", 1), ("train_fraction", 1),
          ("ridge_lambda", 0), ("single_region", False), ("seed", 0), ("seed", np.int64(3)),
-         ("nlos_mode", "nlos_only"), ("path_select", "first_arrival"), ("template_size", (1, 1))],
+         ("nlos_mode", "nlos_only"), ("template_size", (1, 1))],
     )
     def test_config_values_at_their_bounds_pass_the_check(self, key, value):
         _check(_CONFIG_RULES, {**default_config(), key: value}, "key")

@@ -449,8 +449,7 @@ class TestCliWorkflow:
     @pytest.mark.parametrize(
         "option, value, named",
         [("--k-max", "0", "k_max is 0"), ("--tau-in", "1.5", "tau_in is 1.5"), ("--tau-out", "nan", "tau_out is nan"),
-         ("--min-count", "-1", "min_count is -1"), ("--seed", "-2", "seed is -2"),
-         ("--path-select", "loudest", "path_select is 'loudest'")],
+         ("--min-count", "-1", "min_count is -1"), ("--seed", "-2", "seed is -2")],
     )
     def test_segment_option_out_of_range_is_a_segment_error(self, trained_chain, tmp_path, capsys, option, value, named):
         data = shutil.copytree(trained_chain[0], tmp_path / "data")
@@ -723,6 +722,24 @@ class TestBoundaryErrors:
         err = capsys.readouterr().err
         assert f"[segment] --template {template!r} is not of the form HxW" in err
         assert (data / "segmentation.json").read_bytes() == seg
+
+    def test_segment_has_no_path_select_option(self, trained_chain, tmp_path, capsys):
+        data = shutil.copytree(trained_chain[0], tmp_path / "data")
+        seg = (data / "segmentation.json").read_bytes()
+        with pytest.raises(SystemExit) as exc:
+            main(["segment", "--data", str(data), "--template", "8x8", "--path-select", "strongest"])
+        assert exc.value.code == 2  # argparse's exit for an unknown option
+        assert "--path-select" in capsys.readouterr().err
+        assert (data / "segmentation.json").read_bytes() == seg
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_a_path_select_other_than_strongest_is_rejected(self, trained_chain, tmp_path, capsys, command):
+        # segmentation.json for train, model.json for eval
+        path, err = _read_edited_routing(
+            trained_chain, tmp_path, capsys, command, lambda obj: _put(obj, ["path_select"], "first_arrival")
+        )
+        assert f"error: [{command}] {path}: path_select is 'first_arrival'; it must be one of 'strongest'" in err
+        assert "Traceback" not in err
 
     def test_eval_rejects_unknown_path_select(self, trained_chain, tmp_path, capsys):
         data, model_path = trained_chain
@@ -1042,7 +1059,7 @@ def test_segment_option_defaults_are_the_config_defaults():
 
     defaults = default_config()
     args = build_parser().parse_args(["segment", "--data", "d"])
-    for key in ("tau_in", "tau_out", "min_count", "k_max", "path_select", "seed"):
+    for key in ("tau_in", "tau_out", "min_count", "k_max", "seed"):
         assert getattr(args, key) == defaults[key], key
     assert [int(side) for side in args.template.split("x")] == defaults["template_size"]
     assert build_parser().parse_args(["train", "--data", "d", "--regions", "r"]).ridge_lambda == defaults["ridge_lambda"]
@@ -1055,7 +1072,7 @@ def test_config_options_parse_to_the_config_types():
     defaults = default_config()
     segment = vars(build_parser().parse_args(["segment", "--data", "d"]))
     train = vars(build_parser().parse_args(["train", "--data", "d", "--regions", "r"]))
-    parsed = {**{key: segment[key] for key in ("tau_in", "tau_out", "min_count", "k_max", "path_select", "seed")},
+    parsed = {**{key: segment[key] for key in ("tau_in", "tau_out", "min_count", "k_max", "seed")},
               "ridge_lambda": train["ridge_lambda"]}
     assert [(key, value, type(value)) for key, value in parsed.items()] == [
         (key, defaults[key], type(defaults[key])) for key in parsed
@@ -1112,7 +1129,7 @@ def trained_model(dataset):
     feats, std = build_features(samples)
     cm = kmeans(feats, 2, seed=0)
     regions = cleanse(fuse_labels(labeling.labels, cm.assignment), 0)
-    return train(samples, Segmentation(regions, founders, cm.centroids, std, "strongest"))
+    return train(samples, Segmentation(regions, founders, cm.centroids, std))
 
 
 class TestModelRoundtrip:
@@ -1155,6 +1172,51 @@ class TestModelRoundtrip:
             got, want = locate(again, batch), locate(trained_model, batch)
             assert np.array_equal(got[0], want[0]) and got[1] == want[1]
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_drawn_models_roundtrip_bit_for_bit(self, dataset, trained_model, data):
+        from amdnloc.segmentation_adcam import Standardizer
+
+        _, samples = dataset
+        model = trained_model
+        width = model.config.fused_len
+        # region ids in the trained (ascending) order, with gaps, so that
+        # their order as numbers and as the file's strings differ
+        regions = sorted(data.draw(st.sets(st.integers(0, 40), min_size=1, max_size=12), label="regions"))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        spread = 10.0 ** data.draw(st.integers(-3, 3), label="exponent")
+
+        def values(*shape):
+            return rng.standard_normal(shape) * spread
+
+        weights = {r: values(2, width + 1) for r in regions}
+        # and values hypothesis picks itself: zeros, subnormals, round numbers
+        specials = data.draw(st.lists(st.floats(-1e3, 1e3), max_size=8), label="specials")
+        weights[regions[0]].flat[: len(specials)] = specials
+        cells = st.tuples(st.sampled_from(list(model.founders)), st.integers(0, len(model.adcam_centroids) - 1))
+        drawn = dataclasses.replace(
+            model,
+            weights=weights,
+            feature_standardizer=Standardizer(mean=values(width), scale=10.0 ** rng.uniform(-3, 3, width)),
+            region_feature_centroids={r: values(width) for r in regions},
+            pair_to_fused=data.draw(st.dictionaries(cells, st.sampled_from(regions), max_size=20), label="pairs"),
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.json"
+            dio.write_model(path, drawn)
+            again = dio.read_model(path, samples)
+            dio.write_model(Path(tmp) / "again.json", again)
+            assert (Path(tmp) / "again.json").read_bytes() == path.read_bytes()
+        assert list(again.weights) == list(again.region_feature_centroids) == regions
+        for r in regions:
+            for got, want in ((again.weights[r], drawn.weights[r]), (again.region_feature_centroids[r], drawn.region_feature_centroids[r])):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        for name in ("mean", "scale"):
+            assert getattr(again.feature_standardizer, name).tobytes() == getattr(drawn.feature_standardizer, name).tobytes()
+        assert again.pair_to_fused == drawn.pair_to_fused
+        got, want = locate(again, samples), locate(drawn, samples)
+        assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
+
 
 class TestSegmentationRecord:
     @pytest.mark.parametrize("single_region", [False, True])
@@ -1164,14 +1226,14 @@ class TestSegmentationRecord:
         _, samples = dataset
         cfg = {
             **default_config(), "tau_in": 0.95, "tau_out": 0.95, "template_size": (8, 8), "min_count": 0,
-            "k_max": 3, "path_select": "first_arrival", "single_region": single_region,
+            "k_max": 3, "single_region": single_region,
         }
         seg = segment(samples, cfg)
         dio.write_region_map(tmp_path / "region_map.csv", [s.id for s in samples], seg.regions)
         dio.write_segmentation(tmp_path / "segmentation.json", seg)
         obj = json.loads((tmp_path / "segmentation.json").read_text())
         assert sorted(obj) == ["adcam_centroids", "adcam_standardizer", "format", "founders", "path_select"]
-        assert obj["format"] == "amdnloc-segmentation"
+        assert obj["format"] == "amdnloc-segmentation" and obj["path_select"] == "strongest"
         read, again = dio.read_segmentation(tmp_path / "segmentation.json", samples, tmp_path / "region_map.csv")
         assert [s.id for s in read] == [s.id for s in samples]
         for name in ("cfr_labels", "adcam_labels", "fused_labels", "retained"):
@@ -1187,7 +1249,6 @@ class TestSegmentationRecord:
         assert np.array_equal(again.adcam_centroids, seg.adcam_centroids)
         assert np.array_equal(again.adcam_standardizer.mean, seg.adcam_standardizer.mean)
         assert np.array_equal(again.adcam_standardizer.scale, seg.adcam_standardizer.scale)
-        assert again.path_select == seg.path_select == "first_arrival"
 
     def test_cli_segment_and_train_write_the_model_of_the_library_calls(self, trained_chain, tmp_path, monkeypatch):
         from amdnloc.evaluate import default_config, segment
@@ -1197,7 +1258,7 @@ class TestSegmentationRecord:
         data = shutil.copytree(trained_chain[0], tmp_path / "data")
         assert main([
             "segment", "--data", str(data), "--tau-in", "0.95", "--tau-out", "0.93", "--template", "8x8",
-            "--min-count", "1", "--k-max", "3", "--path-select", "first_arrival", "--seed", "4",
+            "--min-count", "1", "--k-max", "3", "--seed", "4",
         ]) == 0
         out = tmp_path / "model.json"
         assert main([
@@ -1206,7 +1267,7 @@ class TestSegmentationRecord:
         samples = dio.read_dataset(data)
         cfg = {
             **default_config(), "tau_in": 0.95, "tau_out": 0.93, "template_size": (8, 8), "min_count": 1,
-            "k_max": 3, "path_select": "first_arrival", "seed": 4,
+            "k_max": 3, "seed": 4,
         }
         dio.write_model(tmp_path / "library.json", train(samples, segment(samples, cfg), 0.5))
         assert out.read_bytes() == (tmp_path / "library.json").read_bytes()

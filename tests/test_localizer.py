@@ -334,7 +334,7 @@ def segment_and_train(samples, seed=0, min_count=0):
     feats, std = build_features(samples)
     cm = kmeans(feats, min(3, len(samples)), seed=seed)
     regions = cleanse(fuse_labels(labeling.labels, cm.assignment), min_count)
-    model = train(samples, Segmentation(regions, founders, cm.centroids, std, "strongest"))
+    model = train(samples, Segmentation(regions, founders, cm.centroids, std))
     return model, regions
 
 
@@ -409,7 +409,7 @@ class TestTrainPredict:
     def test_train_rejects_a_sample_of_another_shape(self, domain, cut):
         samples = small_dataset()
         model, regions = segment_and_train(samples)
-        seg = Segmentation(regions, model.founders, model.adcam_centroids, model.adcam_standardizer, model.path_select)
+        seg = Segmentation(regions, model.founders, model.adcam_centroids, model.adcam_standardizer)
         odd = samples[5]
         field = domain.lower()
         samples[5] = dataclasses.replace(odd, **{field: getattr(odd, field)[: cut[0], : cut[1]]})
@@ -425,7 +425,7 @@ class TestTrainPredict:
 
 def cluster_oracle(model, sample) -> int:
     """The sample's clustering label, by ``scipy`` distances."""
-    kf = model.adcam_standardizer.apply(path_descriptor(sample, model.path_select))
+    kf = model.adcam_standardizer.apply(path_descriptor(sample))
     return int(cdist([kf], model.adcam_centroids)[0].argmin())
 
 
@@ -559,11 +559,11 @@ class TestLocate:
         assert one == (len(model.adcam_centroids) == 1)
         calls = []
 
-        def descriptor(sample, path_select):
+        def descriptor(sample):
             if one:
                 raise AssertionError("a one-region model needs no cluster label")
             calls.append(sample.id)
-            return path_descriptor(sample, path_select)
+            return path_descriptor(sample)
 
         monkeypatch.setattr(localizer, "path_descriptor", descriptor)
         xy, regions = locate(model, test)

@@ -15,6 +15,7 @@ from amdnloc.segmentation_adcam import (
     build_features,
     calinski_harabasz,
     kmeans,
+    path_descriptor,
     select_k,
     silhouette,
 )
@@ -118,17 +119,12 @@ class TestBuildFeatures:
         np.testing.assert_allclose(feats.mean(axis=0), 0.0, atol=1e-9)
         np.testing.assert_allclose(feats.var(axis=0), 1.0, atol=1e-9)
 
-    def test_strongest_vs_first_arrival(self):
-        strong_late = mk_path(aoa=1.0, delay=5, loss=5.0)
-        weak_early = mk_path(aoa=2.0, delay=0, loss=30.0)
-        s = mk_sample(0, weak_early, strong_late)
-        other = mk_sample(1, mk_path(aoa=0.5, delay=1, loss=20.0))
-        f_strong, std_s = build_features([s, other], "strongest")
-        f_first, std_f = build_features([s, other], "first_arrival")
-        raw_strong = f_strong[0] * std_s.scale + std_s.mean
-        raw_first = f_first[0] * std_f.scale + std_f.mean
-        assert raw_strong[1] == pytest.approx(1.0)
-        assert raw_first[1] == pytest.approx(2.0)
+    def test_the_strongest_path_describes_a_sample(self):
+        # not the first to arrive: a weak early path is passed over
+        weak_early = mk_path(aoa=2.0, aod=0.5, gain=0.5j, delay=0, loss=30.0)
+        strong_late = mk_path(aoa=1.0, aod=0.25, gain=-2 + 0j, delay=5, loss=5.0)
+        for paths in ((weak_early, strong_late), (strong_late, weak_early)):
+            assert path_descriptor(mk_sample(0, *paths)) == [0.25, 1.0, 2.0, 5.0]
 
     def test_empty_paths_rejected(self):
         with pytest.raises(ValueError):
