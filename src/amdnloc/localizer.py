@@ -6,15 +6,16 @@ peaks. ``_image_features`` defines their layout, and ``train``,
 ``locate`` and ``sample_features`` all take them through
 ``_stack_features``: one pass over the samples, ``channel._CHUNK`` at a
 time, that renders the three images of every sample in place into one
-plane stack and writes the fused vectors into one array, which
-``Standardizer.apply`` then standardizes in place. Each fused region
-gets its own affine regressor over the fused feature vector. A model of
-one region sends every test sample to it; with more regions a test
-sample is routed by re-running the training-time matchers (CFR founder
-templates, clustering centroids) with a nearest-centroid fallback. The
-cluster is taken first: when every founder would send the sample to one
-region, by its (founder, cluster) pair or by the fallback, that region
-is taken and no founder is scored; only the other samples are scored.
+plane stack and writes the fused vectors and a column of ones into one
+design matrix, whose features ``Standardizer.apply`` standardizes in
+place. Each fused region gets its own affine regressor over a design
+row. A model of one region sends every test sample to it; with more
+regions a test sample is routed by re-running the training-time matchers
+(CFR founder templates, clustering centroids) with a nearest-centroid
+fallback. The cluster is taken first: when every founder would send the
+sample to one region, by its (founder, cluster) pair or by the fallback,
+that region is taken and no founder is scored; only the other samples
+are scored.
 """
 from __future__ import annotations
 
@@ -172,23 +173,22 @@ def _render_planes(cfr: np.ndarray, adcam, out: np.ndarray | None = None) -> np.
     return planes
 
 
-def _stack_features(
-    samples, config: FeatureConfig, mags: np.ndarray | None = None, out: np.ndarray | None = None
-) -> np.ndarray:
-    """The raw fused feature vectors of samples, (n, fused_len), written
-    into ``out`` when it is given.
+def _stack_features(samples, config: FeatureConfig, mags: np.ndarray | None = None) -> np.ndarray:
+    """The (n, fused_len + 1) design matrix of samples: the raw fused
+    feature vector of each sample, then a one.
 
     The samples are checked once by ``_check_samples``, then taken
     ``channel._CHUNK`` at a time: a chunk's CFRs are stacked, and
     ``_render_planes`` renders them and the chunk's ADCAMs in place into
     one (3, chunk, nt, nc) plane stack, with no ``render_image`` call;
     every chunk reuses the CFR stack and the plane stack.
-    ``_image_features`` writes the chunk's rows of the result. When
+    ``_image_features`` writes the features of the chunk's rows. When
     ``mags`` (n, nt, nc) is given, each chunk's CFR magnitude images are
     written into its rows.
     """
     _check_samples(samples, (config.nt, config.nc))
-    raw = np.empty((len(samples), config.fused_len)) if out is None else out
+    design = np.empty((len(samples), config.fused_len + 1))
+    design[:, -1] = 1.0
     cfrs = np.empty((_chunk_rows(len(samples)), config.nt, config.nc), dtype=complex)
     work = np.empty((3, *cfrs.shape))
     for rows in _chunks(len(samples)):
@@ -196,25 +196,24 @@ def _stack_features(
         for i, s in enumerate(chunk):
             cfrs[i] = s.cfr
         planes = _render_planes(cfrs[: len(chunk)], [s.adcam for s in chunk], work[:, : len(chunk)])
-        _image_features(planes, raw[rows])
+        _image_features(planes, design[rows, :-1])
         if mags is not None:
             mags[rows] = planes[0]
-    return raw
+    return design
 
 
 def sample_features(sample, config: FeatureConfig) -> np.ndarray:
     """Raw (un-normalized) fused feature vector of one dataset sample."""
-    return _stack_features([sample], config)[0]
+    return _stack_features([sample], config)[0, :-1]
 
 
 def _solve_ridge(design: np.ndarray, y: np.ndarray, ridge_lambda: float) -> np.ndarray:
     """Closed-form ridge solution of an (n, d+1) design matrix whose last
     column is ones; returns 2 x (d+1) weights."""
     d = design.shape[1]
-    # leave the bias column unpenalized: targets are absolute coordinates
-    penalty = ridge_lambda * np.eye(d)
-    penalty[-1, -1] = 0.0
-    gram = design.T @ design + penalty
+    gram = design.T @ design
+    # every diagonal entry but the bias's, the last: targets are absolute coordinates
+    gram[np.diag_indices(d - 1)] += ridge_lambda
     if ridge_lambda == 0.0 and np.linalg.matrix_rank(gram) < d:
         raise np.linalg.LinAlgError("singular system; use ridge_lambda > 0")
     w = np.linalg.solve(gram, design.T @ y)
@@ -232,12 +231,12 @@ class LocalizationModel:
     new sample to a region.
 
     Whenever a model is made, each region's weights are stored once,
-    column-major, as ``apply_weights`` takes them, and it keeps what
-    ``locate`` would otherwise redo on every call: the founder templates
-    as ``_corner_banks`` for the CFR image shape, a t1 bank and a t2
-    bank, so ``locate`` transforms no template, and the founder
-    categories as one array, in ``founders`` order. A model of no
-    regions (empty ``weights``) is a ``ValueError``.
+    column-major, as ``locate`` and ``apply_weights`` take them, and it
+    keeps what ``locate`` would otherwise redo on every call: the
+    founder templates as ``_corner_banks`` for the CFR image shape, a t1
+    bank and a t2 bank, so ``locate`` transforms no template, and the
+    founder categories as one array, in ``founders`` order. A model of
+    no regions (empty ``weights``) is a ``ValueError``.
     """
 
     config: FeatureConfig
@@ -263,8 +262,9 @@ class LocalizationModel:
 def train(samples, segmentation: Segmentation, ridge_lambda: float = 1e-3) -> LocalizationModel:
     """Fit one closed-form ridge regressor per retained fused region.
 
-    Feature normalization constants come from the retained training
-    samples; the segmentation's routing state is stored so ``locate``
+    Each region is solved on its rows of the one ``_stack_features``
+    design matrix, standardized in place by the retained samples'
+    constants; the segmentation's routing state is stored so ``locate``
     can route new samples. Every sample's CFR and ADCAM must have the
     shape of the first sample's CFR, which sets the model's (nt, nc).
     No samples, or none retained, are a ``ValueError``.
@@ -276,11 +276,8 @@ def train(samples, segmentation: Segmentation, ridge_lambda: float = 1e-3) -> Lo
     if not retained.any():
         raise ValueError(f"none of the {len(samples)} training samples is retained; every one was cleansed")
     config = FeatureConfig(nt=samples[0].cfr.shape[0], nc=samples[0].cfr.shape[1])
-    width = config.fused_len
-    # the one design matrix: the features, standardized in place, then ones
-    design = np.empty((len(samples), width + 1))
-    design[:, width] = 1.0
-    feats = _stack_features(samples, config, out=design[:, :width])
+    design = _stack_features(samples, config)
+    feats = design[:, :-1]
     # no gathered copy of the rows when every sample is retained
     feat_std = Standardizer.fit(feats if retained.all() else feats[retained])
     feat_std.apply(feats, out=feats)
@@ -295,7 +292,7 @@ def train(samples, segmentation: Segmentation, ridge_lambda: float = 1e-3) -> Lo
         # one region holding every row needs no gather
         x, y = (design, positions) if mask.all() else (design[mask], positions[mask])
         weights[region] = _solve_ridge(x, y, ridge_lambda)
-        centroids[region] = x[:, :width].mean(axis=0)
+        centroids[region] = x[:, :-1].mean(axis=0)
 
     return LocalizationModel(
         config=config,
@@ -332,8 +329,9 @@ def locate(model: LocalizationModel, samples) -> tuple[np.ndarray, list[int]]:
     ``corner_banks``, which scores a founder's t2 only where it can
     still win, and takes the ``rfft2`` of those samples' CFR magnitude
     images and of no template; when every sample is decided it is not
-    called. The features come from one ``_stack_features`` pass,
-    standardized in place; with more than one region it also fills the
+    called. The features come from one ``_stack_features`` pass: its
+    design matrix is standardized in place, and each sample is predicted
+    by its design row; with more than one region the pass also fills the
     one (n, nt, nc) stack of magnitude images that routing scores.
     Every sample's CFR and ADCAM must have the model's shape (nt, nc).
     No samples give an empty (0, 2) array and no regions.
@@ -342,8 +340,8 @@ def locate(model: LocalizationModel, samples) -> tuple[np.ndarray, list[int]]:
         return np.empty((0, 2)), []
     config = model.config
     mags = np.empty((len(samples), config.nt, config.nc)) if len(model.weights) > 1 else None
-    raw = _stack_features(samples, config, mags)
-    feats = model.feature_standardizer.apply(raw, out=raw)
+    design = _stack_features(samples, config, mags)
+    feats = model.feature_standardizer.apply(design[:, :-1], out=design[:, :-1])
     if mags is None:
         # both the pair lookup and the fallback can only give this region
         regions = list(model.weights) * len(samples)
@@ -366,8 +364,8 @@ def locate(model: LocalizationModel, samples) -> tuple[np.ndarray, list[int]]:
                 region = model.pair_to_fused.get((c, adcam_labels[i]))
                 regions[i] = region if region in model.weights else nearest(feats[i])
     xy = np.empty((len(samples), 2))
-    for i, (region, feat) in enumerate(zip(regions, feats)):
-        xy[i] = apply_weights(model.weights[region], feat)
+    for i, region in enumerate(regions):
+        xy[i] = model.weights[region] @ design[i]
     return xy, regions
 
 
@@ -397,13 +395,13 @@ def _nearest_centroid(centroids: dict[int, np.ndarray]):
 
 
 def apply_weights(weights: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """Affine map: W @ [features; 1].
+    """Affine map W @ [features; 1]: ``locate``'s product for one vector.
 
     W is taken column-major, the layout ``fit_region_weights`` returns:
     the product rounds differently for each layout, and a model read
     back from JSON must predict bit for bit as the trained one.
     """
-    return np.asfortranarray(weights) @ np.append(features, 1.0)
+    return np.asfortranarray(weights) @ np.hstack([features, 1.0])
 
 
 def predict(model: LocalizationModel, sample) -> np.ndarray:

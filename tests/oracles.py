@@ -28,6 +28,12 @@ labels, founders and ``scores`` bit for bit.
 sample at a time, the renumbering that ``segmentation_cfr.match_between``
 derives from its roots' order.
 
+``ridge_oracle`` is the closed-form ridge solve as it was with a
+penalty matrix: ``ridge_lambda * np.eye`` with its bias entry zeroed,
+added to the Gram matrix. ``localizer._solve_ridge`` adds
+``ridge_lambda`` to the Gram matrix's diagonal in place and must give
+its weights bit for bit.
+
 ``fuse_labels`` and ``cleanse`` are the dict-based fusion that stored
 every region fact, ``retained``, the region count and the pair map,
 next to the fused labels, in ``StoredLabels``; the package derives them
@@ -220,6 +226,19 @@ def reindex(labels: np.ndarray, founders: dict) -> tuple[np.ndarray, dict]:
         out[idx] = mapping[lab]
     new_founders = {mapping[old]: pair for old, pair in founders.items() if old in mapping}
     return out, new_founders
+
+
+def ridge_oracle(design: np.ndarray, y: np.ndarray, ridge_lambda: float) -> np.ndarray:
+    """The 2 x (d+1) ridge weights of an (n, d+1) design matrix whose
+    last column is ones, the bias left unpenalized by a zero in the
+    (d+1) x (d+1) penalty matrix."""
+    d = design.shape[1]
+    penalty = ridge_lambda * np.eye(d)
+    penalty[-1, -1] = 0.0
+    gram = design.T @ design + penalty
+    if ridge_lambda == 0.0 and np.linalg.matrix_rank(gram) < d:
+        raise np.linalg.LinAlgError("singular system; use ridge_lambda > 0")
+    return np.linalg.solve(gram, design.T @ y).T
 
 
 def refuse_numpy_inverse_ffts(monkeypatch):

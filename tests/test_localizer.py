@@ -19,6 +19,7 @@ from amdnloc.localizer import (
     _image_features,
     _nearest_centroid,
     _render_planes,
+    _solve_ridge,
     _stack_features,
     _top_peaks,
     apply_weights,
@@ -31,7 +32,7 @@ from amdnloc.localizer import (
 from amdnloc.scenegen import Rect, Sample, SceneConfig, build_dataset
 from amdnloc.segmentation_adcam import Standardizer, build_features, kmeans, path_descriptor
 from amdnloc.segmentation_cfr import extract_templates, segment_cfr
-from oracles import ncc
+from oracles import ncc, ridge_oracle
 
 CONFIG = FeatureConfig(nt=16, nc=16)
 
@@ -127,10 +128,11 @@ def test_stacked_features_equal_the_per_sample_oracle(spacing, step):
     config = FeatureConfig(nt=32, nc=32)
     want = np.array([features_oracle(s) for s in samples])
     mags = np.empty((len(samples), config.nt, config.nc))
+    # the design matrix: the features, then a column of ones
     got = _stack_features(samples, config, mags)
-    assert np.array_equal(got, want)
+    assert np.array_equal(got[:, :-1], want) and np.all(got[:, -1] == 1.0)
     assert np.array_equal(mags, [render_oracle(s.cfr, "cfr_magnitude") for s in samples])
-    assert np.array_equal(_stack_features(samples, config), want)
+    assert np.array_equal(_stack_features(samples, config), got)
     assert all(np.array_equal(sample_features(s, config), w) for s, w in zip(samples[::50], want[::50]))
 
 
@@ -308,6 +310,47 @@ class TestRidge:
         w = fit_region_weights(x, y, ridge_lambda=0.0)
         preds = np.array([apply_weights(w, xi) for xi in x])
         assert np.max(np.linalg.norm(preds - y, axis=1)) < 1e-6
+
+
+@st.composite
+def _designs(draw):
+    """A drawn (n, d+1) design matrix whose last column is ones, with
+    negative entries, often fewer rows than columns, and, when drawn,
+    one all-zero feature column; and (n, 2) targets."""
+    n, d = draw(st.integers(1, 12)), draw(st.integers(1, 8))
+    values = st.floats(-1e3, 1e3, allow_subnormal=False)
+    design = np.ones((n, d + 1))
+    design[:, :d] = draw(arrays(float, (n, d), elements=values))
+    zero = draw(st.none() | st.integers(0, d - 1))
+    if zero is not None:
+        design[:, zero] = 0.0
+    return design, draw(arrays(float, (n, 2), elements=values))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_designs(), st.sampled_from([1e-3, 0.5, 30.0, 1e4]))
+def test_ridge_solve_equals_the_penalty_matrix_oracle(drawn, ridge_lambda):
+    # the in-place diagonal gives the penalty matrix's weights bit for
+    # bit, and leaves the bias entry, the last one, unpenalized
+    design, y = drawn
+    assert np.array_equal(_solve_ridge(design, y, ridge_lambda), ridge_oracle(design, y, ridge_lambda))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_designs(), st.integers(0, 2))
+def test_unpenalized_ridge_solve_rejects_a_rank_deficient_design(drawn, defect):
+    # fewer rows than columns, an all-zero column or a repeated column
+    design, y = drawn
+    if defect == 0:
+        rows = design.shape[1] - 1
+        design, y = design[:rows], y[:rows]
+    elif defect == 1:
+        design[:, 0] = 0.0
+    else:
+        design = np.hstack([design[:, :1], design])
+    for solve in (_solve_ridge, ridge_oracle):
+        with pytest.raises(np.linalg.LinAlgError, match="singular system"):
+            solve(design, y, 0.0)
 
 
 SMALL_SCENE = SceneConfig(
@@ -788,7 +831,7 @@ def test_one_region_locate_keeps_no_magnitude_stack(one_region_model):
     model, test = one_region_model
     config = model.config
     # the peak of one chunk's pass, less the chunk's own rows of features
-    chunk_pass = _traced_peak(lambda: _stack_features(test[:_CHUNK], config)) - _CHUNK * config.fused_len * 8
+    chunk_pass = _traced_peak(lambda: _stack_features(test[:_CHUNK], config)) - _CHUNK * (config.fused_len + 1) * 8
     features = 2 * len(test) * config.fused_len * 8
     stack = len(test) * config.nt * config.nc * 8
     slack = 64 * 1024

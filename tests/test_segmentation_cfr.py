@@ -903,36 +903,50 @@ def test_stage_one_equals_the_sequential_scan_on_scene(invariants_scene_images):
         _assert_same_stage_one(match_within(images, tau_in, (8, 8)), match_within_sequential(images, tau_in, (8, 8)))
 
 
-def test_stage_one_scores_no_pair_twice(invariants_scene_images):
-    images = invariants_scene_images
-    (a, b), (h, w) = (8, 8), images[0].shape
-    corners = [img[:a, :b].tobytes() for img in images] + [img[h - a :, w - b :].tobytes() for img in images]
-    # a template is told by its pixels, so no two may be equal
-    assert len(set(corners)) == len(corners)
-    templates = {}  # id of each bank -> (bank, its templates' pixels); the bank keeps its id unique
-    scored = []
-    bank_init, score, score_pairs = _TemplateBank.__init__, _ImageStacks._score, _ImageStacks._score_pairs
+def _corner_scoring(name=int):
+    """A patch of ``segmentation_cfr._corner_bank``,
+    ``_ImageStacks._score`` and ``_ImageStacks._score_pairs``, and the two
+    lists it fills: every score taken, as (template, side, row) triples,
+    and the (template, side) of the templates of each bank built. A
+    template is told by ``name`` of the index of the image
+    ``_corner_bank`` cuts it from, and by its side (0 for t1, 1 for t2),
+    not by its pixels, which may repeat."""
+    taken, built = [], []
+    templates = {}  # id of each bank -> (bank, its templates' images and sides); the bank keeps its id unique
+    corner_bank, score, score_pairs = segmentation_cfr._corner_bank, _ImageStacks._score, _ImageStacks._score_pairs
 
-    def recorded_init(self, templates_, image_shape):
-        bank_init(self, templates_, image_shape)
-        templates[id(self)] = (self, [np.asarray(t, dtype=float).tobytes() for t in templates_])
+    def recorded_bank(images, rows, side, stacks):
+        bank = corner_bank(images, rows, side, stacks)
+        templates[id(bank)] = (bank, [(name(int(i)), ("t1", "t2").index(side)) for i in rows])
+        built.append(templates[id(bank)][1])
+        return bank
 
     def recorded_score(self, bank, rows):
-        scored.extend((t, int(r)) for t in templates[id(bank)][1] for r in rows)
+        taken.extend((*t, int(r)) for t in templates[id(bank)][1] for r in rows)
         return score(self, bank, rows)
 
     def recorded_pairs(self, bank, picks, rows):
-        scored.extend((templates[id(bank)][1][t], int(r)) for t, r in zip(picks, rows))
+        taken.extend((*templates[id(bank)][1][t], int(r)) for t, r in zip(picks, rows))
         return score_pairs(self, bank, picks, rows)
 
-    with mock.patch.object(_TemplateBank, "__init__", recorded_init), mock.patch.object(
-        _ImageStacks, "_score", recorded_score
-    ), mock.patch.object(_ImageStacks, "_score_pairs", recorded_pairs):
+    @contextlib.contextmanager
+    def patch():
+        with mock.patch.object(segmentation_cfr, "_corner_bank", recorded_bank), mock.patch.object(
+            _ImageStacks, "_score", recorded_score
+        ), mock.patch.object(_ImageStacks, "_score_pairs", recorded_pairs):
+            yield
+
+    return patch(), taken, built
+
+
+def test_stage_one_scores_no_pair_twice(invariants_scene_images):
+    images = invariants_scene_images
+    patch, scored, _ = _corner_scoring()
+    with patch:
         got = match_within(images, 0.97, (8, 8))
-    assert len(set(scored)) == len(scored)
+    assert scored and len(set(scored)) == len(scored)
     # and no template scores its own image
-    own = {corner: k % len(images) for k, corner in enumerate(corners)}
-    assert all(own[t] != r for t, r in scored)
+    assert all(i != r for i, _, r in scored)
     _assert_same_stage_one(got, match_within_sequential(images, 0.97, (8, 8)))
 
 
@@ -985,44 +999,11 @@ def _assert_scores_were_taken(labeling, images):
 
 
 def _stage_two_scoring(labeling):
-    """A patch of ``_TemplateBank.__init__``, ``_ImageStacks._score`` and
-    ``_ImageStacks._score_pairs``, and the two lists it fills: the
-    entries of ``labeling.scores`` that ``match_between`` scores, as
-    (category, side, founder image) triples, and the (category, side)
-    of the templates of each bank it builds. A template is told by its
-    pixels, so no two founder templates may be equal; a stack's rows
-    are the categories."""
-    corner = {
-        np.asarray(t, dtype=float).tobytes(): (c, side)
-        for c, pair in labeling.founders.items()
-        for side, t in enumerate((pair.t1, pair.t2))
-    }
-    assert len(corner) == 2 * labeling.class_count
-    taken, built = [], []
-    templates = {}  # id of each bank -> (bank, its templates' categories and sides); the bank keeps its id unique
-    bank_init, score, score_pairs = _TemplateBank.__init__, _ImageStacks._score, _ImageStacks._score_pairs
-
-    def recorded_init(self, templates_, image_shape):
-        bank_init(self, templates_, image_shape)
-        templates[id(self)] = (self, [corner[np.asarray(t, dtype=float).tobytes()] for t in templates_])
-        built.append(templates[id(self)][1])
-
-    def recorded_score(self, bank, rows):
-        taken.extend((c, side, int(r)) for c, side in templates[id(bank)][1] for r in rows)
-        return score(self, bank, rows)
-
-    def recorded_pairs(self, bank, picks, rows):
-        taken.extend((*templates[id(bank)][1][t], int(r)) for t, r in zip(picks, rows))
-        return score_pairs(self, bank, picks, rows)
-
-    @contextlib.contextmanager
-    def patch():
-        with mock.patch.object(_TemplateBank, "__init__", recorded_init), mock.patch.object(
-            _ImageStacks, "_score", recorded_score
-        ), mock.patch.object(_ImageStacks, "_score_pairs", recorded_pairs):
-            yield
-
-    return patch(), taken, built
+    """``_corner_scoring`` for ``match_between`` on ``labeling``: a
+    template is told by its category, whose founder image it is cut
+    from, and a stack's rows are the categories."""
+    category = {pair.founder_id: c for c, pair in labeling.founders.items()}
+    return _corner_scoring(category.__getitem__)
 
 
 def test_stage_two_scores_only_what_stage_one_left(invariants_scene_images):
