@@ -1,14 +1,16 @@
 """Command-line interface.
 
-Subcommands: generate, segment, train, eval, plot, pipeline. The
-environment variable AMDN_SEED overrides the seed of generate, segment
-and pipeline; train takes no seed, since its closed-form ridge fit draws
-nothing. Exit code 0 on success; failures print a stage-tagged message
-and exit nonzero. A pipeline stage that fails exits 2; an unreadable or
-malformed file, named in the message (a file that is not JSON and a
-model of an unknown fit method included), a bad scene value, a config
-key the pipeline does not know, or a config value or option value of
-the wrong type or range exits 1; an unknown option exits 2.
+Subcommands: generate, segment, train, eval, plot, pipeline. segment
+writes segmentation.json, the one file train reads besides the dataset,
+and exports region_map.csv and .ppm. The environment variable AMDN_SEED
+overrides the seed of generate, segment and pipeline; train takes no
+seed, since its closed-form ridge fit draws nothing. Exit code 0 on
+success; failures print a stage-tagged message and exit nonzero. A
+pipeline stage that fails exits 2; an unreadable or malformed file,
+named in the message (a file that is not JSON and a model of an unknown
+fit method included), a bad scene value, a config key the pipeline does
+not know, or a config value or option value of the wrong type or range
+exits 1; an unknown option exits 2.
 """
 from __future__ import annotations
 
@@ -78,7 +80,7 @@ def _cmd_segment(args) -> int:
     seg = segment(samples, cfg)
     data = Path(args.data)
     export_region_map(samples, seg.regions, data / "region_map.csv", data / "region_map.ppm")
-    dio.write_segmentation(data / "segmentation.json", seg)
+    dio.write_segmentation(data / "segmentation.json", seg, [s.id for s in samples], cfg["min_count"])
     print(
         f"{seg.regions.fused_count} regions, covering rate {seg.regions.covering_rate:.3f}; "
         f"wrote region_map.csv and segmentation.json"
@@ -89,7 +91,7 @@ def _cmd_segment(args) -> int:
 def _cmd_train(args) -> int:
     _check({"ridge_lambda": _CONFIG_RULES["ridge_lambda"]}, vars(args), "key")
     samples = dio.read_dataset(args.data)
-    train_samples, segmentation = dio.read_segmentation(Path(args.data) / "segmentation.json", samples, args.regions)
+    train_samples, segmentation = dio.read_segmentation(Path(args.data) / "segmentation.json", samples)
     model = train(train_samples, segmentation, args.ridge_lambda)
     dio.write_model(args.out, model)
     print(f"trained {len(model.weights)} region regressors; wrote {args.out}")
@@ -167,7 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("train", help="fit per-region regressors")
     t.add_argument("--data", required=True)
-    t.add_argument("--regions", required=True)
     _config_options(t, defaults, "ridge_lambda")
     t.add_argument("--out", default="model.json")
     t.set_defaults(func=_cmd_train)

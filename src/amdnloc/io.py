@@ -5,6 +5,9 @@ adcam.bin. The .bin files start with the magic bytes "AMDN" followed by
 little-endian u32 fields (version, count, nt, nc) and then per-sample
 row-major entries as little-endian float32 (interleaved re/im for the
 CFR file, plain values for the angle-delay file).
+
+segmentation.json is the one file segment hands to train;
+region_map.csv is an export that no command reads back.
 """
 from __future__ import annotations
 
@@ -17,9 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from .channel import PathRecord, _chunks, render_image
-from .fusion import RegionLabels, Segmentation
+from .fusion import RegionLabels, Segmentation, cleanse, fuse_labels
 from .localizer import FeatureConfig, LocalizationModel
-from .scenegen import _COUNT, _NONNEGATIVE, Sample, _check, _is_int, _one_of
+from .scenegen import _COUNT, _NONNEGATIVE, _SEED, Sample, _check, _is_int, _one_of
 from .segmentation_adcam import _PATH_SELECT, Standardizer
 from .segmentation_cfr import extract_templates
 
@@ -31,7 +34,6 @@ __all__ = [
     "write_dataset",
     "read_dataset",
     "write_region_map",
-    "read_region_map",
     "write_segmentation",
     "read_segmentation",
     "write_model",
@@ -190,37 +192,6 @@ def write_region_map(path: str | Path, sample_ids, labels: RegionLabels):
         w.writerows(zip(sample_ids, *(c.tolist() for c in columns)))
 
 
-def read_region_map(path: str | Path) -> tuple[list[int], RegionLabels]:
-    """Sample ids and their labels, in file order; every field must be
-    an integer (``_csv_rows``), ids must be unique, a row is retained
-    exactly when its fused label is not -1, and the retained rows of one
-    (cfr, adcam) pair share one fused label."""
-    ids, cfr, ad, fused = [], [], [], []
-    seen = set()
-    region_of = {}  # the fused label of each retained pair
-    for row in _csv_rows(path, dict.fromkeys(("id", "cfr_label", "adcam_label", "fused_label", "retained"), _INT)):
-        sid, f = row["id"], row["fused_label"]
-        if sid in seen:
-            raise ValueError(f"{path}: id {sid} is repeated")
-        if f < -1 or row["retained"] != int(f >= 0):
-            raise ValueError(
-                f"{path}: id {sid} has fused label {f} and retained {row['retained']}; "
-                "a label is -1 (cleansed, retained 0) or a region (retained 1)"
-            )
-        pair = row["cfr_label"], row["adcam_label"]
-        if f >= 0 and region_of.setdefault(pair, f) != f:
-            raise ValueError(
-                f"{path}: pair (cfr_label {pair[0]}, adcam_label {pair[1]}) has fused labels "
-                f"{region_of[pair]} and {f} (id {sid}); the retained rows of a pair share one"
-            )
-        seen.add(sid)
-        ids.append(sid)
-        cfr.append(pair[0])
-        ad.append(pair[1])
-        fused.append(f)
-    return ids, RegionLabels(np.array(cfr, dtype=int), np.array(ad, dtype=int), np.array(fused, dtype=int))
-
-
 def _by_id(path, key: str, obj) -> list[tuple[int, object]]:
     """The entries of a nonempty object keyed by integer ids, each id
     written as ``str`` writes it, in ascending id order; else a
@@ -307,35 +278,59 @@ def _routing_from_json(path: str | Path, obj: dict, by_id: dict[int, Sample]) ->
     }
 
 
-def write_segmentation(path: str | Path, segmentation: Segmentation):
-    """segmentation.json: the routing state; the regions go to the region map."""
-    obj = {"format": "amdnloc-segmentation", **_routing_to_json(segmentation)}
+def write_segmentation(path: str | Path, segmentation: Segmentation, sample_ids, min_count: int):
+    """segmentation.json: the routing state, the segmented samples' ids
+    with their CFR and cluster labels, in order, and the ``min_count``
+    their fused labels were cleansed at."""
+    labels = (segmentation.regions.cfr_labels.tolist(), segmentation.regions.adcam_labels.tolist())
+    obj = {
+        "format": "amdnloc-segmentation",
+        **_routing_to_json(segmentation),
+        "samples": list(zip(sample_ids, *labels)),
+        "min_count": min_count,
+    }
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1))
 
 
-def read_segmentation(path: str | Path, samples: list[Sample], region_map: str | Path) -> tuple[list[Sample], Segmentation]:
-    """The samples of a region map, in its order, and their segmentation,
-    its founder templates re-cut from ``samples``. Every retained row's
-    labels must name a founder and a centroid of the segmentation file."""
+def read_segmentation(path: str | Path, samples: list[Sample]) -> tuple[list[Sample], Segmentation]:
+    """The segmented samples, in the file's order, and their
+    segmentation, its founder templates re-cut from ``samples`` and its
+    regions ``cleanse(fuse_labels(cfr, adcam), min_count)``, as
+    ``evaluate.segment`` computed them. ``samples`` is a nonempty list
+    of [id, cfr_label, adcam_label] integers, each id unique and in the
+    dataset, each label a founder's category and a centroid's index, as
+    segment gives every sample; ``min_count`` is an integer >= 0 that
+    leaves a region. Anything else is a ``ValueError`` that names the
+    file."""
     obj = read_json(path)
-    if not isinstance(obj, dict) or obj.get("format") != "amdnloc-segmentation":
+    if not (isinstance(obj, dict) and obj.get("format") == "amdnloc-segmentation" and "samples" in obj):
         raise ValueError(f"{path}: not a segmentation file of this version; run amdnloc segment again")
-    ids, regions = read_region_map(region_map)
+    rows = obj["samples"]
+    if not (isinstance(rows, list) and rows):
+        raise ValueError(f"{path}: samples must be a nonempty list of [id, cfr_label, adcam_label] entries")
+    _check({"min_count": _SEED}, {"min_count": obj.get("min_count")}, f"{path}:")
     by_id = {s.id: s for s in samples}
-    missing = [sid for sid in ids if sid not in by_id]
-    if missing:
-        raise ValueError(f"{region_map}: id {missing[0]} is not in the dataset")
     routing = _routing_from_json(path, obj, by_id)
     n_centroids = len(routing["adcam_centroids"])
-    columns = (regions.cfr_labels, regions.adcam_labels, regions.retained)
-    for sid, c, a, kept in zip(ids, *(col.tolist() for col in columns)):
-        if kept and c not in routing["founders"]:
-            problem = f"cfr_label {c}, but {path} has no founder of category {c}"
-        elif kept and not 0 <= a < n_centroids:
-            problem = f"adcam_label {a}, but {path} has {n_centroids} centroids"
-        else:
-            continue
-        raise ValueError(f"{region_map}: id {sid} has {problem}; pass the region map of the segment run that wrote it")
+    seen = set()
+    for entry in rows:
+        if not (isinstance(entry, list) and len(entry) == 3 and all(map(_is_int, entry))):
+            raise ValueError(f"{path}: samples entry {entry!r} is not three integers [id, cfr_label, adcam_label]")
+        sid, c, a = entry
+        if sid in seen:
+            raise ValueError(f"{path}: sample {sid} is repeated")
+        if sid not in by_id:
+            raise ValueError(f"{path}: sample {sid} is not in the dataset")
+        if c not in routing["founders"]:
+            raise ValueError(f"{path}: sample {sid} has cfr_label {c}, but no founder of category {c}")
+        if not 0 <= a < n_centroids:
+            raise ValueError(f"{path}: sample {sid} has adcam_label {a}, but {n_centroids} centroids")
+        seen.add(sid)
+    ids, cfr, adcam = zip(*rows)
+    try:
+        regions = cleanse(fuse_labels(cfr, adcam), obj["min_count"])
+    except ValueError as e:  # a min_count that cleanses every sample
+        raise ValueError(f"{path}: {e}") from None
     return [by_id[sid] for sid in ids], Segmentation(regions, **routing)
 
 

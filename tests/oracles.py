@@ -38,6 +38,10 @@ its weights bit for bit.
 every region fact, ``retained``, the region count and the pair map,
 next to the fused labels, in ``StoredLabels``; the package derives them
 from its fused labels and must give the same.
+
+``REFERENCE_SCENE`` is the area, base station and five buildings of the
+benchmark scenes, ``dense-global`` and ``hetero-segmented``; each test
+that builds one sets its own grid, matrix size and seed.
 """
 from dataclasses import dataclass
 
@@ -46,6 +50,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from amdnloc import channel
 from amdnloc.channel import array_response, dft_matrices
+from amdnloc.scenegen import Rect
 from amdnloc.segmentation_cfr import (
     UNLABELED,
     CfrLabeling,
@@ -55,6 +60,18 @@ from amdnloc.segmentation_cfr import (
     _TemplateBank,
     extract_templates,
 )
+
+REFERENCE_SCENE = {
+    "area_m": (250.0, 250.0),
+    "bs_pos": (125.0, 2.0),
+    "buildings": [
+        Rect(40.0, 60.0, 30.0, 40.0),
+        Rect(170.0, 50.0, 35.0, 30.0),
+        Rect(60.0, 170.0, 40.0, 30.0),
+        Rect(165.0, 160.0, 30.0, 45.0),
+        Rect(110.0, 30.0, 25.0, 20.0),
+    ],
+}
 
 
 def cfr_from_paths(paths, nt: int, nc: int, spacing_ratio: float = 0.5) -> np.ndarray:

@@ -49,7 +49,7 @@ from amdnloc.segmentation_cfr import (
     match_within,
     segment_cfr,
 )
-from oracles import match_within_sequential, pair_scores
+from oracles import REFERENCE_SCENE, match_within_sequential, pair_scores
 
 # ---------------------------------------------------------------------------
 # shared oracles
@@ -119,21 +119,7 @@ def ch_oracle(points, assignment):
 # the heterogeneous demonstration scene, shared by the trade-off and
 # segmentation-benefit checks
 
-HETERO_SCENE = SceneConfig(
-    area_m=(250.0, 250.0),
-    bs_pos=(125.0, 2.0),
-    buildings=[
-        Rect(40.0, 60.0, 30.0, 40.0),
-        Rect(170.0, 50.0, 35.0, 30.0),
-        Rect(60.0, 170.0, 40.0, 30.0),
-        Rect(165.0, 160.0, 30.0, 45.0),
-        Rect(110.0, 30.0, 25.0, 20.0),
-    ],
-    grid_spacing_m=5.5,
-    nt=32,
-    nc=32,
-    seed=7,
-)
+HETERO_SCENE = SceneConfig(**REFERENCE_SCENE, grid_spacing_m=5.5, nt=32, nc=32, seed=7)
 
 HETERO_CONFIG = {
     **default_config(),

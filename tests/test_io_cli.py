@@ -282,8 +282,7 @@ class TestCliWorkflow:
 
         model_path = tmp_path / "model.json"
         assert main([
-            "train", "--data", str(data), "--regions", str(data / "region_map.csv"),
-            "--out", str(model_path),
+            "train", "--data", str(data), "--out", str(model_path),
         ]) == 0
         assert json.loads(model_path.read_text())["format"] == "amdnloc-model"
 
@@ -464,7 +463,7 @@ class TestCliWorkflow:
     @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
     def test_train_ridge_lambda_out_of_range_is_a_train_error(self, trained_chain, tmp_path, capsys, value):
         data, out = trained_chain[0], tmp_path / "model.json"
-        argv = ["train", "--data", str(data), "--regions", str(data / "region_map.csv"), "--ridge-lambda", value, "--out", str(out)]
+        argv = ["train", "--data", str(data), "--ridge-lambda", value, "--out", str(out)]
         assert main(argv) == 1
         assert f"error: [train] key ridge_lambda is {float(value)!r}; it must be" in capsys.readouterr().err
         assert not out.exists()
@@ -497,7 +496,7 @@ def _read_edited_routing(trained_chain, tmp_path, capsys, command, edit) -> tupl
     path.write_text(json.dumps(obj))
     out = tmp_path / "out.json"
     if command == "train":
-        argv = ["train", "--data", str(data), "--regions", str(data / "region_map.csv"), "--out", str(out)]
+        argv = ["train", "--data", str(data), "--out", str(out)]
     else:
         argv = ["eval", "--data", str(data), "--model", str(path), "--out", str(out)]
     assert main(argv) == 1
@@ -514,7 +513,7 @@ def trained_chain(dataset, tmp_path_factory):
     data, model = root / "data", root / "model.json"
     assert main(["generate", "--scene", str(root / "scene.json"), "--out", str(data)]) == 0
     assert main(["segment", "--data", str(data), "--template", "8x8", "--tau-in", "0.95", "--tau-out", "0.95", "--min-count", "0"]) == 0
-    assert main(["train", "--data", str(data), "--regions", str(data / "region_map.csv"), "--out", str(model)]) == 0
+    assert main(["train", "--data", str(data), "--out", str(model)]) == 0
     return data, model
 
 
@@ -539,34 +538,50 @@ class TestBoundaryErrors:
         seg = json.loads((data / "segmentation.json").read_text())
         seg["founders"]["1"]["founder_sample_id"] = 9999
         (data / "segmentation.json").write_text(json.dumps(seg))
-        rc = main(["train", "--data", str(data), "--regions", str(data / "region_map.csv"), "--out", str(tmp_path / "m.json")])
+        rc = main(["train", "--data", str(data), "--out", str(tmp_path / "m.json")])
         assert rc == 1
         err = capsys.readouterr().err
         assert "[train]" in err and "9999" in err
 
-    @pytest.mark.parametrize("fault", ["missing id", "repeated id"])
-    def test_train_names_a_bad_region_map_id(self, trained_chain, tmp_path, capsys, fault):
-        data = shutil.copytree(trained_chain[0], tmp_path / "data")
-        region_map = data / "region_map.csv"
-        bad = []
+    @pytest.mark.parametrize(
+        "fault",
+        ["repeated id", "id not in the dataset", "entry of two", "string label", "bool label",
+         "cfr_label without a founder", "cleansed row without a founder", "label beyond 64 bits",
+         "negative adcam_label", "not a list", "dict", "min_count negative", "min_count float", "min_count null"],
+    )
+    def test_train_rejects_a_samples_entry_or_min_count_it_cannot_use(self, trained_chain, tmp_path, capsys, fault):
+        seg = json.loads((trained_chain[0] / "segmentation.json").read_text())
+        sid, cfr, adcam = seg["samples"][3]
+        unfounded = max(map(int, seg["founders"])) + 1
+        no_founder = f"sample {sid} has cfr_label {unfounded}, but no founder of category {unfounded}"
+        edits, message = {
+            "repeated id": ({("samples", 5, 0): sid}, f"sample {sid} is repeated"),
+            "id not in the dataset": ({("samples", 3, 0): 99999}, "sample 99999 is not in the dataset"),
+            "entry of two": (
+                {("samples", 3): [sid, cfr]}, f"samples entry [{sid}, {cfr}] is not three integers [id, cfr_label, adcam_label]"
+            ),
+            "string label": ({("samples", 3, 1): str(cfr)}, f"samples entry [{sid}, '{cfr}', {adcam}] is not three integers"),
+            "bool label": ({("samples", 3, 2): True}, f"samples entry [{sid}, {cfr}, True] is not three integers"),
+            "cfr_label without a founder": ({("samples", 3, 1): unfounded}, no_founder),
+            # its pair has one member, which min_count 1 would cleanse
+            "cleansed row without a founder": ({("samples", 3, 1): unfounded, ("min_count",): 1}, no_founder),
+            "label beyond 64 bits": ({("samples", 3, 1): 2**70}, f"sample {sid} has cfr_label {2**70}, but no founder"),
+            "negative adcam_label": ({("samples", 3, 2): -1}, f"sample {sid} has adcam_label -1, but "),
+            "not a list": ({("samples",): 3}, "samples must be a nonempty list of [id, cfr_label, adcam_label] entries"),
+            "dict": ({("samples",): {str(sid): [cfr, adcam]}}, "samples must be a nonempty list of"),
+            "min_count negative": ({("min_count",): -1}, "min_count is -1; it must be an integer >= 0"),
+            "min_count float": ({("min_count",): 1.0}, "min_count is 1.0; it must be an integer >= 0"),
+            "min_count null": ({("min_count",): None}, "min_count is None; it must be an integer >= 0"),
+        }[fault]
 
-        def edit(rows):
-            if fault == "missing id":
-                rows[2][0] = "99999"
-            else:
-                rows.append(list(rows[3]))
-            bad.append(rows[-1][0] if fault == "repeated id" else "99999")
-            return rows
+        def edit(obj):
+            for where, value in edits.items():
+                _put(obj, list(where), value)
 
-        _rewrite_csv(region_map, edit)
-        out = tmp_path / "m.json"
-        rc = main(["train", "--data", str(data), "--regions", str(region_map), "--out", str(out)])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert "[train]" in err and str(region_map) in err and f"id {bad[0]} " in err
-        assert not out.exists()
+        path, err = _read_edited_routing(trained_chain, tmp_path, capsys, "train", edit)
+        assert err.startswith(f"error: [train] {path}: ") and message in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("fault", ["old format", "not an object"])
+    @pytest.mark.parametrize("fault", ["old format", "not an object", "routing state only"])
     def test_train_rejects_a_segmentation_file_of_the_old_format(self, trained_chain, tmp_path, capsys, fault):
         data = shutil.copytree(trained_chain[0], tmp_path / "data")
         seg = json.loads((data / "segmentation.json").read_text())
@@ -574,74 +589,31 @@ class TestBoundaryErrors:
         old = {k: v for k, v in seg.items() if k != "format"}
         old["founders"] = {c: f["founder_sample_id"] for c, f in seg["founders"].items()}
         old["template_size"] = [8, 8]
-        (data / "segmentation.json").write_text(json.dumps(old if fault == "old format" else [old]))
+        # and the format before the labels moved in from the region map
+        routing = {k: v for k, v in seg.items() if k not in ("samples", "min_count")}
+        (data / "segmentation.json").write_text(json.dumps({"old format": old, "not an object": [old]}.get(fault, routing)))
         out = tmp_path / "m.json"
-        rc = main(["train", "--data", str(data), "--regions", str(data / "region_map.csv"), "--out", str(out)])
+        rc = main(["train", "--data", str(data), "--out", str(out)])
         assert rc == 1
         err = capsys.readouterr().err
         assert "[train]" in err and str(data / "segmentation.json") in err and "amdnloc segment" in err
         assert not out.exists()
 
-    def test_train_rejects_a_region_map_of_another_segment_run(self, tmp_path, capsys):
-        # the scene of CI's console-script step
-        scene = {"area_m": [80, 80], "bs_pos": [10, 40], "buildings": [[35, 25, 8, 30]],
-                 "grid_spacing_m": 6, "nt": 16, "nc": 16, "seed": 2}
-        (tmp_path / "scene.json").write_text(json.dumps(scene))
-        data, old_map = tmp_path / "data", tmp_path / "old_region_map.csv"
-        assert main(["generate", "--scene", str(tmp_path / "scene.json"), "--out", str(data)]) == 0
-        options = ["--template", "8x8", "--min-count", "1", "--k-max", "3"]
-        assert main(["segment", "--data", str(data), *options, "--tau-in", "0.99", "--tau-out", "0.99"]) == 0
-        shutil.copy(data / "region_map.csv", old_map)
-        assert main(["segment", "--data", str(data), *options, "--tau-in", "0.8", "--tau-out", "0.8"]) == 0
-        founders = json.loads((data / "segmentation.json").read_text())["founders"]
-        _, old = dio.read_region_map(old_map)
-        assert old.cfr_labels[old.retained].max() >= len(founders)  # the old map names categories the new file lacks
-        out = tmp_path / "m.json"
-        rc = main(["train", "--data", str(data), "--regions", str(old_map), "--out", str(out)])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert "[train]" in err and str(old_map) in err and str(data / "segmentation.json") in err
-        assert re.search(r"id \d+ has cfr_label \d+,", err)
-        assert not out.exists()
-        # the map that segment run wrote trains
-        assert main(["train", "--data", str(data), "--regions", str(data / "region_map.csv"), "--out", str(out)]) == 0
-
-    @pytest.mark.parametrize("fault", ["header only", "every row cleansed"])
-    def test_train_rejects_a_region_map_with_no_retained_sample(self, trained_chain, tmp_path, capsys, fault):
-        data = shutil.copytree(trained_chain[0], tmp_path / "data")
-        region_map = data / "region_map.csv"
-        if fault == "header only":
-            _rewrite_csv(region_map, lambda rows: [])
-            want = "no training samples"
-        else:
-            _rewrite_csv(region_map, lambda rows: [[sid, cfr, adcam, "-1", "0"] for sid, cfr, adcam, *_ in rows])
-            want = "none of the"
-        out = tmp_path / "m.json"
-        rc = main(["train", "--data", str(data), "--regions", str(region_map), "--out", str(out)])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert f"[train] {want}" in err
-        assert not out.exists()
+    @pytest.mark.parametrize("fault", ["no samples", "every sample cleansed"])
+    def test_train_rejects_a_segmentation_with_no_retained_sample(self, trained_chain, tmp_path, capsys, fault):
+        n = len(json.loads((trained_chain[0] / "segmentation.json").read_text())["samples"])
+        if fault == "no samples":
+            where, value, want = ["samples"], [], "samples must be a nonempty list"
+        else:  # no (cfr, adcam) pair has more than n members
+            where, value, want = ["min_count"], n, f"min_count={n} removes every sample"
+        path, err = _read_edited_routing(trained_chain, tmp_path, capsys, "train", lambda obj: _put(obj, where, value))
+        assert err.startswith(f"error: [train] {path}: {want}") and "Traceback" not in err
 
     def test_train_rejects_an_adcam_label_without_a_centroid(self, trained_chain, tmp_path, capsys):
-        data = shutil.copytree(trained_chain[0], tmp_path / "data")
-        centroids = json.loads((data / "segmentation.json").read_text())["adcam_centroids"]
-        edited = []
-
-        def edit(rows):
-            row = next(r for r in rows if r[4] == "1")
-            row[2] = str(len(centroids))
-            edited.append(row[0])
-            return rows
-
-        _rewrite_csv(data / "region_map.csv", edit)
-        out = tmp_path / "m.json"
-        rc = main(["train", "--data", str(data), "--regions", str(data / "region_map.csv"), "--out", str(out)])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert "[train]" in err and str(data / "region_map.csv") in err and str(data / "segmentation.json") in err
-        assert f"id {edited[0]} has adcam_label {len(centroids)}," in err
-        assert not out.exists()
+        seg = json.loads((trained_chain[0] / "segmentation.json").read_text())
+        sid, k = seg["samples"][2][0], len(seg["adcam_centroids"])
+        path, err = _read_edited_routing(trained_chain, tmp_path, capsys, "train", lambda obj: _put(obj, ["samples", 2, 2], k))
+        assert err == f"error: [train] {path}: sample {sid} has adcam_label {k}, but {k} centroids\n"
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     @pytest.mark.parametrize(
@@ -678,33 +650,6 @@ class TestBoundaryErrors:
             assert f"founders key {next(iter(founders))!r} is not an integer" in err
         else:
             assert "founders must be a nonempty object keyed by integer ids" in err
-
-    def test_train_rejects_a_pair_with_two_fused_labels(self, trained_chain, tmp_path, capsys):
-        data = shutil.copytree(trained_chain[0], tmp_path / "data")
-        edited = []
-
-        def edit(rows):
-            # the later of two retained rows of one pair moves to another region
-            retained = [r for r in rows if r[4] == "1"]
-            seen = {}
-            for r in retained:
-                first = seen.setdefault((r[1], r[2]), r)
-                if first is not r:
-                    other = next(x[3] for x in retained if x[3] != r[3])
-                    edited.append((r[1], r[2], r[3], other))
-                    r[3] = other
-                    return rows
-            raise AssertionError("no retained pair has two rows")
-
-        _rewrite_csv(data / "region_map.csv", edit)
-        out = tmp_path / "m.json"
-        rc = main(["train", "--data", str(data), "--regions", str(data / "region_map.csv"), "--out", str(out)])
-        assert rc == 1
-        err = capsys.readouterr().err
-        c, a, f, other = edited[0]
-        assert "[train]" in err and str(data / "region_map.csv") in err
-        assert f"pair (cfr_label {c}, adcam_label {a}) has fused labels {f} and {other}" in err
-        assert not out.exists()
 
     def test_segment_rejects_a_template_side_below_one(self, trained_chain, tmp_path, capsys):
         data = shutil.copytree(trained_chain[0], tmp_path / "data")
@@ -834,7 +779,7 @@ class TestBoundaryErrors:
         _put(seg, where, value)
         (data / "segmentation.json").write_text(json.dumps(seg))
         out = tmp_path / "m.json"
-        assert main(["train", "--data", str(data), "--regions", str(data / "region_map.csv"), "--out", str(out)]) == 1
+        assert main(["train", "--data", str(data), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: [train] {data / 'segmentation.json'}: ") and message in err
         assert not out.exists()
@@ -874,7 +819,7 @@ class TestBoundaryErrors:
         out = tmp_path / "out"
         argv = {
             "generate": ["generate", "--scene", str(path), "--out", str(out)],
-            "train": ["train", "--data", str(data), "--regions", str(data / "region_map.csv"), "--out", str(out)],
+            "train": ["train", "--data", str(data), "--out", str(out)],
             "eval": ["eval", "--data", str(data), "--model", str(path), "--out", str(out)],
             "plot": ["plot", "--report", str(path), "--out", str(out)],
             "pipeline": ["pipeline", "--config", str(path), "--out", str(out)],
@@ -937,10 +882,9 @@ class TestCsvFields:
     that names the file (and the line): exit 1, nothing written."""
 
     @staticmethod
-    def _run(command, data, tmp_path, capsys) -> str:
+    def _run(data, tmp_path, capsys) -> str:
         out = tmp_path / "out.json"
-        argv = ["--model", str(data.parent / "model.json")] if command == "eval" else ["--regions", str(data / "region_map.csv")]
-        assert main([command, "--data", str(data), *argv, "--out", str(out)]) == 1
+        assert main(["eval", "--data", str(data), "--model", str(data.parent / "model.json"), "--out", str(out)]) == 1
         assert not out.exists()
         err = capsys.readouterr().err
         assert "Traceback" not in err
@@ -972,85 +916,34 @@ class TestCsvFields:
     )
     def test_eval_names_the_positions_line_of_a_field_that_does_not_parse(self, data, tmp_path, capsys, column, value, want):
         self._set_line_4(data / "positions.csv", column, value)
-        err = self._run("eval", data, tmp_path, capsys)
+        err = self._run(data, tmp_path, capsys)
         assert err == f"error: [eval] {data / 'positions.csv'}: line 4: {column} is {value!r}; it must be {want}\n"
 
-    @pytest.mark.parametrize("column, value", [("id", "x"), ("cfr_label", "1.5"), ("fused_label", ""), ("retained", "yes")])
-    def test_train_names_the_region_map_line_of_a_field_that_does_not_parse(self, data, tmp_path, capsys, column, value):
-        self._set_line_4(data / "region_map.csv", column, value)
-        err = self._run("train", data, tmp_path, capsys)
-        assert err == f"error: [train] {data / 'region_map.csv'}: line 4: {column} is {value!r}; it must be an integer\n"
-
-    @pytest.mark.parametrize(
-        "command, name, column",
-        [("eval", "positions.csv", "is_los"), ("eval", "paths.csv", "delay_samples"), ("train", "region_map.csv", "retained")],
-    )
-    def test_a_missing_column_names_the_file(self, data, tmp_path, capsys, command, name, column):
+    @pytest.mark.parametrize("name, column", [("positions.csv", "is_los"), ("paths.csv", "delay_samples")])
+    def test_a_missing_column_names_the_file(self, data, tmp_path, capsys, name, column):
         def drop(rows):
             k = rows[0].index(column)
             return [row[:k] + row[k + 1 :] for row in rows]
 
         self._rewrite(data / name, drop)
-        err = self._run(command, data, tmp_path, capsys)
-        assert err == f"error: [{command}] {data / name}: no {column} column in the header\n"
+        err = self._run(data, tmp_path, capsys)
+        assert err == f"error: [eval] {data / name}: no {column} column in the header\n"
 
 
 class TestRegionMap:
-    def _labels(self):
+    def test_roundtrip(self, tmp_path):
         from amdnloc.fusion import cleanse, fuse_labels
 
-        return cleanse(fuse_labels([3, 0, 3, 1, 3, 0], [0, 2, 0, 0, 0, 2]), 1)
-
-    def test_roundtrip(self, tmp_path):
-        labels = self._labels()
-        assert list(labels.fused_labels) == [1, 0, 1, -1, 1, 0]
-        ids = [7, 3, 11, 5, 2, 9]
-        dio.write_region_map(tmp_path / "m.csv", ids, labels)
-        rows = (tmp_path / "m.csv").read_text().splitlines()
-        assert rows[:2] == ["id,cfr_label,adcam_label,fused_label,retained", "7,3,0,1,1"]
-        assert rows[4] == "5,1,0,-1,0"
-        got_ids, got = dio.read_region_map(tmp_path / "m.csv")
-        assert got_ids == ids
-        for name in ("cfr_labels", "adcam_labels", "fused_labels", "retained"):
-            assert np.array_equal(getattr(got, name), getattr(labels, name))
-        assert (got.fused_count, got.pair_to_fused) == (labels.fused_count, labels.pair_to_fused) == (2, {(0, 2): 0, (3, 0): 1})
-
-    def test_a_retained_pair_has_one_fused_label(self, tmp_path):
-        dio.write_region_map(tmp_path / "m.csv", [7, 3, 11, 5, 2, 9], self._labels())
-
-        def edit(rows):
-            rows[2][3] = "0"  # id 11, the second row of pair (3, 0), which is region 1
-            return rows
-
-        _rewrite_csv(tmp_path / "m.csv", edit)
-        with pytest.raises(ValueError, match=r"m\.csv: pair \(cfr_label 3, adcam_label 0\) has fused labels 1 and 0 \(id 11\)"):
-            dio.read_region_map(tmp_path / "m.csv")
-
-    def test_a_cleansed_row_may_share_a_retained_pair(self, tmp_path):
-        dio.write_region_map(tmp_path / "m.csv", [7, 3, 11, 5, 2, 9], self._labels())
-
-        def edit(rows):
-            rows[2][3:] = ["-1", "0"]  # id 11 of pair (3, 0), cleansed
-            return rows
-
-        _rewrite_csv(tmp_path / "m.csv", edit)
-        _, labels = dio.read_region_map(tmp_path / "m.csv")
-        assert labels.fused_labels.tolist() == [1, 0, -1, -1, 1, 0]
-
-    @pytest.mark.parametrize(
-        "fused, retained",
-        [("-1", "1"), ("1", "0"), ("-2", "0"), ("-2", "1"), ("1", "2")],
-    )
-    def test_malformed_row_rejected(self, tmp_path, fused, retained):
-        dio.write_region_map(tmp_path / "m.csv", [7, 3, 11, 5, 2, 9], self._labels())
-
-        def edit(rows):
-            rows[3][3:] = [fused, retained]
-            return rows
-
-        _rewrite_csv(tmp_path / "m.csv", edit)
-        with pytest.raises(ValueError, match=rf"m\.csv: id 5 has fused label {fused} and retained {retained};"):
-            dio.read_region_map(tmp_path / "m.csv")
+        labels = cleanse(fuse_labels([3, 0, 3, 1, 3, 0], [0, 2, 0, 0, 0, 2]), 1)
+        assert (labels.fused_count, labels.pair_to_fused) == (2, {(0, 2): 0, (3, 0): 1})
+        dio.write_region_map(tmp_path / "m.csv", [7, 3, 11, 5, 2, 9], labels)
+        with open(tmp_path / "m.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["id", "cfr_label", "adcam_label", "fused_label", "retained"]
+        # sample 5's pair (1, 0) has one member, so min_count 1 cleanses it
+        assert [[int(field) for field in row] for row in rows] == [
+            [7, 3, 0, 1, 1], [3, 0, 2, 0, 1], [11, 3, 0, 1, 1], [5, 1, 0, -1, 0], [2, 3, 0, 1, 1], [9, 0, 2, 0, 1],
+        ]
 
 
 def test_segment_option_defaults_are_the_config_defaults():
@@ -1062,7 +955,7 @@ def test_segment_option_defaults_are_the_config_defaults():
     for key in ("tau_in", "tau_out", "min_count", "k_max", "seed"):
         assert getattr(args, key) == defaults[key], key
     assert [int(side) for side in args.template.split("x")] == defaults["template_size"]
-    assert build_parser().parse_args(["train", "--data", "d", "--regions", "r"]).ridge_lambda == defaults["ridge_lambda"]
+    assert build_parser().parse_args(["train", "--data", "d"]).ridge_lambda == defaults["ridge_lambda"]
 
 
 def test_config_options_parse_to_the_config_types():
@@ -1071,7 +964,7 @@ def test_config_options_parse_to_the_config_types():
 
     defaults = default_config()
     segment = vars(build_parser().parse_args(["segment", "--data", "d"]))
-    train = vars(build_parser().parse_args(["train", "--data", "d", "--regions", "r"]))
+    train = vars(build_parser().parse_args(["train", "--data", "d"]))
     parsed = {**{key: segment[key] for key in ("tau_in", "tau_out", "min_count", "k_max", "seed")},
               "ridge_lambda": train["ridge_lambda"]}
     assert [(key, value, type(value)) for key, value in parsed.items()] == [
@@ -1087,7 +980,7 @@ class TestTrainOptions:
         out = tmp_path / "model.json"
         for option in (["--method", "sgd"], ["--method", "ridge"], ["--seed", "3"]):
             with pytest.raises(SystemExit) as exc:
-                main(["train", "--data", str(data), "--regions", str(data / "region_map.csv"), *option, "--out", str(out)])
+                main(["train", "--data", str(data), *option, "--out", str(out)])
             assert exc.value.code == 2  # argparse's exit for an unknown option
             assert option[0] in capsys.readouterr().err
         assert not out.exists()
@@ -1098,11 +991,10 @@ class TestTrainOptions:
         data, default_model = trained_chain
         out = tmp_path / "model.json"
         assert main([
-            "train", "--data", str(data), "--regions", str(data / "region_map.csv"),
-            "--ridge-lambda", "30", "--out", str(out),
+            "train", "--data", str(data), "--ridge-lambda", "30", "--out", str(out),
         ]) == 0
         samples = dio.read_dataset(data)
-        train_samples, segmentation = dio.read_segmentation(data / "segmentation.json", samples, data / "region_map.csv")
+        train_samples, segmentation = dio.read_segmentation(data / "segmentation.json", samples)
         model = train(train_samples, segmentation, ridge_lambda=30)
         written = json.loads(out.read_text())
         assert written["ridge_lambda"] == 30
@@ -1218,6 +1110,16 @@ class TestModelRoundtrip:
         assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
 
 
+@pytest.fixture(scope="module")
+def segmented(dataset):
+    """The dataset's samples and their segmentation, of several founders and clusters."""
+    from amdnloc.evaluate import default_config, segment
+
+    _, samples = dataset
+    cfg = {**default_config(), "tau_in": 0.95, "tau_out": 0.95, "template_size": (8, 8), "min_count": 0, "k_max": 3}
+    return samples, segment(samples, cfg)
+
+
 class TestSegmentationRecord:
     @pytest.mark.parametrize("single_region", [False, True])
     def test_segmentation_roundtrip(self, dataset, tmp_path, single_region):
@@ -1229,13 +1131,16 @@ class TestSegmentationRecord:
             "k_max": 3, "single_region": single_region,
         }
         seg = segment(samples, cfg)
-        dio.write_region_map(tmp_path / "region_map.csv", [s.id for s in samples], seg.regions)
-        dio.write_segmentation(tmp_path / "segmentation.json", seg)
+        ids = [s.id for s in samples]
+        dio.write_segmentation(tmp_path / "segmentation.json", seg, ids, cfg["min_count"])
         obj = json.loads((tmp_path / "segmentation.json").read_text())
-        assert sorted(obj) == ["adcam_centroids", "adcam_standardizer", "format", "founders", "path_select"]
-        assert obj["format"] == "amdnloc-segmentation" and obj["path_select"] == "strongest"
-        read, again = dio.read_segmentation(tmp_path / "segmentation.json", samples, tmp_path / "region_map.csv")
-        assert [s.id for s in read] == [s.id for s in samples]
+        keys = ["adcam_centroids", "adcam_standardizer", "format", "founders", "min_count", "path_select", "samples"]
+        assert sorted(obj) == keys
+        assert obj["format"] == "amdnloc-segmentation" and obj["path_select"] == "strongest" and obj["min_count"] == 0
+        labels = zip(seg.regions.cfr_labels.tolist(), seg.regions.adcam_labels.tolist())
+        assert obj["samples"] == [[sid, c, a] for sid, (c, a) in zip(ids, labels)]
+        read, again = dio.read_segmentation(tmp_path / "segmentation.json", samples)
+        assert [s.id for s in read] == ids
         for name in ("cfr_labels", "adcam_labels", "fused_labels", "retained"):
             assert np.array_equal(getattr(again.regions, name), getattr(seg.regions, name))
         assert again.regions.fused_count == seg.regions.fused_count
@@ -1250,6 +1155,41 @@ class TestSegmentationRecord:
         assert np.array_equal(again.adcam_standardizer.mean, seg.adcam_standardizer.mean)
         assert np.array_equal(again.adcam_standardizer.scale, seg.adcam_standardizer.scale)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_drawn_labels_roundtrip(self, segmented, data):
+        from amdnloc.fusion import cleanse, fuse_labels
+
+        samples, seg = segmented
+        # a subset of the samples in a drawn order, labelled from a few
+        # founders and clusters: one of each makes a single region
+        ids = data.draw(st.permutations([s.id for s in samples]), label="order")
+        ids = ids[: data.draw(st.integers(1, len(ids)), label="count")]
+
+        def labels(values, name):
+            pool = data.draw(st.lists(st.sampled_from(values), min_size=1, max_size=3, unique=True), label=f"{name} pool")
+            return data.draw(st.lists(st.sampled_from(pool), min_size=len(ids), max_size=len(ids)), label=name)
+
+        fused = fuse_labels(labels(sorted(seg.founders), "cfr"), labels(range(len(seg.adcam_centroids)), "adcam"))
+        largest = int(np.bincount(fused.fused_labels).max())
+        # min_count 0 keeps every row; a larger one cleanses the smaller pairs
+        min_count = data.draw(st.integers(0, largest - 1), label="min_count")
+        regions = cleanse(fused, min_count)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "segmentation.json"
+            dio.write_segmentation(path, dataclasses.replace(seg, regions=regions), ids, min_count)
+            read, again = dio.read_segmentation(path, samples)
+            assert [s.id for s in read] == ids
+            for name in ("cfr_labels", "adcam_labels", "fused_labels"):
+                assert np.array_equal(getattr(again.regions, name), getattr(regions, name))
+            assert again.regions.pair_to_fused == regions.pair_to_fused
+            # a min_count edited by hand to cleanse every sample
+            obj = json.loads(path.read_text())
+            obj["min_count"] = largest
+            path.write_text(json.dumps(obj))
+            with pytest.raises(ValueError, match=re.escape(f"{path}: min_count={largest} removes every sample")):
+                dio.read_segmentation(path, samples)
+
     def test_cli_segment_and_train_write_the_model_of_the_library_calls(self, trained_chain, tmp_path, monkeypatch):
         from amdnloc.evaluate import default_config, segment
         from amdnloc.localizer import train
@@ -1262,7 +1202,7 @@ class TestSegmentationRecord:
         ]) == 0
         out = tmp_path / "model.json"
         assert main([
-            "train", "--data", str(data), "--regions", str(data / "region_map.csv"), "--ridge-lambda", "0.5", "--out", str(out),
+            "train", "--data", str(data), "--ridge-lambda", "0.5", "--out", str(out),
         ]) == 0
         samples = dio.read_dataset(data)
         cfg = {
@@ -1273,4 +1213,52 @@ class TestSegmentationRecord:
         assert out.read_bytes() == (tmp_path / "library.json").read_bytes()
         # segmentation.json holds model.json's routing state, key for key
         seg, model = (json.loads(p.read_text()) for p in (data / "segmentation.json", out))
-        assert {k: v for k, v in seg.items() if k != "format"} == {k: model[k] for k in seg if k != "format"}
+        routing = set(seg) - {"format", "samples", "min_count"}
+        assert {k: seg[k] for k in routing} == {k: model[k] for k in routing}
+
+    def test_train_reads_no_region_map(self, trained_chain, tmp_path):
+        # region_map.csv and region_map.ppm are exports: train fits the same model without them
+        data = shutil.copytree(trained_chain[0], tmp_path / "data")
+        for name in ("region_map.csv", "region_map.ppm"):
+            (data / name).unlink()
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "model.json")]) == 0
+        assert (tmp_path / "model.json").read_bytes() == trained_chain[1].read_bytes()
+
+    def test_train_fits_the_labels_of_the_last_segment_run(self, tmp_path, capsys, monkeypatch):
+        from amdnloc.evaluate import default_config, segment
+        from amdnloc.localizer import train
+
+        # two segment runs that differ only in their seed keep the founders
+        # and move the centroids; the labels train fits are the last run's
+        monkeypatch.delenv("AMDN_SEED", raising=False)
+        scene = {"area_m": [120, 120], "bs_pos": [60, 2], "buildings": [[30, 30, 18, 20], [70, 60, 20, 15]],
+                 "grid_spacing_m": 5, "nt": 16, "nc": 16, "seed": 2}
+        (tmp_path / "scene.json").write_text(json.dumps(scene))
+        data, out = tmp_path / "data", tmp_path / "model.json"
+        assert main(["generate", "--scene", str(tmp_path / "scene.json"), "--out", str(data)]) == 0
+        options = ["--template", "8x8", "--tau-in", "0.95", "--tau-out", "0.95", "--min-count", "1", "--k-max", "6"]
+        runs = []
+        for seed in (0, 5):
+            assert main(["segment", "--data", str(data), *options, "--seed", str(seed)]) == 0
+            runs.append(json.loads((data / "segmentation.json").read_text()))
+        assert runs[0]["founders"] == runs[1]["founders"] and runs[0]["adcam_centroids"] != runs[1]["adcam_centroids"]
+        assert main(["train", "--data", str(data), "--out", str(out)]) == 0
+        samples = dio.read_dataset(data)
+        cfg = {
+            **default_config(), "template_size": (8, 8), "tau_in": 0.95, "tau_out": 0.95, "min_count": 1, "k_max": 6,
+        }
+        fits = [train(samples, segment(samples, {**cfg, "seed": seed})) for seed in (0, 5)]
+        written = {int(r): np.array(w) for r, w in json.loads(out.read_text())["weights"].items()}
+        assert sorted(written) == sorted(fits[1].weights)
+        assert all(written[r].tobytes() == w.tobytes() for r, w in fits[1].weights.items())
+        for seed, fit in zip((0, 5), fits):
+            dio.write_model(tmp_path / f"library_{seed}.json", fit)
+        assert out.read_bytes() == (tmp_path / "library_5.json").read_bytes()
+        # the seed-0 run numbers the same clusters otherwise, so its model
+        # maps the (cfr, adcam) pairs to other regions
+        assert out.read_bytes() != (tmp_path / "library_0.json").read_bytes()
+        # and the region map option is gone: an unknown option exits 2
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--data", str(data), "--regions", "x", "--out", str(tmp_path / "other.json")])
+        assert exc.value.code == 2 and "--regions" in capsys.readouterr().err
+        assert not (tmp_path / "other.json").exists()

@@ -32,7 +32,7 @@ from amdnloc.localizer import (
 from amdnloc.scenegen import Rect, Sample, SceneConfig, build_dataset
 from amdnloc.segmentation_adcam import Standardizer, build_features, kmeans, path_descriptor
 from amdnloc.segmentation_cfr import extract_templates, segment_cfr
-from oracles import ncc, ridge_oracle
+from oracles import REFERENCE_SCENE, ncc, ridge_oracle
 
 CONFIG = FeatureConfig(nt=16, nc=16)
 
@@ -105,26 +105,14 @@ def features_oracle(sample):
     return np.concatenate([*cfr, adcam_features_oracle(render_oracle(sample.adcam, "adcam"))])
 
 
-# The buildings and base station of the benchmark scenes, on their two grids.
-REFERENCE_SCENE = dict(
-    area_m=(250.0, 250.0),
-    bs_pos=(125.0, 2.0),
-    buildings=[
-        Rect(40.0, 60.0, 30.0, 40.0),
-        Rect(170.0, 50.0, 35.0, 30.0),
-        Rect(60.0, 170.0, 40.0, 30.0),
-        Rect(165.0, 160.0, 30.0, 45.0),
-        Rect(110.0, 30.0, 25.0, 20.0),
-    ],
-    nt=32,
-    nc=32,
-    seed=3,
-)
+def reference_scene(spacing):
+    """The benchmark scenes' buildings and base station, on a grid of ``spacing``."""
+    return SceneConfig(**REFERENCE_SCENE, grid_spacing_m=spacing, nt=32, nc=32, seed=3)
 
 
 @pytest.mark.parametrize("spacing, step", [(3.5, 4), (5.5, 1)], ids=["dense-global", "hetero-segmented"])
 def test_stacked_features_equal_the_per_sample_oracle(spacing, step):
-    samples = build_dataset(SceneConfig(grid_spacing_m=spacing, **REFERENCE_SCENE))[::step]
+    samples = build_dataset(reference_scene(spacing))[::step]
     config = FeatureConfig(nt=32, nc=32)
     want = np.array([features_oracle(s) for s in samples])
     mags = np.empty((len(samples), config.nt, config.nc))
@@ -793,7 +781,7 @@ def test_locate_scores_only_the_routes_in_doubt(held_out_model, case, monkeypatc
 
 def test_locate_across_chunks_on_the_dense_reference_scene():
     # 2,540 distinct 32x32 terminals; a single-region model on 4/5 of them
-    samples = build_dataset(SceneConfig(grid_spacing_m=3.5, **REFERENCE_SCENE))
+    samples = build_dataset(reference_scene(3.5))
     tr, te = _split(len(samples), 0.8, 0)
     train_s = [samples[i] for i in tr]
     model = train(train_s, segment(train_s, {**default_config(), "single_region": True}))
@@ -818,7 +806,7 @@ def _traced_peak(fn) -> int:
 @pytest.fixture(scope="module")
 def one_region_model():
     """A one-region model on the 32x32 reference scene and 300 samples."""
-    samples = build_dataset(SceneConfig(grid_spacing_m=8.0, **REFERENCE_SCENE))
+    samples = build_dataset(reference_scene(8.0))
     train_s, test = samples[::5], samples[:300]
     model = train(train_s, segment(train_s, {**default_config(), "single_region": True}))
     locate(model, test[:2])  # first-call imports and caches
@@ -844,7 +832,7 @@ def test_one_region_train_holds_one_design_matrix():
     # + 1) design matrix and one temporary of its size (the deviations the
     # standardizer's std takes), a tenth of it to spare for small arrays;
     # the features next to an hstack copy of them with ones reach 2.34x
-    samples = build_dataset(SceneConfig(grid_spacing_m=3.5, **REFERENCE_SCENE))
+    samples = build_dataset(reference_scene(3.5))
     train_s = [samples[i] for i in _split(len(samples), 0.8, 3)[0]]
     cfg = {**default_config(), "single_region": True}
     segmentation = segment(train_s, cfg)

@@ -185,21 +185,9 @@ def assert_same_dataset(got, want):
         assert a.cfr.tobytes() == b.cfr.tobytes() and a.adcam.tobytes() == b.adcam.tobytes(), a.id
 
 
-# The buildings and base station of the benchmark scenes, on their two grids.
-REFERENCE_BUILDINGS = [
-    Rect(40.0, 60.0, 30.0, 40.0),
-    Rect(170.0, 50.0, 35.0, 30.0),
-    Rect(60.0, 170.0, 40.0, 30.0),
-    Rect(165.0, 160.0, 30.0, 45.0),
-    Rect(110.0, 30.0, 25.0, 20.0),
-]
-
-
 def reference_scene(spacing, snr_db=NO_NOISE):
-    return SceneConfig(
-        area_m=(250.0, 250.0), bs_pos=(125.0, 2.0), buildings=REFERENCE_BUILDINGS,
-        grid_spacing_m=spacing, nt=32, nc=32, snr_db=snr_db, seed=3,
-    )
+    """The benchmark scenes' buildings and base station, on a grid of ``spacing``."""
+    return SceneConfig(**oracles.REFERENCE_SCENE, grid_spacing_m=spacing, nt=32, nc=32, snr_db=snr_db, seed=3)
 
 
 def traced(fn):
@@ -230,8 +218,8 @@ def test_trace_keeps_only_the_paths_that_survive():
     scene = reference_scene(3.5)
     grid = np.arange(1.75, 250.0, 3.5)
     pts = np.stack([np.tile(grid, len(grid)), np.repeat(grid, len(grid))], axis=1)
-    pts = pts[~np.any([b.contains(pts.T) for b in REFERENCE_BUILDINGS], axis=0)]
-    rects = np.array([[b.x, b.y, b.x + b.w, b.y + b.h] for b in REFERENCE_BUILDINGS])
+    pts = pts[~np.any([b.contains(pts.T) for b in scene.buildings], axis=0)]
+    rects = np.array([[b.x, b.y, b.x + b.w, b.y + b.h] for b in scene.buildings])
     _trace(scene, pts[:2])  # first-call imports and caches
     _, _, blocking = traced(lambda: _blocked(*scene.bs_pos, pts[:, 0], pts[:, 1], rects))
     traced_paths, held, peak = traced(lambda: _trace(scene, pts))
