@@ -1,110 +1,101 @@
 """Command-line interface.
 
-Subcommands: generate, segment, train, eval, plot, pipeline. segment
+Subcommands: generate, segment, train, eval, plot, pipeline. generate
+runs run_pipeline's generate step and writes the checked config into
+the dataset as config.json, from which segment and train take every
+setting. segment segments run_pipeline's training split and
 writes segmentation.json, the one file train reads besides the dataset,
-and exports region_map.csv and .ppm. The environment variable AMDN_SEED
-overrides the seed of generate, segment and pipeline; train takes no
-seed, since its closed-form ridge fit draws nothing. Exit code 0 on
-success; failures print a stage-tagged message and exit nonzero. A
-pipeline stage that fails exits 2; an unreadable or malformed file,
-named in the message (a file that is not JSON and a model of an unknown
-fit method included), a bad scene value, a config key the pipeline does
-not know, or a config value or option value of the wrong type or range
-exits 1; an unknown option exits 2.
+and exports region_map.csv and .ppm; eval scores the samples that
+segmentation.json does not list. Exit code 0 on success; failures print
+a stage-tagged message and exit nonzero. A pipeline stage that fails
+exits 2; an unreadable or malformed file, named in the message (a file
+that is not JSON, a config.json that breaks a config rule and a model
+of an unknown fit method included), or a config that breaks a rule (a
+[config] error) exits 1; an unknown option exits 2.
 """
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
-import os
 import re
 import sys
 from pathlib import Path
 
 from . import io as dio
 from .evaluate import (
-    _CONFIG_RULES,
     PipelineError,
-    default_config,
+    check_config,
     error_report,
     export_region_map,
+    generate,
     run_pipeline,
     segment,
+    split,
 )
 from .localizer import locate, train
-from .scenegen import _PAIR, _SEED, _check, _is_real, build_dataset, scene_from_json
+from .scenegen import _PAIR, _is_real
 
 
-def _seed_override(seed: int) -> int:
-    """The seed AMDN_SEED holds, checked like every other seed, or
-    ``seed`` when it is unset."""
-    env = os.environ.get("AMDN_SEED")
-    if env is None:
-        return seed
+def _dataset_config(data: Path) -> dict:
+    """The checked config of a dataset's config.json; one that breaks a
+    config rule is a ``ValueError`` that names the file."""
+    path = data / "config.json"
+    config = dio.read_json(path)
     try:
-        value = int(env)
-    except ValueError:
-        value = env
-    _check({"AMDN_SEED": _SEED}, {"AMDN_SEED": value}, "environment variable")
-    return value
+        return check_config(config)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def _cmd_generate(args) -> int:
-    scene = scene_from_json(dio.read_json(args.scene))
-    scene = dataclasses.replace(scene, seed=_seed_override(scene.seed))
-    samples = build_dataset(scene)
-    dio.write_dataset(samples, args.out)
-    print(f"wrote {len(samples)} samples to {args.out}")
+    cfg, samples = generate(dio.read_json(args.config))
+    dio.write_dataset(samples, args.out, cfg)
+    print(f"wrote {len(samples)} samples and config.json to {args.out}")
     # a delay past the window is clipped into its last bin
-    last = sum(any(p.delay_samples == scene.nc - 1 for p in s.paths) for s in samples)
-    share = last / len(samples)  # build_dataset refuses a scene of no samples
-    print(f"{last} of {len(samples)} terminals ({share:.1%}) have a path in the last delay bin, {scene.nc - 1}")
+    last_bin = samples[0].cfr.shape[1] - 1
+    last = sum(any(p.delay_samples == last_bin for p in s.paths) for s in samples)
+    print(f"{last} of {len(samples)} terminals ({last / len(samples):.1%}) have a path in the last delay bin, {last_bin}")
     return 0
 
 
-def _template_size(text: str) -> tuple[int, int]:
-    try:
-        h, w = (int(side) for side in text.lower().split("x"))
-    except ValueError:
-        raise ValueError(f"--template {text!r} is not of the form HxW, such as 16x16") from None
-    return h, w
-
-
 def _cmd_segment(args) -> int:
-    size = _template_size(args.template)
-    cfg = {**default_config(), **vars(args), "template_size": size, "seed": _seed_override(args.seed)}
-    _check(_CONFIG_RULES, cfg, "key")
-    samples = dio.read_dataset(args.data)
-    seg = segment(samples, cfg)
     data = Path(args.data)
-    export_region_map(samples, seg.regions, data / "region_map.csv", data / "region_map.ppm")
-    dio.write_segmentation(data / "segmentation.json", seg, [s.id for s in samples], cfg["min_count"])
+    cfg = _dataset_config(data)
+    train_samples, _ = split(dio.read_dataset(data), cfg)
+    seg = segment(train_samples, cfg)
+    export_region_map(train_samples, seg.regions, data / "region_map.csv", data / "region_map.ppm")
+    dio.write_segmentation(data / "segmentation.json", seg, [s.id for s in train_samples], cfg["min_count"])
     print(
-        f"{seg.regions.fused_count} regions, covering rate {seg.regions.covering_rate:.3f}; "
-        f"wrote region_map.csv and segmentation.json"
+        f"{seg.regions.fused_count} regions over {len(train_samples)} training samples, "
+        f"covering rate {seg.regions.covering_rate:.3f}; wrote region_map.csv and segmentation.json"
     )
     return 0
 
 
 def _cmd_train(args) -> int:
-    _check({"ridge_lambda": _CONFIG_RULES["ridge_lambda"]}, vars(args), "key")
-    samples = dio.read_dataset(args.data)
-    train_samples, segmentation = dio.read_segmentation(Path(args.data) / "segmentation.json", samples)
-    model = train(train_samples, segmentation, args.ridge_lambda)
+    data = Path(args.data)
+    cfg = _dataset_config(data)
+    samples = dio.read_dataset(data)
+    train_samples, segmentation = dio.read_segmentation(data / "segmentation.json", samples)
+    model = train(train_samples, segmentation, cfg["ridge_lambda"])
     dio.write_model(args.out, model)
     print(f"trained {len(model.weights)} region regressors; wrote {args.out}")
     return 0
 
 
 def _cmd_eval(args) -> int:
-    samples = dio.read_dataset(args.data)
+    data = Path(args.data)
+    samples = dio.read_dataset(data)
     model = dio.read_model(args.model, samples)
+    scored = "samples"
+    if (data / "segmentation.json").exists():
+        trained = {s.id for s in dio.read_segmentation(data / "segmentation.json", samples)[0]}
+        samples, scored = [s for s in samples if s.id not in trained], "held-out samples"
     preds, regions = locate(model, samples)
     report = {**error_report(preds, [s.pos for s in samples], regions), "n_samples": len(samples)}
     Path(args.out).write_text(json.dumps(report, sort_keys=True, indent=1))
-    print(f"mean error {report['mean_error_m']:.3f} m over {len(samples)} samples; wrote {args.out}")
+    print(f"mean error {report['mean_error_m']:.3f} m over {len(samples)} {scored}; wrote {args.out}")
     return 0
 
 
@@ -134,10 +125,7 @@ def _cmd_plot(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    cfg = dio.read_json(args.config)
-    if isinstance(cfg, dict):  # run_pipeline rejects any other config
-        cfg["seed"] = _seed_override(cfg.get("seed", default_config()["seed"]))
-    report = run_pipeline(cfg, out_dir=args.out)
+    report = run_pipeline(dio.read_json(args.config), out_dir=args.out)
     print(
         f"mean error {report['mean_error_m']:.3f} m, "
         f"{report['region_count']} regions, covering rate {report['covering_rate']:.3f}"
@@ -145,35 +133,25 @@ def _cmd_pipeline(args) -> int:
     return 0
 
 
-def _config_options(parser, defaults: dict, *keys: str):
-    """One option per config key, ``--tau-in`` for ``tau_in``, of the type and value of its default."""
-    for key in keys:
-        parser.add_argument(f"--{key.replace('_', '-')}", type=type(defaults[key]), default=defaults[key])
-
-
 def build_parser() -> argparse.ArgumentParser:
-    defaults = default_config()
     p = argparse.ArgumentParser(prog="amdnloc", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("generate", help="synthesize a fingerprint dataset from a scene")
-    g.add_argument("--scene", required=True)
+    g = sub.add_parser("generate", help="synthesize a fingerprint dataset from a config, and write the config with it")
+    g.add_argument("--config", required=True)
     g.add_argument("--out", required=True)
     g.set_defaults(func=_cmd_generate)
 
-    s = sub.add_parser("segment", help="segment a dataset into regions")
+    s = sub.add_parser("segment", help="segment a dataset's training samples into regions")
     s.add_argument("--data", required=True)
-    s.add_argument("--template", default="x".join(map(str, defaults["template_size"])))
-    _config_options(s, defaults, "tau_in", "tau_out", "min_count", "k_max", "seed")
     s.set_defaults(func=_cmd_segment)
 
     t = sub.add_parser("train", help="fit per-region regressors")
     t.add_argument("--data", required=True)
-    _config_options(t, defaults, "ridge_lambda")
     t.add_argument("--out", default="model.json")
     t.set_defaults(func=_cmd_train)
 
-    e = sub.add_parser("eval", help="evaluate a model on a dataset")
+    e = sub.add_parser("eval", help="evaluate a model on a dataset's held-out samples")
     e.add_argument("--data", required=True)
     e.add_argument("--model", required=True)
     e.add_argument("--out", default="report.json")

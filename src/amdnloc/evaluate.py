@@ -17,6 +17,7 @@ from .scenegen import (
     _NLOS_MODES,
     _NONNEGATIVE,
     _SEED,
+    Sample,
     SceneConfig,
     _check,
     _is_int,
@@ -36,6 +37,9 @@ __all__ = [
     "error_report",
     "export_region_map",
     "PipelineError",
+    "check_config",
+    "generate",
+    "split",
     "segment",
     "run_pipeline",
     "default_config",
@@ -145,14 +149,6 @@ def default_config() -> dict:
     return copy.deepcopy({key: default for key, (default, _, _) in _CONFIG.items()})
 
 
-def _split(n: int, train_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded sorted train and test indices of n >= 2 samples, both nonempty."""
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    n_train = min(max(1, int(round(n * train_fraction))), n - 1)
-    return np.sort(order[:n_train]), np.sort(order[n_train:])
-
-
 def segment(train_samples, cfg) -> Segmentation:
     """Run both segmentations on the training set and fuse them; founder ids are sample ids.
 
@@ -185,49 +181,68 @@ def segment(train_samples, cfg) -> Segmentation:
     return Segmentation(regions, founders, cmodel.centroids, std)
 
 
-def run_pipeline(config: dict, out_dir: str | Path | None = None) -> dict:
-    """Generate, segment, train and evaluate in one deterministic run.
-
-    The train/test split happens before segmentation; segmentation is
-    fit on training samples only and test samples are routed through
-    the trained matchers. The config ``seed`` seeds everything, the
-    scene included: it always replaces the scene's own ``seed``.
-    A config that is not a dict, a top-level key that ``_CONFIG``
-    lacks, a value that fails its rule there, a bad scene value, or a
-    template or feature block grid larger than the scene's (nt, nc), is
-    a ``[config]`` error, raised before anything runs or is written. The
-    error is reported on held-out samples only, so fewer than 2 samples after
-    ``nlos_filter`` is a ``[generate]`` error. Returns the report dict;
-    when ``out_dir`` is given all artifacts (dataset, region map, model,
-    report) are written there.
-    """
+def check_config(config) -> dict:
+    """``config`` over ``default_config()``, checked: a config that is not
+    a dict, a key that ``_CONFIG`` lacks, a value that fails its rule, a
+    bad scene value, or a template or feature block grid larger than the
+    scene's (nt, nc), is a ``ValueError``."""
     if not isinstance(config, dict):
-        raise PipelineError("config", f"a config is a JSON object, not {config!r}")
+        raise ValueError(f"a config is a JSON object, not {config!r}")
     unknown = sorted(set(config) - set(_CONFIG))
     if unknown:
-        raise PipelineError("config", f"unknown config keys: {', '.join(map(repr, unknown))}")
+        raise ValueError(f"unknown config keys: {', '.join(map(repr, unknown))}")
     cfg = {**default_config(), **config}
+    _check(_CONFIG_RULES, cfg, "key")
+    scene = scene_from_json(cfg["scene"])
+    shape = (scene.nt, scene.nc)
+    for name, size in (("template_size", tuple(cfg["template_size"])), ("feature block grid", _BLOCK_GRID)):
+        if size[0] > shape[0] or size[1] > shape[1]:
+            raise ValueError(f"{name} {size} is larger than the scene's (nt, nc) {shape}")
+    return cfg
+
+
+def generate(config) -> tuple[dict, list[Sample]]:
+    """The checked config (``check_config``, whose error is a ``[config]``
+    error) and its samples: its scene seeded by the config ``seed`` in
+    place of its own, then ``nlos_filter``. Fewer than 2 samples leave
+    none to hold out, a ``[generate]`` error."""
     try:
-        _check(_CONFIG_RULES, cfg, "key")
-        scene = scene_from_json(cfg["scene"])
-        shape = (scene.nt, scene.nc)
-        for name, size in (("template_size", tuple(cfg["template_size"])), ("feature block grid", _BLOCK_GRID)):
-            if size[0] > shape[0] or size[1] > shape[1]:
-                raise ValueError(f"{name} {size} is larger than the scene's (nt, nc) {shape}")
-    except (ValueError, TypeError) as e:
+        cfg = check_config(config)
+    except ValueError as e:
         raise PipelineError("config", str(e)) from None
     try:
+        scene = scene_from_json(cfg["scene"])
         scene.seed = int(cfg["seed"])
-        samples = build_dataset(scene)
-        samples = nlos_filter(samples, cfg["nlos_mode"])
+        samples = nlos_filter(build_dataset(scene), cfg["nlos_mode"])
         if len(samples) < 2:
             raise ValueError(f"{len(samples)} sample; the pipeline holds samples out to test on and needs at least 2")
     except (ValueError, TypeError) as e:
         raise PipelineError("generate", str(e)) from e
+    return cfg, samples
 
-    train_idx, test_idx = _split(len(samples), cfg["train_fraction"], cfg["seed"])
-    train_samples = [samples[i] for i in train_idx]
-    test_samples = [samples[i] for i in test_idx]
+
+def split(samples: list, cfg: dict) -> tuple[list, list]:
+    """The training and held-out samples of n >= 2, both nonempty and in
+    order: a permutation drawn from the config ``seed`` picks
+    ``train_fraction`` of them to train on."""
+    n = len(samples)
+    order = np.random.default_rng(cfg["seed"]).permutation(n)
+    n_train = min(max(1, int(round(n * cfg["train_fraction"]))), n - 1)
+    return [samples[i] for i in np.sort(order[:n_train])], [samples[i] for i in np.sort(order[n_train:])]
+
+
+def run_pipeline(config: dict, out_dir: str | Path | None = None) -> dict:
+    """Generate, segment, train and evaluate in one deterministic run.
+
+    The stages are ``generate`` (whose ``[config]`` error is raised
+    before anything runs or is written), ``split``, ``segment`` and
+    ``train`` on the training samples, and ``locate`` of the held-out
+    ones. Returns the report dict; when ``out_dir`` is given all
+    artifacts (dataset and its config.json, region map, model, report)
+    are written there.
+    """
+    cfg, samples = generate(config)
+    train_samples, test_samples = split(samples, cfg)
 
     try:
         segmentation = segment(train_samples, cfg)
@@ -258,7 +273,7 @@ def run_pipeline(config: dict, out_dir: str | Path | None = None) -> dict:
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        dio.write_dataset(samples, out / "dataset")
+        dio.write_dataset(samples, out / "dataset", cfg)
         export_region_map(
             train_samples, segmentation.regions, out / "region_map.csv", out / "region_map.ppm"
         )

@@ -1,13 +1,14 @@
 """Dataset and model persistence.
 
-A dataset directory holds positions.csv, paths.csv, cfr.bin and
-adcam.bin. The .bin files start with the magic bytes "AMDN" followed by
-little-endian u32 fields (version, count, nt, nc) and then per-sample
-row-major entries as little-endian float32 (interleaved re/im for the
-CFR file, plain values for the angle-delay file).
+A dataset directory holds positions.csv, paths.csv, cfr.bin, adcam.bin
+and config.json, the config of its samples. The .bin files start with
+the magic bytes "AMDN" followed by little-endian u32 fields (version,
+count, nt, nc) and then per-sample row-major entries as little-endian
+float32 (interleaved re/im for the CFR file, plain values for the
+angle-delay file).
 
-segmentation.json is the one file segment hands to train;
-region_map.csv is an export that no command reads back.
+segmentation.json, the one file segment hands to train, lists the
+samples eval does not score; region_map.csv is an export no command reads.
 """
 from __future__ import annotations
 
@@ -115,9 +116,12 @@ def _read_bin(path: Path, complex_data: bool) -> tuple[tuple[int, int], np.ndarr
     return (nt, nc), data.reshape(count, nt, nc).astype(np.complex128 if complex_data else np.float64)
 
 
-def write_dataset(samples: list[Sample], out_dir: str | Path):
+def write_dataset(samples: list[Sample], out_dir: str | Path, config: dict | None = None):
+    """The four dataset files, and ``config`` as config.json, written as report.json writes it."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    if config is not None:
+        (out / "config.json").write_text(json.dumps(config, sort_keys=True, indent=1))
     with open(out / "positions.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["id", "x", "y", "is_los"])

@@ -7,8 +7,10 @@ held to an independent brute-force oracle, and the end-to-end claim --
 that per-region regression on a segmented scene beats one global linear
 model -- is demonstrated on a seeded synthetic scene.
 """
+import importlib.util
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from amdnloc.channel import (
 )
 from amdnloc import localizer
 from amdnloc.cli import main as cli_main
-from amdnloc.evaluate import _split, default_config, run_pipeline, segment
+from amdnloc.evaluate import default_config, generate, run_pipeline, segment, split
 from amdnloc.fusion import Segmentation, cleanse, fuse_labels
 from amdnloc.localizer import (
     apply_weights,
@@ -31,7 +33,7 @@ from amdnloc.localizer import (
     sample_features,
     train,
 )
-from amdnloc.scenegen import Rect, SceneConfig, build_dataset, nlos_filter, scene_from_json, scene_to_json
+from amdnloc.scenegen import Rect, SceneConfig, build_dataset, scene_from_json, scene_to_json
 from amdnloc.segmentation_adcam import (
     build_features,
     calinski_harabasz,
@@ -137,10 +139,7 @@ HETERO_CONFIG = {
 @pytest.fixture(scope="module")
 def hetero_segmentation():
     """Dataset, split and segmentation of the demonstration scene."""
-    samples = build_dataset(HETERO_SCENE)
-    tr, te = _split(len(samples), 0.8, HETERO_CONFIG["seed"])
-    train_s = [samples[i] for i in tr]
-    test_s = [samples[i] for i in te]
+    train_s, test_s = split(build_dataset(HETERO_SCENE), HETERO_CONFIG)
     images = [render_image(s.cfr, "cfr_magnitude") for s in train_s]
     lab = segment_cfr(images, HETERO_CONFIG["tau_in"], HETERO_CONFIG["tau_out"], (16, 16))
     founders = {
@@ -389,7 +388,7 @@ def test_exact_recovery_for_affine_features():
     maps = {0: (np.array([[1.2, -0.3], [0.4, 2.0]]), np.array([3.0, -7.0])),
             1: (np.array([[-0.7, 1.1], [2.2, 0.5]]), np.array([10.0, 1.0]))}
     feats = np.array([maps[r][0] @ p + maps[r][1] for r, p in zip(region, pos)])
-    train_idx, test_idx = _split(200, 0.8, 1)
+    train_idx, test_idx = split(range(200), {"train_fraction": 0.8, "seed": 1})
     worst = 0.0
     for r in (0, 1):
         tr = [i for i in train_idx if region[i] == r]
@@ -432,7 +431,7 @@ def test_pipeline_runs_are_byte_identical(tmp_path):
     assert cli_main(["pipeline", "--config", str(cfg_path), "--out", str(out_b)]) == 0
     names = [sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()) for out in (out_a, out_b)]
     assert names[0] == names[1]
-    dataset = ["dataset/adcam.bin", "dataset/cfr.bin", "dataset/paths.csv", "dataset/positions.csv"]
+    dataset = ["dataset/adcam.bin", "dataset/cfr.bin", "dataset/config.json", "dataset/paths.csv", "dataset/positions.csv"]
     assert set(names[0]) >= {"report.json", "region_map.csv", "region_map.ppm", "model.json", *dataset}
     for name in names[0]:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
@@ -455,13 +454,30 @@ BENCHMARK_CONFIGS = {
 
 def _pipeline_model(cfg):
     """The model that ``run_pipeline(cfg)`` trains, and its held-out samples."""
-    scene = scene_from_json(cfg["scene"])
-    scene.seed = cfg["seed"]
-    samples = nlos_filter(build_dataset(scene), cfg["nlos_mode"])
-    tr, te = _split(len(samples), cfg["train_fraction"], cfg["seed"])
-    train_s = [samples[i] for i in tr]
+    train_s, test_s = split(generate(cfg)[1], cfg)
     model = train(train_s, segment(train_s, cfg), cfg["ridge_lambda"])
-    return model, [samples[i] for i in te]
+    return model, test_s
+
+
+def _perfbench_workloads():
+    """perfbench/workloads.py, imported from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_benchmark_times_the_reference_scene():
+    # perfbench keeps its own copy of the buildings; it must not drift
+    # from the scene the tests check
+    workloads = _perfbench_workloads()
+    assert [Rect(*b) for b in workloads.BUILDINGS] == REFERENCE_SCENE["buildings"]
+    for name in workloads.WORKLOADS:
+        scene = scene_from_json(workloads.build_config(name)["scene"])
+        assert (scene.area_m, scene.bs_pos, scene.buildings) == (
+            REFERENCE_SCENE["area_m"], REFERENCE_SCENE["bs_pos"], REFERENCE_SCENE["buildings"]
+        ), name
 
 
 @pytest.mark.parametrize("name", list(BENCHMARK_CONFIGS))

@@ -16,13 +16,14 @@ from amdnloc.cli import main
 from amdnloc.evaluate import (
     _CONFIG_RULES,
     PipelineError,
-    _split,
     cdf_curve,
+    check_config,
     default_config,
     error_report,
     export_region_map,
     mean_error,
     run_pipeline,
+    split,
 )
 from amdnloc.fusion import fuse_labels
 from amdnloc.scenegen import Sample, SceneConfig, _check, build_dataset, scene_from_json
@@ -166,8 +167,16 @@ class TestRunPipeline:
         run_pipeline(SMALL_CONFIG, out_dir=b)
         for name in ("report.json", "region_map.csv", "model.json", "region_map.ppm"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
-        for name in ("positions.csv", "paths.csv", "cfr.bin", "adcam.bin"):
+        for name in ("positions.csv", "paths.csv", "cfr.bin", "adcam.bin", "config.json"):
             assert (a / "dataset" / name).read_bytes() == (b / "dataset" / name).read_bytes(), name
+
+    def test_the_dataset_carries_the_checked_config(self, tmp_path):
+        report = run_pipeline(SMALL_CONFIG, out_dir=tmp_path)
+        written = (tmp_path / "dataset" / "config.json").read_text()
+        # written as report.json writes its config, every key filled in
+        assert written == json.dumps(report["config"], sort_keys=True, indent=1)
+        assert json.loads(written) == json.loads((tmp_path / "report.json").read_text())["config"] == check_config(SMALL_CONFIG)
+        assert sorted(json.loads(written)) == sorted(default_config())
 
     @pytest.mark.parametrize(
         "config",
@@ -301,13 +310,12 @@ class TestRunPipeline:
         ],
         ids=["nt", "grid_spacing_m", "bs_pos", "unknown", "template_4x4", "template_8x6"],
     )
-    def test_bad_scene_value_is_a_config_error(self, tmp_path, capsys, monkeypatch, scene, message):
+    def test_bad_scene_value_is_a_config_error(self, tmp_path, capsys, scene, message):
         cfg = {**SMALL_CONFIG, "scene": {**SMALL_CONFIG["scene"], **scene}}
         with pytest.raises(PipelineError, match=re.escape(message)) as exc:
             run_pipeline(cfg, out_dir=tmp_path / "lib")
         assert exc.value.stage == "config"
         # the console script: exit 1, nothing written, no traceback
-        monkeypatch.delenv("AMDN_SEED", raising=False)
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(cfg))
         assert main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "cli")]) == 1
@@ -356,14 +364,13 @@ class TestRunPipeline:
             ("path_select", "loudest"), ("path_select", None), ("path_select", "first_arrival"),
         ],
     )
-    def test_config_value_of_wrong_type_or_range_is_a_config_error(self, tmp_path, capsys, monkeypatch, key, value):
+    def test_config_value_of_wrong_type_or_range_is_a_config_error(self, tmp_path, capsys, key, value):
         # the message names the rule, so path_select's names 'strongest'
         want = f"key {key} is {value!r}; it must be {_CONFIG_RULES[key][0]}"
         with pytest.raises(PipelineError, match=re.escape(want)) as exc:
             run_pipeline({**SMALL_CONFIG, key: value}, out_dir=tmp_path / "lib")
         assert exc.value.stage == "config"
         # the console script: exit 1, nothing written, no traceback
-        monkeypatch.delenv("AMDN_SEED", raising=False)
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({**SMALL_CONFIG, key: value}))
         assert main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "cli")]) == 1
@@ -397,7 +404,7 @@ class TestRunPipeline:
             del r["config"]  # echoes each scene as given
         assert reports[0] == reports[1]
 
-    def test_one_sample_is_a_generate_error(self, tmp_path, capsys, monkeypatch):
+    def test_one_sample_is_a_generate_error(self, tmp_path, capsys):
         # one terminal leaves nothing to hold out, so no error to report
         one = {
             "scene": {"area_m": [40, 40], "bs_pos": [5, 20], "grid_spacing_m": 30, "nt": 16, "nc": 16},
@@ -409,7 +416,6 @@ class TestRunPipeline:
         with pytest.raises(PipelineError, match=message) as exc:
             run_pipeline(one, out_dir=tmp_path / "lib")
         assert exc.value.stage == "generate"
-        monkeypatch.delenv("AMDN_SEED", raising=False)
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(one))
         assert main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "cli")]) == 2
@@ -417,17 +423,12 @@ class TestRunPipeline:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     @pytest.mark.parametrize("config", [[1, 2], "x", None, 3])
-    @pytest.mark.parametrize("seed_env", [None, "5"])
-    def test_config_that_is_not_an_object_is_a_config_error(self, tmp_path, capsys, monkeypatch, config, seed_env):
+    def test_config_that_is_not_an_object_is_a_config_error(self, tmp_path, capsys, config):
         message = f"a config is a JSON object, not {config!r}"
         with pytest.raises(PipelineError, match=re.escape(message)) as exc:
             run_pipeline(config, out_dir=tmp_path / "lib")
         assert exc.value.stage == "config"
         # the console script: exit 1, nothing written, no traceback
-        if seed_env is None:
-            monkeypatch.delenv("AMDN_SEED", raising=False)
-        else:
-            monkeypatch.setenv("AMDN_SEED", seed_env)
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(config))
         assert main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "cli")]) == 1
@@ -440,8 +441,8 @@ class TestRunPipeline:
 
 
 def _split_with_the_one_sample_case(n: int, train_fraction: float, seed: int):
-    """``_split`` as it was while it still split one sample into one
-    training sample and no test sample."""
+    """The split's indices as it drew them while it still split one sample
+    into one training sample and no test sample."""
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     n_train = max(1, int(round(n * train_fraction)))
@@ -453,7 +454,7 @@ def _split_with_the_one_sample_case(n: int, train_fraction: float, seed: int):
 def test_split_is_unchanged_from_two_samples_up(train_fraction):
     for n in (2, 3, 4, 5, 7, 10, 11, 63, 200, 1016):
         for seed in (0, 1, 3):
-            train_idx, test_idx = _split(n, train_fraction, seed)
+            train_idx, test_idx = split(range(n), {"train_fraction": train_fraction, "seed": seed})
             want = _split_with_the_one_sample_case(n, train_fraction, seed)
             assert np.array_equal(train_idx, want[0]) and np.array_equal(test_idx, want[1])
             assert len(train_idx) >= 1 and len(test_idx) >= 1

@@ -15,9 +15,9 @@ from hypothesis import given, settings, strategies as st
 from amdnloc import io as dio
 from amdnloc.channel import PathRecord
 from amdnloc.cli import main
-from amdnloc.evaluate import error_report
+from amdnloc.evaluate import check_config, error_report, segment, split
 from amdnloc.localizer import FeatureConfig, locate
-from amdnloc.scenegen import Rect, Sample, SceneConfig, build_dataset, scene_to_json
+from amdnloc.scenegen import Rect, Sample, SceneConfig, build_dataset, scene_from_json, scene_to_json
 
 
 @pytest.fixture(scope="module")
@@ -263,20 +263,35 @@ def test_read_dataset_rejects_malformed_files(samples, fault, bin_name, data):
             dio.read_dataset(d)
 
 
+@pytest.fixture(scope="module")
+def chain_config(dataset):
+    """The config of the CLI chain on the dataset's scene and seed: 8x8
+    templates at 0.95 and no cleansing."""
+    scene, _ = dataset
+    return {
+        "scene": scene_to_json(scene), "seed": scene.seed, "template_size": [8, 8],
+        "tau_in": 0.95, "tau_out": 0.95, "min_count": 0,
+    }
+
+
+def _edit_config(data, **values) -> Path:
+    """Set ``values`` in a dataset directory's config.json; its path."""
+    path = data / "config.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), **values}))
+    return path
+
+
 class TestCliWorkflow:
-    def test_full_command_sequence(self, dataset, tmp_path, capsys):
-        scene, _ = dataset
-        scene_path = tmp_path / "scene.json"
-        scene_path.write_text(json.dumps(scene_to_json(scene)))
+    def test_full_command_sequence(self, chain_config, tmp_path):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({**chain_config, "k_max": 3}))
         data = tmp_path / "data"
 
-        assert main(["generate", "--scene", str(scene_path), "--out", str(data)]) == 0
+        assert main(["generate", "--config", str(cfg_path), "--out", str(data)]) == 0
         assert (data / "positions.csv").exists()
+        assert json.loads((data / "config.json").read_text()) == check_config({**chain_config, "k_max": 3})
 
-        assert main([
-            "segment", "--data", str(data), "--tau-in", "0.95", "--tau-out", "0.95",
-            "--template", "8x8", "--min-count", "0", "--k-max", "3",
-        ]) == 0
+        assert main(["segment", "--data", str(data)]) == 0
         assert (data / "region_map.csv").exists()
         assert (data / "segmentation.json").exists()
 
@@ -298,16 +313,22 @@ class TestCliWorkflow:
         cdf = (plots / "cdf.csv").read_text().splitlines()
         assert cdf[0] == "threshold_m,fraction"
 
-    def test_eval_report_is_the_error_report_of_its_predictions(self, trained_chain, tmp_path):
+    def test_eval_report_is_the_error_report_of_its_held_out_predictions(self, trained_chain, tmp_path, capsys):
         data, model_path = trained_chain
         out = tmp_path / "report.json"
         assert main(["eval", "--data", str(data), "--model", str(model_path), "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         samples = dio.read_dataset(data)
-        preds, regions = locate(dio.read_model(model_path, samples), samples)
+        trained = {sid for sid, _, _ in json.loads((data / "segmentation.json").read_text())["samples"]}
+        held_out = [s for s in samples if s.id not in trained]
+        assert 0 < len(held_out) < len(samples)
+        preds, regions = locate(dio.read_model(model_path, samples), held_out)
         # through JSON, as eval writes it: its cdf pairs become lists
-        want = json.loads(json.dumps(error_report(preds, [s.pos for s in samples], regions)))
-        assert report == {**want, "n_samples": len(samples)}
+        want = json.loads(json.dumps(error_report(preds, [s.pos for s in held_out], regions)))
+        assert report == {**want, "n_samples": len(held_out)}
+        assert capsys.readouterr().out == (
+            f"mean error {report['mean_error_m']:.3f} m over {len(held_out)} held-out samples; wrote {out}\n"
+        )
         assert len(report["per_region_errors"]) > 1
         plots = tmp_path / "plots"
         assert main(["plot", "--report", str(out), "--out", str(plots)]) == 0
@@ -349,73 +370,65 @@ class TestCliWorkflow:
         assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert (out / "report.json").exists()
 
-    def test_seed_env_override(self, tmp_path, monkeypatch):
-        cfg = {
-            "scene": {
-                "area_m": [60.0, 60.0], "bs_pos": [8.0, 30.0],
-                "buildings": [[25, 20, 8, 25]], "grid_spacing_m": 11.0,
-                "nt": 16, "nc": 16,
-            },
-            "min_count": 0, "tau_in": 0.95, "tau_out": 0.95,
-            "template_size": [8, 8], "k_max": 3, "seed": 1,
-        }
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps(cfg))
-        monkeypatch.setenv("AMDN_SEED", "99")
-        out = tmp_path / "run"
-        assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 0
-        report = json.loads((out / "report.json").read_text())
-        assert report["seed"] == 99
-
-    @pytest.mark.parametrize("value, shown", [("x", "'x'"), ("-1", "-1"), ("2.5", "'2.5'"), ("", "''")])
-    def test_bad_seed_env_is_an_error_of_every_seeded_command(self, trained_chain, tmp_path, capsys, monkeypatch, value, shown):
+    @pytest.mark.parametrize("value", [-1, "x", 2.5, True])
+    def test_a_bad_seed_is_an_error_of_every_command_that_reads_a_config(self, trained_chain, chain_config, tmp_path, capsys, value):
         data = shutil.copytree(trained_chain[0], tmp_path / "data")
-        (data / "region_map.csv").unlink()
+        for name in ("region_map.csv", "segmentation.json"):
+            (data / name).unlink()
+        config = _edit_config(data, seed=value)
         cfg_path = tmp_path / "config.json"
-        scene = json.loads((trained_chain[0].parent / "scene.json").read_text())
-        cfg_path.write_text(json.dumps({"scene": scene, "template_size": [8, 8], "min_count": 0}))
-        monkeypatch.setenv("AMDN_SEED", value)
+        cfg_path.write_text(json.dumps({**chain_config, "seed": value}))
+        rule = f"key seed is {value!r}; it must be an integer >= 0\n"
         runs = {
-            "generate": ["generate", "--scene", str(trained_chain[0].parent / "scene.json"), "--out", str(tmp_path / "gen")],
-            "segment": ["segment", "--data", str(data), "--template", "8x8"],
-            "pipeline": ["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "run")],
+            "generate": (["generate", "--config", str(cfg_path), "--out", str(tmp_path / "gen")], f"[config] {rule}"),
+            "segment": (["segment", "--data", str(data)], f"[segment] {config}: {rule}"),
+            "train": (["train", "--data", str(data), "--out", str(tmp_path / "model.json")], f"[train] {config}: {rule}"),
+            "pipeline": (["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "run")], f"[config] {rule}"),
         }
-        for command, argv in runs.items():
-            assert main(argv) == 1
-            want = f"error: [{command}] environment variable AMDN_SEED is {shown}; it must be an integer >= 0\n"
-            assert capsys.readouterr().err == want
+        for command, (argv, want) in runs.items():
+            assert main(argv) == 1, command
+            assert capsys.readouterr().err == f"error: {want}"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "data"]
         assert not (data / "region_map.csv").exists()
 
     @pytest.mark.parametrize("nc, last", [(16, 0), (8, 17)])
-    def test_generate_counts_the_last_delay_bin(self, dataset, tmp_path, capsys, nc, last):
+    def test_generate_counts_the_last_delay_bin(self, dataset, chain_config, tmp_path, capsys, nc, last):
         # 6 m per delay bin: the 80 m scene fits a window of 16 bins, and
         # 17 of its 29 terminals have a path clipped into the last of 8
         scene = dataclasses.replace(dataset[0], nc=nc)
         samples = build_dataset(scene)
         assert last == sum(max((p.delay_samples for p in s.paths), default=-1) == nc - 1 for s in samples)
-        (tmp_path / "scene.json").write_text(json.dumps(scene_to_json(scene)))
+        config = {**chain_config, "scene": scene_to_json(scene)}
+        (tmp_path / "config.json").write_text(json.dumps(config))
         data = tmp_path / "data"
-        assert main(["generate", "--scene", str(tmp_path / "scene.json"), "--out", str(data)]) == 0
+        assert main(["generate", "--config", str(tmp_path / "config.json"), "--out", str(data)]) == 0
         share = f"{100 * last / len(samples):.1f}%"
         assert capsys.readouterr().out.splitlines() == [
-            f"wrote {len(samples)} samples to {data}",
+            f"wrote {len(samples)} samples and config.json to {data}",
             f"{last} of {len(samples)} terminals ({share}) have a path in the last delay bin, {nc - 1}",
         ]
         # only standard output tells of it: the files are write_dataset's
-        dio.write_dataset(samples, tmp_path / "direct")
+        dio.write_dataset(samples, tmp_path / "direct", check_config(config))
         names = sorted(p.name for p in data.iterdir())
         assert names == sorted(p.name for p in (tmp_path / "direct").iterdir())
         assert all((data / n).read_bytes() == (tmp_path / "direct" / n).read_bytes() for n in names)
 
-    def test_seed_env_seeds_the_generated_scene(self, dataset, tmp_path, monkeypatch):
+    def test_config_seed_seeds_the_generated_scene(self, dataset, chain_config, tmp_path):
         scene = dataclasses.replace(dataset[0], grid_jitter=0.5)
-        (tmp_path / "scene.json").write_text(json.dumps(scene_to_json(scene)))
-        monkeypatch.setenv("AMDN_SEED", "7")
-        assert main(["generate", "--scene", str(tmp_path / "scene.json"), "--out", str(tmp_path / "d")]) == 0
+        (tmp_path / "config.json").write_text(json.dumps({**chain_config, "scene": scene_to_json(scene), "seed": 7}))
+        assert main(["generate", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "d")]) == 0
         got = [s.pos for s in dio.read_dataset(tmp_path / "d")]
         assert got == [s.pos for s in build_dataset(dataclasses.replace(scene, seed=7))]
         assert got != [s.pos for s in build_dataset(scene)]
+
+    def test_generate_keeps_the_nlos_mode_of_its_config(self, tmp_path):
+        scene = {"area_m": [120, 120], "bs_pos": [60, 2], "buildings": [[30, 30, 18, 20], [70, 60, 20, 15]],
+                 "grid_spacing_m": 5, "nt": 16, "nc": 16}
+        (tmp_path / "config.json").write_text(json.dumps({"scene": scene, "seed": 2, "nlos_mode": "nlos_only"}))
+        assert main(["generate", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "d")]) == 0
+        built = build_dataset(scene_from_json({**scene, "seed": 2}))
+        nlos = [s.id for s in built if not s.is_los]
+        assert [s.id for s in dio.read_dataset(tmp_path / "d")] == nlos and 2 <= len(nlos) < len(built)
 
     def test_pipeline_unknown_config_key_exits_1(self, tmp_path, capsys):
         cfg_path = tmp_path / "config.json"
@@ -426,8 +439,8 @@ class TestCliWorkflow:
         assert "[config]" in err and "tau_inn" in err
         assert not out.exists()
 
-    def test_missing_scene_file_nonzero_exit(self, tmp_path, capsys):
-        rc = main(["generate", "--scene", str(tmp_path / "nope.json"), "--out", str(tmp_path / "d")])
+    def test_missing_config_file_nonzero_exit(self, tmp_path, capsys):
+        rc = main(["generate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "d")])
         assert rc != 0
         assert "generate" in capsys.readouterr().err
 
@@ -436,43 +449,115 @@ class TestCliWorkflow:
         [("grid_spacing_m", 0), ("nt", "16"), ("nc", 2.5), ("snr_db", "x"), ("buildings", [[1, 2, 3]]),
          ("grid_jitter", 5), ("grid_spacing_m", -5), ("bogus", 1)],
     )
-    def test_bad_scene_value_is_a_generate_error(self, dataset, tmp_path, capsys, key, value):
-        scene, _ = dataset
-        path = tmp_path / "scene.json"
-        path.write_text(json.dumps({**scene_to_json(scene), key: value}))
-        assert main(["generate", "--scene", str(path), "--out", str(tmp_path / "d")]) == 1
+    def test_bad_scene_value_is_a_config_error_of_generate(self, chain_config, tmp_path, capsys, key, value):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**chain_config, "scene": {**chain_config["scene"], key: value}}))
+        assert main(["generate", "--config", str(path), "--out", str(tmp_path / "d")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: [generate] ") and repr(key)[1:-1] in err and "Traceback" not in err
+        assert err.startswith("error: [config] ") and repr(key)[1:-1] in err and "Traceback" not in err
+        assert not (tmp_path / "d").exists()
+
+    def test_one_sample_is_a_generate_error(self, chain_config, tmp_path, capsys):
+        scene = {"area_m": [40, 40], "bs_pos": [5, 20], "grid_spacing_m": 30, "nt": 16, "nc": 16}
+        (tmp_path / "config.json").write_text(json.dumps({**chain_config, "scene": scene}))
+        assert main(["generate", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "d")]) == 2
+        want = "error: [generate] 1 sample; the pipeline holds samples out to test on and needs at least 2\n"
+        assert capsys.readouterr().err == want
         assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize(
-        "option, value, named",
-        [("--k-max", "0", "k_max is 0"), ("--tau-in", "1.5", "tau_in is 1.5"), ("--tau-out", "nan", "tau_out is nan"),
-         ("--min-count", "-1", "min_count is -1"), ("--seed", "-2", "seed is -2")],
+        "key, value, named",
+        [("k_max", 0, "k_max is 0"), ("tau_in", 1.5, "tau_in is 1.5"), ("tau_out", math.nan, "tau_out is nan"),
+         ("min_count", -1, "min_count is -1"), ("seed", -2, "seed is -2"), ("template_size", [0, 16], "template_size is [0, 16]"),
+         ("ridge_lambda", -1, "ridge_lambda is -1"), ("ridge_lambda", math.inf, "ridge_lambda is inf")],
     )
-    def test_segment_option_out_of_range_is_a_segment_error(self, trained_chain, tmp_path, capsys, option, value, named):
+    @pytest.mark.parametrize("command", ["segment", "train"])
+    def test_a_dataset_config_value_out_of_range_names_the_file(self, trained_chain, tmp_path, capsys, command, key, value, named):
         data = shutil.copytree(trained_chain[0], tmp_path / "data")
+        seg = (data / "segmentation.json").read_bytes()
         (data / "region_map.csv").unlink()
-        assert main(["segment", "--data", str(data), "--template", "8x8", option, value]) == 1
-        assert f"error: [segment] key {named}; it must be" in capsys.readouterr().err
-        assert not (data / "region_map.csv").exists()
-        # the options are checked before the dataset is read
-        assert main(["segment", "--data", str(tmp_path / "no_data"), "--template", "8x8", option, value]) == 1
-        assert f"error: [segment] key {named}; it must be" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
-    def test_train_ridge_lambda_out_of_range_is_a_train_error(self, trained_chain, tmp_path, capsys, value):
-        data, out = trained_chain[0], tmp_path / "model.json"
-        argv = ["train", "--data", str(data), "--ridge-lambda", value, "--out", str(out)]
+        config = _edit_config(data, **{key: value})
+        out = tmp_path / "model.json"
+        argv = ["segment", "--data", str(data)] if command == "segment" else ["train", "--data", str(data), "--out", str(out)]
         assert main(argv) == 1
-        assert f"error: [train] key ridge_lambda is {float(value)!r}; it must be" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: [{command}] {config}: key {named}; it must be")
+        assert not (data / "region_map.csv").exists() and not out.exists()
+        assert (data / "segmentation.json").read_bytes() == seg
+        # the config is checked before the dataset is read
+        (data / "cfr.bin").unlink()
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: [{command}] {config}: key {named}; it must be")
+
+    @pytest.mark.parametrize("fault", ["missing", "unknown key", "not an object"])
+    @pytest.mark.parametrize("command", ["segment", "train"])
+    def test_a_dataset_without_a_usable_config_is_an_error_that_names_it(self, trained_chain, tmp_path, capsys, command, fault):
+        data = shutil.copytree(trained_chain[0], tmp_path / "data")
+        config = data / "config.json"
+        if fault == "missing":
+            config.unlink()
+            message = f"[Errno 2] No such file or directory: '{config}'"
+        elif fault == "unknown key":
+            _edit_config(data, tau_inn=0.5)
+            message = "unknown config keys: 'tau_inn'"
+        else:
+            config.write_text("[1, 2]")
+            message = "a config is a JSON object, not [1, 2]"
+        out = tmp_path / "model.json"
+        argv = ["segment", "--data", str(data)] if command == "segment" else ["train", "--data", str(data), "--out", str(out)]
+        assert main(argv) == 1
+        want = message if fault == "missing" else f"{config}: {message}"
+        assert capsys.readouterr().err == f"error: [{command}] {want}\n"
         assert not out.exists()
 
     def test_invalid_scene_nonzero_exit(self, tmp_path, capsys):
-        bad = tmp_path / "scene.json"
-        bad.write_text(json.dumps({"bs_pos": [50, 50], "buildings": [[40, 40, 20, 20]]}))
-        rc = main(["generate", "--scene", str(bad), "--out", str(tmp_path / "d")])
+        bad = tmp_path / "config.json"
+        bad.write_text(json.dumps({"scene": {"bs_pos": [50, 50], "buildings": [[40, 40, 20, 20]]}}))
+        rc = main(["generate", "--config", str(bad), "--out", str(tmp_path / "d")])
         assert rc != 0
+
+
+# The console-script scene of CI, given as a config
+CI_CONFIG = {
+    "scene": {"area_m": [80, 80], "bs_pos": [10, 40], "buildings": [[35, 25, 8, 30]], "grid_spacing_m": 6, "nt": 16, "nc": 16},
+    "seed": 2, "template_size": [8, 8], "tau_in": 0.95, "tau_out": 0.95, "min_count": 1, "k_max": 3,
+}
+
+
+def test_the_cli_chain_runs_the_pipelines_stages(tmp_path, capsys):
+    cfg_path, data, run = tmp_path / "config.json", tmp_path / "data", tmp_path / "run"
+    cfg_path.write_text(json.dumps(CI_CONFIG))
+    assert main(["generate", "--config", str(cfg_path), "--out", str(data)]) == 0
+    assert main(["pipeline", "--config", str(cfg_path), "--out", str(run)]) == 0
+    # generate writes the pipeline's dataset directory, byte for byte
+    names = sorted(p.name for p in data.iterdir())
+    assert names == ["adcam.bin", "cfr.bin", "config.json", "paths.csv", "positions.csv"]
+    assert names == sorted(p.name for p in (run / "dataset").iterdir())
+    assert all((data / n).read_bytes() == (run / "dataset" / n).read_bytes() for n in names)
+    # segment segments the pipeline's training samples, in its order
+    assert main(["segment", "--data", str(data)]) == 0
+    with open(run / "region_map.csv", newline="") as fh:
+        train_ids = [int(row["id"]) for row in csv.DictReader(fh)]
+    assert len(train_ids) == 82
+    assert [sid for sid, _, _ in json.loads((data / "segmentation.json").read_text())["samples"]] == train_ids
+    # eval scores the held-out samples alone: the report's n_test of them
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "model.json")]) == 0
+    out = tmp_path / "eval.json"
+    assert main(["eval", "--data", str(data), "--model", str(tmp_path / "model.json"), "--out", str(out)]) == 0
+    report, pipeline_report = (json.loads(p.read_text()) for p in (out, run / "report.json"))
+    assert report["n_samples"] == pipeline_report["n_test"] == 21
+    samples = dio.read_dataset(data)
+    held_out = [s for s in samples if s.id not in set(train_ids)]
+    preds, regions = locate(dio.read_model(tmp_path / "model.json", samples), held_out)
+    assert report == json.loads(json.dumps({**error_report(preds, [s.pos for s in held_out], regions), "n_samples": 21}))
+    # with no segmentation.json, eval scores every sample
+    every = shutil.copytree(data, tmp_path / "every", ignore=shutil.ignore_patterns("segmentation.json"))
+    assert main(["eval", "--data", str(every), "--model", str(tmp_path / "model.json"), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["n_samples"] == len(samples) == 103
+    assert capsys.readouterr().out.splitlines()[-1] == f"mean error {json.loads(out.read_text())['mean_error_m']:.3f} m over 103 samples; wrote {out}"
+    # a flag that set a config value is gone
+    with pytest.raises(SystemExit) as exc:
+        main(["segment", "--data", str(data), "--tau-in", "0.9"])
+    assert exc.value.code == 2 and "--tau-in" in capsys.readouterr().err
 
 
 FUSED = FeatureConfig(16, 16).fused_len  # the features of trained_chain's 16x16 scene
@@ -505,30 +590,29 @@ def _read_edited_routing(trained_chain, tmp_path, capsys, command, edit) -> tupl
 
 
 @pytest.fixture(scope="module")
-def trained_chain(dataset, tmp_path_factory):
+def trained_chain(chain_config, tmp_path_factory):
     """A dataset directory after generate and segment, plus a trained model."""
-    scene, _ = dataset
     root = tmp_path_factory.mktemp("chain")
-    (root / "scene.json").write_text(json.dumps(scene_to_json(scene)))
+    (root / "config.json").write_text(json.dumps(chain_config))
     data, model = root / "data", root / "model.json"
-    assert main(["generate", "--scene", str(root / "scene.json"), "--out", str(data)]) == 0
-    assert main(["segment", "--data", str(data), "--template", "8x8", "--tau-in", "0.95", "--tau-out", "0.95", "--min-count", "0"]) == 0
+    assert main(["generate", "--config", str(root / "config.json"), "--out", str(data)]) == 0
+    assert main(["segment", "--data", str(data)]) == 0
     assert main(["train", "--data", str(data), "--out", str(model)]) == 0
     return data, model
 
 
 class TestBoundaryErrors:
-    def test_segment_names_both_fingerprint_files_of_other_dims(self, dataset, tmp_path, capsys):
+    def test_segment_names_both_fingerprint_files_of_other_dims(self, dataset, chain_config, tmp_path, capsys):
         # 16x16 CFRs with the 8x8 ADCAMs of another dataset of the same terminals
         _, samples = dataset
         data, other = tmp_path / "data", tmp_path / "other"
-        dio.write_dataset(samples, data)
+        dio.write_dataset(samples, data, check_config(chain_config))
         dio.write_dataset([dataclasses.replace(s, adcam=s.adcam[:8, :8]) for s in samples], other)
         shutil.copy(other / "adcam.bin", data / "adcam.bin")
         want = f"{data / 'cfr.bin'} holds 16x16 matrices, but {data / 'adcam.bin'} 8x8"
         with pytest.raises(ValueError, match=re.escape(want)):
             dio.read_dataset(data)
-        rc = main(["segment", "--data", str(data), "--template", "8x8", "--min-count", "1", "--k-max", "3"])
+        rc = main(["segment", "--data", str(data)])
         assert rc == 1
         assert f"[segment] {want}" in capsys.readouterr().err
         assert not (data / "region_map.csv").exists()
@@ -651,30 +735,20 @@ class TestBoundaryErrors:
         else:
             assert "founders must be a nonempty object keyed by integer ids" in err
 
-    def test_segment_rejects_a_template_side_below_one(self, trained_chain, tmp_path, capsys):
-        data = shutil.copytree(trained_chain[0], tmp_path / "data")
-        seg = (data / "segmentation.json").read_bytes()
-        assert main(["segment", "--data", str(data), "--template", "0x16"]) == 1
-        err = capsys.readouterr().err
-        assert "[segment] key template_size is (0, 16); it must be two integers >= 1" in err
-        assert (data / "segmentation.json").read_bytes() == seg
-
-    @pytest.mark.parametrize("template", ["16", "16x", "x16", "16x16x16", "axb", ""])
-    def test_segment_names_a_template_not_of_the_form_hxw(self, trained_chain, tmp_path, capsys, template):
-        data = shutil.copytree(trained_chain[0], tmp_path / "data")
-        seg = (data / "segmentation.json").read_bytes()
-        assert main(["segment", "--data", str(data), "--template", template]) == 1
-        err = capsys.readouterr().err
-        assert f"[segment] --template {template!r} is not of the form HxW" in err
-        assert (data / "segmentation.json").read_bytes() == seg
-
-    def test_segment_has_no_path_select_option(self, trained_chain, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "option",
+        [["--path-select", "strongest"], ["--template", "8x8"], ["--tau-in", "0.9"], ["--tau-out", "0.9"],
+         ["--min-count", "1"], ["--k-max", "3"], ["--seed", "3"]],
+        ids=lambda option: option[0],
+    )
+    def test_segment_has_no_config_option(self, trained_chain, tmp_path, capsys, option):
+        # every setting comes from the dataset's config.json
         data = shutil.copytree(trained_chain[0], tmp_path / "data")
         seg = (data / "segmentation.json").read_bytes()
         with pytest.raises(SystemExit) as exc:
-            main(["segment", "--data", str(data), "--template", "8x8", "--path-select", "strongest"])
+            main(["segment", "--data", str(data), *option])
         assert exc.value.code == 2  # argparse's exit for an unknown option
-        assert "--path-select" in capsys.readouterr().err
+        assert option[0] in capsys.readouterr().err
         assert (data / "segmentation.json").read_bytes() == seg
 
     @pytest.mark.parametrize("command", ["train", "eval"])
@@ -811,14 +885,15 @@ class TestBoundaryErrors:
         assert f"[{command}] {path}: founders of more than one shape: [(6, 6), (8, 8)]" in err
 
     @pytest.mark.parametrize("content", [b"nope", b"AMDN\x01\x00\x00\x00\xff\xfe"], ids=["text", "binary"])
-    @pytest.mark.parametrize("command", ["generate", "train", "eval", "plot", "pipeline"])
+    @pytest.mark.parametrize("command", ["generate", "segment", "train", "eval", "plot", "pipeline"])
     def test_a_file_that_is_not_json_names_itself(self, trained_chain, tmp_path, capsys, command, content):
         data = shutil.copytree(trained_chain[0], tmp_path / "data")
-        path = data / "segmentation.json" if command == "train" else tmp_path / "input.json"
+        path = {"segment": data / "config.json", "train": data / "segmentation.json"}.get(command, tmp_path / "input.json")
         path.write_bytes(content)
         out = tmp_path / "out"
         argv = {
-            "generate": ["generate", "--scene", str(path), "--out", str(out)],
+            "generate": ["generate", "--config", str(path), "--out", str(out)],
+            "segment": ["segment", "--data", str(data)],
             "train": ["train", "--data", str(data), "--out", str(out)],
             "eval": ["eval", "--data", str(data), "--model", str(path), "--out", str(out)],
             "plot": ["plot", "--report", str(path), "--out", str(out)],
@@ -946,39 +1021,11 @@ class TestRegionMap:
         ]
 
 
-def test_segment_option_defaults_are_the_config_defaults():
-    from amdnloc.cli import build_parser
-    from amdnloc.evaluate import default_config
-
-    defaults = default_config()
-    args = build_parser().parse_args(["segment", "--data", "d"])
-    for key in ("tau_in", "tau_out", "min_count", "k_max", "seed"):
-        assert getattr(args, key) == defaults[key], key
-    assert [int(side) for side in args.template.split("x")] == defaults["template_size"]
-    assert build_parser().parse_args(["train", "--data", "d"]).ridge_lambda == defaults["ridge_lambda"]
-
-
-def test_config_options_parse_to_the_config_types():
-    from amdnloc.cli import build_parser
-    from amdnloc.evaluate import default_config
-
-    defaults = default_config()
-    segment = vars(build_parser().parse_args(["segment", "--data", "d"]))
-    train = vars(build_parser().parse_args(["train", "--data", "d"]))
-    parsed = {**{key: segment[key] for key in ("tau_in", "tau_out", "min_count", "k_max", "seed")},
-              "ridge_lambda": train["ridge_lambda"]}
-    assert [(key, value, type(value)) for key, value in parsed.items()] == [
-        (key, defaults[key], type(defaults[key])) for key in parsed
-    ]
-    tau_in = build_parser().parse_args(["segment", "--data", "d", "--tau-in", "1"]).tau_in
-    assert tau_in == 1.0 and type(tau_in) is float
-
-
 class TestTrainOptions:
     def test_removed_fit_options_are_unknown(self, trained_chain, tmp_path, capsys):
         data = trained_chain[0]
         out = tmp_path / "model.json"
-        for option in (["--method", "sgd"], ["--method", "ridge"], ["--seed", "3"]):
+        for option in (["--method", "sgd"], ["--method", "ridge"], ["--seed", "3"], ["--ridge-lambda", "30"]):
             with pytest.raises(SystemExit) as exc:
                 main(["train", "--data", str(data), *option, "--out", str(out)])
             assert exc.value.code == 2  # argparse's exit for an unknown option
@@ -988,10 +1035,12 @@ class TestTrainOptions:
     def test_ridge_lambda_reaches_train(self, trained_chain, tmp_path):
         from amdnloc.localizer import train
 
-        data, default_model = trained_chain
+        default_model = trained_chain[1]
+        data = shutil.copytree(trained_chain[0], tmp_path / "data")
+        _edit_config(data, ridge_lambda=30)
         out = tmp_path / "model.json"
         assert main([
-            "train", "--data", str(data), "--ridge-lambda", "30", "--out", str(out),
+            "train", "--data", str(data), "--out", str(out),
         ]) == 0
         samples = dio.read_dataset(data)
         train_samples, segmentation = dio.read_segmentation(data / "segmentation.json", samples)
@@ -1190,26 +1239,18 @@ class TestSegmentationRecord:
             with pytest.raises(ValueError, match=re.escape(f"{path}: min_count={largest} removes every sample")):
                 dio.read_segmentation(path, samples)
 
-    def test_cli_segment_and_train_write_the_model_of_the_library_calls(self, trained_chain, tmp_path, monkeypatch):
-        from amdnloc.evaluate import default_config, segment
+    def test_cli_segment_and_train_write_the_model_of_the_library_calls(self, trained_chain, tmp_path):
         from amdnloc.localizer import train
 
-        monkeypatch.delenv("AMDN_SEED", raising=False)
         data = shutil.copytree(trained_chain[0], tmp_path / "data")
-        assert main([
-            "segment", "--data", str(data), "--tau-in", "0.95", "--tau-out", "0.93", "--template", "8x8",
-            "--min-count", "1", "--k-max", "3", "--seed", "4",
-        ]) == 0
+        # the seed draws both the split and the clusters
+        config = _edit_config(data, tau_out=0.93, min_count=1, k_max=3, seed=4, ridge_lambda=0.5)
+        assert main(["segment", "--data", str(data)]) == 0
         out = tmp_path / "model.json"
-        assert main([
-            "train", "--data", str(data), "--ridge-lambda", "0.5", "--out", str(out),
-        ]) == 0
-        samples = dio.read_dataset(data)
-        cfg = {
-            **default_config(), "tau_in": 0.95, "tau_out": 0.93, "template_size": (8, 8), "min_count": 1,
-            "k_max": 3, "seed": 4,
-        }
-        dio.write_model(tmp_path / "library.json", train(samples, segment(samples, cfg), 0.5))
+        assert main(["train", "--data", str(data), "--out", str(out)]) == 0
+        cfg = check_config(json.loads(config.read_text()))
+        train_samples, _ = split(dio.read_dataset(data), cfg)
+        dio.write_model(tmp_path / "library.json", train(train_samples, segment(train_samples, cfg), 0.5))
         assert out.read_bytes() == (tmp_path / "library.json").read_bytes()
         # segmentation.json holds model.json's routing state, key for key
         seg, model = (json.loads(p.read_text()) for p in (data / "segmentation.json", out))
@@ -1224,39 +1265,38 @@ class TestSegmentationRecord:
         assert main(["train", "--data", str(data), "--out", str(tmp_path / "model.json")]) == 0
         assert (tmp_path / "model.json").read_bytes() == trained_chain[1].read_bytes()
 
-    def test_train_fits_the_labels_of_the_last_segment_run(self, tmp_path, capsys, monkeypatch):
-        from amdnloc.evaluate import default_config, segment
+    def test_train_fits_the_labels_of_the_last_segment_run(self, tmp_path, capsys):
         from amdnloc.localizer import train
 
-        # two segment runs that differ only in their seed keep the founders
-        # and move the centroids; the labels train fits are the last run's
-        monkeypatch.delenv("AMDN_SEED", raising=False)
+        # two segment runs that differ only in their k_max segment the same
+        # training samples, keep the founders and move the centroids; the
+        # labels train fits are the last run's
         scene = {"area_m": [120, 120], "bs_pos": [60, 2], "buildings": [[30, 30, 18, 20], [70, 60, 20, 15]],
-                 "grid_spacing_m": 5, "nt": 16, "nc": 16, "seed": 2}
-        (tmp_path / "scene.json").write_text(json.dumps(scene))
+                 "grid_spacing_m": 5, "nt": 16, "nc": 16}
+        config = {"scene": scene, "seed": 2, "template_size": [8, 8], "tau_in": 0.95, "tau_out": 0.95, "min_count": 1}
+        (tmp_path / "config.json").write_text(json.dumps(config))
         data, out = tmp_path / "data", tmp_path / "model.json"
-        assert main(["generate", "--scene", str(tmp_path / "scene.json"), "--out", str(data)]) == 0
-        options = ["--template", "8x8", "--tau-in", "0.95", "--tau-out", "0.95", "--min-count", "1", "--k-max", "6"]
-        runs = []
-        for seed in (0, 5):
-            assert main(["segment", "--data", str(data), *options, "--seed", str(seed)]) == 0
+        assert main(["generate", "--config", str(tmp_path / "config.json"), "--out", str(data)]) == 0
+        runs, k_maxes = [], (2, 6)  # select_k picks 2 and 3 clusters
+        for k_max in k_maxes:
+            _edit_config(data, k_max=k_max)
+            assert main(["segment", "--data", str(data)]) == 0
             runs.append(json.loads((data / "segmentation.json").read_text()))
+        assert [[sid for sid, _, _ in run["samples"]] for run in runs] == [[sid for sid, _, _ in runs[0]["samples"]]] * 2
         assert runs[0]["founders"] == runs[1]["founders"] and runs[0]["adcam_centroids"] != runs[1]["adcam_centroids"]
         assert main(["train", "--data", str(data), "--out", str(out)]) == 0
-        samples = dio.read_dataset(data)
-        cfg = {
-            **default_config(), "template_size": (8, 8), "tau_in": 0.95, "tau_out": 0.95, "min_count": 1, "k_max": 6,
-        }
-        fits = [train(samples, segment(samples, {**cfg, "seed": seed})) for seed in (0, 5)]
+        cfg = check_config(config)
+        train_samples, _ = split(dio.read_dataset(data), cfg)
+        fits = [train(train_samples, segment(train_samples, {**cfg, "k_max": k_max})) for k_max in k_maxes]
         written = {int(r): np.array(w) for r, w in json.loads(out.read_text())["weights"].items()}
         assert sorted(written) == sorted(fits[1].weights)
         assert all(written[r].tobytes() == w.tobytes() for r, w in fits[1].weights.items())
-        for seed, fit in zip((0, 5), fits):
-            dio.write_model(tmp_path / f"library_{seed}.json", fit)
-        assert out.read_bytes() == (tmp_path / "library_5.json").read_bytes()
-        # the seed-0 run numbers the same clusters otherwise, so its model
-        # maps the (cfr, adcam) pairs to other regions
-        assert out.read_bytes() != (tmp_path / "library_0.json").read_bytes()
+        for k_max, fit in zip(k_maxes, fits):
+            dio.write_model(tmp_path / f"library_{k_max}.json", fit)
+        assert out.read_bytes() == (tmp_path / f"library_{k_maxes[1]}.json").read_bytes()
+        # the first run clusters otherwise, so its model maps the
+        # (cfr, adcam) pairs to other regions
+        assert out.read_bytes() != (tmp_path / f"library_{k_maxes[0]}.json").read_bytes()
         # and the region map option is gone: an unknown option exits 2
         with pytest.raises(SystemExit) as exc:
             main(["train", "--data", str(data), "--regions", "x", "--out", str(tmp_path / "other.json")])

@@ -11,7 +11,7 @@ from scipy.spatial.distance import cdist
 from amdnloc import channel, localizer
 from amdnloc import io as dio
 from amdnloc.channel import _CHUNK, PathRecord, render_image
-from amdnloc.evaluate import _split, default_config, segment
+from amdnloc.evaluate import default_config, segment, split
 from amdnloc.fusion import Segmentation, cleanse, fuse_labels
 from amdnloc.localizer import (
     FeatureConfig,
@@ -505,9 +505,7 @@ def predict_oracle(model, sample) -> np.ndarray:
 @pytest.fixture(scope="module", params=[False, True], ids=["segmented", "single_region"])
 def held_out_model(request):
     """A model trained on a split of the small scene, and its held-out samples."""
-    samples = small_dataset()
-    tr, te = _split(len(samples), 0.8, 0)
-    train_s = [samples[i] for i in tr]
+    train_s, test_s = split(small_dataset(), {"train_fraction": 0.8, "seed": 0})
     cfg = {
         **default_config(),
         "tau_in": 0.9,
@@ -516,7 +514,7 @@ def held_out_model(request):
         "k_max": 4,
         "single_region": request.param,
     }
-    return train(train_s, segment(train_s, cfg)), [samples[i] for i in te]
+    return train(train_s, segment(train_s, cfg)), test_s
 
 
 class TestLocate:
@@ -781,11 +779,9 @@ def test_locate_scores_only_the_routes_in_doubt(held_out_model, case, monkeypatc
 
 def test_locate_across_chunks_on_the_dense_reference_scene():
     # 2,540 distinct 32x32 terminals; a single-region model on 4/5 of them
-    samples = build_dataset(reference_scene(3.5))
-    tr, te = _split(len(samples), 0.8, 0)
-    train_s = [samples[i] for i in tr]
+    train_s, test_s = split(build_dataset(reference_scene(3.5)), {"train_fraction": 0.8, "seed": 0})
     model = train(train_s, segment(train_s, {**default_config(), "single_region": True}))
-    test = [samples[i] for i in te[: 3 * _CHUNK - 11]]
+    test = test_s[: 3 * _CHUNK - 11]
     assert len(test) > 2 * _CHUNK
     xy, regions = locate(model, test)
     assert regions == [0] * len(test)
@@ -832,8 +828,7 @@ def test_one_region_train_holds_one_design_matrix():
     # + 1) design matrix and one temporary of its size (the deviations the
     # standardizer's std takes), a tenth of it to spare for small arrays;
     # the features next to an hstack copy of them with ones reach 2.34x
-    samples = build_dataset(reference_scene(3.5))
-    train_s = [samples[i] for i in _split(len(samples), 0.8, 3)[0]]
+    train_s = split(build_dataset(reference_scene(3.5)), {"train_fraction": 0.8, "seed": 3})[0]
     cfg = {**default_config(), "single_region": True}
     segmentation = segment(train_s, cfg)
     train(train_s[:3], segment(train_s[:3], cfg))  # first-call imports and caches
