@@ -16,8 +16,9 @@ from amdnloc import run_pipeline
 from amdnloc.evaluate import default_config
 
 # The scene and settings of HETERO_SCENE and HETERO_CONFIG in
-# tests/test_acceptance.py. run_pipeline seeds the scene from the
-# config's seed, so each seed draws its own noise and split.
+# tests/test_acceptance.py, which checks that they stay equal.
+# run_pipeline seeds the scene from the config's seed, so each seed
+# draws its own noise and split.
 SCENE = {
     **default_config()["scene"],
     "area_m": [250.0, 250.0],
@@ -43,27 +44,28 @@ CONFIG = {
     "ridge_lambda": 30.0,
 }
 
-cells = []
-print(f"{'nlos_mode':>9} {'snr_db':>6} {'seed':>4} {'segmented_m':>11} {'global_m':>9} {'ratio':>6} {'regions':>7}")
-for nlos_mode in ("all", "nlos_only"):
-    for snr_db in (None, 30.0, 20.0):
-        for seed in range(6):
-            config = {**CONFIG, "scene": {**SCENE, "snr_db": snr_db}, "seed": seed, "nlos_mode": nlos_mode}
-            segmented = run_pipeline(config)
-            global_run = run_pipeline({**config, "single_region": True})
-            cell = {
-                "nlos_mode": nlos_mode,
-                "snr_db": snr_db,
-                "seed": seed,
-                "segmented_m": segmented["mean_error_m"],
-                "global_m": global_run["mean_error_m"],
-                "ratio": segmented["mean_error_m"] / global_run["mean_error_m"],
-                "regions": segmented["region_count"],
-            }
-            cells.append(cell)
-            snr = "none" if snr_db is None else f"{snr_db:g}"
-            print(
-                f"{nlos_mode:>9} {snr:>6} {seed:>4} {cell['segmented_m']:>11.3f} {cell['global_m']:>9.3f}"
-                f" {cell['ratio']:>6.3f} {cell['regions']:>7}"
-            )
-print(json.dumps({"cells": cells}))
+if __name__ == "__main__":
+    cells = []
+    print(f"{'nlos_mode':>9} {'snr_db':>6} {'seed':>4} {'segmented_m':>11} {'global_m':>9} {'ratio':>6} {'regions':>7}")
+    for nlos_mode in ("all", "nlos_only"):
+        for snr_db in (None, 30.0, 20.0):
+            for seed in range(6):
+                config = {**CONFIG, "scene": {**SCENE, "snr_db": snr_db}, "seed": seed, "nlos_mode": nlos_mode}
+                segmented = run_pipeline(config)
+                global_run = run_pipeline({**config, "single_region": True})
+                cell = {
+                    "nlos_mode": nlos_mode,
+                    "snr_db": snr_db,
+                    "seed": seed,
+                    "segmented_m": segmented["mean_error_m"],
+                    "global_m": global_run["mean_error_m"],
+                    "ratio": segmented["mean_error_m"] / global_run["mean_error_m"],
+                    "regions": segmented["region_count"],
+                }
+                cells.append(cell)
+                snr = "none" if snr_db is None else f"{snr_db:g}"
+                print(
+                    f"{nlos_mode:>9} {snr:>6} {seed:>4} {cell['segmented_m']:>11.3f} {cell['global_m']:>9.3f}"
+                    f" {cell['ratio']:>6.3f} {cell['regions']:>7}"
+                )
+    print(json.dumps({"cells": cells}))

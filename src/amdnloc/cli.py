@@ -23,9 +23,11 @@ import sys
 from pathlib import Path
 
 from . import io as dio
+from .channel import render_image
 from .evaluate import (
     PipelineError,
     check_config,
+    dataset_chunks,
     error_report,
     export_region_map,
     generate,
@@ -49,13 +51,14 @@ def _dataset_config(data: Path) -> dict:
 
 
 def _cmd_generate(args) -> int:
-    cfg, samples = generate(dio.read_json(args.config))
-    dio.write_dataset(samples, args.out, cfg)
-    print(f"wrote {len(samples)} samples and config.json to {args.out}")
+    cfg, scene, terminals = generate(dio.read_json(args.config))
+    for _ in dataset_chunks(scene, terminals, cfg, args.out):
+        pass
+    print(f"wrote {len(terminals)} samples and config.json to {args.out}")
     # a delay past the window is clipped into its last bin
-    last_bin = samples[0].cfr.shape[1] - 1
-    last = sum(any(p.delay_samples == last_bin for p in s.paths) for s in samples)
-    print(f"{last} of {len(samples)} terminals ({last / len(samples):.1%}) have a path in the last delay bin, {last_bin}")
+    last_bin = scene.nc - 1
+    last = sum(any(p.delay_samples == last_bin for p in t.paths) for t in terminals)
+    print(f"{last} of {len(terminals)} terminals ({last / len(terminals):.1%}) have a path in the last delay bin, {last_bin}")
     return 0
 
 
@@ -63,7 +66,7 @@ def _cmd_segment(args) -> int:
     data = Path(args.data)
     cfg = _dataset_config(data)
     train_samples, _ = split(dio.read_dataset(data), cfg)
-    seg = segment(train_samples, cfg)
+    seg = segment(train_samples, cfg, [render_image(s.cfr, "cfr_magnitude") for s in train_samples])
     export_region_map(train_samples, seg.regions, data / "region_map.csv", data / "region_map.ppm")
     dio.write_segmentation(data / "segmentation.json", seg, [s.id for s in train_samples], cfg["min_count"])
     print(

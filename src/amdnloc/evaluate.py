@@ -1,6 +1,7 @@
 """Metrics, report generation and end-to-end pipeline orchestration."""
 from __future__ import annotations
 
+import contextlib
 import copy
 import dataclasses
 import json
@@ -9,9 +10,9 @@ from pathlib import Path
 import numpy as np
 
 from . import io as dio
-from .channel import _chunks, render_image
+from .channel import _chunk_rows
 from .fusion import RegionLabels, Segmentation, cleanse, fuse_labels
-from .localizer import _BLOCK_GRID, locate, train
+from .localizer import _BLOCK_GRID, FeatureConfig, _chunk_features, fit, locate
 from .scenegen import (
     _COUNT,
     _NLOS_MODES,
@@ -19,14 +20,16 @@ from .scenegen import (
     _SEED,
     Sample,
     SceneConfig,
+    Terminal,
     _check,
     _is_int,
     _is_real,
     _one_of,
-    build_dataset,
+    fingerprint_chunks,
     nlos_filter,
     scene_from_json,
     scene_to_json,
+    trace_terminals,
 )
 from .segmentation_adcam import _PATH_SELECT, _distinct_rows, build_features, select_k
 from .segmentation_cfr import extract_templates, segment_cfr
@@ -39,6 +42,7 @@ __all__ = [
     "PipelineError",
     "check_config",
     "generate",
+    "dataset_chunks",
     "split",
     "segment",
     "run_pipeline",
@@ -149,25 +153,21 @@ def default_config() -> dict:
     return copy.deepcopy({key: default for key, (default, _, _) in _CONFIG.items()})
 
 
-def segment(train_samples, cfg) -> Segmentation:
+def segment(train_samples, cfg, images) -> Segmentation:
     """Run both segmentations on the training set and fuse them; founder ids are sample ids.
 
+    ``train_samples`` need their ids and paths, and ``images`` holds
+    their CFR magnitude images (``render_image`` of each CFR), in order.
     ``single_region`` makes one CFR category, founded by the first
-    sample, and one cluster.
+    sample, and one cluster; it reads the first image alone.
     """
     size = cfg["template_size"]  # checked where a template is cut or scored
     if cfg.get("single_region"):
-        first = train_samples[0]
         cfr_lab = np.zeros(len(train_samples), dtype=int)
-        founders = {0: extract_templates(render_image(first.cfr, "cfr_magnitude"), size, founder_id=first.id)}
+        founders = {0: extract_templates(images[0], size, founder_id=train_samples[0].id)}
         k_max = 1
     else:
-        images = [
-            image
-            for rows in _chunks(len(train_samples))
-            for image in render_image(np.array([s.cfr for s in train_samples[rows]]), "cfr_magnitude")
-        ]
-        labeling = segment_cfr(images, cfg["tau_in"], cfg["tau_out"], size)
+        labeling = segment_cfr(list(images), cfg["tau_in"], cfg["tau_out"], size)
         cfr_lab = labeling.labels
         founders = {
             c: dataclasses.replace(p, founder_id=train_samples[p.founder_id].id)
@@ -201,11 +201,12 @@ def check_config(config) -> dict:
     return cfg
 
 
-def generate(config) -> tuple[dict, list[Sample]]:
+def generate(config) -> tuple[dict, SceneConfig, list[Terminal]]:
     """The checked config (``check_config``, whose error is a ``[config]``
-    error) and its samples: its scene seeded by the config ``seed`` in
-    place of its own, then ``nlos_filter``. Fewer than 2 samples leave
-    none to hold out, a ``[generate]`` error."""
+    error), its scene, seeded by the config ``seed`` in place of its own,
+    and the scene's terminals, traced and ``nlos_filter``ed, with no
+    fingerprint made: ``scenegen.fingerprint_chunks`` makes them. Fewer
+    than 2 terminals leave none to hold out, a ``[generate]`` error."""
     try:
         cfg = check_config(config)
     except ValueError as e:
@@ -213,12 +214,12 @@ def generate(config) -> tuple[dict, list[Sample]]:
     try:
         scene = scene_from_json(cfg["scene"])
         scene.seed = int(cfg["seed"])
-        samples = nlos_filter(build_dataset(scene), cfg["nlos_mode"])
-        if len(samples) < 2:
-            raise ValueError(f"{len(samples)} sample; the pipeline holds samples out to test on and needs at least 2")
+        terminals = nlos_filter(trace_terminals(scene), cfg["nlos_mode"])
+        if len(terminals) < 2:
+            raise ValueError(f"{len(terminals)} sample; the pipeline holds samples out to test on and needs at least 2")
     except (ValueError, TypeError) as e:
         raise PipelineError("generate", str(e)) from e
-    return cfg, samples
+    return cfg, scene, terminals
 
 
 def split(samples: list, cfg: dict) -> tuple[list, list]:
@@ -231,26 +232,93 @@ def split(samples: list, cfg: dict) -> tuple[list, list]:
     return [samples[i] for i in np.sort(order[:n_train])], [samples[i] for i in np.sort(order[n_train:])]
 
 
+def dataset_chunks(scene: SceneConfig, terminals: list[Terminal], cfg: dict, out_dir: str | Path | None = None):
+    """``scenegen.fingerprint_chunks`` of the terminals, each chunk written
+    first to the dataset files of ``out_dir`` (``cfg`` as its config.json)
+    through one ``io.DatasetWriter`` when ``out_dir`` is given. An error
+    in making them is a ``[generate]`` error, and the writer removes what
+    it wrote."""
+    try:
+        with contextlib.nullcontext() if out_dir is None else dio.DatasetWriter(out_dir, terminals, cfg) as writer:
+            for rows, cfr, adcam in fingerprint_chunks(scene, terminals):
+                if writer is not None:
+                    writer.write(cfr, adcam)
+                yield rows, cfr, adcam
+    except (ValueError, TypeError) as e:
+        raise PipelineError("generate", str(e)) from e
+
+
+def _fingerprint_pass(config: FeatureConfig, terminals: list[Terminal], cfg: dict, chunks):
+    """One pass over the ``dataset_chunks`` of ``terminals``, each used once.
+
+    A chunk's training terminals get their feature rows
+    (``localizer._chunk_features``) in the training design matrix and
+    their CFR magnitude images in an (n_train, nt, nc) stack, of which a
+    ``single_region`` run keeps only the first; its held-out terminals
+    become samples holding rows of one held-out CFR stack and one ADCAM
+    stack. Returns the training terminals, the design matrix, the images
+    and the held-out samples.
+    """
+    train_t, held = split(terminals, cfg)
+    train_ids = {t.id for t in train_t}
+    is_train = np.array([t.id in train_ids for t in terminals])
+    design = np.empty((len(train_t), config.fused_len + 1))
+    design[:, -1] = 1.0
+    shape = (config.nt, config.nc)
+    images = np.empty((1 if cfg["single_region"] else len(train_t), *shape))
+    held_cfr = np.empty((len(held), *shape), dtype=complex)
+    held_adcam = np.empty(held_cfr.shape)
+    work = np.empty((3, _chunk_rows(len(train_t)), *shape))
+    n_train = n_held = 0  # rows filled so far
+    for rows, cfr, adcam in chunks:
+        mask = is_train[rows]
+        k = int(mask.sum())
+        if k:
+            planes = _chunk_features(cfr[mask], adcam[mask], work[:, :k], design[n_train : n_train + k, :-1])
+            kept = images[n_train : n_train + k]  # none past the first of a single-region run
+            kept[...] = planes[0, : len(kept)]
+        k_held = len(mask) - k
+        held_cfr[n_held : n_held + k_held], held_adcam[n_held : n_held + k_held] = cfr[~mask], adcam[~mask]
+        n_train, n_held = n_train + k, n_held + k_held
+    test_samples = [Sample(**vars(t), cfr=c, adcam=a) for t, c, a in zip(held, held_cfr, held_adcam)]
+    return train_t, design, images, test_samples
+
+
 def run_pipeline(config: dict, out_dir: str | Path | None = None) -> dict:
     """Generate, segment, train and evaluate in one deterministic run.
 
     The stages are ``generate`` (whose ``[config]`` error is raised
     before anything runs or is written), ``split``, ``segment`` and
     ``train`` on the training samples, and ``locate`` of the held-out
-    ones. Returns the report dict; when ``out_dir`` is given all
-    artifacts (dataset and its config.json, region map, model, report)
-    are written there.
+    ones. The fingerprints are made ``channel._CHUNK`` terminals at a
+    time and each chunk is used once: ``dataset_chunks`` writes it to the
+    dataset files, and ``_fingerprint_pass`` turns it into rows of the
+    training design matrix and images, or keeps it as held-out samples;
+    training is ``localizer.fit`` on that matrix. Returns the report
+    dict; when ``out_dir`` is given all artifacts (dataset and its
+    config.json, region map, model, report) are written there.
+
+    A ``[config]`` or ``[generate]`` error writes nothing. The dataset
+    directory is written during the pass, before segmentation, so a
+    ``[segment]``, ``[train]`` or ``[eval]`` error leaves it as
+    ``amdnloc generate`` writes it for the same config, byte for byte,
+    and writes no region map, model or report.
     """
-    cfg, samples = generate(config)
-    train_samples, test_samples = split(samples, cfg)
+    cfg, scene, terminals = generate(config)
+    out = None if out_dir is None else Path(out_dir)
+    features = FeatureConfig(nt=scene.nt, nc=scene.nc)
+    chunks = dataset_chunks(scene, terminals, cfg, None if out is None else out / "dataset")
+    train_t, design, images, test_samples = _fingerprint_pass(features, terminals, cfg, chunks)
 
     try:
-        segmentation = segment(train_samples, cfg)
+        segmentation = segment(train_t, cfg, images)
     except ValueError as e:
         raise PipelineError("segment", str(e)) from e
+    del images
 
     try:
-        model = train(train_samples, segmentation, cfg["ridge_lambda"])
+        positions = np.array([t.pos for t in train_t])
+        model = fit(design, positions, segmentation, features, cfg["ridge_lambda"])
     except (ValueError, np.linalg.LinAlgError) as e:
         raise PipelineError("train", str(e)) from e
 
@@ -263,20 +331,15 @@ def run_pipeline(config: dict, out_dir: str | Path | None = None) -> dict:
     report = {
         **errors,
         "covering_rate": segmentation.regions.covering_rate,
-        "n_train": len(train_samples),
+        "n_train": len(train_t),
         "n_test": len(test_samples),
         "region_count": segmentation.regions.fused_count,
         "config": cfg,
         "seed": cfg["seed"],
     }
 
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        dio.write_dataset(samples, out / "dataset", cfg)
-        export_region_map(
-            train_samples, segmentation.regions, out / "region_map.csv", out / "region_map.ppm"
-        )
+    if out is not None:
+        export_region_map(train_t, segmentation.regions, out / "region_map.csv", out / "region_map.ppm")
         dio.write_model(out / "model.json", model)
         (out / "report.json").write_text(json.dumps(report, sort_keys=True, indent=1))
     return report

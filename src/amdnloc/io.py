@@ -32,6 +32,7 @@ __all__ = [
     "FORMAT_VERSION",
     "MODEL_VERSION",
     "read_json",
+    "DatasetWriter",
     "write_dataset",
     "read_dataset",
     "write_region_map",
@@ -80,19 +81,6 @@ def _csv_rows(path, columns: dict):
             yield parsed
 
 
-def _write_bin(path: Path, arrays: list[np.ndarray], complex_data: bool):
-    """Header, then the samples as float32, ``channel._CHUNK`` at a time;
-    complex64 stores each entry as its real and imaginary float32."""
-    count = len(arrays)
-    nt, nc = arrays[0].shape if count else (0, 0)
-    header = MAGIC + np.array([FORMAT_VERSION, count, nt, nc], dtype="<u4").tobytes()
-    dtype = "<c8" if complex_data else "<f4"
-    with open(path, "wb") as fh:
-        fh.write(header)
-        for rows in _chunks(count):
-            fh.write(np.array(arrays[rows], dtype=dtype).tobytes())
-
-
 def _read_bin(path: Path, complex_data: bool) -> tuple[tuple[int, int], np.ndarray]:
     """The (nt, nc) of the header and the samples of a .bin file, as one
     (count, nt, nc) float64 or complex128 stack, each stored float32
@@ -116,29 +104,82 @@ def _read_bin(path: Path, complex_data: bool) -> tuple[tuple[int, int], np.ndarr
     return (nt, nc), data.reshape(count, nt, nc).astype(np.complex128 if complex_data else np.float64)
 
 
+class DatasetWriter:
+    """A dataset directory written as its fingerprints arrive, so its
+    writer need not hold every sample's matrices.
+
+    Made from the terminals (or samples) of the dataset, it writes
+    config.json when given a config, positions.csv and paths.csv; each
+    ``write(cfr, adcam)`` then appends the next rows of both fingerprint
+    stacks to cfr.bin and adcam.bin as float32. Each .bin header counts
+    every terminal and takes (nt, nc) from its file's first rows, or (0,
+    0) when there are none. Used as a context manager: when the block
+    raises, the files and directories the writer made are removed.
+    """
+
+    def __init__(self, out_dir: str | Path, terminals, config: dict | None = None):
+        out = Path(out_dir)
+        self._made = [d for d in (out, *out.parents) if not d.exists()]
+        out.mkdir(parents=True, exist_ok=True)
+        self._paths = [out / name for name in ("positions.csv", "paths.csv", "cfr.bin", "adcam.bin")]
+        if config is not None:
+            self._paths.append(out / "config.json")
+            self._paths[-1].write_text(json.dumps(config, sort_keys=True, indent=1))
+        with open(out / "positions.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["id", "x", "y", "is_los"])
+            for t in terminals:
+                w.writerow([t.id, repr(float(t.pos[0])), repr(float(t.pos[1])), int(t.is_los)])
+        with open(out / "paths.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(
+                ["id", "path_id", "aoa_rad", "aod_rad", "gain_re", "gain_im", "delay_samples", "pathloss_db"]
+            )
+            for t in terminals:
+                for pid, p in enumerate(t.paths):
+                    w.writerow(
+                        [t.id, pid, repr(float(p.aoa)), repr(float(p.aod)), repr(float(p.gain.real)), repr(float(p.gain.imag)), int(p.delay_samples), repr(float(p.pathloss_db))]
+                    )
+        self._count = len(terminals)
+        self._bins = [(open(out / "cfr.bin", "wb"), "<c8"), (open(out / "adcam.bin", "wb"), "<f4")]
+
+    def write(self, cfr, adcam):
+        """Append the next rows, an (n, nt, nc) CFR stack and its ADCAM
+        stack (or lists of matrices), complex64 as real and imaginary
+        float32."""
+        for (fh, dtype), rows in zip(self._bins, (cfr, adcam)):
+            data = np.asarray(rows, dtype=dtype)
+            if len(data) and fh.tell() == 0:
+                fh.write(_header(self._count, data.shape[1:]))
+            fh.write(data.tobytes())
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        for fh, _ in self._bins:
+            if fh.tell() == 0:
+                fh.write(_header(self._count, (0, 0)))
+            fh.close()
+        if exc_type is not None:
+            for path in self._paths:
+                path.unlink(missing_ok=True)
+            for d in self._made:
+                d.rmdir()
+
+
+def _header(count: int, shape: tuple[int, int]) -> bytes:
+    """The 20-byte header of a .bin file of ``count`` (nt, nc) matrices."""
+    return MAGIC + np.array([FORMAT_VERSION, count, *shape], dtype="<u4").tobytes()
+
+
 def write_dataset(samples: list[Sample], out_dir: str | Path, config: dict | None = None):
-    """The four dataset files, and ``config`` as config.json, written as report.json writes it."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    if config is not None:
-        (out / "config.json").write_text(json.dumps(config, sort_keys=True, indent=1))
-    with open(out / "positions.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["id", "x", "y", "is_los"])
-        for s in samples:
-            w.writerow([s.id, repr(float(s.pos[0])), repr(float(s.pos[1])), int(s.is_los)])
-    with open(out / "paths.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["id", "path_id", "aoa_rad", "aod_rad", "gain_re", "gain_im", "delay_samples", "pathloss_db"]
-        )
-        for s in samples:
-            for pid, p in enumerate(s.paths):
-                w.writerow(
-                    [s.id, pid, repr(float(p.aoa)), repr(float(p.aod)), repr(float(p.gain.real)), repr(float(p.gain.imag)), int(p.delay_samples), repr(float(p.pathloss_db))]
-                )
-    _write_bin(out / "cfr.bin", [s.cfr for s in samples], complex_data=True)
-    _write_bin(out / "adcam.bin", [s.adcam for s in samples], complex_data=False)
+    """The four dataset files, and ``config`` as config.json, written as
+    report.json writes it: a ``DatasetWriter`` fed the samples' rows,
+    ``channel._CHUNK`` at a time."""
+    with DatasetWriter(out_dir, samples, config) as writer:
+        for rows in _chunks(len(samples)):
+            writer.write([s.cfr for s in samples[rows]], [s.adcam for s in samples[rows]])
 
 
 def read_dataset(data_dir: str | Path) -> list[Sample]:

@@ -2,20 +2,22 @@
 
 Features are deterministic: block means of the CFR magnitude/phase and
 angle-delay images, row/column profiles, and the strongest angle-delay
-peaks. ``_image_features`` defines their layout, and ``train``,
-``locate`` and ``sample_features`` all take them through
+peaks. ``_image_features`` defines their layout, and every feature
+vector comes from ``_chunk_features``, which renders the three images of
+a chunk of samples in place into one plane stack and writes their fused
+vectors. ``train``, ``locate`` and ``sample_features`` take it through
 ``_stack_features``: one pass over the samples, ``channel._CHUNK`` at a
-time, that renders the three images of every sample in place into one
-plane stack and writes the fused vectors and a column of ones into one
-design matrix, whose features ``Standardizer.apply`` standardizes in
-place. Each fused region gets its own affine regressor over a design
-row. A model of one region sends every test sample to it; with more
-regions a test sample is routed by re-running the training-time matchers
-(CFR founder templates, clustering centroids) with a nearest-centroid
-fallback. The cluster is taken first: when every founder would send the
-sample to one region, by its (founder, cluster) pair or by the fallback,
-that region is taken and no founder is scored; only the other samples
-are scored.
+time, that writes the vectors and a column of ones into one design
+matrix; ``evaluate.run_pipeline`` calls it on each chunk of fingerprints
+as they are made. ``fit`` standardizes a design matrix's features in
+place with ``Standardizer.apply`` and gives each fused region its own
+affine regressor over a design row. A model of one region sends every
+test sample to it; with more regions a test sample is routed by
+re-running the training-time matchers (CFR founder templates, clustering
+centroids) with a nearest-centroid fallback. The cluster is taken first:
+when every founder would send the sample to one region, by its (founder,
+cluster) pair or by the fallback, that region is taken and no founder is
+scored; only the other samples are scored.
 """
 from __future__ import annotations
 
@@ -34,6 +36,7 @@ __all__ = [
     "sample_features",
     "fit_region_weights",
     "apply_weights",
+    "fit",
     "train",
     "locate",
     "predict",
@@ -173,18 +176,26 @@ def _render_planes(cfr: np.ndarray, adcam, out: np.ndarray | None = None) -> np.
     return planes
 
 
+def _chunk_features(cfr: np.ndarray, adcam, work: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The one per-chunk feature step: ``_render_planes`` renders a chunk's
+    (k, nt, nc) CFR stack and its ADCAMs into the (3, k, nt, nc) ``work``
+    stack, and ``_image_features`` writes their fused vectors into ``out``
+    (k, fused_len). Returns the rendered planes."""
+    planes = _render_planes(cfr, adcam, work)
+    _image_features(planes, out)
+    return planes
+
+
 def _stack_features(samples, config: FeatureConfig, mags: np.ndarray | None = None) -> np.ndarray:
     """The (n, fused_len + 1) design matrix of samples: the raw fused
     feature vector of each sample, then a one.
 
     The samples are checked once by ``_check_samples``, then taken
-    ``channel._CHUNK`` at a time: a chunk's CFRs are stacked, and
-    ``_render_planes`` renders them and the chunk's ADCAMs in place into
-    one (3, chunk, nt, nc) plane stack, with no ``render_image`` call;
-    every chunk reuses the CFR stack and the plane stack.
-    ``_image_features`` writes the features of the chunk's rows. When
-    ``mags`` (n, nt, nc) is given, each chunk's CFR magnitude images are
-    written into its rows.
+    ``channel._CHUNK`` at a time: a chunk's CFRs are stacked and
+    ``_chunk_features`` writes the features of the chunk's rows, with no
+    ``render_image`` call; every chunk reuses the CFR stack and the plane
+    stack. When ``mags`` (n, nt, nc) is given, each chunk's CFR magnitude
+    images are written into its rows.
     """
     _check_samples(samples, (config.nt, config.nc))
     design = np.empty((len(samples), config.fused_len + 1))
@@ -195,8 +206,7 @@ def _stack_features(samples, config: FeatureConfig, mags: np.ndarray | None = No
         chunk = samples[rows]
         for i, s in enumerate(chunk):
             cfrs[i] = s.cfr
-        planes = _render_planes(cfrs[: len(chunk)], [s.adcam for s in chunk], work[:, : len(chunk)])
-        _image_features(planes, design[rows, :-1])
+        planes = _chunk_features(cfrs[: len(chunk)], [s.adcam for s in chunk], work[:, : len(chunk)], design[rows, :-1])
         if mags is not None:
             mags[rows] = planes[0]
     return design
@@ -259,29 +269,27 @@ class LocalizationModel:
         self.founder_labels = np.array(list(self.founders))
 
 
-def train(samples, segmentation: Segmentation, ridge_lambda: float = 1e-3) -> LocalizationModel:
-    """Fit one closed-form ridge regressor per retained fused region.
+def fit(
+    design: np.ndarray, positions, segmentation: Segmentation, config: FeatureConfig, ridge_lambda: float = 1e-3
+) -> LocalizationModel:
+    """Fit one closed-form ridge regressor per retained fused region on
+    the (n, fused_len + 1) design matrix of the segmented samples, in
+    their order, and their (n, 2) positions.
 
-    Each region is solved on its rows of the one ``_stack_features``
-    design matrix, standardized in place by the retained samples'
-    constants; the segmentation's routing state is stored so ``locate``
-    can route new samples. Every sample's CFR and ADCAM must have the
-    shape of the first sample's CFR, which sets the model's (nt, nc).
-    No samples, or none retained, are a ``ValueError``.
+    The features are standardized in place by the retained rows'
+    constants, and each region is solved on its rows; the segmentation's
+    routing state is stored so ``locate`` can route new samples. None
+    retained is a ``ValueError``.
     """
     regions = segmentation.regions
     retained = regions.retained
-    if not samples:
-        raise ValueError("no training samples")
     if not retained.any():
-        raise ValueError(f"none of the {len(samples)} training samples is retained; every one was cleansed")
-    config = FeatureConfig(nt=samples[0].cfr.shape[0], nc=samples[0].cfr.shape[1])
-    design = _stack_features(samples, config)
+        raise ValueError(f"none of the {len(design)} training samples is retained; every one was cleansed")
     feats = design[:, :-1]
     # no gathered copy of the rows when every sample is retained
     feat_std = Standardizer.fit(feats if retained.all() else feats[retained])
     feat_std.apply(feats, out=feats)
-    positions = np.array([s.pos for s in samples])
+    positions = np.asarray(positions, dtype=float)
 
     weights: dict[int, np.ndarray] = {}
     centroids: dict[int, np.ndarray] = {}
@@ -305,6 +313,18 @@ def train(samples, segmentation: Segmentation, ridge_lambda: float = 1e-3) -> Lo
         region_feature_centroids=centroids,
         ridge_lambda=ridge_lambda,
     )
+
+
+def train(samples, segmentation: Segmentation, ridge_lambda: float = 1e-3) -> LocalizationModel:
+    """``fit`` on the ``_stack_features`` design matrix of samples. Every
+    sample's CFR and ADCAM must have the shape of the first sample's CFR,
+    which sets the model's (nt, nc). No samples, or none retained, are a
+    ``ValueError``.
+    """
+    if not samples:
+        raise ValueError("no training samples")
+    config = FeatureConfig(nt=samples[0].cfr.shape[0], nc=samples[0].cfr.shape[1])
+    return fit(_stack_features(samples, config), [s.pos for s in samples], segmentation, config, ridge_lambda)
 
 
 def locate(model: LocalizationModel, samples) -> tuple[np.ndarray, list[int]]:

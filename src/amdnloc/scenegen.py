@@ -10,17 +10,20 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, fields
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .channel import NO_NOISE, PathRecord, add_noise, adcam, cfr_stack
+from .channel import NO_NOISE, PathRecord, _chunks, add_noise, adcam, cfr_stack
 
 __all__ = [
     "Rect",
     "SceneConfig",
+    "Terminal",
     "Sample",
     "trace_paths",
+    "trace_terminals",
+    "fingerprint_chunks",
     "build_dataset",
     "nlos_filter",
     "scene_from_json",
@@ -147,13 +150,19 @@ class SceneConfig:
 
 
 @dataclass
-class Sample:
-    """One terminal position with its traced paths and fingerprints."""
+class Terminal:
+    """One terminal position with its traced paths."""
 
     id: int
     pos: tuple[float, float]
     paths: list[PathRecord]
     is_los: bool
+
+
+@dataclass
+class Sample(Terminal):
+    """A terminal with its fingerprints, (nt, nc) each."""
+
     cfr: np.ndarray
     adcam: np.ndarray
 
@@ -287,12 +296,9 @@ def trace_paths(scene: SceneConfig, mt: Sequence[float]) -> tuple[list[PathRecor
     return _trace(scene, np.array([mt]))[0]
 
 
-def build_dataset(scene: SceneConfig) -> list[Sample]:
-    """One sample per reachable grid terminal, in grid-index order.
-
-    The CFR and ADCAM matrices of all samples are built as two stacks,
-    (n, nt, nc) each, and every sample holds its row of both.
-    """
+def trace_terminals(scene: SceneConfig) -> list[Terminal]:
+    """One terminal per reachable grid point, in grid-index order, its id
+    its index among them; no fingerprint is made."""
     w, h = scene.area_m
     rng = np.random.default_rng(scene.seed)
     spacing = scene.grid_spacing_m
@@ -311,23 +317,47 @@ def build_dataset(scene: SceneConfig) -> list[Sample]:
     ]
     if not reached:
         raise ValueError("no reachable terminals in scene")
-    cfr = cfr_stack([paths for _, paths, _ in reached], scene.nt, scene.nc, scene.spacing_ratio)
-    if scene.snr_db != NO_NOISE:
-        for sid in range(len(cfr)):
-            cfr[sid] = add_noise(cfr[sid], scene.snr_db, seed=scene.seed * 1_000_003 + sid)
-    amplitudes = adcam(cfr)
-    return [
-        Sample(id=sid, pos=pos, paths=paths, is_los=is_los, cfr=cfr[sid], adcam=amplitudes[sid])
-        for sid, (pos, paths, is_los) in enumerate(reached)
-    ]
+    return [Terminal(id=tid, pos=pos, paths=paths, is_los=is_los) for tid, (pos, paths, is_los) in enumerate(reached)]
+
+
+def fingerprint_chunks(
+    scene: SceneConfig, terminals: Sequence[Terminal]
+) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """The fingerprints of ``terminals``, ``channel._CHUNK`` at a time: for
+    each slice of ``channel._chunks``, the (chunk, nt, nc) CFR stack of its
+    terminals' paths (``cfr_stack``), each matrix with noise seeded by its
+    terminal's id when the scene has an SNR, and its ADCAM stack. A
+    terminal's matrices do not depend on the chunk it falls in, so any
+    subset of a scene's terminals, such as ``nlos_filter``'s, gets the rows
+    ``build_dataset`` gives them."""
+    for rows in _chunks(len(terminals)):
+        chunk = terminals[rows]
+        cfr = cfr_stack([t.paths for t in chunk], scene.nt, scene.nc, scene.spacing_ratio)
+        if scene.snr_db != NO_NOISE:
+            for i, t in enumerate(chunk):
+                cfr[i] = add_noise(cfr[i], scene.snr_db, seed=scene.seed * 1_000_003 + t.id)
+        yield rows, cfr, adcam(cfr)
+
+
+def build_dataset(scene: SceneConfig) -> list[Sample]:
+    """One sample per ``trace_terminals`` terminal, in its order. The
+    ``fingerprint_chunks`` are collected into one CFR stack and one ADCAM
+    stack, (n, nt, nc) each, and every sample holds its row of both."""
+    terminals = trace_terminals(scene)
+    shape = (len(terminals), scene.nt, scene.nc)
+    cfr, amplitudes = np.empty(shape, dtype=np.complex128), np.empty(shape)
+    for rows, c, a in fingerprint_chunks(scene, terminals):
+        cfr[rows], amplitudes[rows] = c, a
+    return [Sample(**vars(t), cfr=c, adcam=a) for t, c, a in zip(terminals, cfr, amplitudes)]
 
 
 # the samples each nlos_filter mode keeps
 _NLOS_MODES = {"all": lambda s: True, "nlos_only": lambda s: not s.is_los}
 
 
-def nlos_filter(samples: list[Sample], mode: str = "all") -> list[Sample]:
-    """Keep the samples of a mode of ``_NLOS_MODES``: everything or NLOS only."""
+def nlos_filter(samples: list[Terminal], mode: str = "all") -> list[Terminal]:
+    """Keep the terminals or samples of a mode of ``_NLOS_MODES``:
+    everything or NLOS only."""
     _check({"mode": _one_of(_NLOS_MODES)}, {"mode": mode}, "nlos_filter")
     out = [s for s in samples if _NLOS_MODES[mode](s)]
     if not out:

@@ -258,6 +258,11 @@ def ridge_oracle(design: np.ndarray, y: np.ndarray, ridge_lambda: float) -> np.n
     return np.linalg.solve(gram, design.T @ y).T
 
 
+def magnitude_images(samples) -> list[np.ndarray]:
+    """The CFR magnitude image of each sample, the images ``evaluate.segment`` takes."""
+    return [channel.render_image(s.cfr, "cfr_magnitude") for s in samples]
+
+
 def refuse_numpy_inverse_ffts(monkeypatch):
     """Make every numpy inverse FFT raise, through pytest's ``monkeypatch``."""
 

@@ -7,6 +7,7 @@ held to an independent brute-force oracle, and the end-to-end claim --
 that per-region regression on a segmented scene beats one global linear
 model -- is demonstrated on a seeded synthetic scene.
 """
+import dataclasses
 import importlib.util
 import json
 import time
@@ -51,7 +52,7 @@ from amdnloc.segmentation_cfr import (
     match_within,
     segment_cfr,
 )
-from oracles import REFERENCE_SCENE, match_within_sequential, pair_scores
+from oracles import REFERENCE_SCENE, magnitude_images, match_within_sequential, pair_scores
 
 # ---------------------------------------------------------------------------
 # shared oracles
@@ -454,15 +455,15 @@ BENCHMARK_CONFIGS = {
 
 def _pipeline_model(cfg):
     """The model that ``run_pipeline(cfg)`` trains, and its held-out samples."""
-    train_s, test_s = split(generate(cfg)[1], cfg)
-    model = train(train_s, segment(train_s, cfg), cfg["ridge_lambda"])
+    cfg, scene, _ = generate(cfg)
+    train_s, test_s = split(build_dataset(scene), cfg)
+    model = train(train_s, segment(train_s, cfg, magnitude_images(train_s)), cfg["ridge_lambda"])
     return model, test_s
 
 
-def _perfbench_workloads():
-    """perfbench/workloads.py, imported from its file."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+def _module_at(name: str, relative: str):
+    """The module of a file of the repository, imported under ``name``."""
+    spec = importlib.util.spec_from_file_location(name, Path(__file__).resolve().parents[1] / relative)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -471,13 +472,27 @@ def _perfbench_workloads():
 def test_the_benchmark_times_the_reference_scene():
     # perfbench keeps its own copy of the buildings; it must not drift
     # from the scene the tests check
-    workloads = _perfbench_workloads()
+    workloads = _module_at("perfbench_workloads", "perfbench/workloads.py")
     assert [Rect(*b) for b in workloads.BUILDINGS] == REFERENCE_SCENE["buildings"]
     for name in workloads.WORKLOADS:
         scene = scene_from_json(workloads.build_config(name)["scene"])
         assert (scene.area_m, scene.bs_pos, scene.buildings) == (
             REFERENCE_SCENE["area_m"], REFERENCE_SCENE["bs_pos"], REFERENCE_SCENE["buildings"]
         ), name
+
+
+def test_the_claim_sweep_runs_the_reference_config():
+    # demos/06_claim_sweep.py keeps its own copy of the scene and settings,
+    # which run_pipeline seeds from each cell's config seed; importing it
+    # runs no sweep
+    demo = _module_at("claim_sweep", "demos/06_claim_sweep.py")
+    assert "cells" not in vars(demo)
+    scene = scene_from_json(demo.SCENE)
+    assert (scene.area_m, scene.bs_pos, scene.buildings) == (
+        REFERENCE_SCENE["area_m"], REFERENCE_SCENE["bs_pos"], REFERENCE_SCENE["buildings"]
+    )
+    assert dataclasses.replace(scene, seed=HETERO_SCENE.seed) == HETERO_SCENE
+    assert {**demo.CONFIG, "scene": HETERO_CONFIG["scene"], "seed": HETERO_CONFIG["seed"]} == HETERO_CONFIG
 
 
 @pytest.mark.parametrize("name", list(BENCHMARK_CONFIGS))

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 
 import amdnloc
-from amdnloc import channel, localizer
+from amdnloc import channel, evaluate, localizer
+from amdnloc import io as dio
 from amdnloc.cli import main
 from amdnloc.evaluate import (
     _CONFIG_RULES,
@@ -26,7 +28,9 @@ from amdnloc.evaluate import (
     split,
 )
 from amdnloc.fusion import fuse_labels
-from amdnloc.scenegen import Sample, SceneConfig, _check, build_dataset, scene_from_json
+from amdnloc.scenegen import Sample, SceneConfig, _check, build_dataset, nlos_filter, scene_from_json, scene_to_json
+
+from oracles import REFERENCE_SCENE
 
 
 class TestMeanError:
@@ -153,6 +157,15 @@ SMALL_CONFIG = {
 }
 
 
+# the reference buildings on a coarse grid, 49 of whose 136 terminals are NLOS
+COARSE_REFERENCE_SCENE = scene_to_json(SceneConfig(**REFERENCE_SCENE, grid_spacing_m=15.0, nt=16, nc=16))
+
+
+def _files(directory: Path) -> dict[str, bytes]:
+    """The files of a directory tree by relative path, with their bytes."""
+    return {str(f.relative_to(directory)): f.read_bytes() for f in sorted(directory.rglob("*")) if f.is_file()}
+
+
 class TestRunPipeline:
     def test_smoke_small_grid(self):
         report = run_pipeline(SMALL_CONFIG)
@@ -202,9 +215,88 @@ class TestRunPipeline:
             with mock.patch.object(channel, "_CHUNK", chunk), mock.patch.object(localizer, "_render_planes", spy):
                 report = run_pipeline(config, out_dir=out)
             assert report["n_train"] > 5
-            # train and locate each render one plane stack per chunk
-            assert spy.call_count == math.ceil(report["n_train"] / chunk) + math.ceil(report["n_test"] / chunk)
+            # the fingerprint pass renders one plane stack per chunk of
+            # terminals that holds a training terminal, and locate one per
+            # chunk of held-out samples
+            train_rows = split(range(report["n_train"] + report["n_test"]), check_config(config))[0]
+            assert spy.call_count == len({i // chunk for i in train_rows}) + math.ceil(report["n_test"] / chunk)
             assert artifacts(out) == want, chunk
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SMALL_CONFIG,
+            {**SMALL_CONFIG, "single_region": True},
+            {**SMALL_CONFIG, "scene": {**SMALL_CONFIG["scene"], "snr_db": 30.0}},
+            {**SMALL_CONFIG, "scene": COARSE_REFERENCE_SCENE, "nlos_mode": "nlos_only"},
+        ],
+        ids=["segmented", "single_region", "snr_db", "nlos_only"],
+    )
+    def test_dataset_files_are_write_dataset_of_build_dataset(self, tmp_path, config):
+        # the pass writes each chunk of fingerprints as it is made; the
+        # files are those of the whole dataset written at once
+        report = run_pipeline(config, out_dir=tmp_path / "run")
+        cfg = check_config(config)
+        samples = nlos_filter(build_dataset(scene_from_json({**cfg["scene"], "seed": cfg["seed"]})), cfg["nlos_mode"])
+        assert len(samples) == report["n_train"] + report["n_test"]
+        dio.write_dataset(samples, tmp_path / "built", cfg)
+        assert _files(tmp_path / "run" / "dataset") == _files(tmp_path / "built")
+
+    @pytest.mark.parametrize(
+        "stage, change",
+        [("segment", {"min_count": 1000}), ("train", {"single_region": True, "ridge_lambda": 0.0})],
+    )
+    def test_a_failure_after_the_pass_leaves_the_generated_dataset(self, tmp_path, capsys, stage, change):
+        # the dataset is written before segmentation; a later stage's
+        # error leaves it as generate writes it, and writes nothing else
+        config = {**SMALL_CONFIG, **change}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "generated")]) == 0
+        with pytest.raises(PipelineError) as exc:
+            run_pipeline(config, out_dir=tmp_path / "lib")
+        assert exc.value.stage == stage
+        capsys.readouterr()
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "cli")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: [{stage}] ")
+        for out in ("lib", "cli"):
+            assert [p.name for p in (tmp_path / out).iterdir()] == ["dataset"]
+            assert _files(tmp_path / out / "dataset") == _files(tmp_path / "generated")
+
+    def test_a_fingerprint_error_writes_nothing(self, tmp_path, monkeypatch):
+        # a [generate] error raised while the chunks are made and written
+        # removes the files and directories written so far
+        real = evaluate.fingerprint_chunks
+
+        def failing(scene, terminals):
+            chunks = real(scene, terminals)
+            yield next(chunks)
+            raise ValueError("planted")
+
+        monkeypatch.setattr(channel, "_CHUNK", 3)
+        monkeypatch.setattr(evaluate, "fingerprint_chunks", failing)
+        (tmp_path / "kept").mkdir()
+        for out in (tmp_path / "new" / "run", tmp_path / "kept"):
+            with pytest.raises(PipelineError, match=r"\[generate\] planted"):
+                run_pipeline(SMALL_CONFIG, out_dir=out)
+        assert [p.name for p in tmp_path.iterdir()] == ["kept"]
+        assert not any((tmp_path / "kept").iterdir())
+
+    def test_holds_no_full_fingerprint_stack(self, tmp_path):
+        # a dense single-region scene: the CFR and ADCAM stacks of every
+        # terminal, n * nt * nc * 24 bytes, are never held at once
+        scene = SceneConfig(**REFERENCE_SCENE, grid_spacing_m=7.0, nt=32, nc=32)
+        config = {**default_config(), "scene": scene_to_json(scene), "single_region": True, "seed": 3}
+        run_pipeline({**config, "scene": {**config["scene"], "grid_spacing_m": 40.0}})  # first-call imports and caches
+        tracemalloc.start()
+        try:
+            report = run_pipeline(config, out_dir=tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = report["n_train"] + report["n_test"]
+        assert n > 600
+        assert peak < n * 32 * 32 * 24
 
     def test_default_scene_is_the_scene_config_default(self):
         # run_pipeline leaves a scene key the config lacks to SceneConfig's default

@@ -17,7 +17,9 @@ from amdnloc.channel import PathRecord
 from amdnloc.cli import main
 from amdnloc.evaluate import check_config, error_report, segment, split
 from amdnloc.localizer import FeatureConfig, locate
-from amdnloc.scenegen import Rect, Sample, SceneConfig, build_dataset, scene_from_json, scene_to_json
+from amdnloc.scenegen import Rect, Sample, SceneConfig, Terminal, build_dataset, scene_from_json, scene_to_json
+
+from oracles import magnitude_images
 
 
 @pytest.fixture(scope="module")
@@ -142,13 +144,18 @@ def test_write_bin_matches_the_per_sample_writer(count, nt, nc, scale, seed, spe
         flat[rng.integers(0, flat.size, len(specials))] = specials
     cfr = list(values.view(complex)[..., 0])  # re and im exactly as drawn
     adcam = list(values[..., 0])
+    terminals = [Terminal(id=i, pos=(0.0, 0.0), paths=[], is_los=False) for i in range(count)]
+    # the rows arrive in chunks of any sizes, empty ones included
+    parts = np.split(np.arange(count), np.sort(rng.integers(0, count + 1, 3)))
     # the planted overflows and infinities warn in both writers
     with tempfile.TemporaryDirectory() as tmp, np.errstate(over="ignore", invalid="ignore"):
-        for arrays, complex_data in ((cfr, True), (adcam, False)):
-            got, want = Path(tmp) / "got.bin", Path(tmp) / "want.bin"
-            dio._write_bin(got, arrays, complex_data)
+        with dio.DatasetWriter(Path(tmp) / "got", terminals) as writer:
+            for part in parts:
+                writer.write([cfr[i] for i in part], [adcam[i] for i in part])
+        for name, arrays, complex_data in (("cfr.bin", cfr, True), ("adcam.bin", adcam, False)):
+            want = Path(tmp) / name
             write_bin_oracle(want, arrays, complex_data)
-            assert got.read_bytes() == want.read_bytes()
+            assert (Path(tmp) / "got" / name).read_bytes() == want.read_bytes()
 
 
 # float32 values, so a dataset reads back exactly as written
@@ -1166,7 +1173,7 @@ def segmented(dataset):
 
     _, samples = dataset
     cfg = {**default_config(), "tau_in": 0.95, "tau_out": 0.95, "template_size": (8, 8), "min_count": 0, "k_max": 3}
-    return samples, segment(samples, cfg)
+    return samples, segment(samples, cfg, magnitude_images(samples))
 
 
 class TestSegmentationRecord:
@@ -1179,7 +1186,7 @@ class TestSegmentationRecord:
             **default_config(), "tau_in": 0.95, "tau_out": 0.95, "template_size": (8, 8), "min_count": 0,
             "k_max": 3, "single_region": single_region,
         }
-        seg = segment(samples, cfg)
+        seg = segment(samples, cfg, magnitude_images(samples))
         ids = [s.id for s in samples]
         dio.write_segmentation(tmp_path / "segmentation.json", seg, ids, cfg["min_count"])
         obj = json.loads((tmp_path / "segmentation.json").read_text())
@@ -1250,7 +1257,7 @@ class TestSegmentationRecord:
         assert main(["train", "--data", str(data), "--out", str(out)]) == 0
         cfg = check_config(json.loads(config.read_text()))
         train_samples, _ = split(dio.read_dataset(data), cfg)
-        dio.write_model(tmp_path / "library.json", train(train_samples, segment(train_samples, cfg), 0.5))
+        dio.write_model(tmp_path / "library.json", train(train_samples, segment(train_samples, cfg, magnitude_images(train_samples)), 0.5))
         assert out.read_bytes() == (tmp_path / "library.json").read_bytes()
         # segmentation.json holds model.json's routing state, key for key
         seg, model = (json.loads(p.read_text()) for p in (data / "segmentation.json", out))
@@ -1287,7 +1294,7 @@ class TestSegmentationRecord:
         assert main(["train", "--data", str(data), "--out", str(out)]) == 0
         cfg = check_config(config)
         train_samples, _ = split(dio.read_dataset(data), cfg)
-        fits = [train(train_samples, segment(train_samples, {**cfg, "k_max": k_max})) for k_max in k_maxes]
+        fits = [train(train_samples, segment(train_samples, {**cfg, "k_max": k_max}, magnitude_images(train_samples))) for k_max in k_maxes]
         written = {int(r): np.array(w) for r, w in json.loads(out.read_text())["weights"].items()}
         assert sorted(written) == sorted(fits[1].weights)
         assert all(written[r].tobytes() == w.tobytes() for r, w in fits[1].weights.items())

@@ -32,7 +32,7 @@ from amdnloc.localizer import (
 from amdnloc.scenegen import Rect, Sample, SceneConfig, build_dataset
 from amdnloc.segmentation_adcam import Standardizer, build_features, kmeans, path_descriptor
 from amdnloc.segmentation_cfr import extract_templates, segment_cfr
-from oracles import REFERENCE_SCENE, ncc, ridge_oracle
+from oracles import REFERENCE_SCENE, magnitude_images, ncc, ridge_oracle
 
 CONFIG = FeatureConfig(nt=16, nc=16)
 
@@ -375,7 +375,7 @@ def test_train_equals_the_gathered_per_region_fit(single_region):
     # cleansed samples it fits on the retained rows of each region
     samples = small_dataset()
     cfg = {**default_config(), "tau_in": 0.9, "tau_out": 0.9, "template_size": [8, 8], "k_max": 4}
-    segmentation = segment(samples, {**cfg, "single_region": single_region})
+    segmentation = segment(samples, {**cfg, "single_region": single_region}, magnitude_images(samples))
     regions = segmentation.regions
     assert regions.retained.all() == single_region and (regions.fused_count == 1) == single_region
     model = train(samples, segmentation, ridge_lambda=0.5)
@@ -514,7 +514,7 @@ def held_out_model(request):
         "k_max": 4,
         "single_region": request.param,
     }
-    return train(train_s, segment(train_s, cfg)), test_s
+    return train(train_s, segment(train_s, cfg, magnitude_images(train_s))), test_s
 
 
 class TestLocate:
@@ -780,7 +780,7 @@ def test_locate_scores_only_the_routes_in_doubt(held_out_model, case, monkeypatc
 def test_locate_across_chunks_on_the_dense_reference_scene():
     # 2,540 distinct 32x32 terminals; a single-region model on 4/5 of them
     train_s, test_s = split(build_dataset(reference_scene(3.5)), {"train_fraction": 0.8, "seed": 0})
-    model = train(train_s, segment(train_s, {**default_config(), "single_region": True}))
+    model = train(train_s, segment(train_s, {**default_config(), "single_region": True}, magnitude_images(train_s)))
     test = test_s[: 3 * _CHUNK - 11]
     assert len(test) > 2 * _CHUNK
     xy, regions = locate(model, test)
@@ -804,7 +804,7 @@ def one_region_model():
     """A one-region model on the 32x32 reference scene and 300 samples."""
     samples = build_dataset(reference_scene(8.0))
     train_s, test = samples[::5], samples[:300]
-    model = train(train_s, segment(train_s, {**default_config(), "single_region": True}))
+    model = train(train_s, segment(train_s, {**default_config(), "single_region": True}, magnitude_images(train_s)))
     locate(model, test[:2])  # first-call imports and caches
     return model, test
 
@@ -830,8 +830,8 @@ def test_one_region_train_holds_one_design_matrix():
     # the features next to an hstack copy of them with ones reach 2.34x
     train_s = split(build_dataset(reference_scene(3.5)), {"train_fraction": 0.8, "seed": 3})[0]
     cfg = {**default_config(), "single_region": True}
-    segmentation = segment(train_s, cfg)
-    train(train_s[:3], segment(train_s[:3], cfg))  # first-call imports and caches
+    segmentation = segment(train_s, cfg, magnitude_images(train_s))
+    train(train_s[:3], segment(train_s[:3], cfg, magnitude_images(train_s[:3])))  # first-call imports and caches
     design = len(train_s) * (FeatureConfig(32, 32).fused_len + 1) * 8
     assert len(train_s) == 2034
     assert _traced_peak(lambda: train(train_s, segmentation)) <= 2.1 * design

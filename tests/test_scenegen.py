@@ -8,7 +8,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
-from amdnloc.channel import NO_NOISE, PathRecord, add_noise
+from amdnloc import channel
+from amdnloc.channel import NO_NOISE, PathRecord, _chunks, add_noise
 from amdnloc.scenegen import (
     _ANGLE_EPS,
     _EPS,
@@ -19,10 +20,12 @@ from amdnloc.scenegen import (
     _blocked,
     _trace,
     build_dataset,
+    fingerprint_chunks,
     nlos_filter,
     scene_from_json,
     scene_to_json,
     trace_paths,
+    trace_terminals,
 )
 
 
@@ -208,6 +211,27 @@ def traced(fn):
 def test_build_dataset_equals_per_terminal_oracle_on_reference_scenes(spacing, snr_db):
     scene = reference_scene(spacing, snr_db)
     assert_same_dataset(build_dataset(scene), build_dataset_oracle(scene))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 64])
+@pytest.mark.parametrize(
+    "snr_db, mode", [(NO_NOISE, "all"), (30.0, "all"), (30.0, "nlos_only")], ids=["clean", "snr30", "snr30-nlos_only"]
+)
+def test_build_dataset_equals_its_concatenated_chunks(chunk, snr_db, mode, monkeypatch):
+    # the terminals are traced and filtered before any fingerprint is made,
+    # and a terminal's fingerprints do not depend on its chunk: the stream
+    # over the filtered terminals gives the filtered dataset's rows
+    scene = reference_scene(9.0, snr_db)
+    want = nlos_filter(build_dataset(scene), mode)
+    terminals = nlos_filter(trace_terminals(scene), mode)
+    assert len(want) > 2 * 64  # three chunks at the default size
+    assert (len(terminals) < len(trace_terminals(scene))) == (mode == "nlos_only")
+    monkeypatch.setattr(channel, "_CHUNK", chunk)
+    rows, cfr, adcam = zip(*fingerprint_chunks(scene, terminals))
+    assert list(rows) == list(_chunks(len(terminals)))
+    assert [(t.id, t.pos, t.paths, t.is_los) for t in terminals] == [(s.id, s.pos, s.paths, s.is_los) for s in want]
+    assert np.concatenate(cfr).tobytes() == np.array([s.cfr for s in want]).tobytes()
+    assert np.concatenate(adcam).tobytes() == np.array([s.adcam for s in want]).tobytes()
 
 
 def test_trace_keeps_only_the_paths_that_survive():
