@@ -16,7 +16,7 @@ from .channel import (
     dft_matrices,
     render_image,
 )
-from .evaluate import cdf_curve, error_report, mean_error, run_pipeline
+from .evaluate import cdf_curve, error_report, run_pipeline
 from .fusion import RegionLabels, Segmentation, cleanse, fuse_labels
 from .localizer import (
     FeatureConfig,

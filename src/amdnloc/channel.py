@@ -107,33 +107,32 @@ def cfr_stack(
 
     Matrix i, column l, is the sum over the paths of list i of
     amplitude * array_response(aoa) * exp(-j*2*pi*l*delay/nc). Pathloss
-    scales the complex gain by 10**(-dB/20). The matrices are built
-    ``_CHUNK`` at a time: path slot j of every list in a chunk that has
-    one is added at once as amp * (steer * phase), so each matrix sums
-    its paths in list order, as one path at a time would.
+    scales the complex gain by 10**(-dB/20). Path slot j of every list
+    that has one is added at once as amp * (steer * phase), so each
+    matrix sums its paths in list order, as one path at a time would.
+    Every slot reuses one (n, nt, nc) work array; its one program caller,
+    ``scenegen.fingerprint_chunks``, passes ``_CHUNK`` lists at a time.
     """
     if nt < 1 or nc < 1:
         raise ValueError("nt and nc must be >= 1")
     h = np.zeros((len(path_lists), nt, nc), dtype=np.complex128)
-    work = np.empty((_chunk_rows(len(path_lists)), nt, nc), dtype=np.complex128)
+    work = np.empty(h.shape, dtype=np.complex128)
     # the exponent of the delay phase, up to delay/nc
     delay_exp = -2j * np.pi * np.arange(nc)
-    for part in _chunks(len(path_lists)):
-        chunk, block = path_lists[part], h[part]
-        for j in range(max(map(len, chunk))):
-            rows = [i for i, paths in enumerate(chunk) if len(paths) > j]
-            slot = [chunk[i][j] for i in rows]
-            delay = np.array([p.delay_samples for p in slot])
-            if delay.max() >= nc:
-                raise ValueError(f"path delay {delay.max()} exceeds cyclic window nc={nc}")
-            steer = array_response([p.aoa for p in slot], nt, spacing_ratio)
-            phase = np.exp(delay_exp * delay[:, None] / nc)
-            term = np.multiply(steer[:, :, None], phase[:, None, :], out=work[: len(rows)])
-            np.multiply(np.array([p.amplitude for p in slot])[:, None, None], term, out=term)
-            if len(rows) == len(chunk):
-                block += term
-            else:
-                block[rows] += term
+    for j in range(max(map(len, path_lists), default=0)):
+        rows = [i for i, paths in enumerate(path_lists) if len(paths) > j]
+        slot = [path_lists[i][j] for i in rows]
+        delay = np.array([p.delay_samples for p in slot])
+        if delay.max() >= nc:
+            raise ValueError(f"path delay {delay.max()} exceeds cyclic window nc={nc}")
+        steer = array_response([p.aoa for p in slot], nt, spacing_ratio)
+        phase = np.exp(delay_exp * delay[:, None] / nc)
+        term = np.multiply(steer[:, :, None], phase[:, None, :], out=work[: len(rows)])
+        np.multiply(np.array([p.amplitude for p in slot])[:, None, None], term, out=term)
+        if len(rows) == len(path_lists):
+            h += term
+        else:
+            h[rows] += term
     return h
 
 
@@ -169,20 +168,17 @@ def dft_matrices(nt: int, nc: int) -> tuple[np.ndarray, np.ndarray]:
 
 def adcam(h: np.ndarray) -> np.ndarray:
     """Angle-delay channel amplitude matrix |V^H H F| of a CFR matrix,
-    or of each matrix of an (..., nt, nc) stack, ``_CHUNK`` at a time."""
+    or of each matrix of an (..., nt, nc) stack. Both products are
+    written into work arrays (``np.matmul(..., out=)``), which is faster
+    than a chained ``@``; its one program caller,
+    ``scenegen.fingerprint_chunks``, passes ``_CHUNK`` matrices at a time."""
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim < 2:
         raise ValueError(f"need an (..., nt, nc) array, got shape {h.shape}")
     nt, nc = h.shape[-2:]
     v, f = dft_matrices(nt, nc)
-    vh = v.conj().T
-    flat = h.reshape(-1, nt, nc)
-    out = np.empty(flat.shape)
-    left, both = np.empty((2, _chunk_rows(len(flat)), nt, nc), dtype=np.complex128)
-    for rows in _chunks(len(flat)):
-        k = len(out[rows])
-        np.abs(np.matmul(np.matmul(vh, flat[rows], out=left[:k]), f, out=both[:k]), out=out[rows])
-    return out.reshape(h.shape)
+    left, both = np.empty((2, *h.shape), dtype=np.complex128)
+    return np.abs(np.matmul(np.matmul(v.conj().T, h, out=left), f, out=both))
 
 
 def _min_max(vals: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

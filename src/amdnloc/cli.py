@@ -6,12 +6,13 @@ the dataset as config.json, from which segment and train take every
 setting. segment segments run_pipeline's training split and
 writes segmentation.json, the one file train reads besides the dataset,
 and exports region_map.csv and .ppm; eval scores the samples that
-segmentation.json does not list. Exit code 0 on success; failures print
-a stage-tagged message and exit nonzero. A pipeline stage that fails
-exits 2; an unreadable or malformed file, named in the message (a file
-that is not JSON, a config.json that breaks a config rule and a model
-of an unknown fit method included), or a config that breaks a rule (a
-[config] error) exits 1; an unknown option exits 2.
+segmentation.json does not list. Exit code 0 on success; a failure
+prints a stage-tagged message. A stage that fails (tagged by
+evaluate.stage) exits 2 from any command. A file or config that cannot
+be read or breaks a rule exits 1: a file is named in the message (a file
+that is not JSON, a config.json that breaks a config rule and a model of
+an unknown fit method included), and a config is a [config] error. An
+unknown option exits 2.
 """
 from __future__ import annotations
 
@@ -21,6 +22,8 @@ import json
 import re
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import io as dio
 from .channel import render_image
@@ -34,6 +37,7 @@ from .evaluate import (
     run_pipeline,
     segment,
     split,
+    stage,
 )
 from .localizer import locate, train
 from .scenegen import _PAIR, _is_real
@@ -66,7 +70,8 @@ def _cmd_segment(args) -> int:
     data = Path(args.data)
     cfg = _dataset_config(data)
     train_samples, _ = split(dio.read_dataset(data), cfg)
-    seg = segment(train_samples, cfg, [render_image(s.cfr, "cfr_magnitude") for s in train_samples])
+    with stage("segment"):
+        seg = segment(train_samples, cfg, [render_image(s.cfr, "cfr_magnitude") for s in train_samples])
     export_region_map(train_samples, seg.regions, data / "region_map.csv", data / "region_map.ppm")
     dio.write_segmentation(data / "segmentation.json", seg, [s.id for s in train_samples], cfg["min_count"])
     print(
@@ -81,7 +86,8 @@ def _cmd_train(args) -> int:
     cfg = _dataset_config(data)
     samples = dio.read_dataset(data)
     train_samples, segmentation = dio.read_segmentation(data / "segmentation.json", samples)
-    model = train(train_samples, segmentation, cfg["ridge_lambda"])
+    with stage("train", np.linalg.LinAlgError):
+        model = train(train_samples, segmentation, cfg["ridge_lambda"])
     dio.write_model(args.out, model)
     print(f"trained {len(model.weights)} region regressors; wrote {args.out}")
     return 0
@@ -95,8 +101,9 @@ def _cmd_eval(args) -> int:
     if (data / "segmentation.json").exists():
         trained = {s.id for s in dio.read_segmentation(data / "segmentation.json", samples)[0]}
         samples, scored = [s for s in samples if s.id not in trained], "held-out samples"
-    preds, regions = locate(model, samples)
-    report = {**error_report(preds, [s.pos for s in samples], regions), "n_samples": len(samples)}
+    with stage("eval"):
+        preds, regions = locate(model, samples)
+        report = {**error_report(preds, [s.pos for s in samples], regions), "n_samples": len(samples)}
     Path(args.out).write_text(json.dumps(report, sort_keys=True, indent=1))
     print(f"mean error {report['mean_error_m']:.3f} m over {len(samples)} {scored}; wrote {args.out}")
     return 0

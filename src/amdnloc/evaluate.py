@@ -35,11 +35,11 @@ from .segmentation_adcam import _PATH_SELECT, _distinct_rows, build_features, se
 from .segmentation_cfr import extract_templates, segment_cfr
 
 __all__ = [
-    "mean_error",
     "cdf_curve",
     "error_report",
     "export_region_map",
     "PipelineError",
+    "stage",
     "check_config",
     "generate",
     "dataset_chunks",
@@ -82,11 +82,15 @@ class PipelineError(RuntimeError):
         self.stage = stage
 
 
-def mean_error(preds, truths) -> tuple[float, float]:
-    """Mean Euclidean error and RMSE (both meters), as ``error_report``
-    gives them."""
-    report = error_report(preds, truths, np.zeros(np.shape(preds)[:1], dtype=int))
-    return report["mean_error_m"], report["rmse_m"]
+@contextlib.contextmanager
+def stage(name: str, *errors: type[Exception]):
+    """Tag a stage's failure: a ``ValueError``, or one of ``errors``,
+    raised in the block is a ``PipelineError(name, message)`` caused by
+    it; any other exception passes through unchanged."""
+    try:
+        yield
+    except (ValueError, *errors) as e:
+        raise PipelineError(name, str(e)) from e
 
 
 def cdf_curve(errors, thresholds=DEFAULT_CDF_THRESHOLDS) -> list[tuple[float, float]]:
@@ -207,18 +211,14 @@ def generate(config) -> tuple[dict, SceneConfig, list[Terminal]]:
     and the scene's terminals, traced and ``nlos_filter``ed, with no
     fingerprint made: ``scenegen.fingerprint_chunks`` makes them. Fewer
     than 2 terminals leave none to hold out, a ``[generate]`` error."""
-    try:
+    with stage("config"):
         cfg = check_config(config)
-    except ValueError as e:
-        raise PipelineError("config", str(e)) from None
-    try:
+    with stage("generate", TypeError):
         scene = scene_from_json(cfg["scene"])
         scene.seed = int(cfg["seed"])
         terminals = nlos_filter(trace_terminals(scene), cfg["nlos_mode"])
         if len(terminals) < 2:
             raise ValueError(f"{len(terminals)} sample; the pipeline holds samples out to test on and needs at least 2")
-    except (ValueError, TypeError) as e:
-        raise PipelineError("generate", str(e)) from e
     return cfg, scene, terminals
 
 
@@ -238,14 +238,12 @@ def dataset_chunks(scene: SceneConfig, terminals: list[Terminal], cfg: dict, out
     through one ``io.DatasetWriter`` when ``out_dir`` is given. An error
     in making them is a ``[generate]`` error, and the writer removes what
     it wrote."""
-    try:
+    with stage("generate", TypeError):
         with contextlib.nullcontext() if out_dir is None else dio.DatasetWriter(out_dir, terminals, cfg) as writer:
             for rows, cfr, adcam in fingerprint_chunks(scene, terminals):
                 if writer is not None:
                     writer.write(cfr, adcam)
                 yield rows, cfr, adcam
-    except (ValueError, TypeError) as e:
-        raise PipelineError("generate", str(e)) from e
 
 
 def _fingerprint_pass(config: FeatureConfig, terminals: list[Terminal], cfg: dict, chunks):
@@ -310,23 +308,17 @@ def run_pipeline(config: dict, out_dir: str | Path | None = None) -> dict:
     chunks = dataset_chunks(scene, terminals, cfg, None if out is None else out / "dataset")
     train_t, design, images, test_samples = _fingerprint_pass(features, terminals, cfg, chunks)
 
-    try:
+    with stage("segment"):
         segmentation = segment(train_t, cfg, images)
-    except ValueError as e:
-        raise PipelineError("segment", str(e)) from e
     del images
 
-    try:
+    with stage("train", np.linalg.LinAlgError):
         positions = np.array([t.pos for t in train_t])
         model = fit(design, positions, segmentation, features, cfg["ridge_lambda"])
-    except (ValueError, np.linalg.LinAlgError) as e:
-        raise PipelineError("train", str(e)) from e
 
-    try:
+    with stage("eval"):
         preds, assigned = locate(model, test_samples)
         errors = error_report(preds, [s.pos for s in test_samples], assigned)
-    except ValueError as e:
-        raise PipelineError("eval", str(e)) from e
 
     report = {
         **errors,

@@ -23,9 +23,9 @@ from amdnloc.evaluate import (
     default_config,
     error_report,
     export_region_map,
-    mean_error,
     run_pipeline,
     split,
+    stage,
 )
 from amdnloc.fusion import fuse_labels
 from amdnloc.scenegen import Sample, SceneConfig, _check, build_dataset, nlos_filter, scene_from_json, scene_to_json
@@ -33,53 +33,78 @@ from amdnloc.scenegen import Sample, SceneConfig, _check, build_dataset, nlos_fi
 from oracles import REFERENCE_SCENE
 
 
-class TestMeanError:
-    def test_perfect_predictions(self):
-        pts = np.array([[1.0, 2.0], [3.0, 4.0]])
-        me, rmse = mean_error(pts, pts)
-        assert me == 0.0 and rmse == 0.0
-
-    def test_pythagorean_offset(self):
-        me, rmse = mean_error([[3.0, 4.0]], [[0.0, 0.0]])
-        assert me == 5.0 and rmse == 5.0
-
-    def test_matches_scalar_loop(self):
-        rng = np.random.default_rng(0)
-        preds = rng.random((30, 2))
-        truths = rng.random((30, 2))
-        me, rmse = mean_error(preds, truths)
-        dists = [np.hypot(*(p - t)) for p, t in zip(preds, truths)]
-        assert me == pytest.approx(np.mean(dists), abs=1e-12)
-        assert rmse == pytest.approx(np.sqrt(np.mean(np.square(dists))), abs=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            mean_error([], [])
+def _random_errors(seed: int, n: int, scale: float, ids: list[int]):
+    """Random predictions and truths in a square of side ``scale``, each
+    routed to a random one of ``ids``."""
+    rng = np.random.default_rng(seed)
+    return scale * rng.random((n, 2)), scale * rng.random((n, 2)), rng.choice(ids, size=n).tolist()
 
 
 class TestErrorReport:
-    def test_matches_a_loop_over_the_regions(self):
-        rng = np.random.default_rng(2)
-        preds, truths = 50 * rng.random((40, 2)), 50 * rng.random((40, 2))
-        regions = rng.choice([0, 3, 11], size=40).tolist()
+    @pytest.mark.parametrize(
+        "preds, truths, regions, exact",
+        [
+            (*_random_errors(2, 40, 50.0, [0, 3, 11]), None),
+            (*_random_errors(0, 30, 1.0, [0]), None),
+            ([[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0], [3.0, 4.0]], [0, 0], (0.0, 0.0)),
+            ([[3.0, 4.0]], [[0.0, 0.0]], [7], (5.0, 5.0)),
+        ],
+        ids=["three_regions", "one_region", "perfect", "pythagorean"],
+    )
+    def test_matches_a_loop_over_the_regions(self, preds, truths, regions, exact):
         got = error_report(preds, truths, regions)
         assert sorted(got) == ["cdf", "mean_error_m", "per_region_errors", "rmse_m"]
-        assert (got["mean_error_m"], got["rmse_m"]) == mean_error(preds, truths)
-        errors = np.linalg.norm(preds - truths, axis=1)
+        errors = np.linalg.norm(np.subtract(preds, truths), axis=1)
         assert got["cdf"] == cdf_curve(errors)
-        dists = [np.hypot(*(p - t)) for p, t in zip(preds, truths)]
-        want = {str(r): np.mean([d for d, q in zip(dists, regions) if q == r]) for r in (0, 3, 11)}
+        dists = [np.hypot(*np.subtract(p, t)) for p, t in zip(preds, truths)]
+        assert got["mean_error_m"] == pytest.approx(np.mean(dists), abs=1e-12)
+        assert got["rmse_m"] == pytest.approx(np.sqrt(np.mean(np.square(dists))), abs=1e-12)
+        if exact is not None:
+            assert (got["mean_error_m"], got["rmse_m"]) == exact
+        ids = sorted(set(regions))
+        want = {str(r): np.mean([d for d, q in zip(dists, regions) if q == r]) for r in ids}
         assert got["per_region_errors"] == pytest.approx(want, abs=1e-12)
-        assert list(got["per_region_errors"]) == ["0", "3", "11"]
+        assert list(got["per_region_errors"]) == [str(r) for r in ids]
 
     @pytest.mark.parametrize("regions", [[0], [0, 0, 0]], ids=["short", "long"])
     def test_regions_of_another_length_rejected(self, regions):
         with pytest.raises(ValueError, match="equal-length"):
             error_report([[0.0, 0.0], [1.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]], regions)
 
-    def test_empty_rejected(self):
+    @pytest.mark.parametrize("points", [np.empty((0, 2)), []], ids=["no_rows", "empty_list"])
+    def test_empty_rejected(self, points):
         with pytest.raises(ValueError, match="nonempty"):
-            error_report(np.empty((0, 2)), np.empty((0, 2)), [])
+            error_report(points, points, [])
+
+
+class TestStage:
+    @pytest.mark.parametrize(
+        "errors, raised",
+        [
+            ((), ValueError),
+            ((TypeError,), TypeError),
+            ((TypeError,), ValueError),
+            ((np.linalg.LinAlgError,), np.linalg.LinAlgError),
+        ],
+    )
+    def test_tags_a_listed_error(self, errors, raised):
+        cause = raised("bad input")
+        with pytest.raises(PipelineError) as exc:
+            with stage("train", *errors):
+                raise cause
+        assert str(exc.value) == "[train] bad input" and exc.value.stage == "train"
+        assert exc.value.__cause__ is cause
+
+    @pytest.mark.parametrize(
+        "errors, raised",
+        [((), TypeError), ((), KeyError), ((TypeError,), OSError), ((), KeyboardInterrupt)],
+    )
+    def test_passes_any_other_exception_through(self, errors, raised):
+        cause = raised("elsewhere")
+        with pytest.raises(raised) as exc:
+            with stage("generate", *errors):
+                raise cause
+        assert exc.value is cause
 
 
 class TestCdfCurve:
@@ -243,25 +268,39 @@ class TestRunPipeline:
         assert _files(tmp_path / "run" / "dataset") == _files(tmp_path / "built")
 
     @pytest.mark.parametrize(
-        "stage, change",
+        "tag, change",
         [("segment", {"min_count": 1000}), ("train", {"single_region": True, "ridge_lambda": 0.0})],
     )
-    def test_a_failure_after_the_pass_leaves_the_generated_dataset(self, tmp_path, capsys, stage, change):
+    def test_a_failure_after_the_pass_leaves_the_generated_dataset(self, tmp_path, capsys, tag, change):
         # the dataset is written before segmentation; a later stage's
         # error leaves it as generate writes it, and writes nothing else
         config = {**SMALL_CONFIG, **change}
-        cfg_path = tmp_path / "config.json"
+        cfg_path, data = tmp_path / "config.json", tmp_path / "generated"
         cfg_path.write_text(json.dumps(config))
-        assert main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "generated")]) == 0
+        assert main(["generate", "--config", str(cfg_path), "--out", str(data)]) == 0
         with pytest.raises(PipelineError) as exc:
             run_pipeline(config, out_dir=tmp_path / "lib")
-        assert exc.value.stage == stage
+        assert exc.value.stage == tag
         capsys.readouterr()
         assert main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "cli")]) == 2
-        assert capsys.readouterr().err.startswith(f"error: [{stage}] ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: [{tag}] ") and "Traceback" not in err
         for out in ("lib", "cli"):
             assert [p.name for p in (tmp_path / out).iterdir()] == ["dataset"]
-            assert _files(tmp_path / out / "dataset") == _files(tmp_path / "generated")
+            assert _files(tmp_path / out / "dataset") == _files(data)
+        # the CLI's stage command fails as the pipeline does: the same
+        # tag, exit 2, and nothing written
+        if tag == "train":
+            assert main(["segment", "--data", str(data)]) == 0
+        before = _files(data)
+        model = tmp_path / "model.json"
+        capsys.readouterr()
+        assert main([tag, "--data", str(data), *(["--out", str(model)] if tag == "train" else [])]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: [{tag}] ") and "Traceback" not in err
+        assert _files(data) == before and not model.exists()
+        if tag == "segment":
+            assert not list(data.glob("segmentation.json")) and not list(data.glob("region_map.*"))
 
     def test_a_fingerprint_error_writes_nothing(self, tmp_path, monkeypatch):
         # a [generate] error raised while the chunks are made and written

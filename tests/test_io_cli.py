@@ -361,6 +361,20 @@ class TestCliWorkflow:
         assert main(["eval", "--data", str(run / "dataset"), "--model", str(run / "model.json"), "--out", str(out)]) == 0
         assert list(json.loads(out.read_text())["per_region_errors"]) == ["0"]
 
+    def test_eval_of_a_segmented_model_needs_the_paths(self, trained_chain, tmp_path, capsys):
+        # a segmented model routes each sample by its paths: with none,
+        # locate fails, an [eval] stage error that exits 2
+        data, model_path = trained_chain
+        shutil.copytree(data, tmp_path / "data")
+        paths = tmp_path / "data" / "paths.csv"
+        paths.write_text(paths.read_text().splitlines()[0] + "\n")
+        out = tmp_path / "report.json"
+        capsys.readouterr()
+        assert main(["eval", "--data", str(tmp_path / "data"), "--model", str(model_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: \[eval\] sample [0-9]+ has no paths\n", err)
+        assert not out.exists()
+
     def test_pipeline_command(self, tmp_path):
         cfg = {
             "scene": {
