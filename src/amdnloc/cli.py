@@ -186,7 +186,7 @@ def main(argv=None) -> int:
     except PipelineError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1 if e.stage == "config" else 2
-    except (ValueError, OSError, KeyError) as e:
+    except (ValueError, OSError) as e:
         stage = getattr(args, "command", "cli")
         print(f"error: [{stage}] {e}", file=sys.stderr)
         return 1

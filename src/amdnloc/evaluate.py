@@ -10,15 +10,13 @@ from pathlib import Path
 import numpy as np
 
 from . import io as dio
-from .channel import _chunk_rows
 from .fusion import RegionLabels, Segmentation, cleanse, fuse_labels
-from .localizer import _BLOCK_GRID, FeatureConfig, _chunk_features, fit, locate
+from .localizer import _BLOCK_GRID, FeatureConfig, _design_matrix, _locate_rows, fit
 from .scenegen import (
     _COUNT,
     _NLOS_MODES,
     _NONNEGATIVE,
     _SEED,
-    Sample,
     SceneConfig,
     Terminal,
     _check,
@@ -249,37 +247,28 @@ def dataset_chunks(scene: SceneConfig, terminals: list[Terminal], cfg: dict, out
 def _fingerprint_pass(config: FeatureConfig, terminals: list[Terminal], cfg: dict, chunks):
     """One pass over the ``dataset_chunks`` of ``terminals``, each used once.
 
-    A chunk's training terminals get their feature rows
-    (``localizer._chunk_features``) in the training design matrix and
-    their CFR magnitude images in an (n_train, nt, nc) stack, of which a
-    ``single_region`` run keeps only the first; its held-out terminals
-    become samples holding rows of one held-out CFR stack and one ADCAM
-    stack. Returns the training terminals, the design matrix, the images
-    and the held-out samples.
+    ``localizer._design_matrix`` takes every terminal's fingerprints in
+    one design matrix: each chunk's training terminals go to its top
+    rows, and its held-out terminals below them, each in split order; it
+    writes their CFR magnitude images into one stack in the same rows,
+    of which a ``single_region`` run, which routes nothing, keeps only
+    the first. Returns the training and held-out terminals, the design
+    matrix and the images.
     """
     train_t, held = split(terminals, cfg)
     train_ids = {t.id for t in train_t}
     is_train = np.array([t.id in train_ids for t in terminals])
-    design = np.empty((len(train_t), config.fused_len + 1))
-    design[:, -1] = 1.0
-    shape = (config.nt, config.nc)
-    images = np.empty((1 if cfg["single_region"] else len(train_t), *shape))
-    held_cfr = np.empty((len(held), *shape), dtype=complex)
-    held_adcam = np.empty(held_cfr.shape)
-    work = np.empty((3, _chunk_rows(len(train_t)), *shape))
-    n_train = n_held = 0  # rows filled so far
-    for rows, cfr, adcam in chunks:
-        mask = is_train[rows]
-        k = int(mask.sum())
-        if k:
-            planes = _chunk_features(cfr[mask], adcam[mask], work[:, :k], design[n_train : n_train + k, :-1])
-            kept = images[n_train : n_train + k]  # none past the first of a single-region run
-            kept[...] = planes[0, : len(kept)]
-        k_held = len(mask) - k
-        held_cfr[n_held : n_held + k_held], held_adcam[n_held : n_held + k_held] = cfr[~mask], adcam[~mask]
-        n_train, n_held = n_train + k, n_held + k_held
-    test_samples = [Sample(**vars(t), cfr=c, adcam=a) for t, c, a in zip(held, held_cfr, held_adcam)]
-    return train_t, design, images, test_samples
+    mags = np.empty((1 if cfg["single_region"] else len(terminals), config.nt, config.nc))
+
+    def parts():
+        first = [0, len(train_t)]  # the next training row and the next held-out row
+        for rows, cfr, adcam in chunks:
+            for side, mask in enumerate((is_train[rows], ~is_train[rows])):
+                if mask.any():
+                    yield first[side], cfr[mask], adcam[mask]
+                    first[side] += int(mask.sum())
+
+    return train_t, held, _design_matrix(parts(), len(terminals), config, mags), mags
 
 
 def run_pipeline(config: dict, out_dir: str | Path | None = None) -> dict:
@@ -287,12 +276,15 @@ def run_pipeline(config: dict, out_dir: str | Path | None = None) -> dict:
 
     The stages are ``generate`` (whose ``[config]`` error is raised
     before anything runs or is written), ``split``, ``segment`` and
-    ``train`` on the training samples, and ``locate`` of the held-out
-    ones. The fingerprints are made ``channel._CHUNK`` terminals at a
-    time and each chunk is used once: ``dataset_chunks`` writes it to the
-    dataset files, and ``_fingerprint_pass`` turns it into rows of the
-    training design matrix and images, or keeps it as held-out samples;
-    training is ``localizer.fit`` on that matrix. Returns the report
+    ``train`` on the training terminals, and the location of the
+    held-out ones. The fingerprints are made ``channel._CHUNK`` terminals
+    at a time and each chunk is used once: ``dataset_chunks`` writes it
+    to the dataset files, and ``_fingerprint_pass`` turns it into rows of
+    one design matrix and one stack of magnitude images, the training
+    terminals' rows above the held-out ones'. Training is
+    ``localizer.fit`` on the training rows, and the held-out rows are
+    routed and predicted by ``localizer._locate_rows``, as ``locate``
+    would route and predict the held-out samples. Returns the report
     dict; when ``out_dir`` is given all artifacts (dataset and its
     config.json, region map, model, report) are written there.
 
@@ -306,25 +298,25 @@ def run_pipeline(config: dict, out_dir: str | Path | None = None) -> dict:
     out = None if out_dir is None else Path(out_dir)
     features = FeatureConfig(nt=scene.nt, nc=scene.nc)
     chunks = dataset_chunks(scene, terminals, cfg, None if out is None else out / "dataset")
-    train_t, design, images, test_samples = _fingerprint_pass(features, terminals, cfg, chunks)
+    train_t, held, design, mags = _fingerprint_pass(features, terminals, cfg, chunks)
+    n_train = len(train_t)
 
     with stage("segment"):
-        segmentation = segment(train_t, cfg, images)
-    del images
+        segmentation = segment(train_t, cfg, mags[:n_train])
 
     with stage("train", np.linalg.LinAlgError):
         positions = np.array([t.pos for t in train_t])
-        model = fit(design, positions, segmentation, features, cfg["ridge_lambda"])
+        model = fit(design[:n_train], positions, segmentation, features, cfg["ridge_lambda"])
 
     with stage("eval"):
-        preds, assigned = locate(model, test_samples)
-        errors = error_report(preds, [s.pos for s in test_samples], assigned)
+        preds, assigned = _locate_rows(model, design[n_train:], mags[n_train:], held)
+        errors = error_report(preds, [t.pos for t in held], assigned)
 
     report = {
         **errors,
         "covering_rate": segmentation.regions.covering_rate,
-        "n_train": len(train_t),
-        "n_test": len(test_samples),
+        "n_train": n_train,
+        "n_test": len(held),
         "region_count": segmentation.regions.fused_count,
         "config": cfg,
         "seed": cfg["seed"],

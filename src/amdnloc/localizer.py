@@ -3,15 +3,17 @@
 Features are deterministic: block means of the CFR magnitude/phase and
 angle-delay images, row/column profiles, and the strongest angle-delay
 peaks. ``_image_features`` defines their layout, and every feature
-vector comes from ``_chunk_features``, which renders the three images of
-a chunk of samples in place into one plane stack and writes their fused
-vectors. ``train``, ``locate`` and ``sample_features`` take it through
-``_stack_features``: one pass over the samples, ``channel._CHUNK`` at a
-time, that writes the vectors and a column of ones into one design
-matrix; ``evaluate.run_pipeline`` calls it on each chunk of fingerprints
-as they are made. ``fit`` standardizes a design matrix's features in
-place with ``Standardizer.apply`` and gives each fused region its own
-affine regressor over a design row. A model of one region sends every
+vector comes from ``_design_matrix``, the one loop that writes design
+rows: it renders the three images of each run of samples, at most
+``channel._CHUNK`` of them, in place into one plane stack and writes
+their fused vectors and a column of ones into one design matrix.
+``train``, ``locate`` and ``sample_features`` feed it samples through
+``_stack_features``; ``evaluate.run_pipeline`` feeds it every terminal's
+fingerprints as they are made, and routes the held-out rows through
+``_locate_rows``, the routing and prediction half of ``locate``.
+``fit`` standardizes a design matrix's features in place with
+``Standardizer.apply`` and gives each fused region its own affine
+regressor over a design row. A model of one region sends every
 test sample to it; with more regions a test sample is routed by
 re-running the training-time matchers (CFR founder templates, clustering
 centroids) with a nearest-centroid fallback. The cluster is taken first:
@@ -176,40 +178,50 @@ def _render_planes(cfr: np.ndarray, adcam, out: np.ndarray | None = None) -> np.
     return planes
 
 
-def _chunk_features(cfr: np.ndarray, adcam, work: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The one per-chunk feature step: ``_render_planes`` renders a chunk's
-    (k, nt, nc) CFR stack and its ADCAMs into the (3, k, nt, nc) ``work``
-    stack, and ``_image_features`` writes their fused vectors into ``out``
-    (k, fused_len). Returns the rendered planes."""
-    planes = _render_planes(cfr, adcam, work)
-    _image_features(planes, out)
-    return planes
+def _design_matrix(parts, n: int, config: FeatureConfig, mags: np.ndarray | None = None) -> np.ndarray:
+    """The (n, fused_len + 1) design matrix of n samples: the raw fused
+    feature vector of each, then a one; the one loop that writes design
+    rows.
+
+    ``parts`` yields (first row, CFR stack, ADCAM stack) of nonempty runs
+    of at most ``channel._CHUNK`` consecutive rows: ``_render_planes``
+    renders a part's images into one plane stack, made once and reused
+    by every part, and ``_image_features`` writes their vectors into its
+    rows. When ``mags`` is given, each part's CFR magnitude images are
+    written into its rows of it, none past its end.
+    """
+    design = np.empty((n, config.fused_len + 1))
+    design[:, -1] = 1.0
+    work = np.empty((3, _chunk_rows(n), config.nt, config.nc))
+    for first, cfr, adcam in parts:
+        rows = slice(first, first + len(cfr))
+        planes = _render_planes(cfr, adcam, work[:, : len(cfr)])
+        _image_features(planes, design[rows, :-1])
+        if mags is not None:
+            kept = mags[rows]
+            kept[...] = planes[0, : len(kept)]
+    return design
 
 
 def _stack_features(samples, config: FeatureConfig, mags: np.ndarray | None = None) -> np.ndarray:
-    """The (n, fused_len + 1) design matrix of samples: the raw fused
-    feature vector of each sample, then a one.
+    """The ``_design_matrix`` of samples, and their CFR magnitude images
+    in ``mags`` (n, nt, nc) when it is given.
 
-    The samples are checked once by ``_check_samples``, then taken
-    ``channel._CHUNK`` at a time: a chunk's CFRs are stacked and
-    ``_chunk_features`` writes the features of the chunk's rows, with no
-    ``render_image`` call; every chunk reuses the CFR stack and the plane
-    stack. When ``mags`` (n, nt, nc) is given, each chunk's CFR magnitude
-    images are written into its rows.
+    The samples are checked once by ``_check_samples``, then handed on
+    ``channel._CHUNK`` at a time, their CFRs stacked into one reused
+    array, with no ``render_image`` call.
     """
     _check_samples(samples, (config.nt, config.nc))
-    design = np.empty((len(samples), config.fused_len + 1))
-    design[:, -1] = 1.0
     cfrs = np.empty((_chunk_rows(len(samples)), config.nt, config.nc), dtype=complex)
-    work = np.empty((3, *cfrs.shape))
-    for rows in _chunks(len(samples)):
-        chunk = samples[rows]
-        for i, s in enumerate(chunk):
-            cfrs[i] = s.cfr
-        planes = _chunk_features(cfrs[: len(chunk)], [s.adcam for s in chunk], work[:, : len(chunk)], design[rows, :-1])
-        if mags is not None:
-            mags[rows] = planes[0]
-    return design
+
+    def parts():
+        for rows in _chunks(len(samples)):
+            chunk = samples[rows]
+            for i, s in enumerate(chunk):
+                cfrs[i] = s.cfr
+            yield rows.start, cfrs[: len(chunk)], [s.adcam for s in chunk]
+
+    return _design_matrix(parts(), len(samples), config, mags)
 
 
 def sample_features(sample, config: FeatureConfig) -> np.ndarray:
@@ -328,13 +340,31 @@ def train(samples, segmentation: Segmentation, ridge_lambda: float = 1e-3) -> Lo
 
 
 def locate(model: LocalizationModel, samples) -> tuple[np.ndarray, list[int]]:
-    """Estimated (x, y) in meters, shape (n, 2), and the region of each sample.
+    """Estimated (x, y) in meters, shape (n, 2), and the region of each
+    sample: ``_locate_rows`` of the samples' one ``_stack_features``
+    pass, which with more than one region also fills the (n, nt, nc)
+    stack of magnitude images that routing scores. Every sample's CFR and
+    ADCAM must have the model's shape (nt, nc). No samples give an empty
+    (0, 2) array and no regions.
+    """
+    if not samples:
+        return np.empty((0, 2)), []
+    config = model.config
+    mags = np.empty((len(samples), config.nt, config.nc)) if len(model.weights) > 1 else None
+    return _locate_rows(model, _stack_features(samples, config, mags), mags, samples)
 
-    A model of one region sends every sample to it, with no routing: it
-    takes no ``path_descriptor``, so its samples need no paths, and
+
+def _locate_rows(model: LocalizationModel, design: np.ndarray, mags, terminals) -> tuple[np.ndarray, list[int]]:
+    """The positions and regions of ``locate`` from the raw
+    ``_design_matrix`` of terminals, their (n, nt, nc) CFR magnitude
+    images ``mags`` (unread, and may be ``None``, for a model of one
+    region) and the terminals, which give their paths.
+
+    A model of one region sends every terminal to it, with no routing:
+    it takes no ``path_descriptor``, so its terminals need no paths, and
     scores no template. With more regions, routing pairs the CFR label,
     the first best-matching founder in ``model.founders`` order, with
-    the nearest clustering centroid; a sample without paths is then a
+    the nearest clustering centroid; a terminal without paths is then a
     ``ValueError``. A pair never seen (or cleansed away, or naming a
     region without weights) falls back to the region whose training
     feature centroid is nearest, the first in order on a tie.
@@ -343,30 +373,21 @@ def locate(model: LocalizationModel, samples) -> tuple[np.ndarray, list[int]]:
     region (``_cluster_routes``, built from ``pair_to_fused`` on each
     call): every founder's pair with the cluster reaches one region; or
     no founder has a pair, so the fallback is the region; or the pairs
-    reach one region and the fallback is that region too. Such a sample
-    is routed without a CFR label. Only the others are scored: their CFR
-    labels come from one ``_best_pairs`` call over the model's
+    reach one region and the fallback is that region too. Such a
+    terminal is routed without a CFR label. Only the others are scored:
+    their CFR labels come from one ``_best_pairs`` call over the model's
     ``corner_banks``, which scores a founder's t2 only where it can
-    still win, and takes the ``rfft2`` of those samples' CFR magnitude
-    images and of no template; when every sample is decided it is not
-    called. The features come from one ``_stack_features`` pass: its
-    design matrix is standardized in place, and each sample is predicted
-    by its design row; with more than one region the pass also fills the
-    one (n, nt, nc) stack of magnitude images that routing scores.
-    Every sample's CFR and ADCAM must have the model's shape (nt, nc).
-    No samples give an empty (0, 2) array and no regions.
+    still win, and takes the ``rfft2`` of those terminals' magnitude
+    images and of no template; when every terminal is decided it is not
+    called. The design matrix is standardized in place, and each
+    terminal is predicted by its design row.
     """
-    if not samples:
-        return np.empty((0, 2)), []
-    config = model.config
-    mags = np.empty((len(samples), config.nt, config.nc)) if len(model.weights) > 1 else None
-    design = _stack_features(samples, config, mags)
     feats = model.feature_standardizer.apply(design[:, :-1], out=design[:, :-1])
-    if mags is None:
+    if len(model.weights) == 1:
         # both the pair lookup and the fallback can only give this region
-        regions = list(model.weights) * len(samples)
+        regions = list(model.weights) * len(terminals)
     else:
-        kf = model.adcam_standardizer.apply([path_descriptor(s) for s in samples])
+        kf = model.adcam_standardizer.apply([path_descriptor(s) for s in terminals])
         adcam_labels = _dist(kf, model.adcam_centroids).argmin(axis=1).tolist()
         routes = _cluster_routes(model)
         nearest = _nearest_centroid(model.region_feature_centroids)
@@ -383,7 +404,7 @@ def locate(model: LocalizationModel, samples) -> tuple[np.ndarray, list[int]]:
             for i, c in zip(scored, cfr_labels.tolist()):
                 region = model.pair_to_fused.get((c, adcam_labels[i]))
                 regions[i] = region if region in model.weights else nearest(feats[i])
-    xy = np.empty((len(samples), 2))
+    xy = np.empty((len(terminals), 2))
     for i, region in enumerate(regions):
         xy[i] = model.weights[region] @ design[i]
     return xy, regions

@@ -116,7 +116,7 @@ def _init_centroids(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
         d2 = _dist(points, centroids).min(axis=1) ** 2
         total = d2.sum()
         if total == 0:
-            # all remaining points coincide with a centroid; pick any new point
+            # every point is a centroid or too near one for its squared distance to be above 0
             centroids.append(points[rng.integers(n)])
             continue
         centroids.append(points[rng.choice(n, p=d2 / total)])

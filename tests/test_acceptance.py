@@ -25,7 +25,7 @@ from amdnloc.channel import (
 )
 from amdnloc import localizer
 from amdnloc.cli import main as cli_main
-from amdnloc.evaluate import default_config, generate, run_pipeline, segment, split
+from amdnloc.evaluate import default_config, error_report, generate, run_pipeline, segment, split
 from amdnloc.fusion import Segmentation, cleanse, fuse_labels
 from amdnloc.localizer import (
     apply_weights,
@@ -499,6 +499,11 @@ def test_the_claim_sweep_runs_the_reference_config():
 def test_locate_equals_full_scoring_on_benchmark_scenes(name, monkeypatch):
     model, test_s = _pipeline_model(BENCHMARK_CONFIGS[name])
     xy, regions = locate(model, test_s)
+    # run_pipeline routes and predicts its held-out design rows as locate
+    # does its held-out samples
+    want = error_report(xy, [s.pos for s in test_s], regions)
+    report = run_pipeline(BENCHMARK_CONFIGS[name])
+    assert {key: report[key] for key in want} == want
     pairs = list(model.founders.values())
 
     def full_scoring(banks, images):

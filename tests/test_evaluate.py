@@ -240,11 +240,11 @@ class TestRunPipeline:
             with mock.patch.object(channel, "_CHUNK", chunk), mock.patch.object(localizer, "_render_planes", spy):
                 report = run_pipeline(config, out_dir=out)
             assert report["n_train"] > 5
-            # the fingerprint pass renders one plane stack per chunk of
-            # terminals that holds a training terminal, and locate one per
-            # chunk of held-out samples
-            train_rows = split(range(report["n_train"] + report["n_test"]), check_config(config))[0]
-            assert spy.call_count == len({i // chunk for i in train_rows}) + math.ceil(report["n_test"] / chunk)
+            # the one fingerprint pass renders one plane stack per chunk of
+            # terminals that holds a training terminal, and one per chunk
+            # that holds a held-out terminal
+            train_rows, held_rows = split(range(report["n_train"] + report["n_test"]), check_config(config))
+            assert spy.call_count == len({i // chunk for i in train_rows}) + len({i // chunk for i in held_rows})
             assert artifacts(out) == want, chunk
 
     @pytest.mark.parametrize(
@@ -323,7 +323,9 @@ class TestRunPipeline:
 
     def test_holds_no_full_fingerprint_stack(self, tmp_path):
         # a dense single-region scene: the CFR and ADCAM stacks of every
-        # terminal, n * nt * nc * 24 bytes, are never held at once
+        # terminal, n * nt * nc * 24 bytes, are never held at once, nor
+        # are those of the held-out terminals, which the pass turns into
+        # design rows as it does the training terminals
         scene = SceneConfig(**REFERENCE_SCENE, grid_spacing_m=7.0, nt=32, nc=32)
         config = {**default_config(), "scene": scene_to_json(scene), "single_region": True, "seed": 3}
         run_pipeline({**config, "scene": {**config["scene"], "grid_spacing_m": 40.0}})  # first-call imports and caches
@@ -336,6 +338,7 @@ class TestRunPipeline:
         n = report["n_train"] + report["n_test"]
         assert n > 600
         assert peak < n * 32 * 32 * 24
+        assert peak < n * 32 * 32 * 16
 
     def test_default_scene_is_the_scene_config_default(self):
         # run_pipeline leaves a scene key the config lacks to SceneConfig's default

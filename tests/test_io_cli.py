@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from amdnloc import cli
 from amdnloc import io as dio
 from amdnloc.channel import PathRecord
 from amdnloc.cli import main
@@ -620,6 +621,18 @@ def trained_chain(chain_config, tmp_path_factory):
     assert main(["segment", "--data", str(data)]) == 0
     assert main(["train", "--data", str(data), "--out", str(model)]) == 0
     return data, model
+
+
+def test_a_program_fault_leaves_main_with_its_traceback(tmp_path, monkeypatch):
+    # main turns a stage error, a ValueError or an OSError into an exit
+    # code; any other exception is a fault of the program, not of its input
+    def faulty(args):
+        raise KeyError("planted")
+
+    monkeypatch.setattr(cli, "_cmd_plot", faulty)
+    with pytest.raises(KeyError, match="planted"):
+        main(["plot", "--report", str(tmp_path / "report.json"), "--out", str(tmp_path / "plots")])
+    assert not (tmp_path / "plots").exists()
 
 
 class TestBoundaryErrors:

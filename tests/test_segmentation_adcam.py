@@ -161,6 +161,15 @@ class TestKmeans:
         with pytest.raises(ValueError):
             kmeans(pts, 3, seed=0)
 
+    def test_distinct_points_whose_squared_distance_underflows(self):
+        # 1e-300 apart the two points are distinct, so k=2 is allowed, but
+        # their squared distance underflows to 0: every k-means++ weight
+        # is 0, and the seeding draws its next centroid from all points
+        pts = np.array([[0.0], [1e-300]])
+        assert segmentation_adcam._dist(pts, pts[:1]).max() ** 2 == 0.0
+        m = kmeans(pts, 2, seed=0)
+        assert m.centroids.shape == (2, 1) and np.isfinite(m.centroids).all()
+
     def test_rising_scatter_raises(self, monkeypatch):
         # from the second Lloyd step on (the seeding asks about fewer than
         # three centroids), every point joins its farthest centroid, so the
