@@ -32,6 +32,10 @@ NO_NOISE = float("inf")
 # time: 64 matrices of 32 x 32 complex are 1 MB.
 _CHUNK = 64
 
+# Matrices per block of ``adcam``'s two complex products: its work arrays
+# are 16 matrices each, 256 kB at 32 x 32, where a whole chunk's are 1 MB.
+_ADCAM_BLOCK = 16
+
 
 def _chunks(n: int) -> Iterator[slice]:
     """The slices of ``_CHUNK`` rows that cover ``range(n)``, in order."""
@@ -168,17 +172,29 @@ def dft_matrices(nt: int, nc: int) -> tuple[np.ndarray, np.ndarray]:
 
 def adcam(h: np.ndarray) -> np.ndarray:
     """Angle-delay channel amplitude matrix |V^H H F| of a CFR matrix,
-    or of each matrix of an (..., nt, nc) stack. Both products are
-    written into work arrays (``np.matmul(..., out=)``), which is faster
-    than a chained ``@``; its one program caller,
-    ``scenegen.fingerprint_chunks``, passes ``_CHUNK`` matrices at a time."""
+    or of each matrix of an (..., nt, nc) stack.
+
+    Both products are taken ``_ADCAM_BLOCK`` matrices at a time into two
+    work arrays of that many matrices (``np.matmul(..., out=)``, faster
+    than a chained ``@``), made once and reused by every block, and each
+    block's amplitudes go into its rows of the result. Each matrix is
+    transformed bit for bit as it would be alone, so the result does not
+    depend on the stack it came in.
+    """
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim < 2:
         raise ValueError(f"need an (..., nt, nc) array, got shape {h.shape}")
     nt, nc = h.shape[-2:]
     v, f = dft_matrices(nt, nc)
-    left, both = np.empty((2, *h.shape), dtype=np.complex128)
-    return np.abs(np.matmul(np.matmul(v.conj().T, h, out=left), f, out=both))
+    vh = v.conj().T
+    stack = h.reshape(-1, nt, nc)
+    out = np.empty(stack.shape)
+    left, both = np.empty((2, min(len(stack), _ADCAM_BLOCK), nt, nc), dtype=np.complex128)
+    for start in range(0, len(stack), _ADCAM_BLOCK):
+        block = stack[start : start + _ADCAM_BLOCK]
+        m = len(block)
+        np.abs(np.matmul(np.matmul(vh, block, out=left[:m]), f, out=both[:m]), out=out[start : start + m])
+    return out.reshape(h.shape)
 
 
 def _min_max(vals: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -4,9 +4,10 @@ Features are deterministic: block means of the CFR magnitude/phase and
 angle-delay images, row/column profiles, and the strongest angle-delay
 peaks. ``_image_features`` defines their layout, and every feature
 vector comes from ``_design_matrix``, the one loop that writes design
-rows: it renders the three images of each run of samples, at most
-``channel._CHUNK`` of them, in place into one plane stack and writes
-their fused vectors and a column of ones into one design matrix.
+rows: it renders the three images of each part of at most
+``channel._CHUNK`` samples once, in place into one plane stack, and
+scatters their fused vectors to their rows of one design matrix, next
+to a column of ones.
 ``train``, ``locate`` and ``sample_features`` feed it samples through
 ``_stack_features``; ``evaluate.run_pipeline`` feeds it every terminal's
 fingerprints as they are made, and routes the held-out rows through
@@ -183,23 +184,25 @@ def _design_matrix(parts, n: int, config: FeatureConfig, mags: np.ndarray | None
     feature vector of each, then a one; the one loop that writes design
     rows.
 
-    ``parts`` yields (first row, CFR stack, ADCAM stack) of nonempty runs
-    of at most ``channel._CHUNK`` consecutive rows: ``_render_planes``
-    renders a part's images into one plane stack, made once and reused
-    by every part, and ``_image_features`` writes their vectors into its
-    rows. When ``mags`` is given, each part's CFR magnitude images are
-    written into its rows of it, none past its end.
+    ``parts`` yields (rows, CFR stack, ADCAM stack) of nonempty runs of
+    at most ``channel._CHUNK`` samples, ``rows`` the integer array of the
+    design rows they go to, in their order. ``_render_planes`` renders a
+    whole part's images into one plane stack and ``_image_features``
+    writes their vectors into one array of vectors, both made once and
+    reused by every part, and the vectors are scattered to their rows.
+    When ``mags`` is given, each part's CFR magnitude images are
+    scattered to their rows of it, none past its end.
     """
     design = np.empty((n, config.fused_len + 1))
     design[:, -1] = 1.0
     work = np.empty((3, _chunk_rows(n), config.nt, config.nc))
-    for first, cfr, adcam in parts:
-        rows = slice(first, first + len(cfr))
+    vecs = np.empty((_chunk_rows(n), config.fused_len))
+    for rows, cfr, adcam in parts:
         planes = _render_planes(cfr, adcam, work[:, : len(cfr)])
-        _image_features(planes, design[rows, :-1])
+        design[rows, :-1] = _image_features(planes, vecs[: len(cfr)])
         if mags is not None:
-            kept = mags[rows]
-            kept[...] = planes[0, : len(kept)]
+            kept = rows < len(mags)
+            mags[rows[kept]] = planes[0, kept]
     return design
 
 
@@ -208,18 +211,19 @@ def _stack_features(samples, config: FeatureConfig, mags: np.ndarray | None = No
     in ``mags`` (n, nt, nc) when it is given.
 
     The samples are checked once by ``_check_samples``, then handed on
-    ``channel._CHUNK`` at a time, their CFRs stacked into one reused
-    array, with no ``render_image`` call.
+    ``channel._CHUNK`` at a time to their own rows, their CFRs stacked
+    into one reused array, with no ``render_image`` call.
     """
     _check_samples(samples, (config.nt, config.nc))
     cfrs = np.empty((_chunk_rows(len(samples)), config.nt, config.nc), dtype=complex)
+    index = np.arange(len(samples))
 
     def parts():
         for rows in _chunks(len(samples)):
             chunk = samples[rows]
             for i, s in enumerate(chunk):
                 cfrs[i] = s.cfr
-            yield rows.start, cfrs[: len(chunk)], [s.adcam for s in chunk]
+            yield index[rows], cfrs[: len(chunk)], [s.adcam for s in chunk]
 
     return _design_matrix(parts(), len(samples), config, mags)
 

@@ -181,6 +181,25 @@ def test_stacked_adcam_equals_the_per_matrix_transform_bit_for_bit(lead, nt, nc,
         assert a.tobytes() == oracles.adcam(m).tobytes()
 
 
+@pytest.mark.parametrize("snr_db", [NO_NOISE, 20.0], ids=["clean", "noisy"])
+@pytest.mark.parametrize("n", [1, 15, 16, 17, 64, 65])
+def test_blocked_adcam_transforms_each_matrix_as_alone(n, snr_db):
+    # adcam takes its products _ADCAM_BLOCK matrices at a time: stacks that
+    # end inside a block, at its end and past it give each matrix's own
+    # transform, on CFRs of real path lists with and without noise
+    assert channel._ADCAM_BLOCK == 16
+    rng = np.random.default_rng(n)
+    paths = [
+        [
+            PathRecord(aoa=rng.uniform(0.1, 3.0), aod=1.0, gain=np.exp(1j * rng.uniform(0, 6)), delay_samples=int(rng.integers(32)), pathloss_db=rng.uniform(60, 120))
+            for _ in range(rng.integers(1, 4))
+        ]
+        for _ in range(n)
+    ]
+    h = np.array([add_noise(m, snr_db, seed=i) for i, m in enumerate(cfr_stack(paths, 32, 32))])
+    assert np.array_equal(adcam(h), np.array([adcam(m) for m in h]))
+
+
 @pytest.mark.parametrize("chunk", [1, 3, 64])
 @pytest.mark.parametrize("n", [0, 1, 5, 63, 64, 65, 150])
 def test_chunks_cover_the_rows_in_order(n, chunk):

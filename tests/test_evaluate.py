@@ -1,9 +1,11 @@
+import concurrent.futures
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -240,12 +242,42 @@ class TestRunPipeline:
             with mock.patch.object(channel, "_CHUNK", chunk), mock.patch.object(localizer, "_render_planes", spy):
                 report = run_pipeline(config, out_dir=out)
             assert report["n_train"] > 5
-            # the one fingerprint pass renders one plane stack per chunk of
-            # terminals that holds a training terminal, and one per chunk
-            # that holds a held-out terminal
-            train_rows, held_rows = split(range(report["n_train"] + report["n_test"]), check_config(config))
-            assert spy.call_count == len({i // chunk for i in train_rows}) + len({i // chunk for i in held_rows})
+            # the one fingerprint pass renders each chunk of terminals once,
+            # its training and held-out terminals together
+            assert spy.call_count == math.ceil((report["n_train"] + report["n_test"]) / chunk)
             assert artifacts(out) == want, chunk
+
+    @pytest.mark.parametrize(
+        "config",
+        [SMALL_CONFIG, {**SMALL_CONFIG, "scene": {**SMALL_CONFIG["scene"], "snr_db": 30.0}}],
+        ids=["segmented", "snr_db"],
+    )
+    def test_the_worker_thread_changes_no_artifact(self, tmp_path, monkeypatch, config):
+        # the pass makes each next chunk on a worker thread; a pass that
+        # makes every chunk on the calling thread when it is asked for
+        # writes the same files, byte for byte
+        class Serial:
+            def __init__(self, workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def submit(self, fn, *args):
+                made.append(fn)
+                done = concurrent.futures.Future()
+                done.set_result(fn(*args))
+                return done
+
+        made = []
+        run_pipeline(config, out_dir=tmp_path / "worker")
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Serial)
+        run_pipeline(config, out_dir=tmp_path / "serial")
+        assert made
+        assert _files(tmp_path / "serial") == _files(tmp_path / "worker")
 
     @pytest.mark.parametrize(
         "config",
@@ -315,11 +347,42 @@ class TestRunPipeline:
         monkeypatch.setattr(channel, "_CHUNK", 3)
         monkeypatch.setattr(evaluate, "fingerprint_chunks", failing)
         (tmp_path / "kept").mkdir()
+        threads = threading.active_count()
         for out in (tmp_path / "new" / "run", tmp_path / "kept"):
             with pytest.raises(PipelineError, match=r"\[generate\] planted"):
                 run_pipeline(SMALL_CONFIG, out_dir=out)
+            # the worker thread that made the chunks is joined
+            assert threading.active_count() == threads
         assert [p.name for p in tmp_path.iterdir()] == ["kept"]
         assert not any((tmp_path / "kept").iterdir())
+
+    @pytest.mark.parametrize("error", [ValueError("planted"), KeyboardInterrupt()], ids=["ValueError", "KeyboardInterrupt"])
+    def test_a_feature_error_removes_the_dataset_and_the_worker(self, tmp_path, monkeypatch, error):
+        # an error raised on the consumer's side of the pass, while the
+        # worker makes the next chunk, passes through unchanged; the
+        # dataset files are gone before it leaves run_pipeline, while its
+        # traceback still holds the pass's frames, and no thread is left
+        real = localizer._image_features
+        calls = []
+
+        def failing(planes, out):
+            calls.append(len(out))
+            if len(calls) == 2:
+                raise error
+            return real(planes, out)
+
+        monkeypatch.setattr(channel, "_CHUNK", 3)
+        monkeypatch.setattr(localizer, "_image_features", failing)
+        (tmp_path / "kept").mkdir()
+        threads = threading.active_count()
+        for out in (tmp_path / "new" / "run", tmp_path / "kept"):
+            calls.clear()
+            with pytest.raises(type(error)) as exc:
+                run_pipeline(SMALL_CONFIG, out_dir=out)
+            assert exc.value is error and len(calls) == 2
+            assert threading.active_count() == threads
+            assert [p.name for p in tmp_path.iterdir()] == ["kept"]
+            assert not any((tmp_path / "kept").iterdir())
 
     def test_holds_no_full_fingerprint_stack(self, tmp_path):
         # a dense single-region scene: the CFR and ADCAM stacks of every
@@ -376,6 +439,16 @@ class TestRunPipeline:
         run_pipeline(SMALL_CONFIG, out_dir=tmp_path / "here")
         for name in ("report.json", "region_map.csv", "model.json"):
             assert (tmp_path / "bare" / name).read_bytes() == (tmp_path / "here" / name).read_bytes(), name
+
+    def test_importing_the_package_loads_no_executor(self):
+        # the fingerprint pass imports its worker's executor when it runs,
+        # so importing the package does not pay for it
+        code = "import sys, amdnloc\nprint(sorted(m for m in sys.modules if m.startswith('concurrent')))\n"
+        src = str(Path(amdnloc.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
     def test_leaves_numpy_ma_unimported(self, tmp_path):
         # numpy imports numpy.ma (about 1 MB) on a first np.unique call
