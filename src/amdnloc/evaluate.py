@@ -307,7 +307,10 @@ def run_pipeline(config: dict, out_dir: str | Path | None = None) -> dict:
 
     A ``[config]`` or ``[generate]`` error writes nothing, and neither
     does any other error raised during the pass, which passes through
-    unchanged: the dataset files are removed before it leaves. The
+    unchanged: the dataset files are removed before it leaves. Past
+    ``generate`` and before the pass, the region map, model and report
+    of an earlier run in ``out_dir`` are removed, so none is left beside
+    a dataset of other samples; a ``[config]`` error touches nothing. The
     dataset directory is written during the pass, before segmentation, so a
     ``[segment]``, ``[train]`` or ``[eval]`` error leaves it as
     ``amdnloc generate`` writes it for the same config, byte for byte,
@@ -315,6 +318,10 @@ def run_pipeline(config: dict, out_dir: str | Path | None = None) -> dict:
     """
     cfg, scene, terminals = generate(config)
     out = None if out_dir is None else Path(out_dir)
+    if out is not None:
+        # an earlier run's outputs, made from the samples this run replaces
+        for name in ("region_map.csv", "region_map.ppm", "model.json", "report.json"):
+            (out / name).unlink(missing_ok=True)
     features = FeatureConfig(nt=scene.nt, nc=scene.nc)
     chunks = dataset_chunks(scene, terminals, cfg, None if out is None else out / "dataset")
     train_t, held, design, mags = _fingerprint_pass(features, terminals, cfg, chunks)

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import PathRecord, _chunks, render_image
+from .channel import PathRecord, render_image
 from .fusion import RegionLabels, Segmentation, cleanse, fuse_labels
 from .localizer import FeatureConfig, LocalizationModel
 from .scenegen import _COUNT, _NONNEGATIVE, _SEED, Sample, _check, _is_int, _one_of
@@ -33,7 +33,6 @@ __all__ = [
     "MODEL_VERSION",
     "read_json",
     "DatasetWriter",
-    "write_dataset",
     "read_dataset",
     "write_region_map",
     "write_segmentation",
@@ -108,8 +107,10 @@ class DatasetWriter:
     """A dataset directory written as its fingerprints arrive, so its
     writer need not hold every sample's matrices.
 
-    Made from the terminals (or samples) of the dataset, it writes
-    config.json when given a config, positions.csv and paths.csv; each
+    Made from the terminals (or samples) of the dataset, it removes
+    segmentation.json and region_map.csv and .ppm, which were made from
+    the samples of the dataset it replaces, and writes config.json when
+    given a config, positions.csv and paths.csv; each
     ``write(cfr, adcam)`` then appends the next rows of both fingerprint
     stacks to cfr.bin and adcam.bin as float32. Each .bin header counts
     every terminal and takes (nt, nc) from its file's first rows, or (0,
@@ -121,6 +122,8 @@ class DatasetWriter:
         out = Path(out_dir)
         self._made = [d for d in (out, *out.parents) if not d.exists()]
         out.mkdir(parents=True, exist_ok=True)
+        for name in ("segmentation.json", "region_map.csv", "region_map.ppm"):
+            (out / name).unlink(missing_ok=True)
         self._paths = [out / name for name in ("positions.csv", "paths.csv", "cfr.bin", "adcam.bin")]
         if config is not None:
             self._paths.append(out / "config.json")
@@ -171,15 +174,6 @@ class DatasetWriter:
 def _header(count: int, shape: tuple[int, int]) -> bytes:
     """The 20-byte header of a .bin file of ``count`` (nt, nc) matrices."""
     return MAGIC + np.array([FORMAT_VERSION, count, *shape], dtype="<u4").tobytes()
-
-
-def write_dataset(samples: list[Sample], out_dir: str | Path, config: dict | None = None):
-    """The four dataset files, and ``config`` as config.json, written as
-    report.json writes it: a ``DatasetWriter`` fed the samples' rows,
-    ``channel._CHUNK`` at a time."""
-    with DatasetWriter(out_dir, samples, config) as writer:
-        for rows in _chunks(len(samples)):
-            writer.write([s.cfr for s in samples[rows]], [s.adcam for s in samples[rows]])
 
 
 def read_dataset(data_dir: str | Path) -> list[Sample]:

@@ -37,8 +37,6 @@ __all__ = [
     "FeatureConfig",
     "LocalizationModel",
     "sample_features",
-    "fit_region_weights",
-    "apply_weights",
     "fit",
     "train",
     "locate",
@@ -212,20 +210,15 @@ def _stack_features(samples, config: FeatureConfig, mags: np.ndarray | None = No
 
     The samples are checked once by ``_check_samples``, then handed on
     ``channel._CHUNK`` at a time to their own rows, their CFRs stacked
-    into one reused array, with no ``render_image`` call.
+    as complex128, with no ``render_image`` call.
     """
     _check_samples(samples, (config.nt, config.nc))
-    cfrs = np.empty((_chunk_rows(len(samples)), config.nt, config.nc), dtype=complex)
     index = np.arange(len(samples))
-
-    def parts():
-        for rows in _chunks(len(samples)):
-            chunk = samples[rows]
-            for i, s in enumerate(chunk):
-                cfrs[i] = s.cfr
-            yield index[rows], cfrs[: len(chunk)], [s.adcam for s in chunk]
-
-    return _design_matrix(parts(), len(samples), config, mags)
+    parts = (
+        (index[rows], np.array([s.cfr for s in samples[rows]], dtype=complex), [s.adcam for s in samples[rows]])
+        for rows in _chunks(len(samples))
+    )
+    return _design_matrix(parts, len(samples), config, mags)
 
 
 def sample_features(sample, config: FeatureConfig) -> np.ndarray:
@@ -246,23 +239,20 @@ def _solve_ridge(design: np.ndarray, y: np.ndarray, ridge_lambda: float) -> np.n
     return w.T  # (2, d+1)
 
 
-def fit_region_weights(x: np.ndarray, y: np.ndarray, ridge_lambda: float = 1e-3) -> np.ndarray:
-    """Closed-form ridge solution for one region; returns 2 x (d+1) weights."""
-    return _solve_ridge(np.hstack([x, np.ones((x.shape[0], 1))]), y, ridge_lambda)
-
-
 @dataclass
 class LocalizationModel:
     """Trained per-region regressors plus everything needed to route a
     new sample to a region.
 
     Whenever a model is made, each region's weights are stored once,
-    column-major, as ``locate`` and ``apply_weights`` take them, and it
-    keeps what ``locate`` would otherwise redo on every call: the
-    founder templates as ``_corner_banks`` for the CFR image shape, a t1
-    bank and a t2 bank, so ``locate`` transforms no template, and the
-    founder categories as one array, in ``founders`` order. A model of
-    no regions (empty ``weights``) is a ``ValueError``.
+    column-major, as ``locate`` takes them (the product rounds
+    differently for each layout, and a model read back from JSON must
+    predict bit for bit as the trained one), and it keeps what
+    ``locate`` would otherwise redo on every call: the founder templates
+    as ``_corner_banks`` for the CFR image shape, a t1 bank and a t2
+    bank, so ``locate`` transforms no template, and the founder
+    categories as one array, in ``founders`` order. A model of no
+    regions (empty ``weights``) is a ``ValueError``.
     """
 
     config: FeatureConfig
@@ -273,7 +263,7 @@ class LocalizationModel:
     pair_to_fused: dict[tuple[int, int], int]
     feature_standardizer: Standardizer
     region_feature_centroids: dict[int, np.ndarray]
-    ridge_lambda: float = 1e-3
+    ridge_lambda: float
     corner_banks: tuple[_TemplateBank, _TemplateBank] = field(init=False, repr=False, compare=False)
     founder_labels: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -286,7 +276,7 @@ class LocalizationModel:
 
 
 def fit(
-    design: np.ndarray, positions, segmentation: Segmentation, config: FeatureConfig, ridge_lambda: float = 1e-3
+    design: np.ndarray, positions, segmentation: Segmentation, config: FeatureConfig, ridge_lambda: float
 ) -> LocalizationModel:
     """Fit one closed-form ridge regressor per retained fused region on
     the (n, fused_len + 1) design matrix of the segmented samples, in
@@ -331,7 +321,7 @@ def fit(
     )
 
 
-def train(samples, segmentation: Segmentation, ridge_lambda: float = 1e-3) -> LocalizationModel:
+def train(samples, segmentation: Segmentation, ridge_lambda: float) -> LocalizationModel:
     """``fit`` on the ``_stack_features`` design matrix of samples. Every
     sample's CFR and ADCAM must have the shape of the first sample's CFR,
     which sets the model's (nt, nc). No samples, or none retained, are a
@@ -437,16 +427,6 @@ def _nearest_centroid(centroids: dict[int, np.ndarray]):
     in region order."""
     keys, table = list(centroids), np.array(list(centroids.values()))
     return lambda feat: keys[int(np.argmin(np.sum((table - feat) ** 2, axis=1)))]
-
-
-def apply_weights(weights: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """Affine map W @ [features; 1]: ``locate``'s product for one vector.
-
-    W is taken column-major, the layout ``fit_region_weights`` returns:
-    the product rounds differently for each layout, and a model read
-    back from JSON must predict bit for bit as the trained one.
-    """
-    return np.asfortranarray(weights) @ np.hstack([features, 1.0])
 
 
 def predict(model: LocalizationModel, sample) -> np.ndarray:

@@ -32,7 +32,10 @@ derives from its roots' order.
 penalty matrix: ``ridge_lambda * np.eye`` with its bias entry zeroed,
 added to the Gram matrix. ``localizer._solve_ridge`` adds
 ``ridge_lambda`` to the Gram matrix's diagonal in place and must give
-its weights bit for bit.
+its weights bit for bit. ``with_ones`` puts features next to the column
+of ones of a design matrix, and ``affine_oracle`` is a region's
+``W @ [features; 1]`` for one vector, W column-major as a model stores
+it, as ``localizer.locate`` takes it for each design row.
 
 ``fuse_labels`` and ``cleanse`` are the dict-based fusion that stored
 every region fact, ``retained``, the region count and the pair map,
@@ -256,6 +259,16 @@ def ridge_oracle(design: np.ndarray, y: np.ndarray, ridge_lambda: float) -> np.n
     if ridge_lambda == 0.0 and np.linalg.matrix_rank(gram) < d:
         raise np.linalg.LinAlgError("singular system; use ridge_lambda > 0")
     return np.linalg.solve(gram, design.T @ y).T
+
+
+def with_ones(x: np.ndarray) -> np.ndarray:
+    """The (n, d+1) design matrix of (n, d) features: a column of ones last."""
+    return np.hstack([x, np.ones((len(x), 1))])
+
+
+def affine_oracle(weights: np.ndarray, features: np.ndarray) -> np.ndarray:
+    """W @ [features; 1] of one feature vector, W taken column-major."""
+    return np.asfortranarray(weights) @ np.hstack([features, 1.0])
 
 
 def magnitude_images(samples) -> list[np.ndarray]:

@@ -27,13 +27,7 @@ from amdnloc import localizer
 from amdnloc.cli import main as cli_main
 from amdnloc.evaluate import default_config, error_report, generate, run_pipeline, segment, split
 from amdnloc.fusion import Segmentation, cleanse, fuse_labels
-from amdnloc.localizer import (
-    apply_weights,
-    fit_region_weights,
-    locate,
-    sample_features,
-    train,
-)
+from amdnloc.localizer import _solve_ridge, locate, sample_features, train
 from amdnloc.scenegen import Rect, SceneConfig, build_dataset, scene_from_json, scene_to_json
 from amdnloc.segmentation_adcam import (
     build_features,
@@ -52,7 +46,7 @@ from amdnloc.segmentation_cfr import (
     match_within,
     segment_cfr,
 )
-from oracles import REFERENCE_SCENE, magnitude_images, match_within_sequential, pair_scores
+from oracles import REFERENCE_SCENE, affine_oracle, magnitude_images, match_within_sequential, pair_scores, with_ones
 
 # ---------------------------------------------------------------------------
 # shared oracles
@@ -330,7 +324,7 @@ def _retained_error(train_s, test_s, lab, founders, cmodel, std, min_count):
         if fused is None or fused not in model.weights:
             continue  # sample falls in a cleansed category: not retained
         feat = model.feature_standardizer.apply(sample_features(s, model.config))
-        errs.append(float(np.hypot(*(apply_weights(model.weights[fused], feat) - np.array(s.pos)))))
+        errs.append(float(np.hypot(*(affine_oracle(model.weights[fused], feat) - np.array(s.pos)))))
     return regions.covering_rate, float(np.mean(errs))
 
 
@@ -394,9 +388,9 @@ def test_exact_recovery_for_affine_features():
     for r in (0, 1):
         tr = [i for i in train_idx if region[i] == r]
         te = [i for i in test_idx if region[i] == r]
-        w = fit_region_weights(feats[tr], pos[tr], ridge_lambda=0.0)
+        w = _solve_ridge(with_ones(feats[tr]), pos[tr], ridge_lambda=0.0)
         for i in te:
-            err = float(np.hypot(*(apply_weights(w, feats[i]) - pos[i])))
+            err = float(np.hypot(*(affine_oracle(w, feats[i]) - pos[i])))
             worst = max(worst, err)
     assert worst < 1e-3
 

@@ -291,12 +291,13 @@ class TestRunPipeline:
     )
     def test_dataset_files_are_write_dataset_of_build_dataset(self, tmp_path, config):
         # the pass writes each chunk of fingerprints as it is made; the
-        # files are those of the whole dataset written at once
+        # files are those of the whole dataset's stacks in one write
         report = run_pipeline(config, out_dir=tmp_path / "run")
         cfg = check_config(config)
         samples = nlos_filter(build_dataset(scene_from_json({**cfg["scene"], "seed": cfg["seed"]})), cfg["nlos_mode"])
         assert len(samples) == report["n_train"] + report["n_test"]
-        dio.write_dataset(samples, tmp_path / "built", cfg)
+        with dio.DatasetWriter(tmp_path / "built", samples, cfg) as writer:
+            writer.write([s.cfr for s in samples], [s.adcam for s in samples])
         assert _files(tmp_path / "run" / "dataset") == _files(tmp_path / "built")
 
     @pytest.mark.parametrize(
@@ -333,6 +334,30 @@ class TestRunPipeline:
         assert _files(data) == before and not model.exists()
         if tag == "segment":
             assert not list(data.glob("segmentation.json")) and not list(data.glob("region_map.*"))
+
+    def test_a_rerun_into_a_used_directory_leaves_nothing_of_the_old_samples(self, tmp_path):
+        # an earlier run's region map, model and report, and a
+        # segmentation.json that segment wrote beside its dataset, describe
+        # the samples a rerun replaces: a [config] error touches none of
+        # them, and a rerun that fails with [segment] leaves its dataset
+        # alone, as generate writes it
+        out = tmp_path / "run"
+        run_pipeline({**SMALL_CONFIG, "seed": 2}, out_dir=out)
+        assert main(["segment", "--data", str(out / "dataset")]) == 0
+        before = _files(out)
+        assert {"report.json", "model.json", "region_map.csv", "dataset/segmentation.json"} < set(before)
+        config = {**SMALL_CONFIG, "seed": 7, "min_count": 1000}
+        with pytest.raises(PipelineError, match=r"^\[config\] "):
+            run_pipeline({**config, "seed": -1}, out_dir=out)
+        assert _files(out) == before
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "generated")]) == 0
+        with pytest.raises(PipelineError) as exc:
+            run_pipeline(config, out_dir=out)
+        assert exc.value.stage == "segment"
+        assert [p.name for p in out.iterdir()] == ["dataset"]
+        assert _files(out / "dataset") == _files(tmp_path / "generated")
 
     def test_a_fingerprint_error_writes_nothing(self, tmp_path, monkeypatch):
         # a [generate] error raised while the chunks are made and written

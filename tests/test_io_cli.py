@@ -23,6 +23,12 @@ from amdnloc.scenegen import Rect, Sample, SceneConfig, Terminal, build_dataset,
 from oracles import magnitude_images
 
 
+def write_samples(samples, out_dir, config=None):
+    """The dataset files of samples, written by one ``DatasetWriter.write`` of all their rows."""
+    with dio.DatasetWriter(out_dir, samples, config) as writer:
+        writer.write([s.cfr for s in samples], [s.adcam for s in samples])
+
+
 @pytest.fixture(scope="module")
 def dataset():
     scene = SceneConfig(
@@ -40,7 +46,7 @@ def dataset():
 class TestBinaryFormat:
     def test_roundtrip(self, dataset, tmp_path):
         _, samples = dataset
-        dio.write_dataset(samples, tmp_path)
+        write_samples(samples, tmp_path)
         again = dio.read_dataset(tmp_path)
         assert len(again) == len(samples)
         for a, b in zip(samples, again):
@@ -53,7 +59,7 @@ class TestBinaryFormat:
     def test_paths_read_back_as_built(self, dataset, tmp_path):
         # every field of a path is a Python number, whether traced or read
         _, samples = dataset
-        dio.write_dataset(samples, tmp_path)
+        write_samples(samples, tmp_path)
         again = dio.read_dataset(tmp_path)
 
         def kinds(samples):
@@ -64,7 +70,7 @@ class TestBinaryFormat:
 
     def test_header_layout(self, dataset, tmp_path):
         _, samples = dataset
-        dio.write_dataset(samples, tmp_path)
+        write_samples(samples, tmp_path)
         raw = (tmp_path / "cfr.bin").read_bytes()
         assert raw[:4] == b"AMDN"
         version, count, nt, nc = struct.unpack("<4I", raw[4:20])
@@ -73,7 +79,7 @@ class TestBinaryFormat:
 
     def test_adcam_header(self, dataset, tmp_path):
         _, samples = dataset
-        dio.write_dataset(samples, tmp_path)
+        write_samples(samples, tmp_path)
         raw = (tmp_path / "adcam.bin").read_bytes()
         version, count, nt, nc = struct.unpack("<4I", raw[4:20])
         assert len(raw) == 20 + count * nt * nc * 4
@@ -259,7 +265,7 @@ _FAULTS = [
 def test_read_dataset_rejects_malformed_files(samples, fault, bin_name, data):
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
-        dio.write_dataset(samples, d)
+        write_samples(samples, d)
         if fault is None:
             again = dio.read_dataset(d)
             assert [(s.id, s.pos, s.paths, s.is_los) for s in again] == [(s.id, s.pos, s.paths, s.is_los) for s in samples]
@@ -429,11 +435,28 @@ class TestCliWorkflow:
             f"wrote {len(samples)} samples and config.json to {data}",
             f"{last} of {len(samples)} terminals ({share}) have a path in the last delay bin, {nc - 1}",
         ]
-        # only standard output tells of it: the files are write_dataset's
-        dio.write_dataset(samples, tmp_path / "direct", check_config(config))
+        # only standard output tells of it: the files are the samples' own
+        write_samples(samples, tmp_path / "direct", check_config(config))
         names = sorted(p.name for p in data.iterdir())
         assert names == sorted(p.name for p in (tmp_path / "direct").iterdir())
         assert all((data / n).read_bytes() == (tmp_path / "direct" / n).read_bytes() for n in names)
+
+    def test_generate_into_a_segmented_dataset_removes_its_segmentation(self, trained_chain, chain_config, tmp_path, capsys):
+        # segmentation.json and the region map were made from the samples
+        # a new generate replaces: train finds no segmentation to fit
+        data = shutil.copytree(trained_chain[0], tmp_path / "data")
+        config = {**chain_config, "seed": 5, "scene": {**chain_config["scene"], "snr_db": 20.0}}
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        for out in (data, tmp_path / "fresh"):
+            assert main(["generate", "--config", str(tmp_path / "config.json"), "--out", str(out)]) == 0
+        files = [{p.name: p.read_bytes() for p in d.iterdir()} for d in (data, tmp_path / "fresh")]
+        assert files[0] == files[1]
+        capsys.readouterr()
+        model = tmp_path / "model.json"
+        assert main(["train", "--data", str(data), "--out", str(model)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [train] ") and str(data / "segmentation.json") in err and "Traceback" not in err
+        assert not model.exists()
 
     def test_config_seed_seeds_the_generated_scene(self, dataset, chain_config, tmp_path):
         scene = dataclasses.replace(dataset[0], grid_jitter=0.5)
@@ -640,8 +663,8 @@ class TestBoundaryErrors:
         # 16x16 CFRs with the 8x8 ADCAMs of another dataset of the same terminals
         _, samples = dataset
         data, other = tmp_path / "data", tmp_path / "other"
-        dio.write_dataset(samples, data, check_config(chain_config))
-        dio.write_dataset([dataclasses.replace(s, adcam=s.adcam[:8, :8]) for s in samples], other)
+        write_samples(samples, data, check_config(chain_config))
+        write_samples([dataclasses.replace(s, adcam=s.adcam[:8, :8]) for s in samples], other)
         shutil.copy(other / "adcam.bin", data / "adcam.bin")
         want = f"{data / 'cfr.bin'} holds 16x16 matrices, but {data / 'adcam.bin'} 8x8"
         with pytest.raises(ValueError, match=re.escape(want)):
@@ -1104,7 +1127,7 @@ def trained_model(dataset):
     feats, std = build_features(samples)
     cm = kmeans(feats, 2, seed=0)
     regions = cleanse(fuse_labels(labeling.labels, cm.assignment), 0)
-    return train(samples, Segmentation(regions, founders, cm.centroids, std))
+    return train(samples, Segmentation(regions, founders, cm.centroids, std), 1e-3)
 
 
 class TestModelRoundtrip:
@@ -1321,7 +1344,7 @@ class TestSegmentationRecord:
         assert main(["train", "--data", str(data), "--out", str(out)]) == 0
         cfg = check_config(config)
         train_samples, _ = split(dio.read_dataset(data), cfg)
-        fits = [train(train_samples, segment(train_samples, {**cfg, "k_max": k_max}, magnitude_images(train_samples))) for k_max in k_maxes]
+        fits = [train(train_samples, segment(train_samples, {**cfg, "k_max": k_max}, magnitude_images(train_samples)), cfg["ridge_lambda"]) for k_max in k_maxes]
         written = {int(r): np.array(w) for r, w in json.loads(out.read_text())["weights"].items()}
         assert sorted(written) == sorted(fits[1].weights)
         assert all(written[r].tobytes() == w.tobytes() for r, w in fits[1].weights.items())

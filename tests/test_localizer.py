@@ -22,8 +22,6 @@ from amdnloc.localizer import (
     _solve_ridge,
     _stack_features,
     _top_peaks,
-    apply_weights,
-    fit_region_weights,
     locate,
     predict,
     sample_features,
@@ -32,7 +30,7 @@ from amdnloc.localizer import (
 from amdnloc.scenegen import Rect, Sample, SceneConfig, build_dataset
 from amdnloc.segmentation_adcam import Standardizer, build_features, kmeans, path_descriptor
 from amdnloc.segmentation_cfr import extract_templates, segment_cfr
-from oracles import REFERENCE_SCENE, magnitude_images, ncc, ridge_oracle
+from oracles import REFERENCE_SCENE, affine_oracle, magnitude_images, ncc, ridge_oracle, with_ones
 
 CONFIG = FeatureConfig(nt=16, nc=16)
 
@@ -283,8 +281,8 @@ class TestRidge:
         x = rng.random((40, 6))
         y = rng.random((40, 2))
         lam = 1e-3
-        w = fit_region_weights(x, y, lam)
-        xb = np.hstack([x, np.ones((40, 1))])
+        xb = with_ones(x)
+        w = _solve_ridge(xb, y, lam)
         penalty = lam * np.eye(7)
         penalty[-1, -1] = 0.0  # the bias is not shrunk
         resid = (xb.T @ xb + penalty) @ w.T - xb.T @ y
@@ -294,9 +292,9 @@ class TestRidge:
         rng = np.random.default_rng(4)
         x = rng.random((50, 5))
         true_w = rng.random((2, 6))
-        y = np.array([apply_weights(true_w, xi) for xi in x])
-        w = fit_region_weights(x, y, ridge_lambda=0.0)
-        preds = np.array([apply_weights(w, xi) for xi in x])
+        y = np.array([affine_oracle(true_w, xi) for xi in x])
+        w = _solve_ridge(with_ones(x), y, ridge_lambda=0.0)
+        preds = np.array([affine_oracle(w, xi) for xi in x])
         assert np.max(np.linalg.norm(preds - y, axis=1)) < 1e-6
 
 
@@ -365,7 +363,7 @@ def segment_and_train(samples, seed=0, min_count=0):
     feats, std = build_features(samples)
     cm = kmeans(feats, min(3, len(samples)), seed=seed)
     regions = cleanse(fuse_labels(labeling.labels, cm.assignment), min_count)
-    model = train(samples, Segmentation(regions, founders, cm.centroids, std))
+    model = train(samples, Segmentation(regions, founders, cm.centroids, std), 1e-3)
     return model, regions
 
 
@@ -387,7 +385,7 @@ def test_train_equals_the_gathered_per_region_fit(single_region):
     assert sorted(model.weights) == list(range(regions.fused_count))
     for r, w in model.weights.items():
         mask = regions.fused_labels == r
-        assert np.array_equal(w, fit_region_weights(feats[mask], pos[mask], 0.5))
+        assert np.array_equal(w, ridge_oracle(with_ones(feats[mask]), pos[mask], 0.5))
         assert np.array_equal(model.region_feature_centroids[r], feats[mask].mean(axis=0))
 
 
@@ -432,8 +430,8 @@ class TestTrainPredict:
         a = rng.random(model.config.fused_len)
         b = rng.random(model.config.fused_len)
         for alpha in (0.0, 0.3, 0.7, 1.0):
-            mix = apply_weights(w, alpha * a + (1 - alpha) * b)
-            direct = alpha * apply_weights(w, a) + (1 - alpha) * apply_weights(w, b)
+            mix = affine_oracle(w, alpha * a + (1 - alpha) * b)
+            direct = alpha * affine_oracle(w, a) + (1 - alpha) * affine_oracle(w, b)
             np.testing.assert_allclose(mix, direct, atol=1e-9)
 
     @pytest.mark.parametrize("domain, cut", [("CFR", (16, 15)), ("ADCAM", (15, 16))])
@@ -445,7 +443,7 @@ class TestTrainPredict:
         field = domain.lower()
         samples[5] = dataclasses.replace(odd, **{field: getattr(odd, field)[: cut[0], : cut[1]]})
         with pytest.raises(ValueError, match=rf"sample {odd.id} has {domain} shape \({cut[0]}, {cut[1]}\), the features take \(16, 16\)"):
-            train(samples, seg)
+            train(samples, seg, 1e-3)
 
     def test_duplicate_sample_identical_prediction(self):
         samples = small_dataset()
@@ -499,7 +497,7 @@ def decided_oracle(model, sample) -> bool:
 
 def predict_oracle(model, sample) -> np.ndarray:
     feat = model.feature_standardizer.apply(sample_features(sample, model.config))
-    return apply_weights(model.weights[route_oracle(model, sample)[0]], feat)
+    return affine_oracle(model.weights[route_oracle(model, sample)[0]], feat)
 
 
 @pytest.fixture(scope="module", params=[False, True], ids=["segmented", "single_region"])
@@ -514,7 +512,7 @@ def held_out_model(request):
         "k_max": 4,
         "single_region": request.param,
     }
-    return train(train_s, segment(train_s, cfg, magnitude_images(train_s))), test_s
+    return train(train_s, segment(train_s, cfg, magnitude_images(train_s)), cfg["ridge_lambda"]), test_s
 
 
 class TestLocate:
@@ -780,7 +778,7 @@ def test_locate_scores_only_the_routes_in_doubt(held_out_model, case, monkeypatc
 def test_locate_across_chunks_on_the_dense_reference_scene():
     # 2,540 distinct 32x32 terminals; a single-region model on 4/5 of them
     train_s, test_s = split(build_dataset(reference_scene(3.5)), {"train_fraction": 0.8, "seed": 0})
-    model = train(train_s, segment(train_s, {**default_config(), "single_region": True}, magnitude_images(train_s)))
+    model = train(train_s, segment(train_s, {**default_config(), "single_region": True}, magnitude_images(train_s)), 1e-3)
     test = test_s[: 3 * _CHUNK - 11]
     assert len(test) > 2 * _CHUNK
     xy, regions = locate(model, test)
@@ -804,7 +802,7 @@ def one_region_model():
     """A one-region model on the 32x32 reference scene and 300 samples."""
     samples = build_dataset(reference_scene(8.0))
     train_s, test = samples[::5], samples[:300]
-    model = train(train_s, segment(train_s, {**default_config(), "single_region": True}, magnitude_images(train_s)))
+    model = train(train_s, segment(train_s, {**default_config(), "single_region": True}, magnitude_images(train_s)), 1e-3)
     locate(model, test[:2])  # first-call imports and caches
     return model, test
 
@@ -831,10 +829,10 @@ def test_one_region_train_holds_one_design_matrix():
     train_s = split(build_dataset(reference_scene(3.5)), {"train_fraction": 0.8, "seed": 3})[0]
     cfg = {**default_config(), "single_region": True}
     segmentation = segment(train_s, cfg, magnitude_images(train_s))
-    train(train_s[:3], segment(train_s[:3], cfg, magnitude_images(train_s[:3])))  # first-call imports and caches
+    train(train_s[:3], segment(train_s[:3], cfg, magnitude_images(train_s[:3])), cfg["ridge_lambda"])  # first-call imports and caches
     design = len(train_s) * (FeatureConfig(32, 32).fused_len + 1) * 8
     assert len(train_s) == 2034
-    assert _traced_peak(lambda: train(train_s, segmentation)) <= 2.1 * design
+    assert _traced_peak(lambda: train(train_s, segmentation, cfg["ridge_lambda"])) <= 2.1 * design
 
 
 def test_locate_standardizes_its_features_in_place(one_region_model):
@@ -857,15 +855,15 @@ class TestPiecewiseLinearRecovery:
         w0 = rng.random((2, 7)) * 10
         w1 = -rng.random((2, 7)) * 10
         y = np.array(
-            [apply_weights(w0 if r == 0 else w1, f) for f, r in zip(feats, region)]
+            [affine_oracle(w0 if r == 0 else w1, f) for f, r in zip(feats, region)]
         )
         per_region_err = 0.0
         for r, w_true in ((0, w0), (1, w1)):
             mask = region == r
-            w = fit_region_weights(feats[mask], y[mask], ridge_lambda=0.0)
-            preds = np.array([apply_weights(w, f) for f in feats[mask]])
+            w = _solve_ridge(with_ones(feats[mask]), y[mask], ridge_lambda=0.0)
+            preds = np.array([affine_oracle(w, f) for f in feats[mask]])
             per_region_err = max(per_region_err, np.max(np.linalg.norm(preds - y[mask], axis=1)))
         assert per_region_err < 1e-6
-        wg = fit_region_weights(feats, y, ridge_lambda=0.0)
-        global_preds = np.array([apply_weights(wg, f) for f in feats])
+        wg = _solve_ridge(with_ones(feats), y, ridge_lambda=0.0)
+        global_preds = np.array([affine_oracle(wg, f) for f in feats])
         assert np.mean(np.linalg.norm(global_preds - y, axis=1)) > 1e-3
