@@ -10,15 +10,13 @@ segmentation.json does not list. Exit code 0 on success; a failure
 prints a stage-tagged message. A stage that fails (tagged by
 evaluate.stage) exits 2 from any command. A file or config that cannot
 be read or breaks a rule exits 1: a file is named in the message (a file
-that is not JSON, a config.json that breaks a config rule and a model of
-an unknown fit method included), and a config is a [config] error. An
-unknown option exits 2.
+that is not JSON, a config.json that breaks a config rule and a model
+file of another version or with an unknown key included), and a config
+is a [config] error. An unknown option exits 2.
 """
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import re
 import sys
 from pathlib import Path
@@ -32,7 +30,6 @@ from .evaluate import (
     check_config,
     dataset_chunks,
     error_report,
-    export_region_map,
     generate,
     run_pipeline,
     segment,
@@ -72,7 +69,7 @@ def _cmd_segment(args) -> int:
     train_samples, _ = split(dio.read_dataset(data), cfg)
     with stage("segment"):
         seg = segment(train_samples, cfg, [render_image(s.cfr, "cfr_magnitude") for s in train_samples])
-    export_region_map(train_samples, seg.regions, data / "region_map.csv", data / "region_map.ppm")
+    dio.write_region_map(data / "region_map.csv", data / "region_map.ppm", train_samples, seg.regions)
     dio.write_segmentation(data / "segmentation.json", seg, [s.id for s in train_samples], cfg["min_count"])
     print(
         f"{seg.regions.fused_count} regions over {len(train_samples)} training samples, "
@@ -104,7 +101,7 @@ def _cmd_eval(args) -> int:
     with stage("eval"):
         preds, regions = locate(model, samples)
         report = {**error_report(preds, [s.pos for s in samples], regions), "n_samples": len(samples)}
-    Path(args.out).write_text(json.dumps(report, sort_keys=True, indent=1))
+    dio.write_json(args.out, report)
     print(f"mean error {report['mean_error_m']:.3f} m over {len(samples)} {scored}; wrote {args.out}")
     return 0
 
@@ -119,17 +116,9 @@ def _cmd_plot(args) -> int:
         raise ValueError(f"{args.report}: per_region_errors must be an object from integer region ids to numbers")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "cdf.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["threshold_m", "fraction"])
-        for t, f in cdf:
-            w.writerow([t, f])
+    dio.write_csv(out / "cdf.csv", ["threshold_m", "fraction"], cdf)
     if "per_region_errors" in report:
-        with open(out / "per_region_errors.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["region", "mean_error_m"])
-            for r, e in sorted(errors.items(), key=lambda kv: int(kv[0])):
-                w.writerow([r, e])
+        dio.write_csv(out / "per_region_errors.csv", ["region", "mean_error_m"], sorted(errors.items(), key=lambda kv: int(kv[0])))
     print(f"wrote plot tables to {out}")
     return 0
 

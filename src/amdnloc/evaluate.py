@@ -4,13 +4,12 @@ from __future__ import annotations
 import contextlib
 import copy
 import dataclasses
-import json
 from pathlib import Path
 
 import numpy as np
 
 from . import io as dio
-from .fusion import RegionLabels, Segmentation, cleanse, fuse_labels
+from .fusion import Segmentation, cleanse, fuse_labels
 from .localizer import _BLOCK_GRID, FeatureConfig, _design_matrix, _locate_rows, fit
 from .scenegen import (
     _COUNT,
@@ -35,7 +34,6 @@ from .segmentation_cfr import extract_templates, segment_cfr
 __all__ = [
     "cdf_curve",
     "error_report",
-    "export_region_map",
     "PipelineError",
     "stage",
     "check_config",
@@ -48,7 +46,6 @@ __all__ = [
 ]
 
 DEFAULT_CDF_THRESHOLDS = [0.5, 1.0, 2.0, 3.0, 5.0, 10.0, 20.0, 50.0, 100.0, 250.0, 500.0]
-_CELL_PX = 4  # meters per pixel of the region-map raster, along each axis
 _FRACTION = ("a number in (0, 1]", lambda v: _is_real(v) and 0 < v <= 1)
 # each config key: (its default, what a value must be, its test), in config.json order
 _CONFIG = {
@@ -118,36 +115,6 @@ def error_report(preds, truths, regions) -> dict:
         "cdf": cdf_curve(errors),
         "per_region_errors": {str(r): float(errors[regions == r].mean()) for r in sorted(set(regions.tolist()))},
     }
-
-
-def _label_color(label: int) -> tuple[int, int, int]:
-    """Deterministic palette; label -1 (removed) is black."""
-    if label < 0:
-        return (0, 0, 0)
-    rng = np.random.default_rng(label + 12345)
-    c = rng.integers(40, 256, size=3)
-    return (int(c[0]), int(c[1]), int(c[2]))
-
-
-def export_region_map(samples, labels: RegionLabels, csv_path, ppm_path):
-    """Region map as CSV plus a binary PPM raster (one color per label)."""
-    dio.write_region_map(csv_path, [s.id for s in samples], labels)
-    xs = np.array([s.pos[0] for s in samples])
-    ys = np.array([s.pos[1] for s in samples])
-    w = int(np.ceil(xs.max())) + 1 if xs.size else 1
-    h = int(np.ceil(ys.max())) + 1 if ys.size else 1
-    gw = max(1, w // _CELL_PX)
-    gh = max(1, h // _CELL_PX)
-    img = np.zeros((gh, gw, 3), dtype=np.uint8)
-    labs = labels.fused_labels.tolist()
-    palette = {lab: _label_color(lab) for lab in set(labs)}
-    for s, lab in zip(samples, labs):
-        gx = min(int(s.pos[0] / w * gw), gw - 1)
-        gy = min(int(s.pos[1] / h * gh), gh - 1)
-        img[gh - 1 - gy, gx] = palette[lab]
-    with open(ppm_path, "wb") as fh:
-        fh.write(f"P6\n{gw} {gh}\n255\n".encode())
-        fh.write(img.tobytes())
 
 
 def default_config() -> dict:
@@ -349,7 +316,7 @@ def run_pipeline(config: dict, out_dir: str | Path | None = None) -> dict:
     }
 
     if out is not None:
-        export_region_map(train_t, segmentation.regions, out / "region_map.csv", out / "region_map.ppm")
+        dio.write_region_map(out / "region_map.csv", out / "region_map.ppm", train_t, segmentation.regions)
         dio.write_model(out / "model.json", model)
-        (out / "report.json").write_text(json.dumps(report, sort_keys=True, indent=1))
+        dio.write_json(out / "report.json", report)
     return report

@@ -1,6 +1,8 @@
-"""Dataset and model persistence.
+"""Dataset and model persistence: every artifact file is written here.
 
-A dataset directory holds positions.csv, paths.csv, cfr.bin, adcam.bin
+``write_json`` writes each JSON file (config.json, segmentation.json,
+model.json and report.json) and ``write_csv`` each CSV file. A dataset
+directory holds positions.csv, paths.csv, cfr.bin, adcam.bin
 and config.json, the config of its samples. The .bin files start with
 the magic bytes "AMDN" followed by little-endian u32 fields (version,
 count, nt, nc) and then per-sample row-major entries as little-endian
@@ -8,7 +10,8 @@ float32 (interleaved re/im for the CFR file, plain values for the
 angle-delay file).
 
 segmentation.json, the one file segment hands to train, lists the
-samples eval does not score; region_map.csv is an export no command reads.
+samples eval does not score; region_map.csv and .ppm are exports no
+command reads.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ import numpy as np
 from .channel import PathRecord, render_image
 from .fusion import RegionLabels, Segmentation, cleanse, fuse_labels
 from .localizer import FeatureConfig, LocalizationModel
-from .scenegen import _COUNT, _NONNEGATIVE, _SEED, Sample, _check, _is_int, _one_of
+from .scenegen import _COUNT, _SEED, Sample, _check, _is_int, _one_of
 from .segmentation_adcam import _PATH_SELECT, Standardizer
 from .segmentation_cfr import extract_templates
 
@@ -32,6 +35,8 @@ __all__ = [
     "FORMAT_VERSION",
     "MODEL_VERSION",
     "read_json",
+    "write_json",
+    "write_csv",
     "DatasetWriter",
     "read_dataset",
     "write_region_map",
@@ -43,7 +48,8 @@ __all__ = [
 
 MAGIC = b"AMDN"
 FORMAT_VERSION = 1  # of the .bin files
-MODEL_VERSION = 1  # of model.json
+MODEL_VERSION = 2  # of model.json
+_CELL_PX = 4  # meters per pixel of the region-map raster, along each axis
 
 
 def read_json(path: str | Path):
@@ -53,6 +59,19 @@ def read_json(path: str | Path):
         return json.loads(Path(path).read_bytes())
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ValueError(f"{path} is not a JSON file: {e}") from None
+
+
+def write_json(path: str | Path, obj):
+    """A JSON file of ``obj``, its keys sorted and indented by 1."""
+    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1))
+
+
+def write_csv(path: str | Path, header: list[str], rows):
+    """A CSV file of the ``header`` row and then ``rows``."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 # CSV column rules: (what a field must be, its parser)
@@ -115,36 +134,38 @@ class DatasetWriter:
     stacks to cfr.bin and adcam.bin as float32. Each .bin header counts
     every terminal and takes (nt, nc) from its file's first rows, or (0,
     0) when there are none. Used as a context manager: when the block
-    raises, the files and directories the writer made are removed.
+    raises, or making the writer does, the files and directories it made
+    are removed and its open files closed.
     """
 
     def __init__(self, out_dir: str | Path, terminals, config: dict | None = None):
         out = Path(out_dir)
         self._made = [d for d in (out, *out.parents) if not d.exists()]
-        out.mkdir(parents=True, exist_ok=True)
-        for name in ("segmentation.json", "region_map.csv", "region_map.ppm"):
-            (out / name).unlink(missing_ok=True)
-        self._paths = [out / name for name in ("positions.csv", "paths.csv", "cfr.bin", "adcam.bin")]
-        if config is not None:
-            self._paths.append(out / "config.json")
-            self._paths[-1].write_text(json.dumps(config, sort_keys=True, indent=1))
-        with open(out / "positions.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["id", "x", "y", "is_los"])
-            for t in terminals:
-                w.writerow([t.id, repr(float(t.pos[0])), repr(float(t.pos[1])), int(t.is_los)])
-        with open(out / "paths.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(
-                ["id", "path_id", "aoa_rad", "aod_rad", "gain_re", "gain_im", "delay_samples", "pathloss_db"]
+        self._paths, self._bins, self._count = [], [], len(terminals)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            for name in ("segmentation.json", "region_map.csv", "region_map.ppm"):
+                (out / name).unlink(missing_ok=True)
+            if config is not None:
+                write_json(self._made_file(out / "config.json"), config)
+            positions = ([t.id, repr(float(t.pos[0])), repr(float(t.pos[1])), int(t.is_los)] for t in terminals)
+            write_csv(self._made_file(out / "positions.csv"), ["id", "x", "y", "is_los"], positions)
+            paths = (
+                [t.id, pid, repr(float(p.aoa)), repr(float(p.aod)), repr(float(p.gain.real)), repr(float(p.gain.imag)), int(p.delay_samples), repr(float(p.pathloss_db))]
+                for t in terminals for pid, p in enumerate(t.paths)
             )
-            for t in terminals:
-                for pid, p in enumerate(t.paths):
-                    w.writerow(
-                        [t.id, pid, repr(float(p.aoa)), repr(float(p.aod)), repr(float(p.gain.real)), repr(float(p.gain.imag)), int(p.delay_samples), repr(float(p.pathloss_db))]
-                    )
-        self._count = len(terminals)
-        self._bins = [(open(out / "cfr.bin", "wb"), "<c8"), (open(out / "adcam.bin", "wb"), "<f4")]
+            columns = ["id", "path_id", "aoa_rad", "aod_rad", "gain_re", "gain_im", "delay_samples", "pathloss_db"]
+            write_csv(self._made_file(out / "paths.csv"), columns, paths)
+            for name, dtype in (("cfr.bin", "<c8"), ("adcam.bin", "<f4")):
+                self._bins.append((open(self._made_file(out / name), "wb"), dtype))
+        except BaseException as e:
+            self.__exit__(type(e), e, e.__traceback__)
+            raise
+
+    def _made_file(self, path: Path) -> Path:
+        """``path``, to be removed when the writer's block raises."""
+        self._paths.append(path)
+        return path
 
     def write(self, cfr, adcam):
         """Append the next rows, an (n, nt, nc) CFR stack and its ADCAM
@@ -166,7 +187,8 @@ class DatasetWriter:
             fh.close()
         if exc_type is not None:
             for path in self._paths:
-                path.unlink(missing_ok=True)
+                if not path.is_dir():  # a directory in a file's place is not the writer's
+                    path.unlink(missing_ok=True)
             for d in self._made:
                 d.rmdir()
 
@@ -223,12 +245,25 @@ def read_dataset(data_dir: str | Path) -> list[Sample]:
     return list(samples.values())
 
 
-def write_region_map(path: str | Path, sample_ids, labels: RegionLabels):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["id", "cfr_label", "adcam_label", "fused_label", "retained"])
-        columns = (labels.cfr_labels, labels.adcam_labels, labels.fused_labels, labels.retained.astype(int))
-        w.writerows(zip(sample_ids, *(c.tolist() for c in columns)))
+def write_region_map(csv_path: str | Path, ppm_path: str | Path, samples, labels: RegionLabels):
+    """The region map of ``samples``, in order: a CSV of each sample's id
+    and labels, and a binary PPM raster of their positions, one color per
+    fused label, drawn from a generator seeded by it, and black for a
+    cleansed sample."""
+    columns = (labels.cfr_labels, labels.adcam_labels, labels.fused_labels, labels.retained.astype(int))
+    rows = zip([s.id for s in samples], *(c.tolist() for c in columns))
+    write_csv(csv_path, ["id", "cfr_label", "adcam_label", "fused_label", "retained"], rows)
+    pos = np.array([s.pos for s in samples], dtype=float).reshape(-1, 2)
+    w, h = (int(np.ceil(v.max())) + 1 if v.size else 1 for v in pos.T)
+    gw, gh = max(1, w // _CELL_PX), max(1, h // _CELL_PX)
+    img = np.zeros((gh, gw, 3), dtype=np.uint8)
+    labs = labels.fused_labels.tolist()
+    palette = {lab: np.random.default_rng(lab + 12345).integers(40, 256, size=3) if lab >= 0 else 0 for lab in set(labs)}
+    for s, lab in zip(samples, labs):
+        gx = min(int(s.pos[0] / w * gw), gw - 1)
+        gy = min(int(s.pos[1] / h * gh), gh - 1)
+        img[gh - 1 - gy, gx] = palette[lab]
+    Path(ppm_path).write_bytes(f"P6\n{gw} {gh}\n255\n".encode() + img.tobytes())
 
 
 def _by_id(path, key: str, obj) -> list[tuple[int, object]]:
@@ -328,7 +363,7 @@ def write_segmentation(path: str | Path, segmentation: Segmentation, sample_ids,
         "samples": list(zip(sample_ids, *labels)),
         "min_count": min_count,
     }
-    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1))
+    write_json(path, obj)
 
 
 def read_segmentation(path: str | Path, samples: list[Sample]) -> tuple[list[Sample], Segmentation]:
@@ -373,13 +408,21 @@ def read_segmentation(path: str | Path, samples: list[Sample]) -> tuple[list[Sam
     return [by_id[sid] for sid in ids], Segmentation(regions, **routing)
 
 
+# every key of model.json, as write_model writes it
+_MODEL_KEYS = {
+    "format", "version", "nt", "nc", "weights", "path_select", "founders", "adcam_centroids",
+    "adcam_standardizer", "feature_standardizer", "pair_to_fused", "region_feature_centroids",
+}
+
+
 def write_model(path: str | Path, model: LocalizationModel):
+    """model.json: what ``locate`` reads of the model, the keys of
+    ``_MODEL_KEYS``; the founder templates are re-cut on reading."""
     obj = {
         "format": "amdnloc-model",
         "version": MODEL_VERSION,
         "nt": model.config.nt,
         "nc": model.config.nc,
-        "ridge_lambda": model.ridge_lambda,
         "weights": {str(r): w.tolist() for r, w in model.weights.items()},
         **_routing_to_json(model),
         "feature_standardizer": _std_to_json(model.feature_standardizer),
@@ -388,7 +431,7 @@ def write_model(path: str | Path, model: LocalizationModel):
             str(r): c.tolist() for r, c in model.region_feature_centroids.items()
         },
     }
-    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1))
+    write_json(path, obj)
 
 
 def read_model(path: str | Path, samples: list[Sample]) -> LocalizationModel:
@@ -400,7 +443,8 @@ def read_model(path: str | Path, samples: list[Sample]) -> LocalizationModel:
     fused_len finite values, scales > 0; ``region_feature_centroids``
     holds exactly the weights' regions, each fused_len finite values;
     each ``pair_to_fused`` entry is three integers whose region has
-    weights; ``ridge_lambda`` is a finite number >= 0. Anything else is
+    weights. A key that ``write_model`` does not write, such as the
+    ``ridge_lambda`` and ``method`` of older files, or anything else, is
     a ``ValueError`` that names the file and the key.
     """
     obj = read_json(path)
@@ -410,10 +454,10 @@ def read_model(path: str | Path, samples: list[Sample]) -> LocalizationModel:
     if not (_is_int(version) and version == MODEL_VERSION):
         found = f"version {version!r}" if "version" in obj else "no version"
         raise ValueError(f"{path}: a model file of {found}; this release reads version {MODEL_VERSION}")
-    # Older files name the fit method; closed-form ridge is the only one.
-    if obj.get("method", "ridge_closed_form") != "ridge_closed_form":
-        raise ValueError(f"{path}: fit method {obj['method']!r} is not supported; models are fit by closed-form ridge")
-    rules = {"nt": _COUNT, "nc": _COUNT, "ridge_lambda": _NONNEGATIVE}
+    unknown = sorted(set(obj) - _MODEL_KEYS)
+    if unknown:
+        raise ValueError(f"{path}: unknown model keys: {', '.join(map(repr, unknown))}")
+    rules = {"nt": _COUNT, "nc": _COUNT}
     _check(rules, {key: obj.get(key) for key in rules}, f"{path}:")
     config = FeatureConfig(nt=obj["nt"], nc=obj["nc"])
     weights, centroids = (
@@ -439,5 +483,4 @@ def read_model(path: str | Path, samples: list[Sample]) -> LocalizationModel:
         pair_to_fused={(c, a): f for c, a, f in pairs},
         feature_standardizer=_std_from_json(path, "feature_standardizer", obj.get("feature_standardizer"), config.fused_len),
         region_feature_centroids=centroids,
-        ridge_lambda=obj["ridge_lambda"],
     )

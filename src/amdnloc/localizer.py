@@ -263,7 +263,6 @@ class LocalizationModel:
     pair_to_fused: dict[tuple[int, int], int]
     feature_standardizer: Standardizer
     region_feature_centroids: dict[int, np.ndarray]
-    ridge_lambda: float
     corner_banks: tuple[_TemplateBank, _TemplateBank] = field(init=False, repr=False, compare=False)
     founder_labels: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -317,7 +316,6 @@ def fit(
         pair_to_fused=regions.pair_to_fused,
         feature_standardizer=feat_std,
         region_feature_centroids=centroids,
-        ridge_lambda=ridge_lambda,
     )
 
 

@@ -1,4 +1,5 @@
 import concurrent.futures
+import gc
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -24,13 +26,11 @@ from amdnloc.evaluate import (
     check_config,
     default_config,
     error_report,
-    export_region_map,
     run_pipeline,
     split,
     stage,
 )
-from amdnloc.fusion import fuse_labels
-from amdnloc.scenegen import Sample, SceneConfig, _check, build_dataset, nlos_filter, scene_from_json, scene_to_json
+from amdnloc.scenegen import SceneConfig, _check, build_dataset, nlos_filter, scene_from_json, scene_to_json
 
 from oracles import REFERENCE_SCENE
 
@@ -127,43 +127,6 @@ class TestCdfCurve:
             assert f == pytest.approx(sum(e <= t for e in errors) / 200)
         assert fracs == sorted(fracs)
         assert fracs[-1] == 1.0
-
-
-class TestExportRegionMap:
-    def _samples(self, positions):
-        return [
-            Sample(id=i, pos=p, paths=[], is_los=True,
-                   cfr=np.zeros((2, 2), dtype=complex), adcam=np.zeros((2, 2)))
-            for i, p in enumerate(positions)
-        ]
-
-    def test_single_sample_one_row(self, tmp_path):
-        samples = self._samples([(5.0, 5.0)])
-        labels = fuse_labels([0], [0])
-        export_region_map(samples, labels, tmp_path / "m.csv", tmp_path / "m.ppm")
-        rows = (tmp_path / "m.csv").read_text().strip().splitlines()
-        assert len(rows) == 2  # header + 1
-
-    def test_two_labels_two_colors(self, tmp_path):
-        samples = self._samples([(2.0, 2.0), (30.0, 30.0)])
-        labels = fuse_labels([0, 1], [0, 0])
-        export_region_map(samples, labels, tmp_path / "m.csv", tmp_path / "m.ppm")
-        raw = (tmp_path / "m.ppm").read_bytes()
-        assert raw.startswith(b"P6")
-        header, body = raw.split(b"\n", 3)[:3], raw.split(b"\n", 3)[3]
-        pixels = {tuple(body[i : i + 3]) for i in range(0, len(body), 3)}
-        # background black plus two distinct label colors
-        non_black = pixels - {(0, 0, 0)}
-        assert len(non_black) == 2
-
-    def test_removed_samples_black(self, tmp_path):
-        samples = self._samples([(2.0, 2.0), (30.0, 30.0)])
-        labels = fuse_labels([0, 1], [0, 0])
-        labels.fused_labels[1] = -1  # cleansed
-        export_region_map(samples, labels, tmp_path / "m.csv", tmp_path / "m.ppm")
-        body = (tmp_path / "m.ppm").read_bytes().split(b"\n", 3)[3]
-        pixels = {tuple(body[i : i + 3]) for i in range(0, len(body), 3)}
-        assert len(pixels - {(0, 0, 0)}) == 1
 
 
 SMALL_CONFIG = {
@@ -408,6 +371,22 @@ class TestRunPipeline:
             assert threading.active_count() == threads
             assert [p.name for p in tmp_path.iterdir()] == ["kept"]
             assert not any((tmp_path / "kept").iterdir())
+
+    @pytest.mark.parametrize("name", ["config.json", "positions.csv", "paths.csv", "cfr.bin", "adcam.bin"])
+    def test_a_dataset_file_that_cannot_be_made_leaves_no_other(self, tmp_path, name):
+        # a directory in a dataset file's place fails the writer as it is
+        # made: the files it made before are removed and closed, and the
+        # directory it could not replace is left
+        out = tmp_path / "run"
+        (out / "dataset" / name).mkdir(parents=True)
+        before = sorted(out.rglob("*"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(IsADirectoryError):
+                run_pipeline(SMALL_CONFIG, out_dir=out)
+            gc.collect()
+        assert sorted(out.rglob("*")) == before
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_holds_no_full_fingerprint_stack(self, tmp_path):
         # a dense single-region scene: the CFR and ADCAM stacks of every

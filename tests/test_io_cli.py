@@ -829,6 +829,7 @@ class TestBoundaryErrors:
         assert "[eval]" in err and "loudest" in err
 
     def test_eval_rejects_a_model_fit_by_sgd(self, trained_chain, tmp_path, capsys):
+        # closed-form ridge is the one fit, and model.json names none
         data, model_path = trained_chain
         obj = json.loads(model_path.read_text())
         obj["method"] = "sgd"
@@ -837,7 +838,25 @@ class TestBoundaryErrors:
         rc = main(["eval", "--data", str(data), "--model", str(bad), "--out", str(tmp_path / "r.json")])
         assert rc == 1
         err = capsys.readouterr().err
-        assert "[eval]" in err and "'sgd'" in err and str(bad) in err
+        assert err == f"error: [eval] {bad}: unknown model keys: 'method'\n"
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize(
+        "extra",
+        [{"ridge_lambda": 0.001}, {"method": "ridge_closed_form"}, {"bias": 0.0}, {"bias": 0.0, "method": "ridge_closed_form"}],
+        ids=["ridge_lambda", "method", "made-up", "two"],
+    )
+    def test_eval_rejects_a_key_that_write_model_does_not_write(self, trained_chain, tmp_path, capsys, extra):
+        # model.json holds what locate reads: a version-2 file with the
+        # ridge_lambda or method of version 1, or any other key, is rejected
+        data, model_path = trained_chain
+        obj = {**json.loads(model_path.read_text()), **extra}
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(obj))
+        rc = main(["eval", "--data", str(data), "--model", str(bad), "--out", str(tmp_path / "r.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: [eval] {bad}: unknown model keys: {', '.join(repr(k) for k in sorted(extra))}\n"
         assert not (tmp_path / "r.json").exists()
 
     def test_eval_rejects_a_model_file_that_is_not_an_object(self, trained_chain, tmp_path, capsys):
@@ -866,8 +885,6 @@ class TestBoundaryErrors:
             (["pair_to_fused", 0, 2], 99, "names region 99, which has no weights"),
             (["pair_to_fused", 0], [0, 1], "pair_to_fused entry [0, 1] is not three integers"),
             (["pair_to_fused", 0, 0], 0.5, "is not three integers"),
-            (["ridge_lambda"], "x", "ridge_lambda is 'x'; it must be a finite number >= 0"),
-            (["ridge_lambda"], -1.0, "ridge_lambda is -1.0; it must be a finite number >= 0"),
             (["nt"], "16", "nt is '16'; it must be an integer >= 1"),
             (["adcam_centroids", 0], [0.0, 1.0, 2.0], "adcam_centroids must be k x 4 finite numbers"),
             (["adcam_centroids"], [], "adcam_centroids must be k x 4 finite numbers"),
@@ -878,7 +895,7 @@ class TestBoundaryErrors:
         ids=[
             "nan-weight", "short-weight-row", "string-weight", "no-weights", "zero-led-weight-key", "short-mean",
             "zero-scale", "inf-scale", "short-centroid", "extra-centroid", "word-centroid-key", "pair-to-untrained",
-            "pair-of-two", "pair-float", "lambda-string", "lambda-negative", "nt-string", "centroid-row-of-3",
+            "pair-of-two", "pair-float", "nt-string", "centroid-row-of-3",
             "no-centroids", "adcam-mean-null", "adcam-scale-negative", "adcam-std-list",
         ],
     )
@@ -915,21 +932,23 @@ class TestBoundaryErrors:
         assert err.startswith(f"error: [train] {data / 'segmentation.json'}: ") and message in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("version", [99, 0, "1", 1.0, True, None, "missing"])
+    @pytest.mark.parametrize("version", [99, 0, 1, "2", 2.0, True, None, "missing"])
     def test_eval_rejects_a_model_of_another_version(self, trained_chain, tmp_path, capsys, version):
         data, model_path = trained_chain
         obj = json.loads(model_path.read_text())
-        assert obj["version"] == dio.MODEL_VERSION == 1
+        assert obj["version"] == dio.MODEL_VERSION == 2
         if version == "missing":
             del obj["version"]
         else:
             obj["version"] = version
+        if version == 1:  # as a file of version 1 holds it: the version is named first
+            obj["ridge_lambda"] = 0.001
         bad = tmp_path / "model.json"
         bad.write_text(json.dumps(obj))
         rc = main(["eval", "--data", str(data), "--model", str(bad), "--out", str(tmp_path / "r.json")])
         assert rc == 1
         found = "no version" if version == "missing" else f"version {version!r}"
-        assert f"[eval] {bad}: a model file of {found}; this release reads version 1" in capsys.readouterr().err
+        assert f"[eval] {bad}: a model file of {found}; this release reads version 2" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("command", ["train", "eval"])
@@ -1063,12 +1082,21 @@ class TestCsvFields:
 
 
 class TestRegionMap:
+    @staticmethod
+    def _samples(positions, ids=None):
+        return [
+            Sample(id=i, pos=p, paths=[], is_los=True,
+                   cfr=np.zeros((2, 2), dtype=complex), adcam=np.zeros((2, 2)))
+            for i, p in zip(ids or range(len(positions)), positions)
+        ]
+
     def test_roundtrip(self, tmp_path):
         from amdnloc.fusion import cleanse, fuse_labels
 
         labels = cleanse(fuse_labels([3, 0, 3, 1, 3, 0], [0, 2, 0, 0, 0, 2]), 1)
         assert (labels.fused_count, labels.pair_to_fused) == (2, {(0, 2): 0, (3, 0): 1})
-        dio.write_region_map(tmp_path / "m.csv", [7, 3, 11, 5, 2, 9], labels)
+        samples = self._samples([(float(i), 2.0 * i) for i in range(6)], ids=[7, 3, 11, 5, 2, 9])
+        dio.write_region_map(tmp_path / "m.csv", tmp_path / "m.ppm", samples, labels)
         with open(tmp_path / "m.csv", newline="") as fh:
             header, *rows = csv.reader(fh)
         assert header == ["id", "cfr_label", "adcam_label", "fused_label", "retained"]
@@ -1076,6 +1104,40 @@ class TestRegionMap:
         assert [[int(field) for field in row] for row in rows] == [
             [7, 3, 0, 1, 1], [3, 0, 2, 0, 1], [11, 3, 0, 1, 1], [5, 1, 0, -1, 0], [2, 3, 0, 1, 1], [9, 0, 2, 0, 1],
         ]
+
+    def test_single_sample_one_row(self, tmp_path):
+        from amdnloc.fusion import fuse_labels
+
+        samples = self._samples([(5.0, 5.0)])
+        labels = fuse_labels([0], [0])
+        dio.write_region_map(tmp_path / "m.csv", tmp_path / "m.ppm", samples, labels)
+        rows = (tmp_path / "m.csv").read_text().strip().splitlines()
+        assert len(rows) == 2  # header + 1
+
+    def test_two_labels_two_colors(self, tmp_path):
+        from amdnloc.fusion import fuse_labels
+
+        samples = self._samples([(2.0, 2.0), (30.0, 30.0)])
+        labels = fuse_labels([0, 1], [0, 0])
+        dio.write_region_map(tmp_path / "m.csv", tmp_path / "m.ppm", samples, labels)
+        raw = (tmp_path / "m.ppm").read_bytes()
+        assert raw.startswith(b"P6")
+        header, body = raw.split(b"\n", 3)[:3], raw.split(b"\n", 3)[3]
+        pixels = {tuple(body[i : i + 3]) for i in range(0, len(body), 3)}
+        # background black plus two distinct label colors
+        non_black = pixels - {(0, 0, 0)}
+        assert len(non_black) == 2
+
+    def test_removed_samples_black(self, tmp_path):
+        from amdnloc.fusion import fuse_labels
+
+        samples = self._samples([(2.0, 2.0), (30.0, 30.0)])
+        labels = fuse_labels([0, 1], [0, 0])
+        labels.fused_labels[1] = -1  # cleansed
+        dio.write_region_map(tmp_path / "m.csv", tmp_path / "m.ppm", samples, labels)
+        body = (tmp_path / "m.ppm").read_bytes().split(b"\n", 3)[3]
+        pixels = {tuple(body[i : i + 3]) for i in range(0, len(body), 3)}
+        assert len(pixels - {(0, 0, 0)}) == 1
 
 
 class TestTrainOptions:
@@ -1103,7 +1165,7 @@ class TestTrainOptions:
         train_samples, segmentation = dio.read_segmentation(data / "segmentation.json", samples)
         model = train(train_samples, segmentation, ridge_lambda=30)
         written = json.loads(out.read_text())
-        assert written["ridge_lambda"] == 30
+        assert "ridge_lambda" not in written
         assert written["weights"] == {str(r): w.tolist() for r, w in model.weights.items()}
         assert written["weights"] != json.loads(default_model.read_text())["weights"]
 
@@ -1153,22 +1215,15 @@ class TestModelRoundtrip:
         held_out = build_dataset(dataclasses.replace(dataset[0], grid_spacing_m=7.0))
         assert np.array_equal(locate(again, held_out)[0], locate(model, held_out)[0])
 
-    def test_model_file_naming_ridge_still_reads(self, dataset, trained_model, tmp_path):
-        from amdnloc.localizer import FeatureConfig, locate
-
-        _, samples = dataset
+    def test_model_file_holds_what_locate_reads(self, trained_model, tmp_path):
         path = tmp_path / "model.json"
         dio.write_model(path, trained_model)
         obj = json.loads(path.read_text())
-        assert "method" not in obj
-        # the format of files that still name the fit method
-        obj["method"] = "ridge_closed_form"
-        path.write_text(json.dumps(obj, sort_keys=True, indent=1))
-        again = dio.read_model(path, samples)
-        held_out = build_dataset(dataclasses.replace(dataset[0], grid_spacing_m=7.0))
-        for batch in (samples, held_out):
-            got, want = locate(again, batch), locate(trained_model, batch)
-            assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+        assert sorted(obj) == [
+            "adcam_centroids", "adcam_standardizer", "feature_standardizer", "format", "founders", "nc", "nt",
+            "pair_to_fused", "path_select", "region_feature_centroids", "version", "weights",
+        ]
+        assert (obj["format"], obj["version"]) == ("amdnloc-model", dio.MODEL_VERSION) == ("amdnloc-model", 2)
 
     @settings(max_examples=25, deadline=None)
     @given(st.data())
