@@ -17,7 +17,6 @@ is a [config] error. An unknown option exits 2.
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 from pathlib import Path
 
@@ -112,7 +111,7 @@ def _cmd_plot(args) -> int:
     if not (isinstance(cdf, list) and all(map(_PAIR[1], cdf))):
         raise ValueError(f"{args.report}: a report is an object whose cdf is a list of [threshold, fraction] number pairs")
     errors = report.get("per_region_errors", {})
-    if not (isinstance(errors, dict) and all(re.fullmatch(r"-?[0-9]+", r) and _is_real(e) for r, e in errors.items())):
+    if not (isinstance(errors, dict) and all(dio._is_id(r) and _is_real(e) for r, e in errors.items())):
         raise ValueError(f"{args.report}: per_region_errors must be an object from integer region ids to numbers")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

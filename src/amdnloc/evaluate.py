@@ -151,10 +151,12 @@ def segment(train_samples, cfg, images) -> Segmentation:
 
 
 def check_config(config) -> dict:
-    """``config`` over ``default_config()``, checked: a config that is not
-    a dict, a key that ``_CONFIG`` lacks, a value that fails its rule, a
-    bad scene value, or a template or feature block grid larger than the
-    scene's (nt, nc), is a ``ValueError``."""
+    """``config`` over ``default_config()``, checked, its scene with every
+    ``SceneConfig`` field filled in (``scene_to_json`` of the scene read,
+    its own ``seed`` kept): a config that is not a dict, a key that
+    ``_CONFIG`` lacks, a value that fails its rule, a bad scene value, or
+    a template or feature block grid larger than the scene's (nt, nc), is
+    a ``ValueError``."""
     if not isinstance(config, dict):
         raise ValueError(f"a config is a JSON object, not {config!r}")
     unknown = sorted(set(config) - set(_CONFIG))
@@ -167,6 +169,7 @@ def check_config(config) -> dict:
     for name, size in (("template_size", tuple(cfg["template_size"])), ("feature block grid", _BLOCK_GRID)):
         if size[0] > shape[0] or size[1] > shape[1]:
             raise ValueError(f"{name} {size} is larger than the scene's (nt, nc) {shape}")
+    cfg["scene"] = scene_to_json(scene)
     return cfg
 
 

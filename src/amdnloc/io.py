@@ -5,9 +5,9 @@ model.json and report.json) and ``write_csv`` each CSV file. A dataset
 directory holds positions.csv, paths.csv, cfr.bin, adcam.bin
 and config.json, the config of its samples. The .bin files start with
 the magic bytes "AMDN" followed by little-endian u32 fields (version,
-count, nt, nc) and then per-sample row-major entries as little-endian
-float32 (interleaved re/im for the CFR file, plain values for the
-angle-delay file).
+count, nt, nc) and then per-sample row-major entries of the file's
+``_BIN_DTYPES`` dtype: little-endian complex64 (interleaved float32
+re/im) for the CFR file and float32 for the angle-delay file.
 
 segmentation.json, the one file segment hands to train, lists the
 samples eval does not score; region_map.csv and .ppm are exports no
@@ -49,6 +49,8 @@ __all__ = [
 MAGIC = b"AMDN"
 FORMAT_VERSION = 1  # of the .bin files
 MODEL_VERSION = 2  # of model.json
+# the payload dtype of each .bin file, in the order DatasetWriter.write takes its stacks
+_BIN_DTYPES = {"cfr.bin": "<c8", "adcam.bin": "<f4"}
 _CELL_PX = 4  # meters per pixel of the region-map raster, along each axis
 
 
@@ -99,10 +101,10 @@ def _csv_rows(path, columns: dict):
             yield parsed
 
 
-def _read_bin(path: Path, complex_data: bool) -> tuple[tuple[int, int], np.ndarray]:
-    """The (nt, nc) of the header and the samples of a .bin file, as one
-    (count, nt, nc) float64 or complex128 stack, each stored float32
-    widened exactly."""
+def _read_bin(path: Path, dtype) -> tuple[tuple[int, int], np.ndarray]:
+    """The (nt, nc) of the header and the samples of a .bin file whose
+    payload is of ``dtype``, one of ``_BIN_DTYPES``, as one (count, nt,
+    nc) float64 or complex128 stack, each stored value widened exactly."""
     raw = Path(path).read_bytes()
     if len(raw) < 20:
         raise ValueError(f"{path}: {len(raw)} bytes, shorter than the 20-byte header")
@@ -111,15 +113,13 @@ def _read_bin(path: Path, complex_data: bool) -> tuple[tuple[int, int], np.ndarr
     version, count, nt, nc = (int(v) for v in np.frombuffer(raw, dtype="<u4", count=4, offset=4))
     if version != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported format version {version}")
-    per = nt * nc * (2 if complex_data else 1)
-    if len(raw) - 20 != 4 * count * per:
-        raise ValueError(
-            f"{path}: payload of {len(raw) - 20} bytes, but {count} samples of {nt}x{nc} take {4 * count * per}"
-        )
-    data = np.frombuffer(raw, dtype="<c8" if complex_data else "<f4", offset=20)
+    size = np.dtype(dtype).itemsize * count * nt * nc
+    if len(raw) - 20 != size:
+        raise ValueError(f"{path}: payload of {len(raw) - 20} bytes, but {count} samples of {nt}x{nc} take {size}")
+    data = np.frombuffer(raw, dtype=dtype, offset=20)
     if not np.all(np.isfinite(data)):
         raise ValueError(f"{path}: non-finite values in the payload")
-    return (nt, nc), data.reshape(count, nt, nc).astype(np.complex128 if complex_data else np.float64)
+    return (nt, nc), data.reshape(count, nt, nc).astype(np.promote_types(dtype, np.float64))
 
 
 class DatasetWriter:
@@ -131,9 +131,9 @@ class DatasetWriter:
     the samples of the dataset it replaces, and writes config.json when
     given a config, positions.csv and paths.csv; each
     ``write(cfr, adcam)`` then appends the next rows of both fingerprint
-    stacks to cfr.bin and adcam.bin as float32. Each .bin header counts
-    every terminal and takes (nt, nc) from its file's first rows, or (0,
-    0) when there are none. Used as a context manager: when the block
+    stacks to cfr.bin and adcam.bin in their ``_BIN_DTYPES``. Each .bin
+    header counts every terminal and takes (nt, nc) from its file's first
+    rows, or (0, 0) when there are none. Used as a context manager: when the block
     raises, or making the writer does, the files and directories it made
     are removed and its open files closed.
     """
@@ -156,7 +156,7 @@ class DatasetWriter:
             )
             columns = ["id", "path_id", "aoa_rad", "aod_rad", "gain_re", "gain_im", "delay_samples", "pathloss_db"]
             write_csv(self._made_file(out / "paths.csv"), columns, paths)
-            for name, dtype in (("cfr.bin", "<c8"), ("adcam.bin", "<f4")):
+            for name, dtype in _BIN_DTYPES.items():
                 self._bins.append((open(self._made_file(out / name), "wb"), dtype))
         except BaseException as e:
             self.__exit__(type(e), e, e.__traceback__)
@@ -169,8 +169,7 @@ class DatasetWriter:
 
     def write(self, cfr, adcam):
         """Append the next rows, an (n, nt, nc) CFR stack and its ADCAM
-        stack (or lists of matrices), complex64 as real and imaginary
-        float32."""
+        stack (or lists of matrices), each cast to its file's dtype."""
         for (fh, dtype), rows in zip(self._bins, (cfr, adcam)):
             data = np.asarray(rows, dtype=dtype)
             if len(data) and fh.tell() == 0:
@@ -205,8 +204,7 @@ def read_dataset(data_dir: str | Path) -> list[Sample]:
     field must parse (``_csv_rows``), values must be finite, ``is_los``
     0 or 1 and ids unique."""
     d = Path(data_dir)
-    cfr_dims, cfrs = _read_bin(d / "cfr.bin", complex_data=True)
-    adcam_dims, adcams = _read_bin(d / "adcam.bin", complex_data=False)
+    (cfr_dims, cfrs), (adcam_dims, adcams) = (_read_bin(d / name, dtype) for name, dtype in _BIN_DTYPES.items())
     if cfr_dims != adcam_dims:
         raise ValueError(
             f"{d / 'cfr.bin'} holds {cfr_dims[0]}x{cfr_dims[1]} matrices, "
@@ -266,6 +264,11 @@ def write_region_map(csv_path: str | Path, ppm_path: str | Path, samples, labels
     Path(ppm_path).write_bytes(f"P6\n{gw} {gh}\n255\n".encode() + img.tobytes())
 
 
+def _is_id(key: str) -> bool:
+    """Whether a JSON object key is an integer id as ``str`` writes it."""
+    return re.fullmatch(r"0|-?[1-9][0-9]*", key) is not None
+
+
 def _by_id(path, key: str, obj) -> list[tuple[int, object]]:
     """The entries of a nonempty object keyed by integer ids, each id
     written as ``str`` writes it, in ascending id order; else a
@@ -273,7 +276,7 @@ def _by_id(path, key: str, obj) -> list[tuple[int, object]]:
     if not (isinstance(obj, dict) and obj):
         raise ValueError(f"{path}: {key} must be a nonempty object keyed by integer ids")
     for k in obj:
-        if not re.fullmatch(r"0|-?[1-9][0-9]*", k):
+        if not _is_id(k):
             raise ValueError(f"{path}: {key} key {k!r} is not an integer")
     return sorted((int(k), v) for k, v in obj.items())
 

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import gc
 import json
 import math
@@ -181,6 +182,18 @@ class TestRunPipeline:
         assert json.loads(written) == json.loads((tmp_path / "report.json").read_text())["config"] == check_config(SMALL_CONFIG)
         assert sorted(json.loads(written)) == sorted(default_config())
 
+    def test_the_dataset_config_holds_the_whole_scene(self, tmp_path):
+        # SMALL_CONFIG's scene gives 6 of SceneConfig's fields; config.json
+        # holds every one, and reads back as the scene that ran, but for
+        # the config seed that generate puts in place of the scene's own
+        run_pipeline(SMALL_CONFIG, out_dir=tmp_path)
+        written = json.loads((tmp_path / "dataset" / "config.json").read_text())
+        assert len(SMALL_CONFIG["scene"]) == 6
+        assert sorted(written["scene"]) == sorted(f.name for f in dataclasses.fields(SceneConfig))
+        ran = evaluate.generate(SMALL_CONFIG)[1]
+        assert scene_from_json(written["scene"]) == dataclasses.replace(ran, seed=SceneConfig().seed)
+        assert scene_from_json({**written["scene"], "seed": written["seed"]}) == ran
+
     @pytest.mark.parametrize(
         "config",
         [
@@ -252,7 +265,7 @@ class TestRunPipeline:
         ],
         ids=["segmented", "single_region", "snr_db", "nlos_only"],
     )
-    def test_dataset_files_are_write_dataset_of_build_dataset(self, tmp_path, config):
+    def test_dataset_files_are_one_write_of_the_built_dataset(self, tmp_path, config):
         # the pass writes each chunk of fingerprints as it is made; the
         # files are those of the whole dataset's stacks in one write
         report = run_pipeline(config, out_dir=tmp_path / "run")
@@ -612,7 +625,7 @@ class TestRunPipeline:
         assert [s.pos for s in a] != [s.pos for s in b]
         reports = [run_pipeline({**SMALL_CONFIG, "scene": s}) for s in scenes]
         for r in reports:
-            del r["config"]  # echoes each scene as given
+            del r["config"]
         assert reports[0] == reports[1]
 
     def test_one_sample_is_a_generate_error(self, tmp_path, capsys):

@@ -87,7 +87,7 @@ class TestBinaryFormat:
     def test_bad_magic_rejected(self, tmp_path):
         (tmp_path / "cfr.bin").write_bytes(b"XXXX" + b"\0" * 16)
         with pytest.raises(ValueError, match="magic"):
-            dio._read_bin(tmp_path / "cfr.bin", complex_data=True)
+            dio._read_bin(tmp_path / "cfr.bin", dio._BIN_DTYPES["cfr.bin"])
 
 
 # float32 values the widening must keep bit for bit: signed zeros, the
@@ -106,11 +106,11 @@ def test_read_bin_widens_each_stored_float32_exactly(count, nt, nc, data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "x.bin"
         path.write_bytes(header + stored.tobytes())
-        dims, cfr = dio._read_bin(path, complex_data=True)
+        dims, cfr = dio._read_bin(path, dio._BIN_DTYPES["cfr.bin"])
         # float64 (re, im) pairs are the bytes of complex128
         assert dims == (nt, nc) and cfr.dtype == np.complex128 and cfr.tobytes() == wide.tobytes()
         path.write_bytes(header + stored[:size].tobytes())
-        dims, adcam = dio._read_bin(path, complex_data=False)
+        dims, adcam = dio._read_bin(path, dio._BIN_DTYPES["adcam.bin"])
         assert dims == (nt, nc) and adcam.dtype == np.float64 and adcam.tobytes() == wide[:size].tobytes()
 
 
@@ -296,37 +296,6 @@ def _edit_config(data, **values) -> Path:
 
 
 class TestCliWorkflow:
-    def test_full_command_sequence(self, chain_config, tmp_path):
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps({**chain_config, "k_max": 3}))
-        data = tmp_path / "data"
-
-        assert main(["generate", "--config", str(cfg_path), "--out", str(data)]) == 0
-        assert (data / "positions.csv").exists()
-        assert json.loads((data / "config.json").read_text()) == check_config({**chain_config, "k_max": 3})
-
-        assert main(["segment", "--data", str(data)]) == 0
-        assert (data / "region_map.csv").exists()
-        assert (data / "segmentation.json").exists()
-
-        model_path = tmp_path / "model.json"
-        assert main([
-            "train", "--data", str(data), "--out", str(model_path),
-        ]) == 0
-        assert json.loads(model_path.read_text())["format"] == "amdnloc-model"
-
-        report_path = tmp_path / "report.json"
-        assert main([
-            "eval", "--data", str(data), "--model", str(model_path), "--out", str(report_path),
-        ]) == 0
-        report = json.loads(report_path.read_text())
-        assert report["mean_error_m"] >= 0.0
-
-        plots = tmp_path / "plots"
-        assert main(["plot", "--report", str(report_path), "--out", str(plots)]) == 0
-        cdf = (plots / "cdf.csv").read_text().splitlines()
-        assert cdf[0] == "threshold_m,fraction"
-
     def test_eval_report_is_the_error_report_of_its_held_out_predictions(self, trained_chain, tmp_path, capsys):
         data, model_path = trained_chain
         out = tmp_path / "report.json"
@@ -381,22 +350,6 @@ class TestCliWorkflow:
         err = capsys.readouterr().err
         assert re.fullmatch(r"error: \[eval\] sample [0-9]+ has no paths\n", err)
         assert not out.exists()
-
-    def test_pipeline_command(self, tmp_path):
-        cfg = {
-            "scene": {
-                "area_m": [60.0, 60.0], "bs_pos": [8.0, 30.0],
-                "buildings": [[25, 20, 8, 25]], "grid_spacing_m": 11.0,
-                "nt": 16, "nc": 16,
-            },
-            "min_count": 0, "tau_in": 0.95, "tau_out": 0.95,
-            "template_size": [8, 8], "k_max": 3, "seed": 1,
-        }
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps(cfg))
-        out = tmp_path / "run"
-        assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 0
-        assert (out / "report.json").exists()
 
     @pytest.mark.parametrize("value", [-1, "x", 2.5, True])
     def test_a_bad_seed_is_an_error_of_every_command_that_reads_a_config(self, trained_chain, chain_config, tmp_path, capsys, value):
@@ -572,6 +525,7 @@ def test_the_cli_chain_runs_the_pipelines_stages(tmp_path, capsys):
     cfg_path, data, run = tmp_path / "config.json", tmp_path / "data", tmp_path / "run"
     cfg_path.write_text(json.dumps(CI_CONFIG))
     assert main(["generate", "--config", str(cfg_path), "--out", str(data)]) == 0
+    assert json.loads((data / "config.json").read_text()) == check_config(CI_CONFIG)
     assert main(["pipeline", "--config", str(cfg_path), "--out", str(run)]) == 0
     # generate writes the pipeline's dataset directory, byte for byte
     names = sorted(p.name for p in data.iterdir())
@@ -584,6 +538,7 @@ def test_the_cli_chain_runs_the_pipelines_stages(tmp_path, capsys):
         train_ids = [int(row["id"]) for row in csv.DictReader(fh)]
     assert len(train_ids) == 82
     assert [sid for sid, _, _ in json.loads((data / "segmentation.json").read_text())["samples"]] == train_ids
+    assert (data / "region_map.csv").read_bytes() == (run / "region_map.csv").read_bytes()
     # eval scores the held-out samples alone: the report's n_test of them
     assert main(["train", "--data", str(data), "--out", str(tmp_path / "model.json")]) == 0
     out = tmp_path / "eval.json"
@@ -594,6 +549,11 @@ def test_the_cli_chain_runs_the_pipelines_stages(tmp_path, capsys):
     held_out = [s for s in samples if s.id not in set(train_ids)]
     preds, regions = locate(dio.read_model(tmp_path / "model.json", samples), held_out)
     assert report == json.loads(json.dumps({**error_report(preds, [s.pos for s in held_out], regions), "n_samples": 21}))
+    # plot writes the report's cdf as a table
+    assert main(["plot", "--report", str(out), "--out", str(tmp_path / "plots")]) == 0
+    with open(tmp_path / "plots" / "cdf.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["threshold_m", "fraction"] and [[float(v) for v in row] for row in rows] == report["cdf"]
     # with no segmentation.json, eval scores every sample
     every = shutil.copytree(data, tmp_path / "every", ignore=shutil.ignore_patterns("segmentation.json"))
     assert main(["eval", "--data", str(every), "--model", str(tmp_path / "model.json"), "--out", str(out)]) == 0
@@ -808,47 +768,26 @@ class TestBoundaryErrors:
         assert option[0] in capsys.readouterr().err
         assert (data / "segmentation.json").read_bytes() == seg
 
+    @pytest.mark.parametrize("value", ["first_arrival", "loudest"])
     @pytest.mark.parametrize("command", ["train", "eval"])
-    def test_a_path_select_other_than_strongest_is_rejected(self, trained_chain, tmp_path, capsys, command):
+    def test_a_path_select_other_than_strongest_is_rejected(self, trained_chain, tmp_path, capsys, command, value):
         # segmentation.json for train, model.json for eval
         path, err = _read_edited_routing(
-            trained_chain, tmp_path, capsys, command, lambda obj: _put(obj, ["path_select"], "first_arrival")
+            trained_chain, tmp_path, capsys, command, lambda obj: _put(obj, ["path_select"], value)
         )
-        assert f"error: [{command}] {path}: path_select is 'first_arrival'; it must be one of 'strongest'" in err
+        assert f"error: [{command}] {path}: path_select is {value!r}; it must be one of 'strongest'" in err
         assert "Traceback" not in err
-
-    def test_eval_rejects_unknown_path_select(self, trained_chain, tmp_path, capsys):
-        data, model_path = trained_chain
-        obj = json.loads(model_path.read_text())
-        obj["path_select"] = "loudest"
-        bad = tmp_path / "model.json"
-        bad.write_text(json.dumps(obj))
-        rc = main(["eval", "--data", str(data), "--model", str(bad), "--out", str(tmp_path / "r.json")])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert "[eval]" in err and "loudest" in err
-
-    def test_eval_rejects_a_model_fit_by_sgd(self, trained_chain, tmp_path, capsys):
-        # closed-form ridge is the one fit, and model.json names none
-        data, model_path = trained_chain
-        obj = json.loads(model_path.read_text())
-        obj["method"] = "sgd"
-        bad = tmp_path / "model.json"
-        bad.write_text(json.dumps(obj))
-        rc = main(["eval", "--data", str(data), "--model", str(bad), "--out", str(tmp_path / "r.json")])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err == f"error: [eval] {bad}: unknown model keys: 'method'\n"
-        assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize(
         "extra",
-        [{"ridge_lambda": 0.001}, {"method": "ridge_closed_form"}, {"bias": 0.0}, {"bias": 0.0, "method": "ridge_closed_form"}],
-        ids=["ridge_lambda", "method", "made-up", "two"],
+        [{"ridge_lambda": 0.001}, {"method": "ridge_closed_form"}, {"method": "sgd"}, {"bias": 0.0},
+         {"bias": 0.0, "method": "ridge_closed_form"}],
+        ids=["ridge_lambda", "method", "sgd", "made-up", "two"],
     )
     def test_eval_rejects_a_key_that_write_model_does_not_write(self, trained_chain, tmp_path, capsys, extra):
         # model.json holds what locate reads: a version-2 file with the
-        # ridge_lambda or method of version 1, or any other key, is rejected
+        # ridge_lambda or method of version 1, or any other key, is
+        # rejected; closed-form ridge is the one fit, and no method is named
         data, model_path = trained_chain
         obj = {**json.loads(model_path.read_text()), **extra}
         bad = tmp_path / "model.json"
@@ -1022,7 +961,9 @@ class TestPlotReport:
     def test_a_report_without_a_cdf_of_number_pairs_is_a_plot_error(self, tmp_path, capsys, report):
         assert "[threshold, fraction] number pairs" in self._plot(tmp_path, capsys, report)
 
-    @pytest.mark.parametrize("errors", [[1.0], {"x": 1.0}, {"1.5": 1.0}, {"0": "2.5"}, {"0": None}])
+    @pytest.mark.parametrize(
+        "errors", [[1.0], {"x": 1.0}, {"1.5": 1.0}, {"01": 1.0}, {"-0": 1.0}, {"0": "2.5"}, {"0": None}]
+    )
     def test_per_region_errors_not_from_integer_ids_to_numbers_is_a_plot_error(self, tmp_path, capsys, errors):
         report = {"cdf": [[1.0, 0.5]], "per_region_errors": errors}
         assert "per_region_errors must be an object from integer region ids to numbers" in self._plot(tmp_path, capsys, report)
