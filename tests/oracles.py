@@ -16,7 +16,11 @@ inverse FFT raise, for the tests that scoring takes none.
 
 ``cfr_from_paths`` builds one CFR matrix path by path, and ``adcam``
 transforms one matrix at a time: the references of the package's
-stacked ``channel.cfr_stack`` and ``channel.adcam``.
+stacked ``channel.cfr_stack`` and ``channel.adcam`` in
+``test_channel.py``'s ``test_cfr_stack_equals_the_per_path_oracle_bit_for_bit``
+and ``test_stacked_adcam_equals_the_per_matrix_transform_bit_for_bit``,
+and of ``scenegen.build_dataset`` in ``test_scenegen.py``'s
+``build_dataset_oracle``.
 
 ``match_within_sequential`` is stage one as it ran before its two
 batched passes: one founder at a time, each founder's fallback right
@@ -32,19 +36,32 @@ derives from its roots' order.
 penalty matrix: ``ridge_lambda * np.eye`` with its bias entry zeroed,
 added to the Gram matrix. ``localizer._solve_ridge`` adds
 ``ridge_lambda`` to the Gram matrix's diagonal in place and must give
-its weights bit for bit. ``with_ones`` puts features next to the column
-of ones of a design matrix, and ``affine_oracle`` is a region's
-``W @ [features; 1]`` for one vector, W column-major as a model stores
-it, as ``localizer.locate`` takes it for each design row.
+its weights bit for bit (``test_localizer.py``'s
+``test_ridge_solve_equals_the_penalty_matrix_oracle`` and
+``test_train_equals_the_gathered_per_region_fit``). ``with_ones`` puts
+features next to the column of ones of a design matrix, and
+``affine_oracle`` is a region's ``W @ [features; 1]`` for one vector, W
+column-major as a model stores it, as ``localizer.locate`` takes it for
+each design row: ``test_localizer.py``'s ``predict_oracle``,
+``TestRidge``, ``TestTrainPredict`` and ``TestPiecewiseLinearRecovery``
+use them, and ``test_acceptance.py``'s cleansing trade-off predicts
+with ``affine_oracle``. ``magnitude_images`` renders the images that
+``evaluate.segment`` takes, for the localizer, io and acceptance tests
+that segment samples themselves.
 
 ``fuse_labels`` and ``cleanse`` are the dict-based fusion that stored
 every region fact, ``retained``, the region count and the pair map,
 next to the fused labels, in ``StoredLabels``; the package derives them
-from its fused labels and must give the same.
+from its fused labels and must give the same
+(``test_fusion.py::test_fuse_and_chained_cleanse_match_the_stored_oracle``).
 
 ``REFERENCE_SCENE`` is the area, base station and five buildings of the
 benchmark scenes, ``dense-global`` and ``hetero-segmented``; each test
-that builds one sets its own grid, matrix size and seed.
+that builds one sets its own grid, matrix size and seed: the acceptance
+tests' ``HETERO_SCENE``, ``test_evaluate.py``'s scenes and
+``reference_scene``. ``reference_scene`` puts it on a grid at 32x32 and
+seed 3, the scene of ``test_scenegen.py``'s reference-scene dataset
+tests and of ``test_localizer.py``'s feature, chunk and memory tests.
 """
 from dataclasses import dataclass
 
@@ -52,8 +69,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from amdnloc import channel
-from amdnloc.channel import array_response, dft_matrices
-from amdnloc.scenegen import Rect
+from amdnloc.channel import NO_NOISE, array_response, dft_matrices
+from amdnloc.scenegen import Rect, SceneConfig
 from amdnloc.segmentation_cfr import (
     UNLABELED,
     CfrLabeling,
@@ -75,6 +92,11 @@ REFERENCE_SCENE = {
         Rect(110.0, 30.0, 25.0, 20.0),
     ],
 }
+
+
+def reference_scene(spacing: float, snr_db: float = NO_NOISE) -> SceneConfig:
+    """The benchmark scenes' buildings and base station, on a grid of ``spacing``."""
+    return SceneConfig(**REFERENCE_SCENE, grid_spacing_m=spacing, nt=32, nc=32, snr_db=snr_db, seed=3)
 
 
 def cfr_from_paths(paths, nt: int, nc: int, spacing_ratio: float = 0.5) -> np.ndarray:

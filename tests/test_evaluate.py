@@ -164,15 +164,7 @@ class TestRunPipeline:
             assert key in report
         assert report["covering_rate"] == 1.0
         assert report["region_count"] >= 1
-
-    def test_deterministic_artifacts(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        run_pipeline(SMALL_CONFIG, out_dir=a)
-        run_pipeline(SMALL_CONFIG, out_dir=b)
-        for name in ("report.json", "region_map.csv", "model.json", "region_map.ppm"):
-            assert (a / name).read_bytes() == (b / name).read_bytes(), name
-        for name in ("positions.csv", "paths.csv", "cfr.bin", "adcam.bin", "config.json"):
-            assert (a / "dataset" / name).read_bytes() == (b / "dataset" / name).read_bytes(), name
+        assert report["cdf"][-1][1] == 1.0
 
     def test_the_dataset_carries_the_checked_config(self, tmp_path):
         report = run_pipeline(SMALL_CONFIG, out_dir=tmp_path)
@@ -487,12 +479,6 @@ class TestRunPipeline:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
 
-    def test_stage_tagged_error(self):
-        bad = {**SMALL_CONFIG, "scene": {**SMALL_CONFIG["scene"], "bs_pos": [26.0, 30.0]}}
-        with pytest.raises(PipelineError, match=r"\[config\] bs_pos inside a building") as exc:
-            run_pipeline(bad)
-        assert exc.value.stage == "config"
-
     @pytest.mark.parametrize("single_region", [False, True])
     @pytest.mark.parametrize("size", [(0, 8), (8, -2)])
     def test_template_side_below_one_is_a_config_error(self, tmp_path, size, single_region):
@@ -536,9 +522,9 @@ class TestRunPipeline:
     )
     def test_bad_scene_value_is_a_config_error(self, tmp_path, capsys, scene, message):
         cfg = {**SMALL_CONFIG, "scene": {**SMALL_CONFIG["scene"], **scene}}
-        with pytest.raises(PipelineError, match=re.escape(message)) as exc:
+        with pytest.raises(PipelineError) as exc:
             run_pipeline(cfg, out_dir=tmp_path / "lib")
-        assert exc.value.stage == "config"
+        assert exc.value.stage == "config" and str(exc.value) == f"[config] {message}"
         # the console script: exit 1, nothing written, no traceback
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(cfg))
@@ -567,11 +553,19 @@ class TestRunPipeline:
         report = run_pipeline({**SMALL_CONFIG, "scene": scene, "template_size": [8, 8], "single_region": True})
         assert report["region_count"] == 1
 
-    def test_unknown_config_key_is_a_config_error(self, tmp_path):
-        with pytest.raises(PipelineError, match="'tau_inn'") as exc:
-            run_pipeline({**SMALL_CONFIG, "tau_inn": 0.5}, out_dir=tmp_path)
-        assert exc.value.stage == "config"
-        assert not any(tmp_path.iterdir())
+    # closed-form ridge is the only fit: even the old default method is unknown
+    @pytest.mark.parametrize("key, value", [("tau_inn", 0.5), ("method", "sgd"), ("method", "ridge_closed_form")])
+    def test_unknown_config_key_is_a_config_error(self, tmp_path, capsys, key, value):
+        message = f"[config] unknown config keys: '{key}'"
+        with pytest.raises(PipelineError) as exc:
+            run_pipeline({**SMALL_CONFIG, key: value}, out_dir=tmp_path / "lib")
+        assert exc.value.stage == "config" and str(exc.value) == message
+        # the console script: exit 1, nothing written, no traceback
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({**SMALL_CONFIG, key: value}))
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "cli")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     @pytest.mark.parametrize(
         "key, value",
@@ -609,14 +603,6 @@ class TestRunPipeline:
     )
     def test_config_values_at_their_bounds_pass_the_check(self, key, value):
         _check(_CONFIG_RULES, {**default_config(), key: value}, "key")
-
-    def test_method_key_is_a_config_error(self, tmp_path):
-        # closed-form ridge is the only fit: even the old default is unknown
-        for method in ("sgd", "ridge_closed_form"):
-            with pytest.raises(PipelineError, match="'method'") as exc:
-                run_pipeline({**SMALL_CONFIG, "method": method}, out_dir=tmp_path)
-            assert exc.value.stage == "config"
-        assert not any(tmp_path.iterdir())
 
     def test_config_seed_replaces_scene_seed(self):
         scenes = [{**SMALL_CONFIG["scene"], "grid_jitter": 0.5, "seed": seed} for seed in (5, 6)]
@@ -658,10 +644,6 @@ class TestRunPipeline:
         assert main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "cli")]) == 1
         assert capsys.readouterr().err == f"error: [config] {message}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
-
-    def test_cdf_terminal_value(self):
-        report = run_pipeline(SMALL_CONFIG)
-        assert report["cdf"][-1][1] == 1.0
 
 
 def _split_with_the_one_sample_case(n: int, train_fraction: float, seed: int):

@@ -428,24 +428,17 @@ class TestCliWorkflow:
         nlos = [s.id for s in built if not s.is_los]
         assert [s.id for s in dio.read_dataset(tmp_path / "d")] == nlos and 2 <= len(nlos) < len(built)
 
-    def test_pipeline_unknown_config_key_exits_1(self, tmp_path, capsys):
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps({"tau_inn": 0.5, "seed": 1}))
-        out = tmp_path / "run"
-        assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert "[config]" in err and "tau_inn" in err
-        assert not out.exists()
-
-    def test_missing_config_file_nonzero_exit(self, tmp_path, capsys):
-        rc = main(["generate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "d")])
-        assert rc != 0
-        assert "generate" in capsys.readouterr().err
+    @pytest.mark.parametrize("command", ["generate", "pipeline"])
+    def test_missing_config_file_nonzero_exit(self, tmp_path, capsys, command):
+        missing = tmp_path / "nope.json"
+        assert main([command, "--config", str(missing), "--out", str(tmp_path / "d")]) == 1
+        assert capsys.readouterr().err == f"error: [{command}] [Errno 2] No such file or directory: '{missing}'\n"
+        assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize(
         "key, value",
         [("grid_spacing_m", 0), ("nt", "16"), ("nc", 2.5), ("snr_db", "x"), ("buildings", [[1, 2, 3]]),
-         ("grid_jitter", 5), ("grid_spacing_m", -5), ("bogus", 1)],
+         ("grid_jitter", 5), ("grid_spacing_m", -5), ("bogus", 1), ("bs_pos", [38, 40])],
     )
     def test_bad_scene_value_is_a_config_error_of_generate(self, chain_config, tmp_path, capsys, key, value):
         path = tmp_path / "config.json"
@@ -506,12 +499,6 @@ class TestCliWorkflow:
         want = message if fault == "missing" else f"{config}: {message}"
         assert capsys.readouterr().err == f"error: [{command}] {want}\n"
         assert not out.exists()
-
-    def test_invalid_scene_nonzero_exit(self, tmp_path, capsys):
-        bad = tmp_path / "config.json"
-        bad.write_text(json.dumps({"scene": {"bs_pos": [50, 50], "buildings": [[40, 40, 20, 20]]}}))
-        rc = main(["generate", "--config", str(bad), "--out", str(tmp_path / "d")])
-        assert rc != 0
 
 
 # The console-script scene of CI, given as a config

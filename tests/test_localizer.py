@@ -10,7 +10,7 @@ from scipy.spatial.distance import cdist
 
 from amdnloc import channel, localizer
 from amdnloc import io as dio
-from amdnloc.channel import _CHUNK, PathRecord, render_image
+from amdnloc.channel import _CHUNK, render_image
 from amdnloc.evaluate import default_config, segment, split
 from amdnloc.fusion import Segmentation, cleanse, fuse_labels
 from amdnloc.localizer import (
@@ -30,7 +30,7 @@ from amdnloc.localizer import (
 from amdnloc.scenegen import Rect, Sample, SceneConfig, build_dataset
 from amdnloc.segmentation_adcam import Standardizer, build_features, kmeans, path_descriptor
 from amdnloc.segmentation_cfr import extract_templates, segment_cfr
-from oracles import REFERENCE_SCENE, affine_oracle, magnitude_images, ncc, ridge_oracle, with_ones
+from oracles import affine_oracle, magnitude_images, ncc, reference_scene, ridge_oracle, with_ones
 
 CONFIG = FeatureConfig(nt=16, nc=16)
 
@@ -101,11 +101,6 @@ def features_oracle(sample):
     phase = render_oracle(sample.cfr, "cfr_phase")
     cfr = [block_means_loop(mag), block_means_loop(phase), mag.mean(axis=1), mag.mean(axis=0)]
     return np.concatenate([*cfr, adcam_features_oracle(render_oracle(sample.adcam, "adcam"))])
-
-
-def reference_scene(spacing):
-    """The benchmark scenes' buildings and base station, on a grid of ``spacing``."""
-    return SceneConfig(**REFERENCE_SCENE, grid_spacing_m=spacing, nt=32, nc=32, seed=3)
 
 
 @pytest.mark.parametrize("spacing, step", [(3.5, 4), (5.5, 1)], ids=["dense-global", "hetero-segmented"])
@@ -847,7 +842,8 @@ def test_locate_standardizes_its_features_in_place(one_region_model):
 class TestPiecewiseLinearRecovery:
     def test_per_region_beats_global_on_piecewise_truth(self):
         # synthetic features exactly affine per region but with different
-        # maps; a single global fit cannot be exact
+        # maps; a single global fit cannot be exact. Each region's fit on
+        # all its rows, and on two thirds of them, predicts every row of it
         rng = np.random.default_rng(8)
         n = 120
         feats = rng.random((n, 6))
@@ -858,11 +854,12 @@ class TestPiecewiseLinearRecovery:
             [affine_oracle(w0 if r == 0 else w1, f) for f, r in zip(feats, region)]
         )
         per_region_err = 0.0
-        for r, w_true in ((0, w0), (1, w1)):
+        for r in (0, 1):
             mask = region == r
-            w = _solve_ridge(with_ones(feats[mask]), y[mask], ridge_lambda=0.0)
-            preds = np.array([affine_oracle(w, f) for f in feats[mask]])
-            per_region_err = max(per_region_err, np.max(np.linalg.norm(preds - y[mask], axis=1)))
+            for fit in (mask, mask & (np.arange(n) % 3 > 0)):
+                w = _solve_ridge(with_ones(feats[fit]), y[fit], ridge_lambda=0.0)
+                preds = np.array([affine_oracle(w, f) for f in feats[mask]])
+                per_region_err = max(per_region_err, np.max(np.linalg.norm(preds - y[mask], axis=1)))
         assert per_region_err < 1e-6
         wg = _solve_ridge(with_ones(feats), y, ridge_lambda=0.0)
         global_preds = np.array([affine_oracle(wg, f) for f in feats])

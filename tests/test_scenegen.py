@@ -188,11 +188,6 @@ def assert_same_dataset(got, want):
         assert a.cfr.tobytes() == b.cfr.tobytes() and a.adcam.tobytes() == b.adcam.tobytes(), a.id
 
 
-def reference_scene(spacing, snr_db=NO_NOISE):
-    """The benchmark scenes' buildings and base station, on a grid of ``spacing``."""
-    return SceneConfig(**oracles.REFERENCE_SCENE, grid_spacing_m=spacing, nt=32, nc=32, snr_db=snr_db, seed=3)
-
-
 def traced(fn):
     """``fn()``, the bytes it leaves allocated and its peak, under tracemalloc."""
     tracemalloc.start()
@@ -209,7 +204,7 @@ def traced(fn):
     ids=["dense-global", "hetero-segmented", "hetero-segmented-snr30"],
 )
 def test_build_dataset_equals_per_terminal_oracle_on_reference_scenes(spacing, snr_db):
-    scene = reference_scene(spacing, snr_db)
+    scene = oracles.reference_scene(spacing, snr_db)
     assert_same_dataset(build_dataset(scene), build_dataset_oracle(scene))
 
 
@@ -221,7 +216,7 @@ def test_build_dataset_equals_its_concatenated_chunks(chunk, snr_db, mode, monke
     # the terminals are traced and filtered before any fingerprint is made,
     # and a terminal's fingerprints do not depend on its chunk: the stream
     # over the filtered terminals gives the filtered dataset's rows
-    scene = reference_scene(9.0, snr_db)
+    scene = oracles.reference_scene(9.0, snr_db)
     want = nlos_filter(build_dataset(scene), mode)
     terminals = nlos_filter(trace_terminals(scene), mode)
     assert len(want) > 2 * 64  # three chunks at the default size
@@ -239,7 +234,7 @@ def test_trace_keeps_only_the_paths_that_survive():
     # blocking test of every terminal against every building and 256 KB to
     # spare; full-length columns of all 21 candidates, 5 values each, and
     # their stack would add 7.7 MB
-    scene = reference_scene(3.5)
+    scene = oracles.reference_scene(3.5)
     grid = np.arange(1.75, 250.0, 3.5)
     pts = np.stack([np.tile(grid, len(grid)), np.repeat(grid, len(grid))], axis=1)
     pts = pts[~np.any([b.contains(pts.T) for b in scene.buildings], axis=0)]
@@ -375,13 +370,6 @@ class TestShadow:
         samples = build_dataset(scene)
         for s in samples:
             assert s.is_los == (not shadow_oracle(scene.bs_pos, rect, s.pos)), s.pos
-
-    def test_nlos_count_matches_oracle(self):
-        rect = Rect(40, 40, 20, 20)
-        scene = open_scene(bs_pos=(10.0, 50.0), buildings=[rect], grid_spacing_m=7.0)
-        samples = build_dataset(scene)
-        oracle_nlos = sum(shadow_oracle(scene.bs_pos, rect, s.pos) for s in samples)
-        assert sum(not s.is_los for s in samples) == oracle_nlos
 
 
 class TestBuildDataset:

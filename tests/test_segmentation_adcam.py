@@ -21,28 +21,6 @@ from amdnloc.segmentation_adcam import (
 )
 
 
-def silhouette_oracle(points, assignment):
-    """Per-point double-loop evaluation of the silhouette score."""
-    n = len(points)
-    clusters = sorted(set(assignment))
-    scores = []
-    for i in range(n):
-        own = [j for j in range(n) if assignment[j] == assignment[i] and j != i]
-        if not own:
-            scores.append(0.0)
-            continue
-        a = np.mean([np.linalg.norm(points[i] - points[j]) for j in own])
-        b = min(
-            np.mean(
-                [np.linalg.norm(points[i] - points[j]) for j in range(n) if assignment[j] == c]
-            )
-            for c in clusters
-            if c != assignment[i]
-        )
-        scores.append((b - a) / max(a, b))
-    return float(np.mean(scores))
-
-
 def ch_oracle(points, assignment):
     q = len(points)
     clusters = sorted(set(assignment))
@@ -279,7 +257,9 @@ class TestSilhouette:
     @given(_clustered_points())
     def test_equals_per_point_loop_bit_for_bit(self, case):
         pts, assignment = case
-        assert np.array_equal(silhouette(pts, assignment), silhouette_loop(pts, assignment), equal_nan=True)
+        got = silhouette(pts, assignment)
+        assert np.array_equal(got, silhouette_loop(pts, assignment), equal_nan=True)
+        assert -1.0 <= got <= 1.0
 
     @settings(max_examples=60, deadline=None)
     @given(_clustered_points(), st.integers(0, 2**32 - 1))
@@ -308,19 +288,6 @@ class TestSilhouette:
         got = silhouette(pts, np.array([0, 0, 1, 1]))
         assert got == pytest.approx(0.8885, abs=1e-3)
 
-    def test_matches_oracle_random(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            n = int(rng.integers(5, 30))
-            pts = rng.normal(size=(n, 4))
-            k = int(rng.integers(2, min(n, 6)))
-            asg = rng.integers(0, k, size=n)
-            while len(set(asg.tolist())) < 2:
-                asg = rng.integers(0, k, size=n)
-            got = silhouette(pts, asg)
-            assert got == pytest.approx(silhouette_oracle(pts, asg), abs=1e-9)
-            assert -1.0 <= got <= 1.0
-
     def test_relabeling_invariance(self):
         rng = np.random.default_rng(6)
         pts = rng.normal(size=(20, 4))
@@ -345,14 +312,14 @@ class TestCalinskiHarabasz:
     def test_matches_oracle_random(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
-            n = int(rng.integers(5, 30))
+            n = int(rng.integers(5, 31))
             pts = rng.normal(size=(n, 4))
             k = int(rng.integers(2, min(n - 1, 6)))
             asg = rng.integers(0, k, size=n)
             while len(set(asg.tolist())) < 2:
                 asg = rng.integers(0, k, size=n)
             got = calinski_harabasz(pts, asg)
-            assert got == pytest.approx(ch_oracle(pts, asg), abs=1e-9, rel=1e-9)
+            assert got == pytest.approx(ch_oracle(pts, asg), abs=1e-9)
 
     def test_degenerate_k_rejected(self):
         pts = np.zeros((4, 2))
