@@ -6,7 +6,6 @@ matching on CFR images fused with centroid clustering of path
 descriptors), and trains one affine coordinate regressor per region.
 """
 from .channel import (
-    NO_NOISE,
     PathRecord,
     add_noise,
     adcam,

@@ -7,6 +7,7 @@ image suitable for template matching and feature extraction.
 """
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -22,11 +23,7 @@ __all__ = [
     "adcam",
     "render_image",
     "add_noise",
-    "NO_NOISE",
 ]
-
-# Sentinel SNR meaning "do not add noise".
-NO_NOISE = float("inf")
 
 # Rows per temporary of every stacked pass in the package, read at call
 # time: 64 matrices of 32 x 32 complex are 1 MB.
@@ -55,9 +52,9 @@ def _chunk_rows(n: int) -> int:
 class PathRecord:
     """One propagation path between the base station and a terminal.
 
-    Angles are in radians inside (0, pi); the delay is an integer number
-    of sample intervals and must fit the cyclic window of the subcarrier
-    grid it will be used with.
+    Angles are in radians inside (0, pi); the gain is finite; the delay, in
+    whole sample intervals within the cyclic window of the subcarrier grid
+    it meets, and the pathloss are finite and >= 0. Errors name the field.
     """
 
     aoa: float
@@ -70,10 +67,11 @@ class PathRecord:
         for name in ("aoa", "aod"):
             if not (0.0 < getattr(self, name) < np.pi):
                 raise ValueError(f"{name} must lie in (0, pi), got {getattr(self, name)}")
-        if self.delay_samples < 0:
-            raise ValueError(f"delay_samples must be >= 0, got {self.delay_samples}")
-        if self.pathloss_db < 0:
-            raise ValueError(f"pathloss_db must be >= 0, got {self.pathloss_db}")
+        if not cmath.isfinite(self.gain):
+            raise ValueError(f"gain must be finite, got {self.gain}")
+        for name in ("delay_samples", "pathloss_db"):
+            if not (0 <= getattr(self, name) < np.inf):
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
     @property
     def amplitude(self) -> complex:
@@ -240,13 +238,13 @@ def render_image(m: np.ndarray, tag: str) -> np.ndarray:
 def add_noise(h: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
     """Add circular complex Gaussian noise at the given SNR.
 
-    Per-entry noise variance is mean(|H|^2) / 10**(snr_db/10). Passing
-    ``NO_NOISE`` (infinity) returns H unchanged. Deterministic given the
-    seed.
+    Per-entry noise variance is mean(|H|^2) / 10**(snr_db/10), and the
+    SNR must be a finite number: a scene of no noise makes no call
+    (``scenegen.fingerprint_chunks``). Deterministic given the seed.
     """
+    if snr_db is None or not np.isfinite(snr_db):
+        raise ValueError(f"snr_db must be a finite number, got {snr_db!r}")
     h = np.asarray(h, dtype=np.complex128)
-    if snr_db == NO_NOISE:
-        return h.copy()
     p_avg = float(np.mean(np.abs(h) ** 2))
     if p_avg == 0.0:
         raise ValueError("cannot add noise to an all-zero channel (SNR undefined)")

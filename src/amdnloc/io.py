@@ -133,15 +133,17 @@ class DatasetWriter:
     ``write(cfr, adcam)`` then appends the next rows of both fingerprint
     stacks to cfr.bin and adcam.bin in their ``_BIN_DTYPES``. Each .bin
     header counts every terminal and takes (nt, nc) from its file's first
-    rows, or (0, 0) when there are none. Used as a context manager: when the block
-    raises, or making the writer does, the files and directories it made
-    are removed and its open files closed.
+    rows, or (0, 0) when there are none; a later chunk of another shape
+    is a ``ValueError`` naming the file, raised before any of it is
+    written. Used as a context manager: when the block raises, or making
+    the writer does, the files and directories it made are removed and
+    its open files closed.
     """
 
     def __init__(self, out_dir: str | Path, terminals, config: dict | None = None):
         out = Path(out_dir)
         self._made = [d for d in (out, *out.parents) if not d.exists()]
-        self._paths, self._bins, self._count = [], [], len(terminals)
+        self._paths, self._bins, self._dims, self._count = [], [], {}, len(terminals)
         try:
             out.mkdir(parents=True, exist_ok=True)
             for name in ("segmentation.json", "region_map.csv", "region_map.ppm"):
@@ -170,8 +172,11 @@ class DatasetWriter:
     def write(self, cfr, adcam):
         """Append the next rows, an (n, nt, nc) CFR stack and its ADCAM
         stack (or lists of matrices), each cast to its file's dtype."""
-        for (fh, dtype), rows in zip(self._bins, (cfr, adcam)):
-            data = np.asarray(rows, dtype=dtype)
+        chunk = [(fh, np.asarray(rows, dtype=dtype)) for (fh, dtype), rows in zip(self._bins, (cfr, adcam))]
+        for fh, data in chunk:
+            if len(data) and self._dims.setdefault(fh, data.shape[1:]) != data.shape[1:]:
+                raise ValueError(f"{fh.name}: a chunk of {data.shape[1:]} matrices after rows of {self._dims[fh]}")
+        for fh, data in chunk:
             if len(data) and fh.tell() == 0:
                 fh.write(_header(self._count, data.shape[1:]))
             fh.write(data.tobytes())
@@ -201,8 +206,8 @@ def read_dataset(data_dir: str | Path) -> list[Sample]:
     """Samples in positions.csv order, each holding its row of one CFR
     stack and one ADCAM stack; the files must agree on the samples they
     hold, cfr.bin and adcam.bin on the matrix shape (nt, nc), every CSV
-    field must parse (``_csv_rows``), values must be finite, ``is_los``
-    0 or 1 and ids unique."""
+    field must parse (``_csv_rows``), positions must be finite, each path
+    a ``PathRecord``, ``is_los`` 0 or 1 and ids unique."""
     d = Path(data_dir)
     (cfr_dims, cfrs), (adcam_dims, adcams) = (_read_bin(d / name, dtype) for name, dtype in _BIN_DTYPES.items())
     if cfr_dims != adcam_dims:
@@ -214,8 +219,6 @@ def read_dataset(data_dir: str | Path) -> list[Sample]:
     values = ("aoa_rad", "aod_rad", "gain_re", "gain_im", "pathloss_db")
     for row in _csv_rows(d / "paths.csv", {"id": _INT, **dict.fromkeys(values, _NUMBER), "delay_samples": _INT}):
         try:
-            if not all(math.isfinite(row[k]) for k in values):
-                raise ValueError("a value is not finite")
             path = PathRecord(
                 aoa=row["aoa_rad"], aod=row["aod_rad"], gain=complex(row["gain_re"], row["gain_im"]),
                 delay_samples=row["delay_samples"], pathloss_db=row["pathloss_db"],

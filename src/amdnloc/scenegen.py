@@ -14,7 +14,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .channel import NO_NOISE, PathRecord, _chunks, add_noise, adcam, cfr_stack
+from .channel import PathRecord, _chunks, add_noise, adcam, cfr_stack
 
 __all__ = [
     "Rect",
@@ -119,7 +119,7 @@ class SceneConfig:
     maxpathnum: int = _setting(10, _COUNT)
     reflection_loss_db: float = _setting(6.0, ("a finite number", _is_real))
     spacing_ratio: float = _setting(0.5, _POSITIVE)
-    snr_db: float = _setting(NO_NOISE, ("a finite number, or null for no noise", lambda v: _is_real(v) or v == NO_NOISE))
+    snr_db: float | None = _setting(None, ("a finite number, or null for no noise", lambda v: v is None or _is_real(v)))
     seed: int = _setting(0, _SEED)
 
     def __post_init__(self):
@@ -326,14 +326,14 @@ def fingerprint_chunks(
     """The fingerprints of ``terminals``, ``channel._CHUNK`` at a time: for
     each slice of ``channel._chunks``, the (chunk, nt, nc) CFR stack of its
     terminals' paths (``cfr_stack``), each matrix with noise seeded by its
-    terminal's id when the scene has an SNR, and its ADCAM stack. A
-    terminal's matrices do not depend on the chunk it falls in, so any
-    subset of a scene's terminals, such as ``nlos_filter``'s, gets the rows
-    ``build_dataset`` gives them."""
+    terminal's id unless ``snr_db`` is None (here alone is noise skipped),
+    and its ADCAM stack. A terminal's matrices do not depend on the chunk
+    it falls in, so any subset of a scene's terminals, such as
+    ``nlos_filter``'s, gets the rows ``build_dataset`` gives them."""
     for rows in _chunks(len(terminals)):
         chunk = terminals[rows]
         cfr = cfr_stack([t.paths for t in chunk], scene.nt, scene.nc, scene.spacing_ratio)
-        if scene.snr_db != NO_NOISE:
+        if scene.snr_db is not None:
             for i, t in enumerate(chunk):
                 cfr[i] = add_noise(cfr[i], scene.snr_db, seed=scene.seed * 1_000_003 + t.id)
         yield rows, cfr, adcam(cfr)
@@ -372,7 +372,6 @@ def scene_to_json(scene: SceneConfig) -> dict:
         "area_m": list(scene.area_m),
         "bs_pos": list(scene.bs_pos),
         "buildings": [[b.x, b.y, b.w, b.h] for b in scene.buildings],
-        "snr_db": None if scene.snr_db == NO_NOISE else scene.snr_db,
     }
 
 
@@ -384,4 +383,4 @@ def scene_from_json(obj: dict) -> SceneConfig:
     unknown = sorted(set(obj) - {f.name for f in fields(SceneConfig)})
     if unknown:
         raise ValueError(f"unknown scene keys: {', '.join(map(repr, unknown))}")
-    return SceneConfig(**{**obj, "snr_db": NO_NOISE if obj.get("snr_db") is None else obj["snr_db"]})
+    return SceneConfig(**obj)

@@ -69,7 +69,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from amdnloc import channel
-from amdnloc.channel import NO_NOISE, array_response, dft_matrices
+from amdnloc.channel import array_response, dft_matrices
 from amdnloc.scenegen import Rect, SceneConfig
 from amdnloc.segmentation_cfr import (
     UNLABELED,
@@ -94,7 +94,7 @@ REFERENCE_SCENE = {
 }
 
 
-def reference_scene(spacing: float, snr_db: float = NO_NOISE) -> SceneConfig:
+def reference_scene(spacing: float, snr_db: float | None = None) -> SceneConfig:
     """The benchmark scenes' buildings and base station, on a grid of ``spacing``."""
     return SceneConfig(**REFERENCE_SCENE, grid_spacing_m=spacing, nt=32, nc=32, snr_db=snr_db, seed=3)
 

@@ -1,4 +1,5 @@
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from amdnloc import channel
 from amdnloc.channel import (
-    NO_NOISE,
     PathRecord,
     _chunks,
     add_noise,
@@ -91,6 +91,21 @@ class TestArrayResponse:
         angles = [[0.5, 1.0], [np.pi, bad], [2.0, 7.0]]
         with pytest.raises(ValueError, match=rf"phi must lie in \[0, pi\], got {bad}$"):
             array_response(angles, 4)
+
+
+class TestPathRecord:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            *(("gain", complex(*parts)) for v in (math.nan, math.inf, -math.inf) for parts in ((v, 0.0), (0.0, v))),
+            *((name, v) for name in ("delay_samples", "pathloss_db") for v in (math.nan, math.inf, -math.inf)),
+        ],
+    )
+    def test_non_finite_value_is_rejected_by_name(self, field, value):
+        # NaN passes a "< 0" test, and one NaN path makes a NaN CFR
+        values = {"aoa": 1.0, "aod": 1.0, "gain": 1, "delay_samples": 0, "pathloss_db": 0.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            PathRecord(**values)
 
 
 class TestCfr:
@@ -183,7 +198,7 @@ def test_stacked_adcam_equals_the_per_matrix_transform_bit_for_bit(lead, nt, nc,
         assert a.tobytes() == oracles.adcam(m).tobytes()
 
 
-@pytest.mark.parametrize("snr_db", [NO_NOISE, 20.0], ids=["clean", "noisy"])
+@pytest.mark.parametrize("snr_db", [None, 20.0], ids=["clean", "noisy"])
 @pytest.mark.parametrize("n", [1, 15, 16, 17, 64, 65])
 def test_blocked_adcam_transforms_each_matrix_as_alone(n, snr_db):
     # adcam takes its products _ADCAM_BLOCK matrices at a time: stacks that
@@ -198,7 +213,9 @@ def test_blocked_adcam_transforms_each_matrix_as_alone(n, snr_db):
         ]
         for _ in range(n)
     ]
-    h = np.array([add_noise(m, snr_db, seed=i) for i, m in enumerate(cfr_stack(paths, 32, 32))])
+    h = cfr_stack(paths, 32, 32)
+    if snr_db is not None:
+        h = np.array([add_noise(m, snr_db, seed=i) for i, m in enumerate(h)])
     assert np.array_equal(adcam(h), np.array([adcam(m) for m in h]))
 
 
@@ -330,9 +347,11 @@ class TestRenderImage:
 
 
 class TestAddNoise:
-    def test_no_noise_sentinel(self):
-        h = np.ones((3, 3), dtype=complex)
-        np.testing.assert_array_equal(add_noise(h, NO_NOISE, seed=1), h)
+    @pytest.mark.parametrize("snr_db", [None, math.nan, math.inf, -math.inf])
+    def test_snr_must_be_finite(self, snr_db):
+        # no noise is a scene's snr_db of None, which makes no add_noise call
+        with pytest.raises(ValueError, match=re.escape(f"snr_db must be a finite number, got {snr_db!r}")):
+            add_noise(np.ones((3, 3), dtype=complex), snr_db, seed=1)
 
     def test_deterministic(self):
         rng = np.random.default_rng(9)

@@ -165,6 +165,23 @@ def test_write_bin_matches_the_per_sample_writer(count, nt, nc, scale, seed, spe
             assert (Path(tmp) / "got" / name).read_bytes() == want.read_bytes()
 
 
+@pytest.mark.parametrize("bad", ["cfr.bin", "adcam.bin"])
+def test_writer_rejects_a_chunk_of_other_dims_before_writing_any_of_it(tmp_path, bad):
+    # a 2x8 chunk after 4x4 rows, in either stack, would read back as a
+    # wrong 4x4 matrix; the error leaves both files as they were
+    terminals = [Terminal(id=i, pos=(0.0, 0.0), paths=[], is_los=False) for i in range(3)]
+    rows = [np.full((1, 4, 4), float(i)) for i in range(3)]
+    with dio.DatasetWriter(tmp_path, terminals) as writer:
+        writer.write(rows[0], rows[0])
+        other = {name: rows[1] for name in ("cfr.bin", "adcam.bin")} | {bad: np.ones((1, 2, 8))}
+        with pytest.raises(ValueError, match=re.escape(f"{tmp_path / bad}: a chunk of (2, 8) matrices after rows of (4, 4)")):
+            writer.write(other["cfr.bin"], other["adcam.bin"])
+        writer.write(rows[1], rows[1])
+        writer.write(rows[2], rows[2])
+    again = dio.read_dataset(tmp_path)
+    assert [s.cfr.tolist() for s in again] == [s.adcam.tolist() for s in again] == [r[0].tolist() for r in rows]
+
+
 # float32 values, so a dataset reads back exactly as written
 _f32 = st.floats(-1e6, 1e6, width=32)
 _angle = st.floats(0.0625, 3.125, width=32)
@@ -915,20 +932,27 @@ class TestBoundaryErrors:
         err = capsys.readouterr().err
         assert "[eval]" in err and "cfr.bin" in err and "payload" in err
 
-    def test_eval_names_the_paths_file_and_row_it_rejects(self, trained_chain, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "column, value, reason",
+        [(3, "4.0", "aod must lie in (0, pi), got 4.0"), (7, "nan", "pathloss_db must be finite and >= 0, got nan")],
+        ids=["aod_rad", "pathloss_db"],
+    )
+    def test_eval_names_the_paths_file_and_row_it_rejects(self, trained_chain, tmp_path, capsys, column, value, reason):
+        # PathRecord checks each value once; read_dataset names the file and the id
         data = shutil.copytree(trained_chain[0], tmp_path / "data")
         rejected = []
 
         def edit(rows):
-            rows[1][3] = "4.0"  # aod_rad outside (0, pi)
+            rows[1][column] = value
             rejected.append(rows[1][0])
             return rows
 
         _rewrite_csv(data / "paths.csv", edit)
         rc = main(["eval", "--data", str(data), "--model", str(trained_chain[1]), "--out", str(tmp_path / "r.json")])
         assert rc == 1
-        err = capsys.readouterr().err
-        assert "[eval]" in err and "paths.csv" in err and f"id {rejected[0]} " in err and "aod" in err
+        assert capsys.readouterr().err == (
+            f"error: [eval] {data / 'paths.csv'}: a path of id {rejected[0]} is rejected: {reason}\n"
+        )
 
 
 class TestPlotReport:

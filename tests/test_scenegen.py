@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from amdnloc import channel
-from amdnloc.channel import NO_NOISE, PathRecord, _chunks, add_noise
+from amdnloc.channel import PathRecord, _chunks, add_noise
 from amdnloc.scenegen import (
     _ANGLE_EPS,
     _EPS,
@@ -172,7 +172,7 @@ def build_dataset_oracle(scene):
                 continue
             sid = len(samples)
             cfr = oracles.cfr_from_paths(paths, scene.nt, scene.nc, scene.spacing_ratio)
-            if scene.snr_db != NO_NOISE:
+            if scene.snr_db is not None:
                 cfr = add_noise(cfr, scene.snr_db, seed=scene.seed * 1_000_003 + sid)
             samples.append(Sample(id=sid, pos=pos, paths=paths, is_los=is_los, cfr=cfr, adcam=oracles.adcam(cfr)))
     if not samples:
@@ -200,7 +200,7 @@ def traced(fn):
 
 @pytest.mark.parametrize(
     "spacing, snr_db",
-    [(3.5, NO_NOISE), (5.5, NO_NOISE), (5.5, 30.0)],
+    [(3.5, None), (5.5, None), (5.5, 30.0)],
     ids=["dense-global", "hetero-segmented", "hetero-segmented-snr30"],
 )
 def test_build_dataset_equals_per_terminal_oracle_on_reference_scenes(spacing, snr_db):
@@ -210,7 +210,7 @@ def test_build_dataset_equals_per_terminal_oracle_on_reference_scenes(spacing, s
 
 @pytest.mark.parametrize("chunk", [1, 3, 64])
 @pytest.mark.parametrize(
-    "snr_db, mode", [(NO_NOISE, "all"), (30.0, "all"), (30.0, "nlos_only")], ids=["clean", "snr30", "snr30-nlos_only"]
+    "snr_db, mode", [(None, "all"), (30.0, "all"), (30.0, "nlos_only")], ids=["clean", "snr30", "snr30-nlos_only"]
 )
 def test_build_dataset_equals_its_concatenated_chunks(chunk, snr_db, mode, monkeypatch):
     # the terminals are traced and filtered before any fingerprint is made,
@@ -267,7 +267,7 @@ def lattice_scenes(draw):
         grid_jitter=draw(st.sampled_from([0.0, 0.0, 0.3, 1.0])),
         maxpathnum=draw(st.integers(1, 12)),
         reflection_loss_db=draw(st.sampled_from([0.0, 6.0])),
-        snr_db=draw(st.sampled_from([NO_NOISE, 15.0])),
+        snr_db=draw(st.sampled_from([None, 15.0])),
         nt=4, nc=draw(st.sampled_from([4, 16])),
         seed=draw(st.integers(0, 1000)),
     )
@@ -469,6 +469,8 @@ class TestSceneJson:
             ("maxpathnum", 0, "maxpathnum is 0"),
             ("snr_db", "x", "snr_db is 'x'"),
             ("snr_db", -np.inf, "snr_db is -inf"),
+            ("snr_db", np.inf, "snr_db is inf; it must be a finite number, or null for no noise"),
+            ("snr_db", np.nan, "snr_db is nan"),
             ("carrier_hz", True, "carrier_hz is True"),
             ("area_m", [100], "area_m is [100]"),
             ("area_m", [0, 100], "area_m is [0, 100]"),
@@ -491,7 +493,9 @@ class TestSceneJson:
 
     def test_null_snr_is_noise_free(self):
         obj = scene_to_json(open_scene(snr_db=20.0))
-        assert scene_from_json({**obj, "snr_db": None}).snr_db == NO_NOISE
+        clean = scene_from_json({**obj, "snr_db": None})
+        assert clean.snr_db is None and SceneConfig().snr_db is None
+        assert scene_to_json(clean) == {**obj, "snr_db": None}  # the round trip
         assert scene_from_json(obj).snr_db == 20.0
 
 
