@@ -215,40 +215,25 @@ def dataset_chunks(scene: SceneConfig, terminals: list[Terminal], cfg: dict, out
 
 
 def _fingerprint_pass(config: FeatureConfig, terminals: list[Terminal], cfg: dict, chunks):
-    """One pass over the ``dataset_chunks`` of ``terminals``, each used
-    once, and the chunks closed when the pass ends, however it ends.
+    """One pass over the ``dataset_chunks`` of ``terminals``, on the
+    calling thread, each chunk used once and the chunks closed when the
+    pass ends, however it ends.
 
-    One worker thread makes the next chunk while this thread hands the
-    last one to ``localizer._design_matrix``, which takes every
-    terminal's fingerprints in one design matrix, in the row of its place
-    in split order: the training terminals' rows first, then the
-    held-out terminals'. It writes their CFR magnitude images into one
-    stack in the same rows, of which a ``single_region`` run, which
-    routes nothing, keeps only the first. The worker runs one chunk
-    ahead and no further, and is joined before the pass returns or
-    raises; the chunks are closed after it, so a ``DatasetWriter`` behind
-    them removes what it wrote when the pass raises. An error on this
-    thread wins over one the worker may have raised making a chunk that
-    was never asked for. Returns the training and held-out terminals, the
-    design matrix and the images.
+    ``localizer._design_matrix`` takes every terminal's fingerprints in
+    one design matrix, in the row of its place in split order: the
+    training terminals' rows first, then the held-out terminals'. It
+    writes their CFR magnitude images into one stack in the same rows, of
+    which a ``single_region`` run, which routes nothing, keeps only the
+    first. The chunks are closed in a ``finally``, so a ``DatasetWriter``
+    behind them removes what it wrote when the pass raises. Returns the
+    training and held-out terminals, the design matrix and the images.
     """
-    from concurrent.futures import ThreadPoolExecutor  # here: importing the package loads no executor
-
     train_rows, held_rows = split(range(len(terminals)), cfg)
     dest = np.empty(len(terminals), dtype=int)
     dest[train_rows + held_rows] = np.arange(len(terminals))
     mags = np.empty((1 if cfg["single_region"] else len(terminals), config.nt, config.nc))
-
-    def parts(pool):
-        ahead = pool.submit(next, chunks, None)
-        while (chunk := ahead.result()) is not None:
-            ahead = pool.submit(next, chunks, None)
-            rows, cfr, adcam = chunk
-            yield dest[rows], cfr, adcam
-
     try:
-        with ThreadPoolExecutor(1) as pool:
-            design = _design_matrix(parts(pool), len(terminals), config, mags)
+        design = _design_matrix(((dest[rows], cfr, adcam) for rows, cfr, adcam in chunks), len(terminals), config, mags)
     finally:
         chunks.close()
     return [terminals[i] for i in train_rows], [terminals[i] for i in held_rows], design, mags
@@ -264,16 +249,13 @@ def run_pipeline(config: dict, out_dir: str | Path | None = None) -> dict:
     at a time and each chunk is used once: ``dataset_chunks`` writes it
     to the dataset files, and ``_fingerprint_pass`` turns it into rows of
     one design matrix and one stack of magnitude images, the training
-    terminals' rows above the held-out ones'. The pass makes and writes
-    the next chunk on one worker thread while this thread turns the last
-    one into rows; the worker is joined before the pass returns or
-    raises, so no thread outlives the call, and the artifacts do not
-    depend on it. Training is ``localizer.fit`` on the training rows,
-    and the held-out rows are routed and predicted by
-    ``localizer._locate_rows``, as ``locate`` would route and predict the
-    held-out samples. Returns the report dict; when ``out_dir`` is given
-    all artifacts (dataset and its config.json, region map, model,
-    report) are written there.
+    terminals' rows above the held-out ones'. Every stage runs on the
+    calling thread, and no other thread is started. Training is
+    ``localizer.fit`` on the training rows, and the held-out rows are
+    routed and predicted by ``localizer._locate_rows``, as ``locate``
+    would route and predict the held-out samples. Returns the report
+    dict; when ``out_dir`` is given all artifacts (dataset and its
+    config.json, region map, model, report) are written there.
 
     A ``[config]`` or ``[generate]`` error writes nothing, and neither
     does any other error raised during the pass, which passes through

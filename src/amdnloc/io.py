@@ -133,17 +133,18 @@ class DatasetWriter:
     ``write(cfr, adcam)`` then appends the next rows of both fingerprint
     stacks to cfr.bin and adcam.bin in their ``_BIN_DTYPES``. Each .bin
     header counts every terminal and takes (nt, nc) from its file's first
-    rows, or (0, 0) when there are none; a later chunk of another shape
-    is a ``ValueError`` naming the file, raised before any of it is
-    written. Used as a context manager: when the block raises, or making
-    the writer does, the files and directories it made are removed and
-    its open files closed.
+    rows, or (0, 0) when there are none. A stack that is not (n, nt, nc),
+    a later chunk of another (nt, nc) than its file's, stacks of unequal
+    n, or rows past the terminal count, is a ``ValueError`` raised before
+    any of the chunk is written. Used as a context manager: when the
+    block raises, or making the writer does, the files and directories
+    it made are removed and its open files closed.
     """
 
     def __init__(self, out_dir: str | Path, terminals, config: dict | None = None):
         out = Path(out_dir)
         self._made = [d for d in (out, *out.parents) if not d.exists()]
-        self._paths, self._bins, self._dims, self._count = [], [], {}, len(terminals)
+        self._out, self._paths, self._bins, self._dims, self._count, self._rows = out, [], [], {}, len(terminals), 0
         try:
             out.mkdir(parents=True, exist_ok=True)
             for name in ("segmentation.json", "region_map.csv", "region_map.ppm"):
@@ -171,13 +172,23 @@ class DatasetWriter:
 
     def write(self, cfr, adcam):
         """Append the next rows, an (n, nt, nc) CFR stack and its ADCAM
-        stack (or lists of matrices), each cast to its file's dtype."""
+        stack of the same n (or lists of matrices, an empty one no rows),
+        each cast to its file's dtype."""
         chunk = [(fh, np.asarray(rows, dtype=dtype)) for (fh, dtype), rows in zip(self._bins, (cfr, adcam))]
         for fh, data in chunk:
-            if len(data) and self._dims.setdefault(fh, data.shape[1:]) != data.shape[1:]:
+            if data.ndim != 3 and data.shape != (0,):
+                raise ValueError(f"{fh.name}: a chunk of shape {data.shape}, not an (n, nt, nc) stack of matrices")
+            if len(data) and self._dims.get(fh, data.shape[1:]) != data.shape[1:]:
                 raise ValueError(f"{fh.name}: a chunk of {data.shape[1:]} matrices after rows of {self._dims[fh]}")
+        n, n_adcam = (len(data) for _, data in chunk)
+        if n != n_adcam:
+            raise ValueError(f"{self._out}: a chunk of {n} CFR and {n_adcam} ADCAM matrices")
+        if self._rows + n > self._count:
+            raise ValueError(f"{self._out}: a chunk of {n} rows after {self._rows} of its {self._count} terminals")
+        self._rows += n
         for fh, data in chunk:
-            if len(data) and fh.tell() == 0:
+            if n and fh.tell() == 0:
+                self._dims[fh] = data.shape[1:]
                 fh.write(_header(self._count, data.shape[1:]))
             fh.write(data.tobytes())
 

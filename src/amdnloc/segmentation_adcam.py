@@ -39,7 +39,14 @@ class Standardizer:
     @classmethod
     def fit(cls, x: np.ndarray) -> "Standardizer":
         mean = x.mean(axis=0)
-        std = x.std(axis=0)
+        # x.std(axis=0) in blocks of about 64 columns, so no temporary is
+        # the size of x; each column is summed row by row either way, which
+        # keeps the spread bit for bit. A lone column is summed pairwise,
+        # so np.linspace cuts no one-column block unless x is one column.
+        std = np.empty(x.shape[1])
+        edges = np.linspace(0, x.shape[1], -(-x.shape[1] // 64) + 1).astype(int)
+        for a, b in zip(edges[:-1], edges[1:]):
+            std[a:b] = x[:, a:b].std(axis=0)
         # dims whose spread is pure float noise count as constant too,
         # otherwise unseen data divided by a ~1e-16 std explodes
         floor = 1e-12 * np.maximum(np.abs(mean), 1.0)

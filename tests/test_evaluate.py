@@ -1,4 +1,3 @@
-import concurrent.futures
 import dataclasses
 import gc
 import json
@@ -215,37 +214,15 @@ class TestRunPipeline:
             assert spy.call_count == math.ceil((report["n_train"] + report["n_test"]) / chunk)
             assert artifacts(out) == want, chunk
 
-    @pytest.mark.parametrize(
-        "config",
-        [SMALL_CONFIG, {**SMALL_CONFIG, "scene": {**SMALL_CONFIG["scene"], "snr_db": 30.0}}],
-        ids=["segmented", "snr_db"],
-    )
-    def test_the_worker_thread_changes_no_artifact(self, tmp_path, monkeypatch, config):
-        # the pass makes each next chunk on a worker thread; a pass that
-        # makes every chunk on the calling thread when it is asked for
-        # writes the same files, byte for byte
-        class Serial:
-            def __init__(self, workers):
-                pass
+    def test_starts_no_thread(self, tmp_path, monkeypatch):
+        # every stage, the fingerprint pass and its dataset writes
+        # included, runs on the calling thread
+        def start(thread):
+            raise AssertionError(f"run_pipeline started {thread!r}")
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return None
-
-            def submit(self, fn, *args):
-                made.append(fn)
-                done = concurrent.futures.Future()
-                done.set_result(fn(*args))
-                return done
-
-        made = []
-        run_pipeline(config, out_dir=tmp_path / "worker")
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Serial)
-        run_pipeline(config, out_dir=tmp_path / "serial")
-        assert made
-        assert _files(tmp_path / "serial") == _files(tmp_path / "worker")
+        monkeypatch.setattr(threading.Thread, "start", start)
+        report = run_pipeline(SMALL_CONFIG, out_dir=tmp_path)
+        assert (tmp_path / "report.json").exists() and report["n_test"] > 0
 
     @pytest.mark.parametrize(
         "config",
@@ -344,17 +321,16 @@ class TestRunPipeline:
         for out in (tmp_path / "new" / "run", tmp_path / "kept"):
             with pytest.raises(PipelineError, match=r"\[generate\] planted"):
                 run_pipeline(SMALL_CONFIG, out_dir=out)
-            # the worker thread that made the chunks is joined
             assert threading.active_count() == threads
         assert [p.name for p in tmp_path.iterdir()] == ["kept"]
         assert not any((tmp_path / "kept").iterdir())
 
     @pytest.mark.parametrize("error", [ValueError("planted"), KeyboardInterrupt()], ids=["ValueError", "KeyboardInterrupt"])
-    def test_a_feature_error_removes_the_dataset_and_the_worker(self, tmp_path, monkeypatch, error):
-        # an error raised on the consumer's side of the pass, while the
-        # worker makes the next chunk, passes through unchanged; the
-        # dataset files are gone before it leaves run_pipeline, while its
-        # traceback still holds the pass's frames, and no thread is left
+    def test_a_feature_error_removes_the_dataset(self, tmp_path, monkeypatch, error):
+        # an error raised while the pass turns a chunk into design rows
+        # passes through unchanged; the dataset files are gone before it
+        # leaves run_pipeline, while its traceback still holds the pass's
+        # frames, and no thread is left
         real = localizer._image_features
         calls = []
 
@@ -448,16 +424,6 @@ class TestRunPipeline:
         run_pipeline(SMALL_CONFIG, out_dir=tmp_path / "here")
         for name in ("report.json", "region_map.csv", "model.json"):
             assert (tmp_path / "bare" / name).read_bytes() == (tmp_path / "here" / name).read_bytes(), name
-
-    def test_importing_the_package_loads_no_executor(self):
-        # the fingerprint pass imports its worker's executor when it runs,
-        # so importing the package does not pay for it
-        code = "import sys, amdnloc\nprint(sorted(m for m in sys.modules if m.startswith('concurrent')))\n"
-        src = str(Path(amdnloc.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "[]"
 
     def test_leaves_numpy_ma_unimported(self, tmp_path):
         # numpy imports numpy.ma (about 1 MB) on a first np.unique call

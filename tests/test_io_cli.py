@@ -182,6 +182,55 @@ def test_writer_rejects_a_chunk_of_other_dims_before_writing_any_of_it(tmp_path,
     assert [s.cfr.tolist() for s in again] == [s.adcam.tolist() for s in again] == [r[0].tolist() for r in rows]
 
 
+def _written(out, calls):
+    """The .bin files a writer for 3 terminals makes of ``calls``, each
+    a ``(cfr, adcam)`` chunk or a ``(cfr, adcam, message)`` chunk that
+    must raise exactly that ``ValueError``; checks the files read back."""
+    terminals = [Terminal(id=i, pos=(0.0, 0.0), paths=[], is_los=False) for i in range(3)]
+    with dio.DatasetWriter(out, terminals) as writer:
+        for cfr, adcam, *message in calls:
+            if message:
+                with pytest.raises(ValueError, match="^" + re.escape(message[0]) + "$"):
+                    writer.write(cfr, adcam)
+            else:
+                writer.write(cfr, adcam)
+    assert [s.cfr.tolist() for s in dio.read_dataset(out)] == [[[float(i)] * 4] * 4 for i in range(3)]
+    return {name: (out / name).read_bytes() for name in ("cfr.bin", "adcam.bin")}
+
+
+_ROWS = [(np.full((1, 4, 4), float(i)), np.full((1, 4, 4), float(i))) for i in range(3)]
+
+
+@pytest.mark.parametrize("at", [0, 1], ids=["first", "after-rows"])
+@pytest.mark.parametrize("shape", [(2, 4), (3,), (1, 4, 4, 1), ()], ids=str)
+@pytest.mark.parametrize("bad", ["cfr.bin", "adcam.bin"])
+def test_writer_rejects_a_chunk_that_is_not_a_stack_of_matrices(tmp_path, bad, shape, at):
+    # a 2-D chunk wrote a header of (count, nt) and no nc, which
+    # read_dataset read as a garbled shape; the error names the file, and
+    # both files end as those of a writer that never got the chunk
+    stacks = {"cfr.bin": _ROWS[at][0], "adcam.bin": _ROWS[at][1], bad: np.ones(shape)}
+    message = f"{tmp_path / 'bad' / bad}: a chunk of shape {shape}, not an (n, nt, nc) stack of matrices"
+    calls = [*_ROWS[:at], (stacks["cfr.bin"], stacks["adcam.bin"], message), *_ROWS[at:]]
+    assert _written(tmp_path / "bad", calls) == _written(tmp_path / "good", _ROWS)
+
+
+@pytest.mark.parametrize("at", [0, 1], ids=["first", "after-rows"])
+@pytest.mark.parametrize("kind", ["cfr-longer", "adcam-longer", "past-the-count"])
+def test_writer_rejects_unequal_stacks_and_rows_past_the_count(tmp_path, kind, at):
+    # two stacks of different lengths, or rows past the terminals the
+    # headers count, wrote both files and failed only in read_dataset;
+    # the error leaves both files as a writer that never got the chunk
+    # makes them
+    cfr_rows, adcam_rows = {"cfr-longer": (2, 1), "adcam-longer": (1, 2), "past-the-count": (4 - at, 4 - at)}[kind]
+    out = tmp_path / "bad"
+    if kind == "past-the-count":
+        message = f"{out}: a chunk of {cfr_rows} rows after {at} of its 3 terminals"
+    else:
+        message = f"{out}: a chunk of {cfr_rows} CFR and {adcam_rows} ADCAM matrices"
+    chunk = (np.ones((cfr_rows, 4, 4)), np.ones((adcam_rows, 4, 4)), message)
+    assert _written(out, [*_ROWS[:at], chunk, *_ROWS[at:]]) == _written(tmp_path / "good", _ROWS)
+
+
 # float32 values, so a dataset reads back exactly as written
 _f32 = st.floats(-1e6, 1e6, width=32)
 _angle = st.floats(0.0625, 3.125, width=32)

@@ -67,6 +67,25 @@ class TestStandardizer:
         assert std.apply(x, out=x) is x
         assert x.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("view", [False, True], ids=["contiguous", "view"])
+    @pytest.mark.parametrize("rows", [1, 2, 64, 65, 2034])
+    @pytest.mark.parametrize("cols", [1, 2, 64, 65, 129, 335])
+    def test_scale_is_the_whole_matrix_std_bit_for_bit(self, cols, rows, view):
+        # fit takes the spread a block of columns at a time; its scale is
+        # that of x.std(axis=0) over the whole matrix, constant columns
+        # and a non-contiguous [:, :-1] view included
+        rng = np.random.default_rng([cols, rows])
+        width = cols + view
+        x = rng.normal(rng.uniform(-1e3, 1e3, width), rng.uniform(0.1, 10.0, width), size=(rows, width))
+        x[:, 1::5] = x[:1, 1::5]
+        if view:
+            x = x[:, :-1]
+        std = x.std(axis=0)
+        want = np.where(std > 1e-12 * np.maximum(np.abs(x.mean(axis=0)), 1.0), std, 1.0)
+        fitted = Standardizer.fit(x)
+        assert fitted.mean.tobytes() == x.mean(axis=0).tobytes()
+        assert fitted.scale.tobytes() == want.tobytes()
+
 
 class TestBuildFeatures:
     def test_single_sample_all_zero(self):
