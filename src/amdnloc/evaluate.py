@@ -202,16 +202,16 @@ def split(samples: list, cfg: dict) -> tuple[list, list]:
 
 def dataset_chunks(scene: SceneConfig, terminals: list[Terminal], cfg: dict, out_dir: str | Path | None = None):
     """``scenegen.fingerprint_chunks`` of the terminals, each chunk written
-    first to the dataset files of ``out_dir`` (``cfg`` as its config.json)
-    through one ``io.DatasetWriter`` when ``out_dir`` is given. An error
-    in making them is a ``[generate]`` error, and the writer removes what
-    it wrote."""
+    first to the dataset files of ``out_dir`` (``cfg`` as its config.json,
+    the scene's (nt, nc) as its one shape) through ``io.write_chunks``
+    when ``out_dir`` is given. An error in making or writing them, chunks
+    that end short included, is a ``[generate]`` error, and the writer
+    removes what it wrote, as it does when the chunks are closed early."""
     with stage("generate", TypeError):
-        with contextlib.nullcontext() if out_dir is None else dio.DatasetWriter(out_dir, terminals, cfg) as writer:
-            for rows, cfr, adcam in fingerprint_chunks(scene, terminals):
-                if writer is not None:
-                    writer.write(cfr, adcam)
-                yield rows, cfr, adcam
+        chunks = fingerprint_chunks(scene, terminals)
+        if out_dir is not None:
+            chunks = dio.write_chunks(out_dir, terminals, (scene.nt, scene.nc), cfg, chunks)
+        yield from chunks
 
 
 def _fingerprint_pass(config: FeatureConfig, terminals: list[Terminal], cfg: dict, chunks):
@@ -224,7 +224,7 @@ def _fingerprint_pass(config: FeatureConfig, terminals: list[Terminal], cfg: dic
     training terminals' rows first, then the held-out terminals'. It
     writes their CFR magnitude images into one stack in the same rows, of
     which a ``single_region`` run, which routes nothing, keeps only the
-    first. The chunks are closed in a ``finally``, so a ``DatasetWriter``
+    first. The chunks are closed in a ``finally``, so an ``io.write_chunks``
     behind them removes what it wrote when the pass raises. Returns the
     training and held-out terminals, the design matrix and the images.
     """

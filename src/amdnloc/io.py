@@ -2,12 +2,14 @@
 
 ``write_json`` writes each JSON file (config.json, segmentation.json,
 model.json and report.json) and ``write_csv`` each CSV file. A dataset
-directory holds positions.csv, paths.csv, cfr.bin, adcam.bin
-and config.json, the config of its samples. The .bin files start with
-the magic bytes "AMDN" followed by little-endian u32 fields (version,
-count, nt, nc) and then per-sample row-major entries of the file's
-``_BIN_DTYPES`` dtype: little-endian complex64 (interleaved float32
-re/im) for the CFR file and float32 for the angle-delay file.
+directory holds positions.csv, paths.csv, cfr.bin, adcam.bin and
+config.json, the config of its samples; ``write_chunks`` writes it as
+its fingerprint chunks pass through, every matrix of the one (nt, nc)
+its caller gives. The .bin files start with the magic bytes "AMDN"
+followed by little-endian u32 fields (version, count, nt, nc) and then
+per-sample row-major entries of the file's ``_BIN_DTYPES`` dtype:
+little-endian complex64 (interleaved float32 re/im) for the CFR file
+and float32 for the angle-delay file.
 
 segmentation.json, the one file segment hands to train, lists the
 samples eval does not score; region_map.csv and .ppm are exports no
@@ -15,6 +17,7 @@ command reads.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -37,7 +40,7 @@ __all__ = [
     "read_json",
     "write_json",
     "write_csv",
-    "DatasetWriter",
+    "write_chunks",
     "read_dataset",
     "write_region_map",
     "write_segmentation",
@@ -49,7 +52,7 @@ __all__ = [
 MAGIC = b"AMDN"
 FORMAT_VERSION = 1  # of the .bin files
 MODEL_VERSION = 2  # of model.json
-# the payload dtype of each .bin file, in the order DatasetWriter.write takes its stacks
+# the payload dtype of each .bin file, in the order of a chunk's stacks
 _BIN_DTYPES = {"cfr.bin": "<c8", "adcam.bin": "<f4"}
 _CELL_PX = 4  # meters per pixel of the region-map raster, along each axis
 
@@ -80,6 +83,12 @@ def write_csv(path: str | Path, header: list[str], rows):
 _INT = ("an integer", int)
 _NUMBER = ("a number", float)
 _BIT = ("0 or 1", {"0": False, "1": True}.__getitem__)
+# each dataset CSV's columns, in order, with their rules
+_POSITIONS = {"id": _INT, "x": _NUMBER, "y": _NUMBER, "is_los": _BIT}
+_PATHS = {
+    "id": _INT, "path_id": _INT, "aoa_rad": _NUMBER, "aod_rad": _NUMBER,
+    "gain_re": _NUMBER, "gain_im": _NUMBER, "delay_samples": _INT, "pathloss_db": _NUMBER,
+}
 
 
 def _csv_rows(path, columns: dict):
@@ -122,95 +131,69 @@ def _read_bin(path: Path, dtype) -> tuple[tuple[int, int], np.ndarray]:
     return (nt, nc), data.reshape(count, nt, nc).astype(np.promote_types(dtype, np.float64))
 
 
-class DatasetWriter:
-    """A dataset directory written as its fingerprints arrive, so its
-    writer need not hold every sample's matrices.
+def write_chunks(out_dir: str | Path, terminals, shape: tuple[int, int], config: dict | None, chunks):
+    """Each ``(rows, cfr, adcam)`` chunk of the dataset of ``terminals``
+    (or samples), written to the dataset directory ``out_dir`` and then
+    yielded, so no writer holds every sample's matrices.
 
-    Made from the terminals (or samples) of the dataset, it removes
-    segmentation.json and region_map.csv and .ppm, which were made from
-    the samples of the dataset it replaces, and writes config.json when
-    given a config, positions.csv and paths.csv; each
-    ``write(cfr, adcam)`` then appends the next rows of both fingerprint
-    stacks to cfr.bin and adcam.bin in their ``_BIN_DTYPES``. Each .bin
-    header counts every terminal and takes (nt, nc) from its file's first
-    rows, or (0, 0) when there are none. A stack that is not (n, nt, nc),
-    a later chunk of another (nt, nc) than its file's, stacks of unequal
-    n, or rows past the terminal count, is a ``ValueError`` raised before
-    any of the chunk is written. Used as a context manager: when the
-    block raises, or making the writer does, the files and directories
-    it made are removed and its open files closed.
+    Before the first chunk it removes segmentation.json and region_map.csv
+    and .ppm, made from the samples of the dataset it replaces, writes
+    config.json when given a config, positions.csv and paths.csv, and
+    starts cfr.bin and adcam.bin with headers of every terminal and the
+    dataset's one (nt, nc) ``shape``. Each chunk's stacks are appended in
+    their ``_BIN_DTYPES``. A stack that is not exactly (n, nt, nc), n the
+    CFR stack's length, is a ``ValueError`` that names its file; rows past
+    the terminal count, or chunks that end before every terminal's rows,
+    one that names the directory. On any exception, closing the generator
+    early included, the files and directories it made are removed.
     """
+    out = Path(out_dir)
+    made = [d for d in (out, *out.parents) if not d.exists()]
+    paths, rows, count = [], 0, len(terminals)
 
-    def __init__(self, out_dir: str | Path, terminals, config: dict | None = None):
-        out = Path(out_dir)
-        self._made = [d for d in (out, *out.parents) if not d.exists()]
-        self._out, self._paths, self._bins, self._dims, self._count, self._rows = out, [], [], {}, len(terminals), 0
-        try:
-            out.mkdir(parents=True, exist_ok=True)
-            for name in ("segmentation.json", "region_map.csv", "region_map.ppm"):
-                (out / name).unlink(missing_ok=True)
-            if config is not None:
-                write_json(self._made_file(out / "config.json"), config)
-            positions = ([t.id, repr(float(t.pos[0])), repr(float(t.pos[1])), int(t.is_los)] for t in terminals)
-            write_csv(self._made_file(out / "positions.csv"), ["id", "x", "y", "is_los"], positions)
-            paths = (
-                [t.id, pid, repr(float(p.aoa)), repr(float(p.aod)), repr(float(p.gain.real)), repr(float(p.gain.imag)), int(p.delay_samples), repr(float(p.pathloss_db))]
-                for t in terminals for pid, p in enumerate(t.paths)
-            )
-            columns = ["id", "path_id", "aoa_rad", "aod_rad", "gain_re", "gain_im", "delay_samples", "pathloss_db"]
-            write_csv(self._made_file(out / "paths.csv"), columns, paths)
-            for name, dtype in _BIN_DTYPES.items():
-                self._bins.append((open(self._made_file(out / name), "wb"), dtype))
-        except BaseException as e:
-            self.__exit__(type(e), e, e.__traceback__)
-            raise
-
-    def _made_file(self, path: Path) -> Path:
-        """``path``, to be removed when the writer's block raises."""
-        self._paths.append(path)
+    def made_file(path: Path) -> Path:
+        paths.append(path)
         return path
 
-    def write(self, cfr, adcam):
-        """Append the next rows, an (n, nt, nc) CFR stack and its ADCAM
-        stack of the same n (or lists of matrices, an empty one no rows),
-        each cast to its file's dtype."""
-        chunk = [(fh, np.asarray(rows, dtype=dtype)) for (fh, dtype), rows in zip(self._bins, (cfr, adcam))]
-        for fh, data in chunk:
-            if data.ndim != 3 and data.shape != (0,):
-                raise ValueError(f"{fh.name}: a chunk of shape {data.shape}, not an (n, nt, nc) stack of matrices")
-            if len(data) and self._dims.get(fh, data.shape[1:]) != data.shape[1:]:
-                raise ValueError(f"{fh.name}: a chunk of {data.shape[1:]} matrices after rows of {self._dims[fh]}")
-        n, n_adcam = (len(data) for _, data in chunk)
-        if n != n_adcam:
-            raise ValueError(f"{self._out}: a chunk of {n} CFR and {n_adcam} ADCAM matrices")
-        if self._rows + n > self._count:
-            raise ValueError(f"{self._out}: a chunk of {n} rows after {self._rows} of its {self._count} terminals")
-        self._rows += n
-        for fh, data in chunk:
-            if n and fh.tell() == 0:
-                self._dims[fh] = data.shape[1:]
-                fh.write(_header(self._count, data.shape[1:]))
-            fh.write(data.tobytes())
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        for fh, _ in self._bins:
-            if fh.tell() == 0:
-                fh.write(_header(self._count, (0, 0)))
-            fh.close()
-        if exc_type is not None:
-            for path in self._paths:
-                if not path.is_dir():  # a directory in a file's place is not the writer's
-                    path.unlink(missing_ok=True)
-            for d in self._made:
-                d.rmdir()
-
-
-def _header(count: int, shape: tuple[int, int]) -> bytes:
-    """The 20-byte header of a .bin file of ``count`` (nt, nc) matrices."""
-    return MAGIC + np.array([FORMAT_VERSION, count, *shape], dtype="<u4").tobytes()
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name in ("segmentation.json", "region_map.csv", "region_map.ppm"):
+            (out / name).unlink(missing_ok=True)
+        if config is not None:
+            write_json(made_file(out / "config.json"), config)
+        positions = ([t.id, repr(float(t.pos[0])), repr(float(t.pos[1])), int(t.is_los)] for t in terminals)
+        write_csv(made_file(out / "positions.csv"), list(_POSITIONS), positions)
+        path_rows = (
+            [t.id, pid, repr(float(p.aoa)), repr(float(p.aod)), repr(float(p.gain.real)), repr(float(p.gain.imag)), int(p.delay_samples), repr(float(p.pathloss_db))]
+            for t in terminals for pid, p in enumerate(t.paths)
+        )
+        write_csv(made_file(out / "paths.csv"), list(_PATHS), path_rows)
+        with contextlib.ExitStack() as files:
+            bins = [files.enter_context(open(made_file(out / name), "wb")) for name in _BIN_DTYPES]
+            for fh in bins:
+                fh.write(MAGIC + np.array([FORMAT_VERSION, count, *shape], dtype="<u4").tobytes())
+            for chunk in chunks:
+                data = [np.asarray(stack, dtype=dtype) for stack, dtype in zip(chunk[1:], _BIN_DTYPES.values())]
+                want = (len(data[0]) if data[0].ndim else 0, *shape)
+                for fh, stack in zip(bins, data):
+                    if stack.shape != want:
+                        raise ValueError(f"{fh.name}: a chunk of shape {stack.shape}, not {want}")
+                if rows + want[0] > count:
+                    raise ValueError(f"{out}: a chunk of {want[0]} rows after {rows} of its {count} terminals")
+                rows += want[0]
+                for fh, stack in zip(bins, data):
+                    fh.write(stack.tobytes())
+                del data, stack  # the cast copies, freed before the chunk's consumer runs
+                yield chunk
+        if rows < count:
+            raise ValueError(f"{out}: the chunks ended after {rows} of its {count} terminals' rows")
+    except BaseException:
+        for path in paths:
+            if not path.is_dir():  # a directory in a file's place is not the writer's
+                path.unlink(missing_ok=True)
+        for d in made:
+            d.rmdir()
+        raise
 
 
 def read_dataset(data_dir: str | Path) -> list[Sample]:
@@ -227,8 +210,7 @@ def read_dataset(data_dir: str | Path) -> list[Sample]:
             f"but {d / 'adcam.bin'} {adcam_dims[0]}x{adcam_dims[1]}"
         )
     paths_by_id: dict[int, list[PathRecord]] = {}
-    values = ("aoa_rad", "aod_rad", "gain_re", "gain_im", "pathloss_db")
-    for row in _csv_rows(d / "paths.csv", {"id": _INT, **dict.fromkeys(values, _NUMBER), "delay_samples": _INT}):
+    for row in _csv_rows(d / "paths.csv", _PATHS):
         try:
             path = PathRecord(
                 aoa=row["aoa_rad"], aod=row["aod_rad"], gain=complex(row["gain_re"], row["gain_im"]),
@@ -237,7 +219,7 @@ def read_dataset(data_dir: str | Path) -> list[Sample]:
         except ValueError as e:
             raise ValueError(f"{d / 'paths.csv'}: a path of id {row['id']} is rejected: {e}") from None
         paths_by_id.setdefault(row["id"], []).append(path)
-    rows = list(_csv_rows(d / "positions.csv", {"id": _INT, "x": _NUMBER, "y": _NUMBER, "is_los": _BIT}))
+    rows = list(_csv_rows(d / "positions.csv", _POSITIONS))
     if not len(rows) == len(cfrs) == len(adcams):
         raise ValueError(
             f"{d / 'positions.csv'}: {len(rows)} rows, but cfr.bin holds {len(cfrs)} "

@@ -26,6 +26,7 @@ from amdnloc.evaluate import (
     check_config,
     default_config,
     error_report,
+    generate,
     run_pipeline,
     split,
     stage,
@@ -241,8 +242,9 @@ class TestRunPipeline:
         cfg = check_config(config)
         samples = nlos_filter(build_dataset(scene_from_json({**cfg["scene"], "seed": cfg["seed"]})), cfg["nlos_mode"])
         assert len(samples) == report["n_train"] + report["n_test"]
-        with dio.DatasetWriter(tmp_path / "built", samples, cfg) as writer:
-            writer.write([s.cfr for s in samples], [s.adcam for s in samples])
+        whole = (slice(None), [s.cfr for s in samples], [s.adcam for s in samples])
+        for _ in dio.write_chunks(tmp_path / "built", samples, samples[0].cfr.shape, cfg, [whole]):
+            pass
         assert _files(tmp_path / "run" / "dataset") == _files(tmp_path / "built")
 
     @pytest.mark.parametrize(
@@ -304,22 +306,27 @@ class TestRunPipeline:
         assert [p.name for p in out.iterdir()] == ["dataset"]
         assert _files(out / "dataset") == _files(tmp_path / "generated")
 
-    def test_a_fingerprint_error_writes_nothing(self, tmp_path, monkeypatch):
-        # a [generate] error raised while the chunks are made and written
+    @pytest.mark.parametrize("end", ["error", "short"])
+    def test_a_fingerprint_error_writes_nothing(self, tmp_path, monkeypatch, end):
+        # a [generate] error raised while the chunks are made and written,
+        # or chunks that end before every terminal's rows are written,
         # removes the files and directories written so far
         real = evaluate.fingerprint_chunks
 
         def failing(scene, terminals):
             chunks = real(scene, terminals)
             yield next(chunks)
-            raise ValueError("planted")
+            if end == "error":
+                raise ValueError("planted")
 
         monkeypatch.setattr(channel, "_CHUNK", 3)
         monkeypatch.setattr(evaluate, "fingerprint_chunks", failing)
         (tmp_path / "kept").mkdir()
         threads = threading.active_count()
+        n = len(generate(SMALL_CONFIG)[2])
         for out in (tmp_path / "new" / "run", tmp_path / "kept"):
-            with pytest.raises(PipelineError, match=r"\[generate\] planted"):
+            message = "planted" if end == "error" else f"{out / 'dataset'}: the chunks ended after 3 of its {n} terminals' rows"
+            with pytest.raises(PipelineError, match="^" + re.escape(f"[generate] {message}") + "$"):
                 run_pipeline(SMALL_CONFIG, out_dir=out)
             assert threading.active_count() == threads
         assert [p.name for p in tmp_path.iterdir()] == ["kept"]

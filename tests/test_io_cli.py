@@ -24,9 +24,10 @@ from oracles import magnitude_images
 
 
 def write_samples(samples, out_dir, config=None):
-    """The dataset files of samples, written by one ``DatasetWriter.write`` of all their rows."""
-    with dio.DatasetWriter(out_dir, samples, config) as writer:
-        writer.write([s.cfr for s in samples], [s.adcam for s in samples])
+    """The dataset files of samples, written by ``write_chunks`` as one chunk of all their rows."""
+    whole = (slice(None), [s.cfr for s in samples], [s.adcam for s in samples])
+    for _ in dio.write_chunks(out_dir, samples, samples[0].cfr.shape, config, [whole]):
+        pass
 
 
 @pytest.fixture(scope="module")
@@ -114,10 +115,10 @@ def test_read_bin_widens_each_stored_float32_exactly(count, nt, nc, data):
         assert dims == (nt, nc) and adcam.dtype == np.float64 and adcam.tobytes() == wide[:size].tobytes()
 
 
-def write_bin_oracle(path, arrays, complex_data):
-    """The per-sample writer: one interleave copy and ``tobytes`` per sample."""
-    count = len(arrays)
-    nt, nc = arrays[0].shape if count else (0, 0)
+def write_bin_oracle(path, arrays, complex_data, shape):
+    """The per-sample writer of (nt, nc) ``shape`` matrices: one interleave
+    copy and ``tobytes`` per sample."""
+    count, (nt, nc) = len(arrays), shape
     with open(path, "wb") as fh:
         fh.write(dio.MAGIC + np.array([dio.FORMAT_VERSION, count, nt, nc], dtype="<u4").tobytes())
         for a in arrays:
@@ -149,86 +150,69 @@ def test_write_bin_matches_the_per_sample_writer(count, nt, nc, scale, seed, spe
     flat = values.reshape(-1)  # a view, so the specials land in values
     if flat.size:
         flat[rng.integers(0, flat.size, len(specials))] = specials
-    cfr = list(values.view(complex)[..., 0])  # re and im exactly as drawn
-    adcam = list(values[..., 0])
+    cfr = values.view(complex)[..., 0]  # re and im exactly as drawn
+    adcam = values[..., 0]
     terminals = [Terminal(id=i, pos=(0.0, 0.0), paths=[], is_los=False) for i in range(count)]
     # the rows arrive in chunks of any sizes, empty ones included
     parts = np.split(np.arange(count), np.sort(rng.integers(0, count + 1, 3)))
     # the planted overflows and infinities warn in both writers
     with tempfile.TemporaryDirectory() as tmp, np.errstate(over="ignore", invalid="ignore"):
-        with dio.DatasetWriter(Path(tmp) / "got", terminals) as writer:
-            for part in parts:
-                writer.write([cfr[i] for i in part], [adcam[i] for i in part])
+        chunks = [(part, cfr[part], adcam[part]) for part in parts]
+        got = list(dio.write_chunks(Path(tmp) / "got", terminals, (nt, nc), None, chunks))
+        assert all(g is c for g, c in zip(got, chunks)) and len(got) == len(chunks)  # each chunk yielded as it came
         for name, arrays, complex_data in (("cfr.bin", cfr, True), ("adcam.bin", adcam, False)):
             want = Path(tmp) / name
-            write_bin_oracle(want, arrays, complex_data)
+            write_bin_oracle(want, arrays, complex_data, (nt, nc))
             assert (Path(tmp) / "got" / name).read_bytes() == want.read_bytes()
 
 
-@pytest.mark.parametrize("bad", ["cfr.bin", "adcam.bin"])
-def test_writer_rejects_a_chunk_of_other_dims_before_writing_any_of_it(tmp_path, bad):
-    # a 2x8 chunk after 4x4 rows, in either stack, would read back as a
-    # wrong 4x4 matrix; the error leaves both files as they were
+_ROWS = [(slice(i, i + 1), np.full((1, 4, 4), float(i)), np.full((1, 4, 4), float(i))) for i in range(3)]
+
+
+def _rejected(out, chunks, message):
+    """Writing ``chunks`` for 3 terminals of 4x4 matrices into the new
+    directory ``out`` raises exactly the ``ValueError`` ``message`` and
+    leaves no dataset."""
     terminals = [Terminal(id=i, pos=(0.0, 0.0), paths=[], is_los=False) for i in range(3)]
-    rows = [np.full((1, 4, 4), float(i)) for i in range(3)]
-    with dio.DatasetWriter(tmp_path, terminals) as writer:
-        writer.write(rows[0], rows[0])
-        other = {name: rows[1] for name in ("cfr.bin", "adcam.bin")} | {bad: np.ones((1, 2, 8))}
-        with pytest.raises(ValueError, match=re.escape(f"{tmp_path / bad}: a chunk of (2, 8) matrices after rows of (4, 4)")):
-            writer.write(other["cfr.bin"], other["adcam.bin"])
-        writer.write(rows[1], rows[1])
-        writer.write(rows[2], rows[2])
-    again = dio.read_dataset(tmp_path)
-    assert [s.cfr.tolist() for s in again] == [s.adcam.tolist() for s in again] == [r[0].tolist() for r in rows]
-
-
-def _written(out, calls):
-    """The .bin files a writer for 3 terminals makes of ``calls``, each
-    a ``(cfr, adcam)`` chunk or a ``(cfr, adcam, message)`` chunk that
-    must raise exactly that ``ValueError``; checks the files read back."""
-    terminals = [Terminal(id=i, pos=(0.0, 0.0), paths=[], is_los=False) for i in range(3)]
-    with dio.DatasetWriter(out, terminals) as writer:
-        for cfr, adcam, *message in calls:
-            if message:
-                with pytest.raises(ValueError, match="^" + re.escape(message[0]) + "$"):
-                    writer.write(cfr, adcam)
-            else:
-                writer.write(cfr, adcam)
-    assert [s.cfr.tolist() for s in dio.read_dataset(out)] == [[[float(i)] * 4] * 4 for i in range(3)]
-    return {name: (out / name).read_bytes() for name in ("cfr.bin", "adcam.bin")}
-
-
-_ROWS = [(np.full((1, 4, 4), float(i)), np.full((1, 4, 4), float(i))) for i in range(3)]
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        for _ in dio.write_chunks(out, terminals, (4, 4), None, chunks):
+            pass
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("at", [0, 1], ids=["first", "after-rows"])
-@pytest.mark.parametrize("shape", [(2, 4), (3,), (1, 4, 4, 1), ()], ids=str)
+@pytest.mark.parametrize("shape", [(2, 4), (3,), (1, 4, 4, 1), (), (1, 2, 8)], ids=str)
 @pytest.mark.parametrize("bad", ["cfr.bin", "adcam.bin"])
-def test_writer_rejects_a_chunk_that_is_not_a_stack_of_matrices(tmp_path, bad, shape, at):
+def test_writer_rejects_a_stack_of_another_shape(tmp_path, bad, shape, at):
     # a 2-D chunk wrote a header of (count, nt) and no nc, which
-    # read_dataset read as a garbled shape; the error names the file, and
-    # both files end as those of a writer that never got the chunk
-    stacks = {"cfr.bin": _ROWS[at][0], "adcam.bin": _ROWS[at][1], bad: np.ones(shape)}
-    message = f"{tmp_path / 'bad' / bad}: a chunk of shape {shape}, not an (n, nt, nc) stack of matrices"
-    calls = [*_ROWS[:at], (stacks["cfr.bin"], stacks["adcam.bin"], message), *_ROWS[at:]]
-    assert _written(tmp_path / "bad", calls) == _written(tmp_path / "good", _ROWS)
+    # read_dataset read as a garbled shape, and a first chunk of 2x8
+    # ADCAMs beside 4x4 CFRs a dataset that read_dataset rejects; the
+    # error names the file
+    stacks = {"cfr.bin": _ROWS[at][1], "adcam.bin": _ROWS[at][2], bad: np.ones(shape)}
+    n = (shape or (0,))[0] if bad == "cfr.bin" else 1  # the CFR stack's length
+    message = f"{tmp_path / 'data' / bad}: a chunk of shape {shape}, not ({n}, 4, 4)"
+    _rejected(tmp_path / "data", [*_ROWS[:at], (_ROWS[at][0], stacks["cfr.bin"], stacks["adcam.bin"]), *_ROWS[at:]], message)
 
 
 @pytest.mark.parametrize("at", [0, 1], ids=["first", "after-rows"])
 @pytest.mark.parametrize("kind", ["cfr-longer", "adcam-longer", "past-the-count"])
 def test_writer_rejects_unequal_stacks_and_rows_past_the_count(tmp_path, kind, at):
     # two stacks of different lengths, or rows past the terminals the
-    # headers count, wrote both files and failed only in read_dataset;
-    # the error leaves both files as a writer that never got the chunk
-    # makes them
+    # headers count, wrote both files and failed only in read_dataset
     cfr_rows, adcam_rows = {"cfr-longer": (2, 1), "adcam-longer": (1, 2), "past-the-count": (4 - at, 4 - at)}[kind]
-    out = tmp_path / "bad"
     if kind == "past-the-count":
-        message = f"{out}: a chunk of {cfr_rows} rows after {at} of its 3 terminals"
+        message = f"{tmp_path / 'data'}: a chunk of {cfr_rows} rows after {at} of its 3 terminals"
     else:
-        message = f"{out}: a chunk of {cfr_rows} CFR and {adcam_rows} ADCAM matrices"
-    chunk = (np.ones((cfr_rows, 4, 4)), np.ones((adcam_rows, 4, 4)), message)
-    assert _written(out, [*_ROWS[:at], chunk, *_ROWS[at:]]) == _written(tmp_path / "good", _ROWS)
+        message = f"{tmp_path / 'data' / 'adcam.bin'}: a chunk of shape ({adcam_rows}, 4, 4), not ({cfr_rows}, 4, 4)"
+    chunk = (slice(None), np.ones((cfr_rows, 4, 4)), np.ones((adcam_rows, 4, 4)))
+    _rejected(tmp_path / "data", [*_ROWS[:at], chunk, *_ROWS[at:]], message)
+
+
+@pytest.mark.parametrize("written", [0, 1, 2])
+def test_writer_rejects_chunks_that_end_short(tmp_path, written):
+    # a dataset whose headers count more rows than its files hold was
+    # closed without error, and only read_dataset noticed
+    _rejected(tmp_path / "data", _ROWS[:written], f"{tmp_path / 'data'}: the chunks ended after {written} of its 3 terminals' rows")
 
 
 # float32 values, so a dataset reads back exactly as written
@@ -673,11 +657,11 @@ def test_a_program_fault_leaves_main_with_its_traceback(tmp_path, monkeypatch):
 
 class TestBoundaryErrors:
     def test_segment_names_both_fingerprint_files_of_other_dims(self, dataset, chain_config, tmp_path, capsys):
-        # 16x16 CFRs with the 8x8 ADCAMs of another dataset of the same terminals
+        # 16x16 CFRs with the 8x8 ADCAMs of an 8x8 dataset of the same terminals
         _, samples = dataset
         data, other = tmp_path / "data", tmp_path / "other"
         write_samples(samples, data, check_config(chain_config))
-        write_samples([dataclasses.replace(s, adcam=s.adcam[:8, :8]) for s in samples], other)
+        write_samples([dataclasses.replace(s, cfr=s.cfr[:8, :8], adcam=s.adcam[:8, :8]) for s in samples], other)
         shutil.copy(other / "adcam.bin", data / "adcam.bin")
         want = f"{data / 'cfr.bin'} holds 16x16 matrices, but {data / 'adcam.bin'} 8x8"
         with pytest.raises(ValueError, match=re.escape(want)):
@@ -1070,6 +1054,13 @@ class TestCsvFields:
         self._set_line_4(data / "positions.csv", column, value)
         err = self._run(data, tmp_path, capsys)
         assert err == f"error: [eval] {data / 'positions.csv'}: line 4: {column} is {value!r}; it must be {want}\n"
+
+    @pytest.mark.parametrize("value", ["1.5", "x"])
+    def test_eval_names_the_paths_line_of_a_path_id_that_does_not_parse(self, data, tmp_path, capsys, value):
+        # path_id was written but never read; it parses as an integer
+        self._set_line_4(data / "paths.csv", "path_id", value)
+        err = self._run(data, tmp_path, capsys)
+        assert err == f"error: [eval] {data / 'paths.csv'}: line 4: path_id is {value!r}; it must be an integer\n"
 
     @pytest.mark.parametrize("name, column", [("positions.csv", "is_los"), ("paths.csv", "delay_samples")])
     def test_a_missing_column_names_the_file(self, data, tmp_path, capsys, name, column):
