@@ -42,13 +42,22 @@ def _chunks(n: int) -> Iterator[slice]:
 
 def _chunk_rows(n: int) -> int:
     """Rows of the largest slice ``_chunks(n)`` yields. A pass makes its
-    chunk-sized work arrays once, this many rows long, and every chunk
-    reuses them: a temporary made anew per chunk can be handed back to
-    the system when it is freed and faulted in again by the next."""
+    chunk-sized arrays once, this many rows long, and every chunk reuses
+    them: ``scenegen.fingerprint_chunks`` its CFR and ADCAM stacks, and
+    ``localizer._design_matrix`` its work arrays. A temporary made anew
+    per chunk can be handed back to the system when it is freed and
+    faulted in again by the next."""
     return min(n, _CHUNK)
 
 
-@dataclass(frozen=True)
+def _check_out(out: np.ndarray, shape: tuple[int, ...], dtype) -> None:
+    """Raise a ``ValueError`` unless ``out`` is an array of ``shape`` and ``dtype``."""
+    if not (isinstance(out, np.ndarray) and out.shape == shape and out.dtype == dtype):
+        got = f"{out.dtype} of shape {out.shape}" if isinstance(out, np.ndarray) else type(out).__name__
+        raise ValueError(f"out must be a {np.dtype(dtype)} array of shape {shape}, got {got}")
+
+
+@dataclass(frozen=True, slots=True)
 class PathRecord:
     """One propagation path between the base station and a terminal.
 
@@ -104,20 +113,30 @@ def cfr_stack(
     nt: int,
     nc: int,
     spacing_ratio: float = 0.5,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Channel frequency responses (n x nt x nc) of n path lists.
+    """Channel frequency responses (n x nt x nc) of n path lists, into
+    ``out``, an (n, nt, nc) complex128 array, or a new array.
 
     Matrix i, column l, is the sum over the paths of list i of
     amplitude * array_response(aoa) * exp(-j*2*pi*l*delay/nc). Pathloss
     scales the complex gain by 10**(-dB/20). Path slot j of every list
     that has one is added at once as amp * (steer * phase), so each
     matrix sums its paths in list order, as one path at a time would.
-    Every slot reuses one (n, nt, nc) work array; its one program caller,
-    ``scenegen.fingerprint_chunks``, passes ``_CHUNK`` lists at a time.
+    ``out`` is zero-filled first, so whatever it held, it ends bit for
+    bit as a new array would. Every slot reuses one (n, nt, nc) work
+    array; its one program caller, ``scenegen.fingerprint_chunks``,
+    passes ``_CHUNK`` lists at a time into one chunk buffer.
     """
     if nt < 1 or nc < 1:
         raise ValueError("nt and nc must be >= 1")
-    h = np.zeros((len(path_lists), nt, nc), dtype=np.complex128)
+    shape = (len(path_lists), nt, nc)
+    if out is None:
+        h = np.zeros(shape, dtype=np.complex128)
+    else:
+        _check_out(out, shape, np.complex128)
+        h = out
+        h.fill(0.0)
     work = np.empty(h.shape, dtype=np.complex128)
     # the exponent of the delay phase, up to delay/nc
     delay_exp = -2j * np.pi * np.arange(nc)
@@ -168,16 +187,17 @@ def dft_matrices(nt: int, nc: int) -> tuple[np.ndarray, np.ndarray]:
     return v, f
 
 
-def adcam(h: np.ndarray) -> np.ndarray:
+def adcam(h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Angle-delay channel amplitude matrix |V^H H F| of a CFR matrix,
-    or of each matrix of an (..., nt, nc) stack.
+    or of each matrix of an (..., nt, nc) stack, into ``out``, a float64
+    array of ``h``'s shape, or a new array.
 
     Both products are taken ``_ADCAM_BLOCK`` matrices at a time into two
     work arrays of that many matrices (``np.matmul(..., out=)``, faster
     than a chained ``@``), made once and reused by every block, and each
     block's amplitudes go into its rows of the result. Each matrix is
     transformed bit for bit as it would be alone, so the result does not
-    depend on the stack it came in.
+    depend on the stack it came in, nor on what ``out`` held.
     """
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim < 2:
@@ -186,13 +206,20 @@ def adcam(h: np.ndarray) -> np.ndarray:
     v, f = dft_matrices(nt, nc)
     vh = v.conj().T
     stack = h.reshape(-1, nt, nc)
-    out = np.empty(stack.shape)
+    if out is None:
+        out = np.empty(h.shape)
+    else:
+        _check_out(out, h.shape, np.float64)
+    # a view of ``out`` unless its strides cannot be merged, then a copy
+    amplitudes = out.reshape(stack.shape)
     left, both = np.empty((2, min(len(stack), _ADCAM_BLOCK), nt, nc), dtype=np.complex128)
     for start in range(0, len(stack), _ADCAM_BLOCK):
         block = stack[start : start + _ADCAM_BLOCK]
         m = len(block)
-        np.abs(np.matmul(np.matmul(vh, block, out=left[:m]), f, out=both[:m]), out=out[start : start + m])
-    return out.reshape(h.shape)
+        np.abs(np.matmul(np.matmul(vh, block, out=left[:m]), f, out=both[:m]), out=amplitudes[start : start + m])
+    if not np.may_share_memory(amplitudes, out):
+        out[...] = amplitudes.reshape(out.shape)
+    return out
 
 
 def _min_max(vals: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

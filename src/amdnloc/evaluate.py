@@ -206,7 +206,9 @@ def dataset_chunks(scene: SceneConfig, terminals: list[Terminal], cfg: dict, out
     the scene's (nt, nc) as its one shape) through ``io.write_chunks``
     when ``out_dir`` is given. An error in making or writing them, chunks
     that end short included, is a ``[generate]`` error, and the writer
-    removes what it wrote, as it does when the chunks are closed early."""
+    removes what it wrote, as it does when the chunks are closed early.
+    Each chunk's stacks are overwritten by the next chunk's, so a consumer
+    uses or copies a chunk before it asks for the next one."""
     with stage("generate", TypeError):
         chunks = fingerprint_chunks(scene, terminals)
         if out_dir is not None:

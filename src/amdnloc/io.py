@@ -122,6 +122,8 @@ def _read_bin(path: Path, dtype) -> tuple[tuple[int, int], np.ndarray]:
     version, count, nt, nc = (int(v) for v in np.frombuffer(raw, dtype="<u4", count=4, offset=4))
     if version != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported format version {version}")
+    if nt < 1 or nc < 1:
+        raise ValueError(f"{path}: a header of {nt}x{nc} matrices; nt and nc must be >= 1")
     size = np.dtype(dtype).itemsize * count * nt * nc
     if len(raw) - 20 != size:
         raise ValueError(f"{path}: payload of {len(raw) - 20} bytes, but {count} samples of {nt}x{nc} take {size}")
@@ -173,7 +175,7 @@ def write_chunks(out_dir: str | Path, terminals, shape: tuple[int, int], config:
             for fh in bins:
                 fh.write(MAGIC + np.array([FORMAT_VERSION, count, *shape], dtype="<u4").tobytes())
             for chunk in chunks:
-                data = [np.asarray(stack, dtype=dtype) for stack, dtype in zip(chunk[1:], _BIN_DTYPES.values())]
+                data = [np.asarray(stack, dtype=dtype, order="C") for stack, dtype in zip(chunk[1:], _BIN_DTYPES.values())]
                 want = (len(data[0]) if data[0].ndim else 0, *shape)
                 for fh, stack in zip(bins, data):
                     if stack.shape != want:
@@ -182,7 +184,7 @@ def write_chunks(out_dir: str | Path, terminals, shape: tuple[int, int], config:
                     raise ValueError(f"{out}: a chunk of {want[0]} rows after {rows} of its {count} terminals")
                 rows += want[0]
                 for fh, stack in zip(bins, data):
-                    fh.write(stack.tobytes())
+                    fh.write(stack)  # C-ordered, so the buffer protocol writes it with no bytes copy
                 del data, stack  # the cast copies, freed before the chunk's consumer runs
                 yield chunk
         if rows < count:

@@ -14,7 +14,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .channel import PathRecord, _chunks, add_noise, adcam, cfr_stack
+from .channel import PathRecord, _chunk_rows, _chunks, add_noise, adcam, cfr_stack
 
 __all__ = [
     "Rect",
@@ -149,7 +149,7 @@ class SceneConfig:
         return SPEED_OF_LIGHT / self.carrier_hz
 
 
-@dataclass
+@dataclass(slots=True)
 class Terminal:
     """One terminal position with its traced paths."""
 
@@ -159,7 +159,7 @@ class Terminal:
     is_los: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class Sample(Terminal):
     """A terminal with its fingerprints, (nt, nc) each."""
 
@@ -329,26 +329,35 @@ def fingerprint_chunks(
     terminal's id unless ``snr_db`` is None (here alone is noise skipped),
     and its ADCAM stack. A terminal's matrices do not depend on the chunk
     it falls in, so any subset of a scene's terminals, such as
-    ``nlos_filter``'s, gets the rows ``build_dataset`` gives them."""
+    ``nlos_filter``'s, gets the rows ``build_dataset`` gives them.
+
+    Both stacks are views of two buffers of ``channel._chunk_rows`` rows,
+    made once: the next chunk overwrites them, so a consumer uses or
+    copies a chunk before it asks for the next one."""
+    shape = (_chunk_rows(len(terminals)), scene.nt, scene.nc)
+    cfr_buf, adcam_buf = np.empty(shape, dtype=np.complex128), np.empty(shape)
     for rows in _chunks(len(terminals)):
         chunk = terminals[rows]
-        cfr = cfr_stack([t.paths for t in chunk], scene.nt, scene.nc, scene.spacing_ratio)
+        cfr = cfr_stack([t.paths for t in chunk], scene.nt, scene.nc, scene.spacing_ratio, out=cfr_buf[: len(chunk)])
         if scene.snr_db is not None:
             for i, t in enumerate(chunk):
                 cfr[i] = add_noise(cfr[i], scene.snr_db, seed=scene.seed * 1_000_003 + t.id)
-        yield rows, cfr, adcam(cfr)
+        yield rows, cfr, adcam(cfr, out=adcam_buf[: len(chunk)])
 
 
 def build_dataset(scene: SceneConfig) -> list[Sample]:
     """One sample per ``trace_terminals`` terminal, in its order. The
-    ``fingerprint_chunks`` are collected into one CFR stack and one ADCAM
+    ``fingerprint_chunks`` are copied into one CFR stack and one ADCAM
     stack, (n, nt, nc) each, and every sample holds its row of both."""
     terminals = trace_terminals(scene)
     shape = (len(terminals), scene.nt, scene.nc)
     cfr, amplitudes = np.empty(shape, dtype=np.complex128), np.empty(shape)
     for rows, c, a in fingerprint_chunks(scene, terminals):
         cfr[rows], amplitudes[rows] = c, a
-    return [Sample(**vars(t), cfr=c, adcam=a) for t, c, a in zip(terminals, cfr, amplitudes)]
+    return [
+        Sample(id=t.id, pos=t.pos, paths=t.paths, is_los=t.is_los, cfr=c, adcam=a)
+        for t, c, a in zip(terminals, cfr, amplitudes)
+    ]
 
 
 # the samples each nlos_filter mode keeps

@@ -169,6 +169,9 @@ def test_cfr_stack_equals_the_per_path_oracle_bit_for_bit(case):
         assert h.tobytes() == oracles.cfr_from_paths(paths, nt, nc, ratio).tobytes()
     for paths in lists[:3]:
         assert cfr_from_paths(iter(paths), nt, nc, ratio).tobytes() == oracles.cfr_from_paths(paths, nt, nc, ratio).tobytes()
+    # into an array that held NaNs: zero-filled first, so bit for bit a new array
+    out = np.full(got.shape, complex(np.nan, np.nan))
+    assert cfr_stack(lists, nt, nc, ratio, out=out) is out and out.tobytes() == got.tobytes()
 
 
 def test_cfr_stack_rejects_a_delay_beyond_the_window():
@@ -196,6 +199,47 @@ def test_stacked_adcam_equals_the_per_matrix_transform_bit_for_bit(lead, nt, nc,
     assert got.shape == h.shape and got.dtype == np.float64
     for m, a in zip(h.reshape(-1, nt, nc), got.reshape(-1, nt, nc)):
         assert a.tobytes() == oracles.adcam(m).tobytes()
+    # into arrays that held NaNs, one in C order and one in Fortran order,
+    # whose leading axes of (2, 70) do not merge into one
+    for order in "CF":
+        out = np.full(h.shape, np.nan, order=order)
+        assert adcam(h, out=out) is out and np.array_equal(out, got)
+
+
+# each out= of a 2 x 4 x 6 result: the function, its dtype, and wrong outs
+# with how the error names them
+_WRONG_OUTS = {
+    "cfr_stack": (
+        lambda out: cfr_stack([[PathRecord(aoa=1.0, aod=1.0, gain=1, delay_samples=1, pathloss_db=0)]] * 2, 4, 6, out=out),
+        "complex128",
+        [
+            (np.empty((3, 4, 5), complex), "complex128 of shape (3, 4, 5)"),
+            (np.empty((2, 4, 6), np.complex64), "complex64 of shape (2, 4, 6)"),
+            (np.empty((2, 4, 6)), "float64 of shape (2, 4, 6)"),
+            ([[[0j] * 6] * 4] * 2, "list"),
+        ],
+    ),
+    "adcam": (
+        lambda out: adcam(np.ones((2, 4, 6), complex), out=out),
+        "float64",
+        [
+            (np.empty((2, 4, 5)), "float64 of shape (2, 4, 5)"),
+            (np.empty((4, 6)), "float64 of shape (4, 6)"),
+            (np.empty((2, 4, 6), np.float32), "float32 of shape (2, 4, 6)"),
+            (np.empty((2, 4, 6), complex), "complex128 of shape (2, 4, 6)"),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name, case", [(name, case) for name, (_, _, cases) in _WRONG_OUTS.items() for case in range(len(cases))]
+)
+def test_an_out_of_another_shape_or_dtype_is_rejected(name, case):
+    call, dtype, cases = _WRONG_OUTS[name]
+    out, got = cases[case]
+    with pytest.raises(ValueError, match="^" + re.escape(f"out must be a {dtype} array of shape (2, 4, 6), got {got}") + "$"):
+        call(out)
 
 
 @pytest.mark.parametrize("snr_db", [None, 20.0], ids=["clean", "noisy"])

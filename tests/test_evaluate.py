@@ -395,6 +395,23 @@ class TestRunPipeline:
         assert peak < n * 32 * 32 * 24
         assert peak < n * 32 * 32 * 16
 
+    def test_dense_reference_run_holds_one_chunk_of_fingerprints(self, tmp_path):
+        # the dense benchmark scene in one global region, dataset written:
+        # 13.6 MB at peak, during the fingerprint pass, where a second
+        # chunk's CFR and ADCAM stacks (1.6 MB at 64 x 32 x 32) and a dict
+        # per traced path and terminal made it 14.9 MB; the bound is halfway
+        scene = SceneConfig(**REFERENCE_SCENE, grid_spacing_m=3.5, nt=32, nc=32)
+        config = {**default_config(), "scene": scene_to_json(scene), "single_region": True, "seed": 3, "ridge_lambda": 30.0}
+        run_pipeline({**config, "scene": {**config["scene"], "grid_spacing_m": 40.0}})  # first-call imports and caches
+        tracemalloc.start()
+        try:
+            report = run_pipeline(config, out_dir=tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report["n_train"] + report["n_test"] == 2542
+        assert peak < 14.25e6
+
     def test_default_scene_is_the_scene_config_default(self):
         # run_pipeline leaves a scene key the config lacks to SceneConfig's default
         assert scene_from_json(default_config()["scene"]) == SceneConfig()

@@ -671,6 +671,22 @@ class TestBoundaryErrors:
         assert f"[segment] {want}" in capsys.readouterr().err
         assert not (data / "region_map.csv").exists()
 
+    @pytest.mark.parametrize("dims", [(0, 0), (0, 16), (16, 0)], ids=str)
+    def test_segment_names_a_fingerprint_file_of_empty_matrices(self, dataset, chain_config, tmp_path, capsys, dims):
+        # both headers rewritten to matrices of no entries, with empty
+        # payloads: read as samples of shape (0, 0), they failed segment
+        # with a numpy error that named no file
+        _, samples = dataset
+        data = tmp_path / "data"
+        write_samples(samples, data, check_config(chain_config))
+        for name in ("cfr.bin", "adcam.bin"):
+            (data / name).write_bytes(dio.MAGIC + np.array([dio.FORMAT_VERSION, len(samples), *dims], dtype="<u4").tobytes())
+        want = f"{data / 'cfr.bin'}: a header of {dims[0]}x{dims[1]} matrices; nt and nc must be >= 1"
+        with pytest.raises(ValueError, match="^" + re.escape(want) + "$"):
+            dio.read_dataset(data)
+        assert main(["segment", "--data", str(data)]) == 1
+        assert f"[segment] {want}" in capsys.readouterr().err
+
     def test_train_names_a_founder_missing_from_the_dataset(self, trained_chain, tmp_path, capsys):
         data = shutil.copytree(trained_chain[0], tmp_path / "data")
         seg = json.loads((data / "segmentation.json").read_text())

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import tracemalloc
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
-from amdnloc import channel
+from amdnloc import channel, scenegen
 from amdnloc.channel import PathRecord, _chunks, add_noise
 from amdnloc.scenegen import (
     _ANGLE_EPS,
@@ -222,11 +223,46 @@ def test_build_dataset_equals_its_concatenated_chunks(chunk, snr_db, mode, monke
     assert len(want) > 2 * 64  # three chunks at the default size
     assert (len(terminals) < len(trace_terminals(scene))) == (mode == "nlos_only")
     monkeypatch.setattr(channel, "_CHUNK", chunk)
-    rows, cfr, adcam = zip(*fingerprint_chunks(scene, terminals))
+    # each chunk copied as it is yielded, before the next one overwrites it
+    rows, cfr, adcam = zip(*((r, c.copy(), a.copy()) for r, c, a in fingerprint_chunks(scene, terminals)))
     assert list(rows) == list(_chunks(len(terminals)))
     assert [(t.id, t.pos, t.paths, t.is_los) for t in terminals] == [(s.id, s.pos, s.paths, s.is_los) for s in want]
     assert np.concatenate(cfr).tobytes() == np.array([s.cfr for s in want]).tobytes()
     assert np.concatenate(adcam).tobytes() == np.array([s.adcam for s in want]).tobytes()
+
+
+@pytest.mark.parametrize("snr_db", [None, 30.0], ids=["clean", "snr30"])
+def test_chunks_fill_two_buffers_and_samples_own_their_rows(snr_db, monkeypatch):
+    # every chunk's stacks are views of one CFR buffer and one ADCAM
+    # buffer, the last chunk's shorter; build_dataset copies each chunk
+    # into stacks of its own before the next overwrites it
+    scene = oracles.reference_scene(9.0, snr_db)
+    seen = []
+
+    def recorded(*args):
+        for chunk in fingerprint_chunks(*args):
+            seen.append(chunk)
+            yield chunk
+
+    monkeypatch.setattr(scenegen, "fingerprint_chunks", recorded)
+    samples = build_dataset(scene)
+    (_, cfr, adcam), *rest = seen
+    assert len(rest) >= 2 and len(seen[-1][1]) < len(cfr) == channel._CHUNK
+    assert not np.shares_memory(cfr, adcam)
+    for _, c, a in rest:
+        assert np.shares_memory(c, cfr) and np.shares_memory(a, adcam)
+    for s in samples:
+        assert not np.shares_memory(s.cfr, cfr) and not np.shares_memory(s.adcam, adcam)
+
+
+def test_paths_terminals_and_samples_hold_no_instance_dict():
+    # slotted records: a scene's many terminals and paths hold no dict of their own
+    samples = build_dataset(open_scene())
+    terminal = trace_terminals(open_scene())[0]
+    for record in (samples[0].paths[0], terminal, samples[0]):
+        assert not hasattr(record, "__dict__"), type(record).__name__
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        samples[0].paths[0].aoa = 1.0
 
 
 def test_trace_keeps_only_the_paths_that_survive():
