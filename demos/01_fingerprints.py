@@ -8,7 +8,7 @@ and regression stages exploit.
 """
 import numpy as np
 
-from amdnloc import PathRecord, adcam, cfr_from_paths, render_image
+from amdnloc import PathRecord, adcam, cfr_stack, render_image
 
 NT, NC = 32, 64
 
@@ -19,7 +19,7 @@ paths = [
     PathRecord(aoa=2.3, aod=0.8, gain=-0.3 + 0.4j, delay_samples=15, pathloss_db=84.0),
 ]
 
-h = cfr_from_paths(paths, NT, NC)
+h = cfr_stack([paths], NT, NC)[0]
 print(f"CFR matrix: {h.shape}, dtype {h.dtype}")
 print(f"mean |H| = {np.mean(np.abs(h)):.3e}")
 

@@ -27,8 +27,9 @@ K = 5  # neighbours of the fingerprint baseline
 
 # The scene and settings of HETERO_SCENE and HETERO_CONFIG in
 # tests/test_acceptance.py, which checks that they stay equal.
-# run_pipeline seeds the scene from the config's seed, so each seed
-# draws its own noise and split.
+# The config's seed is the scene's seed too, as the config.json and
+# report.json of a run record it, so each seed draws its own noise and
+# split.
 SCENE = {
     **default_config()["scene"],
     "area_m": [250.0, 250.0],

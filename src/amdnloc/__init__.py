@@ -10,7 +10,6 @@ from .channel import (
     add_noise,
     adcam,
     array_response,
-    cfr_from_paths,
     cfr_stack,
     dft_matrices,
     render_image,

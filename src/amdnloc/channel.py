@@ -10,7 +10,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -18,7 +18,6 @@ __all__ = [
     "PathRecord",
     "array_response",
     "cfr_stack",
-    "cfr_from_paths",
     "dft_matrices",
     "adcam",
     "render_image",
@@ -155,17 +154,6 @@ def cfr_stack(
         else:
             h[rows] += term
     return h
-
-
-def cfr_from_paths(
-    paths: Iterable[PathRecord],
-    nt: int,
-    nc: int,
-    spacing_ratio: float = 0.5,
-) -> np.ndarray:
-    """Channel frequency response matrix (nt x nc) of one path list: the
-    one-list ``cfr_stack``."""
-    return cfr_stack([list(paths)], nt, nc, spacing_ratio)[0]
 
 
 @lru_cache(maxsize=16)

@@ -15,7 +15,7 @@ from .scenegen import (
     _COUNT,
     _NLOS_MODES,
     _NONNEGATIVE,
-    _SEED,
+    _NONNEGATIVE_INT,
     SceneConfig,
     Terminal,
     _check,
@@ -58,13 +58,13 @@ _CONFIG = {
         "two integers >= 1",
         lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(_is_int(side) and side >= 1 for side in v),
     ),
-    "min_count": (2, "an integer >= 0", lambda v: _is_int(v) and v >= 0),
+    "min_count": (2, *_NONNEGATIVE_INT),
     "k_max": (8, *_COUNT),
     "path_select": (_PATH_SELECT, *_one_of([_PATH_SELECT])),
     "train_fraction": (0.8, *_FRACTION),
     "ridge_lambda": (1e-3, *_NONNEGATIVE),
     "single_region": (False, "true or false", lambda v: isinstance(v, bool)),
-    "seed": (0, *_SEED),
+    "seed": (0, *_NONNEGATIVE_INT),
 }
 _CONFIG_RULES = {key: (want, ok) for key, (_, want, ok) in _CONFIG.items()}
 
@@ -151,9 +151,10 @@ def segment(train_samples, cfg, images) -> Segmentation:
 
 
 def check_config(config) -> dict:
-    """``config`` over ``default_config()``, checked, its scene with every
-    ``SceneConfig`` field filled in (``scene_to_json`` of the scene read,
-    its own ``seed`` kept): a config that is not a dict, a key that
+    """The config a run reads and config.json holds: ``config`` over
+    ``default_config()``, checked, its scene with every ``SceneConfig``
+    field filled in and the config ``seed``, each value as JSON reads it
+    back (``io.as_json``). A config that is not a dict, a key that
     ``_CONFIG`` lacks, a value that fails its rule, a bad scene value, or
     a template or feature block grid larger than the scene's (nt, nc), is
     a ``ValueError``."""
@@ -169,21 +170,19 @@ def check_config(config) -> dict:
     for name, size in (("template_size", tuple(cfg["template_size"])), ("feature block grid", _BLOCK_GRID)):
         if size[0] > shape[0] or size[1] > shape[1]:
             raise ValueError(f"{name} {size} is larger than the scene's (nt, nc) {shape}")
-    cfg["scene"] = scene_to_json(scene)
-    return cfg
+    return dio.as_json({**cfg, "scene": {**scene_to_json(scene), "seed": cfg["seed"]}})
 
 
 def generate(config) -> tuple[dict, SceneConfig, list[Terminal]]:
     """The checked config (``check_config``, whose error is a ``[config]``
-    error), its scene, seeded by the config ``seed`` in place of its own,
-    and the scene's terminals, traced and ``nlos_filter``ed, with no
-    fingerprint made: ``scenegen.fingerprint_chunks`` makes them. Fewer
-    than 2 terminals leave none to hold out, a ``[generate]`` error."""
+    error), its scene, seeded by the config ``seed``, and the scene's
+    terminals, traced and ``nlos_filter``ed, with no fingerprint made:
+    ``scenegen.fingerprint_chunks`` makes them. Fewer than 2 terminals
+    leave none to hold out, a ``[generate]`` error."""
     with stage("config"):
         cfg = check_config(config)
-    with stage("generate", TypeError):
+    with stage("generate"):
         scene = scene_from_json(cfg["scene"])
-        scene.seed = int(cfg["seed"])
         terminals = nlos_filter(trace_terminals(scene), cfg["nlos_mode"])
         if len(terminals) < 2:
             raise ValueError(f"{len(terminals)} sample; the pipeline holds samples out to test on and needs at least 2")
@@ -209,7 +208,7 @@ def dataset_chunks(scene: SceneConfig, terminals: list[Terminal], cfg: dict, out
     removes what it wrote, as it does when the chunks are closed early.
     Each chunk's stacks are overwritten by the next chunk's, so a consumer
     uses or copies a chunk before it asks for the next one."""
-    with stage("generate", TypeError):
+    with stage("generate"):
         chunks = fingerprint_chunks(scene, terminals)
         if out_dir is not None:
             chunks = dio.write_chunks(out_dir, terminals, (scene.nt, scene.nc), cfg, chunks)

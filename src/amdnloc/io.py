@@ -1,7 +1,8 @@
 """Dataset and model persistence: every artifact file is written here.
 
 ``write_json`` writes each JSON file (config.json, segmentation.json,
-model.json and report.json) and ``write_csv`` each CSV file. A dataset
+model.json and report.json), ``as_json`` gives a value as a JSON file
+reads it back, and ``write_csv`` writes each CSV file. A dataset
 directory holds positions.csv, paths.csv, cfr.bin, adcam.bin and
 config.json, the config of its samples; ``write_chunks`` writes it as
 its fingerprint chunks pass through, every matrix of the one (nt, nc)
@@ -29,7 +30,7 @@ import numpy as np
 from .channel import PathRecord, render_image
 from .fusion import RegionLabels, Segmentation, cleanse, fuse_labels
 from .localizer import FeatureConfig, LocalizationModel
-from .scenegen import _COUNT, _SEED, Sample, _check, _is_int, _one_of
+from .scenegen import _COUNT, _NONNEGATIVE_INT, Sample, _check, _is_int, _one_of
 from .segmentation_adcam import _PATH_SELECT, Standardizer
 from .segmentation_cfr import extract_templates
 
@@ -39,6 +40,7 @@ __all__ = [
     "MODEL_VERSION",
     "read_json",
     "write_json",
+    "as_json",
     "write_csv",
     "write_chunks",
     "read_dataset",
@@ -69,6 +71,11 @@ def read_json(path: str | Path):
 def write_json(path: str | Path, obj):
     """A JSON file of ``obj``, its keys sorted and indented by 1."""
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1))
+
+
+def as_json(obj):
+    """``obj`` as its JSON file reads back: numpy numbers as ``int`` or ``float``."""
+    return json.loads(json.dumps(obj, default=lambda v: int(v) if _is_int(v) else float(v)))
 
 
 def write_csv(path: str | Path, header: list[str], rows):
@@ -110,6 +117,12 @@ def _csv_rows(path, columns: dict):
             yield parsed
 
 
+def _check_dims(path: Path, nt: int, nc: int):
+    """The rule of a .bin file's matrix shape: nt and nc >= 1."""
+    if nt < 1 or nc < 1:
+        raise ValueError(f"{path}: a header of {nt}x{nc} matrices; nt and nc must be >= 1")
+
+
 def _read_bin(path: Path, dtype) -> tuple[tuple[int, int], np.ndarray]:
     """The (nt, nc) of the header and the samples of a .bin file whose
     payload is of ``dtype``, one of ``_BIN_DTYPES``, as one (count, nt,
@@ -122,8 +135,7 @@ def _read_bin(path: Path, dtype) -> tuple[tuple[int, int], np.ndarray]:
     version, count, nt, nc = (int(v) for v in np.frombuffer(raw, dtype="<u4", count=4, offset=4))
     if version != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported format version {version}")
-    if nt < 1 or nc < 1:
-        raise ValueError(f"{path}: a header of {nt}x{nc} matrices; nt and nc must be >= 1")
+    _check_dims(path, nt, nc)
     size = np.dtype(dtype).itemsize * count * nt * nc
     if len(raw) - 20 != size:
         raise ValueError(f"{path}: payload of {len(raw) - 20} bytes, but {count} samples of {nt}x{nc} take {size}")
@@ -142,14 +154,16 @@ def write_chunks(out_dir: str | Path, terminals, shape: tuple[int, int], config:
     and .ppm, made from the samples of the dataset it replaces, writes
     config.json when given a config, positions.csv and paths.csv, and
     starts cfr.bin and adcam.bin with headers of every terminal and the
-    dataset's one (nt, nc) ``shape``. Each chunk's stacks are appended in
-    their ``_BIN_DTYPES``. A stack that is not exactly (n, nt, nc), n the
-    CFR stack's length, is a ``ValueError`` that names its file; rows past
+    dataset's one (nt, nc) ``shape``, checked before any file is made by
+    ``_read_bin``'s rule. Each chunk's stacks are appended in their
+    ``_BIN_DTYPES``. A stack that is not exactly (n, nt, nc), n the CFR
+    stack's length, is a ``ValueError`` that names its file; rows past
     the terminal count, or chunks that end before every terminal's rows,
     one that names the directory. On any exception, closing the generator
     early included, the files and directories it made are removed.
     """
     out = Path(out_dir)
+    _check_dims(out / "cfr.bin", *shape)
     made = [d for d in (out, *out.parents) if not d.exists()]
     paths, rows, count = [], 0, len(terminals)
 
@@ -383,7 +397,7 @@ def read_segmentation(path: str | Path, samples: list[Sample]) -> tuple[list[Sam
     rows = obj["samples"]
     if not (isinstance(rows, list) and rows):
         raise ValueError(f"{path}: samples must be a nonempty list of [id, cfr_label, adcam_label] entries")
-    _check({"min_count": _SEED}, {"min_count": obj.get("min_count")}, f"{path}:")
+    _check({"min_count": _NONNEGATIVE_INT}, {"min_count": obj.get("min_count")}, f"{path}:")
     by_id = {s.id: s for s in samples}
     routing = _routing_from_json(path, obj, by_id)
     n_centroids = len(routing["adcam_centroids"])

@@ -64,7 +64,7 @@ def _one_of(names) -> tuple[str, object]:
 _POSITIVE = ("a finite number > 0", lambda v: _is_real(v) and v > 0)
 _NONNEGATIVE = ("a finite number >= 0", lambda v: _is_real(v) and v >= 0)
 _COUNT = ("an integer >= 1", lambda v: _is_int(v) and v >= 1)
-_SEED = ("an integer >= 0", lambda v: _is_int(v) and v >= 0)
+_NONNEGATIVE_INT = ("an integer >= 0", lambda v: _is_int(v) and v >= 0)
 _PAIR = ("two finite numbers", lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_real, v)))
 
 
@@ -120,7 +120,7 @@ class SceneConfig:
     reflection_loss_db: float = _setting(6.0, ("a finite number", _is_real))
     spacing_ratio: float = _setting(0.5, _POSITIVE)
     snr_db: float | None = _setting(None, ("a finite number, or null for no noise", lambda v: v is None or _is_real(v)))
-    seed: int = _setting(0, _SEED)
+    seed: int = _setting(0, _NONNEGATIVE_INT)
 
     def __post_init__(self):
         _check({f.name: f.metadata["rule"] for f in fields(self)}, vars(self), "scene")

@@ -13,7 +13,6 @@ benchmark and claim-sweep configs; and ``locate`` against full founder
 scoring. Template matching's scan and stage one keep their oracle
 checks here too, with the segmentation invariants.
 """
-import dataclasses
 import importlib.util
 import json
 import time
@@ -25,7 +24,7 @@ import pytest
 from amdnloc.channel import render_image
 from amdnloc import localizer
 from amdnloc.cli import main as cli_main
-from amdnloc.evaluate import default_config, error_report, generate, run_pipeline, segment, split
+from amdnloc.evaluate import check_config, default_config, error_report, generate, run_pipeline, segment, split
 from amdnloc.fusion import Segmentation, cleanse, fuse_labels
 from amdnloc.localizer import locate, sample_features, train
 from amdnloc.scenegen import Rect, SceneConfig, build_dataset, scene_from_json, scene_to_json
@@ -74,7 +73,7 @@ def ncc_oracle(template: np.ndarray, source: np.ndarray) -> float:
 # the heterogeneous demonstration scene, shared by the trade-off and
 # segmentation-benefit checks
 
-HETERO_SCENE = SceneConfig(**REFERENCE_SCENE, grid_spacing_m=5.5, nt=32, nc=32, seed=7)
+HETERO_SCENE = SceneConfig(**REFERENCE_SCENE, grid_spacing_m=5.5, nt=32, nc=32, seed=3)
 
 HETERO_CONFIG = {
     **default_config(),
@@ -314,24 +313,29 @@ def test_the_benchmark_times_the_reference_scene():
     workloads = _module_at("perfbench_workloads", "perfbench/workloads.py")
     assert [Rect(*b) for b in workloads.BUILDINGS] == REFERENCE_SCENE["buildings"]
     for name in workloads.WORKLOADS:
-        scene = scene_from_json(workloads.build_config(name)["scene"])
+        config = workloads.build_config(name)
+        scene = scene_from_json(config["scene"])
         assert (scene.area_m, scene.bs_pos, scene.buildings) == (
             REFERENCE_SCENE["area_m"], REFERENCE_SCENE["bs_pos"], REFERENCE_SCENE["buildings"]
         ), name
+        # the run's scene is seeded by the config seed, so a workload whose
+        # scene gave another seed would record one its run never read
+        assert scene.seed == config["seed"], name
 
 
 def test_the_claim_sweep_runs_the_reference_config():
     # demos/06_claim_sweep.py keeps its own copy of the scene and settings,
-    # which run_pipeline seeds from each cell's config seed; importing it
-    # runs no sweep
+    # whose scene each cell's config seed seeds: the noiseless cell of
+    # seed 3 runs HETERO_CONFIG; importing it runs no sweep
     demo = _module_at("claim_sweep", "demos/06_claim_sweep.py")
     assert "cells" not in vars(demo)
     scene = scene_from_json(demo.SCENE)
     assert (scene.area_m, scene.bs_pos, scene.buildings) == (
         REFERENCE_SCENE["area_m"], REFERENCE_SCENE["bs_pos"], REFERENCE_SCENE["buildings"]
     )
-    assert dataclasses.replace(scene, seed=HETERO_SCENE.seed) == HETERO_SCENE
-    assert {**demo.CONFIG, "scene": HETERO_CONFIG["scene"], "seed": HETERO_CONFIG["seed"]} == HETERO_CONFIG
+    cell = {**demo.CONFIG, "scene": demo.SCENE, "seed": HETERO_CONFIG["seed"]}
+    assert check_config(cell) == check_config(HETERO_CONFIG)
+    assert scene_from_json(check_config(cell)["scene"]) == HETERO_SCENE
 
 
 @pytest.mark.parametrize("name", list(BENCHMARK_CONFIGS))

@@ -148,6 +148,18 @@ SMALL_CONFIG = {
 }
 
 
+# SMALL_CONFIG at 30 dB SNR, and the same config written with numpy
+# numbers of the same values, a tuple for a list and a scene of another
+# seed, which the config seed replaces
+NOISY_CONFIG = {**SMALL_CONFIG, "scene": {**SMALL_CONFIG["scene"], "snr_db": 30.0}}
+NUMPY_CONFIG = {
+    **NOISY_CONFIG,
+    "scene": {**NOISY_CONFIG["scene"], "nt": np.int64(16), "grid_spacing_m": np.float64(11.0), "snr_db": np.float32(30.0), "seed": 9},
+    "seed": np.int64(1),
+    "k_max": np.int32(3),
+    "template_size": (np.uint8(8), 8),
+}
+
 # the reference buildings on a coarse grid, 49 of whose 136 terminals are NLOS
 COARSE_REFERENCE_SCENE = scene_to_json(SceneConfig(**REFERENCE_SCENE, grid_spacing_m=15.0, nt=16, nc=16))
 
@@ -176,15 +188,14 @@ class TestRunPipeline:
 
     def test_the_dataset_config_holds_the_whole_scene(self, tmp_path):
         # SMALL_CONFIG's scene gives 6 of SceneConfig's fields; config.json
-        # holds every one, and reads back as the scene that ran, but for
-        # the config seed that generate puts in place of the scene's own
+        # holds every one, and reads back as the scene that ran, the
+        # config seed its seed
         run_pipeline(SMALL_CONFIG, out_dir=tmp_path)
         written = json.loads((tmp_path / "dataset" / "config.json").read_text())
         assert len(SMALL_CONFIG["scene"]) == 6
         assert sorted(written["scene"]) == sorted(f.name for f in dataclasses.fields(SceneConfig))
-        ran = evaluate.generate(SMALL_CONFIG)[1]
-        assert scene_from_json(written["scene"]) == dataclasses.replace(ran, seed=SceneConfig().seed)
-        assert scene_from_json({**written["scene"], "seed": written["seed"]}) == ran
+        assert scene_from_json(written["scene"]) == evaluate.generate(SMALL_CONFIG)[1]
+        assert written["scene"]["seed"] == written["seed"] == SMALL_CONFIG["seed"] != SceneConfig().seed
 
     @pytest.mark.parametrize(
         "config",
@@ -240,7 +251,7 @@ class TestRunPipeline:
         # files are those of the whole dataset's stacks in one write
         report = run_pipeline(config, out_dir=tmp_path / "run")
         cfg = check_config(config)
-        samples = nlos_filter(build_dataset(scene_from_json({**cfg["scene"], "seed": cfg["seed"]})), cfg["nlos_mode"])
+        samples = nlos_filter(build_dataset(scene_from_json(cfg["scene"])), cfg["nlos_mode"])
         assert len(samples) == report["n_train"] + report["n_test"]
         whole = (slice(None), [s.cfr for s in samples], [s.adcam for s in samples])
         for _ in dio.write_chunks(tmp_path / "built", samples, samples[0].cfr.shape, cfg, [whole]):
@@ -306,18 +317,21 @@ class TestRunPipeline:
         assert [p.name for p in out.iterdir()] == ["dataset"]
         assert _files(out / "dataset") == _files(tmp_path / "generated")
 
-    @pytest.mark.parametrize("end", ["error", "short"])
+    @pytest.mark.parametrize("end", ["error", "TypeError", "short"])
     def test_a_fingerprint_error_writes_nothing(self, tmp_path, monkeypatch, end):
         # a [generate] error raised while the chunks are made and written,
         # or chunks that end before every terminal's rows are written,
-        # removes the files and directories written so far
+        # removes the files and directories written so far; so does a
+        # TypeError, which is no [generate] error and passes through
+        # unchanged
         real = evaluate.fingerprint_chunks
+        error = {"error": ValueError("planted"), "TypeError": TypeError("planted")}.get(end)
 
         def failing(scene, terminals):
             chunks = real(scene, terminals)
             yield next(chunks)
-            if end == "error":
-                raise ValueError("planted")
+            if error is not None:
+                raise error
 
         monkeypatch.setattr(channel, "_CHUNK", 3)
         monkeypatch.setattr(evaluate, "fingerprint_chunks", failing)
@@ -325,9 +339,14 @@ class TestRunPipeline:
         threads = threading.active_count()
         n = len(generate(SMALL_CONFIG)[2])
         for out in (tmp_path / "new" / "run", tmp_path / "kept"):
-            message = "planted" if end == "error" else f"{out / 'dataset'}: the chunks ended after 3 of its {n} terminals' rows"
-            with pytest.raises(PipelineError, match="^" + re.escape(f"[generate] {message}") + "$"):
-                run_pipeline(SMALL_CONFIG, out_dir=out)
+            if end == "TypeError":
+                with pytest.raises(TypeError) as exc:
+                    run_pipeline(SMALL_CONFIG, out_dir=out)
+                assert exc.value is error
+            else:
+                message = "planted" if end == "error" else f"{out / 'dataset'}: the chunks ended after 3 of its {n} terminals' rows"
+                with pytest.raises(PipelineError, match="^" + re.escape(f"[generate] {message}") + "$"):
+                    run_pipeline(SMALL_CONFIG, out_dir=out)
             assert threading.active_count() == threads
         assert [p.name for p in tmp_path.iterdir()] == ["kept"]
         assert not any((tmp_path / "kept").iterdir())
@@ -599,10 +618,34 @@ class TestRunPipeline:
         # the scene seed alone would move the terminals
         a, b = (build_dataset(scene_from_json(s)) for s in scenes)
         assert [s.pos for s in a] != [s.pos for s in b]
+        # and both runs read and report the one scene of the config seed
         reports = [run_pipeline({**SMALL_CONFIG, "scene": s}) for s in scenes]
-        for r in reports:
-            del r["config"]
         assert reports[0] == reports[1]
+        assert reports[0]["config"]["scene"]["seed"] == SMALL_CONFIG["seed"]
+
+    def test_numpy_numbers_run_as_the_numbers_they_hold(self, tmp_path):
+        # numpy numbers pass the config rules; the run reads and writes the
+        # Python numbers config.json reads back, so with or without
+        # out_dir it gives the native config's report and artifacts
+        want = run_pipeline(NOISY_CONFIG, out_dir=tmp_path / "native")
+        assert run_pipeline(NUMPY_CONFIG) == want
+        assert run_pipeline(NUMPY_CONFIG, out_dir=tmp_path / "numpy") == want
+        assert _files(tmp_path / "numpy") == _files(tmp_path / "native")
+
+    @pytest.mark.parametrize(
+        "config",
+        [SMALL_CONFIG, NUMPY_CONFIG, {**SMALL_CONFIG, "scene": COARSE_REFERENCE_SCENE, "nlos_mode": "nlos_only"}],
+        ids=["small", "numpy", "nlos_only"],
+    )
+    def test_the_checked_config_is_the_config_the_run_reads(self, config):
+        # one seed and one form per setting: the checked config's scene is
+        # the scene generate runs, and the config is what its JSON file
+        # reads back, so checking it again or writing and reading it back
+        # changes nothing, not even a value's type
+        cfg = check_config(config)
+        assert scene_from_json(cfg["scene"]) == generate(config)[1]
+        assert cfg["scene"]["seed"] == cfg["seed"]
+        assert repr(check_config(cfg)) == repr(json.loads(json.dumps(cfg))) == repr(cfg)
 
     def test_one_sample_is_a_generate_error(self, tmp_path, capsys):
         # one terminal leaves nothing to hold out, so no error to report

@@ -215,6 +215,24 @@ def test_writer_rejects_chunks_that_end_short(tmp_path, written):
     _rejected(tmp_path / "data", _ROWS[:written], f"{tmp_path / 'data'}: the chunks ended after {written} of its 3 terminals' rows")
 
 
+@pytest.mark.parametrize("shape", [(0, 4), (4, 0), (0, 0)], ids=str)
+def test_writer_rejects_a_shape_its_reader_rejects(tmp_path, shape):
+    # a shape of no entries wrote all four files, and read_dataset then
+    # rejected the dataset; the writer gives the reader's message before
+    # it makes or removes any file
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "segmentation.json").write_text("{}")
+    chunk = (slice(0, 1), np.zeros((1, *shape), dtype=complex), np.zeros((1, *shape)))
+    for out in (tmp_path / "new" / "data", kept):
+        want = f"{out / 'cfr.bin'}: a header of {shape[0]}x{shape[1]} matrices; nt and nc must be >= 1"
+        with pytest.raises(ValueError, match="^" + re.escape(want) + "$"):
+            for _ in dio.write_chunks(out, [Terminal(id=0, pos=(0.0, 0.0), paths=[], is_los=False)], shape, None, [chunk]):
+                pass
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept"]
+    assert [p.name for p in kept.iterdir()] == ["segmentation.json"]
+
+
 # float32 values, so a dataset reads back exactly as written
 _f32 = st.floats(-1e6, 1e6, width=32)
 _angle = st.floats(0.0625, 3.125, width=32)
@@ -462,11 +480,15 @@ class TestCliWorkflow:
         assert not model.exists()
 
     def test_config_seed_seeds_the_generated_scene(self, dataset, chain_config, tmp_path):
+        # the dataset's config.json holds the scene that made it: the
+        # given scene, seeded by the config seed
         scene = dataclasses.replace(dataset[0], grid_jitter=0.5)
         (tmp_path / "config.json").write_text(json.dumps({**chain_config, "scene": scene_to_json(scene), "seed": 7}))
         assert main(["generate", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "d")]) == 0
+        written = scene_from_json(dio.read_json(tmp_path / "d" / "config.json")["scene"])
+        assert written == dataclasses.replace(scene, seed=7)
         got = [s.pos for s in dio.read_dataset(tmp_path / "d")]
-        assert got == [s.pos for s in build_dataset(dataclasses.replace(scene, seed=7))]
+        assert got == [s.pos for s in build_dataset(written)]
         assert got != [s.pos for s in build_dataset(scene)]
 
     def test_generate_keeps_the_nlos_mode_of_its_config(self, tmp_path):
@@ -474,7 +496,7 @@ class TestCliWorkflow:
                  "grid_spacing_m": 5, "nt": 16, "nc": 16}
         (tmp_path / "config.json").write_text(json.dumps({"scene": scene, "seed": 2, "nlos_mode": "nlos_only"}))
         assert main(["generate", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "d")]) == 0
-        built = build_dataset(scene_from_json({**scene, "seed": 2}))
+        built = build_dataset(scene_from_json(dio.read_json(tmp_path / "d" / "config.json")["scene"]))
         nlos = [s.id for s in built if not s.is_los]
         assert [s.id for s in dio.read_dataset(tmp_path / "d")] == nlos and 2 <= len(nlos) < len(built)
 
@@ -551,11 +573,8 @@ class TestCliWorkflow:
         assert not out.exists()
 
 
-# The console-script scene of CI, given as a config
-CI_CONFIG = {
-    "scene": {"area_m": [80, 80], "bs_pos": [10, 40], "buildings": [[35, 25, 8, 30]], "grid_spacing_m": 6, "nt": 16, "nc": 16},
-    "seed": 2, "template_size": [8, 8], "tau_in": 0.95, "tau_out": 0.95, "min_count": 1, "k_max": 3,
-}
+# The config of CI's console-script step, which copies the same file
+CI_CONFIG = json.loads(Path(__file__).with_name("ci_config.json").read_text())
 
 
 def test_the_cli_chain_runs_the_pipelines_stages(tmp_path, capsys):
