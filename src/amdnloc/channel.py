@@ -28,10 +28,6 @@ __all__ = [
 # time: 64 matrices of 32 x 32 complex are 1 MB.
 _CHUNK = 64
 
-# Matrices per block of ``adcam``'s two complex products: its work arrays
-# are 16 matrices each, 256 kB at 32 x 32, where a whole chunk's are 1 MB.
-_ADCAM_BLOCK = 16
-
 
 def _chunks(n: int) -> Iterator[slice]:
     """The slices of ``_CHUNK`` rows that cover ``range(n)``, in order."""
@@ -42,10 +38,10 @@ def _chunks(n: int) -> Iterator[slice]:
 def _chunk_rows(n: int) -> int:
     """Rows of the largest slice ``_chunks(n)`` yields. A pass makes its
     chunk-sized arrays once, this many rows long, and every chunk reuses
-    them: ``scenegen.fingerprint_chunks`` its CFR and ADCAM stacks, and
-    ``localizer._design_matrix`` its work arrays. A temporary made anew
-    per chunk can be handed back to the system when it is freed and
-    faulted in again by the next."""
+    them: ``scenegen.fingerprint_chunks`` its CFR and ADCAM stacks,
+    ``adcam`` and ``localizer._design_matrix`` their work arrays. A
+    temporary made anew per chunk can be handed back to the system when
+    it is freed and faulted in again by the next."""
     return min(n, _CHUNK)
 
 
@@ -180,10 +176,10 @@ def adcam(h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     or of each matrix of an (..., nt, nc) stack, into ``out``, a float64
     array of ``h``'s shape, or a new array.
 
-    Both products are taken ``_ADCAM_BLOCK`` matrices at a time into two
-    work arrays of that many matrices (``np.matmul(..., out=)``, faster
-    than a chained ``@``), made once and reused by every block, and each
-    block's amplitudes go into its rows of the result. Each matrix is
+    Both products are taken over ``_chunks`` of the stack into two work
+    arrays of ``_chunk_rows`` matrices (``np.matmul(..., out=)``, faster
+    than a chained ``@``), made once and reused by every chunk, and each
+    chunk's amplitudes go into its rows of the result. Each matrix is
     transformed bit for bit as it would be alone, so the result does not
     depend on the stack it came in, nor on what ``out`` held.
     """
@@ -200,11 +196,11 @@ def adcam(h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         _check_out(out, h.shape, np.float64)
     # a view of ``out`` unless its strides cannot be merged, then a copy
     amplitudes = out.reshape(stack.shape)
-    left, both = np.empty((2, min(len(stack), _ADCAM_BLOCK), nt, nc), dtype=np.complex128)
-    for start in range(0, len(stack), _ADCAM_BLOCK):
-        block = stack[start : start + _ADCAM_BLOCK]
+    left, both = np.empty((2, _chunk_rows(len(stack)), nt, nc), dtype=np.complex128)
+    for rows in _chunks(len(stack)):
+        block = stack[rows]
         m = len(block)
-        np.abs(np.matmul(np.matmul(vh, block, out=left[:m]), f, out=both[:m]), out=amplitudes[start : start + m])
+        np.abs(np.matmul(np.matmul(vh, block, out=left[:m]), f, out=both[:m]), out=amplitudes[rows])
     if not np.may_share_memory(amplitudes, out):
         out[...] = amplitudes.reshape(out.shape)
     return out

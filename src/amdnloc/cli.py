@@ -20,8 +20,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import io as dio
 from .channel import render_image
 from .evaluate import (
@@ -82,7 +80,7 @@ def _cmd_train(args) -> int:
     cfg = _dataset_config(data)
     samples = dio.read_dataset(data)
     train_samples, segmentation = dio.read_segmentation(data / "segmentation.json", samples)
-    with stage("train", np.linalg.LinAlgError):
+    with stage("train"):
         model = train(train_samples, segmentation, cfg["ridge_lambda"])
     dio.write_model(args.out, model)
     print(f"trained {len(model.weights)} region regressors; wrote {args.out}")

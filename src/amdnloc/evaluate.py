@@ -19,6 +19,7 @@ from .scenegen import (
     SceneConfig,
     Terminal,
     _check,
+    _check_keys,
     _is_int,
     _is_real,
     _one_of,
@@ -78,13 +79,13 @@ class PipelineError(RuntimeError):
 
 
 @contextlib.contextmanager
-def stage(name: str, *errors: type[Exception]):
-    """Tag a stage's failure: a ``ValueError``, or one of ``errors``,
-    raised in the block is a ``PipelineError(name, message)`` caused by
-    it; any other exception passes through unchanged."""
+def stage(name: str):
+    """Tag a stage's failure: a ``ValueError`` raised in the block (such as
+    ``np.linalg.LinAlgError``) is a ``PipelineError(name, message)``
+    caused by it; any other exception passes through unchanged."""
     try:
         yield
-    except (ValueError, *errors) as e:
+    except ValueError as e:
         raise PipelineError(name, str(e)) from e
 
 
@@ -154,15 +155,11 @@ def check_config(config) -> dict:
     """The config a run reads and config.json holds: ``config`` over
     ``default_config()``, checked, its scene with every ``SceneConfig``
     field filled in and the config ``seed``, each value as JSON reads it
-    back (``io.as_json``). A config that is not a dict, a key that
-    ``_CONFIG`` lacks, a value that fails its rule, a bad scene value, or
-    a template or feature block grid larger than the scene's (nt, nc), is
-    a ``ValueError``."""
-    if not isinstance(config, dict):
-        raise ValueError(f"a config is a JSON object, not {config!r}")
-    unknown = sorted(set(config) - set(_CONFIG))
-    if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(map(repr, unknown))}")
+    back (``io.as_json``). A config that is not a dict or has a key that
+    ``_CONFIG`` lacks (``_check_keys``), a value that fails its rule, a
+    bad scene value, or a template or feature block grid larger than the
+    scene's (nt, nc), is a ``ValueError``."""
+    _check_keys(config, _CONFIG, "config")
     cfg = {**default_config(), **config}
     _check(_CONFIG_RULES, cfg, "key")
     scene = scene_from_json(cfg["scene"])
@@ -283,7 +280,7 @@ def run_pipeline(config: dict, out_dir: str | Path | None = None) -> dict:
     with stage("segment"):
         segmentation = segment(train_t, cfg, mags[:n_train])
 
-    with stage("train", np.linalg.LinAlgError):
+    with stage("train"):
         positions = np.array([t.pos for t in train_t])
         model = fit(design[:n_train], positions, segmentation, features, cfg["ridge_lambda"])
 

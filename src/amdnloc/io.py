@@ -30,7 +30,7 @@ import numpy as np
 from .channel import PathRecord, render_image
 from .fusion import RegionLabels, Segmentation, cleanse, fuse_labels
 from .localizer import FeatureConfig, LocalizationModel
-from .scenegen import _COUNT, _NONNEGATIVE_INT, Sample, _check, _is_int, _one_of
+from .scenegen import _COUNT, _NONNEGATIVE_INT, Sample, _check, _check_keys, _is_int, _one_of
 from .segmentation_adcam import _PATH_SELECT, Standardizer
 from .segmentation_cfr import extract_templates
 
@@ -460,7 +460,7 @@ def read_model(path: str | Path, samples: list[Sample]) -> LocalizationModel:
     each ``pair_to_fused`` entry is three integers whose region has
     weights. A key that ``write_model`` does not write, such as the
     ``ridge_lambda`` and ``method`` of older files, or anything else, is
-    a ``ValueError`` that names the file and the key.
+    a ``ValueError`` that names the file and the keys in file order.
     """
     obj = read_json(path)
     if not isinstance(obj, dict) or obj.get("format") != "amdnloc-model":
@@ -469,9 +469,7 @@ def read_model(path: str | Path, samples: list[Sample]) -> LocalizationModel:
     if not (_is_int(version) and version == MODEL_VERSION):
         found = f"version {version!r}" if "version" in obj else "no version"
         raise ValueError(f"{path}: a model file of {found}; this release reads version {MODEL_VERSION}")
-    unknown = sorted(set(obj) - _MODEL_KEYS)
-    if unknown:
-        raise ValueError(f"{path}: unknown model keys: {', '.join(map(repr, unknown))}")
+    _check_keys(obj, _MODEL_KEYS, "model", f"{path}: ")
     rules = {"nt": _COUNT, "nc": _COUNT}
     _check(rules, {key: obj.get(key) for key in rules}, f"{path}:")
     config = FeatureConfig(nt=obj["nt"], nc=obj["nc"])

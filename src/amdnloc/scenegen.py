@@ -56,6 +56,16 @@ def _check(rules: dict, values: dict, what: str):
             raise ValueError(f"{what} {key} is {values[key]!r}; it must be {want}")
 
 
+def _check_keys(obj, known, what: str, where: str = ""):
+    """Raise a ``ValueError`` led by ``where`` unless ``obj`` is a dict of
+    ``known`` keys only; the unknown ones are named in ``obj``'s order."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}a {what} is a JSON object, not {obj!r}")
+    unknown = [key for key in obj if key not in known]
+    if unknown:
+        raise ValueError(f"{where}unknown {what} keys: {', '.join(map(repr, unknown))}")
+
+
 def _one_of(names) -> tuple[str, object]:
     """The rule that a value is one of the string ``names``."""
     return f"one of {', '.join(map(repr, names))}", lambda v: isinstance(v, str) and v in names
@@ -385,11 +395,7 @@ def scene_to_json(scene: SceneConfig) -> dict:
 
 
 def scene_from_json(obj: dict) -> SceneConfig:
-    """The SceneConfig of a scene.json object, as parsed. A key that
-    ``SceneConfig`` lacks is a ``ValueError`` that names it."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"a scene is a JSON object, not {obj!r}")
-    unknown = sorted(set(obj) - {f.name for f in fields(SceneConfig)})
-    if unknown:
-        raise ValueError(f"unknown scene keys: {', '.join(map(repr, unknown))}")
+    """The SceneConfig of a scene.json object, as parsed. A non-dict or a
+    key that ``SceneConfig`` lacks is a ``ValueError`` (``_check_keys``)."""
+    _check_keys(obj, {f.name for f in fields(SceneConfig)}, "scene")
     return SceneConfig(**obj)

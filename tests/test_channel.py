@@ -239,13 +239,14 @@ def test_an_out_of_another_shape_or_dtype_is_rejected(name, case):
         call(out)
 
 
+@pytest.mark.parametrize("chunk", [channel._CHUNK, 16], ids=["chunk", "small"])
 @pytest.mark.parametrize("snr_db", [None, 20.0], ids=["clean", "noisy"])
-@pytest.mark.parametrize("n", [1, 15, 16, 17, 64, 65])
-def test_blocked_adcam_transforms_each_matrix_as_alone(n, snr_db):
-    # adcam takes its products _ADCAM_BLOCK matrices at a time: stacks that
-    # end inside a block, at its end and past it give each matrix's own
-    # transform, on CFRs of real path lists with and without noise
-    assert channel._ADCAM_BLOCK == 16
+@pytest.mark.parametrize("n", [1, 63, 64, 65])
+def test_blocked_adcam_transforms_each_matrix_as_alone(n, snr_db, chunk):
+    # adcam takes its products over _chunks: stacks that end inside a
+    # chunk, at its end and past it, and with a small _CHUNK stacks of
+    # several chunks and a remainder, give each matrix's own transform,
+    # on CFRs of real path lists with and without noise
     rng = np.random.default_rng(n)
     paths = [
         [
@@ -257,7 +258,9 @@ def test_blocked_adcam_transforms_each_matrix_as_alone(n, snr_db):
     h = cfr_stack(paths, 32, 32)
     if snr_db is not None:
         h = np.array([add_noise(m, snr_db, seed=i) for i, m in enumerate(h)])
-    assert np.array_equal(adcam(h), np.array([adcam(m) for m in h]))
+    with mock.patch.object(channel, "_CHUNK", chunk):
+        stacked = adcam(h)
+    assert np.array_equal(stacked, np.array([adcam(m) for m in h]))
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 64])

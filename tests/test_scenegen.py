@@ -523,6 +523,11 @@ class TestSceneJson:
         with pytest.raises(ValueError, match=re.escape(named)):
             scene_from_json(obj)
 
+    def test_unknown_keys_are_named_in_the_scene_order(self):
+        obj = {**scene_to_json(open_scene()), "zeta": 1, 7: 2, "alpha": 3}
+        with pytest.raises(ValueError, match=re.escape("unknown scene keys: 'zeta', 7, 'alpha'")):
+            scene_from_json(obj)
+
     def test_scene_that_is_not_an_object_rejected(self):
         with pytest.raises(ValueError, match="a scene is a JSON object"):
             scene_from_json([1, 2])
